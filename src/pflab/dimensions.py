@@ -12,12 +12,11 @@ witness object that can be replayed as an adversary.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import CollectionEngine, states_budget
-from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, TreeSpecMismatch
+from .errors import BudgetExceeded, SpecError, TreeSpecMismatch, env_budget
 from .game import (
     Collection,
     GameSpec,
@@ -52,36 +51,6 @@ def minimax_det_regret(spec: GameSpec, T: int, budget: int | None = None) -> int
     return pfl_dim(spec, T, budget=budget)
 
 
-def _prefix_label_state(engine: CollectionEngine, prefix_x, prefix_y, prefix_reveals):
-    if not len(prefix_x) == len(prefix_y) == len(prefix_reveals):
-        raise SpecError("prefix lists must have equal length")
-    spec = engine.spec
-    for x in prefix_x:
-        if not isinstance(x, int) or not 0 <= x < spec.n_instances:
-            raise SpecError(f"prefix instance {x!r} outside range({spec.n_instances})")
-    for y in tuple(prefix_y) + tuple(prefix_reveals):
-        if not isinstance(y, int) or not 0 <= y < spec.n_labels:
-            raise SpecError(f"prefix label {y!r} outside range({spec.n_labels})")
-    alive = []
-    scores = []
-    for cid, col in enumerate(engine.collections):
-        miss = 0
-        consistent = True
-        for x, yhat, y in zip(prefix_x, prefix_y, prefix_reveals):
-            img = col.images[x]
-            if not (img >> y) & 1:
-                consistent = False
-                break
-            if not (img >> yhat) & 1:
-                miss += 1
-        if consistent:
-            alive.append(cid)
-            scores.append(miss)
-    if not alive:
-        raise EmptyConsistentSet("no collection is consistent with the prefix reveals")
-    return tuple(alive), tuple(scores)
-
-
 def ppfl_dim(
     spec: GameSpec,
     prefix_x,
@@ -103,7 +72,7 @@ def ppfl_dim(
         raise SpecError(f"depth must be nonnegative, got {d}")
     collections = build_admissible_collections(spec)
     engine = CollectionEngine(spec, collections, kind="label", budget=budget)
-    alive, scores = _prefix_label_state(engine, prefix_x, prefix_y, prefix_reveals)
+    alive, scores = engine.prefix_state(prefix_x, prefix_y, prefix_reveals)
     return engine.value(alive, scores, d)
 
 
@@ -178,10 +147,6 @@ def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
             )
 
 
-def _oracle_budget() -> int:
-    return int(os.environ.get("PFLAB_BUDGET_ORACLE", 1_000_000))
-
-
 def naive_tree_oracle(
     spec: GameSpec, d: int, q: int, budget: int | None = None
 ) -> Optional[ShatteringTree]:
@@ -200,7 +165,7 @@ def naive_tree_oracle(
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
-    limit = _oracle_budget() if budget is None else budget
+    limit = env_budget("PFLAB_BUDGET_ORACLE", 1_000_000) if budget is None else budget
     internal = sum(spec.n_labels ** i for i in range(d))
     if (spec.n_instances * spec.n_labels) ** internal > limit:
         raise BudgetExceeded(
@@ -303,6 +268,8 @@ def ml_sl_bl_dim(
         raise BudgetExceeded("version-space dimensions need an explicit hypothesis class")
     if cap is None:
         cap = spec.horizon + 2
+    if cap < 0:
+        raise SpecError(f"cap must be nonnegative, got {cap}")
     limit = states_budget() if budget is None else budget
     n = H.size
     values_at = [[H.value(h, x) for h in range(n)] for x in range(spec.n_instances)]

@@ -32,18 +32,18 @@ Soundness of the speedups, all of which preserve exact values:
   value equals the lower bound exactly;
 * edges with equal increment vectors over the alive set induce identical
   subtrees, as do reveals with equal survivor sets, so only one representative
-  of each class is explored;
+  of each class is explored; the reveal classes are computed once per state
+  and instance and shared by every edge;
 * scores translate: adding a constant to every score adds it to the value, so
   memo keys store scores relative to their minimum.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
 from .game import Collection, GameSpec
 from .measures import Measure, ONE, ZERO, measure_grid
 from .setsystems import iter_bits
@@ -52,11 +52,11 @@ _INF = float("inf")
 
 
 def states_budget() -> int:
-    return int(os.environ.get("PFLAB_BUDGET_STATES", 50_000_000))
+    return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
 
 
 def rand_budget() -> int:
-    return int(os.environ.get("PFLAB_BUDGET_RAND", 10_000_000))
+    return env_budget("PFLAB_BUDGET_RAND", 10_000_000)
 
 
 class CollectionEngine:
@@ -98,36 +98,71 @@ class CollectionEngine:
         """Score increment of a collection with this image under this edge."""
         key = (edge_index, image_mask)
         hit = self._inc_cache.get(key)
-        if hit is not None:
-            return hit
-        if self.kind == "label":
-            val = 0 if (image_mask >> self.edges[edge_index]) & 1 else 1
-        else:
-            mass = self.edges[edge_index].mass(image_mask)
-            if self.kind == "loss":
-                val = ONE - mass
-            elif self.gamma == 0:
-                val = 1 if mass < 1 else 0
-            else:
-                val = 1 if mass <= 1 - self.gamma else 0
-        self._inc_cache[key] = val
-        return val
+        if hit is None:
+            hit = self._inc_cache[key] = self._charge(self.edges[edge_index], image_mask)
+        return hit
 
-    def zero_increment(self) -> object:
-        return ZERO if self.kind == "loss" else 0
+    def _charge(self, move, image_mask: int):
+        """Increment for a played label (label kind) or exact measure (others)."""
+        if self.kind == "label":
+            return 0 if (image_mask >> move) & 1 else 1
+        mass = move.mass(image_mask)
+        if self.kind == "loss":
+            return ONE - mass
+        if self.gamma == 0:
+            return 1 if mass < 1 else 0
+        return 1 if mass <= 1 - self.gamma else 0
 
     # -- state helpers ------------------------------------------------------
 
     def initial_state(self):
-        """All collections alive with zero scores."""
-        zero = self.zero_increment()
-        return tuple(range(len(self.collections))), tuple(zero for _ in self.collections)
+        """All collections alive with zero scores: the state of an empty prefix."""
+        return self.prefix_state((), (), ())
 
-    def feasible_mask(self, alive: tuple, x: int) -> int:
-        m = 0
-        for cid in alive:
-            m |= self.images[cid][x]
-        return m
+    def prefix_state(self, prefix_x, prefix_moves, prefix_reveals):
+        """State after a played prefix of instances, moves and reveals.
+
+        Only collections whose image contains every prefix reveal stay alive;
+        each starts charged with its prefix rounds, by the same per-kind rule
+        :meth:`increment` applies. Moves are labels for the label kind and
+        exact measures otherwise; prefix measures need not lie on the grid.
+        Raises :class:`SpecError` on ragged lists or out-of-range instances,
+        labels or measures, and :class:`EmptyConsistentSet` when no
+        collection survives the reveals.
+        """
+        if not len(prefix_x) == len(prefix_moves) == len(prefix_reveals):
+            raise SpecError("prefix lists must have equal length")
+        spec = self.spec
+        for x in prefix_x:
+            if not isinstance(x, int) or not 0 <= x < spec.n_instances:
+                raise SpecError(f"prefix instance {x!r} outside range({spec.n_instances})")
+        labels = tuple(prefix_reveals)
+        if self.kind == "label":
+            labels = tuple(prefix_moves) + labels
+        else:
+            for pi in prefix_moves:
+                if not isinstance(pi, Measure):
+                    raise SpecError("prefix measures must be Measure objects")
+                if pi.n_labels != spec.n_labels:
+                    raise SpecError(
+                        f"prefix measure over {pi.n_labels} labels does not fit a "
+                        f"{spec.n_labels}-label spec"
+                    )
+        for y in labels:
+            if not isinstance(y, int) or not 0 <= y < spec.n_labels:
+                raise SpecError(f"prefix label {y!r} outside range({spec.n_labels})")
+        alive = []
+        scores = []
+        for cid, images in enumerate(self.images):
+            if all((images[x] >> y) & 1 for x, y in zip(prefix_x, prefix_reveals)):
+                score = ZERO if self.kind == "loss" else 0
+                for x, move in zip(prefix_x, prefix_moves):
+                    score += self._charge(move, images[x])
+                alive.append(cid)
+                scores.append(score)
+        if not alive:
+            raise EmptyConsistentSet("no collection is consistent with the prefix reveals")
+        return tuple(alive), tuple(scores)
 
     def update(self, alive: tuple, scores: tuple, x: int, edge_index: int, y: int):
         """Survivors of revealing ``y`` after playing edge ``edge_index`` at ``x``."""
@@ -139,6 +174,23 @@ class CollectionEngine:
                 new_alive.append(cid)
                 new_scores.append(s + self.increment(edge_index, img))
         return tuple(new_alive), tuple(new_scores)
+
+    def _reveal_classes(self, alive: tuple, x: int) -> list:
+        """One ``(lowest y, kept positions)`` pair per distinct survivor set.
+
+        Every feasible reveal at ``x`` whose survivors (positions into
+        ``alive``) coincide induces the same child under every edge, so the
+        classes are listed once per state and instance, in ascending ``y``.
+        """
+        imgs = [self.images[cid][x] for cid in alive]
+        feas = 0
+        for img in imgs:
+            feas |= img
+        classes = {}
+        for y in iter_bits(feas):
+            keep = tuple(i for i, img in enumerate(imgs) if (img >> y) & 1)
+            classes.setdefault(keep, y)
+        return [(y, keep) for keep, y in classes.items()]
 
     def _all_common(self, alive: tuple) -> bool:
         hit = self._common_cache.get(alive)
@@ -195,16 +247,17 @@ class CollectionEngine:
         The returned value is exact whenever it exceeds the cutoff.
         """
         lb = max(scores)
-        feas = self.feasible_mask(alive, x)
+        imgs = [self.images[cid][x] for cid in alive]
+        classes = self._reveal_classes(alive, x)
         best_edge = None
         seen_inc = set()
         for ei in range(len(self.edges)):
-            inc = tuple(self.increment(ei, self.images[cid][x]) for cid in alive)
+            inc = tuple(self.increment(ei, img) for img in imgs)
             if inc in seen_inc:
                 continue
             seen_inc.add(inc)
-            worst = self._edge_worst(
-                alive, scores, x, ei, feas, child_depth,
+            worst, _ = self._edge_worst(
+                alive, scores, inc, classes, child_depth,
                 stop_at=best_edge if best_edge is not None else _INF,
             )
             if best_edge is None or worst < best_edge:
@@ -215,22 +268,30 @@ class CollectionEngine:
                     break
         return best_edge
 
-    def _edge_worst(self, alive, scores, x, edge_index, feas, child_depth, stop_at=_INF):
-        """max over feasible reveals of the child value, for one edge."""
-        worst = None
-        seen_surv: dict = {}
-        for y in iter_bits(feas):
-            surv_key = tuple(cid for cid in alive if (self.images[cid][x] >> y) & 1)
-            if surv_key in seen_surv:
-                continue
-            seen_surv[surv_key] = y
-            child_alive, child_scores = self.update(alive, scores, x, edge_index, y)
-            v = self.value(child_alive, child_scores, child_depth)
+    def _edge_worst(self, alive, scores, inc, classes, child_depth, stop_at=_INF, on_budget=None):
+        """``(max child value, lowest y reaching it)`` over reveal classes, for one edge.
+
+        ``inc`` is the edge's increment vector over ``alive``. The scan stops
+        once the max reaches ``stop_at``. With ``on_budget="bound"`` a child
+        whose recursion exceeds the budget is scored ``max(child_scores) +
+        child_depth`` and the other children stay exact; otherwise
+        :class:`BudgetExceeded` propagates.
+        """
+        worst, worst_y = None, None
+        for y, keep in classes:
+            child_alive = tuple(alive[i] for i in keep)
+            child_scores = tuple(scores[i] + inc[i] for i in keep)
+            try:
+                v = self.value(child_alive, child_scores, child_depth)
+            except BudgetExceeded:
+                if on_budget != "bound":
+                    raise
+                v = max(child_scores) + child_depth
             if worst is None or v > worst:
-                worst = v
+                worst, worst_y = v, y
                 if worst >= stop_at:
                     break
-        return worst
+        return worst, worst_y
 
     # -- choice extraction (for strategies playing the value) ------------------
 
@@ -246,96 +307,69 @@ class CollectionEngine:
     def edge_worst_values(self, alive, scores, x, child_depth, on_budget=None):
         """Exact worst-case child value for every edge, in edge order.
 
-        ``on_budget="bound"`` substitutes, for any edge whose evaluation blows
+        ``on_budget="bound"`` substitutes, for any child whose recursion blows
         the engine budget, the trivial upper bound (max surviving score plus
-        the remaining depth); the substitution is deterministic, and documented
-        where it is relied on. Once the budget is fully spent every edge would
-        take the fallback, so the whole table is computed by the cheap grouped
-        scan instead of attempting one doomed recursion per edge.
+        the remaining depth), while the edge's other children stay exact; the
+        substitution is deterministic, and documented where it is relied on.
+        Only when the budget is already spent on entry is the whole table
+        computed by the no-recursion bound scan instead of attempting one
+        doomed recursion per child.
         """
-        feas = self.feasible_mask(alive, x)
+        classes = self._reveal_classes(alive, x)
         if on_budget == "bound" and self.nodes >= self.budget:
-            return self._edge_worst_bounds(alive, scores, x, feas, child_depth)
-        out = []
-        for ei in range(len(self.edges)):
-            worst = None
-            seen = set()
-            for y in iter_bits(feas):
-                surv_key = tuple(cid for cid in alive if (self.images[cid][x] >> y) & 1)
-                if surv_key in seen:
-                    continue
-                seen.add(surv_key)
-                child_alive, child_scores = self.update(alive, scores, x, ei, y)
-                try:
-                    v = self.value(child_alive, child_scores, child_depth)
-                except BudgetExceeded:
-                    if on_budget != "bound":
-                        raise
-                    v = max(child_scores) + child_depth
-                if worst is None or v > worst:
-                    worst = v
-            out.append(worst)
-        return out
+            return self._edge_worst_bounds(alive, scores, x, classes, child_depth)
+        imgs = [self.images[cid][x] for cid in alive]
+        return [
+            self._edge_worst(
+                alive,
+                scores,
+                tuple(self.increment(ei, img) for img in imgs),
+                classes,
+                child_depth,
+                on_budget=on_budget,
+            )[0]
+            for ei in range(len(self.edges))
+        ]
 
-    def _edge_worst_bounds(self, alive, scores, x, feas, child_depth):
+    def _edge_worst_bounds(self, alive, scores, x, classes, child_depth):
         """Upper-bound table for every edge without any value recursion.
 
-        For each distinct survivor set of a reveal, only the best surviving
-        score per image matters for the bound, so survivors are collapsed to
-        an image -> max score table once and every edge is scored against
-        those tables.
+        For each reveal class only the best surviving score per image matters
+        for the bound, so survivors are collapsed to an image -> max score
+        table once and every edge is scored against those tables.
         """
         groups = []
-        seen = set()
-        for y in iter_bits(feas):
-            key = tuple(cid for cid in alive if (self.images[cid][x] >> y) & 1)
-            if key in seen:
-                continue
-            seen.add(key)
+        for _, keep in classes:
             by_img: dict = {}
-            for cid, s in zip(alive, scores):
-                img = self.images[cid][x]
-                if (img >> y) & 1:
-                    prev = by_img.get(img)
-                    if prev is None or s > prev:
-                        by_img[img] = s
+            for i in keep:
+                img = self.images[alive[i]][x]
+                prev = by_img.get(img)
+                if prev is None or scores[i] > prev:
+                    by_img[img] = scores[i]
             groups.append(by_img)
-        out = []
-        for ei in range(len(self.edges)):
-            worst = None
-            for by_img in groups:
-                top = max(s + self.increment(ei, img) for img, s in by_img.items())
-                if worst is None or top > worst:
-                    worst = top
-            if worst is None:
-                worst = max(scores)
-            out.append(worst + child_depth)
-        return out
+        return [
+            max(
+                (max(s + self.increment(ei, img) for img, s in by_img.items())
+                 for by_img in groups),
+                default=max(scores),
+            )
+            + child_depth
+            for ei in range(len(self.edges))
+        ]
 
     def best_edge(self, alive, scores, x, child_depth, on_budget=None):
-        """Lowest-index edge minimizing the worst-case child value."""
+        """Lowest-index edge minimizing the worst-case child value.
+
+        ``on_budget`` is passed to :meth:`edge_worst_values`.
+        """
         values = self.edge_worst_values(alive, scores, x, child_depth, on_budget=on_budget)
-        best = min(values)
-        return values.index(best)
+        return values.index(min(values))
 
     def best_reveal(self, alive, scores, x, edge_index, child_depth) -> int:
-        """Lowest feasible reveal maximizing the child value (adversary's move)."""
-        feas = self.feasible_mask(alive, x)
-        best_y, best_v = None, None
-        for y in iter_bits(feas):
-            child_alive, child_scores = self.update(alive, scores, x, edge_index, y)
-            v = self.value(child_alive, child_scores, child_depth)
-            if best_v is None or v > best_v:
-                best_y, best_v = y, v
-        return best_y
+        """Lowest feasible reveal maximizing the child value (adversary's move).
 
-    def edge_index_of_label(self, label: int) -> int:
-        """Index of the edge behaving like a point mass on ``label``.
-
-        For label kind that is the label itself; for measure kinds it is the
-        delta measure, which every grid contains.
+        Every reveal in a class yields the same child, so the lowest ``y`` of
+        the first best class is the lowest maximizing reveal.
         """
-        if self.kind == "label":
-            return label
-        target = Measure.delta(self.spec.n_labels, label)
-        return self.edges.index(target)
+        inc = tuple(self.increment(edge_index, self.images[cid][x]) for cid in alive)
+        return self._edge_worst(alive, scores, inc, self._reveal_classes(alive, x), child_depth)[1]

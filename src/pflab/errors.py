@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the budget variables' reader.
 
 Everything raised deliberately by this package derives from :class:`PflabError`,
 so callers can catch one type at the boundary. The CLI maps subclasses onto
@@ -6,6 +6,8 @@ exit codes (see ``pflab.cli``).
 """
 
 from __future__ import annotations
+
+import os
 
 
 class PflabError(Exception):
@@ -47,6 +49,20 @@ class BudgetExceeded(PflabError):
         super().__init__(message)
         self.spent = spent
         self.budget = budget
+
+
+def env_budget(name: str, default: int) -> int:
+    """Work budget read from environment variable ``name``, else ``default``.
+
+    Raises :class:`SpecError` naming the variable when its value is not a
+    nonnegative integer.
+    """
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    if not text.strip().isdecimal():
+        raise SpecError(f"{name} must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class GridTooLarge(BudgetExceeded):

@@ -21,7 +21,6 @@ rather than sampling.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .errors import (
     ProtocolViolation,
     RealizabilityViolation,
     SpecError,
+    env_budget,
 )
 from .measures import Measure, ONE, ZERO
 from .setsystems import SetSystem, iter_bits, labels_of, mask_of
@@ -59,7 +59,7 @@ class Realizability(str, Enum):
 
 
 def _collections_budget() -> int:
-    return int(os.environ.get("PFLAB_BUDGET_COLLECTIONS", 5_000_000))
+    return env_budget("PFLAB_BUDGET_COLLECTIONS", 5_000_000)
 
 
 # -- hypothesis classes ---------------------------------------------------------

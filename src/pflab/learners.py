@@ -193,11 +193,9 @@ class PotentialMinimizingLearner(Learner):
 
     def predict(self, x: int) -> int:
         child_depth = max(self._spec.horizon - self._round - 1, 0)
-        worsts = self._engine.edge_worst_values(
+        yhat = self._engine.best_edge(
             self._alive, self._scores, x, child_depth, on_budget="bound"
         )
-        best = min(worsts)
-        yhat = worsts.index(best)
         self._pending = (x, yhat)
         return yhat
 
@@ -260,9 +258,7 @@ class FixedScaleMeasureLearner(Learner):
 
     def predict(self, x: int) -> Measure:
         child_depth = max(self._spec.horizon - self._round - 1, 0)
-        worsts = self._engine.edge_worst_values(self._alive, self._scores, x, child_depth)
-        best = min(worsts)
-        edge = worsts.index(best)
+        edge = self._engine.best_edge(self._alive, self._scores, x, child_depth)
         self._pending = (x, edge)
         return self._engine.edges[edge]
 
@@ -334,10 +330,10 @@ class MultiScaleMeasureLearner(Learner):
 
     def predict(self, x: int) -> Measure:
         child_depth = max(self._spec.horizon - self._round - 1, 0)
-        proposals = []
-        for eng, scores in zip(self._engines, self._scores):
-            worsts = eng.edge_worst_values(self._alive, scores, x, child_depth)
-            proposals.append(worsts.index(min(worsts)))
+        proposals = [
+            eng.best_edge(self._alive, scores, x, child_depth)
+            for eng, scores in zip(self._engines, self._scores)
+        ]
         measures = [self._engines[0].edges[e] for e in proposals]
         m = self._msp(self._N, measures, self._gammas, self._spec.set_system)
         edge = proposals[m - 1]

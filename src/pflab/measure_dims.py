@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import CollectionEngine, rand_budget
-from .errors import EmptyConsistentSet, SpecError
+from .engine import CollectionEngine
+from .errors import SpecError
 from .game import GameSpec, Realizability, Visibility, build_admissible_collections
-from .measures import Measure
 from .setsystems import SetSystem
 
 
@@ -86,39 +85,12 @@ def ppms_dim(
     gamma = _as_gamma(gamma)
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
-    if not len(prefix_x) == len(prefix_measures) == len(prefix_reveals):
-        raise SpecError("prefix lists must have equal length")
-    for pi in prefix_measures:
-        if not isinstance(pi, Measure):
-            raise SpecError("prefix_measures must contain Measure objects")
-        if pi.n_labels != spec.n_labels:
-            raise SpecError(
-                f"prefix measure over {pi.n_labels} labels does not fit a "
-                f"{spec.n_labels}-label spec"
-            )
     collections = build_admissible_collections(spec)
     engine = CollectionEngine(
         spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
     )
-    alive = []
-    scores = []
-    for cid, col in enumerate(collections):
-        events = 0
-        consistent = True
-        for x, pi, y in zip(prefix_x, prefix_measures, prefix_reveals):
-            img = col.images[x]
-            if not (img >> y) & 1:
-                consistent = False
-                break
-            mass = pi.mass(img)
-            if (mass < 1) if gamma == 0 else (mass <= 1 - gamma):
-                events += 1
-        if consistent:
-            alive.append(cid)
-            scores.append(events)
-    if not alive:
-        raise EmptyConsistentSet("no collection is consistent with the prefix reveals")
-    return GridInt(engine.value(tuple(alive), tuple(scores), d))
+    alive, scores = engine.prefix_state(prefix_x, prefix_measures, prefix_reveals)
+    return GridInt(engine.value(alive, scores, d))
 
 
 def msp(N: int, measures, thresholds, system: SetSystem) -> int:
@@ -174,12 +146,6 @@ def minimax_rand_regret(
     if T < 0:
         raise SpecError(f"horizon must be nonnegative, got {T}")
     collections = build_admissible_collections(spec)
-    engine = CollectionEngine(
-        spec,
-        collections,
-        kind="loss",
-        grid=g,
-        budget=rand_budget() if budget is None else budget,
-    )
+    engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)
     alive, scores = engine.initial_state()
     return Fraction(engine.value(alive, scores, T))

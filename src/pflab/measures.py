@@ -9,20 +9,15 @@ size, so enumeration is budget-guarded.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import GridTooLarge, SpecError
+from .errors import GridTooLarge, SpecError, env_budget
 from .setsystems import iter_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _grid_budget() -> int:
-    return int(os.environ.get("PFLAB_BUDGET_GRID", 1_000_000))
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measu
         raise SpecError(f"need at least 2 labels, got {n_labels}")
     if g < 1:
         raise SpecError(f"grid resolution must be a positive integer, got {g}")
-    limit = _grid_budget() if budget is None else budget
+    limit = env_budget("PFLAB_BUDGET_GRID", 1_000_000) if budget is None else budget
     n = grid_size(n_labels, g)
     if n > limit:
         raise GridTooLarge(

@@ -180,3 +180,29 @@ def test_prefix_dim(capsys):
                                 "--prefix-x", "0", "--prefix-y", "1", "--prefix-reveal", "1"])
     assert code == 0
     assert "value: 0" in out
+
+
+@pytest.mark.parametrize(
+    "prefix_x, prefix_reveal",
+    [("5", "0"), ("-1", "0"), ("0", "-1"), ("0", "9")],
+)
+def test_prefix_rand_out_of_range(capsys, prefix_x, prefix_reveal):
+    code, out, err = run(capsys, ["rand", TWO_CONSTANT, "--what", "ppms", "--gamma", "1/2",
+                                  "--prefix-x", prefix_x, "--prefix-measure", "1/2,1/2",
+                                  "--prefix-reveal", prefix_reveal])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_budget_variable_must_be_a_nonnegative_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("PFLAB_BUDGET_STATES", value)
+    code, _, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "1"])
+    assert code == 2
+    assert err.startswith("spec error:") and "PFLAB_BUDGET_STATES" in err
+
+
+def test_negative_version_space_cap(capsys):
+    code, _, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "ml", "--depth", "-3"])
+    assert code == 2
+    assert "spec error" in err

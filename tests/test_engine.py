@@ -1,0 +1,179 @@
+"""CollectionEngine's choice methods against naive tables, plus pinned counts.
+
+The naive tables recurse through ``value`` on every feasible reveal, with no
+survivor-set dedup, so they check the engine's reveal classes and its
+per-edge worst case independently. The pinned numbers were taken from the
+engine before its reveal scans were merged into one pass; they hold the
+expanded-state counts and the budget fallback of ``on_budget="bound"`` fixed.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pflab import (
+    build_admissible_collections,
+    dpfla_learner,
+    helly_game,
+    optimal_adversary,
+    play_game,
+)
+from pflab.engine import CollectionEngine
+from pflab.families import binary_full_system_family
+
+from test_properties import seeds, spec_from_seed
+
+KINDS = {
+    "label": {},
+    "measure": {"gamma": Fraction(1, 2), "grid": 2},
+    "loss": {"grid": 2},
+}
+
+
+def _engine(spec, kind, budget=None):
+    return CollectionEngine(
+        spec, build_admissible_collections(spec), kind=kind, budget=budget, **KINDS[kind]
+    )
+
+
+def _family_spec(index):
+    return next(itertools.islice(binary_full_system_family(), index, None))[1]
+
+
+def _feasible(eng, alive, x):
+    mask = 0
+    for cid in alive:
+        mask |= eng.images[cid][x]
+    return [y for y in range(eng.spec.n_labels) if (mask >> y) & 1]
+
+
+def _states(eng):
+    """The initial state and every state one round (edge 0) below it."""
+    alive, scores = eng.initial_state()
+    rounds = eng.spec.horizon
+    yield alive, scores, rounds
+    for x in range(eng.spec.n_instances):
+        for y in _feasible(eng, alive, x):
+            yield (*eng.update(alive, scores, x, 0, y), rounds - 1)
+
+
+def _child_values(eng, alive, scores, x, edge_index, child_depth):
+    return {
+        y: eng.value(*eng.update(alive, scores, x, edge_index, y), child_depth)
+        for y in _feasible(eng, alive, x)
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_choice_methods_match_naive_tables(kind, seed):
+    spec = spec_from_seed(seed, horizon=3)
+    eng = _engine(spec, kind)
+    for alive, scores, rounds in _states(eng):
+        for x in range(spec.n_instances):
+            children = [
+                _child_values(eng, alive, scores, x, ei, rounds - 1)
+                for ei in range(len(eng.edges))
+            ]
+            naive = [max(c.values()) for c in children]
+            table = eng.edge_worst_values(alive, scores, x, rounds - 1)
+            assert table == naive
+            assert eng.best_edge(alive, scores, x, rounds - 1) == naive.index(min(naive))
+            for ei, c in enumerate(children):
+                want = min(y for y, v in c.items() if v == naive[ei])
+                assert eng.best_reveal(alive, scores, x, ei, rounds - 1) == want
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_bound_mode_is_exact_with_unspent_budget(kind, seed):
+    spec = spec_from_seed(seed, horizon=3)
+    exact, bounded = _engine(spec, kind), _engine(spec, kind)
+    for alive, scores, rounds in _states(exact):
+        for x in range(spec.n_instances):
+            assert bounded.edge_worst_values(
+                alive, scores, x, rounds - 1, on_budget="bound"
+            ) == exact.edge_worst_values(alive, scores, x, rounds - 1)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=99))
+def test_prefix_state_matches_played_rounds(kind, seed, play_seed):
+    """Seeding from a prefix of grid moves equals playing it with ``update``."""
+    spec = spec_from_seed(seed, horizon=3)
+    eng = _engine(spec, kind)
+    rng = random.Random(play_seed)
+    alive, scores = eng.initial_state()
+    xs, moves, ys = [], [], []
+    for _ in range(2):
+        x = rng.randrange(spec.n_instances)
+        ei = rng.randrange(len(eng.edges))
+        y = rng.choice(_feasible(eng, alive, x))
+        alive, scores = eng.update(alive, scores, x, ei, y)
+        xs.append(x)
+        moves.append(eng.edges[ei])
+        ys.append(y)
+        assert eng.prefix_state(xs, moves, ys) == (alive, scores)
+
+
+@pytest.mark.parametrize(
+    "spec_of, depth, value, nodes",
+    [
+        (lambda: helly_game(3), 3, 1, 1),
+        (lambda: _family_spec(0), 3, 0, 0),
+        (lambda: _family_spec(1), 3, 0, 0),
+        (lambda: _family_spec(120), 6, 2, 352),
+        (lambda: _family_spec(200), 7, 2, 446),
+    ],
+)
+def test_pinned_expanded_states(spec_of, depth, value, nodes):
+    eng = _engine(spec_of(), "label")
+    assert eng.value(*eng.initial_state(), depth) == value
+    assert eng.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "index, budget, tables, nodes",
+    [
+        (120, 1, [[6, 6], [6, 6], [6, 6]], 5),
+        (120, 250, [[2, 5], [6, 6], [6, 6]], 251),
+        (120, 400, [[2, 2], [2, 6], [6, 6]], 402),
+        (160, 10, [[6, 5], [6, 6], [6, 6]], 12),
+        (160, 150, [[2, 1], [6, 5], [6, 6]], 152),
+    ],
+)
+def test_pinned_bound_tables(index, budget, tables, nodes):
+    """Tables where the budget runs out inside an edge, or before the call."""
+    spec = _family_spec(index)
+    eng = _engine(spec, "label", budget=budget)
+    alive, scores = eng.initial_state()
+    got = [
+        eng.edge_worst_values(alive, scores, x, spec.horizon - 1, on_budget="bound")
+        for x in range(spec.n_instances)
+    ]
+    assert got == tables
+    assert eng.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "spec_of, transcript",
+    [
+        (lambda: helly_game(3), ((0, 0, 0), (0, 1, 1), (1, 1, 1), (50, 50, 50), 1)),
+        (
+            lambda: _family_spec(120),
+            ((0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1),
+             (2, 2, 2, 2, 2, 2), 2),
+        ),
+    ],
+)
+@pytest.mark.parametrize("budget", [1, 3, 8])
+def test_pinned_dpfla_vs_optimal(spec_of, transcript, budget):
+    spec = spec_of()
+    t = play_game(spec, dpfla_learner(spec, potential_budget=budget), optimal_adversary(spec))
+    assert (t.instances, t.predictions, t.reveals, t.sets, t.loss) == transcript
