@@ -20,7 +20,7 @@ from .errors import (
     SpecError,
     TreeSpecMismatch,
 )
-from .game import Adversary, GameSpec, build_admissible_collections
+from .game import Adversary, GameSpec, build_admissible_collections, strategy_param
 from .measures import Measure
 from .setsystems import iter_bits, mask_of
 
@@ -38,7 +38,41 @@ def _modal_label(prediction) -> int:
     return prediction
 
 
-class OptimalAdversary(Adversary):
+class _CollectionAdversary(Adversary):
+    """Plays from the collection version space and commits to one survivor.
+
+    ``begin`` enumerates the admissible collections, all alive. The ground
+    truth is the collection a subclass's :meth:`_chosen` names: its images at
+    the played instances are the finalized sets, its members the witness.
+    """
+
+    def begin(self, spec: GameSpec) -> None:
+        self._spec = spec
+        self._collections = build_admissible_collections(spec)
+        self._alive = tuple(range(len(self._collections)))
+
+    def _feasible(self, x: int) -> int:
+        """Labels some alive collection's image at ``x`` contains."""
+        feasible = 0
+        for cid in self._alive:
+            feasible |= self._collections[cid].images[x]
+        return feasible
+
+    def _survivors(self, x: int, y: int) -> tuple:
+        return tuple(cid for cid in self._alive if (self._collections[cid].images[x] >> y) & 1)
+
+    def _chosen(self) -> int:
+        raise NotImplementedError
+
+    def finalize_sets(self, view):
+        col = self._collections[self._chosen()]
+        return [col.images[x] for x in view.instances]
+
+    def witness_collection(self):
+        return self._collections[self._chosen()].members
+
+
+class OptimalAdversary(_CollectionAdversary):
     """Plays the argmax branch of the exact value recursion every round.
 
     Instance and reveal choices come straight from the memoized game value;
@@ -52,18 +86,15 @@ class OptimalAdversary(Adversary):
         self._budget = budget
 
     def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
-        self._collections = build_admissible_collections(spec)
+        super().begin(spec)
         self._engine = CollectionEngine(
             spec, self._collections, kind="label", budget=self._budget
         )
         self._alive, self._scores = self._engine.initial_state()
         self._rounds_left = self._T
-        self._x = None
 
     def choose_instance(self) -> int:
-        self._x = self._engine.best_instance(self._alive, self._scores, self._rounds_left)
-        return self._x
+        return self._engine.best_instance(self._alive, self._scores, self._rounds_left)
 
     def reveal(self, x: int, prediction) -> int:
         edge = _modal_label(prediction)
@@ -79,13 +110,6 @@ class OptimalAdversary(Adversary):
     def _chosen(self) -> int:
         best = max(self._scores)
         return self._alive[self._scores.index(best)]
-
-    def finalize_sets(self, view):
-        col = self._collections[self._chosen()]
-        return [col.images[x] for x in view.instances]
-
-    def witness_collection(self):
-        return self._collections[self._chosen()].members
 
 
 def optimal_adversary(spec: GameSpec, T: int | None = None, budget: int | None = None) -> OptimalAdversary:
@@ -136,7 +160,7 @@ def shattering_tree_adversary(tree: ShatteringTree) -> ShatteringTreeAdversary:
     return ShatteringTreeAdversary(tree)
 
 
-class EchoAdversary(Adversary):
+class EchoAdversary(_CollectionAdversary):
     """Reveals the learner's own prediction whenever some collection allows it.
 
     Against a learner that always predicts feasibly, every prediction ends up
@@ -144,37 +168,20 @@ class EchoAdversary(Adversary):
     predictions get the lowest feasible label instead.
     """
 
-    def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
-        self._collections = build_admissible_collections(spec)
-        self._alive = list(range(len(self._collections)))
-        self._x = None
-
     def choose_instance(self) -> int:
-        self._x = 0
         return 0
-
-    def _survivors(self, x: int, y: int):
-        return [cid for cid in self._alive if (self._collections[cid].images[x] >> y) & 1]
 
     def reveal(self, x: int, prediction) -> int:
         y = _modal_label(prediction)
         kept = self._survivors(x, y)
         if not kept:
-            feasible = 0
-            for cid in self._alive:
-                feasible |= self._collections[cid].images[x]
-            y = min(iter_bits(feasible))
+            y = min(iter_bits(self._feasible(x)))
             kept = self._survivors(x, y)
         self._alive = kept
         return y
 
-    def finalize_sets(self, view):
-        col = self._collections[self._alive[0]]
-        return [col.images[x] for x in view.instances]
-
-    def witness_collection(self):
-        return self._collections[self._alive[0]].members
+    def _chosen(self) -> int:
+        return self._alive[0]
 
 
 def echo_adversary() -> EchoAdversary:
@@ -182,38 +189,29 @@ def echo_adversary() -> EchoAdversary:
     return EchoAdversary()
 
 
-class SeededRandomAdversary(Adversary):
+class SeededRandomAdversary(_CollectionAdversary):
     """Protocol-legal random play from a seeded generator, for stress tests."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
 
     def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
+        super().begin(spec)
         self._rng = random.Random(self._seed)
-        self._collections = build_admissible_collections(spec)
-        self._alive = list(range(len(self._collections)))
+        self._pick = None
 
     def choose_instance(self) -> int:
         return self._rng.randrange(self._spec.n_instances)
 
     def reveal(self, x: int, prediction) -> int:
-        feasible = 0
-        for cid in self._alive:
-            feasible |= self._collections[cid].images[x]
-        y = self._rng.choice(list(iter_bits(feasible)))
-        self._alive = [
-            cid for cid in self._alive if (self._collections[cid].images[x] >> y) & 1
-        ]
+        y = self._rng.choice(list(iter_bits(self._feasible(x))))
+        self._alive = self._survivors(x, y)
         return y
 
-    def finalize_sets(self, view):
-        self._chosen = self._rng.choice(self._alive)
-        col = self._collections[self._chosen]
-        return [col.images[x] for x in view.instances]
-
-    def witness_collection(self):
-        return self._collections[self._chosen].members
+    def _chosen(self) -> int:
+        if self._pick is None:
+            self._pick = self._rng.choice(self._alive)
+        return self._pick
 
 
 def random_adversary(seed: int = 0) -> SeededRandomAdversary:
@@ -630,31 +628,35 @@ def pf_not_sv_adversary(T: int, set_valued: bool = False) -> PrefixParityAdversa
 def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
     """Instantiate an adversary by registry name with config-file parameters."""
     params = dict(params or {})
+
+    def param(*args):
+        return strategy_param(params, name, *args)
+
     if name == "optimal":
-        built = optimal_adversary(spec, T=params.pop("T", None))
+        built = optimal_adversary(spec, T=param("T", int, None))
     elif name == "echo":
         built = echo_adversary()
     elif name == "random":
-        built = random_adversary(int(params.pop("seed", 0)))
+        built = random_adversary(param("seed", int, 0))
     elif name == "collision":
         fam = CollisionFamily(
-            modulus=int(params.pop("modulus", 64)),
-            slopes=tuple(params.pop("slopes", (0, 1))),
-            pool=tuple(params.pop("pool", tuple(range(64)))),
+            modulus=param("modulus", int, 64),
+            slopes=tuple(param("slopes", None, (0, 1))),
+            pool=tuple(param("pool", None, tuple(range(64)))),
         )
         built = collision_adversary(fam)
     elif name == "agnostic_two_constant":
-        built = agnostic_two_constant_adversary(int(params.pop("T", spec.horizon)))
+        built = agnostic_two_constant_adversary(param("T", int, spec.horizon))
     elif name == "public_cube":
         built = public_cube_adversary(
-            int(params.pop("T", spec.horizon)),
-            int(params.pop("M", spec.n_labels)),
-            params.pop("k", Fraction(1, 2)),
+            param("T", int, spec.horizon),
+            param("M", int, spec.n_labels),
+            param("k", Fraction, Fraction(1, 2)),
         )
     elif name == "pf_not_sv":
         built = pf_not_sv_adversary(
-            int(params.pop("T", spec.horizon)),
-            set_valued=bool(params.pop("set_valued", False)),
+            param("T", int, spec.horizon),
+            set_valued=bool(param("set_valued", None, False)),
         )
     else:
         raise SpecError(f"unknown adversary name {name!r}")

@@ -271,6 +271,8 @@ def ml_sl_bl_dim(
     if cap < 0:
         raise SpecError(f"cap must be nonnegative, got {cap}")
     limit = states_budget() if budget is None else budget
+    if limit < 0:
+        raise SpecError(f"budget must be nonnegative, got {limit}")
     n = H.size
     values_at = [[H.value(h, x) for h in range(n)] for x in range(spec.n_instances)]
     memo: dict = {}

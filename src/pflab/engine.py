@@ -86,6 +86,8 @@ class CollectionEngine:
             self.edges = measure_grid(spec.n_labels, grid if grid is not None else spec.measure_grid)
         if budget is None:
             budget = rand_budget() if kind == "loss" else states_budget()
+        if budget < 0:
+            raise SpecError(f"budget must be nonnegative, got {budget}")
         self.budget = budget
         self.nodes = 0
         self._memo: dict = {}

@@ -367,10 +367,15 @@ class Adversary:
         raise NotImplementedError
 
     def reveal_set(self, x: int, prediction: Prediction) -> int:
-        raise NotImplementedError
+        raise SpecError(
+            f"adversary {type(self).__name__} does not support "
+            f"{Feedback.SET_VALUED.value} feedback"
+        )
 
     def loss_bit(self, x: int, prediction: Prediction) -> int:
-        raise NotImplementedError
+        raise SpecError(
+            f"adversary {type(self).__name__} does not support {Feedback.BANDIT.value} feedback"
+        )
 
     def observe_draw(self, z: int) -> None:
         pass
@@ -382,23 +387,40 @@ class Adversary:
         return None
 
 
+REQUIRED = object()
+
+
+def strategy_param(params: dict, strategy: str, key: str, kind=None, default=REQUIRED):
+    """Pop parameter ``key`` of the named strategy from its config ``params``.
+
+    ``kind`` is ``int`` or ``Fraction`` to convert the value with, or
+    ``None`` to take it as given. A missing key returns ``default``. Raises
+    :class:`SpecError` when a required key is missing or the value does not
+    convert.
+    """
+    if key not in params:
+        if default is REQUIRED:
+            raise SpecError(f"strategy {strategy!r} requires parameter {key!r}")
+        return default
+    value = params.pop(key)
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise SpecError(
+            f"parameter {key!r} of {strategy!r} is not a valid {kind.__name__}: {value!r}"
+        ) from None
+
+
 # -- loss and comparator ----------------------------------------------------------
 
 
-def _round_loss(prediction: Prediction, mask: int, n_labels: int) -> Fraction:
-    if isinstance(prediction, Measure):
-        return prediction.miss_mass(mask)
-    return ZERO if (mask >> prediction) & 1 else ONE
-
-
-def _path_loss(predictions, draws, sets, n_labels: int) -> Fraction:
-    if draws is None:
-        return sum(
-            (_round_loss(p, m, n_labels) for p, m in zip(predictions, sets)), ZERO
-        )
-    return sum(
-        (ZERO if (m >> z) & 1 else ONE for z, m in zip(draws, sets)), ZERO
-    )
+def _round_loss(move: Prediction, mask: int) -> Fraction:
+    """Loss of one round: the mass a measure puts outside ``mask``, or 0/1 for a label."""
+    if isinstance(move, Measure):
+        return move.miss_mass(mask)
+    return ZERO if (mask >> move) & 1 else ONE
 
 
 def comparator_loss(transcript: Transcript, spec: GameSpec) -> Fraction:
@@ -416,19 +438,14 @@ def comparator_loss(transcript: Transcript, spec: GameSpec) -> Fraction:
     otherwise one found by search), else RealizabilityViolation.
     """
     if spec.realizability is Realizability.SET_REALIZABLE:
-        if transcript.witness is not None:
-            _validate_witness(
-                spec, transcript.witness.members, transcript.instances, transcript.sets
-            )
-        else:
-            found = find_realizability_witness(
-                spec, transcript.instances, transcript.sets
-            )
-            if found is None:
-                raise RealizabilityViolation(
-                    "set_realizable declared but no admissible collection matches "
-                    "every finalized set"
-                )
+        witness = transcript.witness
+        _check_realizability(
+            spec,
+            transcript.instances,
+            transcript.sets,
+            ZERO,
+            None if witness is None else witness.members,
+        )
         return Fraction(0)
     return _comparator(spec, transcript.instances, transcript.sets)
 
@@ -588,14 +605,13 @@ def _check_realizability(
                 f"declared existence-realizable but the best hypothesis loses {comparator}"
             )
         return None
-    if witness is not None:
-        return _validate_witness(spec, witness, instances, sets)
-    found = find_realizability_witness(spec, instances, sets)
-    if found is None:
-        raise RealizabilityViolation(
-            "declared fully realizable but no collection realizes the finalized sets"
-        )
-    return _validate_witness(spec, found, instances, sets)
+    if witness is None:
+        witness = find_realizability_witness(spec, instances, sets)
+        if witness is None:
+            raise RealizabilityViolation(
+                "declared fully realizable but no collection realizes the finalized sets"
+            )
+    return _validate_witness(spec, witness, instances, sets)
 
 
 # -- the play engine ---------------------------------------------------------------
@@ -629,26 +645,88 @@ def _check_reveal(spec: GameSpec, y) -> int:
     return y
 
 
-def _finalize(
-    spec: GameSpec,
-    adversary: Adversary,
-    instances,
-    predictions,
-    reveals,
-    draws,
-    online_sets=None,
-):
-    if online_sets is not None:
-        sets = tuple(online_sets)
+@dataclass
+class _Branch:
+    """One trajectory in play: its strategies, its probability and its history."""
+
+    learner: Learner
+    adversary: Adversary
+    probability: Fraction = ONE
+    instances: tuple = ()
+    predictions: tuple = ()
+    reveals: tuple = ()
+    draws: Optional[tuple] = None  # None unless visibility is public
+    online_sets: tuple = ()  # revealed sets under set-valued feedback
+    bits: tuple = ()  # loss bits under bandit feedback
+
+    def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
+        """The child where the draw came out ``z``, with probability ``weight``.
+
+        A ``shared`` child plays on deep copies of the strategies, because a
+        later sibling still needs them as they are now. Only public games
+        draw, and they take neither revealed sets nor loss bits.
+        """
+        learner, adversary = self.learner, self.adversary
+        if shared:
+            learner = copy.deepcopy(learner)
+            adversary = copy.deepcopy(adversary)
+        learner.observe_draw(z)
+        adversary.observe_draw(z)
+        return _Branch(
+            learner=learner,
+            adversary=adversary,
+            probability=self.probability * weight,
+            instances=self.instances,
+            predictions=self.predictions,
+            reveals=self.reveals,
+            draws=self.draws + (z,),
+        )
+
+
+def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
+    """Play one round on ``b``, appending it to the branch's history."""
+    x = _check_instance(spec, b.adversary.choose_instance())
+    pred = _check_prediction(spec, b.learner.predict(x), b.learner)
+    b.instances += (x,)
+    b.predictions += (pred,)
+    if spec.feedback is Feedback.SET_VALUED:
+        mask = int(b.adversary.reveal_set(x, pred))
+        if not spec.set_system.contains(mask):
+            raise ProtocolViolation(
+                f"revealed set {labels_of(mask)} is not in the set system"
+            )
+        b.online_sets += (mask,)
+        b.reveals += (min(iter_bits(mask)),)
+        b.learner.observe_set(mask)
+    elif spec.feedback is Feedback.BANDIT:
+        if isinstance(pred, Measure):
+            raise ProtocolViolation("bandit feedback requires deterministic predictions")
+        bit = int(b.adversary.loss_bit(x, pred))
+        if bit not in (0, 1):
+            raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit}")
+        b.bits += (bit,)
+        b.reveals += (None,)
+        b.learner.observe_loss_bit(bit)
+    else:
+        y = _check_reveal(spec, b.adversary.reveal(x, pred))
+        b.reveals += (y,)
+        b.learner.observe(y)
+    return pred
+
+
+def _settle(spec: GameSpec, b: _Branch) -> Transcript:
+    """Finalize a finished branch's sets, check and score them."""
+    if spec.feedback is Feedback.SET_VALUED:
+        sets = b.online_sets
     else:
         view = GameView(
             spec=spec,
-            instances=tuple(instances),
-            predictions=tuple(predictions),
-            reveals=tuple(reveals),
-            draws=tuple(draws) if draws is not None else None,
+            instances=b.instances,
+            predictions=b.predictions,
+            reveals=b.reveals,
+            draws=b.draws,
         )
-        raw = adversary.finalize_sets(view)
+        raw = b.adversary.finalize_sets(view)
         if len(raw) != spec.horizon:
             raise ProtocolViolation(
                 f"adversary finalized {len(raw)} sets for a {spec.horizon}-round game"
@@ -659,7 +737,7 @@ def _finalize(
             raise ProtocolViolation(
                 f"finalized set {labels_of(m)} at round {t} is not in the set system"
             )
-        y = reveals[t]
+        y = b.reveals[t]
         if y is not None and not (m >> y) & 1:
             raise ProtocolViolation(
                 f"revealed label {y} at round {t} lies outside the finalized set {labels_of(m)}"
@@ -668,7 +746,31 @@ def _finalize(
             raise ProtocolViolation(
                 f"multiclass feedback requires singleton sets, got {labels_of(m)} at round {t}"
             )
-    return sets
+    for t, (pred, m, bit) in enumerate(zip(b.predictions, sets, b.bits)):
+        actual = 0 if (m >> pred) & 1 else 1
+        if actual != bit:
+            raise ProtocolViolation(
+                f"bandit loss bit at round {t} was {bit} but the finalized set implies {actual}"
+            )
+    # A public branch is charged for its realized draws, an oblivious one for
+    # its predictions themselves.
+    moves = b.predictions if b.draws is None else b.draws
+    loss = sum((_round_loss(p, m) for p, m in zip(moves, sets)), ZERO)
+    comparator = _comparator(spec, b.instances, sets)
+    witness = _check_realizability(
+        spec, b.instances, sets, comparator, b.adversary.witness_collection()
+    )
+    return Transcript(
+        instances=b.instances,
+        predictions=b.predictions,
+        reveals=b.reveals,
+        sets=sets,
+        loss=loss,
+        comparator=comparator,
+        regret=loss - comparator,
+        draws=b.draws,
+        witness=witness,
+    )
 
 
 def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
@@ -679,148 +781,51 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     enforced; violations raise :class:`ProtocolViolation`, and at the end the
     declared realizability mode is verified against the finalized sets
     (raising :class:`RealizabilityViolation` on failure).
+
+    Both visibilities run through one loop over branches. An oblivious game
+    is a single branch of probability 1 with no draws, and its transcript is
+    that branch's. A public game splits a branch after every round into one
+    child per label the prediction can draw, weighted by its probability, and
+    plays the children depth-first in ascending draw order. Every child but
+    the last plays on deep copies of the strategies; the last keeps the
+    originals. The loop keeps its pending branches on a stack, so the horizon
+    is not bounded by Python's recursion limit.
     """
-    if spec.visibility is Visibility.PUBLIC:
-        if spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
-            raise SpecError(f"public visibility is not supported with {spec.feedback.value} feedback")
-        return _play_public(spec, learner, adversary)
-    return _play_oblivious(spec, learner, adversary)
-
-
-def _play_oblivious(spec: GameSpec, learner: Learner, adversary: Adversary) -> Transcript:
+    public = spec.visibility is Visibility.PUBLIC
+    if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
+        raise SpecError(f"public visibility is not supported with {spec.feedback.value} feedback")
     learner.begin(spec)
     adversary.begin(spec)
-    instances: list[int] = []
-    predictions: list[Prediction] = []
-    reveals: list[Optional[int]] = []
-    online_sets: Optional[list[int]] = [] if spec.feedback is Feedback.SET_VALUED else None
-    bits: list[int] = []
-    for _ in range(spec.horizon):
-        x = _check_instance(spec, adversary.choose_instance())
-        pred = _check_prediction(spec, learner.predict(x), learner)
-        instances.append(x)
-        predictions.append(pred)
-        if spec.feedback is Feedback.SET_VALUED:
-            mask = int(adversary.reveal_set(x, pred))
-            if not spec.set_system.contains(mask):
-                raise ProtocolViolation(
-                    f"revealed set {labels_of(mask)} is not in the set system"
-                )
-            online_sets.append(mask)
-            reveals.append(min(iter_bits(mask)))
-            learner.observe_set(mask)
-        elif spec.feedback is Feedback.BANDIT:
-            if isinstance(pred, Measure):
-                raise ProtocolViolation("bandit feedback requires deterministic predictions")
-            bit = int(adversary.loss_bit(x, pred))
-            if bit not in (0, 1):
-                raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit}")
-            bits.append(bit)
-            reveals.append(None)
-            learner.observe_loss_bit(bit)
+    # Entries are (branch, draw, weight, shared); ``draw`` is None for the
+    # root and for every oblivious round.
+    stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
+    ends: list[PublicBranch] = []
+    while stack:
+        branch, z, weight, shared = stack.pop()
+        if z is not None:
+            branch = branch.drawn(z, weight, shared)
+        if len(branch.instances) == spec.horizon:
+            ends.append(PublicBranch(branch.probability, _settle(spec, branch)))
+            continue
+        pred = _play_round(spec, branch)
+        if not public:
+            children = [(None, ONE)]
+        elif isinstance(pred, Measure):
+            children = [(d, pred.weights[d]) for d in iter_bits(pred.support_mask())]
         else:
-            y = _check_reveal(spec, adversary.reveal(x, pred))
-            reveals.append(y)
-            learner.observe(y)
-    sets = _finalize(spec, adversary, instances, predictions, reveals, None, online_sets)
-    if spec.feedback is Feedback.BANDIT:
-        for t, (pred, m, bit) in enumerate(zip(predictions, sets, bits)):
-            actual = 0 if (m >> pred) & 1 else 1
-            if actual != bit:
-                raise ProtocolViolation(
-                    f"bandit loss bit at round {t} was {bit} but the finalized set implies {actual}"
-                )
-    loss = _path_loss(predictions, None, sets, spec.n_labels)
-    comparator = _comparator(spec, instances, sets)
-    witness = _check_realizability(
-        spec, instances, sets, comparator, adversary.witness_collection()
-    )
-    return Transcript(
-        instances=tuple(instances),
-        predictions=tuple(predictions),
-        reveals=tuple(reveals),
-        sets=sets,
-        loss=loss,
-        comparator=comparator,
-        regret=loss - comparator,
-        witness=witness,
-    )
-
-
-def _play_public(spec: GameSpec, learner: Learner, adversary: Adversary) -> PublicGameResult:
-    branches: list[PublicBranch] = []
-
-    def run(
-        learner_state: Learner,
-        adversary_state: Adversary,
-        t: int,
-        prob: Fraction,
-        instances: tuple[int, ...],
-        predictions: tuple[Prediction, ...],
-        reveals: tuple[int, ...],
-        draws: tuple[int, ...],
-    ):
-        if t == spec.horizon:
-            sets = _finalize(spec, adversary_state, instances, predictions, reveals, draws)
-            loss = _path_loss(predictions, draws, sets, spec.n_labels)
-            comparator = _comparator(spec, instances, sets)
-            witness = _check_realizability(
-                spec, instances, sets, comparator, adversary_state.witness_collection()
-            )
-            branches.append(
-                PublicBranch(
-                    probability=prob,
-                    transcript=Transcript(
-                        instances=instances,
-                        predictions=predictions,
-                        reveals=reveals,
-                        sets=sets,
-                        loss=loss,
-                        comparator=comparator,
-                        regret=loss - comparator,
-                        draws=draws,
-                        witness=witness,
-                    ),
-                )
-            )
-            return
-        x = _check_instance(spec, adversary_state.choose_instance())
-        pred = _check_prediction(spec, learner_state.predict(x), learner_state)
-        y = _check_reveal(spec, adversary_state.reveal(x, pred))
-        learner_state.observe(y)
-        if isinstance(pred, Measure):
-            support = [(z, pred.weights[z]) for z in iter_bits(pred.support_mask())]
-        else:
-            support = [(pred, ONE)]
-        for i, (z, w) in enumerate(support):
-            if i < len(support) - 1:
-                lrn = copy.deepcopy(learner_state)
-                adv = copy.deepcopy(adversary_state)
-            else:
-                lrn, adv = learner_state, adversary_state
-            lrn.observe_draw(z)
-            adv.observe_draw(z)
-            run(
-                lrn,
-                adv,
-                t + 1,
-                prob * w,
-                instances + (x,),
-                predictions + (pred,),
-                reveals + (y,),
-                draws + (z,),
-            )
-
-    learner.begin(spec)
-    adversary.begin(spec)
-    run(learner, adversary, 0, ONE, (), (), (), ())
-    total = sum((b.probability for b in branches), ZERO)
+            children = [(pred, ONE)]
+        last = len(children) - 1
+        for i in range(last, -1, -1):  # pushed in reverse: the lowest draw pops first
+            stack.append((branch, *children[i], i < last))
+    if not public:
+        return ends[0].transcript
+    total = sum((b.probability for b in ends), ZERO)
     if total != 1:
         raise ProtocolViolation(f"draw branch probabilities sum to {total}, expected 1")
-    e_loss = sum((b.probability * b.transcript.loss for b in branches), ZERO)
-    e_comp = sum((b.probability * b.transcript.comparator for b in branches), ZERO)
+    e_loss = sum((b.probability * b.transcript.loss for b in ends), ZERO)
+    e_comp = sum((b.probability * b.transcript.comparator for b in ends), ZERO)
     return PublicGameResult(
-        branches=tuple(branches),
+        branches=tuple(ends),
         expected_loss=e_loss,
         expected_comparator=e_comp,
         expected_regret=e_loss - e_comp,

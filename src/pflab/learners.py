@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .engine import CollectionEngine
 from .errors import EmptyConsistentSet, SpecError
-from .game import Feedback, GameSpec, Learner, build_admissible_collections
+from .game import Feedback, GameSpec, Learner, build_admissible_collections, strategy_param
+from .measure_dims import msp
 from .measures import Measure
 from .setsystems import iter_bits
 
@@ -163,7 +164,47 @@ def cvsp_learner(spec: GameSpec) -> VersionSpacePruningLearner:
     return VersionSpacePruningLearner(spec)
 
 
-class PotentialMinimizingLearner(Learner):
+class _VersionSpaceLearner(Learner):
+    """Plays from the collection version space through one or more engines.
+
+    ``begin`` enumerates the admissible collections once and builds the
+    engines from :meth:`_engines_for`. All engines share one alive tuple (the
+    collections consistent with the reveals so far) and keep one score tuple
+    each. ``predict`` must store ``(x, edge index)`` in ``_pending``.
+    """
+
+    def begin(self, spec: GameSpec) -> None:
+        self._spec = spec
+        self._engines = self._engines_for(spec, build_admissible_collections(spec))
+        self._alive, scores = self._engines[0].initial_state()
+        self._scores = [scores] * len(self._engines)
+        self._round = 0
+        self._pending = None
+
+    def _engines_for(self, spec: GameSpec, collections) -> list:
+        raise NotImplementedError
+
+    def _child_depth(self) -> int:
+        return max(self._spec.horizon - self._round - 1, 0)
+
+    def observe(self, y: int) -> None:
+        x, edge = self._pending
+        scores = []
+        for eng, own in zip(self._engines, self._scores):
+            alive, updated = eng.update(self._alive, own, x, edge, y)
+            scores.append(updated)
+        self._alive, self._scores = alive, scores
+        if not alive:
+            raise EmptyConsistentSet(
+                "every admissible collection is inconsistent with the reveals"
+            )
+        self._round += 1
+
+    def observe_set(self, mask: int) -> None:
+        raise SpecError("this strategy consumes label reveals, not revealed sets")
+
+
+class PotentialMinimizingLearner(_VersionSpaceLearner):
     """Predicts the label minimizing the worst continuation value.
 
     At each round, for every candidate label, takes the worst over feasible
@@ -178,45 +219,22 @@ class PotentialMinimizingLearner(Learner):
     """
 
     def __init__(self, spec: GameSpec | None = None, potential_budget: int | None = None):
-        self._spec = spec
         self._budget = potential_budget
 
-    def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
-        self._collections = build_admissible_collections(spec)
-        self._engine = CollectionEngine(
-            spec, self._collections, kind="label", budget=self._budget
-        )
-        self._alive, self._scores = self._engine.initial_state()
-        self._round = 0
-        self._pending = None
+    def _engines_for(self, spec: GameSpec, collections) -> list:
+        return [CollectionEngine(spec, collections, kind="label", budget=self._budget)]
 
     def predict(self, x: int) -> int:
-        child_depth = max(self._spec.horizon - self._round - 1, 0)
-        yhat = self._engine.best_edge(
-            self._alive, self._scores, x, child_depth, on_budget="bound"
+        yhat = self._engines[0].best_edge(
+            self._alive, self._scores[0], x, self._child_depth(), on_budget="bound"
         )
         self._pending = (x, yhat)
         return yhat
 
-    def observe(self, y: int) -> None:
-        x, yhat = self._pending
-        self._alive, self._scores = self._engine.update(
-            self._alive, self._scores, x, yhat, y
-        )
-        if not self._alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the reveals"
-            )
-        self._round += 1
-
-    def observe_set(self, mask: int) -> None:
-        raise SpecError("this strategy consumes label reveals, not revealed sets")
-
     def current_potential(self) -> int:
         """Exact game value of the current state over the remaining rounds."""
         depth = max(self._spec.horizon - self._round, 0)
-        return self._engine.value(self._alive, self._scores, depth)
+        return self._engines[0].value(self._alive, self._scores[0], depth)
 
 
 def dpfla_learner(spec: GameSpec, potential_budget: int | None = None) -> PotentialMinimizingLearner:
@@ -224,65 +242,7 @@ def dpfla_learner(spec: GameSpec, potential_budget: int | None = None) -> Potent
     return PotentialMinimizingLearner(spec, potential_budget=potential_budget)
 
 
-class FixedScaleMeasureLearner(Learner):
-    """Plays the grid measure minimizing the worst thresholded continuation.
-
-    The candidate measures are scanned in the grid's canonical order and the
-    first minimizer wins. Event counts accumulate against the measures this
-    learner actually played, at the configured threshold.
-    """
-
-    mode = "randomized"
-
-    def __init__(self, spec: GameSpec, gamma, g: int | None = None, budget: int | None = None):
-        self._gamma = Fraction(gamma)
-        if not 0 <= self._gamma <= 1:
-            raise SpecError(f"gamma must lie in [0, 1], got {self._gamma}")
-        self._grid = g
-        self._budget = budget
-
-    def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
-        self._collections = build_admissible_collections(spec)
-        self._engine = CollectionEngine(
-            spec,
-            self._collections,
-            kind="measure",
-            gamma=self._gamma,
-            grid=self._grid,
-            budget=self._budget,
-        )
-        self._alive, self._scores = self._engine.initial_state()
-        self._round = 0
-        self._pending = None
-
-    def predict(self, x: int) -> Measure:
-        child_depth = max(self._spec.horizon - self._round - 1, 0)
-        edge = self._engine.best_edge(self._alive, self._scores, x, child_depth)
-        self._pending = (x, edge)
-        return self._engine.edges[edge]
-
-    def observe(self, y: int) -> None:
-        x, edge = self._pending
-        self._alive, self._scores = self._engine.update(
-            self._alive, self._scores, x, edge, y
-        )
-        if not self._alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the reveals"
-            )
-        self._round += 1
-
-    def observe_set(self, mask: int) -> None:
-        raise SpecError("this strategy consumes label reveals, not revealed sets")
-
-
-def frpfl_learner(spec: GameSpec, gamma, g: int | None = None) -> FixedScaleMeasureLearner:
-    """Fixed-threshold randomized play over the measure grid."""
-    return FixedScaleMeasureLearner(spec, gamma, g=g)
-
-
-class MultiScaleMeasureLearner(Learner):
+class MultiScaleMeasureLearner(_VersionSpaceLearner):
     """Runs one fixed-scale scorer per threshold and arbitrates with msp.
 
     Scale i uses threshold 1/2^i. All scales share one version space and the
@@ -300,68 +260,60 @@ class MultiScaleMeasureLearner(Learner):
             N = max(1, (T - 1).bit_length() + 1) if T > 1 else 1
         if N < 1:
             raise SpecError(f"scale count must be positive, got {N}")
-        self._N = N
+        self._gammas = [Fraction(1, 2 ** i) for i in range(1, N + 1)]
         self._grid = g
         self._budget = budget
 
-    def begin(self, spec: GameSpec) -> None:
-        from .measure_dims import msp
-
-        self._msp = msp
-        self._spec = spec
-        self._collections = build_admissible_collections(spec)
-        self._gammas = [Fraction(1, 2 ** i) for i in range(1, self._N + 1)]
-        self._engines = [
+    def _engines_for(self, spec: GameSpec, collections) -> list:
+        return [
             CollectionEngine(
-                spec,
-                self._collections,
-                kind="measure",
-                gamma=gm,
-                grid=self._grid,
-                budget=self._budget,
+                spec, collections, kind="measure", gamma=gm, grid=self._grid, budget=self._budget
             )
             for gm in self._gammas
         ]
-        alive, scores = self._engines[0].initial_state()
-        self._alive = alive
-        self._scores = [scores] * self._N
-        self._round = 0
-        self._pending = None
 
     def predict(self, x: int) -> Measure:
-        child_depth = max(self._spec.horizon - self._round - 1, 0)
+        child_depth = self._child_depth()
         proposals = [
             eng.best_edge(self._alive, scores, x, child_depth)
             for eng, scores in zip(self._engines, self._scores)
         ]
-        measures = [self._engines[0].edges[e] for e in proposals]
-        m = self._msp(self._N, measures, self._gammas, self._spec.set_system)
+        edges = self._engines[0].edges
+        N = len(proposals)
+        # msp needs two scales to compare, and rejects the thresholds 0 and 1
+        # that a single fixed scale may use.
+        m = 1 if N == 1 else msp(N, [edges[e] for e in proposals], self._gammas,
+                                 self._spec.set_system)
         edge = proposals[m - 1]
         self._pending = (x, edge)
-        return self._engines[0].edges[edge]
-
-    def observe(self, y: int) -> None:
-        x, edge = self._pending
-        new_scores = []
-        alive = None
-        for eng, scores in zip(self._engines, self._scores):
-            alive, updated = eng.update(self._alive, scores, x, edge, y)
-            new_scores.append(updated)
-        self._alive = alive
-        self._scores = new_scores
-        if not self._alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the reveals"
-            )
-        self._round += 1
-
-    def observe_set(self, mask: int) -> None:
-        raise SpecError("this strategy consumes label reveals, not revealed sets")
+        return edges[edge]
 
 
 def mrpfl_learner(spec: GameSpec, N: int | None = None, g: int | None = None) -> MultiScaleMeasureLearner:
     """Multi-threshold randomized play arbitrated by the selection procedure."""
     return MultiScaleMeasureLearner(spec, N=N, g=g)
+
+
+class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
+    """Plays the grid measure minimizing the worst thresholded continuation.
+
+    The candidate measures are scanned in the grid's canonical order and the
+    first minimizer wins. Event counts accumulate against the measures this
+    learner actually played, at the configured threshold: this is the
+    multi-scale learner with the single scale ``gamma``.
+    """
+
+    def __init__(self, spec: GameSpec, gamma, g: int | None = None, budget: int | None = None):
+        gamma = Fraction(gamma)
+        if not 0 <= gamma <= 1:
+            raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
+        super().__init__(spec, N=1, g=g, budget=budget)
+        self._gammas = [gamma]
+
+
+def frpfl_learner(spec: GameSpec, gamma, g: int | None = None) -> FixedScaleMeasureLearner:
+    """Fixed-threshold randomized play over the measure grid."""
+    return FixedScaleMeasureLearner(spec, gamma, g=g)
 
 
 class TransversalIntersectionLearner(Learner):
@@ -468,6 +420,8 @@ class ScriptedLearner(Learner):
         self._i = 0
 
     def predict(self, x: int) -> int:
+        if self._i == len(self._labels):
+            raise SpecError(f"scripted learner ran out of its {len(self._labels)} labels")
         y = self._labels[self._i]
         self._i += 1
         return y
@@ -496,34 +450,31 @@ class FirstSetReadingLearner(Learner):
             self._locked = min(iter_bits(mask))
 
 
-def _required(params: dict, key: str, name: str):
-    try:
-        return params.pop(key)
-    except KeyError:
-        raise SpecError(f"strategy {name!r} requires parameter {key!r}") from None
-
-
 def make_learner(name: str, params: dict, spec: GameSpec) -> Learner:
     """Instantiate a learner by registry name with config-file parameters."""
     params = dict(params or {})
+
+    def param(*args):
+        return strategy_param(params, name, *args)
+
     if name == "cvsp":
         built = cvsp_learner(spec)
     elif name == "dpfla":
-        built = dpfla_learner(spec, potential_budget=params.pop("budget", None))
+        built = dpfla_learner(spec, potential_budget=param("budget", int, None))
     elif name == "frpfl":
-        built = frpfl_learner(spec, _required(params, "gamma", name), g=params.pop("g", None))
+        built = frpfl_learner(spec, param("gamma", Fraction), g=param("g", int, None))
     elif name == "mrpfl":
-        built = mrpfl_learner(spec, N=params.pop("N", None), g=params.pop("g", None))
+        built = mrpfl_learner(spec, N=param("N", int, None), g=param("g", int, None))
     elif name == "helly_intersection":
-        built = helly_intersection_learner(spec, _required(params, "transversal", name))
+        built = helly_intersection_learner(spec, param("transversal"))
     elif name == "uniform_cube":
-        built = uniform_cube_learner(int(params.pop("T", spec.horizon)))
+        built = uniform_cube_learner(param("T", int, spec.horizon))
     elif name == "constant":
-        built = ConstantLearner(params.pop("label", 0))
+        built = ConstantLearner(param("label", int, 0))
     elif name == "scripted":
-        built = ScriptedLearner(_required(params, "labels", name))
+        built = ScriptedLearner(param("labels"))
     elif name == "first_round_read":
-        built = FirstSetReadingLearner(params.pop("fallback", 0))
+        built = FirstSetReadingLearner(param("fallback", int, 0))
     else:
         raise SpecError(f"unknown learner name {name!r}")
     if params:

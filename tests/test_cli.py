@@ -206,3 +206,58 @@ def test_negative_version_space_cap(capsys):
     code, _, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "ml", "--depth", "-3"])
     assert code == 2
     assert "spec error" in err
+
+
+def _spec_with(tmp_path, extra):
+    path = tmp_path / "game.yaml"
+    path.write_text(Path(TWO_CONSTANT).read_text().split("learner:")[0] + extra)
+    return str(path)
+
+
+@pytest.mark.parametrize("feedback", ["set_valued", "bandit"])
+@pytest.mark.parametrize(
+    "adversary, cls",
+    [("optimal", "OptimalAdversary"), ("echo", "EchoAdversary"), ("random", "SeededRandomAdversary")],
+)
+def test_unsupported_feedback_mode_is_a_spec_error(capsys, tmp_path, feedback, adversary, cls):
+    spec = _spec_with(tmp_path, f"protocol:\n  feedback: {feedback}\n")
+    code, out, err = run(capsys, ["play", spec, "--learner", "cvsp", "--adversary", adversary])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert cls in err and feedback in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "learner: {name: dpfla, params: {budget: abc}}",
+        "learner: {name: mrpfl, params: {N: abc}}",
+        "learner: {name: mrpfl, params: {g: abc}}",
+        "learner: {name: frpfl, params: {gamma: abc}}",
+        "learner: {name: uniform_cube, params: {T: abc}}",
+        "learner: {name: constant, params: {label: abc}}",
+        "learner: {name: scripted, params: {labels: [0]}}",
+        "learner: {name: cvsp}\nadversary: {name: random, params: {seed: abc}}",
+    ],
+)
+def test_malformed_strategy_parameters(capsys, tmp_path, block):
+    if "adversary" not in block:
+        block += "\nadversary: {name: optimal}"
+    code, out, err = run(capsys, ["play", _spec_with(tmp_path, block + "\n")])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "1"],
+        ["dim", TWO_CONSTANT, "--what", "ml", "--depth", "1"],
+        ["rand", TWO_CONSTANT, "--what", "regret", "--depth", "1", "--grid", "2"],
+        ["sweep", TWO_CONSTANT, "--task", "dim", "--what", "pfl", "--horizon", "1..2"],
+    ],
+)
+def test_negative_budget_is_a_spec_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--budget", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
