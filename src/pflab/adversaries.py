@@ -20,7 +20,15 @@ from .errors import (
     SpecError,
     TreeSpecMismatch,
 )
-from .game import Adversary, GameSpec, build_admissible_collections, strategy_param
+from .game import (
+    Adversary,
+    GameSpec,
+    build_admissible_collections,
+    find_realizability_witness,
+    flag,
+    int_list,
+    strategy_param,
+)
 from .measures import Measure
 from .setsystems import iter_bits, mask_of
 
@@ -411,8 +419,9 @@ class CubeAdversary(Adversary):
     the alphabet minus one label: in public mode the excluded label is the
     realized draw when it differs from the reveal (the lowest other label
     when it matches, keeping the reveal inside); in oblivious mode it is the
-    heaviest non-revealed label of the played measure. A product-style
-    witness collection realizes exactly those co-singleton images.
+    heaviest non-revealed label of the played measure. The product
+    witness of :func:`pflab.game.find_realizability_witness` realizes exactly
+    those co-singleton images.
     """
 
     def __init__(self, T: int, M: int, k):
@@ -483,26 +492,11 @@ class CubeAdversary(Adversary):
 
     def finalize_sets(self, view):
         full = (1 << self._spec.n_labels) - 1
-        self._excluded = [self._excluded_label(t) for t in range(len(self._reveals))]
-        return [full ^ (1 << e) for e in self._excluded]
+        self._sets = [full ^ (1 << self._excluded_label(t)) for t in range(len(self._reveals))]
+        return self._sets
 
     def witness_collection(self):
-        spec = self._spec
-        M = spec.n_labels
-        excl = {x: self._excluded[t] for t, x in enumerate(self._instances)}
-        base_row = [
-            (1 if excl.get(x) == 0 else 0) if x in excl else 0
-            for x in range(spec.n_instances)
-        ]
-        members = {spec.hypotheses.index_of_row(base_row)}
-        for x in excl:
-            for v in range(M):
-                if v == excl[x] or v == base_row[x]:
-                    continue
-                row = list(base_row)
-                row[x] = v
-                members.add(spec.hypotheses.index_of_row(row))
-        return tuple(sorted(members))
+        return find_realizability_witness(self._spec, self._instances, self._sets)
 
 
 def public_cube_adversary(T: int, M: int, k) -> CubeAdversary:
@@ -641,8 +635,8 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
     elif name == "collision":
         fam = CollisionFamily(
             modulus=param("modulus", int, 64),
-            slopes=tuple(param("slopes", None, (0, 1))),
-            pool=tuple(param("pool", None, tuple(range(64)))),
+            slopes=tuple(param("slopes", int_list, (0, 1))),
+            pool=tuple(param("pool", int_list, range(64))),
         )
         built = collision_adversary(fam)
     elif name == "agnostic_two_constant":
@@ -656,7 +650,7 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
     elif name == "pf_not_sv":
         built = pf_not_sv_adversary(
             param("T", int, spec.horizon),
-            set_valued=bool(param("set_valued", None, False)),
+            set_valued=param("set_valued", flag, False),
         )
     else:
         raise SpecError(f"unknown adversary name {name!r}")

@@ -12,6 +12,10 @@ Subcommands:
 - ``pflab setsys SPEC`` structural report of the spec's set system.
 - ``pflab replicate [--only SLUG]`` the built-in replication suite.
 
+``dim``, ``rand`` and ``sweep`` build every row through one dispatch from
+``(task, what)`` to a library call; a flag the chosen quantity does not read
+is a spec error.
+
 Exit codes: 0 success; 1 verification or replication failure; 2 spec or usage
 problem; 3 budget rejection. Output is deterministic for a fixed config except
 the ``runtime_ms`` column, which reports honest wall time.
@@ -90,6 +94,22 @@ def _record_text(fields) -> str:
     return "\n".join(f"{k}: {v}" for k, v in fields) + "\n"
 
 
+def _row_text(row) -> str:
+    """One value row as ``key: value`` lines; fields that are None are left out."""
+    gamma = row["gamma"]
+    fields = [
+        ("spec", row["spec"]),
+        ("task", row["task"]),
+        ("depth", row["horizon"]),
+        ("gamma", None if gamma is None else _fmt_fraction(gamma)),
+        ("grid", row["grid"]),
+        ("value", _fmt_fraction(row["value"])),
+        ("runtime_ms", row["runtime_ms"]),
+        ("truncated", "1" if row["truncated"] else None),
+    ]
+    return _record_text((k, v) for k, v in fields if v is not None)
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -139,10 +159,9 @@ def _int_axis(text: str) -> list:
 
 
 def _measure_list(text: str) -> list:
-    out = []
-    for part in text.split(";"):
-        out.append(Measure(tuple(_fraction_arg(w) for w in part.split(","))))
-    return out
+    if not text:
+        return []
+    return [Measure(tuple(_fraction_arg(w) for w in part.split(","))) for part in text.split(";")]
 
 
 def _tree_text(tree) -> str:
@@ -163,122 +182,90 @@ def _tree_text(tree) -> str:
 # -- subcommands -------------------------------------------------------------------
 
 
-def _cmd_dim(args) -> int:
-    doc = load_spec_file(args.spec)
-    spec = doc.spec
-    what = args.what
-    if what in ("pfl", "ppfl", "regret") and args.depth is None:
-        raise SpecError(f"--depth is required for --what {what}")
-    t0 = time.monotonic()
-    if what == "pfl":
-        value = pfl_dim(spec, args.depth, budget=args.budget)
-    elif what == "ppfl":
-        value = ppfl_dim(
-            spec,
-            _ints(args.prefix_x),
-            _ints(args.prefix_y),
-            _ints(args.prefix_reveal),
-            args.depth,
-            budget=args.budget,
-        )
-    elif what == "regret":
-        value = minimax_det_regret(spec, args.depth, budget=args.budget)
-    else:
-        value = ml_sl_bl_dim(spec, what, cap=args.depth, budget=args.budget)
-    ms = int((time.monotonic() - t0) * 1000)
+# Flags each quantity reads besides --budget: (required, optional).
+_READS = {
+    ("dim", "pfl"): (("depth",), ("witness",)),
+    ("dim", "ppfl"): (("depth",), ("prefix_x", "prefix_y", "prefix_reveal")),
+    ("dim", "regret"): (("depth",), ("witness",)),
+    ("dim", "ml"): ((), ("depth",)),
+    ("dim", "sl"): ((), ("depth",)),
+    ("dim", "bl"): ((), ("depth",)),
+    ("rand", "pms"): (("depth", "gamma"), ("grid",)),
+    ("rand", "ppms"): (("depth", "gamma"), ("grid", "prefix_x", "prefix_measure", "prefix_reveal")),
+    ("rand", "regret"): (("depth",), ("grid",)),
+}
+_FLAGS = ("depth", "gamma", "grid", "witness", "prefix_x", "prefix_y", "prefix_measure", "prefix_reveal")
 
-    witness_text = None
+
+def _check_flags(task: str, what: str, given) -> None:
+    """Reject a flag the quantity ignores, then a missing required one."""
+    required, optional = _READS[task, what]
+    for flag in _FLAGS:
+        if flag in given and flag not in required + optional:
+            raise SpecError(f"{task}/{what} does not read --{flag.replace('_', '-')}")
+    for flag in required:
+        if flag not in given:
+            raise SpecError(f"--{flag} is required for --what {what}")
+
+
+def _value(spec, task, what, depth, gamma, grid, prefix, budget):
+    """The library call computing quantity ``what`` of ``task``."""
+    if task == "dim":
+        if what == "pfl":
+            return pfl_dim(spec, depth, budget=budget)
+        if what == "ppfl":
+            return ppfl_dim(spec, *prefix, depth, budget=budget)
+        if what == "regret":
+            return minimax_det_regret(spec, depth, budget=budget)
+        return ml_sl_bl_dim(spec, what, cap=depth, budget=budget)
+    if what == "pms":
+        return pms_dim(spec, depth, gamma, g=grid, budget=budget)
+    if what == "ppms":
+        return ppms_dim(spec, *prefix, depth, gamma, g=grid, budget=budget)
+    return minimax_rand_regret(spec, depth, g=grid, budget=budget)
+
+
+def _row(path, spec, task, what, depth, gamma=None, grid=None, prefix=(), budget=None) -> dict:
+    """Time one value computation and return its output row."""
+    t0 = time.monotonic()
+    value = _value(spec, task, what, depth, gamma, grid, prefix, budget)
+    return {
+        "spec": path,
+        "task": f"{task}/{what}",
+        "horizon": depth,
+        "gamma": gamma,
+        "grid": grid,
+        "value": value,
+        "runtime_ms": int((time.monotonic() - t0) * 1000),
+        "truncated": True if task == "rand" else None,
+    }
+
+
+def _cmd_value(args) -> int:
+    """``dim`` and ``rand``: one quantity, as a text record or one CSV row."""
+    spec = load_spec_file(args.spec).spec
+    task, what = args.command, args.what
+    if task == "rand":
+        args.depth = spec.horizon if args.depth is None else args.depth
+        args.grid = spec.measure_grid if args.grid is None else args.grid
+    _check_flags(task, what, {f for f in _FLAGS if getattr(args, f) not in (None, "")})
+    gamma = None if args.gamma is None else _fraction_arg(args.gamma)
+    prefix = (
+        _ints(args.prefix_x),
+        _ints(args.prefix_y) if task == "dim" else _measure_list(args.prefix_measure),
+        _ints(args.prefix_reveal),
+    )
+    row = _row(args.spec, spec, task, what, args.depth, gamma, args.grid, prefix, args.budget)
+    text = _csv_text([row]) if args.format == "csv" else _row_text(row)
     if args.witness:
-        if what not in ("pfl", "regret"):
-            raise SpecError("--witness is only available for --what pfl or regret")
-        tree = naive_tree_oracle(spec, args.depth, value)
+        tree = naive_tree_oracle(spec, args.depth, row["value"])
         if tree is None:
             raise PflabError(
-                f"no witness tree found at the certified value {value}; "
+                f"no witness tree found at the certified value {row['value']}; "
                 "this indicates an internal inconsistency"
             )
-        witness_text = _tree_text(tree)
-
-    if args.format == "csv":
-        text = _csv_text(
-            [
-                {
-                    "spec": args.spec,
-                    "task": f"dim/{what}",
-                    "horizon": args.depth,
-                    "value": value,
-                    "runtime_ms": ms,
-                }
-            ]
-        )
-    else:
-        fields = [
-            ("spec", args.spec),
-            ("task", f"dim/{what}"),
-        ]
-        if args.depth is not None:
-            fields.append(("depth", args.depth))
-        fields += [("value", value), ("runtime_ms", ms)]
-        text = _record_text(fields)
-        if witness_text is not None:
-            text += witness_text
-    _emit(text, args.out)
-    return 0
-
-
-def _cmd_rand(args) -> int:
-    doc = load_spec_file(args.spec)
-    spec = doc.spec
-    what = args.what
-    depth = args.depth if args.depth is not None else spec.horizon
-    grid = args.grid if args.grid is not None else spec.measure_grid
-    if what in ("pms", "ppms") and args.gamma is None:
-        raise SpecError(f"--gamma is required for --what {what}")
-    gamma = _fraction_arg(args.gamma) if args.gamma is not None else None
-    t0 = time.monotonic()
-    if what == "pms":
-        value = pms_dim(spec, depth, gamma, g=grid, budget=args.budget)
-    elif what == "ppms":
-        value = ppms_dim(
-            spec,
-            _ints(args.prefix_x),
-            _measure_list(args.prefix_measure) if args.prefix_measure else [],
-            _ints(args.prefix_reveal),
-            depth,
-            gamma,
-            g=grid,
-            budget=args.budget,
-        )
-    else:
-        value = minimax_rand_regret(spec, depth, g=grid, budget=args.budget)
-    ms = int((time.monotonic() - t0) * 1000)
-
-    if args.format == "csv":
-        text = _csv_text(
-            [
-                {
-                    "spec": args.spec,
-                    "task": f"rand/{what}",
-                    "horizon": depth,
-                    "gamma": gamma,
-                    "grid": grid,
-                    "value": value,
-                    "runtime_ms": ms,
-                    "truncated": True,
-                }
-            ]
-        )
-    else:
-        fields = [("spec", args.spec), ("task", f"rand/{what}"), ("depth", depth)]
-        if gamma is not None:
-            fields.append(("gamma", _fmt_fraction(gamma)))
-        fields += [
-            ("grid", grid),
-            ("value", _fmt_fraction(value)),
-            ("runtime_ms", ms),
-            ("truncated", "1"),
-        ]
-        text = _record_text(fields)
+        if args.format == "text":
+            text += _tree_text(tree)
     _emit(text, args.out)
     return 0
 
@@ -366,60 +353,23 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = load_spec_file(args.spec)
-    spec = doc.spec
+    spec = load_spec_file(args.spec).spec
     horizons = _int_axis(args.horizon)
     if not horizons:
         raise SpecError("sweep needs a nonempty --horizon axis")
-    rows = []
-    if args.task == "dim":
-        if args.what not in ("pfl", "regret"):
-            raise SpecError("sweep --task dim supports --what pfl or regret")
-        for T in horizons:
-            t0 = time.monotonic()
-            value = (
-                pfl_dim(spec, T, budget=args.budget)
-                if args.what == "pfl"
-                else minimax_det_regret(spec, T, budget=args.budget)
-            )
-            ms = int((time.monotonic() - t0) * 1000)
-            rows.append(
-                {
-                    "spec": args.spec,
-                    "task": f"dim/{args.what}",
-                    "horizon": T,
-                    "value": value,
-                    "runtime_ms": ms,
-                }
-            )
-    else:
-        if args.what not in ("pms", "regret"):
-            raise SpecError("sweep --task rand supports --what pms or regret")
-        gammas = _fraction_list(args.gamma) if args.gamma else [None]
-        grids = _ints(args.grid) if args.grid else [spec.measure_grid]
-        if args.what == "pms" and gammas == [None]:
-            raise SpecError("sweep --task rand --what pms needs a --gamma axis")
-        for T in horizons:
-            for gamma in gammas:
-                for g in grids:
-                    t0 = time.monotonic()
-                    if args.what == "pms":
-                        value = pms_dim(spec, T, gamma, g=g, budget=args.budget)
-                    else:
-                        value = minimax_rand_regret(spec, T, g=g, budget=args.budget)
-                    ms = int((time.monotonic() - t0) * 1000)
-                    rows.append(
-                        {
-                            "spec": args.spec,
-                            "task": f"rand/{args.what}",
-                            "horizon": T,
-                            "gamma": gamma,
-                            "grid": g,
-                            "value": value,
-                            "runtime_ms": ms,
-                            "truncated": True,
-                        }
-                    )
+    task, what = args.task, args.what
+    supported = ("pfl", "regret") if task == "dim" else ("pms", "regret")
+    if what not in supported:
+        raise SpecError(f"sweep --task {task} supports --what {' or '.join(supported)}")
+    _check_flags(task, what, {"depth"} | {f for f in ("gamma", "grid") if getattr(args, f)})
+    gammas = _fraction_list(args.gamma) if args.gamma else [None]
+    grids = _ints(args.grid) if args.grid else [None if task == "dim" else spec.measure_grid]
+    rows = [
+        _row(args.spec, spec, task, what, T, gamma, g, budget=args.budget)
+        for T in horizons
+        for gamma in gammas
+        for g in grids
+    ]
     _emit(_csv_text(rows), args.out)
     return 0
 
@@ -491,12 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=["pfl", "ppfl", "ml", "sl", "bl", "regret"])
     p.add_argument("--depth", type=int, default=None, help="game depth (search cap for ml/sl/bl)")
     p.add_argument("--budget", type=int, default=None, help="override the state budget")
-    p.add_argument("--witness", action="store_true", help="also print a shattering tree")
-    p.add_argument("--prefix-x", default="", help="ppfl prefix instances, comma-separated")
-    p.add_argument("--prefix-y", default="", help="ppfl prefix predictions, comma-separated")
-    p.add_argument("--prefix-reveal", default="", help="ppfl prefix reveals, comma-separated")
+    p.add_argument("--witness", action="store_true", default=None, help="also print a shattering tree")
+    p.add_argument("--prefix-x", help="ppfl prefix instances, comma-separated")
+    p.add_argument("--prefix-y", help="ppfl prefix predictions, comma-separated")
+    p.add_argument("--prefix-reveal", help="ppfl prefix reveals, comma-separated")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=_cmd_dim)
+    p.set_defaults(func=_cmd_value, gamma=None, grid=None, prefix_measure=None)
 
     p = sub.add_parser("rand", help="measure-prediction values on a grid")
     common(p)
@@ -505,15 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, help="grid denominator (default: spec grid)")
     p.add_argument("--depth", type=int, default=None, help="rounds (default: spec horizon)")
     p.add_argument("--budget", type=int, default=None, help="override the state budget")
-    p.add_argument("--prefix-x", default="", help="ppms prefix instances, comma-separated")
+    p.add_argument("--prefix-x", help="ppms prefix instances, comma-separated")
     p.add_argument(
         "--prefix-measure",
-        default="",
         help="ppms prefix measures; semicolon-separated, each a comma list of rationals",
     )
-    p.add_argument("--prefix-reveal", default="", help="ppms prefix reveals, comma-separated")
+    p.add_argument("--prefix-reveal", help="ppms prefix reveals, comma-separated")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=_cmd_rand)
+    p.set_defaults(func=_cmd_value, witness=None, prefix_y=None)
 
     p = sub.add_parser("play", help="play one game between named strategies")
     common(p)

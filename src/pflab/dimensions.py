@@ -28,13 +28,12 @@ from .setsystems import SetSystem, iter_bits, mask_of
 
 
 def pfl_dim(spec: GameSpec, d: int, budget: int | None = None) -> int:
-    """Value of the depth-``d`` deterministic mistake game on this spec."""
-    if d < 0:
-        raise SpecError(f"depth must be nonnegative, got {d}")
-    collections = build_admissible_collections(spec)
-    engine = CollectionEngine(spec, collections, kind="label", budget=budget)
-    alive, scores = engine.initial_state()
-    return engine.value(alive, scores, d)
+    """Value of the depth-``d`` deterministic mistake game on this spec.
+
+    This is :func:`ppfl_dim` at the empty prefix: every collection alive, no
+    round charged.
+    """
+    return ppfl_dim(spec, (), (), (), d, budget=budget)
 
 
 def minimax_det_regret(spec: GameSpec, T: int, budget: int | None = None) -> int:

@@ -390,13 +390,29 @@ class Adversary:
 REQUIRED = object()
 
 
+def int_list(value) -> list:
+    """Strategy parameter kind: a list of integers."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise TypeError(value)
+    return list(value)
+
+
+def flag(value) -> bool:
+    """Strategy parameter kind: ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def strategy_param(params: dict, strategy: str, key: str, kind=None, default=REQUIRED):
     """Pop parameter ``key`` of the named strategy from its config ``params``.
 
-    ``kind`` is ``int`` or ``Fraction`` to convert the value with, or
-    ``None`` to take it as given. A missing key returns ``default``. Raises
-    :class:`SpecError` when a required key is missing or the value does not
-    convert.
+    ``kind`` is ``int``, ``Fraction``, :func:`int_list` or :func:`flag` to
+    convert or check the value with, or ``None`` to take it as given. A
+    missing key returns ``default``. Raises :class:`SpecError` when a
+    required key is missing or the value does not convert.
     """
     if key not in params:
         if default is REQUIRED:
@@ -503,20 +519,18 @@ def find_realizability_witness(
         # The consistent class is a product set, so a product collection
         # realizes the targets exactly and any feasible set serves as the
         # image at untouched instances; existence reduces to the consistency
-        # check already done above.
-        sample = []
-        for x in range(spec.n_instances):
-            if x in targets:
-                sample.append(min(iter_bits(targets[x])))
-            else:
-                sample.append(min(iter_bits(_any_member(system))))
-        witness = set()
-        for x in range(spec.n_instances):
-            pool = targets.get(x, _any_member(system))
-            for y in iter_bits(pool):
-                row = list(sample)
+        # check already done above. The members are one base row of lowest
+        # labels plus every row that differs from it at a single instance.
+        fallback = _any_member(system)
+        pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
+        row = [min(iter_bits(pool)) for pool in pools]
+        witness = {H.index_of_row(row)}
+        for x, pool in enumerate(pools):
+            low = row[x]
+            for y in iter_bits(pool & ~(1 << low)):
                 row[x] = y
                 witness.add(H.index_of_row(row))
+            row[x] = low
         return tuple(sorted(witness))
 
     limit = _collections_budget() if budget is None else budget

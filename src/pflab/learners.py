@@ -12,7 +12,14 @@ from fractions import Fraction
 
 from .engine import CollectionEngine
 from .errors import EmptyConsistentSet, SpecError
-from .game import Feedback, GameSpec, Learner, build_admissible_collections, strategy_param
+from .game import (
+    Feedback,
+    GameSpec,
+    Learner,
+    build_admissible_collections,
+    int_list,
+    strategy_param,
+)
 from .measure_dims import msp
 from .measures import Measure
 from .setsystems import iter_bits
@@ -466,13 +473,13 @@ def make_learner(name: str, params: dict, spec: GameSpec) -> Learner:
     elif name == "mrpfl":
         built = mrpfl_learner(spec, N=param("N", int, None), g=param("g", int, None))
     elif name == "helly_intersection":
-        built = helly_intersection_learner(spec, param("transversal"))
+        built = helly_intersection_learner(spec, param("transversal", int_list))
     elif name == "uniform_cube":
         built = uniform_cube_learner(param("T", int, spec.horizon))
     elif name == "constant":
         built = ConstantLearner(param("label", int, 0))
     elif name == "scripted":
-        built = ScriptedLearner(param("labels"))
+        built = ScriptedLearner(param("labels", int_list))
     elif name == "first_round_read":
         built = FirstSetReadingLearner(param("fallback", int, 0))
     else:

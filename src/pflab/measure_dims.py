@@ -23,10 +23,12 @@ from .setsystems import SetSystem
 class GridInt(int):
     """An integer computed under a grid-restricted learner.
 
-    ``grid_lower_bound`` is True when the grid restriction applies: the
-    exact, unrestricted quantity is then bounded above by this value (the
-    restriction shrinks the learner's minimization, never the adversary's
-    maximization). Arithmetic degrades to plain int, by design.
+    The value is an *upper* bound on the unrestricted quantity: restricting
+    the learner to grid measures shrinks its minimization, never the
+    adversary's maximization, so the exact value is at most this one.
+    ``grid_lower_bound`` is True when the grid restriction applies; despite
+    its name it marks the value as such an upper bound, not a lower one.
+    Arithmetic degrades to plain int, by design.
     """
 
     def __new__(cls, value, grid_lower_bound: bool = True):
@@ -52,17 +54,9 @@ def pms_dim(
     the played measure gives its image mass at most ``1 - gamma`` (mass
     strictly below one when ``gamma`` is zero). The result is exact for the
     grid; see :class:`GridInt` for what the caveat flag asserts about the
-    unrestricted value.
+    unrestricted value. This is :func:`ppms_dim` at the empty prefix.
     """
-    gamma = _as_gamma(gamma)
-    if T < 0:
-        raise SpecError(f"horizon must be nonnegative, got {T}")
-    collections = build_admissible_collections(spec)
-    engine = CollectionEngine(
-        spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
-    )
-    alive, scores = engine.initial_state()
-    return GridInt(engine.value(alive, scores, T))
+    return ppms_dim(spec, (), (), (), T, gamma, g=g, budget=budget)
 
 
 def ppms_dim(

@@ -15,6 +15,7 @@ import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .adversaries import (
     CollisionFamily,
@@ -45,6 +46,7 @@ from .game import (
     HypothesisClass,
     build_admissible_collections,
     collection_of,
+    find_realizability_witness,
     play_game,
 )
 from .games import (
@@ -369,15 +371,16 @@ def check_visibility_separation_cube() -> CheckResult:
     # instance; every assignment is realizable (witnessed below), and reveals
     # are irrelevant against this nonadaptive learner.
     best = Fraction(0)
-    for xs in _sequences(range(T), T):
+    full = (1 << M) - 1
+    for xs in product(range(T), repeat=T):
         distinct = sorted(set(xs))
-        for excl in _sequences(range(M), len(distinct)):
+        for excl in product(range(M), repeat=len(distinct)):
             assign = {x: 0 for x in range(T)}
             assign.update(zip(distinct, excl))
-            witness = _co_singleton_witness(spec, assign)
-            col = collection_of(spec, witness)
+            sets = [full ^ (1 << e) for e in assign.values()]
+            col = collection_of(spec, find_realizability_witness(spec, list(assign), sets))
             for x, e in assign.items():
-                if col.images[x] != ((1 << M) - 1) ^ (1 << e):
+                if col.images[x] != full ^ (1 << e):
                     failures.append(f"witness image wrong at instance {x}")
             loss = sum((uniform.weights[assign[x]] for x in xs), Fraction(0))
             if loss > best:
@@ -400,33 +403,6 @@ def check_visibility_separation_cube() -> CheckResult:
     )
 
 
-def _sequences(alphabet, length):
-    alphabet = list(alphabet)
-    if length == 0:
-        yield ()
-        return
-    for head in alphabet:
-        for tail in _sequences(alphabet, length - 1):
-            yield (head,) + tail
-
-
-def _co_singleton_witness(spec: GameSpec, excluded: dict) -> tuple:
-    """Members of a collection whose image at x is everything but excluded[x]."""
-    M = spec.n_labels
-    base = [0] * spec.n_instances
-    for x, e in excluded.items():
-        base[x] = 1 if e == 0 else 0
-    members = {spec.hypotheses.index_of_row(base)}
-    for x, e in excluded.items():
-        for v in range(M):
-            if v == e or v == base[x]:
-                continue
-            row = list(base)
-            row[x] = v
-            members.add(spec.hypotheses.index_of_row(row))
-    return tuple(sorted(members))
-
-
 def check_two_constant_agnostic_floor() -> CheckResult:
     failures = []
     for T in range(1, 7):
@@ -445,7 +421,7 @@ def check_two_constant_agnostic_floor() -> CheckResult:
         # Reveals depend only on the learner's own predictions here, so every
         # deterministic adaptive learner traces one scripted label sequence.
         best = None
-        for labels in _sequences((0, 1), T):
+        for labels in product((0, 1), repeat=T):
             t = play_game(spec, ScriptedLearner(list(labels)), agnostic_two_constant_adversary(T))
             if best is None or t.regret < best:
                 best = t.regret

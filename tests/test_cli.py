@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, and determinism."""
 
+import json
 import re
 from pathlib import Path
 
@@ -259,5 +260,84 @@ def test_malformed_strategy_parameters(capsys, tmp_path, block):
 )
 def test_negative_budget_is_a_spec_error(capsys, argv):
     code, out, err = run(capsys, argv + ["--budget", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+ROOT = SPEC_DIR.parent
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[" ".join(p["argv"]) for p in PINS])
+def test_value_commands_pinned(capsys, monkeypatch, pin):
+    """Exit code, stdout and stderr of dim, rand and sweep, runtime masked.
+
+    Each entry of ``cli_pins.json`` holds one command, run from the repository
+    root on ``specs/*.yaml``, with the output it must give.
+    """
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, pin["argv"])
+    assert (code, strip_runtime(out), err) == (pin["code"], pin["out"], pin["err"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "1", "--prefix-x", "0"], "--prefix-x"),
+        (["dim", TWO_CONSTANT, "--what", "ml", "--prefix-y", "1"], "--prefix-y"),
+        (["dim", TWO_CONSTANT, "--what", "ppfl", "--depth", "1", "--witness"], "--witness"),
+        (["rand", TWO_CONSTANT, "--what", "regret", "--gamma", "1/3"], "--gamma"),
+        (["rand", TWO_CONSTANT, "--what", "pms", "--gamma", "1/2", "--prefix-reveal", "0"],
+         "--prefix-reveal"),
+        (["sweep", TWO_CONSTANT, "--task", "rand", "--what", "regret", "--horizon", "1..2",
+          "--gamma", "1/2"], "--gamma"),
+        (["sweep", TWO_CONSTANT, "--task", "dim", "--what", "pfl", "--horizon", "1", "--grid", "3"],
+         "--grid"),
+        (["sweep", TWO_CONSTANT, "--task", "dim", "--what", "regret", "--horizon", "1",
+          "--gamma", "1/2"], "--gamma"),
+    ],
+    ids=["dim-pfl", "dim-ml", "dim-ppfl", "rand-regret", "rand-pms", "sweep-rand-regret",
+         "sweep-dim-pfl", "sweep-dim-regret"],
+)
+def test_ignored_flag_is_a_spec_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert flag in err
+
+
+PF_SHAPE = ("labels: 4\ninstances: 1\nset_system: {all_nonempty_up_to: 2}\n"
+            "hypotheses: [[0], [1], [2], [3]]\nhorizon: 1\n")
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "learner: {name: helly_intersection, params: {transversal: [a]}}",
+        "learner: {name: helly_intersection, params: {transversal: 5}}",
+        "learner: {name: scripted, params: {labels: [a, 0, 0]}}",
+        "learner: {name: scripted, params: {labels: 3}}",
+        "adversary: {name: collision, params: {modulus: 2, pool: [0], slopes: 3}}",
+        "adversary: {name: collision, params: {modulus: 2, pool: [0], slopes: [a]}}",
+        "adversary: {name: collision, params: {modulus: 2, pool: [0.5]}}",
+        "adversary: {name: pf_not_sv, params: {set_valued: \"no\"}}",
+    ],
+)
+def test_malformed_list_and_flag_parameters(capsys, tmp_path, block):
+    """List and true/false strategy parameters are checked like the others.
+
+    The collision and pf_not_sv blocks run on games of their own shape, so
+    that only the malformed parameter can stop them.
+    """
+    if "adversary" in block:
+        block = "learner: {name: cvsp}\n" + block
+    else:
+        block += "\nadversary: {name: optimal}"
+    path = tmp_path / "game.yaml"
+    if "pf_not_sv" in block:
+        path.write_text(PF_SHAPE + block + "\n")
+    else:
+        path.write_text(Path(TWO_CONSTANT).read_text().split("learner:")[0] + block + "\n")
+    code, out, err = run(capsys, ["play", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("spec error:") and err.count("\n") == 1

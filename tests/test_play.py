@@ -126,6 +126,24 @@ def test_public_frpfl_vs_optimal_pinned():
     assert res.expected_loss == Fraction(2, 3)
 
 
+@pytest.mark.parametrize("visibility", ["oblivious", "public"])
+def test_cube_with_more_instances_than_rounds(visibility):
+    """The unplayed instance gets a feasible image in the cube witness."""
+    spec = replace(cube_game(4, 4, visibility=visibility), horizon=3)
+    res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
+                    public_cube_adversary(3, 4, Fraction(1, 2)))
+    if visibility == "public":
+        transcripts = [b.transcript for b in res.branches]
+        assert (len(transcripts), res.expected_loss) == (27, 2)
+    else:
+        transcripts = [res]
+        assert res.loss == 1
+    for t in transcripts:
+        assert t.comparator == 0
+        assert t.witness.images[:3] == t.sets
+        assert spec.set_system.contains(t.witness.images[3])
+
+
 # -- oblivious play ----------------------------------------------------------------
 
 LEARNERS = {"dpfla": {}, "frpfl": {"gamma": "1/3", "g": 3}, "mrpfl": {"N": 3, "g": 4}}
