@@ -24,9 +24,11 @@ from .game import (
     Adversary,
     GameSpec,
     build_admissible_collections,
+    distinct_images,
     find_realizability_witness,
     flag,
     int_list,
+    integer,
     strategy_param,
 )
 from .measures import Measure
@@ -49,15 +51,20 @@ def _modal_label(prediction) -> int:
 class _CollectionAdversary(Adversary):
     """Plays from the collection version space and commits to one survivor.
 
-    ``begin`` enumerates the admissible collections, all alive. The ground
-    truth is the collection a subclass's :meth:`_chosen` names: its images at
-    the played instances are the finalized sets, its members the witness.
+    ``begin`` enumerates the admissible collections and keeps the lowest-id
+    one of each image vector, all alive: play reads only images, and the
+    chosen survivor is the lowest id of its image class. The ground truth is
+    the collection a subclass's :meth:`_chosen` names: its images at the
+    played instances are the finalized sets, its members the witness.
     """
 
     def begin(self, spec: GameSpec) -> None:
+        self._track(spec, distinct_images(build_admissible_collections(spec)))
+
+    def _track(self, spec: GameSpec, collections) -> None:
         self._spec = spec
-        self._collections = build_admissible_collections(spec)
-        self._alive = tuple(range(len(self._collections)))
+        self._collections = collections
+        self._alive = tuple(range(len(collections)))
 
     def _feasible(self, x: int) -> int:
         """Labels some alive collection's image at ``x`` contains."""
@@ -198,13 +205,18 @@ def echo_adversary() -> EchoAdversary:
 
 
 class SeededRandomAdversary(_CollectionAdversary):
-    """Protocol-legal random play from a seeded generator, for stress tests."""
+    """Protocol-legal random play from a seeded generator, for stress tests.
+
+    Unlike the other collection adversaries it tracks every admissible
+    collection, not one per image vector: its final pick is uniform over the
+    surviving collections, so collections sharing an image weigh separately.
+    """
 
     def __init__(self, seed: int = 0):
         self._seed = seed
 
     def begin(self, spec: GameSpec) -> None:
-        super().begin(spec)
+        self._track(spec, build_admissible_collections(spec))
         self._rng = random.Random(self._seed)
         self._pick = None
 
@@ -627,29 +639,29 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
         return strategy_param(params, name, *args)
 
     if name == "optimal":
-        built = optimal_adversary(spec, T=param("T", int, None))
+        built = optimal_adversary(spec, T=param("T", integer, None))
     elif name == "echo":
         built = echo_adversary()
     elif name == "random":
-        built = random_adversary(param("seed", int, 0))
+        built = random_adversary(param("seed", integer, 0))
     elif name == "collision":
         fam = CollisionFamily(
-            modulus=param("modulus", int, 64),
+            modulus=param("modulus", integer, 64),
             slopes=tuple(param("slopes", int_list, (0, 1))),
             pool=tuple(param("pool", int_list, range(64))),
         )
         built = collision_adversary(fam)
     elif name == "agnostic_two_constant":
-        built = agnostic_two_constant_adversary(param("T", int, spec.horizon))
+        built = agnostic_two_constant_adversary(param("T", integer, spec.horizon))
     elif name == "public_cube":
         built = public_cube_adversary(
-            param("T", int, spec.horizon),
-            param("M", int, spec.n_labels),
+            param("T", integer, spec.horizon),
+            param("M", integer, spec.n_labels),
             param("k", Fraction, Fraction(1, 2)),
         )
     elif name == "pf_not_sv":
         built = pf_not_sv_adversary(
-            param("T", int, spec.horizon),
+            param("T", integer, spec.horizon),
             set_valued=param("set_valued", flag, False),
         )
     else:

@@ -23,6 +23,7 @@ from .game import (
     Realizability,
     build_admissible_collections,
     collection_of,
+    distinct_images,
 )
 from .setsystems import SetSystem, iter_bits, mask_of
 
@@ -69,7 +70,7 @@ def ppfl_dim(
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
-    collections = build_admissible_collections(spec)
+    collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="label", budget=budget)
     alive, scores = engine.prefix_state(prefix_x, prefix_y, prefix_reveals)
     return engine.value(alive, scores, d)
@@ -170,7 +171,7 @@ def naive_tree_oracle(
         raise BudgetExceeded(
             f"naive oracle guard: ({spec.n_instances}*{spec.n_labels})^{internal} exceeds {limit}"
         )
-    collections = build_admissible_collections(spec)
+    collections = distinct_images(build_admissible_collections(spec))
     if q <= 0:
         tree = ShatteringTree(depth=d, q=q)
         _fill_trivial(spec, collections[0], tree, ())
@@ -264,7 +265,7 @@ def ml_sl_bl_dim(
     system = _variant_system(spec, variant)
     H = spec.hypotheses
     if H.kind != "explicit":
-        raise BudgetExceeded("version-space dimensions need an explicit hypothesis class")
+        raise SpecError("version-space dimensions need an explicit hypothesis class")
     if cap is None:
         cap = spec.horizon + 2
     if cap < 0:

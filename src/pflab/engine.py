@@ -35,7 +35,13 @@ Soundness of the speedups, all of which preserve exact values:
   of each class is explored; the reveal classes are computed once per state
   and instance and shared by every edge;
 * scores translate: adding a constant to every score adds it to the value, so
-  memo keys store scores relative to their minimum.
+  memo keys store scores relative to their minimum;
+* collections with equal image vectors are interchangeable: they start with
+  equal scores, survive every reveal together and take the same increment on
+  every edge, so dropping all but one of them changes no value, choice or
+  expanded-state count. Callers may therefore pass one collection per image
+  vector (``game.distinct_images``); the engine itself keeps every
+  collection it is given, so alive ids index the caller's list.
 """
 
 from __future__ import annotations

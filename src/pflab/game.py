@@ -224,6 +224,18 @@ def build_admissible_collections(
     index order and prunes any prefix whose partial image at some instance is
     not contained in any feasible set, since unions only grow.
 
+    Collections with equal image vectors are interchangeable wherever only
+    images are read: they survive every reveal together and take the same
+    increment on every edge. So the consumers that read only images pass
+    this list through :func:`distinct_images` and keep one collection per
+    image vector: the engine entry points (``ppfl_dim``, ``ppms_dim``,
+    ``minimax_rand_regret``), the engine-driven learners and the optimal
+    adversary, ``cvsp``, the echo adversary, ``naive_tree_oracle`` and
+    ``replicate.worst_case_vs_learner``. The kept collection is the lowest
+    id of its image class, so witness members do not change. The seeded
+    random adversary keeps the full list, because its final pick is uniform
+    over collections, not over image vectors.
+
     Raises :class:`AdmissibleEmpty` when no collection qualifies and
     :class:`BudgetExceeded` when the pruned search still visits too many nodes
     (the hypothesis class of every-function kind is rejected outright, its
@@ -265,6 +277,20 @@ def build_admissible_collections(
         raise AdmissibleEmpty("no admissible collection exists for this specification")
     out.sort(key=lambda col: sum(1 << h for h in col.members))
     return out
+
+
+def distinct_images(collections: Sequence[Collection]) -> list[Collection]:
+    """The lowest-id collection of each image vector, in id order.
+
+    Any walk that reads only images and takes the first consistent
+    collection in id order picks the same collection from this list as from
+    the full one: the first consistent collection is always the lowest id of
+    its image class.
+    """
+    first: dict = {}
+    for col in collections:
+        first.setdefault(col.images, col)
+    return list(first.values())
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -390,6 +416,16 @@ class Adversary:
 REQUIRED = object()
 
 
+def integer(value) -> int:
+    """Strategy parameter kind: an integer, or a string of one.
+
+    Floats and bools are rejected rather than truncated or read as 0 and 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    return int(value)
+
+
 def int_list(value) -> list:
     """Strategy parameter kind: a list of integers."""
     if not isinstance(value, (list, tuple)) or not all(
@@ -409,7 +445,7 @@ def flag(value) -> bool:
 def strategy_param(params: dict, strategy: str, key: str, kind=None, default=REQUIRED):
     """Pop parameter ``key`` of the named strategy from its config ``params``.
 
-    ``kind`` is ``int``, ``Fraction``, :func:`int_list` or :func:`flag` to
+    ``kind`` is :func:`integer`, ``Fraction``, :func:`int_list` or :func:`flag` to
     convert or check the value with, or ``None`` to take it as given. A
     missing key returns ``default``. Raises :class:`SpecError` when a
     required key is missing or the value does not convert.

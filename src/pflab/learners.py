@@ -17,7 +17,9 @@ from .game import (
     GameSpec,
     Learner,
     build_admissible_collections,
+    distinct_images,
     int_list,
+    integer,
     strategy_param,
 )
 from .measure_dims import msp
@@ -47,7 +49,8 @@ class VersionSpacePruningLearner(Learner):
     collections whose image contains it.
 
     Two interchangeable representations: the explicit mode enumerates the
-    admissible collections once and prunes a list; the implicit mode, used
+    admissible collections once, keeps one per image vector (only images are
+    read) and prunes that list; the implicit mode, used
     when the set system is the bounded family of all nonempty sets up to size
     K with K at least the horizon, never materializes the collections. In
     that regime a collection survives iff it covers every reveal so far, so
@@ -75,7 +78,7 @@ class VersionSpacePruningLearner(Learner):
         if self._implicit:
             self._realizers = []
         else:
-            self._collections = build_admissible_collections(spec)
+            self._collections = distinct_images(build_admissible_collections(spec))
             self._alive = list(range(len(self._collections)))
 
     # -- prediction -------------------------------------------------------
@@ -174,15 +177,18 @@ def cvsp_learner(spec: GameSpec) -> VersionSpacePruningLearner:
 class _VersionSpaceLearner(Learner):
     """Plays from the collection version space through one or more engines.
 
-    ``begin`` enumerates the admissible collections once and builds the
-    engines from :meth:`_engines_for`. All engines share one alive tuple (the
-    collections consistent with the reveals so far) and keep one score tuple
-    each. ``predict`` must store ``(x, edge index)`` in ``_pending``.
+    ``begin`` enumerates the admissible collections once, keeps one per image
+    vector, and builds the engines from :meth:`_engines_for`. All engines
+    share one alive tuple (the collections consistent with the reveals so
+    far) and keep one score tuple each. ``predict`` must store
+    ``(x, edge index)`` in ``_pending``.
     """
 
     def begin(self, spec: GameSpec) -> None:
         self._spec = spec
-        self._engines = self._engines_for(spec, build_admissible_collections(spec))
+        self._engines = self._engines_for(
+            spec, distinct_images(build_admissible_collections(spec))
+        )
         self._alive, scores = self._engines[0].initial_state()
         self._scores = [scores] * len(self._engines)
         self._round = 0
@@ -467,21 +473,21 @@ def make_learner(name: str, params: dict, spec: GameSpec) -> Learner:
     if name == "cvsp":
         built = cvsp_learner(spec)
     elif name == "dpfla":
-        built = dpfla_learner(spec, potential_budget=param("budget", int, None))
+        built = dpfla_learner(spec, potential_budget=param("budget", integer, None))
     elif name == "frpfl":
-        built = frpfl_learner(spec, param("gamma", Fraction), g=param("g", int, None))
+        built = frpfl_learner(spec, param("gamma", Fraction), g=param("g", integer, None))
     elif name == "mrpfl":
-        built = mrpfl_learner(spec, N=param("N", int, None), g=param("g", int, None))
+        built = mrpfl_learner(spec, N=param("N", integer, None), g=param("g", integer, None))
     elif name == "helly_intersection":
         built = helly_intersection_learner(spec, param("transversal", int_list))
     elif name == "uniform_cube":
-        built = uniform_cube_learner(param("T", int, spec.horizon))
+        built = uniform_cube_learner(param("T", integer, spec.horizon))
     elif name == "constant":
-        built = ConstantLearner(param("label", int, 0))
+        built = ConstantLearner(param("label", integer, 0))
     elif name == "scripted":
         built = ScriptedLearner(param("labels", int_list))
     elif name == "first_round_read":
-        built = FirstSetReadingLearner(param("fallback", int, 0))
+        built = FirstSetReadingLearner(param("fallback", integer, 0))
     else:
         raise SpecError(f"unknown learner name {name!r}")
     if params:

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 from .engine import CollectionEngine
 from .errors import SpecError
-from .game import GameSpec, Realizability, Visibility, build_admissible_collections
+from .game import (
+    GameSpec,
+    Realizability,
+    Visibility,
+    build_admissible_collections,
+    distinct_images,
+)
 from .setsystems import SetSystem
 
 
@@ -79,7 +85,7 @@ def ppms_dim(
     gamma = _as_gamma(gamma)
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
-    collections = build_admissible_collections(spec)
+    collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(
         spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
     )
@@ -139,7 +145,7 @@ def minimax_rand_regret(
         raise SpecError("the randomized minimax value is defined for oblivious games")
     if T < 0:
         raise SpecError(f"horizon must be nonnegative, got {T}")
-    collections = build_admissible_collections(spec)
+    collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)
     alive, scores = engine.initial_state()
     return Fraction(engine.value(alive, scores, T))

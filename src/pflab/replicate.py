@@ -46,6 +46,7 @@ from .game import (
     HypothesisClass,
     build_admissible_collections,
     collection_of,
+    distinct_images,
     find_realizability_witness,
     play_game,
 )
@@ -93,11 +94,11 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
     """Exact sup over (oblivious) adversary play of the learner's expected loss.
 
     Exhausts instance and reveal trajectories; at the leaves takes the best
-    surviving collection for the adversary. The learner may be randomized;
+    surviving collection for the adversary. Only images are read, so one
+    collection per image vector is tracked. The learner may be randomized;
     per-round loss is the predicted measure's mass outside the final set.
     """
-    collections = build_admissible_collections(spec)
-    images = [col.images for col in collections]
+    images = [col.images for col in distinct_images(build_admissible_collections(spec))]
 
     def as_measure(pred):
         if isinstance(pred, Measure):
@@ -127,7 +128,7 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
 
     learner = learner_factory()
     learner.begin(spec)
-    alive = list(range(len(collections)))
+    alive = list(range(len(images)))
     return rec(learner, alive, {cid: Fraction(0) for cid in alive}, 0)
 
 

@@ -341,3 +341,30 @@ def test_malformed_list_and_flag_parameters(capsys, tmp_path, block):
     code, out, err = run(capsys, ["play", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+def test_version_space_dimension_of_all_functions_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "all.yaml"
+    path.write_text("labels: 2\ninstances: 1\nset_system:\n  - [0]\n  - [1]\n"
+                    "hypotheses: {all_functions: true}\nhorizon: 1\n")
+    code, out, err = run(capsys, ["dim", str(path), "--what", "ml"])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert "explicit hypothesis class" in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "learner: {name: constant, params: {label: 0.5}}",
+        "learner: {name: cvsp}\nadversary: {name: random, params: {seed: true}}",
+        "learner: {name: dpfla, params: {budget: 1.5}}",
+    ],
+)
+def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
+    if "adversary" not in block:
+        block += "\nadversary: {name: optimal}"
+    code, out, err = run(capsys, ["play", _spec_with(tmp_path, block + "\n")])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert "not a valid integer" in err
