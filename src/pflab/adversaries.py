@@ -8,6 +8,7 @@ realizability also hand back a witness collection.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -454,6 +455,9 @@ class CubeAdversary(Adversary):
         self._measures = []
         self._reveals = []
         self._draws = []
+        # Finalized sets -> their product witness, shared with every fork.
+        # The instances are always 0, 1, ..., so the sets alone fix it.
+        self._witnesses = {}
 
     def choose_instance(self) -> int:
         x = self._round
@@ -486,6 +490,15 @@ class CubeAdversary(Adversary):
     def observe_draw(self, z: int) -> None:
         self._draws.append(z)
 
+    def fork(self) -> "CubeAdversary":
+        # Copies the history lists; the witness table stays shared.
+        twin = copy.copy(self)
+        twin._instances = list(self._instances)
+        twin._measures = list(self._measures)
+        twin._reveals = list(self._reveals)
+        twin._draws = list(self._draws)
+        return twin
+
     def _excluded_label(self, t: int) -> int:
         y = self._reveals[t]
         if self._draws:
@@ -508,7 +521,12 @@ class CubeAdversary(Adversary):
         return self._sets
 
     def witness_collection(self):
-        return find_realizability_witness(self._spec, self._instances, self._sets)
+        key = tuple(self._sets)
+        if key not in self._witnesses:
+            self._witnesses[key] = find_realizability_witness(
+                self._spec, self._instances, self._sets
+            )
+        return self._witnesses[key]
 
 
 def public_cube_adversary(T: int, M: int, k) -> CubeAdversary:

@@ -257,15 +257,15 @@ def _cmd_value(args) -> int:
     )
     row = _row(args.spec, spec, task, what, args.depth, gamma, args.grid, prefix, args.budget)
     text = _csv_text([row]) if args.format == "csv" else _row_text(row)
-    if args.witness:
+    # A CSV row has no place for a tree, so the oracle runs for text only.
+    if args.witness and args.format == "text":
         tree = naive_tree_oracle(spec, args.depth, row["value"])
         if tree is None:
             raise PflabError(
                 f"no witness tree found at the certified value {row['value']}; "
                 "this indicates an internal inconsistency"
             )
-        if args.format == "text":
-            text += _tree_text(tree)
+        text += _tree_text(tree)
     _emit(text, args.out)
     return 0
 

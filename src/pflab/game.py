@@ -123,7 +123,10 @@ class HypothesisClass:
     def row(self, h: int) -> tuple[int, ...]:
         if self.kind == "explicit":
             return self.rows[h]
-        return tuple(self.value(h, x) for x in range(self.n_instances))
+        digits = [0] * self.n_instances
+        for x in range(self.n_instances - 1, -1, -1):
+            h, digits[x] = divmod(h, self.n_labels)
+        return tuple(digits)
 
     def index_of_row(self, row: Sequence[int]) -> int:
         if self.kind == "explicit":
@@ -199,17 +202,15 @@ def collection_of(spec: GameSpec, members) -> Collection:
     ms = tuple(sorted(set(members)))
     if not ms:
         raise SpecError("a collection must contain at least one hypothesis")
-    H = spec.hypotheses
-    images = []
-    for x in range(spec.n_instances):
-        img = 0
-        for h in ms:
-            img |= 1 << H.value(h, x)
+    images = [0] * spec.n_instances
+    for h in ms:
+        for x, y in enumerate(spec.hypotheses.row(h)):
+            images[x] |= 1 << y
+    for x, img in enumerate(images):
         if not spec.set_system.contains(img):
             raise SpecError(
                 f"collection image {labels_of(img)} at instance {x} is not a feasible set"
             )
-        images.append(img)
     return Collection(members=ms, images=tuple(images))
 
 
@@ -371,6 +372,15 @@ class Learner:
     def observe_draw(self, z: int) -> None:
         pass
 
+    def fork(self) -> "Learner":
+        """An independent copy that continues exactly as this learner would.
+
+        Public play forks the strategies at every draw with a later sibling.
+        The default is a deep copy; a subclass whose state is cheaper to copy
+        may override it.
+        """
+        return copy.deepcopy(self)
+
 
 class Adversary:
     """Base class for adversaries.
@@ -411,6 +421,13 @@ class Adversary:
 
     def witness_collection(self) -> Optional[Sequence[int]]:
         return None
+
+    def fork(self) -> "Adversary":
+        """An independent copy that continues exactly as this adversary would.
+
+        The default is a deep copy, as for :meth:`Learner.fork`.
+        """
+        return copy.deepcopy(self)
 
 
 REQUIRED = object()
@@ -468,11 +485,11 @@ def strategy_param(params: dict, strategy: str, key: str, kind=None, default=REQ
 # -- loss and comparator ----------------------------------------------------------
 
 
-def _round_loss(move: Prediction, mask: int) -> Fraction:
+def _round_loss(move: Prediction, mask: int) -> Union[Fraction, int]:
     """Loss of one round: the mass a measure puts outside ``mask``, or 0/1 for a label."""
     if isinstance(move, Measure):
         return move.miss_mass(mask)
-    return ZERO if (mask >> move) & 1 else ONE
+    return 0 if (mask >> move) & 1 else 1
 
 
 def comparator_loss(transcript: Transcript, spec: GameSpec) -> Fraction:
@@ -505,13 +522,14 @@ def comparator_loss(transcript: Transcript, spec: GameSpec) -> Fraction:
 def _comparator(spec: GameSpec, instances, sets) -> Fraction:
     H = spec.hypotheses
     if H.kind == "all_functions":
-        total = 0
-        for x in set(instances):
-            masks = [m for xx, m in zip(instances, sets) if xx == x]
-            total += min(
-                sum(1 for m in masks if not (m >> y) & 1) for y in range(spec.n_labels)
-            )
-        return Fraction(total)
+        # misses[x][y]: rounds at instance x whose set excludes label y.
+        full = (1 << spec.n_labels) - 1
+        misses: dict[int, list[int]] = {}
+        for x, m in zip(instances, sets):
+            row = misses.setdefault(x, [0] * spec.n_labels)
+            for y in iter_bits(full & ~m):
+                row[y] += 1
+        return Fraction(sum(min(row) for row in misses.values()))
     best = None
     for h in range(H.size):
         miss = 0
@@ -560,13 +578,13 @@ def find_realizability_witness(
         fallback = _any_member(system)
         pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
         row = [min(iter_bits(pool)) for pool in pools]
-        witness = {H.index_of_row(row)}
+        base = H.index_of_row(row)
+        witness = [base]
         for x, pool in enumerate(pools):
             low = row[x]
+            place = H.n_labels ** (spec.n_instances - 1 - x)
             for y in iter_bits(pool & ~(1 << low)):
-                row[x] = y
-                witness.add(H.index_of_row(row))
-            row[x] = low
+                witness.append(base + (y - low) * place)
         return tuple(sorted(witness))
 
     limit = _collections_budget() if budget is None else budget
@@ -712,14 +730,14 @@ class _Branch:
     def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
         """The child where the draw came out ``z``, with probability ``weight``.
 
-        A ``shared`` child plays on deep copies of the strategies, because a
-        later sibling still needs them as they are now. Only public games
-        draw, and they take neither revealed sets nor loss bits.
+        A ``shared`` child plays on forks of the strategies, because a later
+        sibling still needs them as they are now. Only public games draw, and
+        they take neither revealed sets nor loss bits.
         """
         learner, adversary = self.learner, self.adversary
         if shared:
-            learner = copy.deepcopy(learner)
-            adversary = copy.deepcopy(adversary)
+            learner = learner.fork()
+            adversary = adversary.fork()
         learner.observe_draw(z)
         adversary.observe_draw(z)
         return _Branch(
@@ -764,8 +782,14 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     return pred
 
 
-def _settle(spec: GameSpec, b: _Branch) -> Transcript:
-    """Finalize a finished branch's sets, check and score them."""
+def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
+    """Finalize a finished branch's sets, check and score them.
+
+    ``checked`` maps ``(instances, sets, witness members)`` to the comparator
+    and validated witness already computed for that outcome in this play.
+    Both are pure in those inputs, so a repeated outcome reuses them; every
+    other check and the loss still run on each branch.
+    """
     if spec.feedback is Feedback.SET_VALUED:
         sets = b.online_sets
     else:
@@ -805,11 +829,16 @@ def _settle(spec: GameSpec, b: _Branch) -> Transcript:
     # A public branch is charged for its realized draws, an oblivious one for
     # its predictions themselves.
     moves = b.predictions if b.draws is None else b.draws
-    loss = sum((_round_loss(p, m) for p, m in zip(moves, sets)), ZERO)
-    comparator = _comparator(spec, b.instances, sets)
-    witness = _check_realizability(
-        spec, b.instances, sets, comparator, b.adversary.witness_collection()
-    )
+    loss = Fraction(sum(_round_loss(p, m) for p, m in zip(moves, sets)))
+    claimed = b.adversary.witness_collection()
+    key = (b.instances, sets, None if claimed is None else tuple(claimed))
+    if key not in checked:
+        comparator = _comparator(spec, b.instances, sets)
+        checked[key] = (
+            comparator,
+            _check_realizability(spec, b.instances, sets, comparator, claimed),
+        )
+    comparator, witness = checked[key]
     return Transcript(
         instances=b.instances,
         predictions=b.predictions,
@@ -837,9 +866,11 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     that branch's. A public game splits a branch after every round into one
     child per label the prediction can draw, weighted by its probability, and
     plays the children depth-first in ascending draw order. Every child but
-    the last plays on deep copies of the strategies; the last keeps the
-    originals. The loop keeps its pending branches on a stack, so the horizon
-    is not bounded by Python's recursion limit.
+    the last plays on forks of the strategies (:meth:`Learner.fork`,
+    :meth:`Adversary.fork`); the last keeps the originals. The loop keeps its
+    pending branches on a stack, so the horizon is not bounded by Python's
+    recursion limit. Branches that end with the same instances, sets and
+    witness share one comparator and one realizability check.
     """
     public = spec.visibility is Visibility.PUBLIC
     if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
@@ -850,12 +881,13 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     # root and for every oblivious round.
     stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
     ends: list[PublicBranch] = []
+    checked: dict = {}
     while stack:
         branch, z, weight, shared = stack.pop()
         if z is not None:
             branch = branch.drawn(z, weight, shared)
         if len(branch.instances) == spec.horizon:
-            ends.append(PublicBranch(branch.probability, _settle(spec, branch)))
+            ends.append(PublicBranch(branch.probability, _settle(spec, branch, checked)))
             continue
         pred = _play_round(spec, branch)
         if not public:

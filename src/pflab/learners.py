@@ -403,6 +403,10 @@ class UniformPrefixLearner(Learner):
     def predict(self, x: int) -> Measure:
         return self._measure
 
+    def fork(self) -> "UniformPrefixLearner":
+        # Nothing changes after ``begin``, so a fork may share this object.
+        return self
+
 
 def uniform_cube_learner(T: int) -> UniformPrefixLearner:
     """Uniform randomization over a prefix alphabet of T labels."""

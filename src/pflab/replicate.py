@@ -11,7 +11,6 @@ API against independently coded oracles where the claim is an equality.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,13 +109,13 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
             return max(charges[cid] for cid in alive)
         best = None
         for x in range(spec.n_instances):
-            probe = copy.deepcopy(learner)
+            probe = learner.fork()
             pi = as_measure(probe.predict(x))
             for y in range(spec.n_labels):
                 kept = [cid for cid in alive if (images[cid][x] >> y) & 1]
                 if not kept:
                     continue
-                nxt = copy.deepcopy(probe)
+                nxt = probe.fork()
                 nxt.observe(y)
                 new_charges = dict(charges)
                 for cid in kept:

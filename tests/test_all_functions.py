@@ -1,0 +1,82 @@
+"""The all-functions fast paths against the same class materialized row by row.
+
+``HypothesisClass.all_functions`` never stores its rows: ``row``,
+``collection_of``, ``find_realizability_witness`` and the comparator decode
+an index's base-``n_labels`` digits instead. Each is compared here with the
+explicit class listing the same functions in the same index order.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+from pflab import (
+    GameSpec,
+    HypothesisClass,
+    SetSystem,
+    SpecError,
+    collection_of,
+    find_realizability_witness,
+)
+from pflab.game import _comparator
+
+
+def _pair(n, M, masks):
+    """The all-functions spec and its explicit twin over one set system."""
+    system = SetSystem.explicit(M, masks)
+    rows = list(product(range(M), repeat=n))  # index order: instance 0 most significant
+    return tuple(
+        GameSpec(n_instances=n, n_labels=M, set_system=system, hypotheses=H, horizon=1)
+        for H in (HypothesisClass.all_functions(n, M), HypothesisClass.explicit(n, M, rows))
+    )
+
+
+@st.composite
+def games(draw):
+    """Two specs, a nonempty member set, and rounds whose sets are feasible.
+
+    The system is the co-singletons or an arbitrary nonempty set of masks.
+    Rounds may repeat instances; with ``consistent`` a repeated instance
+    keeps its set, so that a witness exists.
+    """
+    n, M = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]))
+    full = (1 << M) - 1
+    if draw(st.booleans()):
+        masks = [full ^ (1 << y) for y in range(M)]
+    else:
+        masks = sorted(draw(st.sets(st.integers(1, full), min_size=1)))
+    all_fns, explicit = _pair(n, M, masks)
+    members = draw(st.sets(st.integers(0, M**n - 1), min_size=1))
+    instances = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    sampled = st.sampled_from(masks)
+    if draw(st.booleans()):
+        per_x = [draw(sampled) for _ in range(n)]
+        sets = [per_x[x] for x in instances]
+    else:
+        sets = [draw(sampled) for _ in instances]
+    return all_fns, explicit, members, instances, sets
+
+
+def _collection(spec, members):
+    try:
+        return collection_of(spec, members)
+    except SpecError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(games())
+def test_all_functions_match_the_explicit_class(game):
+    all_fns, explicit, members, instances, sets = game
+    H, E = all_fns.hypotheses, explicit.hypotheses
+    assert [H.row(h) for h in range(H.size)] == [E.row(h) for h in range(E.size)]
+    assert _collection(all_fns, members) == _collection(explicit, members)
+    assert _comparator(all_fns, instances, sets) == _comparator(explicit, instances, sets)
+
+    fast = find_realizability_witness(all_fns, instances, sets)
+    slow = find_realizability_witness(explicit, instances, sets)
+    assert (fast is None) == (slow is None)
+    for witness in (fast, slow):
+        if witness is not None:
+            col = collection_of(explicit, witness)
+            assert [col.images[x] for x in instances] == sets

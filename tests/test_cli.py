@@ -51,6 +51,18 @@ def test_dim_csv_format(capsys):
     assert fields[8] == "0"          # exact, not grid-truncated
 
 
+def test_csv_witness_does_not_run_the_tree_oracle(capsys):
+    # CSV has no place for a tree, so the oracle's size guard must not reject
+    # the row: at depth 20 it would exit 3 with "naive oracle guard".
+    code, out, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "20",
+                                  "--witness", "--format", "csv"])
+    assert (code, err) == (0, "")
+    lines = out.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    fields = lines[1].split(",")
+    assert fields[1:7] == ["dim/pfl", "20", "", "", "1", "1"]
+
+
 def test_rand_csv(capsys):
     code, out, _ = run(capsys, ["rand", OVERLAP, "--what", "regret", "--depth", "2",
                                 "--grid", "6", "--format", "csv"])
