@@ -202,6 +202,10 @@ def collection_of(spec: GameSpec, members) -> Collection:
     ms = tuple(sorted(set(members)))
     if not ms:
         raise SpecError("a collection must contain at least one hypothesis")
+    if ms[0] < 0 or ms[-1] >= spec.hypotheses.size:
+        raise SpecError(
+            f"collection members {ms} lie outside range({spec.hypotheses.size})"
+        )
     images = [0] * spec.n_instances
     for h in ms:
         for x, y in enumerate(spec.hypotheses.row(h)):
@@ -219,11 +223,22 @@ def build_admissible_collections(
 ) -> list[Collection]:
     """Every nonempty hypothesis subset whose image at each instance is feasible.
 
-    Collections come back ordered lexicographically by member index tuple, and
+    Collections come back ordered by member bitmask (``sum(1 << h)``), and
     that order is the canonical collection id used everywhere else (minimax
     states, tie-breaking, witnesses). The search walks subsets depth-first in
     index order and prunes any prefix whose partial image at some instance is
     not contained in any feasible set, since unions only grow.
+
+    Feasible next members are found with hypothesis bitmasks rather than by
+    testing each candidate: ``by_label[x][y]`` is the mask of hypotheses with
+    label ``y`` at instance ``x``, and ``allowed(x, img)`` (memoized per
+    search) is the OR of ``by_label[x][y]`` over the labels ``y`` that keep
+    ``img | 1 << y`` inside some feasible set. A node's candidates are the AND
+    of ``allowed`` over all instances, restricted to indices from ``start``
+    on, walked in ascending order. The search still charges one node for
+    every index from ``start`` on at each call, as the per-candidate loop did,
+    and visits the same calls, so the node count and every
+    :class:`BudgetExceeded` outcome are unchanged.
 
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
@@ -250,23 +265,48 @@ def build_admissible_collections(
         )
     n = H.size
     system = spec.set_system
-    rows = [tuple(H.value(h, x) for x in range(spec.n_instances)) for h in range(n)]
+    rows = H.rows
+    by_label = [[0] * spec.n_labels for _ in range(spec.n_instances)]
+    for h, row in enumerate(rows):
+        for x, y in enumerate(row):
+            by_label[x][y] |= 1 << h
+    labelled = [
+        [(1 << y, hs) for y, hs in enumerate(masks) if hs] for masks in by_label
+    ]
+    allowed_memo: list[dict[int, int]] = [{} for _ in range(spec.n_instances)]
+
+    def allowed(x: int, img: int) -> int:
+        hit = allowed_memo[x].get(img)
+        if hit is None:
+            hit = 0
+            for bit, hs in labelled[x]:
+                if system.superset_exists(img | bit):
+                    hit |= hs
+            allowed_memo[x][img] = hit
+        return hit
+
     out: list[Collection] = []
     nodes = 0
 
     def rec(start: int, members: list[int], images: list[int]):
         nonlocal nodes
-        for h in range(start, n):
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExceeded(
-                    f"admissible-collection search exceeded {limit} nodes",
-                    spent=nodes,
-                    budget=limit,
-                )
-            new_images = [img | (1 << rows[h][x]) for x, img in enumerate(images)]
-            if not all(system.superset_exists(img) for img in new_images):
-                continue
+        nodes += n - start
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"admissible-collection search exceeded {limit} nodes",
+                spent=nodes,
+                budget=limit,
+            )
+        cand = (1 << n) - (1 << start)
+        for x, img in enumerate(images):
+            cand &= allowed(x, img)
+            if not cand:
+                return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            new_images = [img | (1 << y) for img, y in zip(images, rows[h])]
             members.append(h)
             if all(system.contains(img) for img in new_images):
                 out.append(Collection(members=tuple(members), images=tuple(new_images)))
@@ -568,13 +608,16 @@ def find_realizability_witness(
         targets[x] = m
     H = spec.hypotheses
     system = spec.set_system
+    if not all(system.contains(m) for m in targets.values()):
+        return None  # an image must be a member set
 
     if H.kind == "all_functions":
         # The consistent class is a product set, so a product collection
         # realizes the targets exactly and any feasible set serves as the
         # image at untouched instances; existence reduces to the consistency
-        # check already done above. The members are one base row of lowest
-        # labels plus every row that differs from it at a single instance.
+        # and membership checks already done above. The members are one base
+        # row of lowest labels plus every row that differs from it at a
+        # single instance.
         fallback = _any_member(system)
         pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
         row = [min(iter_bits(pool)) for pool in pools]

@@ -131,7 +131,15 @@ class SetSystem:
             return False
         if self.kind == "bounded":
             return popcount(mask) <= self.max_size
-        return any(m & mask == mask for m in self.masks)
+        # masks is immutable, so the answer to each distinct mask is cached.
+        known = getattr(self, "_supersets", None)
+        if known is None:
+            known = {}
+            object.__setattr__(self, "_supersets", known)
+        hit = known.get(mask)
+        if hit is None:
+            hit = known[mask] = any(m & mask == mask for m in self.masks)
+        return hit
 
     def _member_index(self) -> frozenset:
         # masks is immutable, so caching on the instance is safe.

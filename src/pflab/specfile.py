@@ -201,13 +201,30 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
     return SpecDocument(spec=spec, source=source, learner=learner, adversary=adversary)
 
 
+def _read_yaml(path: str, loader):
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.load(fh, Loader=loader)
+
+
 def load_spec_file(path: str) -> SpecDocument:
-    """Load and validate a game file from disk."""
+    """Load and validate a game file from disk.
+
+    The file is parsed with libyaml (``yaml.CSafeLoader``) when PyYAML was
+    built with it, else with the pure-Python ``yaml.SafeLoader``; both build
+    the same data. A file libyaml rejects is parsed again by the pure loader,
+    whose message is the one reported, so error text does not depend on
+    whether libyaml is installed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        try:
+            data = _read_yaml(path, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError:
+            data = _read_yaml(path, yaml.SafeLoader)
     except OSError as exc:
         raise SpecFileError(f"{path}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except yaml.YAMLError as exc:
-        raise SpecFileError(f"{path}: invalid YAML ({exc})") from exc
+        message = " ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise SpecFileError(f"{path}: invalid YAML ({message})") from exc
     return parse_spec_data(data, source=str(path))

@@ -8,6 +8,7 @@ explicit class listing the same functions in the same index order.
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab import (
@@ -19,6 +20,7 @@ from pflab import (
     find_realizability_witness,
 )
 from pflab.game import _comparator
+from pflab.games import cube_game, helly_game
 
 
 def _pair(n, M, masks):
@@ -33,11 +35,12 @@ def _pair(n, M, masks):
 
 @st.composite
 def games(draw):
-    """Two specs, a nonempty member set, and rounds whose sets are feasible.
+    """Two specs, a nonempty member set, and rounds with their sets.
 
     The system is the co-singletons or an arbitrary nonempty set of masks.
-    Rounds may repeat instances; with ``consistent`` a repeated instance
-    keeps its set, so that a witness exists.
+    Members may lie just outside the class. Round sets are usually members of
+    the system. Rounds may repeat instances; in one of the two branches a
+    repeated instance keeps its set, so that a witness can exist.
     """
     n, M = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]))
     full = (1 << M) - 1
@@ -46,9 +49,9 @@ def games(draw):
     else:
         masks = sorted(draw(st.sets(st.integers(1, full), min_size=1)))
     all_fns, explicit = _pair(n, M, masks)
-    members = draw(st.sets(st.integers(0, M**n - 1), min_size=1))
+    members = draw(st.sets(st.integers(-2, M**n + 1), min_size=1))
     instances = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
-    sampled = st.sampled_from(masks)
+    sampled = st.sampled_from(masks) if draw(st.integers(0, 3)) else st.integers(1, full)
     if draw(st.booleans()):
         per_x = [draw(sampled) for _ in range(n)]
         sets = [per_x[x] for x in instances]
@@ -80,3 +83,20 @@ def test_all_functions_match_the_explicit_class(game):
         if witness is not None:
             col = collection_of(explicit, witness)
             assert [col.images[x] for x in instances] == sets
+
+
+def test_collection_of_rejects_members_outside_the_class():
+    for spec, members in [
+        (helly_game(1), [-1, 4, 1]),
+        (helly_game(1), [0, 6]),
+        (cube_game(2, 3), [9, -1, 0]),
+        (cube_game(2, 3), [9]),
+    ]:
+        with pytest.raises(SpecError, match="outside range"):
+            collection_of(spec, members)
+
+
+def test_all_functions_witness_needs_member_targets():
+    # {0} is not a co-singleton of three labels, so no collection has it as an image.
+    assert find_realizability_witness(cube_game(2, 3), [0], [0b1]) is None
+    assert find_realizability_witness(cube_game(2, 3), [0], [0b11]) is not None

@@ -170,6 +170,15 @@ def test_unknown_key_is_a_spec_error(capsys, tmp_path):
     assert "mystery" in err
 
 
+def test_invalid_yaml_is_a_one_line_spec_error(capsys, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("labels: [1, 2\nfoo: :\n")
+    code, out, err = run(capsys, ["dim", str(bad), "--what", "pfl", "--depth", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert "invalid YAML" in err
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, ["sweep", OVERLAP, "--task", "rand", "--what", "regret",

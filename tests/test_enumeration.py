@@ -1,0 +1,184 @@
+"""Admissible-collection enumeration against a brute-force reference.
+
+``build_admissible_collections`` finds feasible next members with hypothesis
+bitmasks and memoized feasibility answers. The reference here looks at every
+nonempty hypothesis subset and decides feasibility from the raw member masks,
+with no call into the enumeration or into ``SetSystem``. A second reference
+replays the per-candidate depth-first search to count its nodes, and the
+enumeration's budget must pass at exactly that count and fail one below it.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pflab import (
+    AdmissibleEmpty,
+    BudgetExceeded,
+    GameSpec,
+    HypothesisClass,
+    SetSystem,
+    build_admissible_collections,
+)
+from pflab.games import pf_not_sv_game
+
+
+def _feasible(system, mask):
+    """Is ``mask`` a member set, decided from the raw system data."""
+    if system.kind == "bounded":
+        return 0 < bin(mask).count("1") <= system.max_size
+    return mask in system.masks
+
+
+def _within_some_set(system, mask):
+    if system.kind == "bounded":
+        return bin(mask).count("1") <= system.max_size
+    return any(m & mask == mask for m in system.masks)
+
+
+def _image(rows, members, x):
+    m = 0
+    for h in members:
+        m |= 1 << rows[h][x]
+    return m
+
+
+def reference_collections(spec):
+    """Every nonempty subset whose image at each instance is feasible, by member bitmask."""
+    rows = spec.hypotheses.rows
+    n = len(rows)
+    out = []
+    for size in range(1, n + 1):
+        for members in combinations(range(n), size):
+            images = tuple(_image(rows, members, x) for x in range(spec.n_instances))
+            if all(_feasible(spec.set_system, img) for img in images):
+                out.append((sum(1 << h for h in members), members, images))
+    out.sort()
+    return [(members, images) for _, members, images in out]
+
+
+def reference_nodes(spec):
+    """Nodes of the per-candidate search: one per candidate index tried at each call."""
+    rows = spec.hypotheses.rows
+    n = len(rows)
+    nodes = 0
+
+    def rec(start, images):
+        nonlocal nodes
+        for h in range(start, n):
+            nodes += 1
+            new = [img | (1 << rows[h][x]) for x, img in enumerate(images)]
+            if all(_within_some_set(spec.set_system, img) for img in new):
+                rec(h + 1, new)
+
+    rec(0, [0] * spec.n_instances)
+    return nodes
+
+
+@st.composite
+def small_specs(draw):
+    n_labels = draw(st.integers(min_value=2, max_value=5))
+    n_x = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, n_labels - 1)] * n_x),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    if draw(st.booleans()):
+        system = SetSystem.all_nonempty_up_to(
+            n_labels, draw(st.integers(min_value=1, max_value=n_labels))
+        )
+    else:
+        masks = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=(1 << n_labels) - 1),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            )
+        )
+        system = SetSystem.explicit(n_labels, masks)
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=n_labels,
+        set_system=system,
+        hypotheses=HypothesisClass.explicit(n_x, n_labels, rows),
+        horizon=1,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_enumeration_matches_brute_force(spec):
+    want = reference_collections(spec)
+    if not want:
+        with pytest.raises(AdmissibleEmpty):
+            build_admissible_collections(spec)
+        return
+    got = build_admissible_collections(spec)
+    assert [(c.members, c.images) for c in got] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_enumeration_budget_is_the_reference_node_count(spec):
+    if not reference_collections(spec):
+        return
+    nodes = reference_nodes(spec)
+    build_admissible_collections(spec, budget=nodes)
+    with pytest.raises(BudgetExceeded):
+        build_admissible_collections(spec, budget=nodes - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs(), st.lists(st.integers(min_value=0, max_value=63), max_size=20))
+def test_superset_exists_matches_scan(spec, queries):
+    system = spec.set_system
+    for mask in queries + queries:  # the repeats are answered from the cache
+        if mask >> system.n_labels:
+            assert not system.superset_exists(mask)
+        else:
+            assert system.superset_exists(mask) == _within_some_set(system, mask)
+
+
+def _parity_half(c, x, n_cand):
+    return n_cand + (1 if bin(c & ((1 << (x + 1)) - 1)).count("1") % 2 == 0 else 0)
+
+
+def prefix_parity_game(T, n_x):
+    """``pf_not_sv_game``'s shape with 2**T candidates over ``n_x`` instances."""
+    n_cand = 1 << T
+    rows = [[c] * n_x for c in range(n_cand)]
+    rows += [[_parity_half(c, x, n_cand) for x in range(n_x)] for c in range(n_cand)]
+    masks = []
+    for c in range(n_cand):
+        masks += [(1 << c) | (1 << n_cand), (1 << c) | (1 << (n_cand + 1))]
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=n_cand + 2,
+        set_system=SetSystem.explicit(n_cand + 2, masks),
+        hypotheses=HypothesisClass.explicit(n_x, n_cand + 2, rows),
+        horizon=T,
+    )
+
+
+# Smallest passing budget and collection count, recorded with the
+# per-candidate search that preceded the bitmask one.
+@pytest.mark.parametrize(
+    "make, nodes, count",
+    [
+        (pf_not_sv_game, 137280, 4096),
+        (lambda: prefix_parity_game(4, 4), 2448, 256),
+        (lambda: prefix_parity_game(5, 6), 17952, 1024),
+    ],
+    ids=["pf_not_sv_game", "prefix-parity-t4x4", "prefix-parity-t5x6"],
+)
+def test_smallest_budget_pinned(make, nodes, count):
+    spec = make()
+    assert len(build_admissible_collections(spec, budget=nodes)) == count
+    with pytest.raises(BudgetExceeded):
+        build_admissible_collections(spec, budget=nodes - 1)

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from pflab import (
     Feedback,
@@ -123,3 +124,68 @@ def test_non_mapping_document(tmp_path):
     q.write_text("42\n")
     with pytest.raises(SpecFileError):
         load_spec_file(q)
+
+
+# YAML texts the test suite writes as game files, plus syntax the sample
+# specs do not use: anchors, nulls, quoted fractions, floats, YAML 1.1
+# booleans and JSON flow syntax.
+YAML_FIXTURES = [
+    "labels: 2\ninstances: 1\nset_system: [[0], [1]]\n"
+    "hypotheses: [[0], [1]]\nhorizon: 1\nmystery: 1\n",
+    "labels: 4\ninstances: 1\nset_system: {all_nonempty_up_to: 2}\n"
+    "hypotheses: [[0], [1], [2], [3]]\nhorizon: 1\n"
+    "learner: {name: helly_intersection, params: {transversal: [a]}}\n",
+    "labels: 2\ninstances: 1\nset_system:\n  - [0]\n  - [1]\n"
+    "hypotheses: {all_functions: true}\nhorizon: 1\n",
+    "labels: 3\ninstances: 2\nset_system:\n  - &pair [0, 1]\n  - [2]\n"
+    "hypotheses: [*pair, [1, 2]]\nhorizon: 2\ngrid: 6\n"
+    "protocol: {feedback: partial, visibility: ~}\n"
+    "learner: {name: uniform_cube, params: {gamma: '1/2', weight: 0.5, flag: yes}}\n"
+    "adversary: {name: optimal, params: null}\n",
+    '{"labels": 3, "instances": 1, "set_system": [[0, 2], [1, 2]], '
+    '"hypotheses": [[0], [1]], "horizon": 2, "learner": {"name": "cvsp"}}\n',
+]
+
+
+def _without_libyaml(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+def test_loaders_parse_equal_data():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    texts = [p.read_text(encoding="utf-8") for p in sorted(SPEC_DIR.glob("*.yaml"))]
+    assert len(texts) >= 3
+    for text in texts + YAML_FIXTURES:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_sample_specs_load_alike_with_either_loader(monkeypatch, libyaml):
+    want = {p.name: load_spec_file(p) for p in SPEC_DIR.glob("*.yaml")}
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    assert {p.name: load_spec_file(p) for p in SPEC_DIR.glob("*.yaml")} == want
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_invalid_yaml_is_one_line(tmp_path, monkeypatch, libyaml):
+    p = tmp_path / "broken.yaml"
+    p.write_text("labels: [1, 2\nfoo: :\n")
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    with pytest.raises(SpecFileError) as err:
+        load_spec_file(p)
+    message = str(err.value)
+    assert "\n" not in message
+    assert message == (
+        f"{p}: invalid YAML (while parsing a flow sequence in \"{p}\", line 1, column 9 "
+        f"expected ',' or ']', but got ':' in \"{p}\", line 2, column 4)"
+    )
+
+
+def test_non_utf8_file_is_a_spec_error(tmp_path):
+    p = tmp_path / "binary.yaml"
+    p.write_bytes(b"\xff\xfe\x00labels: 2\n")
+    with pytest.raises(SpecFileError, match="not UTF-8 text"):
+        load_spec_file(p)
