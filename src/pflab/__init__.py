@@ -15,7 +15,6 @@ from .adversaries import (
     OptimalAdversary,
     PrefixParityAdversary,
     SeededRandomAdversary,
-    ShatteringTreeAdversary,
     TwoConstantAgnosticAdversary,
     agnostic_two_constant_adversary,
     collision_adversary,
@@ -25,7 +24,6 @@ from .adversaries import (
     pf_not_sv_adversary,
     public_cube_adversary,
     random_adversary,
-    shattering_tree_adversary,
 )
 from .dimensions import (
     ShatteringTree,
@@ -42,7 +40,6 @@ from .errors import (
     AdmissibleEmpty,
     BudgetExceeded,
     EmptyConsistentSet,
-    EmptyIntersection,
     GridTooLarge,
     LabelPoolExhausted,
     PflabError,

@@ -13,21 +13,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import ShatteringTree, verify_shattering_tree
 from .engine import CollectionEngine
-from .errors import (
-    LabelPoolExhausted,
-    PoolExhausted,
-    SpecError,
-    TreeSpecMismatch,
-)
+from .errors import LabelPoolExhausted, PoolExhausted, SpecError
 from .game import (
     Adversary,
+    Feedback,
     GameSpec,
     build_admissible_collections,
     distinct_images,
     find_realizability_witness,
-    flag,
     int_list,
     integer,
     strategy_param,
@@ -91,23 +85,18 @@ class _CollectionAdversary(Adversary):
 class OptimalAdversary(_CollectionAdversary):
     """Plays the argmax branch of the exact value recursion every round.
 
-    Instance and reveal choices come straight from the memoized game value;
-    at the end the surviving collection with the most charged mistakes (the
-    lowest-id one on ties) becomes the ground truth, its images the feasible
-    sets. Randomized predictions are charged at their heaviest label.
+    Instance and reveal choices come straight from the memoized value of the
+    game over the spec's horizon; at the end the surviving collection with
+    the most charged mistakes (the lowest-id one on ties) becomes the ground
+    truth, its images the feasible sets. Randomized predictions are charged
+    at their heaviest label.
     """
-
-    def __init__(self, spec: GameSpec, T: int | None = None, budget: int | None = None):
-        self._T = spec.horizon if T is None else T
-        self._budget = budget
 
     def begin(self, spec: GameSpec) -> None:
         super().begin(spec)
-        self._engine = CollectionEngine(
-            spec, self._collections, kind="label", budget=self._budget
-        )
+        self._engine = CollectionEngine(spec, self._collections, kind="label")
         self._alive, self._scores = self._engine.initial_state()
-        self._rounds_left = self._T
+        self._rounds_left = spec.horizon
 
     def choose_instance(self) -> int:
         return self._engine.best_instance(self._alive, self._scores, self._rounds_left)
@@ -128,52 +117,9 @@ class OptimalAdversary(_CollectionAdversary):
         return self._alive[self._scores.index(best)]
 
 
-def optimal_adversary(spec: GameSpec, T: int | None = None, budget: int | None = None) -> OptimalAdversary:
+def optimal_adversary(spec: GameSpec) -> OptimalAdversary:
     """Value-recursion-backed adversary forcing the minimax mistake count."""
-    return OptimalAdversary(spec, T=T, budget=budget)
-
-
-class ShatteringTreeAdversary(Adversary):
-    """Replays an explicit shattering tree against a deterministic learner.
-
-    Walks the tree along the learner's prediction path, reveals the edge
-    annotations, and finalizes with the witness collection stored at the
-    reached leaf, guaranteeing at least the tree's certified mistake count.
-    """
-
-    def __init__(self, tree: ShatteringTree):
-        self._tree = tree
-
-    def begin(self, spec: GameSpec) -> None:
-        verify_shattering_tree(spec, self._tree)
-        if spec.horizon != self._tree.depth:
-            raise TreeSpecMismatch(
-                f"tree depth {self._tree.depth} does not match horizon {spec.horizon}"
-            )
-        self._spec = spec
-        self._path = ()
-
-    def choose_instance(self) -> int:
-        return self._tree.nodes[self._path]
-
-    def reveal(self, x: int, prediction) -> int:
-        yhat = _require_label(prediction)
-        self._path = self._path + (yhat,)
-        return self._tree.annotations[self._path]
-
-    def finalize_sets(self, view):
-        from .game import collection_of
-
-        col = collection_of(self._spec, self._tree.witnesses[self._path])
-        return [col.images[x] for x in view.instances]
-
-    def witness_collection(self):
-        return self._tree.witnesses[self._path]
-
-
-def shattering_tree_adversary(tree: ShatteringTree) -> ShatteringTreeAdversary:
-    """Adversary that forces the mistakes a verified tree certifies."""
-    return ShatteringTreeAdversary(tree)
+    return OptimalAdversary()
 
 
 class EchoAdversary(_CollectionAdversary):
@@ -373,7 +319,24 @@ def collision_adversary(family: CollisionFamily) -> CollisionAdversary:
     return CollisionAdversary(family)
 
 
-class TwoConstantAgnosticAdversary(Adversary):
+class _FreshInstanceAdversary(Adversary):
+    """Plays instance ``t`` in round ``t``, so it needs one instance per round.
+
+    Subclasses call this ``begin`` from their own.
+    """
+
+    def begin(self, spec: GameSpec) -> None:
+        if spec.n_instances < spec.horizon:
+            raise SpecError("need one fresh instance per round")
+        self._round = 0
+
+    def choose_instance(self) -> int:
+        x = self._round
+        self._round += 1
+        return x
+
+
+class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
     """Reveals the learner's lighter label; commits to the majority constant.
 
     Each round the label the learner favors less (label 1 on exact ties) is
@@ -384,22 +347,11 @@ class TwoConstantAgnosticAdversary(Adversary):
     majority-reveal round.
     """
 
-    def __init__(self, T: int):
-        self._T = T
-
     def begin(self, spec: GameSpec) -> None:
         if spec.n_labels != 2:
             raise SpecError("this construction runs on a binary alphabet")
-        if spec.n_instances < self._T:
-            raise SpecError("need one fresh instance per round")
-        self._spec = spec
-        self._round = 0
+        super().begin(spec)
         self._reveals = []
-
-    def choose_instance(self) -> int:
-        x = self._round
-        self._round += 1
-        return x
 
     def reveal(self, x: int, prediction) -> int:
         if isinstance(prediction, Measure):
@@ -419,12 +371,12 @@ class TwoConstantAgnosticAdversary(Adversary):
         return [single if y == k else pair for y in self._reveals]
 
 
-def agnostic_two_constant_adversary(T: int) -> TwoConstantAgnosticAdversary:
+def agnostic_two_constant_adversary() -> TwoConstantAgnosticAdversary:
     """Lighter-label reveals plus a majority-constant ground truth."""
-    return TwoConstantAgnosticAdversary(T)
+    return TwoConstantAgnosticAdversary()
 
 
-class CubeAdversary(Adversary):
+class CubeAdversary(_FreshInstanceAdversary):
     """Reveals a low-mass label, then excludes realized draws via co-singletons.
 
     Works in both visibility modes. The reveal is the lowest label whose
@@ -434,36 +386,23 @@ class CubeAdversary(Adversary):
     when it matches, keeping the reveal inside); in oblivious mode it is the
     heaviest non-revealed label of the played measure. The product
     witness of :func:`pflab.game.find_realizability_witness` realizes exactly
-    those co-singleton images.
+    those co-singleton images. The alphabet is the spec's label set.
     """
 
-    def __init__(self, T: int, M: int, k):
-        self._T = T
-        self._M = M
+    def __init__(self, k):
         self._k = Fraction(k)
         if not 0 < self._k <= 1:
             raise SpecError(f"mass threshold must lie in (0, 1], got {self._k}")
 
     def begin(self, spec: GameSpec) -> None:
-        if spec.n_labels != self._M:
-            raise SpecError("label alphabet does not match the configured truncation")
-        if spec.n_instances < self._T:
-            raise SpecError("need one fresh instance per round")
+        super().begin(spec)
         self._spec = spec
-        self._round = 0
-        self._instances = []
         self._measures = []
         self._reveals = []
         self._draws = []
         # Finalized sets -> their product witness, shared with every fork.
         # The instances are always 0, 1, ..., so the sets alone fix it.
         self._witnesses = {}
-
-    def choose_instance(self) -> int:
-        x = self._round
-        self._round += 1
-        self._instances.append(x)
-        return x
 
     def reveal(self, x: int, prediction) -> int:
         if isinstance(prediction, Measure):
@@ -493,7 +432,6 @@ class CubeAdversary(Adversary):
     def fork(self) -> "CubeAdversary":
         # Copies the history lists; the witness table stays shared.
         twin = copy.copy(self)
-        twin._instances = list(self._instances)
         twin._measures = list(self._measures)
         twin._reveals = list(self._reveals)
         twin._draws = list(self._draws)
@@ -524,21 +462,21 @@ class CubeAdversary(Adversary):
         key = tuple(self._sets)
         if key not in self._witnesses:
             self._witnesses[key] = find_realizability_witness(
-                self._spec, self._instances, self._sets
+                self._spec, range(len(key)), self._sets
             )
         return self._witnesses[key]
 
 
-def public_cube_adversary(T: int, M: int, k) -> CubeAdversary:
+def public_cube_adversary(k) -> CubeAdversary:
     """Low-mass reveals with draw-excluding co-singleton sets."""
-    return CubeAdversary(T, M, k)
+    return CubeAdversary(k)
 
 
 _MINUS_HALF_OFFSET = 0
 _PLUS_HALF_OFFSET = 1
 
 
-class PrefixParityAdversary(Adversary):
+class PrefixParityAdversary(_FreshInstanceAdversary):
     """Halves the integer-candidate set each round; pins a never-predicted one.
 
     The alphabet is n-2 integer candidates plus two sentinel labels (the
@@ -550,39 +488,28 @@ class PrefixParityAdversary(Adversary):
     reveal in a two-label set, so every prediction missed while the constant
     hypothesis at c* is perfect.
 
-    In set-valued mode the sets must go out during play, so c* is fixed up
-    front as the highest candidate and the reveal stream follows its parity
-    function; reading any set then solves the game.
+    The mode follows the spec's feedback: under set-valued feedback the sets
+    must go out during play, so c* is fixed up front as the highest candidate
+    and the reveal stream follows its parity function; reading any set then
+    solves the game.
     """
-
-    def __init__(self, T: int, set_valued: bool = False):
-        self._T = T
-        self._set_valued = set_valued
 
     def begin(self, spec: GameSpec) -> None:
         if spec.n_labels < 4:
             raise SpecError("need at least two integer candidates plus the two halves")
-        self._spec = spec
+        self._set_valued = spec.feedback is Feedback.SET_VALUED
         self._n_cand = spec.n_labels - 2
         self._minus = self._n_cand + _MINUS_HALF_OFFSET
         self._plus = self._n_cand + _PLUS_HALF_OFFSET
-        if self._T > spec.n_instances:
-            raise SpecError("need one fresh instance per round")
-        bits = self._n_cand.bit_length() - 1
-        if self._T != bits or (1 << bits) != self._n_cand:
+        super().begin(spec)
+        if self._n_cand != 1 << spec.horizon:
             raise SpecError(
                 "the candidate count must be exactly 2 to the number of rounds"
             )
-        self._round = 0
         self._candidates = set(range(self._n_cand))
         self._predicted = set()
         self._reveals = []
         self._sets = []
-
-    def choose_instance(self) -> int:
-        x = self._round
-        self._round += 1
-        return x
 
     def _half_for_bit(self, bit: int) -> int:
         if not self._reveals:
@@ -644,9 +571,9 @@ class PrefixParityAdversary(Adversary):
         return (c_star, self._n_cand + c_star)
 
 
-def pf_not_sv_adversary(T: int, set_valued: bool = False) -> PrefixParityAdversary:
+def pf_not_sv_adversary() -> PrefixParityAdversary:
     """Prefix-parity construction separating label reveals from set reveals."""
-    return PrefixParityAdversary(T, set_valued=set_valued)
+    return PrefixParityAdversary()
 
 
 def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
@@ -657,7 +584,7 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
         return strategy_param(params, name, *args)
 
     if name == "optimal":
-        built = optimal_adversary(spec, T=param("T", integer, None))
+        built = optimal_adversary(spec)
     elif name == "echo":
         built = echo_adversary()
     elif name == "random":
@@ -670,18 +597,11 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
         )
         built = collision_adversary(fam)
     elif name == "agnostic_two_constant":
-        built = agnostic_two_constant_adversary(param("T", integer, spec.horizon))
+        built = agnostic_two_constant_adversary()
     elif name == "public_cube":
-        built = public_cube_adversary(
-            param("T", integer, spec.horizon),
-            param("M", integer, spec.n_labels),
-            param("k", Fraction, Fraction(1, 2)),
-        )
+        built = public_cube_adversary(param("k", Fraction, Fraction(1, 2)))
     elif name == "pf_not_sv":
-        built = pf_not_sv_adversary(
-            param("T", integer, spec.horizon),
-            set_valued=param("set_valued", flag, False),
-        )
+        built = pf_not_sv_adversary()
     else:
         raise SpecError(f"unknown adversary name {name!r}")
     if params:

@@ -7,7 +7,7 @@ paths are indexed by the learner's predictions and whose edges carry revealed
 labels, each path owning a consistent witness collection; the recursion and
 the tree picture compute the same number, and ``naive_tree_oracle`` provides
 the tree-side computation as a genuinely independent check plus an explicit
-witness object that can be replayed as an adversary.
+witness object.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .game import (
     collection_of,
     distinct_images,
 )
-from .setsystems import SetSystem, iter_bits, mask_of
+from .setsystems import SetSystem, iter_bits
 
 
 def pfl_dim(spec: GameSpec, d: int, budget: int | None = None) -> int:

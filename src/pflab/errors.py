@@ -38,10 +38,6 @@ class EmptyConsistentSet(PflabError):
     """A version space became empty, so the strategy cannot continue."""
 
 
-class EmptyIntersection(PflabError):
-    """A set intersection that a strategy relies on turned out empty."""
-
-
 class BudgetExceeded(PflabError):
     """A configured work budget was exhausted before the computation finished."""
 

@@ -21,7 +21,7 @@ rather than sampling.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -35,7 +35,7 @@ from .errors import (
     env_budget,
 )
 from .measures import Measure, ONE, ZERO
-from .setsystems import SetSystem, iter_bits, labels_of, mask_of
+from .setsystems import SetSystem, iter_bits, labels_of
 
 Prediction = Union[int, Measure]
 
@@ -492,28 +492,19 @@ def int_list(value) -> list:
     return list(value)
 
 
-def flag(value) -> bool:
-    """Strategy parameter kind: ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
-
-
-def strategy_param(params: dict, strategy: str, key: str, kind=None, default=REQUIRED):
+def strategy_param(params: dict, strategy: str, key: str, kind, default=REQUIRED):
     """Pop parameter ``key`` of the named strategy from its config ``params``.
 
-    ``kind`` is :func:`integer`, ``Fraction``, :func:`int_list` or :func:`flag` to
-    convert or check the value with, or ``None`` to take it as given. A
-    missing key returns ``default``. Raises :class:`SpecError` when a
-    required key is missing or the value does not convert.
+    ``kind`` is :func:`integer`, ``Fraction`` or :func:`int_list` to convert
+    or check the value with. A missing key returns ``default``. Raises
+    :class:`SpecError` when a required key is missing or the value does not
+    convert.
     """
     if key not in params:
         if default is REQUIRED:
             raise SpecError(f"strategy {strategy!r} requires parameter {key!r}")
         return default
     value = params.pop(key)
-    if kind is None:
-        return value
     try:
         return kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -144,22 +144,8 @@ class VersionSpacePruningLearner(Learner):
             )
 
     def observe_set(self, mask: int) -> None:
+        # Only set-valued play reveals sets, and it always enumerates.
         x = self._pending_x
-        if self._implicit:
-            # Under set-valued feedback the revealed set pins images exactly;
-            # remember its lowest label as the consistency anchor.
-            self._reveals.append((x, min(iter_bits(mask))))
-            H = self._spec.hypotheses
-            if H.kind == "all_functions":
-                self._realizers.append(None)
-                return
-            realizers = frozenset(
-                h for h in range(H.size) if (mask >> H.value(h, x)) & 1
-            )
-            if not realizers:
-                raise EmptyConsistentSet("no hypothesis lands in the revealed set")
-            self._realizers.append(realizers)
-            return
         self._alive = [
             cid for cid in self._alive if self._collections[cid].images[x] == mask
         ]
@@ -266,8 +252,7 @@ class MultiScaleMeasureLearner(_VersionSpaceLearner):
 
     mode = "randomized"
 
-    def __init__(self, spec: GameSpec, N: int | None = None, g: int | None = None,
-                 budget: int | None = None):
+    def __init__(self, spec: GameSpec, N: int | None = None, g: int | None = None):
         if N is None:
             T = spec.horizon
             N = max(1, (T - 1).bit_length() + 1) if T > 1 else 1
@@ -275,13 +260,10 @@ class MultiScaleMeasureLearner(_VersionSpaceLearner):
             raise SpecError(f"scale count must be positive, got {N}")
         self._gammas = [Fraction(1, 2 ** i) for i in range(1, N + 1)]
         self._grid = g
-        self._budget = budget
 
     def _engines_for(self, spec: GameSpec, collections) -> list:
         return [
-            CollectionEngine(
-                spec, collections, kind="measure", gamma=gm, grid=self._grid, budget=self._budget
-            )
+            CollectionEngine(spec, collections, kind="measure", gamma=gm, grid=self._grid)
             for gm in self._gammas
         ]
 
@@ -316,11 +298,11 @@ class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
     multi-scale learner with the single scale ``gamma``.
     """
 
-    def __init__(self, spec: GameSpec, gamma, g: int | None = None, budget: int | None = None):
+    def __init__(self, spec: GameSpec, gamma, g: int | None = None):
         gamma = Fraction(gamma)
         if not 0 <= gamma <= 1:
             raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
-        super().__init__(spec, N=1, g=g, budget=budget)
+        super().__init__(spec, N=1, g=g)
         self._gammas = [gamma]
 
 

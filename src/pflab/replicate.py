@@ -389,9 +389,7 @@ def check_visibility_separation_cube() -> CheckResult:
         failures.append(f"oblivious worst case {best} != 1")
 
     public = cube_game(6, 8, visibility="public")
-    res = play_game(
-        public, uniform_cube_learner(6), public_cube_adversary(6, 8, Fraction(1, 2))
-    )
+    res = play_game(public, uniform_cube_learner(6), public_cube_adversary(Fraction(1, 2)))
     if res.expected_loss < Fraction(6, 2):
         failures.append(f"public forced loss {res.expected_loss} below 3")
     if res.expected_loss != 5:
@@ -412,17 +410,17 @@ def check_two_constant_agnostic_floor() -> CheckResult:
             ("cvsp", lambda s=spec: cvsp_learner(s)),
             ("dpfla", lambda s=spec: dpfla_learner(s)),
         ]:
-            t = play_game(spec, factory(), agnostic_two_constant_adversary(T))
+            t = play_game(spec, factory(), agnostic_two_constant_adversary())
             if t.regret < floor:
                 failures.append(f"T={T} {name}: regret {t.regret} below {floor}")
-        t = play_game(spec, uniform_cube_learner(2), agnostic_two_constant_adversary(T))
+        t = play_game(spec, uniform_cube_learner(2), agnostic_two_constant_adversary())
         if t.regret != floor:
             failures.append(f"T={T} uniform coin: regret {t.regret} != {floor}")
         # Reveals depend only on the learner's own predictions here, so every
         # deterministic adaptive learner traces one scripted label sequence.
         best = None
         for labels in product((0, 1), repeat=T):
-            t = play_game(spec, ScriptedLearner(list(labels)), agnostic_two_constant_adversary(T))
+            t = play_game(spec, ScriptedLearner(list(labels)), agnostic_two_constant_adversary())
             if best is None or t.regret < best:
                 best = t.regret
         if best < floor:
@@ -442,15 +440,13 @@ def check_label_vs_set_feedback_gap() -> CheckResult:
         ("cvsp", lambda: cvsp_learner(spec)),
         ("dpfla", lambda: dpfla_learner(spec, potential_budget=0)),
     ]:
-        t = play_game(spec, factory(), pf_not_sv_adversary(T))
+        t = play_game(spec, factory(), pf_not_sv_adversary())
         if t.regret != T or t.comparator != 0:
             failures.append(
                 f"{name}: regret {t.regret} (comparator {t.comparator}), expected {T} and 0"
             )
     sv = pf_not_sv_game(set_valued=True)
-    t = play_game(
-        sv, make_learner("first_round_read", {}, sv), pf_not_sv_adversary(T, set_valued=True)
-    )
+    t = play_game(sv, make_learner("first_round_read", {}, sv), pf_not_sv_adversary())
     if t.loss > 1:
         failures.append(f"set-valued reader lost {t.loss} > 1")
     return _result(

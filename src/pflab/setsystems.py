@@ -37,14 +37,7 @@ def mask_of(labels) -> int:
 
 def labels_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of label indices present in ``mask``."""
-    out = []
-    y = 0
-    while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -54,10 +47,6 @@ def iter_bits(mask: int) -> Iterator[int]:
             yield y
         mask >>= 1
         y += 1
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -116,7 +105,7 @@ class SetSystem:
         if mask == 0 or mask >> self.n_labels:
             return False
         if self.kind == "bounded":
-            return popcount(mask) <= self.max_size
+            return mask.bit_count() <= self.max_size
         return mask in self._member_index()
 
     def superset_exists(self, mask: int) -> bool:
@@ -130,7 +119,7 @@ class SetSystem:
         if mask >> self.n_labels:
             return False
         if self.kind == "bounded":
-            return popcount(mask) <= self.max_size
+            return mask.bit_count() <= self.max_size
         # masks is immutable, so the answer to each distinct mask is cached.
         known = getattr(self, "_supersets", None)
         if known is None:
@@ -224,7 +213,7 @@ def helly_number(system: SetSystem) -> int:
     for s in range(1, 1 << m):
         if inter[s]:
             continue
-        size = popcount(s)
+        size = s.bit_count()
         if size <= best:
             continue
         if all(inter[s & ~(1 << j)] for j in iter_bits(s)):

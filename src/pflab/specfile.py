@@ -26,12 +26,13 @@ adversary:                # optional strategy block for `play`
 Shorthands: ``set_system: {all_nonempty_up_to: K}`` for the bounded family,
 ``set_system: {full_power_set: true}`` for all nonempty sets, and
 ``hypotheses: {all_functions: true}`` for the complete function class.
-Unknown keys anywhere are rejected, never ignored.
+Unknown and repeated keys anywhere are rejected, never ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import yaml
@@ -201,9 +202,41 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
     return SpecDocument(spec=spec, source=source, learner=learner, adversary=adversary)
 
 
+class _UniqueKeys:
+    """Loader mixin that rejects a key repeated within one mapping.
+
+    Both ``yaml.CSafeLoader`` and ``yaml.SafeLoader`` build mappings through
+    this Python constructor, so one override serves either parser.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:
+                    continue  # unhashable: the base constructor reports it
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+@lru_cache(maxsize=None)
+def _unique_keys(base):
+    return type(base.__name__, (_UniqueKeys, base), {})
+
+
 def _read_yaml(path: str, loader):
     with open(path, "r", encoding="utf-8") as fh:
-        return yaml.load(fh, Loader=loader)
+        return yaml.load(fh, Loader=_unique_keys(loader))
 
 
 def load_spec_file(path: str) -> SpecDocument:
@@ -213,7 +246,8 @@ def load_spec_file(path: str) -> SpecDocument:
     built with it, else with the pure-Python ``yaml.SafeLoader``; both build
     the same data. A file libyaml rejects is parsed again by the pure loader,
     whose message is the one reported, so error text does not depend on
-    whether libyaml is installed.
+    whether libyaml is installed. A key repeated within one mapping is an
+    error, never a silent override.
     """
     try:
         try:

@@ -1,5 +1,6 @@
 """Adversary strategies: forcing traces, determinism, and feedback texture."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from pflab import (
     Measure,
     SpecError,
     agnostic_game,
+    agnostic_two_constant_adversary,
     cube_game,
     cvsp_learner,
     make_adversary,
@@ -18,6 +20,7 @@ from pflab import (
     pfl_dim,
     play_game,
     public_cube_adversary,
+    uniform_cube_learner,
 )
 
 from conftest import two_constant_game
@@ -25,7 +28,7 @@ from conftest import two_constant_game
 
 def test_optimal_forces_the_dimension():
     spec = two_constant_game()
-    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec, 3))
+    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec))
     assert t.loss == pfl_dim(spec, 3) == 1
 
 
@@ -48,7 +51,7 @@ def test_seeded_random_is_reproducible():
 def test_agnostic_trace_frozen():
     spec = agnostic_game(6)
     t = play_game(spec, cvsp_learner(spec),
-                  make_adversary("agnostic_two_constant", {"T": 6}, spec))
+                  make_adversary("agnostic_two_constant", {}, spec))
     assert t.predictions == (0, 1, 0, 0, 0, 0)
     assert t.reveals == (1, 0, 1, 1, 1, 1)
     assert t.loss == 5
@@ -60,7 +63,7 @@ def test_public_cube_reveal_rule():
     # the adversary reveals the lowest label whose weight is at most 1 - k
     spec = cube_game(2, 4, visibility="public")
     res = play_game(spec, make_learner("uniform_cube", {"T": 2}, spec),
-                    public_cube_adversary(2, 4, Fraction(1, 2)))
+                    public_cube_adversary(Fraction(1, 2)))
     for branch in res.branches:
         for pi, y in zip(branch.transcript.predictions, branch.transcript.reveals):
             assert isinstance(pi, Measure)
@@ -71,17 +74,26 @@ def test_public_cube_reveal_rule():
 
 def test_label_feedback_forcing_game():
     spec = pf_not_sv_game()
-    t = play_game(spec, cvsp_learner(spec), pf_not_sv_adversary(spec.horizon))
+    t = play_game(spec, cvsp_learner(spec), pf_not_sv_adversary())
     assert t.loss == 6
     assert t.comparator == 0
     assert t.witness.members == (0, 64)
 
 
 def test_set_feedback_variant_is_easy():
+    # The set-valued mode follows the spec's feedback, also from the registry.
     sv = pf_not_sv_game(set_valued=True)
-    t = play_game(sv, make_learner("first_round_read", {}, sv),
-                  pf_not_sv_adversary(sv.horizon, set_valued=True))
-    assert t.loss <= 1
+    for adversary in (pf_not_sv_adversary(), make_adversary("pf_not_sv", {}, sv)):
+        t = play_game(sv, make_learner("first_round_read", {}, sv), adversary)
+        assert t.loss <= 1
+
+
+def test_agnostic_needs_a_fresh_instance_per_round():
+    spec = replace(agnostic_game(4), horizon=5)
+    with pytest.raises(SpecError, match="fresh instance"):
+        play_game(spec, uniform_cube_learner(2), agnostic_two_constant_adversary())
+    with pytest.raises(SpecError, match="unused adversary parameters"):
+        make_adversary("agnostic_two_constant", {"T": 4}, spec)
 
 
 def test_adversary_registry_validation():

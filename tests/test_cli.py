@@ -330,6 +330,16 @@ def test_ignored_flag_is_a_spec_error(capsys, argv, flag):
 PF_SHAPE = ("labels: 4\ninstances: 1\nset_system: {all_nonempty_up_to: 2}\n"
             "hypotheses: [[0], [1], [2], [3]]\nhorizon: 1\n")
 
+# Adversary parameters that the spec determines, each reported as unused.
+REMOVED = {
+    "adversary: {name: optimal, params: {T: 3}}": "T",
+    "adversary: {name: agnostic_two_constant, params: {T: 3}}": "T",
+    "adversary: {name: public_cube, params: {T: 3}}": "T",
+    "adversary: {name: public_cube, params: {M: 8}}": "M",
+    "adversary: {name: pf_not_sv, params: {T: 1}}": "T",
+    "adversary: {name: pf_not_sv, params: {set_valued: \"no\"}}": "set_valued",
+}
+
 
 @pytest.mark.parametrize(
     "block",
@@ -341,15 +351,17 @@ PF_SHAPE = ("labels: 4\ninstances: 1\nset_system: {all_nonempty_up_to: 2}\n"
         "adversary: {name: collision, params: {modulus: 2, pool: [0], slopes: 3}}",
         "adversary: {name: collision, params: {modulus: 2, pool: [0], slopes: [a]}}",
         "adversary: {name: collision, params: {modulus: 2, pool: [0.5]}}",
-        "adversary: {name: pf_not_sv, params: {set_valued: \"no\"}}",
+        *REMOVED,
     ],
 )
 def test_malformed_list_and_flag_parameters(capsys, tmp_path, block):
-    """List and true/false strategy parameters are checked like the others.
+    """List strategy parameters are checked like the others.
 
     The collision and pf_not_sv blocks run on games of their own shape, so
-    that only the malformed parameter can stop them.
+    that only the malformed parameter can stop them. A parameter the spec
+    determines (``REMOVED``) is reported as unused.
     """
+    removed = REMOVED.get(block)
     if "adversary" in block:
         block = "learner: {name: cvsp}\n" + block
     else:
@@ -362,6 +374,8 @@ def test_malformed_list_and_flag_parameters(capsys, tmp_path, block):
     code, out, err = run(capsys, ["play", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("spec error:") and err.count("\n") == 1
+    if removed:
+        assert f"unused adversary parameters ['{removed}']" in err
 
 
 def test_version_space_dimension_of_all_functions_is_a_spec_error(capsys, tmp_path):

@@ -95,7 +95,7 @@ def test_admissible_collections_match_brute_force():
 
 def test_two_constant_play_frozen():
     spec = two_constant_game(3)
-    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec, 3))
+    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec))
     assert t.predictions == (0, 1, 1)
     assert t.reveals == (1, 1, 1)
     assert t.sets == (0b10, 0b10, 0b10)
@@ -119,7 +119,7 @@ def brute_comparator(transcript, spec):
 def test_comparator_matches_brute_force():
     spec = helly_game(4)
     t = play_game(spec, make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec),
-                  optimal_adversary(spec, 4))
+                  optimal_adversary(spec))
     assert comparator_loss(t, spec) == brute_comparator(t, spec)
 
     rng = random.Random(3)
@@ -136,7 +136,7 @@ def test_comparator_matches_brute_force():
 def test_replay_is_pure():
     spec = helly_game(3)
     learner = make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec)
-    t = play_game(spec, learner, optimal_adversary(spec, 3))
+    t = play_game(spec, learner, optimal_adversary(spec))
     again = replay_predictions(spec, t, make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec))
     assert again == t.predictions
 
@@ -144,7 +144,7 @@ def test_replay_is_pure():
 def test_public_branches_partition_probability():
     spec = cube_game(3, 4, visibility="public")
     res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(3, 4, Fraction(1, 2)))
+                    public_cube_adversary(Fraction(1, 2)))
     total = sum(b.probability for b in res.branches)
     assert total == 1
     assert res.expected_loss == sum(b.probability * b.transcript.loss for b in res.branches)
@@ -158,9 +158,9 @@ class _StringLearner(Learner):
 def test_learner_prediction_validation():
     spec = two_constant_game(2)
     with pytest.raises(ProtocolViolation):
-        play_game(spec, ScriptedLearner([5, 0]), optimal_adversary(spec, 2))
+        play_game(spec, ScriptedLearner([5, 0]), optimal_adversary(spec))
     with pytest.raises(ProtocolViolation):
-        play_game(spec, _StringLearner(), optimal_adversary(spec, 2))
+        play_game(spec, _StringLearner(), optimal_adversary(spec))
 
 
 class _BadCountAdversary(Adversary):

@@ -72,7 +72,7 @@ def test_only_first_reveal_commits():
 def test_mrpfl_helly_loss():
     spec = helly_game(3)
     t = play_game(spec, make_learner("mrpfl", {"N": 3, "g": 6}, spec),
-                  optimal_adversary(spec, 3))
+                  optimal_adversary(spec))
     assert t.loss == 1
 
 
@@ -133,6 +133,6 @@ def test_registry_validation():
 
 def test_dpfla_two_constant_regret_one():
     spec = two_constant_game()
-    t = play_game(spec, make_learner("dpfla", {}, spec), optimal_adversary(spec, 3))
+    t = play_game(spec, make_learner("dpfla", {}, spec), optimal_adversary(spec))
     assert t.loss == 1
     assert t.regret == 1

@@ -100,7 +100,7 @@ def _branch_rows(result):
 def test_public_cube_branches_pinned():
     spec = cube_game(3, 4, visibility="public")
     res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(3, 4, Fraction(1, 2)))
+                    public_cube_adversary(Fraction(1, 2)))
     assert _branch_rows(res) == CUBE_BRANCHES
     assert res.expected_loss == 2
     assert res.expected_comparator == 0
@@ -131,7 +131,7 @@ def test_cube_with_more_instances_than_rounds(visibility):
     """The unplayed instance gets a feasible image in the cube witness."""
     spec = replace(cube_game(4, 4, visibility=visibility), horizon=3)
     res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(3, 4, Fraction(1, 2)))
+                    public_cube_adversary(Fraction(1, 2)))
     if visibility == "public":
         transcripts = [b.transcript for b in res.branches]
         assert (len(transcripts), res.expected_loss) == (27, 2)
@@ -205,8 +205,7 @@ def test_oblivious_transcripts_pinned(seed, learner, adversary):
 
 def test_set_valued_play_pinned():
     spec = pf_not_sv_game(set_valued=True)
-    t = play_game(spec, make_learner("first_round_read", {}, spec),
-                  pf_not_sv_adversary(spec.horizon, set_valued=True))
+    t = play_game(spec, make_learner("first_round_read", {}, spec), pf_not_sv_adversary())
     assert _summary(t) == (
         (0, 1, 2, 3, 4, 5),
         (0, 63, 63, 63, 63, 63),

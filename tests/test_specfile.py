@@ -14,6 +14,7 @@ from pflab import (
     load_spec_file,
     parse_spec_data,
 )
+from pflab.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -182,6 +183,37 @@ def test_invalid_yaml_is_one_line(tmp_path, monkeypatch, libyaml):
         f"{p}: invalid YAML (while parsing a flow sequence in \"{p}\", line 1, column 9 "
         f"expected ',' or ']', but got ':' in \"{p}\", line 2, column 4)"
     )
+
+
+HEAD = "labels: 2\ninstances: 1\nset_system: [[0], [1]]\nhypotheses: [[0], [1]]\nhorizon: 1\n"
+DUPLICATES = [
+    (HEAD + "labels: 3\n", "'labels'", 6),
+    (HEAD + "protocol:\n  feedback: partial\n  feedback: multiclass\n", "'feedback'", 8),
+]
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_repeated_key_is_a_spec_error(tmp_path, monkeypatch, capsys, libyaml):
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    p = tmp_path / "game.yaml"
+    for text, key, line in DUPLICATES:
+        p.write_text(text)
+        with pytest.raises(SpecFileError) as err:
+            load_spec_file(p)
+        message = str(err.value)
+        assert "\n" not in message
+        assert f"found duplicate key {key} in \"{p}\", line {line}" in message
+        assert main(["setsys", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error:") and captured.err.count("\n") == 1
+    # A key that overrides a merged one is not a repeat.
+    p.write_text(HEAD + "learner: &b {name: cvsp}\nadversary:\n  <<: *b\n  name: optimal\n")
+    assert load_spec_file(p).adversary == {"name": "optimal", "params": {}}
+    p.write_text(HEAD + "? [1, 2]\n: 3\n")
+    with pytest.raises(SpecFileError, match="found unhashable key"):
+        load_spec_file(p)
 
 
 def test_non_utf8_file_is_a_spec_error(tmp_path):
