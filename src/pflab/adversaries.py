@@ -27,7 +27,7 @@ from .game import (
     strategy_param,
 )
 from .measures import Measure
-from .setsystems import iter_bits, mask_of
+from .setsystems import iter_bits, labels_of, mask_of
 
 
 def _require_label(prediction) -> int:
@@ -386,7 +386,8 @@ class CubeAdversary(_FreshInstanceAdversary):
     when it matches, keeping the reveal inside); in oblivious mode it is the
     heaviest non-revealed label of the played measure. The product
     witness of :func:`pflab.game.find_realizability_witness` realizes exactly
-    those co-singleton images. The alphabet is the spec's label set.
+    those co-singleton images. The alphabet is the spec's label set, and
+    ``begin`` requires every co-singleton of it in the set system.
     """
 
     def __init__(self, k):
@@ -396,6 +397,13 @@ class CubeAdversary(_FreshInstanceAdversary):
 
     def begin(self, spec: GameSpec) -> None:
         super().begin(spec)
+        full = (1 << spec.n_labels) - 1
+        for y in range(spec.n_labels):
+            if not spec.set_system.contains(full ^ (1 << y)):
+                raise SpecError(
+                    f"the cube construction needs the co-singleton "
+                    f"{labels_of(full ^ (1 << y))} in the set system"
+                )
         self._spec = spec
         self._measures = []
         self._reveals = []
@@ -420,7 +428,7 @@ class CubeAdversary(_FreshInstanceAdversary):
         )
         if y is None:
             raise LabelPoolExhausted(
-                f"every singleton carries mass above {limit}; enlarge the truncation"
+                f"every one of the spec's {self._spec.n_labels} labels carries mass above {limit}"
             )
         self._measures.append(measure)
         self._reveals.append(y)
@@ -492,6 +500,11 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
     must go out during play, so c* is fixed up front as the highest candidate
     and the reveal stream follows its parity function; reading any set then
     solves the game.
+
+    The witness names hypotheses by row index, so ``begin`` requires the
+    layout of :func:`pflab.games.pf_not_sv_game` over the spec's instances:
+    the constant rows in candidate order, then the parity rows in candidate
+    order, and exactly the candidate-plus-half sets, listed in any order.
     """
 
     def begin(self, spec: GameSpec) -> None:
@@ -506,10 +519,27 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
             raise SpecError(
                 "the candidate count must be exactly 2 to the number of rounds"
             )
+        self._check_layout(spec)
         self._candidates = set(range(self._n_cand))
         self._predicted = set()
         self._reveals = []
         self._sets = []
+
+    def _check_layout(self, spec: GameSpec) -> None:
+        cands = range(self._n_cand)
+        xs = range(spec.n_instances)
+        rows = tuple((c,) * spec.n_instances for c in cands) + tuple(
+            tuple(self._parity_half(c, x) for x in xs) for c in cands
+        )
+        if spec.hypotheses.kind != "explicit" or spec.hypotheses.rows != rows:
+            raise SpecError(
+                "the hypotheses must be the constant rows in candidate order, "
+                "then the parity rows in candidate order"
+            )
+        sets = [(1 << c) | (1 << half) for c in cands for half in (self._minus, self._plus)]
+        system = spec.set_system
+        if system.size() != len(sets) or not all(system.contains(m) for m in sets):
+            raise SpecError("the feasible sets must be exactly the candidate-plus-half pairs")
 
     def _half_for_bit(self, bit: int) -> int:
         if not self._reveals:

@@ -19,14 +19,35 @@ Three scoring kinds:
   puts at most ``1 - gamma`` mass on the image (strictly below 1 when
   ``gamma`` is 0), else 0;
 * ``loss``: edges are grid measures, the increment is the exact mass placed
-  outside the image (rational scores).
+  outside the image.
+
+Scores are integers on the grid. A grid measure is kept as its count tuple
+``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_counts`), so
+every increment is an integer: with ``c(image)`` the counts on the image and
+``gamma = p/q``, the measure kind's event test ``c(image) / g <= 1 - p/q``
+reads ``c(image) * q <= g * (q - p)`` (``c(image) < g`` when ``gamma`` is 0),
+and the loss kind counts in units of ``1/g``, so a collection's loss
+increment is ``g - c(image)``. The engine's
+``scale`` is the size of one round's full charge in these units: ``g`` for
+the loss kind and 1 for the others. Scores, values and value tables of the
+loss kind are therefore ``g`` times the true expected loss; callers divide
+by ``scale`` at the API boundary (:func:`pflab.measure_dims.minimax_rand_regret`).
+A prefix measure off the grid (:meth:`CollectionEngine.prefix_state`) charges
+an exact ``Fraction`` in the same units; the recursion adds, compares and
+subtracts it like an integer, so such states are solved exactly too.
+
+For each distinct image mask the engine caches an increment table: one
+integer per edge, in edge order. The increment vectors of the edges over an
+alive set are the columns of the alive images' tables, read with
+``zip(*tables)``. ``Measure`` objects for the edges are built only when a
+caller reads :attr:`CollectionEngine.edges`.
 
 Soundness of the speedups, all of which preserve exact values:
 
 * the value is at least the maximum alive score (the adversary can always
   reveal inside the argmax collection's image, keeping it alive) and at most
-  that plus the rounds remaining (each round adds at most 1 to any score), so
-  the min loop can stop at the lower bound and the max loops at the upper;
+  that plus ``scale`` per round remaining (no round adds more to any score),
+  so the min loop can stop at the lower bound and the max loops at the upper;
 * if at every instance some label lies in every alive image, the learner can
   play such a label (or its point mass) forever at zero increment, so the
   value equals the lower bound exactly;
@@ -51,7 +72,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
 from .game import Collection, GameSpec
-from .measures import Measure, ONE, ZERO, measure_grid
+from .measures import Measure, grid_counts, measure_grid
 from .setsystems import iter_bits
 
 _INF = float("inf")
@@ -87,9 +108,17 @@ class CollectionEngine:
             raise ValueError("measure kind needs gamma")
         self.images = [c.images for c in self.collections]
         if kind == "label":
-            self.edges: list = list(range(spec.n_labels))
+            self.g = None
+            self._edges: list | None = list(range(spec.n_labels))
+            self.n_edges = spec.n_labels
         else:
-            self.edges = measure_grid(spec.n_labels, grid if grid is not None else spec.measure_grid)
+            self.g = grid if grid is not None else spec.measure_grid
+            self._edges = None
+            counts = grid_counts(spec.n_labels, self.g)
+            self.n_edges = len(counts)
+            # The grid's count tuples, transposed: one column of counts per label.
+            self._columns = tuple(zip(*counts))
+        self.scale = self.g if kind == "loss" else 1
         if budget is None:
             budget = rand_budget() if kind == "loss" else states_budget()
         if budget < 0:
@@ -97,26 +126,51 @@ class CollectionEngine:
         self.budget = budget
         self.nodes = 0
         self._memo: dict = {}
-        self._inc_cache: dict = {}
+        self._tables: dict = {}
         self._common_cache: dict = {}
+
+    @property
+    def edges(self) -> list:
+        """The learner's moves in edge order: labels, or grid measures.
+
+        Grid measures are built on the first read; the recursion itself
+        works on their count tuples only.
+        """
+        if self._edges is None:
+            self._edges = measure_grid(self.spec.n_labels, self.g)
+        return self._edges
 
     # -- increments ---------------------------------------------------------
 
-    def increment(self, edge_index: int, image_mask: int):
-        """Score increment of a collection with this image under this edge."""
-        key = (edge_index, image_mask)
-        hit = self._inc_cache.get(key)
-        if hit is None:
-            hit = self._inc_cache[key] = self._charge(self.edges[edge_index], image_mask)
+    def _table(self, image_mask: int) -> tuple:
+        """Increments of a collection with this image under every edge, in edge order."""
+        hit = self._tables.get(image_mask)
+        if hit is not None:
+            return hit
+        if self.kind == "label":
+            hit = tuple(1 - ((image_mask >> y) & 1) for y in range(self.spec.n_labels))
+        else:
+            # Grid mass on the image, in counts, for every edge at once.
+            inside = map(sum, zip(*(self._columns[y] for y in iter_bits(image_mask))))
+            g = self.g
+            if self.kind == "loss":
+                hit = tuple(g - c for c in inside)
+            elif self.gamma == 0:
+                hit = tuple(int(c < g) for c in inside)
+            else:
+                p, q = self.gamma.numerator, self.gamma.denominator
+                hit = tuple(int(c * q <= g * (q - p)) for c in inside)
+        self._tables[image_mask] = hit
         return hit
 
     def _charge(self, move, image_mask: int):
-        """Increment for a played label (label kind) or exact measure (others)."""
+        """Increment, in engine units, for a prefix label or exact prefix measure."""
         if self.kind == "label":
             return 0 if (image_mask >> move) & 1 else 1
         mass = move.mass(image_mask)
         if self.kind == "loss":
-            return ONE - mass
+            loss = (1 - mass) * self.g
+            return loss.numerator if loss.denominator == 1 else loss
         if self.gamma == 0:
             return 1 if mass < 1 else 0
         return 1 if mass <= 1 - self.gamma else 0
@@ -131,9 +185,10 @@ class CollectionEngine:
         """State after a played prefix of instances, moves and reveals.
 
         Only collections whose image contains every prefix reveal stay alive;
-        each starts charged with its prefix rounds, by the same per-kind rule
-        :meth:`increment` applies. Moves are labels for the label kind and
-        exact measures otherwise; prefix measures need not lie on the grid.
+        each starts charged with its prefix rounds, by the per-kind rule the
+        increment tables apply, in engine units. Moves are labels for the
+        label kind and exact measures otherwise; prefix measures need not lie
+        on the grid, and a loss-kind charge off the grid stays a ``Fraction``.
         Raises :class:`SpecError` on ragged lists or out-of-range instances,
         labels or measures, and :class:`EmptyConsistentSet` when no
         collection survives the reveals.
@@ -163,7 +218,7 @@ class CollectionEngine:
         scores = []
         for cid, images in enumerate(self.images):
             if all((images[x] >> y) & 1 for x, y in zip(prefix_x, prefix_reveals)):
-                score = ZERO if self.kind == "loss" else 0
+                score = 0
                 for x, move in zip(prefix_x, prefix_moves):
                     score += self._charge(move, images[x])
                 alive.append(cid)
@@ -180,7 +235,7 @@ class CollectionEngine:
             img = self.images[cid][x]
             if (img >> y) & 1:
                 new_alive.append(cid)
-                new_scores.append(s + self.increment(edge_index, img))
+                new_scores.append(s + self._table(img)[edge_index])
         return tuple(new_alive), tuple(new_scores)
 
     def _reveal_classes(self, alive: tuple, x: int) -> list:
@@ -235,7 +290,7 @@ class CollectionEngine:
                 spent=self.nodes,
                 budget=self.budget,
             )
-        ub = lb + rounds
+        ub = lb + rounds * self.scale
         best = lb
         for x in range(self.spec.n_instances):
             v = self._instance_value(alive, scores, x, rounds - 1, cutoff=best)
@@ -255,12 +310,10 @@ class CollectionEngine:
         The returned value is exact whenever it exceeds the cutoff.
         """
         lb = max(scores)
-        imgs = [self.images[cid][x] for cid in alive]
         classes = self._reveal_classes(alive, x)
         best_edge = None
         seen_inc = set()
-        for ei in range(len(self.edges)):
-            inc = tuple(self.increment(ei, img) for img in imgs)
+        for inc in zip(*[self._table(self.images[cid][x]) for cid in alive]):
             if inc in seen_inc:
                 continue
             seen_inc.add(inc)
@@ -282,19 +335,19 @@ class CollectionEngine:
         ``inc`` is the edge's increment vector over ``alive``. The scan stops
         once the max reaches ``stop_at``. With ``on_budget="bound"`` a child
         whose recursion exceeds the budget is scored ``max(child_scores) +
-        child_depth`` and the other children stay exact; otherwise
+        child_depth * scale`` and the other children stay exact; otherwise
         :class:`BudgetExceeded` propagates.
         """
         worst, worst_y = None, None
         for y, keep in classes:
-            child_alive = tuple(alive[i] for i in keep)
-            child_scores = tuple(scores[i] + inc[i] for i in keep)
+            child_alive = tuple([alive[i] for i in keep])
+            child_scores = tuple([scores[i] + inc[i] for i in keep])
             try:
                 v = self.value(child_alive, child_scores, child_depth)
             except BudgetExceeded:
                 if on_budget != "bound":
                     raise
-                v = max(child_scores) + child_depth
+                v = max(child_scores) + child_depth * self.scale
             if worst is None or v > worst:
                 worst, worst_y = v, y
                 if worst >= stop_at:
@@ -317,8 +370,9 @@ class CollectionEngine:
 
         ``on_budget="bound"`` substitutes, for any child whose recursion blows
         the engine budget, the trivial upper bound (max surviving score plus
-        the remaining depth), while the edge's other children stay exact; the
-        substitution is deterministic, and documented where it is relied on.
+        ``scale`` per remaining round), while the edge's other children stay
+        exact; the substitution is deterministic, and documented where it is
+        relied on.
         Only when the budget is already spent on entry is the whole table
         computed by the no-recursion bound scan instead of attempting one
         doomed recursion per child.
@@ -326,17 +380,9 @@ class CollectionEngine:
         classes = self._reveal_classes(alive, x)
         if on_budget == "bound" and self.nodes >= self.budget:
             return self._edge_worst_bounds(alive, scores, x, classes, child_depth)
-        imgs = [self.images[cid][x] for cid in alive]
         return [
-            self._edge_worst(
-                alive,
-                scores,
-                tuple(self.increment(ei, img) for img in imgs),
-                classes,
-                child_depth,
-                on_budget=on_budget,
-            )[0]
-            for ei in range(len(self.edges))
+            self._edge_worst(alive, scores, inc, classes, child_depth, on_budget=on_budget)[0]
+            for inc in zip(*[self._table(self.images[cid][x]) for cid in alive])
         ]
 
     def _edge_worst_bounds(self, alive, scores, x, classes, child_depth):
@@ -354,15 +400,14 @@ class CollectionEngine:
                 prev = by_img.get(img)
                 if prev is None or scores[i] > prev:
                     by_img[img] = scores[i]
-            groups.append(by_img)
+            groups.append([(self._table(img), s) for img, s in by_img.items()])
         return [
             max(
-                (max(s + self.increment(ei, img) for img, s in by_img.items())
-                 for by_img in groups),
+                (max(s + table[ei] for table, s in group) for group in groups),
                 default=max(scores),
             )
-            + child_depth
-            for ei in range(len(self.edges))
+            + child_depth * self.scale
+            for ei in range(self.n_edges)
         ]
 
     def best_edge(self, alive, scores, x, child_depth, on_budget=None):
@@ -379,5 +424,5 @@ class CollectionEngine:
         Every reveal in a class yields the same child, so the lowest ``y`` of
         the first best class is the lowest maximizing reveal.
         """
-        inc = tuple(self.increment(edge_index, self.images[cid][x]) for cid in alive)
+        inc = tuple(self._table(self.images[cid][x])[edge_index] for cid in alive)
         return self._edge_worst(alive, scores, inc, self._reveal_classes(alive, x), child_depth)[1]

@@ -134,10 +134,13 @@ def minimax_rand_regret(
     largest total miss mass accumulated by any surviving collection. Fully
     realizable oblivious games only, where that payoff is the regret itself.
 
-    States are memoized on (surviving collections, translation-normalized
-    exact scores, rounds left); the lattice of reachable rational scores is
-    finite at fixed g, so this changes nothing about the value and is guarded
-    by a node budget rather than an a-priori size formula.
+    The engine scores loss in integer units of ``1/g``, where ``g`` is the
+    grid resolution, so its value is ``g`` times the regret; the result is
+    that value divided by ``g``, an exact ``Fraction``. States are memoized
+    on (surviving collections, translation-normalized scores, rounds left);
+    the reachable scores are finite at fixed ``g``, so this changes nothing
+    about the value and is guarded by a node budget rather than an a-priori
+    size formula.
     """
     if spec.realizability is not Realizability.SET_REALIZABLE:
         raise SpecError("the randomized minimax value requires full realizability")
@@ -148,4 +151,4 @@ def minimax_rand_regret(
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)
     alive, scores = engine.initial_state()
-    return Fraction(engine.value(alive, scores, T))
+    return Fraction(engine.value(alive, scores, T)) / engine.scale

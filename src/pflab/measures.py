@@ -96,12 +96,15 @@ def grid_size(n_labels: int, g: int) -> int:
     return comb(g + n_labels - 1, n_labels - 1)
 
 
-def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measure]:
-    """All measures with weights in ``{0, 1/g, ..., g/g}``, in a fixed order.
+def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """The grid of resolution ``g`` as count tuples ``c`` with ``sum(c) == g``.
 
-    The order is lexicographically decreasing in the weight vector, so the
-    point mass on label 0 comes first and the point mass on the top label
-    last. Strategies that break ties by grid order inherit this convention.
+    Tuple ``c`` stands for the measure with weights ``c[y] / g``. The order
+    is lexicographically decreasing, so the point mass on label 0 comes first
+    and the point mass on the top label last. Strategies that break ties by
+    grid order inherit this convention. Raises :class:`SpecError` on fewer
+    than two labels or a nonpositive ``g``, and :class:`GridTooLarge` when
+    the grid has more points than ``budget`` (default ``PFLAB_BUDGET_GRID``).
     """
     if n_labels < 2:
         raise SpecError(f"need at least 2 labels, got {n_labels}")
@@ -113,13 +116,13 @@ def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measu
         raise GridTooLarge(
             f"grid({n_labels}, {g}) has {n} measures, budget {limit}", spent=n, budget=limit
         )
-    out: list[Measure] = []
+    out: list[tuple[int, ...]] = []
     counts = [0] * n_labels
 
     def rec(pos: int, remaining: int):
         if pos == n_labels - 1:
             counts[pos] = remaining
-            out.append(Measure(tuple(Fraction(c, g) for c in counts)))
+            out.append(tuple(counts))
             return
         for c in range(remaining, -1, -1):
             counts[pos] = c
@@ -127,3 +130,13 @@ def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measu
 
     rec(0, g)
     return out
+
+
+def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measure]:
+    """All measures with weights in ``{0, 1/g, ..., g/g}``, in :func:`grid_counts` order.
+
+    The measures share the ``g + 1`` weights ``Fraction(c, g)``.
+    """
+    counts = grid_counts(n_labels, g, budget)
+    weights = [Fraction(c, g) for c in range(g + 1)]
+    return [Measure(tuple(weights[c] for c in point)) for point in counts]

@@ -1,12 +1,16 @@
 """Adversary strategies: forcing traces, determinism, and feedback texture."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pflab import (
+    HypothesisClass,
+    LabelPoolExhausted,
     Measure,
+    SetSystem,
     SpecError,
     agnostic_game,
     agnostic_two_constant_adversary,
@@ -86,6 +90,43 @@ def test_set_feedback_variant_is_easy():
     for adversary in (pf_not_sv_adversary(), make_adversary("pf_not_sv", {}, sv)):
         t = play_game(sv, make_learner("first_round_read", {}, sv), adversary)
         assert t.loss <= 1
+
+
+def test_prefix_parity_takes_the_sets_in_any_order():
+    spec = pf_not_sv_game()
+    masks = list(spec.set_system.masks)
+    random.Random(3).shuffle(masks)
+    shuffled = replace(spec, set_system=SetSystem.explicit(spec.n_labels, masks))
+    t = play_game(shuffled, cvsp_learner(shuffled), pf_not_sv_adversary())
+    assert (t.loss, t.comparator, t.witness.members) == (6, 0, (0, 64))
+
+
+def test_prefix_parity_rejects_another_layout():
+    spec = pf_not_sv_game()
+    rows = spec.hypotheses.rows
+    swapped = rows[64:] + rows[:64]
+    for other in (
+        replace(spec, hypotheses=HypothesisClass.explicit(6, 66, swapped)),
+        replace(spec, hypotheses=HypothesisClass.all_functions(6, 66)),
+        replace(spec, set_system=SetSystem.all_nonempty_up_to(66, 2)),
+        replace(spec, set_system=SetSystem.explicit(66, spec.set_system.masks[:-1])),
+    ):
+        with pytest.raises(SpecError):
+            play_game(other, make_learner("constant", {"label": 0}, other), pf_not_sv_adversary())
+
+
+def test_cube_needs_every_co_singleton():
+    spec = replace(cube_game(2, 3, visibility="public"),
+                   set_system=SetSystem.explicit(3, [0b011, 0b110]))
+    with pytest.raises(SpecError, match=r"co-singleton \(0, 2\)"):
+        play_game(spec, uniform_cube_learner(3), public_cube_adversary(Fraction(1, 2)))
+
+
+def test_cube_label_pool_message_names_the_alphabet():
+    spec = cube_game(2, 3, visibility="public")
+    with pytest.raises(LabelPoolExhausted) as err:
+        play_game(spec, uniform_cube_learner(3), public_cube_adversary(1))
+    assert str(err.value) == "every one of the spec's 3 labels carries mass above 0"
 
 
 def test_agnostic_needs_a_fresh_instance_per_round():

@@ -403,3 +403,45 @@ def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
     assert code == 2 and out == ""
     assert err.startswith("spec error:") and err.count("\n") == 1
     assert "not a valid integer" in err
+
+
+SHAPE_MISMATCHES = {
+    "pf_not_sv": (
+        "labels: 6\ninstances: 2\nset_system: {all_nonempty_up_to: 2}\n"
+        "hypotheses: {all_functions: true}\nhorizon: 2\n"
+        "learner: {name: cvsp}\nadversary: {name: pf_not_sv}\n"
+    ),
+    "public_cube": (
+        "labels: 3\ninstances: 2\nset_system: [[0], [1], [2]]\n"
+        "hypotheses: {all_functions: true}\nhorizon: 2\nprotocol: {visibility: public}\n"
+        "learner: {name: uniform_cube, params: {T: 3}}\nadversary: {name: public_cube}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_MISMATCHES))
+def test_shape_bound_adversary_on_another_game_is_a_spec_error(capsys, tmp_path, name):
+    """A game of the right sizes but another class or system stops in ``begin``."""
+    path = tmp_path / "game.yaml"
+    path.write_text(SHAPE_MISMATCHES[name])
+    code, out, err = run(capsys, ["play", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+def test_cube_label_pool_exhausted_names_the_alphabet(capsys, tmp_path):
+    path = tmp_path / "game.yaml"
+    text = SHAPE_MISMATCHES["public_cube"].replace("[[0], [1], [2]]", "[[1, 2], [0, 2], [0, 1]]")
+    path.write_text(text.replace("{name: public_cube}", "{name: public_cube, params: {k: 1}}"))
+    code, out, err = run(capsys, ["play", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: every one of the spec's 3 labels carries mass above 0\n"
+
+
+@pytest.mark.parametrize("what", [["regret"], ["pms", "--gamma", "1/2"]])
+def test_rand_grid_over_the_budget_is_rejected(capsys, monkeypatch, what):
+    monkeypatch.setenv("PFLAB_BUDGET_GRID", "5")
+    code, out, err = run(capsys, ["rand", TWO_CONSTANT, "--what", *what, "--depth", "1",
+                                  "--grid", "5"])
+    assert (code, out) == (3, "")
+    assert err == "budget rejected: grid(2, 5) has 6 measures, budget 5\n"

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab import (
+    GameSpec,
+    HypothesisClass,
+    SetSystem,
     build_admissible_collections,
     dpfla_learner,
     helly_game,
@@ -99,6 +102,36 @@ def test_bound_mode_is_exact_with_unspent_budget(kind, seed):
             assert bounded.edge_worst_values(
                 alive, scores, x, rounds - 1, on_budget="bound"
             ) == exact.edge_worst_values(alive, scores, x, rounds - 1)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("budget", [0, 2, 10])
+def test_bound_mode_never_undercuts_the_exact_table(kind, budget):
+    """Budget fallbacks are upper bounds in the engine's units (1/g for loss).
+
+    Every binary function on three fresh instances, at ``g = 4``: each
+    remaining round costs the learner two loss units, so a fallback adding
+    one unit per remaining round would undercut the exact values. Budget 0
+    takes the no-recursion scan, budgets 2 and 10 run out inside an edge.
+    """
+    spec = GameSpec(
+        n_instances=3,
+        n_labels=2,
+        set_system=SetSystem.full_power_set(2),
+        hypotheses=HypothesisClass.explicit(3, 2, itertools.product((0, 1), repeat=3)),
+        horizon=3,
+    )
+    grid = {} if kind == "label" else {"grid": 4}
+    exact, bounded = (
+        CollectionEngine(spec, build_admissible_collections(spec), kind=kind, budget=b,
+                         **{**KINDS[kind], **grid})
+        for b in (None, budget)
+    )
+    alive, scores = exact.initial_state()
+    for x in range(spec.n_instances):
+        want = exact.edge_worst_values(alive, scores, x, 2)
+        got = bounded.edge_worst_values(alive, scores, x, 2, on_budget="bound")
+        assert all(b >= e for b, e in zip(got, want))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

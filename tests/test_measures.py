@@ -6,7 +6,19 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from pflab import GridTooLarge, Measure, SpecError, grid_size, mask_of, measure_grid
+from pflab import (
+    GridTooLarge,
+    Measure,
+    SpecError,
+    build_admissible_collections,
+    grid_size,
+    mask_of,
+    measure_grid,
+)
+from pflab.engine import CollectionEngine
+from pflab.measures import grid_counts
+
+from conftest import two_constant_game
 
 
 def test_measure_validation():
@@ -55,6 +67,27 @@ def test_measure_grid_enumeration():
     # deltas always appear
     assert Measure.delta(2, 0) in pts
     assert Measure.delta(2, 1) in pts
+
+
+def test_measure_grid_weights_are_the_grid_counts():
+    """Weights times g give the count tuples, in the same lexicographically decreasing order."""
+    for n in range(2, 5):
+        for g in range(1, 7):
+            counts = grid_counts(n, g)
+            assert [tuple(w * g for w in m.weights) for m in measure_grid(n, g)] == counts
+            assert counts == sorted(set(counts), reverse=True)
+            assert len(counts) == grid_size(n, g)
+            assert all(sum(c) == g and min(c) >= 0 for c in counts)
+
+
+def test_engine_over_the_grid_budget_raises(monkeypatch):
+    monkeypatch.setenv("PFLAB_BUDGET_GRID", "5")
+    spec = two_constant_game()
+    cols = build_admissible_collections(spec)
+    for kind, extra in (("loss", {}), ("measure", {"gamma": Fraction(1, 2)})):
+        with pytest.raises(GridTooLarge, match=r"^grid\(2, 5\) has 6 measures, budget 5$"):
+            CollectionEngine(spec, cols, kind=kind, grid=5, **extra)
+        assert len(CollectionEngine(spec, cols, kind=kind, grid=4, **extra).edges) == 5
 
 
 def test_measure_grid_budget():
