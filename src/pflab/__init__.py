@@ -102,7 +102,7 @@ from .learners import (
     mrpfl_learner,
     uniform_cube_learner,
 )
-from .measure_dims import GridInt, minimax_rand_regret, msp, pms_dim, ppms_dim
+from .measure_dims import minimax_rand_regret, msp, pms_dim, ppms_dim
 from .measures import Measure, grid_size, measure_grid
 from .replicate import CheckResult, format_table, run_checks
 from .setsystems import (

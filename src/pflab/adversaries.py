@@ -47,10 +47,13 @@ class _CollectionAdversary(Adversary):
     """Plays from the collection version space and commits to one survivor.
 
     ``begin`` enumerates the admissible collections and keeps the lowest-id
-    one of each image vector, all alive: play reads only images, and the
-    chosen survivor is the lowest id of its image class. The ground truth is
-    the collection a subclass's :meth:`_chosen` names: its images at the
-    played instances are the finalized sets, its members the witness.
+    one of each image vector: play reads only images, and the chosen
+    survivor is the lowest id of its image class. The version space is one
+    label engine's state ``(alive, scores)`` over those collections, with
+    every prediction charged at its heaviest label; each reveal moves it
+    through :meth:`_advance`. The ground truth is the collection a
+    subclass's :meth:`_chosen` names: its images at the played instances are
+    the finalized sets, its members the witness.
     """
 
     def begin(self, spec: GameSpec) -> None:
@@ -58,28 +61,27 @@ class _CollectionAdversary(Adversary):
 
     def _track(self, spec: GameSpec, collections) -> None:
         self._spec = spec
-        self._collections = collections
-        self._alive = tuple(range(len(collections)))
+        self._engine = CollectionEngine(spec, collections, kind="label")
+        self._alive, self._scores = self._engine.initial_state()
+        self._rounds_left = spec.horizon
 
-    def _feasible(self, x: int) -> int:
-        """Labels some alive collection's image at ``x`` contains."""
-        feasible = 0
-        for cid in self._alive:
-            feasible |= self._collections[cid].images[x]
-        return feasible
-
-    def _survivors(self, x: int, y: int) -> tuple:
-        return tuple(cid for cid in self._alive if (self._collections[cid].images[x] >> y) & 1)
+    def _advance(self, x: int, prediction, y: int) -> int:
+        """Reveal ``y`` at ``x`` against ``prediction``; return ``y``."""
+        self._alive, self._scores = self._engine.update(
+            self._alive, self._scores, x, _modal_label(prediction), y
+        )
+        self._rounds_left -= 1
+        return y
 
     def _chosen(self) -> int:
         raise NotImplementedError
 
     def finalize_sets(self, view):
-        col = self._collections[self._chosen()]
+        col = self._engine.collections[self._chosen()]
         return [col.images[x] for x in view.instances]
 
     def witness_collection(self):
-        return self._collections[self._chosen()].members
+        return self._engine.collections[self._chosen()].members
 
 
 class OptimalAdversary(_CollectionAdversary):
@@ -92,25 +94,14 @@ class OptimalAdversary(_CollectionAdversary):
     at their heaviest label.
     """
 
-    def begin(self, spec: GameSpec) -> None:
-        super().begin(spec)
-        self._engine = CollectionEngine(spec, self._collections, kind="label")
-        self._alive, self._scores = self._engine.initial_state()
-        self._rounds_left = spec.horizon
-
     def choose_instance(self) -> int:
         return self._engine.best_instance(self._alive, self._scores, self._rounds_left)
 
     def reveal(self, x: int, prediction) -> int:
-        edge = _modal_label(prediction)
         y = self._engine.best_reveal(
-            self._alive, self._scores, x, edge, self._rounds_left - 1
+            self._alive, self._scores, x, _modal_label(prediction), self._rounds_left - 1
         )
-        self._alive, self._scores = self._engine.update(
-            self._alive, self._scores, x, edge, y
-        )
-        self._rounds_left -= 1
-        return y
+        return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
         best = max(self._scores)
@@ -135,12 +126,10 @@ class EchoAdversary(_CollectionAdversary):
 
     def reveal(self, x: int, prediction) -> int:
         y = _modal_label(prediction)
-        kept = self._survivors(x, y)
-        if not kept:
-            y = min(iter_bits(self._feasible(x)))
-            kept = self._survivors(x, y)
-        self._alive = kept
-        return y
+        feasible = self._engine.feasible(self._alive, x)
+        if not (feasible >> y) & 1:
+            y = min(iter_bits(feasible))
+        return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
         return self._alive[0]
@@ -171,9 +160,8 @@ class SeededRandomAdversary(_CollectionAdversary):
         return self._rng.randrange(self._spec.n_instances)
 
     def reveal(self, x: int, prediction) -> int:
-        y = self._rng.choice(list(iter_bits(self._feasible(x))))
-        self._alive = self._survivors(x, y)
-        return y
+        y = self._rng.choice(list(iter_bits(self._engine.feasible(self._alive, x))))
+        return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
         if self._pick is None:
@@ -344,12 +332,19 @@ class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
     of reveals becomes ground truth: rounds that revealed it get its
     singleton, the others get the full pair, so the best fixed hypothesis
     loses nothing while the learner paid at least half on every
-    majority-reveal round.
+    majority-reveal round. ``begin`` requires the sets ``{0}``, ``{1}`` and
+    ``{0, 1}`` in the set system.
     """
 
     def begin(self, spec: GameSpec) -> None:
         if spec.n_labels != 2:
             raise SpecError("this construction runs on a binary alphabet")
+        for mask in (0b01, 0b10, 0b11):
+            if not spec.set_system.contains(mask):
+                raise SpecError(
+                    f"the two-constant construction needs the set {labels_of(mask)} "
+                    f"in the set system"
+                )
         super().begin(spec)
         self._reveals = []
 
@@ -484,6 +479,12 @@ _MINUS_HALF_OFFSET = 0
 _PLUS_HALF_OFFSET = 1
 
 
+def _parity_half(c: int, x: int, n_candidates: int) -> int:
+    """Candidate ``c``'s parity row at ``x``: the plus half on an even prefix count."""
+    ones = bin(c & ((1 << (x + 1)) - 1)).count("1")
+    return n_candidates + (_PLUS_HALF_OFFSET if ones % 2 == 0 else _MINUS_HALF_OFFSET)
+
+
 class PrefixParityAdversary(_FreshInstanceAdversary):
     """Halves the integer-candidate set each round; pins a never-predicted one.
 
@@ -529,7 +530,7 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         cands = range(self._n_cand)
         xs = range(spec.n_instances)
         rows = tuple((c,) * spec.n_instances for c in cands) + tuple(
-            tuple(self._parity_half(c, x) for x in xs) for c in cands
+            tuple(_parity_half(c, x, self._n_cand) for x in xs) for c in cands
         )
         if spec.hypotheses.kind != "explicit" or spec.hypotheses.rows != rows:
             raise SpecError(
@@ -573,15 +574,11 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
     def reveal_set(self, x: int, prediction) -> int:
         _require_label(prediction)
         c_star = self._n_cand - 1
-        y = self._parity_half(c_star, x)
+        y = _parity_half(c_star, x, self._n_cand)
         mask = (1 << c_star) | (1 << y)
         self._reveals.append(y)
         self._sets.append(mask)
         return mask
-
-    def _parity_half(self, c: int, x: int) -> int:
-        ones = bin(c & ((1 << (x + 1)) - 1)).count("1")
-        return self._plus if ones % 2 == 0 else self._minus
 
     def _survivor(self) -> int:
         leftovers = self._candidates - self._predicted

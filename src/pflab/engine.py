@@ -11,6 +11,14 @@ and at the end of play the adversary collects the maximum score among
 survivors. The engine computes the exact minimax value of that game, and can
 also report argmax/argmin choices so strategies can play optimally.
 
+The engine is the one owner of these states, the collection version space:
+no strategy scans the alive collections' images itself. Strategies that play
+from the version space hold an ``(alive, scores)`` state, read it through
+:meth:`CollectionEngine.feasible` and :meth:`CollectionEngine.common` (the
+labels some, or every, alive image holds at an instance) and move it with
+:meth:`CollectionEngine.update` on a revealed label or
+:meth:`CollectionEngine.update_set` on a revealed set.
+
 Three scoring kinds:
 
 * ``label``: edges are labels, a collection's increment is 1 when the
@@ -227,6 +235,22 @@ class CollectionEngine:
             raise EmptyConsistentSet("no collection is consistent with the prefix reveals")
         return tuple(alive), tuple(scores)
 
+    def feasible(self, alive: tuple, x: int) -> int:
+        """Labels some alive collection's image at ``x`` contains: the OR of the images."""
+        mask = 0
+        for cid in alive:
+            mask |= self.images[cid][x]
+        return mask
+
+    def common(self, alive: tuple, x: int) -> int:
+        """Labels every alive collection's image at ``x`` contains: the AND of the images."""
+        mask = (1 << self.spec.n_labels) - 1
+        for cid in alive:
+            mask &= self.images[cid][x]
+            if not mask:
+                break
+        return mask
+
     def update(self, alive: tuple, scores: tuple, x: int, edge_index: int, y: int):
         """Survivors of revealing ``y`` after playing edge ``edge_index`` at ``x``."""
         new_alive = []
@@ -238,6 +262,20 @@ class CollectionEngine:
                 new_scores.append(s + self._table(img)[edge_index])
         return tuple(new_alive), tuple(new_scores)
 
+    def update_set(self, alive: tuple, scores: tuple, x: int, edge_index: int, mask: int):
+        """Survivors of revealing the whole set ``mask`` after edge ``edge_index`` at ``x``.
+
+        A revealed set pins the image: only collections whose image at ``x``
+        is exactly ``mask`` survive, charged as :meth:`update` charges them.
+        """
+        new_alive = []
+        new_scores = []
+        for cid, s in zip(alive, scores):
+            if self.images[cid][x] == mask:
+                new_alive.append(cid)
+                new_scores.append(s + self._table(mask)[edge_index])
+        return tuple(new_alive), tuple(new_scores)
+
     def _reveal_classes(self, alive: tuple, x: int) -> list:
         """One ``(lowest y, kept positions)`` pair per distinct survivor set.
 
@@ -246,31 +284,18 @@ class CollectionEngine:
         classes are listed once per state and instance, in ascending ``y``.
         """
         imgs = [self.images[cid][x] for cid in alive]
-        feas = 0
-        for img in imgs:
-            feas |= img
         classes = {}
-        for y in iter_bits(feas):
+        for y in iter_bits(self.feasible(alive, x)):
             keep = tuple(i for i, img in enumerate(imgs) if (img >> y) & 1)
             classes.setdefault(keep, y)
         return [(y, keep) for keep, y in classes.items()]
 
     def _all_common(self, alive: tuple) -> bool:
         hit = self._common_cache.get(alive)
-        if hit is not None:
-            return hit
-        ok = True
-        for x in range(self.spec.n_instances):
-            inter = -1
-            for cid in alive:
-                inter &= self.images[cid][x]
-                if inter == 0:
-                    break
-            if inter == 0:
-                ok = False
-                break
-        self._common_cache[alive] = ok
-        return ok
+        if hit is None:
+            hit = all(self.common(alive, x) for x in range(self.spec.n_instances))
+            self._common_cache[alive] = hit
+        return hit
 
     # -- the value function ---------------------------------------------------
 

@@ -8,7 +8,7 @@ leakage, feedback-mode separations, and agnostic floors.
 
 from __future__ import annotations
 
-from .adversaries import CollisionFamily
+from .adversaries import CollisionFamily, _parity_half
 from .errors import SpecError
 from .game import (
     Feedback,
@@ -106,11 +106,6 @@ def collision_game(family: CollisionFamily | None = None, horizon: int = 8) -> G
         hypotheses=hyps,
         horizon=horizon,
     )
-
-
-def _parity_half(c: int, x: int, n_candidates: int) -> int:
-    ones = bin(c & ((1 << (x + 1)) - 1)).count("1")
-    return n_candidates + (1 if ones % 2 == 0 else 0)
 
 
 def pf_not_sv_game(set_valued: bool = False) -> GameSpec:

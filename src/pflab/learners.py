@@ -40,126 +40,6 @@ def _plurality_label(spec: GameSpec, x: int) -> int:
     return counts.index(best)
 
 
-class VersionSpacePruningLearner(Learner):
-    """Keeps the surviving admissible collections; predicts commonly-valid labels.
-
-    Predicts a label lying in every surviving collection's image at the shown
-    instance when one exists (lowest such label), else the plurality label
-    over the whole hypothesis class. Each reveal prunes the survivors to the
-    collections whose image contains it.
-
-    Two interchangeable representations: the explicit mode enumerates the
-    admissible collections once, keeps one per image vector (only images are
-    read) and prunes that list; the implicit mode, used
-    when the set system is the bounded family of all nonempty sets up to size
-    K with K at least the horizon, never materializes the collections. In
-    that regime a collection survives iff it covers every reveal so far, so
-    the commonly-valid labels at x are exactly the values forced by some
-    reveal whose entire realizer set agrees at x; with no reveals yet, the
-    labels all hypotheses agree on.
-    """
-
-    def __init__(self, spec: GameSpec | None = None):
-        self._spec = spec
-
-    def begin(self, spec: GameSpec) -> None:
-        self._spec = spec
-        system = spec.set_system
-        # The covering characterization behind the implicit mode is sound for
-        # label reveals only; full-set reveals pin images exactly, which the
-        # implicit state cannot express, so set-valued games enumerate.
-        self._implicit = (
-            system.kind == "bounded"
-            and system.max_size >= spec.horizon
-            and spec.feedback is not Feedback.SET_VALUED
-        )
-        self._pending_x = None
-        self._reveals = []
-        if self._implicit:
-            self._realizers = []
-        else:
-            self._collections = distinct_images(build_admissible_collections(spec))
-            self._alive = list(range(len(self._collections)))
-
-    # -- prediction -------------------------------------------------------
-
-    def predict(self, x: int):
-        self._pending_x = x
-        common = self._common_labels(x)
-        if common:
-            return min(common)
-        return _plurality_label(self._spec, x)
-
-    def _common_labels(self, x: int):
-        spec = self._spec
-        if not self._implicit:
-            mask = (1 << spec.n_labels) - 1
-            for cid in self._alive:
-                mask &= self._collections[cid].images[x]
-                if not mask:
-                    break
-            return list(iter_bits(mask))
-        H = spec.hypotheses
-        if not self._reveals:
-            if H.kind == "all_functions":
-                return []
-            first = H.value(0, x)
-            if all(H.value(h, x) == first for h in range(H.size)):
-                return [first]
-            return []
-        out = set()
-        for (xk, yk), realizers in zip(self._reveals, self._realizers):
-            if H.kind == "all_functions":
-                if xk == x:
-                    out.add(yk)
-                continue
-            vals = {H.value(h, x) for h in realizers}
-            if len(vals) == 1:
-                out.add(next(iter(vals)))
-        return sorted(out)
-
-    # -- observations -----------------------------------------------------
-
-    def observe(self, y: int) -> None:
-        x = self._pending_x
-        self._reveals.append((x, y))
-        if self._implicit:
-            H = self._spec.hypotheses
-            if H.kind == "all_functions":
-                self._realizers.append(None)
-                return
-            realizers = frozenset(h for h in range(H.size) if H.value(h, x) == y)
-            if not realizers:
-                raise EmptyConsistentSet(
-                    f"no hypothesis outputs the revealed label {y} at instance {x}"
-                )
-            self._realizers.append(realizers)
-            return
-        self._alive = [
-            cid for cid in self._alive if (self._collections[cid].images[x] >> y) & 1
-        ]
-        if not self._alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the reveals"
-            )
-
-    def observe_set(self, mask: int) -> None:
-        # Only set-valued play reveals sets, and it always enumerates.
-        x = self._pending_x
-        self._alive = [
-            cid for cid in self._alive if self._collections[cid].images[x] == mask
-        ]
-        if not self._alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the revealed sets"
-            )
-
-
-def cvsp_learner(spec: GameSpec) -> VersionSpacePruningLearner:
-    """Collection version-space pruning: common-label first, plurality fallback."""
-    return VersionSpacePruningLearner(spec)
-
-
 class _VersionSpaceLearner(Learner):
     """Plays from the collection version space through one or more engines.
 
@@ -187,20 +67,128 @@ class _VersionSpaceLearner(Learner):
         return max(self._spec.horizon - self._round - 1, 0)
 
     def observe(self, y: int) -> None:
-        x, edge = self._pending
-        scores = []
-        for eng, own in zip(self._engines, self._scores):
-            alive, updated = eng.update(self._alive, own, x, edge, y)
-            scores.append(updated)
-        self._alive, self._scores = alive, scores
-        if not alive:
-            raise EmptyConsistentSet(
-                "every admissible collection is inconsistent with the reveals"
-            )
-        self._round += 1
+        self._advance(CollectionEngine.update, y, "reveals")
 
     def observe_set(self, mask: int) -> None:
         raise SpecError("this strategy consumes label reveals, not revealed sets")
+
+    def _advance(self, rule, revealed, what: str) -> None:
+        """Move every engine's state by ``rule`` (an engine update method)."""
+        x, edge = self._pending
+        moved = [
+            rule(eng, self._alive, own, x, edge, revealed)
+            for eng, own in zip(self._engines, self._scores)
+        ]
+        self._alive = moved[0][0]
+        self._scores = [scores for _, scores in moved]
+        if not self._alive:
+            raise EmptyConsistentSet(
+                f"every admissible collection is inconsistent with the {what}"
+            )
+        self._round += 1
+
+
+class VersionSpacePruningLearner(_VersionSpaceLearner):
+    """Keeps the surviving admissible collections; predicts commonly-valid labels.
+
+    Predicts a label lying in every surviving collection's image at the shown
+    instance when one exists (lowest such label), else the plurality label
+    over the whole hypothesis class. Each reveal prunes the survivors to the
+    collections whose image contains it; a revealed set, to the collections
+    whose image is exactly that set.
+
+    Two interchangeable representations: the explicit mode plays on one label
+    engine's version space (:class:`_VersionSpaceLearner`); the implicit
+    mode, used when the set system is the bounded family of all nonempty
+    sets up to size K with K at least the horizon, never materializes the
+    collections, as that family can be too large to enumerate. In that
+    regime a collection survives iff it covers every reveal so far, so the
+    commonly-valid labels at x are exactly the values forced by some reveal
+    whose entire realizer set agrees at x; with no reveals yet, the labels
+    all hypotheses agree on.
+    """
+
+    def __init__(self, spec: GameSpec | None = None):
+        self._spec = spec
+
+    def _engines_for(self, spec: GameSpec, collections) -> list:
+        return [CollectionEngine(spec, collections, kind="label")]
+
+    def begin(self, spec: GameSpec) -> None:
+        system = spec.set_system
+        # The covering characterization behind the implicit mode is sound for
+        # label reveals only; full-set reveals pin images exactly, which the
+        # implicit state cannot express, so set-valued games enumerate.
+        self._implicit = (
+            system.kind == "bounded"
+            and system.max_size >= spec.horizon
+            and spec.feedback is not Feedback.SET_VALUED
+        )
+        if not self._implicit:
+            super().begin(spec)
+            return
+        self._spec = spec
+        self._pending = None
+        self._reveals = []
+        self._realizers = []
+
+    # -- prediction -------------------------------------------------------
+
+    def predict(self, x: int):
+        common = self._common_labels(x)
+        label = min(common) if common else _plurality_label(self._spec, x)
+        self._pending = (x, label)
+        return label
+
+    def _common_labels(self, x: int):
+        if not self._implicit:
+            return list(iter_bits(self._engines[0].common(self._alive, x)))
+        H = self._spec.hypotheses
+        if not self._reveals:
+            if H.kind == "all_functions":
+                return []
+            first = H.value(0, x)
+            if all(H.value(h, x) == first for h in range(H.size)):
+                return [first]
+            return []
+        out = set()
+        for (xk, yk), realizers in zip(self._reveals, self._realizers):
+            if H.kind == "all_functions":
+                if xk == x:
+                    out.add(yk)
+                continue
+            vals = {H.value(h, x) for h in realizers}
+            if len(vals) == 1:
+                out.add(next(iter(vals)))
+        return sorted(out)
+
+    # -- observations -----------------------------------------------------
+
+    def observe(self, y: int) -> None:
+        if not self._implicit:
+            super().observe(y)
+            return
+        x = self._pending[0]
+        self._reveals.append((x, y))
+        H = self._spec.hypotheses
+        if H.kind == "all_functions":
+            self._realizers.append(None)
+            return
+        realizers = frozenset(h for h in range(H.size) if H.value(h, x) == y)
+        if not realizers:
+            raise EmptyConsistentSet(
+                f"no hypothesis outputs the revealed label {y} at instance {x}"
+            )
+        self._realizers.append(realizers)
+
+    def observe_set(self, mask: int) -> None:
+        # Only set-valued play reveals sets, and it always enumerates.
+        self._advance(CollectionEngine.update_set, mask, "revealed sets")
+
+
+def cvsp_learner(spec: GameSpec) -> VersionSpacePruningLearner:
+    """Collection version-space pruning: common-label first, plurality fallback."""
+    return VersionSpacePruningLearner(spec)
 
 
 class PotentialMinimizingLearner(_VersionSpaceLearner):

@@ -5,9 +5,9 @@ drawn from the denominator-``g`` simplex grid rather than a single label.
 Two payoffs share one recursion: the thresholded event count (a round counts
 against a collection when the measure puts mass at most ``1 - gamma`` on the
 collection's image, with a strict version at ``gamma = 0``) and the exact
-expected miss mass. Grid-restricted integers come back as :class:`GridInt`
-carrying a caveat flag, since restricting the learner's choices can only
-raise a minimax value.
+expected miss mass. Values are exact for the grid, and an upper bound on
+the unrestricted ones: restricting the learner to grid measures shrinks its
+minimization, never the adversary's maximization.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ from .game import (
 from .setsystems import SetSystem
 
 
-class GridInt(int):
-    """An integer computed under a grid-restricted learner.
-
-    The value is an *upper* bound on the unrestricted quantity: restricting
-    the learner to grid measures shrinks its minimization, never the
-    adversary's maximization, so the exact value is at most this one.
-    ``grid_lower_bound`` is True when the grid restriction applies; despite
-    its name it marks the value as such an upper bound, not a lower one.
-    Arithmetic degrades to plain int, by design.
-    """
-
-    def __new__(cls, value, grid_lower_bound: bool = True):
-        obj = super().__new__(cls, value)
-        obj.grid_lower_bound = grid_lower_bound
-        return obj
-
-
 def _as_gamma(gamma) -> Fraction:
     gamma = Fraction(gamma)
     if not 0 <= gamma <= 1:
@@ -52,15 +35,15 @@ def _as_gamma(gamma) -> Fraction:
 
 def pms_dim(
     spec: GameSpec, T: int, gamma, g: int | None = None, budget: int | None = None
-) -> GridInt:
+) -> int:
     """Largest thresholded-event count forceable in ``T`` rounds on the grid.
 
     Same game tree as the label-prediction value, but the learner's edges are
     the grid measures and a round counts against a surviving collection when
     the played measure gives its image mass at most ``1 - gamma`` (mass
     strictly below one when ``gamma`` is zero). The result is exact for the
-    grid; see :class:`GridInt` for what the caveat flag asserts about the
-    unrestricted value. This is :func:`ppms_dim` at the empty prefix.
+    grid and an upper bound on the unrestricted value. This is
+    :func:`ppms_dim` at the empty prefix.
     """
     return ppms_dim(spec, (), (), (), T, gamma, g=g, budget=budget)
 
@@ -74,7 +57,7 @@ def ppms_dim(
     gamma,
     g: int | None = None,
     budget: int | None = None,
-) -> GridInt:
+) -> int:
     """Prefix-seeded variant of :func:`pms_dim`.
 
     Collections inconsistent with a prefix reveal are dropped; the survivors
@@ -90,7 +73,7 @@ def ppms_dim(
         spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
     )
     alive, scores = engine.prefix_state(prefix_x, prefix_measures, prefix_reveals)
-    return GridInt(engine.value(alive, scores, d))
+    return engine.value(alive, scores, d)
 
 
 def msp(N: int, measures, thresholds, system: SetSystem) -> int:

@@ -336,7 +336,7 @@ def check_fixed_scale_event_bound() -> CheckResult:
     gammas = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
     for name, spec in specs:
         for gamma in gammas:
-            cap = int(pms_dim(spec, spec.horizon, gamma, g=6))
+            cap = pms_dim(spec, spec.horizon, gamma, g=6)
             adversaries = [
                 ("optimal", lambda s=spec: optimal_adversary(s)),
                 ("random0", lambda: random_adversary(0)),
@@ -470,12 +470,12 @@ def check_property_suites() -> CheckResult:
     # measure dimension monotone in gamma, and under grid refinement
     for spec in sample[:6]:
         gs = [
-            int(pms_dim(spec, 2, gam, g=4))
+            pms_dim(spec, 2, gam, g=4)
             for gam in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
         ]
         if not all(a >= b for a, b in zip(gs, gs[1:])):
             failures.append(f"gamma monotonicity broke: {gs}")
-        grids = [int(pms_dim(spec, 2, Fraction(1, 4), g=g)) for g in (1, 2, 4)]
+        grids = [pms_dim(spec, 2, Fraction(1, 4), g=g) for g in (1, 2, 4)]
         if not all(a >= b for a, b in zip(grids, grids[1:])):
             failures.append(f"grid refinement raised the value: {grids}")
 

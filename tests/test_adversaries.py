@@ -92,6 +92,17 @@ def test_set_feedback_variant_is_easy():
         assert t.loss <= 1
 
 
+def test_cvsp_prunes_to_the_revealed_sets():
+    # Each revealed set pins the survivors' images; the first one already
+    # leaves only candidate 63's pair, so every later prediction is right.
+    sv = pf_not_sv_game(set_valued=True)
+    t = play_game(sv, cvsp_learner(sv), pf_not_sv_adversary())
+    assert t.predictions == (64, 63, 63, 63, 63, 63)
+    assert t.reveals == (63,) * 6
+    assert t.loss == 0
+    assert t.witness.members == (63, 127)
+
+
 def test_prefix_parity_takes_the_sets_in_any_order():
     spec = pf_not_sv_game()
     masks = list(spec.set_system.masks)
@@ -120,6 +131,17 @@ def test_cube_needs_every_co_singleton():
                    set_system=SetSystem.explicit(3, [0b011, 0b110]))
     with pytest.raises(SpecError, match=r"co-singleton \(0, 2\)"):
         play_game(spec, uniform_cube_learner(3), public_cube_adversary(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "masks, missing",
+    [([0b01, 0b10], r"\(0, 1\)"), ([0b10, 0b11], r"\(0,\)"), ([0b01, 0b11], r"\(1,\)")],
+    ids=["no-pair", "no-0", "no-1"],
+)
+def test_two_constant_needs_both_singletons_and_the_pair(masks, missing):
+    spec = replace(agnostic_game(3), set_system=SetSystem.explicit(2, masks))
+    with pytest.raises(SpecError, match=rf"the set {missing} in the set system"):
+        play_game(spec, make_learner("constant", {}, spec), agnostic_two_constant_adversary())
 
 
 def test_cube_label_pool_message_names_the_alphabet():

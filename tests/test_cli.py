@@ -406,6 +406,13 @@ def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
 
 
 SHAPE_MISMATCHES = {
+    "agnostic_two_constant": (
+        "labels: 2\ninstances: 3\nset_system: [[0], [1]]\n"
+        "hypotheses: [[0, 0, 0], [1, 1, 1]]\nhorizon: 3\n"
+        "protocol: {realizability: existence_realizable}\n"
+        "learner: {name: scripted, params: {labels: [0, 1, 0]}}\n"
+        "adversary: {name: agnostic_two_constant}\n"
+    ),
     "pf_not_sv": (
         "labels: 6\ninstances: 2\nset_system: {all_nonempty_up_to: 2}\n"
         "hypotheses: {all_functions: true}\nhorizon: 2\n"

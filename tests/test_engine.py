@@ -7,7 +7,9 @@ engine before its reveal scans were merged into one pass; they hold the
 expanded-state counts and the budget fallback of ``on_budget="bound"`` fixed.
 """
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from pflab import (
 )
 from pflab.engine import CollectionEngine
 from pflab.families import binary_full_system_family
+from pflab.setsystems import iter_bits
 
 from test_properties import seeds, spec_from_seed
 
@@ -68,6 +71,40 @@ def _child_values(eng, alive, scores, x, edge_index, child_depth):
         y: eng.value(*eng.update(alive, scores, x, edge_index, y), child_depth)
         for y in _feasible(eng, alive, x)
     }
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=10_000))
+def test_version_space_rules_match_the_alive_images(kind, seed, walk):
+    """``feasible``, ``common`` and ``update_set`` against an OR, an AND and a filter.
+
+    The states are the initial one and those along a random played prefix.
+    """
+    spec = spec_from_seed(seed, horizon=3)
+    eng = _engine(spec, kind)
+    rng = random.Random(walk)
+    alive, scores = eng.initial_state()
+    for _ in range(spec.horizon):
+        for x in range(spec.n_instances):
+            images = [eng.images[cid][x] for cid in alive]
+            assert eng.feasible(alive, x) == functools.reduce(operator.or_, images)
+            assert eng.common(alive, x) == functools.reduce(operator.and_, images)
+            for mask in range(1, 1 << spec.n_labels):
+                edge = rng.randrange(eng.n_edges)
+                kept = [i for i, img in enumerate(images) if img == mask]
+                got = eng.update_set(alive, scores, x, edge, mask)
+                assert got[0] == tuple(alive[i] for i in kept)
+                if kept:
+                    # Charged as a label reveal inside the set charges.
+                    by_cid = dict(zip(*eng.update(alive, scores, x, edge, min(iter_bits(mask)))))
+                    assert got[1] == tuple(by_cid[alive[i]] for i in kept)
+                if kind == "label":
+                    miss = 1 - ((mask >> edge) & 1)
+                    assert got[1] == tuple(scores[i] + miss for i in kept)
+        x = rng.randrange(spec.n_instances)
+        y = rng.choice(_feasible(eng, alive, x))
+        alive, scores = eng.update(alive, scores, x, rng.randrange(eng.n_edges), y)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

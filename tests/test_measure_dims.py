@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab import (
-    GridInt,
     Measure,
     SetSystem,
     SpecError,
@@ -29,8 +28,6 @@ def test_two_constant_pms_frozen():
     spec = two_constant_game()
     v = pms_dim(spec, 2, Fraction(1, 2), g=1)
     assert v == 1
-    assert isinstance(v, GridInt)
-    assert v.grid_lower_bound is True
     # at gamma = 1 only total misses count; the g=1 grid still forces one,
     # the g=2 grid lets the learner hedge at 1/2-1/2 forever
     assert pms_dim(spec, 2, 1, g=1) == 1
@@ -96,10 +93,9 @@ def test_msp_worked_examples():
         msp(3, jumped, [Fraction(1, 4), Fraction(1), Fraction(1, 4)], system)
 
 
-def test_grid_int_arithmetic_degrades():
+def test_pms_dim_is_a_plain_int():
     v = pms_dim(two_constant_game(), 2, Fraction(1, 2), g=1)
-    assert not hasattr(v + 1, "grid_lower_bound")
-    assert isinstance(v + 1, int)
+    assert type(v) is int
 
 
 @settings(max_examples=60, deadline=None)
