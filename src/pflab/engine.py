@@ -44,37 +44,76 @@ A prefix measure off the grid (:meth:`CollectionEngine.prefix_state`) charges
 an exact ``Fraction`` in the same units; the recursion adds, compares and
 subtracts it like an integer, so such states are solved exactly too.
 
-For each distinct image mask the engine caches an increment table: one
-integer per edge, in edge order. The increment vectors of the edges over an
-alive set are the columns of the alive images' tables, read with
-``zip(*tables)``. ``Measure`` objects for the edges are built only when a
-caller reads :attr:`CollectionEngine.edges`.
+States live in two forms. At the API boundary a state is the pair
+``(alive, scores)``: the ids of the alive collections in ascending order and
+one score per id. Strategies hold this form, and the version-space methods
+(``feasible``, ``common``, ``update``, ``update_set``) read and move it
+directly, in one pass over the alive ids. Inside the recursion a state is a
+sorted tuple of *levels* ``(relative score, mask)``: ``mask`` has bit ``cid``
+set for every alive collection at that score, the first level's score is 0
+and no mask is empty. Each entry point of the recursion (``value``,
+``best_instance``, ``edge_worst_values``, ``best_edge``, ``best_reveal``)
+converts its boundary state to levels once. The levels are sparse, so they
+hold the loss kind's charges and off-grid ``Fraction`` scores as they hold
+the label kind's 0/1 counts.
+
+On its first visit to an instance ``x`` the recursion groups the
+collections by their image at ``x``: one ``(image, mask)`` pair per distinct
+image. For each distinct image the engine caches an increment table: one
+integer per edge, in edge order. A step of the recursion then works on
+masks:
+
+* the reveal classes at ``x`` are the distinct nonzero survivor masks, one
+  per label ``y`` in ascending order: the OR of the alive parts of the
+  groups whose image holds ``y``;
+* the edge classes at ``x`` are the edges with distinct increments over the
+  alive groups, lowest edge first, each with one ``(increment, mask)`` pair
+  per increment value; they are cached per instance and set of alive
+  groups;
+* a child ORs ``mask & survivors & increment mask`` of each level into the
+  level at ``score + increment``, then subtracts the lowest score.
+
+``Measure`` objects for the edges are built only when a caller reads
+:attr:`CollectionEngine.edges`.
 
 Soundness of the speedups, all of which preserve exact values:
 
-* the value is at least the maximum alive score (the adversary can always
-  reveal inside the argmax collection's image, keeping it alive) and at most
-  that plus ``scale`` per round remaining (no round adds more to any score),
-  so the min loop can stop at the lower bound and the max loops at the upper;
-* if at every instance some label lies in every alive image, the learner can
-  play such a label (or its point mass) forever at zero increment, so the
-  value equals the lower bound exactly;
-* edges with equal increment vectors over the alive set induce identical
-  subtrees, as do reveals with equal survivor sets, so only one representative
-  of each class is explored; the reveal classes are computed once per state
-  and instance and shared by every edge;
+* the value is at least the top level's score (the adversary can always
+  reveal inside the image of a collection on that level, keeping it alive)
+  and at most that plus ``scale`` per round remaining (no round adds more to
+  any score), so the min loop can stop at the lower bound and the max loops
+  at the upper;
+* if at every instance the images of the alive groups share a label, the
+  learner can play that label (or its point mass) forever at zero
+  increment, so the value equals the lower bound exactly; this test is
+  cached per alive mask, and a child that passes it, or has no rounds left,
+  is valued by its top score without building its levels;
+* edges with equal increments over the alive groups induce identical
+  subtrees, as do reveals with equal survivor masks, so only one
+  representative of each class is explored; both class lists depend only
+  on the instance and the alive mask, so they are cached per pair and
+  shared by every state with that alive set;
 * scores translate: adding a constant to every score adds it to the value, so
-  memo keys store scores relative to their minimum;
+  levels hold scores relative to their minimum, and the memo is keyed on
+  ``(rounds, levels)``, which determines the alive set with its relative
+  scores and is determined by them;
 * collections with equal image vectors are interchangeable: they start with
   equal scores, survive every reveal together and take the same increment on
   every edge, so dropping all but one of them changes no value, choice or
   expanded-state count. Callers may therefore pass one collection per image
   vector (``game.distinct_images``); the engine itself keeps every
   collection it is given, so alive ids index the caller's list.
+
+Each round nests three Python frames of the recursion. A horizon deep
+enough to exhaust Python's recursion limit is reported by every entry point
+of the recursion as :class:`BudgetExceeded` naming the depth.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -92,6 +131,17 @@ def states_budget() -> int:
 
 def rand_budget() -> int:
     return env_budget("PFLAB_BUDGET_RAND", 10_000_000)
+
+
+@contextmanager
+def _depth_guard(rounds: int):
+    """Report a recursion deeper than Python's stack allows as a budget rejection."""
+    try:
+        yield
+    except RecursionError:
+        raise BudgetExceeded(
+            f"minimax recursion over {rounds} rounds exceeds Python's recursion limit"
+        ) from None
 
 
 class CollectionEngine:
@@ -135,7 +185,10 @@ class CollectionEngine:
         self.nodes = 0
         self._memo: dict = {}
         self._tables: dict = {}
-        self._common_cache: dict = {}
+        self._settled_cache: dict = {}
+        self._moves_cache: dict = {}
+        self._edge_cache: dict = {}
+        self._group_cache: list = [None] * spec.n_instances
 
     @property
     def edges(self) -> list:
@@ -182,6 +235,19 @@ class CollectionEngine:
         if self.gamma == 0:
             return 1 if mass < 1 else 0
         return 1 if mass <= 1 - self.gamma else 0
+
+    def _groups(self, x: int) -> tuple:
+        """One ``(image, mask)`` pair per distinct image at ``x``, built on first use.
+
+        ``mask`` has bit ``cid`` set for every collection with that image at ``x``.
+        """
+        hit = self._group_cache[x]
+        if hit is None:
+            by_image: dict = {}
+            for cid, images in enumerate(self.images):
+                by_image[images[x]] = by_image.get(images[x], 0) | (1 << cid)
+            hit = self._group_cache[x] = tuple(by_image.items())
+        return hit
 
     # -- state helpers ------------------------------------------------------
 
@@ -276,38 +342,83 @@ class CollectionEngine:
                 new_scores.append(s + self._table(mask)[edge_index])
         return tuple(new_alive), tuple(new_scores)
 
-    def _reveal_classes(self, alive: tuple, x: int) -> list:
-        """One ``(lowest y, kept positions)`` pair per distinct survivor set.
+    # -- the recursion on levels ------------------------------------------------
 
-        Every feasible reveal at ``x`` whose survivors (positions into
-        ``alive``) coincide induces the same child under every edge, so the
-        classes are listed once per state and instance, in ascending ``y``.
+    def _alive_groups(self, alive: int, x: int) -> list:
+        """``(increment table, mask)`` of every image group at ``x`` with an alive member."""
+        return [(self._table(image), mask) for image, mask in self._groups(x) if mask & alive]
+
+    def _reveals(self, alive: int, x: int) -> list:
+        """One ``(lowest y, survivor mask)`` pair per distinct survivor set at ``x``.
+
+        Every feasible reveal whose survivors coincide induces the same child
+        under every edge, so the classes are listed once, in ascending ``y``.
         """
-        imgs = [self.images[cid][x] for cid in alive]
-        classes = {}
-        for y in iter_bits(self.feasible(alive, x)):
-            keep = tuple(i for i, img in enumerate(imgs) if (img >> y) & 1)
-            classes.setdefault(keep, y)
-        return [(y, keep) for keep, y in classes.items()]
+        holds = [0] * self.spec.n_labels
+        for image, mask in self._groups(x):
+            mask &= alive
+            if mask:
+                for y in iter_bits(image):
+                    holds[y] |= mask
+        out = []
+        for y, keep in enumerate(holds):
+            if keep and all(keep != k for _, k in out):
+                out.append((y, keep))
+        return out
 
-    def _all_common(self, alive: tuple) -> bool:
-        hit = self._common_cache.get(alive)
+    def _edge_classes(self, alive: int, x: int) -> list:
+        """The ``(increment, mask)`` pairs of one edge per distinct increment vector.
+
+        Increment vectors are taken over the alive image groups at ``x``, and
+        the classes are listed by their lowest edge, in edge order. Cached per
+        instance and set of alive groups.
+        """
+        groups = self._groups(x)
+        key = (x, tuple(i for i, (_, mask) in enumerate(groups) if mask & alive))
+        hit = self._edge_cache.get(key)
         if hit is None:
-            hit = all(self.common(alive, x) for x in range(self.spec.n_instances))
-            self._common_cache[alive] = hit
+            alive_groups = self._alive_groups(alive, x)
+            seen = set()
+            hit = []
+            for edge, inc in enumerate(zip(*(table for table, _ in alive_groups))):
+                if inc not in seen:
+                    seen.add(inc)
+                    hit.append(_by_value(alive_groups, edge))
+            self._edge_cache[key] = hit
         return hit
 
-    # -- the value function ---------------------------------------------------
+    def _moves(self, alive: int, x: int) -> tuple:
+        """``(reveal classes, edge classes)`` at ``x``, cached per instance and alive mask."""
+        hit = self._moves_cache.get((x, alive))
+        if hit is None:
+            hit = self._moves_cache[(x, alive)] = (
+                self._reveals(alive, x),
+                self._edge_classes(alive, x),
+            )
+        return hit
 
-    def value(self, alive: tuple, scores: tuple, rounds: int):
-        lb = max(scores)
-        if rounds == 0 or self._all_common(alive):
+    def _settled(self, alive: int) -> bool:
+        """True when at every instance some label lies in every alive image."""
+        hit = self._settled_cache.get(alive)
+        if hit is None:
+            hit = all(
+                functools.reduce(
+                    operator.and_, (image for image, mask in self._groups(x) if mask & alive)
+                )
+                for x in range(self.spec.n_instances)
+            )
+            self._settled_cache[alive] = hit
+        return hit
+
+    def _value(self, levels: tuple, alive: int, rounds: int):
+        """Value of a levels state with alive mask ``alive``, relative to its lowest score."""
+        lb = levels[-1][0]
+        if rounds == 0 or self._settled(alive):
             return lb
-        m = min(scores)
-        key = (rounds, alive, tuple(s - m for s in scores))
+        key = (rounds, levels)
         hit = self._memo.get(key)
         if hit is not None:
-            return hit + m
+            return hit
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(
@@ -318,32 +429,28 @@ class CollectionEngine:
         ub = lb + rounds * self.scale
         best = lb
         for x in range(self.spec.n_instances):
-            v = self._instance_value(alive, scores, x, rounds - 1, cutoff=best)
+            v = self._instance_value(levels, alive, x, rounds - 1, cutoff=best)
             if v > best:
                 best = v
                 if best >= ub:
                     break
-        self._memo[key] = best - m
+        self._memo[key] = best
         return best
 
-    def _instance_value(self, alive, scores, x, child_depth, cutoff=None):
+    def _instance_value(self, levels, alive, x, child_depth, cutoff=None):
         """min over edges of (max over feasible reveals) of the child value.
 
-        ``cutoff`` is purely an optimization contract with ``value``: the
+        ``cutoff`` is purely an optimization contract with ``_value``: the
         caller only needs the result when it exceeds the cutoff, so edge
         evaluation may stop early once an edge is proven no better than it.
         The returned value is exact whenever it exceeds the cutoff.
         """
-        lb = max(scores)
-        classes = self._reveal_classes(alive, x)
+        lb = levels[-1][0]
+        reveals, edges = self._moves(alive, x)
         best_edge = None
-        seen_inc = set()
-        for inc in zip(*[self._table(self.images[cid][x]) for cid in alive]):
-            if inc in seen_inc:
-                continue
-            seen_inc.add(inc)
+        for inc in edges:
             worst, _ = self._edge_worst(
-                alive, scores, inc, classes, child_depth,
+                levels, inc, reveals, child_depth,
                 stop_at=best_edge if best_edge is not None else _INF,
             )
             if best_edge is None or worst < best_edge:
@@ -354,40 +461,51 @@ class CollectionEngine:
                     break
         return best_edge
 
-    def _edge_worst(self, alive, scores, inc, classes, child_depth, stop_at=_INF, on_budget=None):
+    def _edge_worst(self, levels, inc, reveals, child_depth, stop_at=_INF, on_budget=None):
         """``(max child value, lowest y reaching it)`` over reveal classes, for one edge.
 
-        ``inc`` is the edge's increment vector over ``alive``. The scan stops
+        ``inc`` holds the edge's ``(increment, mask)`` pairs. The scan stops
         once the max reaches ``stop_at``. With ``on_budget="bound"`` a child
-        whose recursion exceeds the budget is scored ``max(child_scores) +
-        child_depth * scale`` and the other children stay exact; otherwise
+        whose recursion exceeds the budget is scored by its top score plus
+        ``child_depth * scale`` and the other children stay exact; otherwise
         :class:`BudgetExceeded` propagates.
         """
         worst, worst_y = None, None
-        for y, keep in classes:
-            child_alive = tuple([alive[i] for i in keep])
-            child_scores = tuple([scores[i] + inc[i] for i in keep])
-            try:
-                v = self.value(child_alive, child_scores, child_depth)
-            except BudgetExceeded:
-                if on_budget != "bound":
-                    raise
-                v = max(child_scores) + child_depth * self.scale
+        for y, keep in reveals:
+            if child_depth == 0 or self._settled(keep):
+                # The child's value is its top score: no need to build it.
+                v = _top(levels, keep, inc)
+            else:
+                base, child = _child(levels, keep, inc)
+                try:
+                    v = base + self._value(child, keep, child_depth)
+                except BudgetExceeded:
+                    if on_budget != "bound":
+                        raise
+                    v = base + child[-1][0] + child_depth * self.scale
             if worst is None or v > worst:
                 worst, worst_y = v, y
                 if worst >= stop_at:
                     break
         return worst, worst_y
 
-    # -- choice extraction (for strategies playing the value) ------------------
+    # -- entry points on boundary states -----------------------------------------
+
+    def value(self, alive: tuple, scores: tuple, rounds: int):
+        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds."""
+        base, levels, mask = _levels(alive, scores)
+        with _depth_guard(rounds):
+            return base + self._value(levels, mask, rounds)
 
     def best_instance(self, alive: tuple, scores: tuple, rounds: int) -> int:
         """Lowest instance achieving the state's value (adversary's move)."""
+        _, levels, mask = _levels(alive, scores)
         best_x, best_v = 0, None
-        for x in range(self.spec.n_instances):
-            v = self._instance_value(alive, scores, x, rounds - 1)
-            if best_v is None or v > best_v:
-                best_x, best_v = x, v
+        with _depth_guard(rounds):
+            for x in range(self.spec.n_instances):
+                v = self._instance_value(levels, mask, x, rounds - 1)
+                if best_v is None or v > best_v:
+                    best_x, best_v = x, v
         return best_x
 
     def edge_worst_values(self, alive, scores, x, child_depth, on_budget=None):
@@ -402,37 +520,42 @@ class CollectionEngine:
         computed by the no-recursion bound scan instead of attempting one
         doomed recursion per child.
         """
-        classes = self._reveal_classes(alive, x)
+        base, levels, mask = _levels(alive, scores)
+        reveals = self._reveals(mask, x)
         if on_budget == "bound" and self.nodes >= self.budget:
-            return self._edge_worst_bounds(alive, scores, x, classes, child_depth)
-        return [
-            self._edge_worst(alive, scores, inc, classes, child_depth, on_budget=on_budget)[0]
-            for inc in zip(*[self._table(self.images[cid][x]) for cid in alive])
-        ]
+            return self._edge_worst_bounds(base, levels, x, reveals, child_depth)
+        groups = self._alive_groups(mask, x)
+        with _depth_guard(child_depth):
+            return [
+                base + self._edge_worst(
+                    levels, _by_value(groups, edge), reveals, child_depth, on_budget=on_budget
+                )[0]
+                for edge in range(self.n_edges)
+            ]
 
-    def _edge_worst_bounds(self, alive, scores, x, classes, child_depth):
+    def _edge_worst_bounds(self, base, levels, x, reveals, child_depth):
         """Upper-bound table for every edge without any value recursion.
 
-        For each reveal class only the best surviving score per image matters
-        for the bound, so survivors are collapsed to an image -> max score
-        table once and every edge is scored against those tables.
+        For each reveal class only the top surviving score per image matters
+        for the bound, so survivors are collapsed to one ``(increment table,
+        top score)`` pair per image once and every edge is scored against
+        those pairs.
         """
-        groups = []
-        for _, keep in classes:
-            by_img: dict = {}
-            for i in keep:
-                img = self.images[alive[i]][x]
-                prev = by_img.get(img)
-                if prev is None or scores[i] > prev:
-                    by_img[img] = scores[i]
-            groups.append([(self._table(img), s) for img, s in by_img.items()])
+        classes = [
+            [
+                (table, max(s for s, level in levels if level & group & keep))
+                for table, group in self._alive_groups(keep, x)
+            ]
+            for _, keep in reveals
+        ]
         return [
-            max(
-                (max(s + table[ei] for table, s in group) for group in groups),
-                default=max(scores),
+            base
+            + max(
+                (max(s + table[edge] for table, s in pairs) for pairs in classes),
+                default=levels[-1][0],
             )
             + child_depth * self.scale
-            for ei in range(self.n_edges)
+            for edge in range(self.n_edges)
         ]
 
     def best_edge(self, alive, scores, x, child_depth, on_budget=None):
@@ -449,5 +572,58 @@ class CollectionEngine:
         Every reveal in a class yields the same child, so the lowest ``y`` of
         the first best class is the lowest maximizing reveal.
         """
-        inc = tuple(self._table(self.images[cid][x])[edge_index] for cid in alive)
-        return self._edge_worst(alive, scores, inc, self._reveal_classes(alive, x), child_depth)[1]
+        _, levels, mask = _levels(alive, scores)
+        inc = _by_value(self._alive_groups(mask, x), edge_index)
+        with _depth_guard(child_depth):
+            return self._edge_worst(levels, inc, self._reveals(mask, x), child_depth)[1]
+
+
+def _levels(alive, scores):
+    """``(lowest score, levels, alive mask)`` of a boundary ``(alive, scores)`` state."""
+    by_score: dict = {}
+    for cid, s in zip(alive, scores):
+        by_score[s] = by_score.get(s, 0) | (1 << cid)
+    base = min(by_score)
+    levels = tuple(sorted((s - base, mask) for s, mask in by_score.items()))
+    return base, levels, sum(by_score.values())
+
+
+def _by_value(groups, edge: int) -> tuple:
+    """``(increment, mask)`` pairs of one edge over ``(increment table, mask)`` groups."""
+    out: dict = {}
+    for table, mask in groups:
+        v = table[edge]
+        out[v] = out.get(v, 0) | mask
+    return tuple(out.items())
+
+
+def _top(levels, keep: int, inc):
+    """Top score of the child :func:`_child` would build, without building it."""
+    top = None
+    for s, mask in levels:
+        mask &= keep
+        if mask:
+            for v, group in inc:
+                if mask & group and (top is None or s + v > top):
+                    top = s + v
+    return top
+
+
+def _child(levels, keep: int, inc) -> tuple:
+    """``(lowest score, levels)`` of the survivors ``keep`` after charging ``inc``.
+
+    Scores are relative to the parent's levels; ``keep`` must meet them.
+    """
+    out: dict = {}
+    for s, mask in levels:
+        mask &= keep
+        if mask:
+            for v, group in inc:
+                hit = mask & group
+                if hit:
+                    t = s + v
+                    out[t] = out.get(t, 0) | hit
+    base = min(out)
+    if base:
+        return base, tuple(sorted((t - base, mask) for t, mask in out.items()))
+    return base, tuple(sorted(out.items()))

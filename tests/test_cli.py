@@ -452,3 +452,30 @@ def test_rand_grid_over_the_budget_is_rejected(capsys, monkeypatch, what):
                                   "--grid", "5"])
     assert (code, out) == (3, "")
     assert err == "budget rejected: grid(2, 5) has 6 measures, budget 5\n"
+
+
+# The det-solve class b5x3-0: three binary instances, five hypotheses.
+B5X3 = (
+    "labels: 2\ninstances: 3\nset_system: {full_power_set: true}\n"
+    "hypotheses: [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 1]]\nhorizon: 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--what", "pfl", "--depth", "400"],
+        ["rand", "--what", "regret", "--depth", "5000"],
+        ["rand", "--what", "pms", "--gamma", "1/2", "--depth", "5000"],
+    ],
+    ids=["pfl", "regret", "pms"],
+)
+def test_horizon_beyond_the_recursion_limit_is_a_budget_rejection(capsys, tmp_path, argv):
+    path = tmp_path / "b5x3.yaml"
+    path.write_text(B5X3)
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"budget rejected: minimax recursion over {argv[-1]} rounds "
+        "exceeds Python's recursion limit\n"
+    )

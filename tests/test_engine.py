@@ -17,13 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab import (
+    BudgetExceeded,
     GameSpec,
     HypothesisClass,
+    Measure,
     SetSystem,
     build_admissible_collections,
     dpfla_learner,
     helly_game,
     optimal_adversary,
+    pfl_dim,
     play_game,
 )
 from pflab.engine import CollectionEngine
@@ -131,6 +134,28 @@ def test_choice_methods_match_naive_tables(kind, seed):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=25, deadline=None)
 @given(seeds)
+def test_choice_methods_share_the_value_memo(kind, seed):
+    """After ``value`` fills the memo, the choice methods answer as on a fresh engine.
+
+    The choice methods enter the memo from arbitrary states, so this checks
+    that every entry point normalizes its memo keys the same way.
+    """
+    spec = spec_from_seed(seed, horizon=3)
+    warm = _engine(spec, kind)
+    warm.value(*warm.initial_state(), spec.horizon)
+    for alive, scores, rounds in _states(warm):
+        for x in range(spec.n_instances):
+            args = (alive, scores, x, rounds - 1)
+            assert warm.edge_worst_values(*args) == _engine(spec, kind).edge_worst_values(*args)
+            assert warm.best_edge(*args) == _engine(spec, kind).best_edge(*args)
+            for ei in range(warm.n_edges):
+                want = _engine(spec, kind).best_reveal(alive, scores, x, ei, rounds - 1)
+                assert warm.best_reveal(alive, scores, x, ei, rounds - 1) == want
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seeds)
 def test_bound_mode_is_exact_with_unspent_budget(kind, seed):
     spec = spec_from_seed(seed, horizon=3)
     exact, bounded = _engine(spec, kind), _engine(spec, kind)
@@ -208,6 +233,34 @@ def test_pinned_expanded_states(spec_of, depth, value, nodes):
     assert eng.nodes == nodes
 
 
+_THIRDS = Measure((Fraction(1, 3), Fraction(2, 3)))
+
+
+@pytest.mark.parametrize(
+    "index, kind, extra, prefix, depth, value, nodes",
+    [
+        (120, "loss", {"grid": 4}, None, 4, 4, 631),
+        (200, "loss", {"grid": 4}, None, 3, 5, 141),
+        (120, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 2, 104),
+        (160, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 1, 64),
+        # Off-grid prefix charges: 4/3 and 8/3 units of 1/4.
+        (160, "loss", {"grid": 4}, ((0,), (_THIRDS,), (1,)), 3, Fraction(13, 3), 71),
+        (120, "loss", {"grid": 4}, ((0, 1), (_THIRDS, _THIRDS), (1, 0)), 3, 4, 24),
+    ],
+)
+def test_pinned_expanded_states_of_grid_kinds(index, kind, extra, prefix, depth, value, nodes):
+    """Loss and measure values and counts, from the empty prefix and off-grid prefixes.
+
+    Pinned on the tuple-state engine, before the recursion moved to score
+    levels.
+    """
+    spec = _family_spec(index)
+    eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **extra)
+    state = eng.initial_state() if prefix is None else eng.prefix_state(*prefix)
+    assert eng.value(*state, depth) == value
+    assert eng.nodes == nodes
+
+
 @pytest.mark.parametrize(
     "index, budget, tables, nodes",
     [
@@ -247,3 +300,40 @@ def test_pinned_dpfla_vs_optimal(spec_of, transcript, budget):
     spec = spec_of()
     t = play_game(spec, dpfla_learner(spec, potential_budget=budget), optimal_adversary(spec))
     assert (t.instances, t.predictions, t.reveals, t.sets, t.loss) == transcript
+
+
+def _b5x3():
+    """The det-solve class b5x3-0: three binary instances, five hypotheses."""
+    return GameSpec(
+        n_instances=3,
+        n_labels=2,
+        set_system=SetSystem.full_power_set(2),
+        hypotheses=HypothesisClass.explicit(
+            3, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
+        ),
+        horizon=3,
+    )
+
+
+def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():
+    with pytest.raises(BudgetExceeded, match="over 5000 rounds"):
+        pfl_dim(_b5x3(), 5000)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eng, state: eng.value(*state, 5000),
+        lambda eng, state: eng.best_instance(*state, 5000),
+        lambda eng, state: eng.edge_worst_values(*state, 0, 4999),
+        lambda eng, state: eng.edge_worst_values(*state, 0, 4999, on_budget="bound"),
+        lambda eng, state: eng.best_edge(*state, 0, 4999),
+        lambda eng, state: eng.best_reveal(*state, 0, 0, 4999),
+    ],
+    ids=["value", "best_instance", "edge_worst_values", "bound", "best_edge", "best_reveal"],
+)
+def test_every_entry_point_reports_a_too_deep_recursion(call):
+    """A ``RecursionError`` leaves the engine as ``BudgetExceeded``, even in bound mode."""
+    eng = _engine(_b5x3(), "label")
+    with pytest.raises(BudgetExceeded, match="exceeds Python's recursion limit"):
+        call(eng, eng.initial_state())
