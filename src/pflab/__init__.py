@@ -16,14 +16,7 @@ from .adversaries import (
     PrefixParityAdversary,
     SeededRandomAdversary,
     TwoConstantAgnosticAdversary,
-    agnostic_two_constant_adversary,
-    collision_adversary,
-    echo_adversary,
     make_adversary,
-    optimal_adversary,
-    pf_not_sv_adversary,
-    public_cube_adversary,
-    random_adversary,
 )
 from .dimensions import (
     ShatteringTree,
@@ -94,13 +87,7 @@ from .learners import (
     TransversalIntersectionLearner,
     UniformPrefixLearner,
     VersionSpacePruningLearner,
-    cvsp_learner,
-    dpfla_learner,
-    frpfl_learner,
-    helly_intersection_learner,
     make_learner,
-    mrpfl_learner,
-    uniform_cube_learner,
 )
 from .measure_dims import minimax_rand_regret, msp, pms_dim, ppms_dim
 from .measures import Measure, grid_size, measure_grid

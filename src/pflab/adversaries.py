@@ -108,11 +108,6 @@ class OptimalAdversary(_CollectionAdversary):
         return self._alive[self._scores.index(best)]
 
 
-def optimal_adversary(spec: GameSpec) -> OptimalAdversary:
-    """Value-recursion-backed adversary forcing the minimax mistake count."""
-    return OptimalAdversary()
-
-
 class EchoAdversary(_CollectionAdversary):
     """Reveals the learner's own prediction whenever some collection allows it.
 
@@ -133,11 +128,6 @@ class EchoAdversary(_CollectionAdversary):
 
     def _chosen(self) -> int:
         return self._alive[0]
-
-
-def echo_adversary() -> EchoAdversary:
-    """Adversary that validates whatever the learner predicts when it can."""
-    return EchoAdversary()
 
 
 class SeededRandomAdversary(_CollectionAdversary):
@@ -167,11 +157,6 @@ class SeededRandomAdversary(_CollectionAdversary):
         if self._pick is None:
             self._pick = self._rng.choice(self._alive)
         return self._pick
-
-
-def random_adversary(seed: int = 0) -> SeededRandomAdversary:
-    """Seeded random but protocol-respecting adversary."""
-    return SeededRandomAdversary(seed)
 
 
 # -- collision bookkeeping ---------------------------------------------------------
@@ -221,6 +206,10 @@ class CollisionAdversary(Adversary):
     tracked hypotheses agree leave the pool. The ground truth picks each
     pair's minimum-slot member, which pins the learner to at most half of the
     charged matches.
+
+    The witness names hypotheses by family index, so ``begin`` requires the
+    layout of :func:`pflab.games.collision_game`: the family's tables, in
+    family order, over the pool.
     """
 
     def __init__(self, family: CollisionFamily):
@@ -230,6 +219,13 @@ class CollisionAdversary(Adversary):
         fam = self._family
         if spec.n_instances != len(fam.pool) or spec.n_labels != fam.modulus:
             raise SpecError("spec shape does not match the collision family")
+        H = spec.hypotheses
+        if H.size != fam.n_hypotheses() or any(
+            H.value(h, x) != fam.value(h, x)
+            for h in range(H.size)
+            for x in range(spec.n_instances)
+        ):
+            raise SpecError("the hypotheses must be the collision family's tables in family order")
         self._spec = spec
         self._pool = set(range(spec.n_instances))
         self._pairs = []
@@ -302,11 +298,6 @@ class CollisionAdversary(Adversary):
         return self._ground_truth()
 
 
-def collision_adversary(family: CollisionFamily) -> CollisionAdversary:
-    """Slot-counting adversary for families with rare pairwise agreements."""
-    return CollisionAdversary(family)
-
-
 class _FreshInstanceAdversary(Adversary):
     """Plays instance ``t`` in round ``t``, so it needs one instance per round.
 
@@ -364,11 +355,6 @@ class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
         pair = mask_of([0, 1])
         single = 1 << k
         return [single if y == k else pair for y in self._reveals]
-
-
-def agnostic_two_constant_adversary() -> TwoConstantAgnosticAdversary:
-    """Lighter-label reveals plus a majority-constant ground truth."""
-    return TwoConstantAgnosticAdversary()
 
 
 class CubeAdversary(_FreshInstanceAdversary):
@@ -468,11 +454,6 @@ class CubeAdversary(_FreshInstanceAdversary):
                 self._spec, range(len(key)), self._sets
             )
         return self._witnesses[key]
-
-
-def public_cube_adversary(k) -> CubeAdversary:
-    """Low-mass reveals with draw-excluding co-singleton sets."""
-    return CubeAdversary(k)
 
 
 _MINUS_HALF_OFFSET = 0
@@ -598,12 +579,7 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         return (c_star, self._n_cand + c_star)
 
 
-def pf_not_sv_adversary() -> PrefixParityAdversary:
-    """Prefix-parity construction separating label reveals from set reveals."""
-    return PrefixParityAdversary()
-
-
-def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
+def make_adversary(name: str, params: dict) -> Adversary:
     """Instantiate an adversary by registry name with config-file parameters."""
     params = dict(params or {})
 
@@ -611,24 +587,24 @@ def make_adversary(name: str, params: dict, spec: GameSpec) -> Adversary:
         return strategy_param(params, name, *args)
 
     if name == "optimal":
-        built = optimal_adversary(spec)
+        built = OptimalAdversary()
     elif name == "echo":
-        built = echo_adversary()
+        built = EchoAdversary()
     elif name == "random":
-        built = random_adversary(param("seed", integer, 0))
+        built = SeededRandomAdversary(param("seed", integer, 0))
     elif name == "collision":
         fam = CollisionFamily(
             modulus=param("modulus", integer, 64),
             slopes=tuple(param("slopes", int_list, (0, 1))),
             pool=tuple(param("pool", int_list, range(64))),
         )
-        built = collision_adversary(fam)
+        built = CollisionAdversary(fam)
     elif name == "agnostic_two_constant":
-        built = agnostic_two_constant_adversary()
+        built = TwoConstantAgnosticAdversary()
     elif name == "public_cube":
-        built = public_cube_adversary(param("k", Fraction, Fraction(1, 2)))
+        built = CubeAdversary(param("k", Fraction, Fraction(1, 2)))
     elif name == "pf_not_sv":
-        built = pf_not_sv_adversary()
+        built = PrefixParityAdversary()
     else:
         raise SpecError(f"unknown adversary name {name!r}")
     if params:

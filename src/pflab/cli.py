@@ -287,8 +287,8 @@ def _cmd_play(args) -> int:
     spec = doc.spec
     lname, lparams = _strategy_choice(args.learner, doc.learner, "learner")
     aname, aparams = _strategy_choice(args.adversary, doc.adversary, "adversary")
-    learner = make_learner(lname, dict(lparams), spec)
-    adversary = make_adversary(aname, dict(aparams), spec)
+    learner = make_learner(lname, dict(lparams))
+    adversary = make_adversary(aname, dict(aparams))
     t0 = time.monotonic()
     result = play_game(spec, learner, adversary)
     ms = int((time.monotonic() - t0) * 1000)

@@ -509,16 +509,23 @@ class CollectionEngine:
         return best_x
 
     def edge_worst_values(self, alive, scores, x, child_depth, on_budget=None):
-        """Exact worst-case child value for every edge, in edge order.
+        """Worst-case child value for every edge, in edge order.
 
-        ``on_budget="bound"`` substitutes, for any child whose recursion blows
-        the engine budget, the trivial upper bound (max surviving score plus
-        ``scale`` per remaining round), while the edge's other children stay
-        exact; the substitution is deterministic, and documented where it is
-        relied on.
-        Only when the budget is already spent on entry is the whole table
-        computed by the no-recursion bound scan instead of attempting one
-        doomed recursion per child.
+        The table is exact unless ``on_budget="bound"``, which plays one of
+        two deterministic rules:
+
+        - per child, while the engine budget is not spent on entry: settled
+          and memoized children are scored exactly, and a child whose
+          recursion blows the budget gets the trivial upper bound (its top
+          score plus ``scale`` per remaining round);
+        - the no-recursion bound scan, once the budget is spent on entry. It
+          charges every reveal class the full ``child_depth * scale``, so its
+          table is looser than the per-child one, not the same table found
+          faster.
+
+        dpfla with ``budget: 0`` plays the bound scan every round; with a
+        positive budget it plays the per-child rule until the budget is spent
+        and the bound scan from then on.
         """
         base, levels, mask = _levels(alive, scores)
         reveals = self._reveals(mask, x)

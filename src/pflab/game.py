@@ -577,9 +577,7 @@ def _comparator(spec: GameSpec, instances, sets) -> Fraction:
 # -- realizability validation ------------------------------------------------------
 
 
-def find_realizability_witness(
-    spec: GameSpec, instances, sets, budget: int | None = None
-) -> Optional[tuple[int, ...]]:
+def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tuple[int, ...]]:
     """A collection realizing exactly the given sets at the played instances.
 
     Searches for hypothesis indices whose collection has image equal to
@@ -590,7 +588,8 @@ def find_realizability_witness(
     set) can participate, so the search runs inside that consistent class,
     depth-first with the same image-feasibility pruning as the admissible
     enumeration, plus a coverage check: the partial collection must still be
-    extendable to cover each target set.
+    extendable to cover each target set. It raises :class:`BudgetExceeded`
+    past ``PFLAB_BUDGET_COLLECTIONS`` nodes.
     """
     targets: dict[int, int] = {}
     for x, m in zip(instances, sets):
@@ -621,7 +620,7 @@ def find_realizability_witness(
                 witness.append(base + (y - low) * place)
         return tuple(sorted(witness))
 
-    limit = _collections_budget() if budget is None else budget
+    limit = _collections_budget()
     cons = [
         h
         for h in range(H.size)

@@ -27,6 +27,11 @@ from .measures import Measure
 from .setsystems import iter_bits
 
 
+def _halvings(N: int) -> list:
+    """The thresholds 1/2, 1/4, ..., 1/2^N."""
+    return [Fraction(1, 2 ** i) for i in range(1, N + 1)]
+
+
 def _plurality_label(spec: GameSpec, x: int) -> int:
     """Label output by the most hypotheses at ``x``, lowest on ties."""
     H = spec.hypotheses
@@ -108,9 +113,6 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
     all hypotheses agree on.
     """
 
-    def __init__(self, spec: GameSpec | None = None):
-        self._spec = spec
-
     def _engines_for(self, spec: GameSpec, collections) -> list:
         return [CollectionEngine(spec, collections, kind="label")]
 
@@ -186,11 +188,6 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
         self._advance(CollectionEngine.update_set, mask, "revealed sets")
 
 
-def cvsp_learner(spec: GameSpec) -> VersionSpacePruningLearner:
-    """Collection version-space pruning: common-label first, plurality fallback."""
-    return VersionSpacePruningLearner(spec)
-
-
 class PotentialMinimizingLearner(_VersionSpaceLearner):
     """Predicts the label minimizing the worst continuation value.
 
@@ -205,7 +202,7 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
     large games affordable.
     """
 
-    def __init__(self, spec: GameSpec | None = None, potential_budget: int | None = None):
+    def __init__(self, potential_budget: int | None = None):
         self._budget = potential_budget
 
     def _engines_for(self, spec: GameSpec, collections) -> list:
@@ -224,32 +221,27 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
         return self._engines[0].value(self._alive, self._scores[0], depth)
 
 
-def dpfla_learner(spec: GameSpec, potential_budget: int | None = None) -> PotentialMinimizingLearner:
-    """Mistake-optimal deterministic play via the exact value recursion."""
-    return PotentialMinimizingLearner(spec, potential_budget=potential_budget)
-
-
 class MultiScaleMeasureLearner(_VersionSpaceLearner):
     """Runs one fixed-scale scorer per threshold and arbitrates with msp.
 
-    Scale i uses threshold 1/2^i. All scales share one version space and the
-    history of actually-played measures; they differ only in how rounds are
-    thresholded into events. Each round every scale proposes its measure and
-    the selection procedure picks which proposal is played.
+    Scale i uses threshold 1/2^i for i = 1..N, where N defaults to the bit
+    length of T - 1 plus one at the spec's horizon T. All scales share one
+    version space and the history of actually-played measures; they differ
+    only in how rounds are thresholded into events. Each round every scale
+    proposes its measure and the selection procedure picks which proposal is
+    played.
     """
 
     mode = "randomized"
 
-    def __init__(self, spec: GameSpec, N: int | None = None, g: int | None = None):
-        if N is None:
-            T = spec.horizon
-            N = max(1, (T - 1).bit_length() + 1) if T > 1 else 1
-        if N < 1:
+    def __init__(self, N: int | None = None, g: int | None = None):
+        if N is not None and N < 1:
             raise SpecError(f"scale count must be positive, got {N}")
-        self._gammas = [Fraction(1, 2 ** i) for i in range(1, N + 1)]
+        self._thresholds = None if N is None else _halvings(N)
         self._grid = g
 
     def _engines_for(self, spec: GameSpec, collections) -> list:
+        self._gammas = self._thresholds or _halvings((spec.horizon - 1).bit_length() + 1)
         return [
             CollectionEngine(spec, collections, kind="measure", gamma=gm, grid=self._grid)
             for gm in self._gammas
@@ -272,11 +264,6 @@ class MultiScaleMeasureLearner(_VersionSpaceLearner):
         return edges[edge]
 
 
-def mrpfl_learner(spec: GameSpec, N: int | None = None, g: int | None = None) -> MultiScaleMeasureLearner:
-    """Multi-threshold randomized play arbitrated by the selection procedure."""
-    return MultiScaleMeasureLearner(spec, N=N, g=g)
-
-
 class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
     """Plays the grid measure minimizing the worst thresholded continuation.
 
@@ -286,17 +273,12 @@ class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
     multi-scale learner with the single scale ``gamma``.
     """
 
-    def __init__(self, spec: GameSpec, gamma, g: int | None = None):
+    def __init__(self, gamma, g: int | None = None):
         gamma = Fraction(gamma)
         if not 0 <= gamma <= 1:
             raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
-        super().__init__(spec, N=1, g=g)
-        self._gammas = [gamma]
-
-
-def frpfl_learner(spec: GameSpec, gamma, g: int | None = None) -> FixedScaleMeasureLearner:
-    """Fixed-threshold randomized play over the measure grid."""
-    return FixedScaleMeasureLearner(spec, gamma, g=g)
+        super().__init__(g=g)
+        self._thresholds = [gamma]
 
 
 class TransversalIntersectionLearner(Learner):
@@ -310,7 +292,7 @@ class TransversalIntersectionLearner(Learner):
 
     mode = "randomized"
 
-    def __init__(self, spec: GameSpec, transversal):
+    def __init__(self, transversal):
         labels = sorted(set(int(v) for v in transversal))
         if not labels:
             raise SpecError("transversal must be nonempty")
@@ -347,28 +329,27 @@ class TransversalIntersectionLearner(Learner):
             self._committed = None
 
 
-def helly_intersection_learner(spec: GameSpec, transversal) -> TransversalIntersectionLearner:
-    """Transversal-then-intersection play for low-overlap set systems."""
-    return TransversalIntersectionLearner(spec, transversal)
-
-
 class UniformPrefixLearner(Learner):
-    """Always plays the uniform measure over the first ``T`` labels."""
+    """Always plays the uniform measure over the first ``T`` labels.
+
+    ``T`` defaults to the spec's horizon.
+    """
 
     mode = "randomized"
 
-    def __init__(self, T: int):
-        if T < 1:
+    def __init__(self, T: int | None = None):
+        if T is not None and T < 1:
             raise SpecError(f"label count must be positive, got {T}")
         self._T = T
 
     def begin(self, spec: GameSpec) -> None:
-        if self._T > spec.n_labels:
+        T = spec.horizon if self._T is None else self._T
+        if T > spec.n_labels:
             raise SpecError(
-                f"uniform learner over {self._T} labels does not fit a "
+                f"uniform learner over {T} labels does not fit a "
                 f"{spec.n_labels}-label spec"
             )
-        self._measure = Measure.uniform_over(spec.n_labels, range(self._T))
+        self._measure = Measure.uniform_over(spec.n_labels, range(T))
 
     def predict(self, x: int) -> Measure:
         return self._measure
@@ -376,11 +357,6 @@ class UniformPrefixLearner(Learner):
     def fork(self) -> "UniformPrefixLearner":
         # Nothing changes after ``begin``, so a fork may share this object.
         return self
-
-
-def uniform_cube_learner(T: int) -> UniformPrefixLearner:
-    """Uniform randomization over a prefix alphabet of T labels."""
-    return UniformPrefixLearner(T)
 
 
 class ConstantLearner(Learner):
@@ -437,7 +413,7 @@ class FirstSetReadingLearner(Learner):
             self._locked = min(iter_bits(mask))
 
 
-def make_learner(name: str, params: dict, spec: GameSpec) -> Learner:
+def make_learner(name: str, params: dict) -> Learner:
     """Instantiate a learner by registry name with config-file parameters."""
     params = dict(params or {})
 
@@ -445,17 +421,17 @@ def make_learner(name: str, params: dict, spec: GameSpec) -> Learner:
         return strategy_param(params, name, *args)
 
     if name == "cvsp":
-        built = cvsp_learner(spec)
+        built = VersionSpacePruningLearner()
     elif name == "dpfla":
-        built = dpfla_learner(spec, potential_budget=param("budget", integer, None))
+        built = PotentialMinimizingLearner(potential_budget=param("budget", integer, None))
     elif name == "frpfl":
-        built = frpfl_learner(spec, param("gamma", Fraction), g=param("g", integer, None))
+        built = FixedScaleMeasureLearner(param("gamma", Fraction), g=param("g", integer, None))
     elif name == "mrpfl":
-        built = mrpfl_learner(spec, N=param("N", integer, None), g=param("g", integer, None))
+        built = MultiScaleMeasureLearner(N=param("N", integer, None), g=param("g", integer, None))
     elif name == "helly_intersection":
-        built = helly_intersection_learner(spec, param("transversal", int_list))
+        built = TransversalIntersectionLearner(param("transversal", int_list))
     elif name == "uniform_cube":
-        built = uniform_cube_learner(param("T", integer, spec.horizon))
+        built = UniformPrefixLearner(param("T", integer, None))
     elif name == "constant":
         built = ConstantLearner(param("label", integer, 0))
     elif name == "scripted":

@@ -17,13 +17,13 @@ from fractions import Fraction
 from itertools import product
 
 from .adversaries import (
+    CollisionAdversary,
     CollisionFamily,
-    collision_adversary,
-    agnostic_two_constant_adversary,
-    optimal_adversary,
-    pf_not_sv_adversary,
-    public_cube_adversary,
-    random_adversary,
+    CubeAdversary,
+    OptimalAdversary,
+    PrefixParityAdversary,
+    SeededRandomAdversary,
+    TwoConstantAgnosticAdversary,
 )
 from .dimensions import (
     dimension_relations_report,
@@ -58,13 +58,13 @@ from .games import (
     pf_not_sv_game,
 )
 from .learners import (
+    FirstSetReadingLearner,
+    FixedScaleMeasureLearner,
+    PotentialMinimizingLearner,
     ScriptedLearner,
-    cvsp_learner,
-    dpfla_learner,
-    frpfl_learner,
-    helly_intersection_learner,
-    make_learner,
-    uniform_cube_learner,
+    TransversalIntersectionLearner,
+    UniformPrefixLearner,
+    VersionSpacePruningLearner,
 )
 from .measure_dims import minimax_rand_regret, msp, pms_dim
 from .measures import Measure
@@ -193,7 +193,7 @@ def check_version_space_mistake_bound() -> CheckResult:
     n = 0
     for slug, spec, bound in mistake_bound_family():
         n += 1
-        t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec))
+        t = play_game(spec, VersionSpacePruningLearner(), OptimalAdversary())
         if t.loss > bound:
             failures.append(f"{slug}: {t.loss} mistakes above bound {bound}")
     return _result(
@@ -266,8 +266,7 @@ def check_helly_randomized_tightness() -> CheckResult:
         if r != Fraction(1, 3):
             failures.append(f"T={T}: randomized minimax {r} != 1/3")
     worst = worst_case_vs_learner(
-        helly_game(3),
-        lambda: helly_intersection_learner(helly_game(3), HELLY_TRANSVERSAL),
+        helly_game(3), lambda: TransversalIntersectionLearner(HELLY_TRANSVERSAL)
     )
     if worst != Fraction(1, 3):
         failures.append(f"transversal learner worst case {worst} != 1/3")
@@ -338,13 +337,13 @@ def check_fixed_scale_event_bound() -> CheckResult:
         for gamma in gammas:
             cap = pms_dim(spec, spec.horizon, gamma, g=6)
             adversaries = [
-                ("optimal", lambda s=spec: optimal_adversary(s)),
-                ("random0", lambda: random_adversary(0)),
-                ("random1", lambda: random_adversary(1)),
-                ("random2", lambda: random_adversary(2)),
+                ("optimal", OptimalAdversary),
+                ("random0", lambda: SeededRandomAdversary(0)),
+                ("random1", lambda: SeededRandomAdversary(1)),
+                ("random2", lambda: SeededRandomAdversary(2)),
             ]
             for adv_name, factory in adversaries:
-                t = play_game(spec, frpfl_learner(spec, gamma, g=6), factory())
+                t = play_game(spec, FixedScaleMeasureLearner(gamma, g=6), factory())
                 events = sum(
                     1
                     for pred, m in zip(t.predictions, t.sets)
@@ -389,7 +388,7 @@ def check_visibility_separation_cube() -> CheckResult:
         failures.append(f"oblivious worst case {best} != 1")
 
     public = cube_game(6, 8, visibility="public")
-    res = play_game(public, uniform_cube_learner(6), public_cube_adversary(Fraction(1, 2)))
+    res = play_game(public, UniformPrefixLearner(6), CubeAdversary(Fraction(1, 2)))
     if res.expected_loss < Fraction(6, 2):
         failures.append(f"public forced loss {res.expected_loss} below 3")
     if res.expected_loss != 5:
@@ -407,20 +406,20 @@ def check_two_constant_agnostic_floor() -> CheckResult:
         spec = agnostic_game(T)
         floor = Fraction(T, 2)
         for name, factory in [
-            ("cvsp", lambda s=spec: cvsp_learner(s)),
-            ("dpfla", lambda s=spec: dpfla_learner(s)),
+            ("cvsp", VersionSpacePruningLearner),
+            ("dpfla", PotentialMinimizingLearner),
         ]:
-            t = play_game(spec, factory(), agnostic_two_constant_adversary())
+            t = play_game(spec, factory(), TwoConstantAgnosticAdversary())
             if t.regret < floor:
                 failures.append(f"T={T} {name}: regret {t.regret} below {floor}")
-        t = play_game(spec, uniform_cube_learner(2), agnostic_two_constant_adversary())
+        t = play_game(spec, UniformPrefixLearner(2), TwoConstantAgnosticAdversary())
         if t.regret != floor:
             failures.append(f"T={T} uniform coin: regret {t.regret} != {floor}")
         # Reveals depend only on the learner's own predictions here, so every
         # deterministic adaptive learner traces one scripted label sequence.
         best = None
         for labels in product((0, 1), repeat=T):
-            t = play_game(spec, ScriptedLearner(list(labels)), agnostic_two_constant_adversary())
+            t = play_game(spec, ScriptedLearner(list(labels)), TwoConstantAgnosticAdversary())
             if best is None or t.regret < best:
                 best = t.regret
         if best < floor:
@@ -437,16 +436,16 @@ def check_label_vs_set_feedback_gap() -> CheckResult:
     spec = pf_not_sv_game()
     T = spec.horizon
     for name, factory in [
-        ("cvsp", lambda: cvsp_learner(spec)),
-        ("dpfla", lambda: dpfla_learner(spec, potential_budget=0)),
+        ("cvsp", VersionSpacePruningLearner),
+        ("dpfla", lambda: PotentialMinimizingLearner(potential_budget=0)),
     ]:
-        t = play_game(spec, factory(), pf_not_sv_adversary())
+        t = play_game(spec, factory(), PrefixParityAdversary())
         if t.regret != T or t.comparator != 0:
             failures.append(
                 f"{name}: regret {t.regret} (comparator {t.comparator}), expected {T} and 0"
             )
     sv = pf_not_sv_game(set_valued=True)
-    t = play_game(sv, make_learner("first_round_read", {}, sv), pf_not_sv_adversary())
+    t = play_game(sv, FirstSetReadingLearner(), PrefixParityAdversary())
     if t.loss > 1:
         failures.append(f"set-valued reader lost {t.loss} > 1")
     return _result(
@@ -483,12 +482,8 @@ def check_property_suites() -> CheckResult:
     cvsp_games = [spec for _, spec, _ in list(mistake_bound_family())[::7]]
     cvsp_games.append(collision_game())
     for spec in cvsp_games:
-        adv = (
-            collision_adversary(CollisionFamily())
-            if spec.n_labels == 64
-            else optimal_adversary(spec)
-        )
-        t = play_game(spec, cvsp_learner(spec), adv)
+        adv = CollisionAdversary(CollisionFamily()) if spec.n_labels == 64 else OptimalAdversary()
+        t = play_game(spec, VersionSpacePruningLearner(), adv)
         teams = []
         H = spec.hypotheses
         for x, pred, y, m in zip(t.instances, t.predictions, t.reveals, t.sets):
@@ -504,8 +499,8 @@ def check_property_suites() -> CheckResult:
     # potential never exceeds the game value
     for spec in sample[:8]:
         cap = pfl_dim(spec, spec.horizon)
-        lrn = dpfla_learner(spec)
-        adv = optimal_adversary(spec)
+        lrn = PotentialMinimizingLearner()
+        adv = OptimalAdversary()
         lrn.begin(spec)
         adv.begin(spec)
         for _ in range(spec.horizon):

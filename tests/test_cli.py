@@ -405,7 +405,23 @@ def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
     assert "not a valid integer" in err
 
 
+# The tables of the collision family with modulus 7, slopes (0, 1) and pool
+# 0..3, listed last to first.
+REVERSED_COLLISION_ROWS = [
+    [(s * x + b) % 7 for x in range(4)] for s in (1, 0) for b in range(6, -1, -1)
+]
+
 SHAPE_MISMATCHES = {
+    "collision-no-slopes": (
+        "labels: 3\ninstances: 2\nset_system: {all_nonempty_up_to: 2}\n"
+        "hypotheses: [[0, 1], [1, 2]]\nhorizon: 2\nlearner: {name: constant}\n"
+        "adversary: {name: collision, params: {modulus: 3, slopes: [], pool: [0, 1]}}\n"
+    ),
+    "collision-reversed-rows": (
+        "labels: 7\ninstances: 4\nset_system: {all_nonempty_up_to: 2}\n"
+        f"hypotheses: {REVERSED_COLLISION_ROWS}\nhorizon: 2\nlearner: {{name: constant}}\n"
+        "adversary: {name: collision, params: {modulus: 7, slopes: [0, 1], pool: [0, 1, 2, 3]}}\n"
+    ),
     "agnostic_two_constant": (
         "labels: 2\ninstances: 3\nset_system: [[0], [1]]\n"
         "hypotheses: [[0, 0, 0], [1, 1, 1]]\nhorizon: 3\n"

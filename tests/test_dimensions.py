@@ -19,7 +19,7 @@ from pflab import (
     verify_shattering_tree,
 )
 
-from conftest import two_constant_game
+from conftest import bounded_and_listed, two_constant_game
 
 
 def test_two_constant_dimension_is_one_at_every_depth():
@@ -115,3 +115,13 @@ def test_naive_oracle_guard():
     spec = two_constant_game()
     with pytest.raises(BudgetExceeded):
         naive_tree_oracle(spec, 20, 1)
+
+
+def test_sl_on_a_bounded_system_equals_the_listed_sets():
+    """The bounded branch enumerates subsets of the image, not the system."""
+    values = []
+    for seed in range(300):
+        bounded, listed = bounded_and_listed(seed)
+        values.append(ml_sl_bl_dim(bounded, "sl"))
+        assert ml_sl_bl_dim(listed, "sl") == values[-1], seed
+    assert len(set(values)) > 2

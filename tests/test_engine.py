@@ -21,11 +21,11 @@ from pflab import (
     GameSpec,
     HypothesisClass,
     Measure,
+    OptimalAdversary,
+    PotentialMinimizingLearner,
     SetSystem,
     build_admissible_collections,
-    dpfla_learner,
     helly_game,
-    optimal_adversary,
     pfl_dim,
     play_game,
 )
@@ -298,7 +298,7 @@ def test_pinned_bound_tables(index, budget, tables, nodes):
 @pytest.mark.parametrize("budget", [1, 3, 8])
 def test_pinned_dpfla_vs_optimal(spec_of, transcript, budget):
     spec = spec_of()
-    t = play_game(spec, dpfla_learner(spec, potential_budget=budget), optimal_adversary(spec))
+    t = play_game(spec, PotentialMinimizingLearner(potential_budget=budget), OptimalAdversary())
     assert (t.instances, t.predictions, t.reveals, t.sets, t.loss) == transcript
 
 

@@ -14,9 +14,9 @@ from dataclasses import replace
 import pytest
 
 from pflab import (
-    HELLY_TRANSVERSAL,
     Adversary,
     GameView,
+    HELLY_TRANSVERSAL,
     Measure,
     RealizabilityViolation,
     agnostic_game,
@@ -119,7 +119,7 @@ def test_learner_fork_contract(name):
     # {2, 3, 5}; the fork goes on inside the second and the original inside
     # the first, so a fork sharing state with its original leaves no
     # consistent collection for the original.
-    learner = make_learner(name, LEARNERS[name], HELLY)
+    learner = make_learner(name, LEARNERS[name])
     learner.begin(HELLY)
     history = _play(learner, _ScriptedReveals([3, 3]), (), 2, 0)
     reference = copy.deepcopy(learner)
@@ -138,7 +138,7 @@ def test_adversary_fork_contract(name):
     # A scripted partner plays different labels on the two branches; a
     # deterministic prediction is also its own draw.
     params, spec, before, on_fork, on_original = ADVERSARIES[name]
-    adversary = make_adversary(name, params, spec)
+    adversary = make_adversary(name, params)
     adversary.begin(spec)
     history = _play(_scripted(spec, before), adversary, (), 2, 0)
     reference = copy.deepcopy(adversary)
@@ -189,9 +189,9 @@ class _SameSetsAdversary(Adversary):
 
 def test_memo_still_checks_each_witness():
     spec = cube_game(1, 3, visibility="public")
-    learner = make_learner("uniform_cube", {"T": 2}, spec)
+    learner = make_learner("uniform_cube", {"T": 2})
     res = play_game(spec, learner, _SameSetsAdversary())
     assert [b.transcript.sets for b in res.branches] == [(0b110,), (0b110,)]
     assert res.branches[0].transcript.witness.members == (1, 2)
     with pytest.raises(RealizabilityViolation):
-        play_game(spec, make_learner("uniform_cube", {"T": 2}, spec), _SameSetsAdversary(wrong={1}))
+        play_game(spec, make_learner("uniform_cube", {"T": 2}), _SameSetsAdversary(wrong={1}))

@@ -11,23 +11,23 @@ from pflab import (
     AdmissibleEmpty,
     Adversary,
     Collection,
+    CubeAdversary,
     GameSpec,
     HypothesisClass,
     Learner,
+    OptimalAdversary,
     ProtocolViolation,
     RealizabilityViolation,
     SetSystem,
+    VersionSpacePruningLearner,
     build_admissible_collections,
     comparator_loss,
     cube_game,
-    cvsp_learner,
     find_realizability_witness,
     helly_game,
     make_adversary,
     make_learner,
-    optimal_adversary,
     play_game,
-    public_cube_adversary,
     replay_predictions,
 )
 from pflab.learners import ScriptedLearner
@@ -95,7 +95,7 @@ def test_admissible_collections_match_brute_force():
 
 def test_two_constant_play_frozen():
     spec = two_constant_game(3)
-    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec))
+    t = play_game(spec, VersionSpacePruningLearner(), OptimalAdversary())
     assert t.predictions == (0, 1, 1)
     assert t.reveals == (1, 1, 1)
     assert t.sets == (0b10, 0b10, 0b10)
@@ -118,8 +118,8 @@ def brute_comparator(transcript, spec):
 
 def test_comparator_matches_brute_force():
     spec = helly_game(4)
-    t = play_game(spec, make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec),
-                  optimal_adversary(spec))
+    t = play_game(spec, make_learner("helly_intersection", {"transversal": [1, 3, 5]}),
+                  OptimalAdversary())
     assert comparator_loss(t, spec) == brute_comparator(t, spec)
 
     rng = random.Random(3)
@@ -129,22 +129,22 @@ def test_comparator_matches_brute_force():
         if not brute_admissible(small):
             continue
         tried += 1
-        tr = play_game(small, cvsp_learner(small), make_adversary("random", {"seed": rng.randrange(99)}, small))
+        tr = play_game(small, VersionSpacePruningLearner(), make_adversary("random", {"seed": rng.randrange(99)}))
         assert comparator_loss(tr, small) == brute_comparator(tr, small)
 
 
 def test_replay_is_pure():
     spec = helly_game(3)
-    learner = make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec)
-    t = play_game(spec, learner, optimal_adversary(spec))
-    again = replay_predictions(spec, t, make_learner("helly_intersection", {"transversal": [1, 3, 5]}, spec))
+    learner = make_learner("helly_intersection", {"transversal": [1, 3, 5]})
+    t = play_game(spec, learner, OptimalAdversary())
+    again = replay_predictions(spec, t, make_learner("helly_intersection", {"transversal": [1, 3, 5]}))
     assert again == t.predictions
 
 
 def test_public_branches_partition_probability():
     spec = cube_game(3, 4, visibility="public")
-    res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(Fraction(1, 2)))
+    res = play_game(spec, make_learner("uniform_cube", {"T": 3}),
+                    CubeAdversary(Fraction(1, 2)))
     total = sum(b.probability for b in res.branches)
     assert total == 1
     assert res.expected_loss == sum(b.probability * b.transcript.loss for b in res.branches)
@@ -158,9 +158,9 @@ class _StringLearner(Learner):
 def test_learner_prediction_validation():
     spec = two_constant_game(2)
     with pytest.raises(ProtocolViolation):
-        play_game(spec, ScriptedLearner([5, 0]), optimal_adversary(spec))
+        play_game(spec, ScriptedLearner([5, 0]), OptimalAdversary())
     with pytest.raises(ProtocolViolation):
-        play_game(spec, _StringLearner(), optimal_adversary(spec))
+        play_game(spec, _StringLearner(), OptimalAdversary())
 
 
 class _BadCountAdversary(Adversary):

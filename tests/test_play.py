@@ -11,21 +11,21 @@ import pytest
 
 from pflab import (
     Adversary,
+    CubeAdversary,
     Measure,
+    OptimalAdversary,
+    PrefixParityAdversary,
     ProtocolViolation,
-    SpecError,
     SetSystem,
+    SpecError,
+    VersionSpacePruningLearner,
     cube_game,
-    cvsp_learner,
     helly_game,
     make_adversary,
     make_learner,
     mask_of,
-    optimal_adversary,
-    pf_not_sv_adversary,
     pf_not_sv_game,
     play_game,
-    public_cube_adversary,
 )
 from pflab.learners import ScriptedLearner
 
@@ -99,8 +99,8 @@ def _branch_rows(result):
 
 def test_public_cube_branches_pinned():
     spec = cube_game(3, 4, visibility="public")
-    res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(Fraction(1, 2)))
+    res = play_game(spec, make_learner("uniform_cube", {"T": 3}),
+                    CubeAdversary(Fraction(1, 2)))
     assert _branch_rows(res) == CUBE_BRANCHES
     assert res.expected_loss == 2
     assert res.expected_comparator == 0
@@ -108,8 +108,8 @@ def test_public_cube_branches_pinned():
 
 def test_public_frpfl_vs_optimal_pinned():
     spec = replace(helly_game(2), visibility="public")
-    res = play_game(spec, make_learner("frpfl", {"gamma": "1/2", "g": 6}, spec),
-                    make_adversary("optimal", {}, spec))
+    res = play_game(spec, make_learner("frpfl", {"gamma": "1/2", "g": 6}),
+                    make_adversary("optimal", {}))
     assert _branch_rows(res) == [
         ("1/9", (1, 0), (2, 2), (44, 44), (2, 3, 5)),
         ("2/9", (1, 2), (2, 2), (44, 44), (2, 3, 5)),
@@ -130,8 +130,8 @@ def test_public_frpfl_vs_optimal_pinned():
 def test_cube_with_more_instances_than_rounds(visibility):
     """The unplayed instance gets a feasible image in the cube witness."""
     spec = replace(cube_game(4, 4, visibility=visibility), horizon=3)
-    res = play_game(spec, make_learner("uniform_cube", {"T": 3}, spec),
-                    public_cube_adversary(Fraction(1, 2)))
+    res = play_game(spec, make_learner("uniform_cube", {"T": 3}),
+                    CubeAdversary(Fraction(1, 2)))
     if visibility == "public":
         transcripts = [b.transcript for b in res.branches]
         assert (len(transcripts), res.expected_loss) == (27, 2)
@@ -194,8 +194,8 @@ OBLIVIOUS = {
 @pytest.mark.parametrize("seed, learner, adversary", sorted(OBLIVIOUS))
 def test_oblivious_transcripts_pinned(seed, learner, adversary):
     spec = spec_from_seed(seed, horizon=3)
-    t = play_game(spec, make_learner(learner, LEARNERS[learner], spec),
-                  make_adversary(adversary, ADVERSARIES[adversary], spec))
+    t = play_game(spec, make_learner(learner, LEARNERS[learner]),
+                  make_adversary(adversary, ADVERSARIES[adversary]))
     assert t.draws is None
     assert _summary(t) == OBLIVIOUS[seed, learner, adversary]
 
@@ -205,7 +205,7 @@ def test_oblivious_transcripts_pinned(seed, learner, adversary):
 
 def test_set_valued_play_pinned():
     spec = pf_not_sv_game(set_valued=True)
-    t = play_game(spec, make_learner("first_round_read", {}, spec), pf_not_sv_adversary())
+    t = play_game(spec, make_learner("first_round_read", {}), PrefixParityAdversary())
     assert _summary(t) == (
         (0, 1, 2, 3, 4, 5),
         (0, 63, 63, 63, 63, 63),
@@ -219,7 +219,7 @@ def test_set_valued_play_pinned():
 
 def test_multiclass_play_pinned():
     spec = replace(two_constant_game(3), feedback="multiclass")
-    t = play_game(spec, cvsp_learner(spec), optimal_adversary(spec))
+    t = play_game(spec, VersionSpacePruningLearner(), OptimalAdversary())
     assert _summary(t) == ((0, 0, 0), (0, 1, 1), (1, 1, 1), (2, 2, 2), "1", (1,))
 
 
@@ -279,7 +279,7 @@ def test_wrong_loss_bit():
 def test_measure_under_bandit():
     spec = replace(two_constant_game(3), feedback="bandit")
     with pytest.raises(ProtocolViolation, match="deterministic predictions"):
-        play_game(spec, make_learner("uniform_cube", {"T": 2}, spec), _BanditAdversary())
+        play_game(spec, make_learner("uniform_cube", {"T": 2}), _BanditAdversary())
 
 
 def test_revealed_set_outside_the_system():
@@ -312,8 +312,8 @@ def test_public_visibility_rejects_feedback(feedback):
 def test_long_game(visibility):
     T = 2000
     spec = replace(two_constant_game(T), visibility=visibility)
-    result = play_game(spec, make_learner("constant", {"label": 1}, spec),
-                       make_adversary("echo", {}, spec))
+    result = play_game(spec, make_learner("constant", {"label": 1}),
+                       make_adversary("echo", {}))
     if visibility == "public":
         assert len(result.branches) == 1 and result.branches[0].probability == 1
         t = result.branches[0].transcript

@@ -9,10 +9,10 @@ from pflab import (
     AdmissibleEmpty,
     GameSpec,
     HypothesisClass,
+    PotentialMinimizingLearner,
     SetSystem,
+    VersionSpacePruningLearner,
     build_admissible_collections,
-    cvsp_learner,
-    dpfla_learner,
     helly_game,
     make_adversary,
     minimax_rand_regret,
@@ -80,16 +80,16 @@ def test_event_count_antitone_under_grid_refinement(seed):
 @given(seeds, st.integers(min_value=0, max_value=99))
 def test_replay_reproduces_cvsp(seed, adv_seed):
     spec = spec_from_seed(seed)
-    t = play_game(spec, cvsp_learner(spec), make_adversary("random", {"seed": adv_seed}, spec))
-    assert replay_predictions(spec, t, cvsp_learner(spec)) == t.predictions
+    t = play_game(spec, VersionSpacePruningLearner(), make_adversary("random", {"seed": adv_seed}))
+    assert replay_predictions(spec, t, VersionSpacePruningLearner()) == t.predictions
 
 
 @settings(max_examples=12, deadline=None)
 @given(seeds, st.integers(min_value=0, max_value=99))
 def test_replay_reproduces_dpfla(seed, adv_seed):
     spec = spec_from_seed(seed)
-    t = play_game(spec, dpfla_learner(spec), make_adversary("random", {"seed": adv_seed}, spec))
-    assert replay_predictions(spec, t, dpfla_learner(spec)) == t.predictions
+    t = play_game(spec, PotentialMinimizingLearner(), make_adversary("random", {"seed": adv_seed}))
+    assert replay_predictions(spec, t, PotentialMinimizingLearner()) == t.predictions
 
 
 @settings(max_examples=15, deadline=None)
