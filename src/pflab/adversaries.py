@@ -27,7 +27,7 @@ from .game import (
     strategy_param,
 )
 from .measures import Measure
-from .setsystems import iter_bits, labels_of, mask_of
+from .setsystems import SetSystem, iter_bits, labels_of, mask_of
 
 
 def _require_label(prediction) -> int:
@@ -207,9 +207,11 @@ class CollisionAdversary(Adversary):
     pair's minimum-slot member, which pins the learner to at most half of the
     charged matches.
 
-    The witness names hypotheses by family index, so ``begin`` requires the
-    layout of :func:`pflab.games.collision_game`: the family's tables, in
-    family order, over the pool.
+    The witness names hypotheses by family index and may need any set of up
+    to ``horizon`` labels, so ``begin`` requires the layout of
+    :func:`pflab.games.collision_game`: the family's tables, in family order,
+    over the pool, and a set system holding every nonempty set of at most
+    ``horizon`` labels.
     """
 
     def __init__(self, family: CollisionFamily):
@@ -226,6 +228,11 @@ class CollisionAdversary(Adversary):
             for x in range(spec.n_instances)
         ):
             raise SpecError("the hypotheses must be the collision family's tables in family order")
+        # A bounded system lists no masks; an explicit one has max_size 0.
+        system, k = spec.set_system, min(spec.horizon, spec.n_labels)
+        listed = sum(m.bit_count() <= k for m in system.masks)
+        if system.max_size < k and listed < SetSystem.all_nonempty_up_to(spec.n_labels, k).size():
+            raise SpecError(f"the set system must hold every nonempty set of at most {k} labels")
         self._spec = spec
         self._pool = set(range(spec.n_instances))
         self._pairs = []

@@ -274,40 +274,28 @@ def ml_sl_bl_dim(
     if limit < 0:
         raise SpecError(f"budget must be nonnegative, got {limit}")
     n = H.size
-    values_at = [[H.value(h, x) for h in range(n)] for x in range(spec.n_instances)]
     memo: dict = {}
     nodes = 0
 
     def candidates(vmask: int, x: int):
         """Distinct (set mask, sub-version-space) pairs at this instance."""
-        image = 0
-        for h in iter_bits(vmask):
-            image |= 1 << values_at[x][h]
-        out = {}
+        masks = H.label_masks(x)
         if system.kind == "explicit":
-            for smask in system.masks:
-                sub = 0
-                for h in iter_bits(vmask):
-                    if (smask >> values_at[x][h]) & 1:
-                        sub |= 1 << h
-                if sub:
-                    out[(smask, sub)] = None
+            sets = system.masks
         else:
             # Only the intersection with the image matters for the
             # sub-version-space, and any nonempty subset of size <= max_size
             # is itself a member, so enumerate subsets of the image directly.
-            bits = list(iter_bits(image))
-            for pick in range(1, 1 << len(bits)):
-                if pick.bit_count() > system.max_size:
-                    continue
-                smask = 0
-                for i, b in enumerate(bits):
-                    if (pick >> i) & 1:
-                        smask |= 1 << b
-                sub = 0
-                for h in iter_bits(vmask):
-                    if (smask >> values_at[x][h]) & 1:
-                        sub |= 1 << h
+            bits = [y for y, hs in enumerate(masks) if hs & vmask]
+            sets = (
+                sum(1 << b for i, b in enumerate(bits) if (pick >> i) & 1)
+                for pick in range(1, 1 << len(bits))
+                if pick.bit_count() <= system.max_size
+            )
+        out = {}
+        for smask in sets:
+            sub = vmask & sum(masks[y] for y in iter_bits(smask))
+            if sub:
                 out[(smask, sub)] = None
         return list(out)
 

@@ -128,13 +128,39 @@ class HypothesisClass:
             h, digits[x] = divmod(h, self.n_labels)
         return tuple(digits)
 
+    def label_masks(self, x: int) -> tuple[int, ...]:
+        """One bitmask per label ``y``: the hypotheses that output ``y`` at ``x``.
+
+        Bit ``h`` of entry ``y`` is set iff ``value(h, x) == y``. The masks at
+        one instance are disjoint and cover the class, so the hypotheses whose
+        output at ``x`` lies in a label set ``S`` are the sum (equally, the
+        OR) of the entries of ``S``. The enumeration, the version-space
+        dimensions, cvsp's implicit mode, the comparator and the witness
+        search all read their hypothesis sets from this one table, which is
+        built for all instances on first use and cached. An all-functions
+        class has no table, and its callers use closed forms instead.
+        """
+        table = getattr(self, "_label_masks", None)
+        if table is None:
+            if self.kind != "explicit":
+                raise SpecError("label masks need an explicit hypothesis class")
+            table = [[0] * self.n_labels for _ in range(self.n_instances)]
+            for h, row in enumerate(self.rows):
+                for col, y in enumerate(row):
+                    table[col][y] |= 1 << h
+            table = tuple(map(tuple, table))
+            object.__setattr__(self, "_label_masks", table)
+        return table[x]
+
     def index_of_row(self, row: Sequence[int]) -> int:
+        """The index of the hypothesis with this row; :class:`KeyError` if none."""
         if self.kind == "explicit":
-            idx = getattr(self, "_row_index", None)
-            if idx is None:
-                idx = {r: i for i, r in enumerate(self.rows)}
-                object.__setattr__(self, "_row_index", idx)
-            return idx[tuple(row)]
+            found = (1 << self.size) - 1 if len(row) == self.n_instances else 0
+            for x, y in enumerate(row if found else ()):
+                found &= self.label_masks(x)[y] if 0 <= y < self.n_labels else 0
+            if not found:
+                raise KeyError(tuple(row))
+            return found.bit_length() - 1
         h = 0
         for v in row:
             h = h * self.n_labels + v
@@ -230,15 +256,14 @@ def build_admissible_collections(
     not contained in any feasible set, since unions only grow.
 
     Feasible next members are found with hypothesis bitmasks rather than by
-    testing each candidate: ``by_label[x][y]`` is the mask of hypotheses with
-    label ``y`` at instance ``x``, and ``allowed(x, img)`` (memoized per
-    search) is the OR of ``by_label[x][y]`` over the labels ``y`` that keep
-    ``img | 1 << y`` inside some feasible set. A node's candidates are the AND
-    of ``allowed`` over all instances, restricted to indices from ``start``
-    on, walked in ascending order. The search still charges one node for
-    every index from ``start`` on at each call, as the per-candidate loop did,
-    and visits the same calls, so the node count and every
-    :class:`BudgetExceeded` outcome are unchanged.
+    testing each candidate: ``allowed(x, img)`` (memoized per search) is the
+    OR of the class's :meth:`HypothesisClass.label_masks` entries at ``x``
+    over the labels ``y`` that keep ``img | 1 << y`` inside some feasible
+    set. A node's candidates are the AND of ``allowed`` over all instances,
+    restricted to indices from ``start`` on, walked in ascending order. The
+    search still charges one node for every index from ``start`` on at each
+    call, as the per-candidate loop did, and visits the same calls, so the
+    node count and every :class:`BudgetExceeded` outcome are unchanged.
 
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
@@ -266,12 +291,9 @@ def build_admissible_collections(
     n = H.size
     system = spec.set_system
     rows = H.rows
-    by_label = [[0] * spec.n_labels for _ in range(spec.n_instances)]
-    for h, row in enumerate(rows):
-        for x, y in enumerate(row):
-            by_label[x][y] |= 1 << h
     labelled = [
-        [(1 << y, hs) for y, hs in enumerate(masks) if hs] for masks in by_label
+        [(1 << y, hs) for y, hs in enumerate(H.label_masks(x)) if hs]
+        for x in range(spec.n_instances)
     ]
     allowed_memo: list[dict[int, int]] = [{} for _ in range(spec.n_instances)]
 
@@ -561,17 +583,13 @@ def _comparator(spec: GameSpec, instances, sets) -> Fraction:
             for y in iter_bits(full & ~m):
                 row[y] += 1
         return Fraction(sum(min(row) for row in misses.values()))
-    best = None
-    for h in range(H.size):
-        miss = 0
-        for x, m in zip(instances, sets):
-            if not (m >> H.value(h, x)) & 1:
-                miss += 1
-        if best is None or miss < best:
-            best = miss
-            if best == 0:
-                break
-    return Fraction(best)
+    # levels[j]: the hypotheses whose outputs fell outside j of the rounds so far.
+    levels = [(1 << H.size) - 1]
+    for x, m in zip(instances, sets):
+        masks = H.label_masks(x)
+        inside = sum(masks[y] for y in iter_bits(m))
+        levels = [a & inside | b & ~inside for a, b in zip(levels + [0], [0] + levels)]
+    return Fraction(next(j for j, hs in enumerate(levels) if hs))
 
 
 # -- realizability validation ------------------------------------------------------
@@ -585,9 +603,10 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     every other instance. Returns ``None`` when no such collection exists.
 
     Only hypotheses consistent with every round (output inside that round's
-    set) can participate, so the search runs inside that consistent class,
-    depth-first with the same image-feasibility pruning as the admissible
-    enumeration, plus a coverage check: the partial collection must still be
+    set) can participate: the AND, over the played instances, of the OR of
+    the label masks of that instance's set. The search runs inside that
+    consistent class, depth-first with the same image-feasibility pruning as
+    the admissible enumeration, plus a coverage check: the partial collection must still be
     extendable to cover each target set. It raises :class:`BudgetExceeded`
     past ``PFLAB_BUDGET_COLLECTIONS`` nodes.
     """
@@ -621,12 +640,12 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         return tuple(sorted(witness))
 
     limit = _collections_budget()
-    cons = [
-        h
-        for h in range(H.size)
-        if all((targets[x] >> H.value(h, x)) & 1 for x in targets)
-    ]
-    rows = [tuple(H.value(h, x) for x in range(spec.n_instances)) for h in cons]
+    consistent = (1 << H.size) - 1
+    for x, m in targets.items():
+        masks = H.label_masks(x)
+        consistent &= sum(masks[y] for y in iter_bits(m))
+    cons = list(iter_bits(consistent))
+    rows = [H.rows[h] for h in cons]
     n = len(cons)
     found: Optional[tuple[int, ...]] = None
     nodes = 0

@@ -24,7 +24,7 @@ from .game import (
 )
 from .measure_dims import msp
 from .measures import Measure
-from .setsystems import iter_bits
+from .setsystems import iter_bits, mask_of
 
 
 def _halvings(N: int) -> list:
@@ -38,11 +38,8 @@ def _plurality_label(spec: GameSpec, x: int) -> int:
     if H.kind == "all_functions":
         # Every label is taken by exactly |Y|^(n-1) functions: all tied.
         return 0
-    counts = [0] * spec.n_labels
-    for h in range(H.size):
-        counts[H.value(h, x)] += 1
-    best = max(counts)
-    return counts.index(best)
+    counts = [hs.bit_count() for hs in H.label_masks(x)]
+    return counts.index(max(counts))
 
 
 class _VersionSpaceLearner(Learner):
@@ -109,8 +106,9 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
     collections, as that family can be too large to enumerate. In that
     regime a collection survives iff it covers every reveal so far, so the
     commonly-valid labels at x are exactly the values forced by some reveal
-    whose entire realizer set agrees at x; with no reveals yet, the labels
-    all hypotheses agree on.
+    whose entire realizer set (a :meth:`HypothesisClass.label_masks` entry)
+    agrees at x. The realizer list starts with the whole class, whose
+    agreement at x is forced before any reveal.
     """
 
     def _engines_for(self, spec: GameSpec, collections) -> list:
@@ -132,37 +130,25 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
         self._spec = spec
         self._pending = None
         self._reveals = []
-        self._realizers = []
+        if spec.hypotheses.kind == "explicit":
+            self._realizers = [(1 << spec.hypotheses.size) - 1]
 
     # -- prediction -------------------------------------------------------
 
     def predict(self, x: int):
-        common = self._common_labels(x)
-        label = min(common) if common else _plurality_label(self._spec, x)
+        common = self._common(x)
+        label = min(iter_bits(common)) if common else _plurality_label(self._spec, x)
         self._pending = (x, label)
         return label
 
-    def _common_labels(self, x: int):
+    def _common(self, x: int) -> int:
+        """Mask of the labels every surviving collection has at ``x``."""
         if not self._implicit:
-            return list(iter_bits(self._engines[0].common(self._alive, x)))
-        H = self._spec.hypotheses
-        if not self._reveals:
-            if H.kind == "all_functions":
-                return []
-            first = H.value(0, x)
-            if all(H.value(h, x) == first for h in range(H.size)):
-                return [first]
-            return []
-        out = set()
-        for (xk, yk), realizers in zip(self._reveals, self._realizers):
-            if H.kind == "all_functions":
-                if xk == x:
-                    out.add(yk)
-                continue
-            vals = {H.value(h, x) for h in realizers}
-            if len(vals) == 1:
-                out.add(next(iter(vals)))
-        return sorted(out)
+            return self._engines[0].common(self._alive, x)
+        if self._spec.hypotheses.kind == "all_functions":
+            return mask_of(yk for xk, yk in self._reveals if xk == x)
+        masks = self._spec.hypotheses.label_masks(x)
+        return mask_of(y for r in self._realizers for y, hs in enumerate(masks) if r & hs == r)
 
     # -- observations -----------------------------------------------------
 
@@ -171,12 +157,11 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
             super().observe(y)
             return
         x = self._pending[0]
-        self._reveals.append((x, y))
         H = self._spec.hypotheses
         if H.kind == "all_functions":
-            self._realizers.append(None)
+            self._reveals.append((x, y))
             return
-        realizers = frozenset(h for h in range(H.size) if H.value(h, x) == y)
+        realizers = H.label_masks(x)[y]
         if not realizers:
             raise EmptyConsistentSet(
                 f"no hypothesis outputs the revealed label {y} at instance {x}"

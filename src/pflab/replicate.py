@@ -489,10 +489,10 @@ def check_property_suites() -> CheckResult:
         for x, pred, y, m in zip(t.instances, t.predictions, t.reveals, t.sets):
             if (m >> pred) & 1:
                 continue
-            team = frozenset(h for h in range(H.size) if H.value(h, x) == y)
+            team = H.label_masks(x)[y]
             teams.append(team)
-            if len(team) > H.size // 2:
-                failures.append(f"mistake team of size {len(team)} on n={H.size}")
+            if team.bit_count() > H.size // 2:
+                failures.append(f"mistake team of size {team.bit_count()} on n={H.size}")
         if len(set(teams)) != len(teams):
             failures.append("repeated mistake team in one transcript")
 

@@ -185,8 +185,6 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
         )
     except SpecFileError:
         raise
-    except ValueError as exc:
-        raise _fail(source, str(exc)) from exc
     except Exception as exc:
         # Constructor validation errors, re-tagged with the file context.
         raise _fail(source, str(exc)) from exc

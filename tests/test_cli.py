@@ -406,10 +406,9 @@ def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
 
 
 # The tables of the collision family with modulus 7, slopes (0, 1) and pool
-# 0..3, listed last to first.
-REVERSED_COLLISION_ROWS = [
-    [(s * x + b) % 7 for x in range(4)] for s in (1, 0) for b in range(6, -1, -1)
-]
+# 0..3, in family order and listed last to first.
+COLLISION_ROWS = [[(s * x + b) % 7 for x in range(4)] for s in (0, 1) for b in range(7)]
+REVERSED_COLLISION_ROWS = COLLISION_ROWS[::-1]
 
 SHAPE_MISMATCHES = {
     "collision-no-slopes": (
@@ -420,6 +419,17 @@ SHAPE_MISMATCHES = {
     "collision-reversed-rows": (
         "labels: 7\ninstances: 4\nset_system: {all_nonempty_up_to: 2}\n"
         f"hypotheses: {REVERSED_COLLISION_ROWS}\nhorizon: 2\nlearner: {{name: constant}}\n"
+        "adversary: {name: collision, params: {modulus: 7, slopes: [0, 1], pool: [0, 1, 2, 3]}}\n"
+    ),
+    "collision-horizon-above-max-size": (
+        "labels: 7\ninstances: 4\nset_system: {all_nonempty_up_to: 2}\n"
+        f"hypotheses: {COLLISION_ROWS}\nhorizon: 3\nlearner: {{name: constant}}\n"
+        "adversary: {name: collision, params: {modulus: 7, slopes: [0, 1], pool: [0, 1, 2, 3]}}\n"
+    ),
+    "collision-singleton-sets": (
+        "labels: 7\ninstances: 4\n"
+        f"set_system: {[[y] for y in range(7)]}\n"
+        f"hypotheses: {COLLISION_ROWS}\nhorizon: 2\nlearner: {{name: constant}}\n"
         "adversary: {name: collision, params: {modulus: 7, slopes: [0, 1], pool: [0, 1, 2, 3]}}\n"
     ),
     "agnostic_two_constant": (

@@ -1,14 +1,20 @@
 """Label-feedback dimensions, shattering trees, and the naive oracle."""
 
 import dataclasses
+import itertools
 
 import pytest
 
 from pflab import (
     BudgetExceeded,
+    CollisionFamily,
     EmptyConsistentSet,
+    GameSpec,
+    HypothesisClass,
+    SetSystem,
     SpecError,
     TreeSpecMismatch,
+    collision_game,
     dimension_relations_report,
     helly_game,
     minimax_det_regret,
@@ -18,8 +24,10 @@ from pflab import (
     ppfl_dim,
     verify_shattering_tree,
 )
+from pflab.setsystems import labels_of
 
 from conftest import bounded_and_listed, two_constant_game
+from test_properties import spec_from_seed
 
 
 def test_two_constant_dimension_is_one_at_every_depth():
@@ -125,3 +133,85 @@ def test_sl_on_a_bounded_system_equals_the_listed_sets():
         values.append(ml_sl_bl_dim(bounded, "sl"))
         assert ml_sl_bl_dim(listed, "sl") == values[-1], seed
     assert len(set(values)) > 2
+
+
+def reference_ml_sl_bl(spec, variant):
+    """``ml_sl_bl_dim`` at its default cap, straight from the definition.
+
+    The version space is a list of hypothesis ids and the sets are Python
+    sets of labels, read from the rows one hypothesis at a time: no
+    bitmasks, no merging of equal candidates and no memo.
+    """
+    labels = range(spec.n_labels)
+    family = {
+        "ml": [{y} for y in labels],
+        "bl": [set(labels) - {y} for y in labels],
+        "sl": [set(labels_of(m)) for m in spec.set_system.members()],
+    }[variant]
+    rows = spec.hypotheses.rows
+
+    def reach(version_space, k):
+        if k == 0:
+            return True
+        return any(
+            all(
+                any(
+                    y not in s and sub and reach(sub, k - 1)
+                    for s in family
+                    for sub in [[h for h in version_space if rows[h][x] in s]]
+                )
+                for y in labels
+            )
+            for x in range(spec.n_instances)
+        )
+
+    k = 0
+    while k < spec.horizon + 2 and reach(list(range(len(rows))), k + 1):
+        k += 1
+    return k
+
+
+def test_ml_sl_bl_equal_the_naive_reference():
+    """Explicit systems, bounded systems and the same bounded sets listed."""
+    values = set()
+    for seed in range(300):
+        specs = [spec_from_seed(seed, horizon=1 + seed % 3), *bounded_and_listed(seed)]
+        for spec, variant in itertools.product(specs, ("ml", "sl", "bl")):
+            want = reference_ml_sl_bl(spec, variant)
+            assert ml_sl_bl_dim(spec, variant) == want, (seed, spec.set_system.kind, variant)
+            values.add((spec.set_system.kind, variant, want))
+    assert {k for _, _, k in values} == {0, 1, 2, 3}
+    assert len(values) > 15
+
+
+# Six constant hypotheses on one instance and three pairwise-overlapping sets
+# (specs/overlap_triple.yaml), and the modulus-5 collision game on a bounded
+# system: the explicit and the bounded candidate loops.
+OVERLAP_TRIPLE = GameSpec(
+    n_instances=1,
+    n_labels=6,
+    set_system=SetSystem.explicit(6, [[0, 1, 3], [2, 3, 5], [1, 4, 5]]),
+    hypotheses=HypothesisClass.explicit(1, 6, [[y] for y in range(6)]),
+    horizon=3,
+)
+COLLISION_5 = collision_game(CollisionFamily(modulus=5, slopes=(0, 1), pool=(0, 1, 2)), horizon=3)
+
+
+@pytest.mark.parametrize(
+    "spec, variant, value, nodes",
+    [
+        (OVERLAP_TRIPLE, "ml", 1, 7),
+        (OVERLAP_TRIPLE, "sl", 2, 10),
+        (OVERLAP_TRIPLE, "bl", 5, 129),
+        (COLLISION_5, "ml", 2, 37),
+        (COLLISION_5, "sl", 5, 167),
+        (COLLISION_5, "bl", 5, 80),
+    ],
+    ids=["overlap-ml", "overlap-sl", "overlap-bl", "collision-ml", "collision-sl", "collision-bl"],
+)
+def test_pinned_ml_sl_bl_nodes(spec, variant, value, nodes):
+    """A budget of exactly the recorded node count passes; one less raises."""
+    assert ml_sl_bl_dim(spec, variant, budget=nodes) == value
+    with pytest.raises(BudgetExceeded) as info:
+        ml_sl_bl_dim(spec, variant, budget=nodes - 1)
+    assert info.value.spent == nodes

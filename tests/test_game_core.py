@@ -19,6 +19,7 @@ from pflab import (
     ProtocolViolation,
     RealizabilityViolation,
     SetSystem,
+    SpecError,
     VersionSpacePruningLearner,
     build_admissible_collections,
     comparator_loss,
@@ -223,3 +224,43 @@ def seeded_specs(draw):
 @given(seeded_specs())
 def test_admissible_collections_property(spec):
     assert sorted(admissible_or_empty(spec)) == sorted(brute_admissible(spec))
+
+
+def random_class(rng):
+    n_x, n_y = rng.randint(1, 4), rng.randint(2, 5)
+    rows = {tuple(rng.randrange(n_y) for _ in range(n_x)) for _ in range(rng.randint(1, 12))}
+    return HypothesisClass.explicit(n_x, n_y, rng.sample(sorted(rows), len(rows)))
+
+
+def test_label_masks_equal_a_scan_of_rows():
+    rng = random.Random(5)
+    for _ in range(200):
+        H = random_class(rng)
+        for x in range(H.n_instances):
+            scan = tuple(
+                sum(1 << h for h, row in enumerate(H.rows) if row[x] == y)
+                for y in range(H.n_labels)
+            )
+            assert H.label_masks(x) == scan
+
+
+def test_label_masks_raise_on_an_all_functions_class():
+    with pytest.raises(SpecError, match="explicit"):
+        HypothesisClass.all_functions(2, 3).label_masks(0)
+
+
+def test_index_of_row_round_trips_and_misses_raise_key_error():
+    rng = random.Random(6)
+    for _ in range(200):
+        H = random_class(rng)
+        for h, row in enumerate(H.rows):
+            assert H.index_of_row(row) == h
+            assert H.index_of_row(list(row)) == h
+        absent = [
+            r for r in product(range(H.n_labels), repeat=H.n_instances) if r not in H.rows
+        ]
+        row = H.rows[0]
+        misshapen = [row[:-1], row + (0,), row[:-1] + (H.n_labels,), row[:-1] + (-1,)]
+        for miss in absent[:3] + misshapen:
+            with pytest.raises(KeyError):
+                H.index_of_row(miss)
