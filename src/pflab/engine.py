@@ -104,14 +104,48 @@ Soundness of the speedups, all of which preserve exact values:
   vector (``game.distinct_images``); the engine itself keeps every
   collection it is given, so alive ids index the caller's list.
 
-Each round nests three Python frames of the recursion. A horizon deep
-enough to exhaust Python's recursion limit is reported by every entry point
-of the recursion as :class:`BudgetExceeded` naming the depth.
+:meth:`CollectionEngine.value` needs no per-edge table, so it does not run
+the exact recursion above. It runs Pearl's null-window test of
+``value >= v`` (SCOUT, AAAI 1980) for ascending ``v``, as in Plaat et al.'s
+MTD(f) (AI 1996), on the same level states. Its soundness, again with exact
+values preserved:
+
+* a test passes at a state when some instance has, for every edge class, a
+  reveal class whose child passes: the max side stops at the first such
+  instance, the min side at an instance's first edge class with no passing
+  reveal. A child that is settled or has no rounds left is scored by its
+  top score, without being built;
+* every test result is stored in a bound memo: one ``(lo, hi)`` pair on the
+  relative value under the exact memo's ``(rounds, levels)`` key, tightened
+  to ``lo = v`` by a passing test and to the highest value below ``v`` by
+  a failing one. A later test inside the bounds is answered without a
+  search, so the tests of one call, and of later calls, share their work;
+* a state whose children are all leaves (one round left, or every reveal
+  class at every instance settled) is solved by one exact scan, which sees
+  every child at once, and stored as ``(v, v)``;
+* the value is the final score of a collection alive at the state: its
+  level score plus integer increments, so it has the form level score +
+  integer. The tests run from the
+  top score through each next value of that form (``v + 1`` on integer
+  levels, and the same rule covers off-grid ``Fraction`` scores); the last
+  passing threshold is the value.
+
+The budget counts expanded states: the states the exact recursion expands
+and the states a test search expands, an all-leaf scan counting as one.
+Past the budget every entry point raises :class:`BudgetExceeded` with the
+same message.
+
+Each round nests three Python frames of the exact recursion and one of a
+test, so ``value`` reaches horizons about three times deeper than the
+choice methods. A horizon deep enough to exhaust Python's recursion limit
+is reported by every entry point as :class:`BudgetExceeded` naming the
+depth.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from contextlib import contextmanager
 from fractions import Fraction
@@ -184,8 +218,10 @@ class CollectionEngine:
         self.budget = budget
         self.nodes = 0
         self._memo: dict = {}
+        self._bounds: dict = {}
         self._tables: dict = {}
         self._settled_cache: dict = {}
+        self._leaf_cache: dict = {}
         self._moves_cache: dict = {}
         self._edge_cache: dict = {}
         self._group_cache: list = [None] * spec.n_instances
@@ -410,6 +446,74 @@ class CollectionEngine:
             self._settled_cache[alive] = hit
         return hit
 
+    def _leaf_children(self, alive: int) -> bool:
+        """True when every reveal class at every instance is settled."""
+        hit = self._leaf_cache.get(alive)
+        if hit is None:
+            hit = self._leaf_cache[alive] = all(
+                self._settled(keep)
+                for x in range(self.spec.n_instances)
+                for _, keep in self._moves(alive, x)[0]
+            )
+        return hit
+
+    def _expand(self):
+        """Count one expanded state against the budget."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(
+                f"minimax recursion exceeded {self.budget} expanded states",
+                spent=self.nodes,
+                budget=self.budget,
+            )
+
+    def _test(self, levels: tuple, alive: int, rounds: int, v) -> bool:
+        """Null-window test: is the value of a levels state at least ``v``?
+
+        Values and ``v`` are relative to the state's lowest score, as in
+        :meth:`_value`. Each result tightens the state's ``(lo, hi)`` entry
+        in the bound memo; a state whose children are all leaves is solved
+        by one :meth:`_value` scan and stored as ``(v, v)``.
+        """
+        lb = levels[-1][0]
+        if v <= lb:
+            return True
+        ub = lb + rounds * self.scale
+        if v > ub or self._settled(alive):
+            return False
+        key = (rounds, levels)
+        lo, hi = self._bounds.get(key, (lb, ub))
+        if v <= lo:
+            return True
+        if v > hi:
+            return False
+        if rounds == 1 or self._leaf_children(alive):
+            exact = self._value(levels, alive, rounds)
+            self._bounds[key] = (exact, exact)
+            return exact >= v
+        self._expand()
+        child_depth = rounds - 1
+        reach = child_depth * self.scale
+        for x in range(self.spec.n_instances):
+            reveals, edges = self._moves(alive, x)
+            for inc in edges:
+                # The learner's edge fails the test unless some reveal passes it.
+                for _, keep in reveals:
+                    top = _top(levels, keep, inc)
+                    if top >= v:
+                        break
+                    if top + reach >= v and not self._settled(keep):
+                        base, child = _child(levels, keep, inc)
+                        if self._test(child, keep, child_depth, v - base):
+                            break
+                else:
+                    break
+            else:
+                self._bounds[key] = (v, hi)
+                return True
+        self._bounds[key] = (lo, _below(levels, v))
+        return False
+
     def _value(self, levels: tuple, alive: int, rounds: int):
         """Value of a levels state with alive mask ``alive``, relative to its lowest score."""
         lb = levels[-1][0]
@@ -419,13 +523,7 @@ class CollectionEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(
-                f"minimax recursion exceeded {self.budget} expanded states",
-                spent=self.nodes,
-                budget=self.budget,
-            )
+        self._expand()
         ub = lb + rounds * self.scale
         best = lb
         for x in range(self.spec.n_instances):
@@ -492,10 +590,19 @@ class CollectionEngine:
     # -- entry points on boundary states -----------------------------------------
 
     def value(self, alive: tuple, scores: tuple, rounds: int):
-        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds."""
+        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds.
+
+        Null-window tests of ``value >= w`` ascend from the top score through
+        every value of the form level score + integer; the last passing ``w``
+        is the value.
+        """
         base, levels, mask = _levels(alive, scores)
+        v = levels[-1][0]
+        w = _above(levels, v)
         with _depth_guard(rounds):
-            return base + self._value(levels, mask, rounds)
+            while self._test(levels, mask, rounds, w):
+                v, w = w, _above(levels, w)
+        return base + v
 
     def best_instance(self, alive: tuple, scores: tuple, rounds: int) -> int:
         """Lowest instance achieving the state's value (adversary's move)."""
@@ -593,6 +700,16 @@ def _levels(alive, scores):
     base = min(by_score)
     levels = tuple(sorted((s - base, mask) for s, mask in by_score.items()))
     return base, levels, sum(by_score.values())
+
+
+def _above(levels, v):
+    """The lowest value above ``v`` of the form level score + integer."""
+    return min(s + math.floor(v - s) + 1 for s, _ in levels)
+
+
+def _below(levels, v):
+    """The highest value below ``v`` of the form level score + integer."""
+    return max(s + math.ceil(v - s) - 1 for s, _ in levels)
 
 
 def _by_value(groups, edge: int) -> tuple:

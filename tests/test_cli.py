@@ -490,7 +490,7 @@ B5X3 = (
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dim", "--what", "pfl", "--depth", "400"],
+        ["dim", "--what", "pfl", "--depth", "5000"],
         ["rand", "--what", "regret", "--depth", "5000"],
         ["rand", "--what", "pms", "--gamma", "1/2", "--depth", "5000"],
     ],

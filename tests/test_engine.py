@@ -2,9 +2,10 @@
 
 The naive tables recurse through ``value`` on every feasible reveal, with no
 survivor-set dedup, so they check the engine's reveal classes and its
-per-edge worst case independently. The pinned numbers were taken from the
-engine before its reveal scans were merged into one pass; they hold the
-expanded-state counts and the budget fallback of ``on_budget="bound"`` fixed.
+per-edge worst case independently. ``value``'s null-window test search is
+checked against the exact recursion behind the choice methods. The pinned
+numbers hold the expanded-state counts of both searches and the budget
+fallback of ``on_budget="bound"`` fixed.
 """
 
 import functools
@@ -29,7 +30,7 @@ from pflab import (
     pfl_dim,
     play_game,
 )
-from pflab.engine import CollectionEngine
+from pflab.engine import CollectionEngine, _above, _below
 from pflab.families import binary_full_system_family
 from pflab.setsystems import iter_bits
 
@@ -59,9 +60,9 @@ def _feasible(eng, alive, x):
     return [y for y in range(eng.spec.n_labels) if (mask >> y) & 1]
 
 
-def _states(eng):
-    """The initial state and every state one round (edge 0) below it."""
-    alive, scores = eng.initial_state()
+def _states(eng, start=None):
+    """A start state (the initial one by default) and every state one round (edge 0) below it."""
+    alive, scores = start or eng.initial_state()
     rounds = eng.spec.horizon
     yield alive, scores, rounds
     for x in range(eng.spec.n_instances):
@@ -153,6 +154,76 @@ def test_choice_methods_share_the_value_memo(kind, seed):
                 assert warm.best_reveal(alive, scores, x, ei, rounds - 1) == want
 
 
+def _off_grid_start(eng, pick):
+    """The state after one round at instance 0 whose move lies off the grid.
+
+    The move is label 0 for the label kind and the measure ``(1/3, 2/3, 0,
+    ...)`` otherwise, which no grid of ``KINDS`` holds, so loss scores
+    become ``Fraction``s. ``pick`` chooses the feasible reveal.
+    """
+    n = eng.spec.n_labels
+    move = 0 if eng.kind == "label" else Measure(
+        (Fraction(1, 3), Fraction(2, 3)) + (Fraction(0),) * (n - 2)
+    )
+    feasible = _feasible(eng, eng.initial_state()[0], 0)
+    return eng.prefix_state((0,), (move,), (feasible[pick % len(feasible)],))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.none() | st.integers(min_value=0, max_value=2))
+def test_value_search_matches_the_exact_recursion(kind, seed, pick):
+    """``value`` equals the max over instances of the min of ``edge_worst_values``.
+
+    The right side is the exact recursion of the choice methods, on an
+    engine of its own; ``value`` keeps one engine, and so its bound memo,
+    across all states. With ``pick`` set, the states start from an off-grid
+    prefix round.
+    """
+    spec = spec_from_seed(seed, horizon=3)
+    tests, exact = _engine(spec, kind), _engine(spec, kind)
+    start = None if pick is None else _off_grid_start(tests, pick)
+    for alive, scores, rounds in _states(tests, start):
+        want = max(
+            min(exact.edge_worst_values(alive, scores, x, rounds - 1))
+            for x in range(spec.n_instances)
+        )
+        assert tests.value(alive, scores, rounds) == want
+
+
+def test_thresholds_step_through_every_level_score_plus_an_integer():
+    """The next value above, and the last below, over levels with three fractional parts."""
+    thirds = ((0, 1), (Fraction(1, 3), 2), (Fraction(5, 3), 4))
+    assert _above(thirds, 1) == Fraction(4, 3)
+    assert _above(thirds, Fraction(4, 3)) == Fraction(5, 3)
+    assert _above(thirds, Fraction(5, 3)) == 2
+    assert _below(thirds, 2) == Fraction(5, 3)
+    assert _below(thirds, Fraction(5, 3)) == Fraction(4, 3)
+    assert _below(thirds, Fraction(3, 2)) == Fraction(4, 3)
+    whole = ((0, 1), (3, 2))
+    assert (_above(whole, 4), _below(whole, 4), _below(whole, Fraction(7, 2))) == (5, 3, 3)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.none() | st.integers(min_value=0, max_value=2))
+def test_value_does_not_depend_on_an_unspent_budget(kind, seed, pick):
+    """A budget of exactly the states ``value`` expands gives the same value; one less raises."""
+    spec = spec_from_seed(seed, horizon=3)
+    free = _engine(spec, kind)
+    start = free.initial_state() if pick is None else _off_grid_start(free, pick)
+    want = free.value(*start, spec.horizon)
+    spent = free.nodes
+    tight = _engine(spec, kind, budget=spent)
+    assert tight.value(*start, spec.horizon) == want
+    assert tight.nodes == spent
+    if spent:
+        short = _engine(spec, kind, budget=spent - 1)
+        with pytest.raises(BudgetExceeded) as info:
+            short.value(*start, spec.horizon)
+        assert (info.value.spent, info.value.budget) == (spent, spent - 1)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=25, deadline=None)
 @given(seeds)
@@ -223,9 +294,10 @@ def test_prefix_state_matches_played_rounds(kind, seed, play_seed):
         (lambda: helly_game(3), 3, 1, 1),
         (lambda: _family_spec(0), 3, 0, 0),
         (lambda: _family_spec(1), 3, 0, 0),
-        (lambda: _family_spec(120), 6, 2, 352),
-        (lambda: _family_spec(200), 7, 2, 446),
+        (lambda: _family_spec(120), 6, 2, 155),
+        (lambda: _family_spec(200), 7, 2, 168),
     ],
+    ids=["helly3", "family0", "family1", "family120", "family200"],
 )
 def test_pinned_expanded_states(spec_of, depth, value, nodes):
     eng = _engine(spec_of(), "label")
@@ -239,20 +311,21 @@ _THIRDS = Measure((Fraction(1, 3), Fraction(2, 3)))
 @pytest.mark.parametrize(
     "index, kind, extra, prefix, depth, value, nodes",
     [
-        (120, "loss", {"grid": 4}, None, 4, 4, 631),
-        (200, "loss", {"grid": 4}, None, 3, 5, 141),
-        (120, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 2, 104),
-        (160, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 1, 64),
+        (120, "loss", {"grid": 4}, None, 4, 4, 239),
+        (200, "loss", {"grid": 4}, None, 3, 5, 94),
+        (120, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 2, 53),
+        (160, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 1, 32),
         # Off-grid prefix charges: 4/3 and 8/3 units of 1/4.
-        (160, "loss", {"grid": 4}, ((0,), (_THIRDS,), (1,)), 3, Fraction(13, 3), 71),
-        (120, "loss", {"grid": 4}, ((0, 1), (_THIRDS, _THIRDS), (1, 0)), 3, 4, 24),
+        (160, "loss", {"grid": 4}, ((0,), (_THIRDS,), (1,)), 3, Fraction(13, 3), 45),
+        (120, "loss", {"grid": 4}, ((0, 1), (_THIRDS, _THIRDS), (1, 0)), 3, 4, 8),
     ],
+    ids=["loss120", "loss200", "measure120", "measure160", "loss160-prefix", "loss120-prefix"],
 )
 def test_pinned_expanded_states_of_grid_kinds(index, kind, extra, prefix, depth, value, nodes):
     """Loss and measure values and counts, from the empty prefix and off-grid prefixes.
 
-    Pinned on the tuple-state engine, before the recursion moved to score
-    levels.
+    The values were pinned on the tuple-state engine, before the recursion
+    moved to score levels.
     """
     spec = _family_spec(index)
     eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **extra)
@@ -313,6 +386,15 @@ def _b5x3():
         ),
         horizon=3,
     )
+
+
+def test_value_stays_cheap_where_it_stops_growing():
+    """b5x3-0's value stays 2 as the depth grows; the search must not grow cubically.
+
+    The test search expands 13,969 states at depth 300; an exact recursion
+    without null-window tests expands 53,206 already at depth 40.
+    """
+    assert pfl_dim(_b5x3(), 300, budget=20_000) == 2
 
 
 def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():
