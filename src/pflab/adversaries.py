@@ -85,13 +85,14 @@ class _CollectionAdversary(Adversary):
 
 
 class OptimalAdversary(_CollectionAdversary):
-    """Plays the argmax branch of the exact value recursion every round.
+    """Plays the argmax branch of the exact game every round.
 
-    Instance and reveal choices come straight from the memoized value of the
-    game over the spec's horizon; at the end the surviving collection with
-    the most charged mistakes (the lowest-id one on ties) becomes the ground
-    truth, its images the feasible sets. Randomized predictions are charged
-    at their heaviest label.
+    Instance and reveal choices are the lowest ones reaching the game's
+    value over the spec's horizon, read from the engine's one search and
+    its bound memo; at the end the surviving collection with the most
+    charged mistakes (the lowest-id one on ties) becomes the ground truth,
+    its images the feasible sets. Randomized predictions are charged at
+    their heaviest label.
     """
 
     def choose_instance(self) -> int:

@@ -41,26 +41,26 @@ the loss kind and 1 for the others. Scores, values and value tables of the
 loss kind are therefore ``g`` times the true expected loss; callers divide
 by ``scale`` at the API boundary (:func:`pflab.measure_dims.minimax_rand_regret`).
 A prefix measure off the grid (:meth:`CollectionEngine.prefix_state`) charges
-an exact ``Fraction`` in the same units; the recursion adds, compares and
+an exact ``Fraction`` in the same units; the search adds, compares and
 subtracts it like an integer, so such states are solved exactly too.
 
 States live in two forms. At the API boundary a state is the pair
 ``(alive, scores)``: the ids of the alive collections in ascending order and
 one score per id. Strategies hold this form, and the version-space methods
 (``feasible``, ``common``, ``update``, ``update_set``) read and move it
-directly, in one pass over the alive ids. Inside the recursion a state is a
+directly, in one pass over the alive ids. Inside the search a state is a
 sorted tuple of *levels* ``(relative score, mask)``: ``mask`` has bit ``cid``
 set for every alive collection at that score, the first level's score is 0
-and no mask is empty. Each entry point of the recursion (``value``,
+and no mask is empty. Each entry point of the search (``value``,
 ``best_instance``, ``edge_worst_values``, ``best_edge``, ``best_reveal``)
 converts its boundary state to levels once. The levels are sparse, so they
 hold the loss kind's charges and off-grid ``Fraction`` scores as they hold
 the label kind's 0/1 counts.
 
-On its first visit to an instance ``x`` the recursion groups the
+On its first visit to an instance ``x`` the search groups the
 collections by their image at ``x``: one ``(image, mask)`` pair per distinct
 image. For each distinct image the engine caches an increment table: one
-integer per edge, in edge order. A step of the recursion then works on
+integer per edge, in edge order. A step of the search then works on
 masks:
 
 * the reveal classes at ``x`` are the distinct nonzero survivor masks, one
@@ -76,13 +76,15 @@ masks:
 ``Measure`` objects for the edges are built only when a caller reads
 :attr:`CollectionEngine.edges`.
 
-Soundness of the speedups, all of which preserve exact values:
+The search is Pearl's null-window test of ``value >= v`` (SCOUT, AAAI
+1980), run for ascending ``v`` as in Plaat et al.'s MTD(f) (AI 1996). Its
+soundness, and that of its speedups, all of which preserve exact values:
 
 * the value is at least the top level's score (the adversary can always
   reveal inside the image of a collection on that level, keeping it alive)
   and at most that plus ``scale`` per round remaining (no round adds more to
-  any score), so the min loop can stop at the lower bound and the max loops
-  at the upper;
+  any score), so a test at or below the lower bound passes, and one above
+  the upper bound fails, without a search;
 * if at every instance the images of the alive groups share a label, the
   learner can play that label (or its point mass) forever at zero
   increment, so the value equals the lower bound exactly; this test is
@@ -102,44 +104,44 @@ Soundness of the speedups, all of which preserve exact values:
   every edge, so dropping all but one of them changes no value, choice or
   expanded-state count. Callers may therefore pass one collection per image
   vector (``game.distinct_images``); the engine itself keeps every
-  collection it is given, so alive ids index the caller's list.
-
-:meth:`CollectionEngine.value` needs no per-edge table, so it does not run
-the exact recursion above. It runs Pearl's null-window test of
-``value >= v`` (SCOUT, AAAI 1980) for ascending ``v``, as in Plaat et al.'s
-MTD(f) (AI 1996), on the same level states. Its soundness, again with exact
-values preserved:
-
+  collection it is given, so alive ids index the caller's list;
 * a test passes at a state when some instance has, for every edge class, a
   reveal class whose child passes: the max side stops at the first such
   instance, the min side at an instance's first edge class with no passing
   reveal. A child that is settled or has no rounds left is scored by its
   top score, without being built;
 * every test result is stored in a bound memo: one ``(lo, hi)`` pair on the
-  relative value under the exact memo's ``(rounds, levels)`` key, tightened
-  to ``lo = v`` by a passing test and to the highest value below ``v`` by
-  a failing one. A later test inside the bounds is answered without a
-  search, so the tests of one call, and of later calls, share their work;
+  relative value per ``(rounds, levels)`` key, tightened to ``lo = v`` by a
+  passing test and to the highest value below ``v`` by a failing one. A
+  later test inside the bounds is answered without a search, so the tests
+  of one call, and of later calls to any entry point, share their work;
 * a state whose children are all leaves (one round left, or every reveal
   class at every instance settled) is solved by one exact scan, which sees
-  every child at once, and stored as ``(v, v)``;
+  every child at once, and stored as ``(v, v)``. The scan stops an edge's
+  reveals once the edge is no better than the instance's best edge so far,
+  and an instance's edges once it cannot beat the best instance so far;
 * the value is the final score of a collection alive at the state: its
   level score plus integer increments, so it has the form level score +
-  integer. The tests run from the
-  top score through each next value of that form (``v + 1`` on integer
-  levels, and the same rule covers off-grid ``Fraction`` scores); the last
-  passing threshold is the value.
+  integer. The tests run from the top score through each next value of
+  that form (``v + 1`` on integer levels, and the same rule covers off-grid
+  ``Fraction`` scores); the last passing threshold is the value.
 
-The budget counts expanded states: the states the exact recursion expands
-and the states a test search expands, an all-leaf scan counting as one.
-Past the budget every entry point raises :class:`BudgetExceeded` with the
-same message.
+Every entry point runs this one search. ``value`` is the ascending tests'
+last pass. The choice methods take the value of each child they compare
+from the same tests: an edge's worst case is the largest of its reveal
+classes' child values, ``best_reveal`` the lowest label of the first class
+reaching it, and ``best_instance`` the lowest instance where every edge
+class has a child reaching the state's value. A choice method therefore
+reads the bounds that earlier calls of any entry point stored.
 
-Each round nests three Python frames of the exact recursion and one of a
-test, so ``value`` reaches horizons about three times deeper than the
-choice methods. A horizon deep enough to exhaust Python's recursion limit
-is reported by every entry point as :class:`BudgetExceeded` naming the
-depth.
+The budget counts the states the test search expands, an all-leaf scan
+counting as one. Past the budget every entry point raises
+:class:`BudgetExceeded` with the same message.
+
+Each round nests one Python frame of a test, so every entry point reaches
+the same horizons. A horizon deep enough to exhaust Python's recursion
+limit is reported by every entry point as :class:`BudgetExceeded` naming
+the depth.
 """
 
 from __future__ import annotations
@@ -155,9 +157,6 @@ from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
 from .game import Collection, GameSpec
 from .measures import Measure, grid_counts, measure_grid
 from .setsystems import iter_bits
-
-_INF = float("inf")
-
 
 def states_budget() -> int:
     return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
@@ -217,7 +216,6 @@ class CollectionEngine:
             raise SpecError(f"budget must be nonnegative, got {budget}")
         self.budget = budget
         self.nodes = 0
-        self._memo: dict = {}
         self._bounds: dict = {}
         self._tables: dict = {}
         self._settled_cache: dict = {}
@@ -230,7 +228,7 @@ class CollectionEngine:
     def edges(self) -> list:
         """The learner's moves in edge order: labels, or grid measures.
 
-        Grid measures are built on the first read; the recursion itself
+        Grid measures are built on the first read; the search itself
         works on their count tuples only.
         """
         if self._edges is None:
@@ -378,7 +376,7 @@ class CollectionEngine:
                 new_scores.append(s + self._table(mask)[edge_index])
         return tuple(new_alive), tuple(new_scores)
 
-    # -- the recursion on levels ------------------------------------------------
+    # -- the search on levels ---------------------------------------------------
 
     def _alive_groups(self, alive: int, x: int) -> list:
         """``(increment table, mask)`` of every image group at ``x`` with an alive member."""
@@ -470,10 +468,10 @@ class CollectionEngine:
     def _test(self, levels: tuple, alive: int, rounds: int, v) -> bool:
         """Null-window test: is the value of a levels state at least ``v``?
 
-        Values and ``v`` are relative to the state's lowest score, as in
-        :meth:`_value`. Each result tightens the state's ``(lo, hi)`` entry
-        in the bound memo; a state whose children are all leaves is solved
-        by one :meth:`_value` scan and stored as ``(v, v)``.
+        Values and ``v`` are relative to the state's lowest score. Each
+        result tightens the state's ``(lo, hi)`` entry in the bound memo; a
+        state whose children are all leaves is solved by one :meth:`_scan`
+        and stored as ``(v, v)``.
         """
         lb = levels[-1][0]
         if v <= lb:
@@ -488,7 +486,7 @@ class CollectionEngine:
         if v > hi:
             return False
         if rounds == 1 or self._leaf_children(alive):
-            exact = self._value(levels, alive, rounds)
+            exact = self._scan(levels, alive, ub)
             self._bounds[key] = (exact, exact)
             return exact >= v
         self._expand()
@@ -514,106 +512,96 @@ class CollectionEngine:
         self._bounds[key] = (lo, _below(levels, v))
         return False
 
-    def _value(self, levels: tuple, alive: int, rounds: int):
-        """Value of a levels state with alive mask ``alive``, relative to its lowest score."""
-        lb = levels[-1][0]
-        if rounds == 0 or self._settled(alive):
-            return lb
-        key = (rounds, levels)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+    def _scan(self, levels: tuple, alive: int, ub):
+        """Exact value of a levels state whose children are all leaves, scored by top score.
+
+        A reveal scan stops once its edge is no better for the learner than
+        the instance's best edge so far, and an edge scan once its instance
+        cannot beat the best instance so far; ``ub`` stops the instance scan.
+        """
         self._expand()
-        ub = lb + rounds * self.scale
-        best = lb
+        best = levels[-1][0]
         for x in range(self.spec.n_instances):
-            v = self._instance_value(levels, alive, x, rounds - 1, cutoff=best)
-            if v > best:
-                best = v
+            reveals, edges = self._moves(alive, x)
+            least = None
+            for inc in edges:
+                worst = None
+                for _, keep in reveals:
+                    top = _top(levels, keep, inc)
+                    if worst is None or top > worst:
+                        worst = top
+                        if least is not None and worst >= least:
+                            break
+                if least is None or worst < least:
+                    least = worst
+                    if least <= best:
+                        break
+            if least > best:
+                best = least
                 if best >= ub:
                     break
-        self._memo[key] = best
         return best
 
-    def _instance_value(self, levels, alive, x, child_depth, cutoff=None):
-        """min over edges of (max over feasible reveals) of the child value.
-
-        ``cutoff`` is purely an optimization contract with ``_value``: the
-        caller only needs the result when it exceeds the cutoff, so edge
-        evaluation may stop early once an edge is proven no better than it.
-        The returned value is exact whenever it exceeds the cutoff.
-        """
-        lb = levels[-1][0]
-        reveals, edges = self._moves(alive, x)
-        best_edge = None
-        for inc in edges:
-            worst, _ = self._edge_worst(
-                levels, inc, reveals, child_depth,
-                stop_at=best_edge if best_edge is not None else _INF,
-            )
-            if best_edge is None or worst < best_edge:
-                best_edge = worst
-                if best_edge <= lb:
-                    break
-                if cutoff is not None and best_edge <= cutoff:
-                    break
-        return best_edge
-
-    def _edge_worst(self, levels, inc, reveals, child_depth, stop_at=_INF, on_budget=None):
-        """``(max child value, lowest y reaching it)`` over reveal classes, for one edge.
-
-        ``inc`` holds the edge's ``(increment, mask)`` pairs. The scan stops
-        once the max reaches ``stop_at``. With ``on_budget="bound"`` a child
-        whose recursion exceeds the budget is scored by its top score plus
-        ``child_depth * scale`` and the other children stay exact; otherwise
-        :class:`BudgetExceeded` propagates.
-        """
-        worst, worst_y = None, None
-        for y, keep in reveals:
-            if child_depth == 0 or self._settled(keep):
-                # The child's value is its top score: no need to build it.
-                v = _top(levels, keep, inc)
-            else:
-                base, child = _child(levels, keep, inc)
-                try:
-                    v = base + self._value(child, keep, child_depth)
-                except BudgetExceeded:
-                    if on_budget != "bound":
-                        raise
-                    v = base + child[-1][0] + child_depth * self.scale
-            if worst is None or v > worst:
-                worst, worst_y = v, y
-                if worst >= stop_at:
-                    break
-        return worst, worst_y
-
-    # -- entry points on boundary states -----------------------------------------
-
-    def value(self, alive: tuple, scores: tuple, rounds: int):
-        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds.
+    def _solve(self, levels: tuple, alive: int, rounds: int):
+        """Exact value of a levels state, relative to its lowest score.
 
         Null-window tests of ``value >= w`` ascend from the top score through
         every value of the form level score + integer; the last passing ``w``
         is the value.
         """
-        base, levels, mask = _levels(alive, scores)
         v = levels[-1][0]
         w = _above(levels, v)
+        while self._test(levels, alive, rounds, w):
+            v, w = w, _above(levels, w)
+        return v
+
+    def _child_value(self, levels: tuple, keep: int, inc, child_depth: int):
+        """Exact value of the child of survivors ``keep`` under ``inc``, on the parent's scale."""
+        if child_depth == 0 or self._settled(keep):
+            # The child's value is its top score: no need to build it.
+            return _top(levels, keep, inc)
+        base, child = _child(levels, keep, inc)
+        return base + self._solve(child, keep, child_depth)
+
+    def _edge_worst(self, levels, inc, reveals, child_depth):
+        """``(max child value, lowest y reaching it)`` over reveal classes, for one edge.
+
+        ``inc`` holds the edge's ``(increment, mask)`` pairs.
+        """
+        worst, worst_y = None, None
+        for y, keep in reveals:
+            v = self._child_value(levels, keep, inc, child_depth)
+            if worst is None or v > worst:
+                worst, worst_y = v, y
+        return worst, worst_y
+
+    # -- entry points on boundary states -----------------------------------------
+
+    def value(self, alive: tuple, scores: tuple, rounds: int):
+        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds."""
+        base, levels, mask = _levels(alive, scores)
         with _depth_guard(rounds):
-            while self._test(levels, mask, rounds, w):
-                v, w = w, _above(levels, w)
-        return base + v
+            return base + self._solve(levels, mask, rounds)
 
     def best_instance(self, alive: tuple, scores: tuple, rounds: int) -> int:
-        """Lowest instance achieving the state's value (adversary's move)."""
+        """Lowest instance achieving the state's value (adversary's move).
+
+        That is the lowest instance where every edge class has a reveal class
+        whose child reaches the value.
+        """
         _, levels, mask = _levels(alive, scores)
-        best_x, best_v = 0, None
         with _depth_guard(rounds):
+            v = self._solve(levels, mask, rounds)
             for x in range(self.spec.n_instances):
-                v = self._instance_value(levels, mask, x, rounds - 1)
-                if best_v is None or v > best_v:
-                    best_x, best_v = x, v
-        return best_x
+                reveals, edges = self._moves(mask, x)
+                if all(
+                    any(
+                        self._child_value(levels, keep, inc, rounds - 1) >= v
+                        for _, keep in reveals
+                    )
+                    for inc in edges
+                ):
+                    return x
 
     def edge_worst_values(self, alive, scores, x, child_depth, on_budget=None):
         """Worst-case child value for every edge, in edge order.
@@ -621,17 +609,15 @@ class CollectionEngine:
         The table is exact unless ``on_budget="bound"``, which plays one of
         two deterministic rules:
 
-        - per child, while the engine budget is not spent on entry: settled
-          and memoized children are scored exactly, and a child whose
-          recursion blows the budget gets the trivial upper bound (its top
-          score plus ``scale`` per remaining round);
-        - the no-recursion bound scan, once the budget is spent on entry. It
-          charges every reveal class the full ``child_depth * scale``, so its
-          table is looser than the per-child one, not the same table found
-          faster.
+        - per edge, while the engine budget is not spent on entry: an edge
+          whose search exceeds the budget gets its bound-scan entry (the top
+          score of its children, plus ``scale`` per remaining round), and
+          every other edge stays exact;
+        - the no-search bound scan, once the budget is spent on entry. It
+          gives every edge its bound-scan entry.
 
         dpfla with ``budget: 0`` plays the bound scan every round; with a
-        positive budget it plays the per-child rule until the budget is spent
+        positive budget it plays the per-edge rule until the budget is spent
         and the bound scan from then on.
         """
         base, levels, mask = _levels(alive, scores)
@@ -639,16 +625,22 @@ class CollectionEngine:
         if on_budget == "bound" and self.nodes >= self.budget:
             return self._edge_worst_bounds(base, levels, x, reveals, child_depth)
         groups = self._alive_groups(mask, x)
+        table = []
         with _depth_guard(child_depth):
-            return [
-                base + self._edge_worst(
-                    levels, _by_value(groups, edge), reveals, child_depth, on_budget=on_budget
-                )[0]
-                for edge in range(self.n_edges)
-            ]
+            for edge in range(self.n_edges):
+                inc = _by_value(groups, edge)
+                try:
+                    worst = self._edge_worst(levels, inc, reveals, child_depth)[0]
+                except BudgetExceeded:
+                    if on_budget != "bound":
+                        raise
+                    worst = max(_top(levels, keep, inc) for _, keep in reveals)
+                    worst += child_depth * self.scale
+                table.append(base + worst)
+        return table
 
     def _edge_worst_bounds(self, base, levels, x, reveals, child_depth):
-        """Upper-bound table for every edge without any value recursion.
+        """Upper-bound table for every edge without any search.
 
         For each reveal class only the top surviving score per image matters
         for the bound, so survivors are collapsed to one ``(increment table,

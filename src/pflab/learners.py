@@ -179,11 +179,13 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
     At each round, for every candidate label, takes the worst over feasible
     reveals of the exact game value from the updated state, and predicts the
     argmin (lowest label on ties). Guarantees at most the depth-T game value
-    in total mistakes. When the value computation blows its node budget for
-    some candidate, that candidate is scored by the deterministic upper bound
+    in total mistakes. The values come from the engine's one search, which
+    :meth:`current_potential` shares, so a prediction reads the bounds the
+    potential stored. When the search blows its node budget for some
+    candidate, that candidate is scored by the deterministic upper bound
     (max surviving score plus remaining depth) instead; the guarantee then
     degrades gracefully and the choice stays deterministic. A budget of zero
-    skips the recursion entirely and plays the bound-guided rule, which keeps
+    skips the search entirely and plays the bound-guided rule, which keeps
     large games affordable.
     """
 

@@ -1,11 +1,12 @@
-"""CollectionEngine's choice methods against naive tables, plus pinned counts.
+"""CollectionEngine's version-space rules, choice methods and pinned counts.
 
-The naive tables recurse through ``value`` on every feasible reveal, with no
-survivor-set dedup, so they check the engine's reveal classes and its
-per-edge worst case independently. ``value``'s null-window test search is
-checked against the exact recursion behind the choice methods. The pinned
-numbers hold the expanded-state counts of both searches and the budget
-fallback of ``on_budget="bound"`` fixed.
+Every entry point runs one null-window test search over one bound memo.
+The naive tables here recurse through ``value`` on every feasible reveal,
+with no survivor-set dedup, so they check the engine's reveal classes and
+its per-edge worst case; the independent check of the choice methods is
+``tests/test_reference_minimax.py``. The pinned numbers hold the search's
+expanded-state counts and the budget fallback of ``on_budget="bound"``
+fixed.
 """
 
 import functools
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pflab import (
     BudgetExceeded,
@@ -136,7 +137,7 @@ def test_choice_methods_match_naive_tables(kind, seed):
 @settings(max_examples=25, deadline=None)
 @given(seeds)
 def test_choice_methods_share_the_value_memo(kind, seed):
-    """After ``value`` fills the memo, the choice methods answer as on a fresh engine.
+    """After ``value`` fills the bound memo, the choice methods answer as on a fresh engine.
 
     The choice methods enter the memo from arbitrary states, so this checks
     that every entry point normalizes its memo keys the same way.
@@ -175,10 +176,10 @@ def _off_grid_start(eng, pick):
 def test_value_search_matches_the_exact_recursion(kind, seed, pick):
     """``value`` equals the max over instances of the min of ``edge_worst_values``.
 
-    The right side is the exact recursion of the choice methods, on an
-    engine of its own; ``value`` keeps one engine, and so its bound memo,
-    across all states. With ``pick`` set, the states start from an off-grid
-    prefix round.
+    Both sides run the same search, so this checks that ``value`` and the
+    choice methods agree: the right side on an engine of its own per state
+    set, ``value`` on one engine, and so one bound memo, across all states.
+    With ``pick`` set, the states start from an off-grid prefix round.
     """
     spec = spec_from_seed(seed, horizon=3)
     tests, exact = _engine(spec, kind), _engine(spec, kind)
@@ -238,23 +239,31 @@ def test_bound_mode_is_exact_with_unspent_budget(kind, seed):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("budget", [0, 2, 10])
-def test_bound_mode_never_undercuts_the_exact_table(kind, budget):
+@pytest.mark.parametrize("budget", [0, 1, 2, 5, 10, 30])
+@settings(max_examples=15, deadline=None)
+@given(st.none() | seeds)
+@example(seed=None)
+def test_bound_mode_never_undercuts_the_exact_table(kind, budget, seed):
     """Budget fallbacks are upper bounds in the engine's units (1/g for loss).
 
-    Every binary function on three fresh instances, at ``g = 4``: each
-    remaining round costs the learner two loss units, so a fallback adding
-    one unit per remaining round would undercut the exact values. Budget 0
-    takes the no-recursion scan, budgets 2 and 10 run out inside an edge.
+    Without a seed: every binary function on three fresh instances, at
+    ``g = 4``; each remaining round costs the learner two loss units, so a
+    fallback adding one unit per remaining round would undercut the exact
+    values. With a seed: a generated spec at the grids of ``KINDS``. Budget
+    0 takes the no-search bound scan, the positive budgets run out inside an
+    edge or between calls.
     """
-    spec = GameSpec(
-        n_instances=3,
-        n_labels=2,
-        set_system=SetSystem.full_power_set(2),
-        hypotheses=HypothesisClass.explicit(3, 2, itertools.product((0, 1), repeat=3)),
-        horizon=3,
-    )
-    grid = {} if kind == "label" else {"grid": 4}
+    if seed is None:
+        spec = GameSpec(
+            n_instances=3,
+            n_labels=2,
+            set_system=SetSystem.full_power_set(2),
+            hypotheses=HypothesisClass.explicit(3, 2, itertools.product((0, 1), repeat=3)),
+            horizon=3,
+        )
+        grid = {} if kind == "label" else {"grid": 4}
+    else:
+        spec, grid = spec_from_seed(seed, horizon=3), {}
     exact, bounded = (
         CollectionEngine(spec, build_admissible_collections(spec), kind=kind, budget=b,
                          **{**KINDS[kind], **grid})
@@ -337,15 +346,21 @@ def test_pinned_expanded_states_of_grid_kinds(index, kind, extra, prefix, depth,
 @pytest.mark.parametrize(
     "index, budget, tables, nodes",
     [
-        (120, 1, [[6, 6], [6, 6], [6, 6]], 5),
-        (120, 250, [[2, 5], [6, 6], [6, 6]], 251),
-        (120, 400, [[2, 2], [2, 6], [6, 6]], 402),
-        (160, 10, [[6, 5], [6, 6], [6, 6]], 12),
-        (160, 150, [[2, 1], [6, 5], [6, 6]], 152),
+        (120, 1, [[6, 6], [6, 6], [6, 6]], 3),
+        (120, 250, [[2, 2], [2, 6], [6, 6]], 251),
+        (120, 300, [[2, 2], [2, 2], [2, 6]], 301),
+        (160, 10, [[6, 6], [6, 6], [6, 6]], 12),
+        (160, 100, [[2, 1], [2, 6], [6, 6]], 101),
     ],
+    ids=["family120-1", "family120-250", "family120-300", "family160-10", "family160-100"],
 )
 def test_pinned_bound_tables(index, budget, tables, nodes):
-    """Tables where the budget runs out inside an edge, or before the call."""
+    """Tables where the budget runs out inside an edge, or before the call.
+
+    An edge whose search runs out gets its bound-scan entry, 6; the
+    unbudgeted tables are ``[2, 2]`` (family 120) and ``[2, 1]`` (family
+    160) at every instance.
+    """
     spec = _family_spec(index)
     eng = _engine(spec, "label", budget=budget)
     alive, scores = eng.initial_state()
@@ -395,6 +410,42 @@ def test_value_stays_cheap_where_it_stops_growing():
     without null-window tests expands 53,206 already at depth 40.
     """
     assert pfl_dim(_b5x3(), 300, budget=20_000) == 2
+
+
+def test_choices_stay_cheap_where_the_value_stops_growing():
+    """The choice methods reach ``value``'s horizons on b5x3-0.
+
+    They run the test search too, so depth 300 fits in 50,000 states; the
+    exact recursion they used to run exceeded 20,000 states at depth 40.
+    """
+    eng = _engine(_b5x3(), "label", budget=50_000)
+    state = eng.initial_state()
+    assert eng.best_instance(*state, 300) == 0
+    assert eng.best_edge(*state, 0, 299) == 0
+    assert eng.best_reveal(*state, 0, 0, 299) == 1
+
+
+def test_pinned_states_of_potential_play():
+    """dpfla's potential and prediction against the optimal adversary, summed over ten games.
+
+    This is the loop of ``replicate``'s potential check, on every third
+    ``binary_full_system_family`` class from index 100. ``best_edge`` and
+    ``best_instance`` read the bound memo ``value`` and earlier choices
+    filled; with a second search of their own the sums were 1,320 and 1,464.
+    """
+    learner = adversary = 0
+    for index in range(100, 130, 3):
+        spec = _family_spec(index)
+        lrn, adv = PotentialMinimizingLearner(), OptimalAdversary()
+        lrn.begin(spec)
+        adv.begin(spec)
+        for _ in range(spec.horizon):
+            lrn.current_potential()
+            x = adv.choose_instance()
+            lrn.observe(adv.reveal(x, lrn.predict(x)))
+        learner += lrn._engines[0].nodes
+        adversary += adv._engine.nodes
+    assert (learner, adversary) == (860, 796)
 
 
 def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():

@@ -9,6 +9,8 @@ come from the collections' members, and every charge is exact ``Fraction``
 arithmetic on ``Measure`` masses. There are no cutoffs, no merging of equal
 moves or reveals, no score normalization, no common-label shortcut and no
 ``CollectionEngine``; a cache on exact states only saves repeated work.
+The engine's choice methods are checked against the argmax and argmin of
+the reference's per-instance, per-move and per-reveal tables.
 """
 
 import random
@@ -57,8 +59,25 @@ def reference_start(spec, kind, gamma, prefix):
     return tuple(start)
 
 
-def reference_value(spec, kind, gamma, moves, start, rounds):
-    """Max over instances, min over moves, max over feasible reveals; max score at the end."""
+def reference_children(spec, kind, gamma, state, x, move):
+    """``{y: child state}`` for every label ``y`` some image at ``x`` contains, after ``move``."""
+    return {
+        y: tuple(
+            (images, score + _charge(kind, gamma, move, images[x]))
+            for images, score in state
+            if (images[x] >> y) & 1
+        )
+        for y in range(spec.n_labels)
+        if any((images[x] >> y) & 1 for images, _ in state)
+    }
+
+
+def reference_value(spec, kind, gamma, moves):
+    """The naive minimax as a function of ``(state, rounds)``.
+
+    Max over instances, min over moves, max over feasible reveals; max score
+    at the end.
+    """
 
     @lru_cache(maxsize=None)
     def value(state, rounds):
@@ -66,25 +85,16 @@ def reference_value(spec, kind, gamma, moves, start, rounds):
             return max(score for _, score in state)
         best = None
         for x in range(spec.n_instances):
-            feasible = [y for y in range(spec.n_labels)
-                        if any((images[x] >> y) & 1 for images, _ in state)]
             per_move = []
             for move in moves:
-                children = []
-                for y in feasible:
-                    child = tuple(
-                        (images, score + _charge(kind, gamma, move, images[x]))
-                        for images, score in state
-                        if (images[x] >> y) & 1
-                    )
-                    children.append(value(child, rounds - 1))
-                per_move.append(max(children))
+                children = reference_children(spec, kind, gamma, state, x, move).values()
+                per_move.append(max(value(child, rounds - 1) for child in children))
             v = min(per_move)
             if best is None or v > best:
                 best = v
         return best
 
-    return value(start, rounds)
+    return value
 
 
 def _prefixes(spec, kind, g, rng):
@@ -123,20 +133,51 @@ def _prefixes(spec, kind, g, rng):
 # ``g`` units, stops the instance loop early and returns 2/3 for 1.
 @example(1043, 0, Fraction(1, 2), 3)
 def test_engine_matches_reference_minimax(kind, seed, prefix_seed, gamma, g):
+    """``value`` and every choice method against the reference, from each prefix.
+
+    The choices are the argmax and argmin of the reference's tables, ties
+    going to the lowest instance, move or label. They run on a fresh engine
+    per prefix, so they do not start from the bound memo ``value`` filled.
+    """
     rounds = 3 if kind == "label" else 2
     spec = spec_from_seed(seed, horizon=rounds + 1)
     if kind != "measure":
         gamma = None
     if kind == "label":
         g = None
-    engine = CollectionEngine(spec, build_admissible_collections(spec), kind=kind,
-                              gamma=gamma, grid=g)
+
+    def engine():
+        return CollectionEngine(spec, build_admissible_collections(spec), kind=kind,
+                                gamma=gamma, grid=g)
+
+    solver = engine()
     moves = list(range(spec.n_labels)) if kind == "label" else measure_grid(spec.n_labels, g)
+    value = reference_value(spec, kind, gamma, moves)
     # A loss-kind engine counts in units of 1 / scale; an engine without a
     # scale counts in true units.
-    scale = getattr(engine, "scale", 1)
+    scale = getattr(solver, "scale", 1)
     for prefix in _prefixes(spec, kind, g, random.Random(prefix_seed)):
         start = reference_start(spec, kind, gamma, prefix)
-        want = reference_value(spec, kind, gamma, moves, start, rounds)
-        got = engine.value(*engine.prefix_state(*prefix), rounds)
-        assert Fraction(got) / scale == want
+        got = solver.value(*solver.prefix_state(*prefix), rounds)
+        assert Fraction(got) / scale == value(start, rounds)
+
+        chooser = engine()
+        state = chooser.prefix_state(*prefix)
+        child_values = [
+            [
+                {y: value(child, rounds - 1)
+                 for y, child in reference_children(spec, kind, gamma, start, x, move).items()}
+                for move in moves
+            ]
+            for x in range(spec.n_instances)
+        ]
+        worst = [[max(per_y.values()) for per_y in per_move] for per_move in child_values]
+        per_instance = [min(row) for row in worst]
+        assert chooser.best_instance(*state, rounds) == per_instance.index(max(per_instance))
+        for x, row in enumerate(worst):
+            table = chooser.edge_worst_values(*state, x, rounds - 1)
+            assert [Fraction(v) / scale for v in table] == row
+            assert chooser.best_edge(*state, x, rounds - 1) == row.index(min(row))
+            for e, per_y in enumerate(child_values[x]):
+                want = min(y for y, v in per_y.items() if v == row[e])
+                assert chooser.best_reveal(*state, x, e, rounds - 1) == want
