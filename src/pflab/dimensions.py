@@ -66,10 +66,12 @@ def ppfl_dim(
     outside its image. The prefix's own annotations need no re-optimization:
     the alive set is already exactly the reveal-consistent one, and the
     charged counts do not depend on which feasible annotations are imagined,
-    so seeding with the observed reveals loses nothing.
+    so seeding with the observed reveals loses nothing. Partial feedback
+    only: any other mode is a :class:`SpecError`.
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
+    spec.require_partial_feedback("the mistake value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="label", budget=budget)
     alive, scores = engine.prefix_state(prefix_x, prefix_y, prefix_reveals)

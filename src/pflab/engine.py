@@ -135,8 +135,13 @@ class has a child reaching the state's value. A choice method therefore
 reads the bounds that earlier calls of any entry point stored.
 
 The budget counts the states the test search expands, an all-leaf scan
-counting as one. Past the budget every entry point raises
-:class:`BudgetExceeded` with the same message.
+counting as one, for all three kinds alike; it defaults to
+``PFLAB_BUDGET_STATES``. Past the budget every entry point raises
+:class:`BudgetExceeded` with the same message, so a budget bounds work and
+never changes an answer: a call returns its exact result or raises.
+:meth:`CollectionEngine.edge_worst_bounds` is the one table that runs no
+search: an upper bound on every entry of ``edge_worst_values``, read from
+the children's top scores.
 
 Each round nests one Python frame of a test, so every entry point reaches
 the same horizons. A horizon deep enough to exhaust Python's recursion
@@ -160,10 +165,6 @@ from .setsystems import iter_bits
 
 def states_budget() -> int:
     return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
-
-
-def rand_budget() -> int:
-    return env_budget("PFLAB_BUDGET_RAND", 10_000_000)
 
 
 @contextmanager
@@ -210,8 +211,7 @@ class CollectionEngine:
             # The grid's count tuples, transposed: one column of counts per label.
             self._columns = tuple(zip(*counts))
         self.scale = self.g if kind == "loss" else 1
-        if budget is None:
-            budget = rand_budget() if kind == "loss" else states_budget()
+        budget = states_budget() if budget is None else budget
         if budget < 0:
             raise SpecError(f"budget must be nonnegative, got {budget}")
         self.budget = budget
@@ -603,56 +603,33 @@ class CollectionEngine:
                 ):
                     return x
 
-    def edge_worst_values(self, alive, scores, x, child_depth, on_budget=None):
-        """Worst-case child value for every edge, in edge order.
-
-        The table is exact unless ``on_budget="bound"``, which plays one of
-        two deterministic rules:
-
-        - per edge, while the engine budget is not spent on entry: an edge
-          whose search exceeds the budget gets its bound-scan entry (the top
-          score of its children, plus ``scale`` per remaining round), and
-          every other edge stays exact;
-        - the no-search bound scan, once the budget is spent on entry. It
-          gives every edge its bound-scan entry.
-
-        dpfla with ``budget: 0`` plays the bound scan every round; with a
-        positive budget it plays the per-edge rule until the budget is spent
-        and the bound scan from then on.
-        """
+    def edge_worst_values(self, alive, scores, x, child_depth):
+        """Exact worst-case child value for every edge, in edge order."""
         base, levels, mask = _levels(alive, scores)
         reveals = self._reveals(mask, x)
-        if on_budget == "bound" and self.nodes >= self.budget:
-            return self._edge_worst_bounds(base, levels, x, reveals, child_depth)
         groups = self._alive_groups(mask, x)
-        table = []
         with _depth_guard(child_depth):
-            for edge in range(self.n_edges):
-                inc = _by_value(groups, edge)
-                try:
-                    worst = self._edge_worst(levels, inc, reveals, child_depth)[0]
-                except BudgetExceeded:
-                    if on_budget != "bound":
-                        raise
-                    worst = max(_top(levels, keep, inc) for _, keep in reveals)
-                    worst += child_depth * self.scale
-                table.append(base + worst)
-        return table
+            return [
+                base + self._edge_worst(levels, _by_value(groups, edge), reveals, child_depth)[0]
+                for edge in range(self.n_edges)
+            ]
 
-    def _edge_worst_bounds(self, base, levels, x, reveals, child_depth):
-        """Upper-bound table for every edge without any search.
+    def edge_worst_bounds(self, alive, scores, x, child_depth):
+        """Upper bound on every entry of :meth:`edge_worst_values`, without any search.
 
-        For each reveal class only the top surviving score per image matters
-        for the bound, so survivors are collapsed to one ``(increment table,
-        top score)`` pair per image once and every edge is scored against
-        those pairs.
+        An edge's entry is the top score of its children plus ``scale`` per
+        remaining round. For each reveal class only the top surviving score
+        per image matters, so survivors are collapsed to one ``(increment
+        table, top score)`` pair per image once and every edge is scored
+        against those pairs.
         """
+        base, levels, mask = _levels(alive, scores)
         classes = [
             [
                 (table, max(s for s, level in levels if level & group & keep))
                 for table, group in self._alive_groups(keep, x)
             ]
-            for _, keep in reveals
+            for _, keep in self._reveals(mask, x)
         ]
         return [
             base
@@ -664,12 +641,9 @@ class CollectionEngine:
             for edge in range(self.n_edges)
         ]
 
-    def best_edge(self, alive, scores, x, child_depth, on_budget=None):
-        """Lowest-index edge minimizing the worst-case child value.
-
-        ``on_budget`` is passed to :meth:`edge_worst_values`.
-        """
-        values = self.edge_worst_values(alive, scores, x, child_depth, on_budget=on_budget)
+    def best_edge(self, alive, scores, x, child_depth):
+        """Lowest-index edge minimizing the worst-case child value."""
+        values = self.edge_worst_values(alive, scores, x, child_depth)
         return values.index(min(values))
 
     def best_reveal(self, alive, scores, x, edge_index, child_depth) -> int:

@@ -208,6 +208,13 @@ class GameSpec:
     def __deepcopy__(self, memo):
         return self
 
+    def require_partial_feedback(self, what: str) -> None:
+        """Raise :class:`SpecError` naming the mode unless the feedback is partial."""
+        if self.feedback is not Feedback.PARTIAL:
+            raise SpecError(
+                f"{what} is solved for partial feedback only, not {self.feedback.value}"
+            )
+
 
 # -- admissible collections ------------------------------------------------------
 

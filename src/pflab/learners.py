@@ -181,12 +181,12 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
     argmin (lowest label on ties). Guarantees at most the depth-T game value
     in total mistakes. The values come from the engine's one search, which
     :meth:`current_potential` shares, so a prediction reads the bounds the
-    potential stored. When the search blows its node budget for some
-    candidate, that candidate is scored by the deterministic upper bound
-    (max surviving score plus remaining depth) instead; the guarantee then
-    degrades gracefully and the choice stays deterministic. A budget of zero
-    skips the search entirely and plays the bound-guided rule, which keeps
-    large games affordable.
+    potential stored. A positive budget (by default ``PFLAB_BUDGET_STATES``)
+    bounds that search: past it the prediction raises
+    :class:`BudgetExceeded`, so no budget changes play. A budget of zero
+    plays the bound-guided rule instead: the argmin of
+    :meth:`CollectionEngine.edge_worst_bounds` (max surviving score plus
+    remaining depth), which runs no search and keeps large games affordable.
     """
 
     def __init__(self, potential_budget: int | None = None):
@@ -196,9 +196,10 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
         return [CollectionEngine(spec, collections, kind="label", budget=self._budget)]
 
     def predict(self, x: int) -> int:
-        yhat = self._engines[0].best_edge(
-            self._alive, self._scores[0], x, self._child_depth(), on_budget="bound"
-        )
+        eng = self._engines[0]
+        table = eng.edge_worst_bounds if self._budget == 0 else eng.edge_worst_values
+        values = table(self._alive, self._scores[0], x, self._child_depth())
+        yhat = values.index(min(values))
         self._pending = (x, yhat)
         return yhat
 

@@ -63,11 +63,13 @@ def ppms_dim(
     Collections inconsistent with a prefix reveal are dropped; the survivors
     start charged with the prefix rounds whose played measure already
     triggered the ``gamma`` event against them. Prefix measures are taken as
-    given exact measures and need not lie on the continuation grid.
+    given exact measures and need not lie on the continuation grid. Partial
+    feedback only, as for :func:`pflab.dimensions.ppfl_dim`.
     """
     gamma = _as_gamma(gamma)
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
+    spec.require_partial_feedback("the thresholded-event value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(
         spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
@@ -115,7 +117,8 @@ def minimax_rand_regret(
     The learner announces a grid measure each round, the adversary answers
     with an instance and a feasible reveal, and the terminal payoff is the
     largest total miss mass accumulated by any surviving collection. Fully
-    realizable oblivious games only, where that payoff is the regret itself.
+    realizable oblivious games with partial feedback only, where that payoff
+    is the regret itself.
 
     The engine scores loss in integer units of ``1/g``, where ``g`` is the
     grid resolution, so its value is ``g`` times the regret; the result is
@@ -131,6 +134,7 @@ def minimax_rand_regret(
         raise SpecError("the randomized minimax value is defined for oblivious games")
     if T < 0:
         raise SpecError(f"horizon must be nonnegative, got {T}")
+    spec.require_partial_feedback("the randomized minimax value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)
     alive, scores = engine.initial_state()

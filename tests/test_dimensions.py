@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,13 @@ from pflab import (
     dimension_relations_report,
     helly_game,
     minimax_det_regret,
+    minimax_rand_regret,
     ml_sl_bl_dim,
     naive_tree_oracle,
     pfl_dim,
+    pms_dim,
     ppfl_dim,
+    ppms_dim,
     verify_shattering_tree,
 )
 from pflab.setsystems import labels_of
@@ -58,6 +62,34 @@ def test_relations_report():
     assert rep["ml"] == 1
     assert rep["ml_le_pfl"] == "holds"
     assert rep["pfl_le_bound"] == "not_asserted"
+
+
+@pytest.mark.parametrize("feedback", ["set_valued", "multiclass", "bandit"])
+def test_values_reject_feedback_they_do_not_solve(feedback):
+    """Every value entry point solves the partial-feedback game only, and says so.
+
+    On this spec with partial feedback the values are 1 (``pfl``) and 1/2
+    (randomized regret); they used to be returned for every feedback mode.
+    """
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=2,
+        set_system=SetSystem.explicit(2, [0b01, 0b10, 0b11]),
+        hypotheses=HypothesisClass.explicit(1, 2, [(0,), (1,)]),
+        horizon=2,
+    )
+    assert (pfl_dim(spec, 2), minimax_rand_regret(spec, 2, g=2)) == (1, Fraction(1, 2))
+    spec = dataclasses.replace(spec, feedback=feedback)
+    for call in (
+        lambda: pfl_dim(spec, 2),
+        lambda: ppfl_dim(spec, (0,), (0,), (1,), 1),
+        lambda: minimax_det_regret(spec, 2),
+        lambda: pms_dim(spec, 2, Fraction(1, 2), g=2),
+        lambda: ppms_dim(spec, (), (), (), 2, Fraction(1, 2), g=2),
+        lambda: minimax_rand_regret(spec, 2, g=2),
+    ):
+        with pytest.raises(SpecError, match=f"partial feedback only, not {feedback}$"):
+            call()
 
 
 def test_helly_dimension_is_one():

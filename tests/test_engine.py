@@ -4,9 +4,10 @@ Every entry point runs one null-window test search over one bound memo.
 The naive tables here recurse through ``value`` on every feasible reveal,
 with no survivor-set dedup, so they check the engine's reveal classes and
 its per-edge worst case; the independent check of the choice methods is
-``tests/test_reference_minimax.py``. The pinned numbers hold the search's
-expanded-state counts and the budget fallback of ``on_budget="bound"``
-fixed.
+``tests/test_reference_minimax.py``. The no-search ``edge_worst_bounds``
+table is checked to stay at or above the exact one. The pinned numbers hold
+the search's expanded-state counts fixed, and a budget either leaves an
+answer exact or raises ``BudgetExceeded``: it never changes dpfla's play.
 """
 
 import functools
@@ -227,31 +228,16 @@ def test_value_does_not_depend_on_an_unspent_budget(kind, seed, pick):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=25, deadline=None)
-@given(seeds)
-def test_bound_mode_is_exact_with_unspent_budget(kind, seed):
-    spec = spec_from_seed(seed, horizon=3)
-    exact, bounded = _engine(spec, kind), _engine(spec, kind)
-    for alive, scores, rounds in _states(exact):
-        for x in range(spec.n_instances):
-            assert bounded.edge_worst_values(
-                alive, scores, x, rounds - 1, on_budget="bound"
-            ) == exact.edge_worst_values(alive, scores, x, rounds - 1)
-
-
-@pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("budget", [0, 1, 2, 5, 10, 30])
-@settings(max_examples=15, deadline=None)
 @given(st.none() | seeds)
 @example(seed=None)
-def test_bound_mode_never_undercuts_the_exact_table(kind, budget, seed):
-    """Budget fallbacks are upper bounds in the engine's units (1/g for loss).
+def test_bounds_never_undercut_the_exact_table(kind, seed):
+    """``edge_worst_bounds`` is at or above ``edge_worst_values`` in every entry.
 
     Without a seed: every binary function on three fresh instances, at
     ``g = 4``; each remaining round costs the learner two loss units, so a
-    fallback adding one unit per remaining round would undercut the exact
-    values. With a seed: a generated spec at the grids of ``KINDS``. Budget
-    0 takes the no-search bound scan, the positive budgets run out inside an
-    edge or between calls.
+    bound adding one unit per remaining round would undercut the exact
+    values. With a seed: a generated spec at the grids of ``KINDS``. With no
+    rounds below the edge, the bound is the exact table.
     """
     if seed is None:
         spec = GameSpec(
@@ -264,16 +250,16 @@ def test_bound_mode_never_undercuts_the_exact_table(kind, budget, seed):
         grid = {} if kind == "label" else {"grid": 4}
     else:
         spec, grid = spec_from_seed(seed, horizon=3), {}
-    exact, bounded = (
-        CollectionEngine(spec, build_admissible_collections(spec), kind=kind, budget=b,
-                         **{**KINDS[kind], **grid})
-        for b in (None, budget)
+    eng = CollectionEngine(
+        spec, build_admissible_collections(spec), kind=kind, **{**KINDS[kind], **grid}
     )
-    alive, scores = exact.initial_state()
-    for x in range(spec.n_instances):
-        want = exact.edge_worst_values(alive, scores, x, 2)
-        got = bounded.edge_worst_values(alive, scores, x, 2, on_budget="bound")
-        assert all(b >= e for b, e in zip(got, want))
+    for alive, scores, rounds in _states(eng):
+        for x in range(spec.n_instances):
+            exact = eng.edge_worst_values(alive, scores, x, rounds - 1)
+            bounds = eng.edge_worst_bounds(alive, scores, x, rounds - 1)
+            assert all(b >= e for b, e in zip(bounds, exact))
+            leaves = eng.edge_worst_values(alive, scores, x, 0)
+            assert eng.edge_worst_bounds(alive, scores, x, 0) == leaves
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -344,50 +330,32 @@ def test_pinned_expanded_states_of_grid_kinds(index, kind, extra, prefix, depth,
 
 
 @pytest.mark.parametrize(
-    "index, budget, tables, nodes",
-    [
-        (120, 1, [[6, 6], [6, 6], [6, 6]], 3),
-        (120, 250, [[2, 2], [2, 6], [6, 6]], 251),
-        (120, 300, [[2, 2], [2, 2], [2, 6]], 301),
-        (160, 10, [[6, 6], [6, 6], [6, 6]], 12),
-        (160, 100, [[2, 1], [2, 6], [6, 6]], 101),
-    ],
-    ids=["family120-1", "family120-250", "family120-300", "family160-10", "family160-100"],
-)
-def test_pinned_bound_tables(index, budget, tables, nodes):
-    """Tables where the budget runs out inside an edge, or before the call.
-
-    An edge whose search runs out gets its bound-scan entry, 6; the
-    unbudgeted tables are ``[2, 2]`` (family 120) and ``[2, 1]`` (family
-    160) at every instance.
-    """
-    spec = _family_spec(index)
-    eng = _engine(spec, "label", budget=budget)
-    alive, scores = eng.initial_state()
-    got = [
-        eng.edge_worst_values(alive, scores, x, spec.horizon - 1, on_budget="bound")
-        for x in range(spec.n_instances)
-    ]
-    assert got == tables
-    assert eng.nodes == nodes
-
-
-@pytest.mark.parametrize(
     "spec_of, transcript",
     [
         (lambda: helly_game(3), ((0, 0, 0), (0, 1, 1), (1, 1, 1), (50, 50, 50), 1)),
-        (
-            lambda: _family_spec(120),
-            ((0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1),
-             (2, 2, 2, 2, 2, 2), 2),
-        ),
+        # Family 120 needs more states than each budget: play stops, it does not degrade.
+        (lambda: _family_spec(120), BudgetExceeded),
     ],
 )
 @pytest.mark.parametrize("budget", [1, 3, 8])
 def test_pinned_dpfla_vs_optimal(spec_of, transcript, budget):
-    spec = spec_of()
-    t = play_game(spec, PotentialMinimizingLearner(potential_budget=budget), OptimalAdversary())
+    learner = PotentialMinimizingLearner(potential_budget=budget)
+    if transcript is BudgetExceeded:
+        with pytest.raises(BudgetExceeded, match=f"exceeded {budget} expanded states"):
+            play_game(spec_of(), learner, OptimalAdversary())
+        return
+    t = play_game(spec_of(), learner, OptimalAdversary())
     assert (t.instances, t.predictions, t.reveals, t.sets, t.loss) == transcript
+
+
+@pytest.mark.parametrize("budget", [0, None])
+def test_pinned_dpfla_bound_rule_and_exact_play(budget):
+    """Family 120 at ``budget: 0`` (the bound-guided rule) and without a budget."""
+    t = play_game(_family_spec(120), PotentialMinimizingLearner(potential_budget=budget),
+                  OptimalAdversary())
+    assert (t.instances, t.predictions, t.reveals, t.sets, t.loss) == (
+        (0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), 2
+    )
 
 
 def _b5x3():
@@ -459,14 +427,13 @@ def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():
         lambda eng, state: eng.value(*state, 5000),
         lambda eng, state: eng.best_instance(*state, 5000),
         lambda eng, state: eng.edge_worst_values(*state, 0, 4999),
-        lambda eng, state: eng.edge_worst_values(*state, 0, 4999, on_budget="bound"),
         lambda eng, state: eng.best_edge(*state, 0, 4999),
         lambda eng, state: eng.best_reveal(*state, 0, 0, 4999),
     ],
-    ids=["value", "best_instance", "edge_worst_values", "bound", "best_edge", "best_reveal"],
+    ids=["value", "best_instance", "edge_worst_values", "best_edge", "best_reveal"],
 )
 def test_every_entry_point_reports_a_too_deep_recursion(call):
-    """A ``RecursionError`` leaves the engine as ``BudgetExceeded``, even in bound mode."""
+    """A ``RecursionError`` leaves the engine as ``BudgetExceeded``."""
     eng = _engine(_b5x3(), "label")
     with pytest.raises(BudgetExceeded, match="exceeds Python's recursion limit"):
         call(eng, eng.initial_state())

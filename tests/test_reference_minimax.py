@@ -10,7 +10,9 @@ arithmetic on ``Measure`` masses. There are no cutoffs, no merging of equal
 moves or reveals, no score normalization, no common-label shortcut and no
 ``CollectionEngine``; a cache on exact states only saves repeated work.
 The engine's choice methods are checked against the argmax and argmin of
-the reference's per-instance, per-move and per-reveal tables.
+the reference's per-instance, per-move and per-reveal tables, and its
+no-search bound table against the top child score plus one full charge per
+remaining round.
 """
 
 import random
@@ -133,11 +135,13 @@ def _prefixes(spec, kind, g, rng):
 # ``g`` units, stops the instance loop early and returns 2/3 for 1.
 @example(1043, 0, Fraction(1, 2), 3)
 def test_engine_matches_reference_minimax(kind, seed, prefix_seed, gamma, g):
-    """``value`` and every choice method against the reference, from each prefix.
+    """``value``, every choice method and the bound table against the reference.
 
     The choices are the argmax and argmin of the reference's tables, ties
     going to the lowest instance, move or label. They run on a fresh engine
     per prefix, so they do not start from the bound memo ``value`` filled.
+    ``edge_worst_bounds`` must equal the largest child score plus one full
+    charge per remaining round, and so stay at or above the exact table.
     """
     rounds = 3 if kind == "label" else 2
     spec = spec_from_seed(seed, horizon=rounds + 1)
@@ -163,21 +167,32 @@ def test_engine_matches_reference_minimax(kind, seed, prefix_seed, gamma, g):
 
         chooser = engine()
         state = chooser.prefix_state(*prefix)
-        child_values = [
-            [
-                {y: value(child, rounds - 1)
-                 for y, child in reference_children(spec, kind, gamma, start, x, move).items()}
-                for move in moves
-            ]
+        children = [
+            [reference_children(spec, kind, gamma, start, x, move) for move in moves]
             for x in range(spec.n_instances)
         ]
+        child_values = [
+            [{y: value(child, rounds - 1) for y, child in per_y.items()} for per_y in per_move]
+            for per_move in children
+        ]
         worst = [[max(per_y.values()) for per_y in per_move] for per_move in child_values]
+        # The top score over every child, plus one full charge per remaining round.
+        tops = [
+            [
+                max(score for child in per_y.values() for _, score in child) + rounds - 1
+                for per_y in per_move
+            ]
+            for per_move in children
+        ]
         per_instance = [min(row) for row in worst]
         assert chooser.best_instance(*state, rounds) == per_instance.index(max(per_instance))
         for x, row in enumerate(worst):
             table = chooser.edge_worst_values(*state, x, rounds - 1)
             assert [Fraction(v) / scale for v in table] == row
             assert chooser.best_edge(*state, x, rounds - 1) == row.index(min(row))
+            bounds = chooser.edge_worst_bounds(*state, x, rounds - 1)
+            assert [Fraction(v) / scale for v in bounds] == tops[x]
+            assert all(b >= w for b, w in zip(tops[x], row))
             for e, per_y in enumerate(child_values[x]):
                 want = min(y for y, v in per_y.items() if v == row[e])
                 assert chooser.best_reveal(*state, x, e, rounds - 1) == want
