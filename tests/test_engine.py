@@ -227,6 +227,42 @@ def test_value_does_not_depend_on_an_unspent_budget(kind, seed, pick):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("budget", [0, 1, 2, 5, 10, 30])
+@settings(max_examples=15, deadline=None)
+@given(seeds)
+def test_a_budget_never_changes_an_answer(kind, budget, seed):
+    """Every entry point on one budgeted engine returns the exact answer or raises.
+
+    The calls share the engine, so the budget runs out inside an edge or
+    between calls; an answer after a raise comes from the memo the
+    interrupted search left, and must still be exact. Budget 0 raises on the
+    first expanded state.
+    """
+    spec = spec_from_seed(seed, horizon=3)
+    exact, budgeted = _engine(spec, kind), _engine(spec, kind, budget=budget)
+    alive, scores = exact.initial_state()
+    h = spec.horizon
+    calls = [
+        lambda eng: eng.value(alive, scores, h),
+        lambda eng: eng.best_instance(alive, scores, h),
+    ]
+    for x in range(spec.n_instances):
+        calls += [
+            lambda eng, x=x: eng.edge_worst_values(alive, scores, x, h - 1),
+            lambda eng, x=x: eng.best_edge(alive, scores, x, h - 1),
+            lambda eng, x=x: eng.best_reveal(alive, scores, x, 0, h - 1),
+        ]
+    for call in calls:
+        want = call(exact)
+        try:
+            got = call(budgeted)
+        except BudgetExceeded as info:
+            assert info.spent > info.budget == budget
+            continue
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=25, deadline=None)
 @given(st.none() | seeds)
 @example(seed=None)
