@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CollectionEngine
+from .engine import CollectionEngine, alive_mask
 from .errors import LabelPoolExhausted, PoolExhausted, SpecError
 from .game import (
     Adversary,
@@ -49,27 +49,30 @@ class _CollectionAdversary(Adversary):
     ``begin`` enumerates the admissible collections and keeps the lowest-id
     one of each image vector: play reads only images, and the chosen
     survivor is the lowest id of its image class. The version space is one
-    label engine's state ``(alive, scores)`` over those collections, with
+    label engine's ``(base, levels)`` state over those collections, with
     every prediction charged at its heaviest label; each reveal moves it
-    through :meth:`_advance`. The ground truth is the collection a
-    subclass's :meth:`_chosen` names: its images at the played instances are
-    the finalized sets, its members the witness.
+    through :meth:`_advance`. Under multiclass feedback, whose finalized sets
+    are singletons, only one-member collections are tracked. The ground
+    truth is the collection a subclass's :meth:`_chosen` names: its images
+    at the played instances are the finalized sets, its members the witness.
     """
 
     def begin(self, spec: GameSpec) -> None:
         self._track(spec, distinct_images(build_admissible_collections(spec)))
 
     def _track(self, spec: GameSpec, collections) -> None:
+        if spec.feedback is Feedback.MULTICLASS:
+            collections = [c for c in collections if len(c.members) == 1]
+            if not collections:
+                raise SpecError("multiclass feedback needs an admissible one-hypothesis collection")
         self._spec = spec
         self._engine = CollectionEngine(spec, collections, kind="label")
-        self._alive, self._scores = self._engine.initial_state()
+        self._state = self._engine.initial_state()
         self._rounds_left = spec.horizon
 
     def _advance(self, x: int, prediction, y: int) -> int:
         """Reveal ``y`` at ``x`` against ``prediction``; return ``y``."""
-        self._alive, self._scores = self._engine.update(
-            self._alive, self._scores, x, _modal_label(prediction), y
-        )
+        self._state = self._engine.update(*self._state, x, _modal_label(prediction), y)
         self._rounds_left -= 1
         return y
 
@@ -96,17 +99,17 @@ class OptimalAdversary(_CollectionAdversary):
     """
 
     def choose_instance(self) -> int:
-        return self._engine.best_instance(self._alive, self._scores, self._rounds_left)
+        return self._engine.best_instance(*self._state, self._rounds_left)
 
     def reveal(self, x: int, prediction) -> int:
         y = self._engine.best_reveal(
-            self._alive, self._scores, x, _modal_label(prediction), self._rounds_left - 1
+            *self._state, x, _modal_label(prediction), self._rounds_left - 1
         )
         return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
-        best = max(self._scores)
-        return self._alive[self._scores.index(best)]
+        _, top = self._state[1][-1]  # the level of the highest score
+        return next(iter_bits(top))
 
 
 class EchoAdversary(_CollectionAdversary):
@@ -122,13 +125,13 @@ class EchoAdversary(_CollectionAdversary):
 
     def reveal(self, x: int, prediction) -> int:
         y = _modal_label(prediction)
-        feasible = self._engine.feasible(self._alive, x)
+        feasible = self._engine.feasible(*self._state, x)
         if not (feasible >> y) & 1:
             y = min(iter_bits(feasible))
         return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
-        return self._alive[0]
+        return next(iter_bits(alive_mask(self._state[1])))
 
 
 class SeededRandomAdversary(_CollectionAdversary):
@@ -151,12 +154,12 @@ class SeededRandomAdversary(_CollectionAdversary):
         return self._rng.randrange(self._spec.n_instances)
 
     def reveal(self, x: int, prediction) -> int:
-        y = self._rng.choice(list(iter_bits(self._engine.feasible(self._alive, x))))
+        y = self._rng.choice(list(iter_bits(self._engine.feasible(*self._state, x))))
         return self._advance(x, prediction, y)
 
     def _chosen(self) -> int:
         if self._pick is None:
-            self._pick = self._rng.choice(self._alive)
+            self._pick = self._rng.choice(list(iter_bits(alive_mask(self._state[1]))))
         return self._pick
 
 

@@ -74,8 +74,7 @@ def ppfl_dim(
     spec.require_partial_feedback("the mistake value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="label", budget=budget)
-    alive, scores = engine.prefix_state(prefix_x, prefix_y, prefix_reveals)
-    return engine.value(alive, scores, d)
+    return engine.value(*engine.prefix_state(prefix_x, prefix_y, prefix_reveals), d)
 
 
 # -- shattering trees -------------------------------------------------------------

@@ -13,7 +13,7 @@ also report argmax/argmin choices so strategies can play optimally.
 
 The engine is the one owner of these states, the collection version space:
 no strategy scans the alive collections' images itself. Strategies that play
-from the version space hold an ``(alive, scores)`` state, read it through
+from the version space hold a ``(base, levels)`` state, read it through
 :meth:`CollectionEngine.feasible` and :meth:`CollectionEngine.common` (the
 labels some, or every, alive image holds at an instance) and move it with
 :meth:`CollectionEngine.update` on a revealed label or
@@ -44,18 +44,15 @@ A prefix measure off the grid (:meth:`CollectionEngine.prefix_state`) charges
 an exact ``Fraction`` in the same units; the search adds, compares and
 subtracts it like an integer, so such states are solved exactly too.
 
-States live in two forms. At the API boundary a state is the pair
-``(alive, scores)``: the ids of the alive collections in ascending order and
-one score per id. Strategies hold this form, and the version-space methods
-(``feasible``, ``common``, ``update``, ``update_set``) read and move it
-directly, in one pass over the alive ids. Inside the search a state is a
-sorted tuple of *levels* ``(relative score, mask)``: ``mask`` has bit ``cid``
-set for every alive collection at that score, the first level's score is 0
-and no mask is empty. Each entry point of the search (``value``,
-``best_instance``, ``edge_worst_values``, ``best_edge``, ``best_reveal``)
-converts its boundary state to levels once. The levels are sparse, so they
-hold the loss kind's charges and off-grid ``Fraction`` scores as they hold
-the label kind's 0/1 counts.
+A state has one form, in the search and at every entry point alike: the
+pair ``(base, levels)``. ``levels`` is a sorted tuple of ``(relative score,
+mask)``: ``mask`` has bit ``cid`` set for every alive collection at that
+score, the first level's score is 0 and no mask is empty; ``base`` is the
+lowest score, so a collection's score is ``base`` plus its level's score.
+Every method takes the pair as two positional arguments, and
+:func:`alive_mask` reads the alive ids off the levels. The levels are
+sparse, so they hold the loss kind's charges and off-grid ``Fraction``
+scores as they hold the label kind's 0/1 counts.
 
 On its first visit to an instance ``x`` the search groups the
 collections by their image at ``x``: one ``(image, mask)`` pair per distinct
@@ -71,7 +68,11 @@ masks:
   per increment value; they are cached per instance and set of alive
   groups;
 * a child ORs ``mask & survivors & increment mask`` of each level into the
-  level at ``score + increment``, then subtracts the lowest score.
+  level at ``score + increment``, then subtracts the lowest score. This one
+  step also moves played states: :meth:`CollectionEngine.update` and
+  :meth:`CollectionEngine.update_set` apply it to a reveal's survivor mask
+  and raise :class:`EmptyConsistentSet` when nothing survives, and
+  :meth:`CollectionEngine.prefix_state` applies it once per prefix round.
 
 ``Measure`` objects for the edges are built only when a caller reads
 :attr:`CollectionEngine.edges`.
@@ -259,9 +260,11 @@ class CollectionEngine:
         return hit
 
     def _charge(self, move, image_mask: int):
-        """Increment, in engine units, for a prefix label or exact prefix measure."""
+        """Increment, in engine units, for an edge index (a label) or an exact prefix measure."""
         if self.kind == "label":
             return 0 if (image_mask >> move) & 1 else 1
+        if not isinstance(move, Measure):
+            return self._table(image_mask)[move]
         mass = move.mass(image_mask)
         if self.kind == "loss":
             loss = (1 - mass) * self.g
@@ -283,7 +286,7 @@ class CollectionEngine:
             hit = self._group_cache[x] = tuple(by_image.items())
         return hit
 
-    # -- state helpers ------------------------------------------------------
+    # -- the collection version space ------------------------------------------
 
     def initial_state(self):
         """All collections alive with zero scores: the state of an empty prefix."""
@@ -322,61 +325,71 @@ class CollectionEngine:
         for y in labels:
             if not isinstance(y, int) or not 0 <= y < spec.n_labels:
                 raise SpecError(f"prefix label {y!r} outside range({spec.n_labels})")
-        alive = []
-        scores = []
-        for cid, images in enumerate(self.images):
-            if all((images[x] >> y) & 1 for x, y in zip(prefix_x, prefix_reveals)):
-                score = 0
-                for x, move in zip(prefix_x, prefix_moves):
-                    score += self._charge(move, images[x])
-                alive.append(cid)
-                scores.append(score)
-        if not alive:
-            raise EmptyConsistentSet("no collection is consistent with the prefix reveals")
-        return tuple(alive), tuple(scores)
+        empty = "no collection is consistent with the prefix reveals"
+        if not self.images:
+            raise EmptyConsistentSet(empty)
+        state = (0, ((0, (1 << len(self.images)) - 1),))
+        for x, move, y in zip(prefix_x, prefix_moves, prefix_reveals):
+            state = self._step(*state, x, self._holding(x, y), move, empty)
+        return state
 
-    def feasible(self, alive: tuple, x: int) -> int:
+    def feasible(self, base, levels, x: int) -> int:
         """Labels some alive collection's image at ``x`` contains: the OR of the images."""
-        mask = 0
-        for cid in alive:
-            mask |= self.images[cid][x]
-        return mask
+        return functools.reduce(operator.or_, self._images(alive_mask(levels), x))
 
-    def common(self, alive: tuple, x: int) -> int:
+    def common(self, base, levels, x: int) -> int:
         """Labels every alive collection's image at ``x`` contains: the AND of the images."""
-        mask = (1 << self.spec.n_labels) - 1
-        for cid in alive:
-            mask &= self.images[cid][x]
-            if not mask:
-                break
-        return mask
+        return functools.reduce(operator.and_, self._images(alive_mask(levels), x))
 
-    def update(self, alive: tuple, scores: tuple, x: int, edge_index: int, y: int):
-        """Survivors of revealing ``y`` after playing edge ``edge_index`` at ``x``."""
-        new_alive = []
-        new_scores = []
-        for cid, s in zip(alive, scores):
-            img = self.images[cid][x]
-            if (img >> y) & 1:
-                new_alive.append(cid)
-                new_scores.append(s + self._table(img)[edge_index])
-        return tuple(new_alive), tuple(new_scores)
+    def update(self, base, levels, x: int, edge_index: int, y: int):
+        """State after revealing ``y`` once edge ``edge_index`` was played at ``x``.
 
-    def update_set(self, alive: tuple, scores: tuple, x: int, edge_index: int, mask: int):
-        """Survivors of revealing the whole set ``mask`` after edge ``edge_index`` at ``x``.
+        Raises :class:`EmptyConsistentSet` when no alive image holds ``y``.
+        """
+        return self._step(
+            base, levels, x, self._holding(x, y), edge_index,
+            "every admissible collection is inconsistent with the reveals",
+        )
+
+    def update_set(self, base, levels, x: int, edge_index: int, mask: int):
+        """State after revealing the set ``mask`` once edge ``edge_index`` was played at ``x``.
 
         A revealed set pins the image: only collections whose image at ``x``
         is exactly ``mask`` survive, charged as :meth:`update` charges them.
+        Raises :class:`EmptyConsistentSet` when none is alive.
         """
-        new_alive = []
-        new_scores = []
-        for cid, s in zip(alive, scores):
-            if self.images[cid][x] == mask:
-                new_alive.append(cid)
-                new_scores.append(s + self._table(mask)[edge_index])
-        return tuple(new_alive), tuple(new_scores)
+        return self._step(
+            base, levels, x, dict(self._groups(x)).get(mask, 0), edge_index,
+            "every admissible collection is inconsistent with the revealed sets",
+        )
+
+    def _holding(self, x: int, y: int) -> int:
+        """Mask of the collections whose image at ``x`` holds ``y``."""
+        return sum(mask for image, mask in self._groups(x) if (image >> y) & 1)
+
+    def _step(self, base, levels, x: int, keep: int, move, empty: str):
+        """The search's child step: the alive collections in ``keep`` survive, charged for ``move``.
+
+        ``move`` is an edge index or an exact prefix measure, played at
+        ``x``. Raises :class:`EmptyConsistentSet` with message ``empty``
+        when no alive collection is in ``keep``.
+        """
+        keep &= alive_mask(levels)
+        if not keep:
+            raise EmptyConsistentSet(empty)
+        inc: dict = {}
+        for image, mask in self._groups(x):
+            if mask & keep:
+                v = self._charge(move, image)
+                inc[v] = inc.get(v, 0) | mask
+        shift, levels = _child(levels, keep, tuple(inc.items()))
+        return base + shift, levels
 
     # -- the search on levels ---------------------------------------------------
+
+    def _images(self, alive: int, x: int) -> list:
+        """The distinct images at ``x`` of the alive collections."""
+        return [image for image, mask in self._groups(x) if mask & alive]
 
     def _alive_groups(self, alive: int, x: int) -> list:
         """``(increment table, mask)`` of every image group at ``x`` with an alive member."""
@@ -436,9 +449,7 @@ class CollectionEngine:
         hit = self._settled_cache.get(alive)
         if hit is None:
             hit = all(
-                functools.reduce(
-                    operator.and_, (image for image, mask in self._groups(x) if mask & alive)
-                )
+                functools.reduce(operator.and_, self._images(alive, x))
                 for x in range(self.spec.n_instances)
             )
             self._settled_cache[alive] = hit
@@ -575,25 +586,24 @@ class CollectionEngine:
                 worst, worst_y = v, y
         return worst, worst_y
 
-    # -- entry points on boundary states -----------------------------------------
+    # -- entry points ------------------------------------------------------------
 
-    def value(self, alive: tuple, scores: tuple, rounds: int):
-        """Exact minimax value of ``(alive, scores)`` over ``rounds`` more rounds."""
-        base, levels, mask = _levels(alive, scores)
+    def value(self, base, levels, rounds: int):
+        """Exact minimax value of the state ``(base, levels)`` over ``rounds`` more rounds."""
         with _depth_guard(rounds):
-            return base + self._solve(levels, mask, rounds)
+            return base + self._solve(levels, alive_mask(levels), rounds)
 
-    def best_instance(self, alive: tuple, scores: tuple, rounds: int) -> int:
+    def best_instance(self, base, levels, rounds: int) -> int:
         """Lowest instance achieving the state's value (adversary's move).
 
         That is the lowest instance where every edge class has a reveal class
         whose child reaches the value.
         """
-        _, levels, mask = _levels(alive, scores)
+        alive = alive_mask(levels)
         with _depth_guard(rounds):
-            v = self._solve(levels, mask, rounds)
+            v = self._solve(levels, alive, rounds)
             for x in range(self.spec.n_instances):
-                reveals, edges = self._moves(mask, x)
+                reveals, edges = self._moves(alive, x)
                 if all(
                     any(
                         self._child_value(levels, keep, inc, rounds - 1) >= v
@@ -603,18 +613,18 @@ class CollectionEngine:
                 ):
                     return x
 
-    def edge_worst_values(self, alive, scores, x, child_depth):
+    def edge_worst_values(self, base, levels, x, child_depth):
         """Exact worst-case child value for every edge, in edge order."""
-        base, levels, mask = _levels(alive, scores)
-        reveals = self._reveals(mask, x)
-        groups = self._alive_groups(mask, x)
+        alive = alive_mask(levels)
+        reveals = self._reveals(alive, x)
+        groups = self._alive_groups(alive, x)
         with _depth_guard(child_depth):
             return [
                 base + self._edge_worst(levels, _by_value(groups, edge), reveals, child_depth)[0]
                 for edge in range(self.n_edges)
             ]
 
-    def edge_worst_bounds(self, alive, scores, x, child_depth):
+    def edge_worst_bounds(self, base, levels, x, child_depth):
         """Upper bound on every entry of :meth:`edge_worst_values`, without any search.
 
         An edge's entry is the top score of its children plus ``scale`` per
@@ -623,13 +633,12 @@ class CollectionEngine:
         table, top score)`` pair per image once and every edge is scored
         against those pairs.
         """
-        base, levels, mask = _levels(alive, scores)
         classes = [
             [
                 (table, max(s for s, level in levels if level & group & keep))
                 for table, group in self._alive_groups(keep, x)
             ]
-            for _, keep in self._reveals(mask, x)
+            for _, keep in self._reveals(alive_mask(levels), x)
         ]
         return [
             base
@@ -641,31 +650,26 @@ class CollectionEngine:
             for edge in range(self.n_edges)
         ]
 
-    def best_edge(self, alive, scores, x, child_depth):
+    def best_edge(self, base, levels, x, child_depth):
         """Lowest-index edge minimizing the worst-case child value."""
-        values = self.edge_worst_values(alive, scores, x, child_depth)
+        values = self.edge_worst_values(base, levels, x, child_depth)
         return values.index(min(values))
 
-    def best_reveal(self, alive, scores, x, edge_index, child_depth) -> int:
+    def best_reveal(self, base, levels, x, edge_index, child_depth) -> int:
         """Lowest feasible reveal maximizing the child value (adversary's move).
 
         Every reveal in a class yields the same child, so the lowest ``y`` of
         the first best class is the lowest maximizing reveal.
         """
-        _, levels, mask = _levels(alive, scores)
-        inc = _by_value(self._alive_groups(mask, x), edge_index)
+        alive = alive_mask(levels)
+        inc = _by_value(self._alive_groups(alive, x), edge_index)
         with _depth_guard(child_depth):
-            return self._edge_worst(levels, inc, self._reveals(mask, x), child_depth)[1]
+            return self._edge_worst(levels, inc, self._reveals(alive, x), child_depth)[1]
 
 
-def _levels(alive, scores):
-    """``(lowest score, levels, alive mask)`` of a boundary ``(alive, scores)`` state."""
-    by_score: dict = {}
-    for cid, s in zip(alive, scores):
-        by_score[s] = by_score.get(s, 0) | (1 << cid)
-    base = min(by_score)
-    levels = tuple(sorted((s - base, mask) for s, mask in by_score.items()))
-    return base, levels, sum(by_score.values())
+def alive_mask(levels) -> int:
+    """Mask of the alive collections of a state's levels: bit ``cid`` per alive id."""
+    return sum(mask for _, mask in levels)
 
 
 def _above(levels, v):

@@ -284,17 +284,15 @@ def build_admissible_collections(
     random adversary keeps the full list, because its final pick is uniform
     over collections, not over image vectors.
 
-    Raises :class:`AdmissibleEmpty` when no collection qualifies and
+    Raises :class:`AdmissibleEmpty` when no collection qualifies,
     :class:`BudgetExceeded` when the pruned search still visits too many nodes
-    (the hypothesis class of every-function kind is rejected outright, its
-    subsets being astronomically many).
+    and :class:`SpecError` for an all-functions class, whose subsets are
+    astronomically many and whose label masks are not tabulated.
     """
     limit = _collections_budget() if budget is None else budget
     H = spec.hypotheses
     if H.kind != "explicit":
-        raise BudgetExceeded(
-            "admissible collections over an all-functions class are not enumerable"
-        )
+        raise SpecError("admissible collections need an explicit hypothesis class")
     n = H.size
     system = spec.set_system
     rows = H.rows

@@ -22,7 +22,7 @@ from .game import (
     integer,
     strategy_param,
 )
-from .measure_dims import msp
+from .measure_dims import _as_gamma, msp
 from .measures import Measure
 from .setsystems import iter_bits, mask_of
 
@@ -46,10 +46,11 @@ class _VersionSpaceLearner(Learner):
     """Plays from the collection version space through one or more engines.
 
     ``begin`` enumerates the admissible collections once, keeps one per image
-    vector, and builds the engines from :meth:`_engines_for`. All engines
-    share one alive tuple (the collections consistent with the reveals so
-    far) and keep one score tuple each. ``predict`` must store
-    ``(x, edge index)`` in ``_pending``.
+    vector, and builds the engines from :meth:`_engines_for`. Each engine
+    holds one ``(base, levels)`` state in ``_states``: the same alive
+    collections (those consistent with the reveals so far), with that
+    engine's scores. ``predict`` must store ``(x, edge index)`` in
+    ``_pending``.
     """
 
     def begin(self, spec: GameSpec) -> None:
@@ -57,8 +58,7 @@ class _VersionSpaceLearner(Learner):
         self._engines = self._engines_for(
             spec, distinct_images(build_admissible_collections(spec))
         )
-        self._alive, scores = self._engines[0].initial_state()
-        self._scores = [scores] * len(self._engines)
+        self._states = [eng.initial_state() for eng in self._engines]
         self._round = 0
         self._pending = None
 
@@ -69,24 +69,21 @@ class _VersionSpaceLearner(Learner):
         return max(self._spec.horizon - self._round - 1, 0)
 
     def observe(self, y: int) -> None:
-        self._advance(CollectionEngine.update, y, "reveals")
+        self._advance(CollectionEngine.update, y)
 
     def observe_set(self, mask: int) -> None:
         raise SpecError("this strategy consumes label reveals, not revealed sets")
 
-    def _advance(self, rule, revealed, what: str) -> None:
-        """Move every engine's state by ``rule`` (an engine update method)."""
+    def _advance(self, rule, revealed) -> None:
+        """Move every engine's state by ``rule`` (an engine update method).
+
+        ``rule`` raises :class:`EmptyConsistentSet` when no collection survives.
+        """
         x, edge = self._pending
-        moved = [
-            rule(eng, self._alive, own, x, edge, revealed)
-            for eng, own in zip(self._engines, self._scores)
+        self._states = [
+            rule(eng, *state, x, edge, revealed)
+            for eng, state in zip(self._engines, self._states)
         ]
-        self._alive = moved[0][0]
-        self._scores = [scores for _, scores in moved]
-        if not self._alive:
-            raise EmptyConsistentSet(
-                f"every admissible collection is inconsistent with the {what}"
-            )
         self._round += 1
 
 
@@ -144,7 +141,7 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
     def _common(self, x: int) -> int:
         """Mask of the labels every surviving collection has at ``x``."""
         if not self._implicit:
-            return self._engines[0].common(self._alive, x)
+            return self._engines[0].common(*self._states[0], x)
         if self._spec.hypotheses.kind == "all_functions":
             return mask_of(yk for xk, yk in self._reveals if xk == x)
         masks = self._spec.hypotheses.label_masks(x)
@@ -170,7 +167,7 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
 
     def observe_set(self, mask: int) -> None:
         # Only set-valued play reveals sets, and it always enumerates.
-        self._advance(CollectionEngine.update_set, mask, "revealed sets")
+        self._advance(CollectionEngine.update_set, mask)
 
 
 class PotentialMinimizingLearner(_VersionSpaceLearner):
@@ -198,7 +195,7 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
     def predict(self, x: int) -> int:
         eng = self._engines[0]
         table = eng.edge_worst_bounds if self._budget == 0 else eng.edge_worst_values
-        values = table(self._alive, self._scores[0], x, self._child_depth())
+        values = table(*self._states[0], x, self._child_depth())
         yhat = values.index(min(values))
         self._pending = (x, yhat)
         return yhat
@@ -206,7 +203,7 @@ class PotentialMinimizingLearner(_VersionSpaceLearner):
     def current_potential(self) -> int:
         """Exact game value of the current state over the remaining rounds."""
         depth = max(self._spec.horizon - self._round, 0)
-        return self._engines[0].value(self._alive, self._scores[0], depth)
+        return self._engines[0].value(*self._states[0], depth)
 
 
 class MultiScaleMeasureLearner(_VersionSpaceLearner):
@@ -238,8 +235,8 @@ class MultiScaleMeasureLearner(_VersionSpaceLearner):
     def predict(self, x: int) -> Measure:
         child_depth = self._child_depth()
         proposals = [
-            eng.best_edge(self._alive, scores, x, child_depth)
-            for eng, scores in zip(self._engines, self._scores)
+            eng.best_edge(*state, x, child_depth)
+            for eng, state in zip(self._engines, self._states)
         ]
         edges = self._engines[0].edges
         N = len(proposals)
@@ -262,11 +259,8 @@ class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
     """
 
     def __init__(self, gamma, g: int | None = None):
-        gamma = Fraction(gamma)
-        if not 0 <= gamma <= 1:
-            raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
         super().__init__(g=g)
-        self._thresholds = [gamma]
+        self._thresholds = [_as_gamma(gamma)]
 
 
 class TransversalIntersectionLearner(Learner):

@@ -74,8 +74,7 @@ def ppms_dim(
     engine = CollectionEngine(
         spec, collections, kind="measure", gamma=gamma, grid=g, budget=budget
     )
-    alive, scores = engine.prefix_state(prefix_x, prefix_measures, prefix_reveals)
-    return engine.value(alive, scores, d)
+    return engine.value(*engine.prefix_state(prefix_x, prefix_measures, prefix_reveals), d)
 
 
 def msp(N: int, measures, thresholds, system: SetSystem) -> int:
@@ -137,5 +136,4 @@ def minimax_rand_regret(
     spec.require_partial_feedback("the randomized minimax value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)
-    alive, scores = engine.initial_state()
-    return Fraction(engine.value(alive, scores, T)) / engine.scale
+    return Fraction(engine.value(*engine.initial_state(), T)) / engine.scale

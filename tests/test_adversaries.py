@@ -8,6 +8,7 @@ import pytest
 
 from pflab import (
     CubeAdversary,
+    GameSpec,
     HypothesisClass,
     LabelPoolExhausted,
     Measure,
@@ -164,3 +165,38 @@ def test_adversary_registry_validation():
         make_adversary("nope", {})
     with pytest.raises(SpecError):
         make_adversary("echo", {"junk": True})
+
+
+def _multiclass_spec(sets, rows):
+    return GameSpec(
+        n_instances=len(rows[0]),
+        n_labels=2,
+        set_system=SetSystem.explicit(2, sets),
+        hypotheses=HypothesisClass.explicit(len(rows[0]), 2, rows),
+        horizon=2,
+        feedback="multiclass",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("optimal", {}), ("echo", {})] + [("random", {"seed": seed}) for seed in range(4)],
+    ids=["optimal", "echo", "random0", "random1", "random2", "random3"],
+)
+def test_collection_adversaries_commit_to_one_hypothesis_under_multiclass(name, params):
+    """Multiclass play finalizes singleton sets, so the witness is one hypothesis.
+
+    Collections of two hypotheses that disagree are admissible here too; a
+    random adversary committed to one of them broke the protocol.
+    """
+    spec = _multiclass_spec([(0,), (1,), (0, 1)], [(0, 0), (0, 1), (1, 0)])
+    t = play_game(spec, VersionSpacePruningLearner(), make_adversary(name, params))
+    assert t.sets == tuple(1 << y for y in t.reveals)
+    assert len(t.witness.members) == 1
+
+
+@pytest.mark.parametrize("name", ["optimal", "echo", "random"])
+def test_multiclass_needs_an_admissible_single_hypothesis(name):
+    spec = _multiclass_spec([(0, 1)], [(0,), (1,)])
+    with pytest.raises(SpecError, match="one-hypothesis collection"):
+        make_adversary(name, {}).begin(spec)

@@ -14,10 +14,16 @@ from hypothesis import given, settings, strategies as st
 from pflab import (
     GameSpec,
     HypothesisClass,
+    OptimalAdversary,
     SetSystem,
     SpecError,
+    VersionSpacePruningLearner,
+    build_admissible_collections,
     collection_of,
     find_realizability_witness,
+    minimax_rand_regret,
+    pfl_dim,
+    play_game,
 )
 from pflab.game import _comparator
 from pflab.games import cube_game, helly_game
@@ -100,3 +106,22 @@ def test_all_functions_witness_needs_member_targets():
     # {0} is not a co-singleton of three labels, so no collection has it as an image.
     assert find_realizability_witness(cube_game(2, 3), [0], [0b1]) is None
     assert find_realizability_witness(cube_game(2, 3), [0], [0b11]) is not None
+
+
+def test_admissible_collections_need_an_explicit_class():
+    """Enumerating an all-functions class's collections is a spec error, not a spent budget."""
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=2,
+        set_system=SetSystem.full_power_set(2),
+        hypotheses=HypothesisClass.all_functions(1, 2),
+        horizon=2,
+    )
+    for call in [
+        lambda: build_admissible_collections(spec),
+        lambda: pfl_dim(spec, 2),
+        lambda: minimax_rand_regret(spec, 2, g=2),
+        lambda: play_game(spec, VersionSpacePruningLearner(), OptimalAdversary()),
+    ]:
+        with pytest.raises(SpecError, match="^admissible collections need an explicit"):
+            call()

@@ -17,6 +17,7 @@ from pflab import GameSpec, HypothesisClass, SetSystem, build_admissible_collect
 from pflab.engine import CollectionEngine
 from pflab.game import Collection, distinct_images
 from pflab.measures import Measure
+from pflab.setsystems import iter_bits
 
 from test_properties import seeds, spec_from_seed
 
@@ -85,21 +86,24 @@ def _prefixes(spec, kind, rng, count):
         yield tuple(xs), tuple(moves), tuple(reveals)
 
 
+def _scored_images(eng, state):
+    """The distinct ``(score, image vector)`` pairs of a state's alive collections."""
+    base, levels = state
+    return {(base + s, eng.images[cid]) for s, mask in levels for cid in iter_bits(mask)}
+
+
 def _assert_same_solve(spec, kind, rounds, rng, count=2):
     full, dedup = _engines(spec, kind)
     for prefix in _prefixes(spec, kind, rng, count):
-        fa, fs = full.prefix_state(*prefix)
-        da, ds = dedup.prefix_state(*prefix)
-        assert sorted(set(zip(fs, (full.images[c] for c in fa)))) == sorted(
-            set(zip(ds, (dedup.images[c] for c in da)))
-        )
+        fstate, dstate = full.prefix_state(*prefix), dedup.prefix_state(*prefix)
+        assert _scored_images(full, fstate) == _scored_images(dedup, dstate)
         depth = rounds - len(prefix[0])
-        assert full.value(fa, fs, depth) == dedup.value(da, ds, depth)
+        assert full.value(*fstate, depth) == dedup.value(*dstate, depth)
         assert full.nodes == dedup.nodes
         if depth > 0:
-            assert full.best_instance(fa, fs, depth) == dedup.best_instance(da, ds, depth)
-            assert full.edge_worst_values(fa, fs, 0, depth - 1) == dedup.edge_worst_values(
-                da, ds, 0, depth - 1
+            assert full.best_instance(*fstate, depth) == dedup.best_instance(*dstate, depth)
+            assert full.edge_worst_values(*fstate, 0, depth - 1) == dedup.edge_worst_values(
+                *dstate, 0, depth - 1
             )
             assert full.nodes == dedup.nodes
 

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pflab import (
     BudgetExceeded,
+    EmptyConsistentSet,
     GameSpec,
     HypothesisClass,
     Measure,
@@ -32,7 +33,7 @@ from pflab import (
     pfl_dim,
     play_game,
 )
-from pflab.engine import CollectionEngine, _above, _below
+from pflab.engine import CollectionEngine, _above, _below, alive_mask
 from pflab.families import binary_full_system_family
 from pflab.setsystems import iter_bits
 
@@ -55,27 +56,48 @@ def _family_spec(index):
     return next(itertools.islice(binary_full_system_family(), index, None))[1]
 
 
-def _feasible(eng, alive, x):
+def _scores(state):
+    """Every alive collection id of a ``(base, levels)`` state, mapped to its score.
+
+    Also checks the levels' form: strictly ascending scores from 0 and
+    nonempty, disjoint masks.
+    """
+    base, levels = state
+    scores, masks = zip(*levels)
+    assert scores[0] == 0 and list(scores) == sorted(set(scores)) and all(masks)
+    assert sum(masks) == functools.reduce(operator.or_, masks)
+    return {cid: base + s for s, mask in levels for cid in iter_bits(mask)}
+
+
+def _feasible(eng, state, x):
     mask = 0
-    for cid in alive:
+    for cid in _scores(state):
         mask |= eng.images[cid][x]
     return [y for y in range(eng.spec.n_labels) if (mask >> y) & 1]
 
 
+def _increment(eng, image, edge):
+    """A collection's charge for edge ``edge`` at this image, read off the edge itself."""
+    if eng.kind == "label":
+        return 1 - ((image >> edge) & 1)
+    mass = eng.edges[edge].mass(image)
+    return (1 - mass) * eng.g if eng.kind == "loss" else int(mass <= 1 - eng.gamma)
+
+
 def _states(eng, start=None):
     """A start state (the initial one by default) and every state one round (edge 0) below it."""
-    alive, scores = start or eng.initial_state()
+    state = start or eng.initial_state()
     rounds = eng.spec.horizon
-    yield alive, scores, rounds
+    yield state, rounds
     for x in range(eng.spec.n_instances):
-        for y in _feasible(eng, alive, x):
-            yield (*eng.update(alive, scores, x, 0, y), rounds - 1)
+        for y in _feasible(eng, state, x):
+            yield eng.update(*state, x, 0, y), rounds - 1
 
 
-def _child_values(eng, alive, scores, x, edge_index, child_depth):
+def _child_values(eng, state, x, edge_index, child_depth):
     return {
-        y: eng.value(*eng.update(alive, scores, x, edge_index, y), child_depth)
-        for y in _feasible(eng, alive, x)
+        y: eng.value(*eng.update(*state, x, edge_index, y), child_depth)
+        for y in _feasible(eng, state, x)
     }
 
 
@@ -83,34 +105,45 @@ def _child_values(eng, alive, scores, x, edge_index, child_depth):
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(min_value=0, max_value=10_000))
 def test_version_space_rules_match_the_alive_images(kind, seed, walk):
-    """``feasible``, ``common`` and ``update_set`` against an OR, an AND and a filter.
+    """``feasible``, ``common``, ``update`` and ``update_set`` against per-collection rules.
 
-    The states are the initial one and those along a random played prefix.
+    ``feasible`` and ``common`` are the OR and the AND of the alive images;
+    ``update`` keeps the collections whose image holds the label, and
+    ``update_set`` those whose image is the set, each charged the edge's
+    increment; a move that keeps none raises. The states are the initial one
+    and those along a random played prefix.
     """
     spec = spec_from_seed(seed, horizon=3)
     eng = _engine(spec, kind)
     rng = random.Random(walk)
-    alive, scores = eng.initial_state()
+    state = eng.initial_state()
     for _ in range(spec.horizon):
+        scores = _scores(state)
+        assert alive_mask(state[1]) == sum(1 << cid for cid in scores)
         for x in range(spec.n_instances):
-            images = [eng.images[cid][x] for cid in alive]
-            assert eng.feasible(alive, x) == functools.reduce(operator.or_, images)
-            assert eng.common(alive, x) == functools.reduce(operator.and_, images)
+            images = {cid: eng.images[cid][x] for cid in scores}
+            assert eng.feasible(*state, x) == functools.reduce(operator.or_, images.values())
+            assert eng.common(*state, x) == functools.reduce(operator.and_, images.values())
             for mask in range(1, 1 << spec.n_labels):
                 edge = rng.randrange(eng.n_edges)
-                kept = [i for i, img in enumerate(images) if img == mask]
-                got = eng.update_set(alive, scores, x, edge, mask)
-                assert got[0] == tuple(alive[i] for i in kept)
-                if kept:
-                    # Charged as a label reveal inside the set charges.
-                    by_cid = dict(zip(*eng.update(alive, scores, x, edge, min(iter_bits(mask)))))
-                    assert got[1] == tuple(by_cid[alive[i]] for i in kept)
-                if kind == "label":
-                    miss = 1 - ((mask >> edge) & 1)
-                    assert got[1] == tuple(scores[i] + miss for i in kept)
+                y = min(iter_bits(mask))
+                for rule, arg, keeps, what in [
+                    (eng.update_set, mask, lambda img: img == mask, "revealed sets"),
+                    (eng.update, y, lambda img: (img >> y) & 1, "reveals"),
+                ]:
+                    want = {
+                        cid: s + _increment(eng, images[cid], edge)
+                        for cid, s in scores.items()
+                        if keeps(images[cid])
+                    }
+                    if not want:
+                        with pytest.raises(EmptyConsistentSet, match=f"with the {what}$"):
+                            rule(*state, x, edge, arg)
+                        continue
+                    assert _scores(rule(*state, x, edge, arg)) == want
         x = rng.randrange(spec.n_instances)
-        y = rng.choice(_feasible(eng, alive, x))
-        alive, scores = eng.update(alive, scores, x, rng.randrange(eng.n_edges), y)
+        y = rng.choice(_feasible(eng, state, x))
+        state = eng.update(*state, x, rng.randrange(eng.n_edges), y)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -119,19 +152,19 @@ def test_version_space_rules_match_the_alive_images(kind, seed, walk):
 def test_choice_methods_match_naive_tables(kind, seed):
     spec = spec_from_seed(seed, horizon=3)
     eng = _engine(spec, kind)
-    for alive, scores, rounds in _states(eng):
+    for state, rounds in _states(eng):
         for x in range(spec.n_instances):
             children = [
-                _child_values(eng, alive, scores, x, ei, rounds - 1)
+                _child_values(eng, state, x, ei, rounds - 1)
                 for ei in range(len(eng.edges))
             ]
             naive = [max(c.values()) for c in children]
-            table = eng.edge_worst_values(alive, scores, x, rounds - 1)
+            table = eng.edge_worst_values(*state, x, rounds - 1)
             assert table == naive
-            assert eng.best_edge(alive, scores, x, rounds - 1) == naive.index(min(naive))
+            assert eng.best_edge(*state, x, rounds - 1) == naive.index(min(naive))
             for ei, c in enumerate(children):
                 want = min(y for y, v in c.items() if v == naive[ei])
-                assert eng.best_reveal(alive, scores, x, ei, rounds - 1) == want
+                assert eng.best_reveal(*state, x, ei, rounds - 1) == want
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -146,14 +179,14 @@ def test_choice_methods_share_the_value_memo(kind, seed):
     spec = spec_from_seed(seed, horizon=3)
     warm = _engine(spec, kind)
     warm.value(*warm.initial_state(), spec.horizon)
-    for alive, scores, rounds in _states(warm):
+    for state, rounds in _states(warm):
         for x in range(spec.n_instances):
-            args = (alive, scores, x, rounds - 1)
+            args = (*state, x, rounds - 1)
             assert warm.edge_worst_values(*args) == _engine(spec, kind).edge_worst_values(*args)
             assert warm.best_edge(*args) == _engine(spec, kind).best_edge(*args)
             for ei in range(warm.n_edges):
-                want = _engine(spec, kind).best_reveal(alive, scores, x, ei, rounds - 1)
-                assert warm.best_reveal(alive, scores, x, ei, rounds - 1) == want
+                want = _engine(spec, kind).best_reveal(*state, x, ei, rounds - 1)
+                assert warm.best_reveal(*state, x, ei, rounds - 1) == want
 
 
 def _off_grid_start(eng, pick):
@@ -167,7 +200,7 @@ def _off_grid_start(eng, pick):
     move = 0 if eng.kind == "label" else Measure(
         (Fraction(1, 3), Fraction(2, 3)) + (Fraction(0),) * (n - 2)
     )
-    feasible = _feasible(eng, eng.initial_state()[0], 0)
+    feasible = _feasible(eng, eng.initial_state(), 0)
     return eng.prefix_state((0,), (move,), (feasible[pick % len(feasible)],))
 
 
@@ -185,12 +218,12 @@ def test_value_search_matches_the_exact_recursion(kind, seed, pick):
     spec = spec_from_seed(seed, horizon=3)
     tests, exact = _engine(spec, kind), _engine(spec, kind)
     start = None if pick is None else _off_grid_start(tests, pick)
-    for alive, scores, rounds in _states(tests, start):
+    for state, rounds in _states(tests, start):
         want = max(
-            min(exact.edge_worst_values(alive, scores, x, rounds - 1))
+            min(exact.edge_worst_values(*state, x, rounds - 1))
             for x in range(spec.n_instances)
         )
-        assert tests.value(alive, scores, rounds) == want
+        assert tests.value(*state, rounds) == want
 
 
 def test_thresholds_step_through_every_level_score_plus_an_integer():
@@ -240,17 +273,17 @@ def test_a_budget_never_changes_an_answer(kind, budget, seed):
     """
     spec = spec_from_seed(seed, horizon=3)
     exact, budgeted = _engine(spec, kind), _engine(spec, kind, budget=budget)
-    alive, scores = exact.initial_state()
+    state = exact.initial_state()
     h = spec.horizon
     calls = [
-        lambda eng: eng.value(alive, scores, h),
-        lambda eng: eng.best_instance(alive, scores, h),
+        lambda eng: eng.value(*state, h),
+        lambda eng: eng.best_instance(*state, h),
     ]
     for x in range(spec.n_instances):
         calls += [
-            lambda eng, x=x: eng.edge_worst_values(alive, scores, x, h - 1),
-            lambda eng, x=x: eng.best_edge(alive, scores, x, h - 1),
-            lambda eng, x=x: eng.best_reveal(alive, scores, x, 0, h - 1),
+            lambda eng, x=x: eng.edge_worst_values(*state, x, h - 1),
+            lambda eng, x=x: eng.best_edge(*state, x, h - 1),
+            lambda eng, x=x: eng.best_reveal(*state, x, 0, h - 1),
         ]
     for call in calls:
         want = call(exact)
@@ -289,13 +322,13 @@ def test_bounds_never_undercut_the_exact_table(kind, seed):
     eng = CollectionEngine(
         spec, build_admissible_collections(spec), kind=kind, **{**KINDS[kind], **grid}
     )
-    for alive, scores, rounds in _states(eng):
+    for state, rounds in _states(eng):
         for x in range(spec.n_instances):
-            exact = eng.edge_worst_values(alive, scores, x, rounds - 1)
-            bounds = eng.edge_worst_bounds(alive, scores, x, rounds - 1)
+            exact = eng.edge_worst_values(*state, x, rounds - 1)
+            bounds = eng.edge_worst_bounds(*state, x, rounds - 1)
             assert all(b >= e for b, e in zip(bounds, exact))
-            leaves = eng.edge_worst_values(alive, scores, x, 0)
-            assert eng.edge_worst_bounds(alive, scores, x, 0) == leaves
+            leaves = eng.edge_worst_values(*state, x, 0)
+            assert eng.edge_worst_bounds(*state, x, 0) == leaves
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -306,17 +339,17 @@ def test_prefix_state_matches_played_rounds(kind, seed, play_seed):
     spec = spec_from_seed(seed, horizon=3)
     eng = _engine(spec, kind)
     rng = random.Random(play_seed)
-    alive, scores = eng.initial_state()
+    state = eng.initial_state()
     xs, moves, ys = [], [], []
     for _ in range(2):
         x = rng.randrange(spec.n_instances)
         ei = rng.randrange(len(eng.edges))
-        y = rng.choice(_feasible(eng, alive, x))
-        alive, scores = eng.update(alive, scores, x, ei, y)
+        y = rng.choice(_feasible(eng, state, x))
+        state = eng.update(*state, x, ei, y)
         xs.append(x)
         moves.append(eng.edges[ei])
         ys.append(y)
-        assert eng.prefix_state(xs, moves, ys) == (alive, scores)
+        assert eng.prefix_state(xs, moves, ys) == state
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,17 @@ from fractions import Fraction
 import pytest
 
 from pflab import (
+    Adversary,
     CollisionAdversary,
     CollisionFamily,
     EchoAdversary,
+    EmptyConsistentSet,
+    GameSpec,
+    HypothesisClass,
     Measure,
     OptimalAdversary,
     SeededRandomAdversary,
+    SetSystem,
     SpecError,
     TransversalIntersectionLearner,
     VersionSpacePruningLearner,
@@ -121,6 +126,52 @@ def test_label_feedback_learners_reject_set_reveals():
         learner.predict(0)
         with pytest.raises(SpecError):
             learner.observe_set(0b01)
+
+
+class _RevealsLabelTwo(Adversary):
+    """Shows instance 0 and reveals label 2, or the set ``{2}``, whatever is predicted."""
+
+    def choose_instance(self):
+        return 0
+
+    def reveal(self, x, prediction):
+        return 2
+
+    def reveal_set(self, x, prediction):
+        return 0b100
+
+
+def _no_collection_holds_label_two(feedback="partial"):
+    """Two binary hypotheses over three labels: the set ``{2}`` is no collection's image."""
+    return GameSpec(
+        n_instances=1,
+        n_labels=3,
+        set_system=SetSystem.explicit(3, [(0,), (1,), (0, 1), (2,)]),
+        hypotheses=HypothesisClass.explicit(1, 3, [(0,), (1,)]),
+        horizon=2,
+        feedback=feedback,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("cvsp", {}), ("dpfla", {}), ("frpfl", {"gamma": "1/2", "g": 2})],
+)
+def test_a_reveal_no_collection_holds_empties_the_version_space(name, params):
+    learner = make_learner(name, params)
+    with pytest.raises(
+        EmptyConsistentSet, match="^every admissible collection is inconsistent with the reveals$"
+    ):
+        play_game(_no_collection_holds_label_two(), learner, _RevealsLabelTwo())
+
+
+def test_a_revealed_set_no_collection_has_empties_the_version_space():
+    spec = _no_collection_holds_label_two(feedback="set_valued")
+    with pytest.raises(
+        EmptyConsistentSet,
+        match="^every admissible collection is inconsistent with the revealed sets$",
+    ):
+        play_game(spec, VersionSpacePruningLearner(), _RevealsLabelTwo())
 
 
 def test_registry_validation():
