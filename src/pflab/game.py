@@ -258,19 +258,12 @@ def build_admissible_collections(
 
     Collections come back ordered by member bitmask (``sum(1 << h)``), and
     that order is the canonical collection id used everywhere else (minimax
-    states, tie-breaking, witnesses). The search walks subsets depth-first in
-    index order and prunes any prefix whose partial image at some instance is
-    not contained in any feasible set, since unions only grow.
-
-    Feasible next members are found with hypothesis bitmasks rather than by
-    testing each candidate: ``allowed(x, img)`` (memoized per search) is the
-    OR of the class's :meth:`HypothesisClass.label_masks` entries at ``x``
-    over the labels ``y`` that keep ``img | 1 << y`` inside some feasible
-    set. A node's candidates are the AND of ``allowed`` over all instances,
-    restricted to indices from ``start`` on, walked in ascending order. The
-    search still charges one node for every index from ``start`` on at each
-    call, as the per-candidate loop did, and visits the same calls, so the
-    node count and every :class:`BudgetExceeded` outcome are unchanged.
+    states, tie-breaking, witnesses). The search is :func:`_admissible_walk`
+    over the whole class with no targets, the same walk the realizability
+    witness search runs. Each call of the walk charges one node for every
+    index from its start index on, so the node count and every
+    :class:`BudgetExceeded` outcome are those of the per-candidate search
+    that preceded the bitmask one.
 
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
@@ -293,13 +286,42 @@ def build_admissible_collections(
     H = spec.hypotheses
     if H.kind != "explicit":
         raise SpecError("admissible collections need an explicit hypothesis class")
-    n = H.size
+    out = _admissible_walk(spec, (1 << H.size) - 1, (), "admissible-collection search", limit)
+    if not out:
+        raise AdmissibleEmpty("no admissible collection exists for this specification")
+    out.sort(key=lambda col: sum(1 << h for h in col.members))
+    return out
+
+
+def _admissible_walk(
+    spec: GameSpec, pool: int, targets: tuple, what: str, limit: int
+) -> list[Collection]:
+    """The admissible collections drawn from the hypotheses in bitmask ``pool``.
+
+    The walk visits subsets depth-first in preorder: ascending index, each
+    prefix before its extensions, so collections come out in lexicographic
+    order of their member tuples. It prunes any prefix whose partial image
+    at some instance is not contained in any feasible set, since unions only
+    grow. Feasible next members are found with hypothesis bitmasks rather
+    than by testing each candidate: ``allowed(x, img)`` (memoized per walk)
+    is the OR of the class's :meth:`HypothesisClass.label_masks` entries at
+    ``x`` over the labels ``y`` that keep ``img | 1 << y`` inside some
+    feasible set. A call's candidates are the AND of ``allowed`` over all
+    instances, restricted to ``pool`` from its start index on.
+
+    ``targets`` holds ``(instance, set)`` pairs. With none, the walk returns
+    every admissible collection. With some, it also prunes a prefix once its
+    candidates miss a label some target still lacks, and it stops at the
+    first collection whose image at each target instance equals that
+    target: it returns that one collection, or none. Every call charges one
+    node for each member of ``pool`` from its start index on, and past
+    ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``.
+    """
+    H = spec.hypotheses
     system = spec.set_system
     rows = H.rows
-    labelled = [
-        [(1 << y, hs) for y, hs in enumerate(H.label_masks(x)) if hs]
-        for x in range(spec.n_instances)
-    ]
+    masks = [H.label_masks(x) for x in range(spec.n_instances)]
+    labelled = [[(1 << y, hs) for y, hs in enumerate(m) if hs] for m in masks]
     allowed_memo: list[dict[int, int]] = [{} for _ in range(spec.n_instances)]
 
     def allowed(x: int, img: int) -> int:
@@ -312,38 +334,42 @@ def build_admissible_collections(
             allowed_memo[x][img] = hit
         return hit
 
+    charge = [(pool >> start).bit_count() for start in range(H.size + 1)]
     out: list[Collection] = []
     nodes = 0
 
-    def rec(start: int, members: list[int], images: list[int]):
+    def rec(start: int, members: list[int], images: list[int]) -> bool:
         nonlocal nodes
-        nodes += n - start
+        nodes += charge[start]
         if nodes > limit:
-            raise BudgetExceeded(
-                f"admissible-collection search exceeded {limit} nodes",
-                spent=nodes,
-                budget=limit,
-            )
-        cand = (1 << n) - (1 << start)
+            raise BudgetExceeded(f"{what} exceeded {limit} nodes", spent=nodes, budget=limit)
+        cand = pool >> start << start
         for x, img in enumerate(images):
             cand &= allowed(x, img)
             if not cand:
-                return
+                return False
+        for x, m in targets:
+            for y in iter_bits(m & ~images[x]):
+                if not cand & masks[x][y]:
+                    return False
         while cand:
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
             new_images = [img | (1 << y) for img, y in zip(images, rows[h])]
             members.append(h)
-            if all(system.contains(img) for img in new_images):
+            if all(system.contains(img) for img in new_images) and (
+                not targets or all(new_images[x] == m for x, m in targets)
+            ):
                 out.append(Collection(members=tuple(members), images=tuple(new_images)))
-            rec(h + 1, members, new_images)
+                if targets:
+                    return True
+            if rec(h + 1, members, new_images):
+                return True
             members.pop()
+        return False
 
     rec(0, [], [0] * spec.n_instances)
-    if not out:
-        raise AdmissibleEmpty("no admissible collection exists for this specification")
-    out.sort(key=lambda col: sum(1 << h for h in col.members))
     return out
 
 
@@ -609,11 +635,14 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
 
     Only hypotheses consistent with every round (output inside that round's
     set) can participate: the AND, over the played instances, of the OR of
-    the label masks of that instance's set. The search runs inside that
-    consistent class, depth-first with the same image-feasibility pruning as
-    the admissible enumeration, plus a coverage check: the partial collection must still be
-    extendable to cover each target set. It raises :class:`BudgetExceeded`
-    past ``PFLAB_BUDGET_COLLECTIONS`` nodes.
+    the label masks of that instance's set. For an explicit class the search
+    is the enumeration's own walk, :func:`_admissible_walk`, drawing from
+    that consistent class with the sets as targets, so the witness is the
+    lexicographically first admissible member tuple that realizes them. It
+    takes the enumeration's node rule (each call charges one node per
+    consistent hypothesis from its start index on) and raises
+    :class:`BudgetExceeded` past ``PFLAB_BUDGET_COLLECTIONS`` nodes. An
+    all-functions class has a closed-form product witness instead.
     """
     targets: dict[int, int] = {}
     for x, m in zip(instances, sets):
@@ -644,61 +673,13 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
                 witness.append(base + (y - low) * place)
         return tuple(sorted(witness))
 
-    limit = _collections_budget()
     consistent = (1 << H.size) - 1
     for x, m in targets.items():
         masks = H.label_masks(x)
         consistent &= sum(masks[y] for y in iter_bits(m))
-    cons = list(iter_bits(consistent))
-    rows = [H.rows[h] for h in cons]
-    n = len(cons)
-    found: Optional[tuple[int, ...]] = None
-    nodes = 0
-
-    def covered(images: list[int]) -> bool:
-        return all(images[x] == m for x, m in targets.items())
-
-    def coverable(start: int, images: list[int]) -> bool:
-        for x, m in targets.items():
-            rest = images[x]
-            for j in range(start, n):
-                rest |= 1 << rows[j][x]
-            if rest & m != m:
-                return False
-        return True
-
-    def rec(start: int, members: list[int], images: list[int]) -> bool:
-        nonlocal found, nodes
-        if members and covered(images) and all(
-            system.contains(img) for img in images
-        ):
-            found = tuple(cons[i] for i in members)
-            return True
-        if not coverable(start, images):
-            return False
-        for j in range(start, n):
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExceeded(
-                    f"realizability witness search exceeded {limit} nodes",
-                    spent=nodes,
-                    budget=limit,
-                )
-            new_images = [
-                img | (1 << rows[j][x]) for x, img in enumerate(images)
-            ]
-            if any(
-                new_images[x] & ~m for x, m in targets.items()
-            ) or not all(system.superset_exists(img) for img in new_images):
-                continue
-            members.append(j)
-            if rec(j + 1, members, new_images):
-                return True
-            members.pop()
-        return False
-
-    rec(0, [], [0] * spec.n_instances)
-    return found
+    what = "realizability witness search"
+    found = _admissible_walk(spec, consistent, tuple(targets.items()), what, _collections_budget())
+    return found[0].members if found else None
 
 
 def _any_member(system: SetSystem) -> int:
@@ -708,7 +689,10 @@ def _any_member(system: SetSystem) -> int:
 
 
 def _validate_witness(spec: GameSpec, witness, instances, sets) -> Collection:
-    col = collection_of(spec, witness)
+    try:
+        col = collection_of(spec, witness)
+    except SpecError as e:
+        raise RealizabilityViolation(f"the claimed witness is not admissible: {e}") from e
     for t, (x, m) in enumerate(zip(instances, sets)):
         if col.images[x] != m:
             raise RealizabilityViolation(
@@ -770,6 +754,12 @@ def _check_reveal(spec: GameSpec, y) -> int:
     return y
 
 
+def _check_bitmask(m, what: str) -> int:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ProtocolViolation(f"{what} must be a label bitmask, got {m!r}")
+    return m
+
+
 @dataclass
 class _Branch:
     """One trajectory in play: its strategies, its probability and its history."""
@@ -815,7 +805,7 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     b.instances += (x,)
     b.predictions += (pred,)
     if spec.feedback is Feedback.SET_VALUED:
-        mask = int(b.adversary.reveal_set(x, pred))
+        mask = _check_bitmask(b.adversary.reveal_set(x, pred), "revealed set")
         if not spec.set_system.contains(mask):
             raise ProtocolViolation(
                 f"revealed set {labels_of(mask)} is not in the set system"
@@ -826,9 +816,9 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     elif spec.feedback is Feedback.BANDIT:
         if isinstance(pred, Measure):
             raise ProtocolViolation("bandit feedback requires deterministic predictions")
-        bit = int(b.adversary.loss_bit(x, pred))
-        if bit not in (0, 1):
-            raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit}")
+        bit = b.adversary.loss_bit(x, pred)
+        if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
+            raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit!r}")
         b.bits += (bit,)
         b.reveals += (None,)
         b.learner.observe_loss_bit(bit)
@@ -862,7 +852,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             raise ProtocolViolation(
                 f"adversary finalized {len(raw)} sets for a {spec.horizon}-round game"
             )
-        sets = tuple(int(m) for m in raw)
+        sets = tuple(_check_bitmask(m, "finalized set") for m in raw)
     for t, m in enumerate(sets):
         if not spec.set_system.contains(m):
             raise ProtocolViolation(

@@ -295,8 +295,10 @@ def test_value_commands_pinned(capsys, monkeypatch, pin):
 
     Each entry of ``cli_pins.json`` holds one command, run from the repository
     root on ``specs/*.yaml`` or ``tests/specs/*.yaml``, with the output it
-    must give. The specs under ``tests/`` are the rejected ones, which the
-    sample-spec loop in CI does not run.
+    must give. The specs under ``tests/`` are the ones the sample-spec loop
+    in CI does not run: most are rejected (exit 2 or 3), and the two
+    ``witness_*`` specs drive play through the realizability witness search
+    to a pass (exit 0) and a verification failure (exit 1).
     """
     monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, pin["argv"])

@@ -6,6 +6,8 @@ nonempty hypothesis subset and decides feasibility from the raw member masks,
 with no call into the enumeration or into ``SetSystem``. A second reference
 replays the per-candidate depth-first search to count its nodes, and the
 enumeration's budget must pass at exactly that count and fail one below it.
+The realizability witness search runs the same walk, and must return the
+lexicographically first reference collection that realizes its targets.
 """
 
 from itertools import combinations
@@ -20,6 +22,7 @@ from pflab import (
     HypothesisClass,
     SetSystem,
     build_admissible_collections,
+    find_realizability_witness,
 )
 from pflab.games import pf_not_sv_game
 
@@ -143,6 +146,51 @@ def test_superset_exists_matches_scan(spec, queries):
             assert not system.superset_exists(mask)
         else:
             assert system.superset_exists(mask) == _within_some_set(system, mask)
+
+
+@st.composite
+def witness_queries(draw):
+    """A spec, played instances and target sets; half the time the sets are
+    read off an admissible collection's images, so both outcomes occur."""
+    spec = draw(small_specs())
+    instances = draw(st.lists(st.integers(0, spec.n_instances - 1), min_size=1, max_size=4))
+    collections = reference_collections(spec)
+    if collections and draw(st.booleans()):
+        _, images = draw(st.sampled_from(collections))
+        sets = [images[x] for x in instances]
+    else:
+        full = (1 << spec.n_labels) - 1
+        sets = [draw(st.integers(1, full)) for _ in instances]
+    return spec, instances, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_queries())
+def test_witness_is_the_first_realizing_collection(query):
+    spec, instances, sets = query
+    want = min(
+        (
+            members
+            for members, images in reference_collections(spec)
+            if all(images[x] == m for x, m in zip(instances, sets))
+        ),
+        default=None,
+    )
+    assert find_realizability_witness(spec, instances, sets) == want
+
+
+def test_witness_search_budget_names_the_search(monkeypatch):
+    monkeypatch.setenv("PFLAB_BUDGET_COLLECTIONS", "0")
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=2,
+        set_system=SetSystem.explicit(2, [0b01, 0b10]),
+        hypotheses=HypothesisClass.explicit(1, 2, [[0], [1]]),
+        horizon=1,
+    )
+    with pytest.raises(BudgetExceeded, match="realizability witness search") as info:
+        find_realizability_witness(spec, [0], [0b01])
+    assert (info.value.spent, info.value.budget) == (1, 0)
 
 
 def _parity_half(c, x, n_cand):

@@ -1,6 +1,7 @@
 """Core game mechanics checked against brute-force oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -213,6 +214,37 @@ def test_find_realizability_witness():
     spec = two_constant_game(2)
     assert find_realizability_witness(spec, (0, 0), (0b01, 0b01)) == (0,)
     assert find_realizability_witness(spec, (0, 0), (0b01, 0b10)) is None
+
+
+class _ZeroAdversary(_BadCountAdversary):
+    """Reveals 0 on instance 0 and finalizes {0} every round."""
+
+    def finalize_sets(self, view):
+        return [0b01] * self.spec.horizon
+
+
+@pytest.mark.parametrize("claim", [(0, 1), (7,), (), (1,)])
+def test_a_bad_claimed_witness_is_a_realizability_violation(claim):
+    # (0, 1) has the infeasible image {0, 1}, 7 lies outside the class and ()
+    # is empty: none is a collection, and (1,) is one with the wrong image.
+    adversary = _ZeroAdversary()
+    adversary.witness_collection = lambda: claim
+    with pytest.raises(RealizabilityViolation):
+        play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
+
+
+@pytest.mark.parametrize(
+    "feedback, method, answer",
+    [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None)]
+    + [("set_valued", "reveal_set", m) for m in (1.5, True)]
+    + [("bandit", "loss_bit", bit) for bit in (0.5, True)],
+)
+def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
+    spec = replace(two_constant_game(1), feedback=feedback)
+    adversary = _ZeroAdversary()
+    setattr(adversary, method, lambda *args: answer)
+    with pytest.raises(ProtocolViolation, match="must be"):
+        play_game(spec, ScriptedLearner([0]), adversary)
 
 
 @st.composite
