@@ -8,7 +8,6 @@ realizability also hand back a witness collection.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,8 +158,27 @@ class SeededRandomAdversary(_CollectionAdversary):
 
     def _chosen(self) -> int:
         if self._pick is None:
-            self._pick = self._rng.choice(list(iter_bits(alive_mask(self._state[1]))))
+            self._pick = _uniform_bit(self._rng, alive_mask(self._state[1]))
         return self._pick
+
+
+def _uniform_bit(rng: random.Random, mask: int) -> int:
+    """``rng.choice(list(iter_bits(mask)))``, in time linear in the mask's width.
+
+    It draws the same single ``_randbelow`` that ``choice`` does, so the
+    generator moves the same way and the same bit comes out, then finds
+    that set bit by scanning the binary string from its low end rather than
+    listing the bits one shift at a time.
+    """
+    count = mask.bit_count()
+    if not count:
+        raise IndexError("Cannot choose from an empty sequence")
+    k = rng._randbelow(count)
+    digits = bin(mask)[:1:-1]  # bit i at position i
+    at = -1
+    for _ in range(k + 1):
+        at = digits.index("1", at + 1)
+    return at
 
 
 # -- collision bookkeeping ---------------------------------------------------------
@@ -431,10 +449,13 @@ class CubeAdversary(_FreshInstanceAdversary):
 
     def fork(self) -> "CubeAdversary":
         # Copies the history lists; the witness table stays shared.
-        twin = copy.copy(self)
-        twin._measures = list(self._measures)
-        twin._reveals = list(self._reveals)
-        twin._draws = list(self._draws)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            self.__dict__,
+            _measures=self._measures[:],
+            _reveals=self._reveals[:],
+            _draws=self._draws[:],
+        )
         return twin
 
     def _excluded_label(self, t: int) -> int:

@@ -21,10 +21,11 @@ rather than sampling.
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     AdmissibleEmpty,
@@ -230,19 +231,49 @@ class Collection:
         return len(self.members)
 
 
+def _plain_ints(values: tuple) -> bool:
+    """Is every entry of ``values`` a plain int? A ``bool``'s type is not ``int``."""
+    return set(map(type, values)) <= {int}
+
+
+def _member_tuple(members) -> tuple[int, ...]:
+    """``members`` as a tuple; :class:`SpecError` unless it holds only plain ints."""
+    try:
+        ms = tuple(members)
+    except TypeError:
+        raise SpecError(f"collection members must be hypothesis indices, got {members!r}") from None
+    if not _plain_ints(ms):
+        bad = next(h for h in ms if type(h) is not int)
+        raise SpecError(f"collection member {bad!r} is not a hypothesis index")
+    return ms
+
+
 def collection_of(spec: GameSpec, members) -> Collection:
-    """Build a :class:`Collection` from hypothesis indices, validating feasibility."""
-    ms = tuple(sorted(set(members)))
+    """Build a :class:`Collection` from hypothesis indices, validating feasibility.
+
+    ``members`` must be an iterable of plain ints (a ``bool`` is not one);
+    anything else raises :class:`SpecError`, as an infeasible image does. The
+    images are rebuilt from the members alone: an explicit class reads its
+    rows, and an all-functions class takes each instance's image as the OR
+    of one bit per member, the member's base-``n_labels`` digit there.
+    """
+    ms = tuple(sorted(set(_member_tuple(members))))
+    H = spec.hypotheses
     if not ms:
         raise SpecError("a collection must contain at least one hypothesis")
-    if ms[0] < 0 or ms[-1] >= spec.hypotheses.size:
-        raise SpecError(
-            f"collection members {ms} lie outside range({spec.hypotheses.size})"
-        )
+    if ms[0] < 0 or ms[-1] >= H.size:
+        raise SpecError(f"collection members {ms} lie outside range({H.size})")
     images = [0] * spec.n_instances
-    for h in ms:
-        for x, y in enumerate(spec.hypotheses.row(h)):
-            images[x] |= 1 << y
+    if H.kind == "explicit":
+        for h in ms:
+            for x, y in enumerate(H.rows[h]):
+                images[x] |= 1 << y
+    else:
+        L = H.n_labels
+        for x in range(spec.n_instances):
+            place = L ** (spec.n_instances - 1 - x)
+            for y in {h // place % L for h in ms}:
+                images[x] |= 1 << y
     for x, img in enumerate(images):
         if not spec.set_system.contains(img):
             raise SpecError(
@@ -663,7 +694,7 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         # single instance.
         fallback = _any_member(system)
         pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
-        row = [min(iter_bits(pool)) for pool in pools]
+        row = [(pool & -pool).bit_length() - 1 for pool in pools]
         base = H.index_of_row(row)
         witness = [base]
         for x, pool in enumerate(pools):
@@ -762,11 +793,17 @@ def _check_bitmask(m, what: str) -> int:
 
 @dataclass
 class _Branch:
-    """One trajectory in play: its strategies, its probability and its history."""
+    """One trajectory in play: its strategies, its probability and its history.
+
+    The probability is ``num / den``, two ints kept unreduced: each draw
+    multiplies them by its weight's numerator and denominator, so a branch
+    costs no :class:`Fraction` arithmetic on its way down the tree.
+    """
 
     learner: Learner
     adversary: Adversary
-    probability: Fraction = ONE
+    num: int = 1
+    den: int = 1
     instances: tuple = ()
     predictions: tuple = ()
     reveals: tuple = ()
@@ -790,7 +827,8 @@ class _Branch:
         return _Branch(
             learner=learner,
             adversary=adversary,
-            probability=self.probability * weight,
+            num=self.num * weight.numerator,
+            den=self.den * weight.denominator,
             instances=self.instances,
             predictions=self.predictions,
             reveals=self.reveals,
@@ -848,22 +886,30 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             draws=b.draws,
         )
         raw = b.adversary.finalize_sets(view)
+        if not isinstance(raw, Sequence):
+            raise ProtocolViolation(
+                f"finalized sets must be a sequence of label bitmasks, got {raw!r}"
+            )
         if len(raw) != spec.horizon:
             raise ProtocolViolation(
                 f"adversary finalized {len(raw)} sets for a {spec.horizon}-round game"
             )
-        sets = tuple(_check_bitmask(m, "finalized set") for m in raw)
-    for t, m in enumerate(sets):
-        if not spec.set_system.contains(m):
+        sets = tuple(raw)
+        if not _plain_ints(sets):
+            for m in sets:
+                _check_bitmask(m, "finalized set")
+    system = spec.set_system
+    multiclass = spec.feedback is Feedback.MULTICLASS
+    for t, (m, y) in enumerate(zip(sets, b.reveals)):
+        if not system.contains(m):
             raise ProtocolViolation(
                 f"finalized set {labels_of(m)} at round {t} is not in the set system"
             )
-        y = b.reveals[t]
         if y is not None and not (m >> y) & 1:
             raise ProtocolViolation(
                 f"revealed label {y} at round {t} lies outside the finalized set {labels_of(m)}"
             )
-        if spec.feedback is Feedback.MULTICLASS and m != (1 << y):
+        if multiclass and m != (1 << y):
             raise ProtocolViolation(
                 f"multiclass feedback requires singleton sets, got {labels_of(m)} at round {t}"
             )
@@ -876,9 +922,14 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     # A public branch is charged for its realized draws, an oblivious one for
     # its predictions themselves.
     moves = b.predictions if b.draws is None else b.draws
-    loss = Fraction(sum(_round_loss(p, m) for p, m in zip(moves, sets)))
+    loss = Fraction(sum(map(_round_loss, moves, sets)))
     claimed = b.adversary.witness_collection()
-    key = (b.instances, sets, None if claimed is None else tuple(claimed))
+    if claimed is not None:
+        try:
+            claimed = _member_tuple(claimed)
+        except SpecError as e:
+            raise RealizabilityViolation(f"the claimed witness is not admissible: {e}") from e
+    key = (b.instances, sets, claimed)
     if key not in checked:
         comparator = _comparator(spec, b.instances, sets)
         checked[key] = (
@@ -886,6 +937,8 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             _check_realizability(spec, b.instances, sets, comparator, claimed),
         )
     comparator, witness = checked[key]
+    # With a zero comparator the regret is the loss's own Fraction: a public
+    # game keeps every branch's transcript, so one object less per branch.
     return Transcript(
         instances=b.instances,
         predictions=b.predictions,
@@ -893,7 +946,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         sets=sets,
         loss=loss,
         comparator=comparator,
-        regret=loss - comparator,
+        regret=loss - comparator if comparator else loss,
         draws=b.draws,
         witness=witness,
     )
@@ -918,6 +971,14 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     pending branches on a stack, so the horizon is not bounded by Python's
     recursion limit. Branches that end with the same instances, sets and
     witness share one comparator and one realizability check.
+
+    A branch carries its probability as an unreduced integer fraction (see
+    :class:`_Branch`). As each branch ends, its :class:`PublicBranch` gets
+    the reduced :class:`Fraction`, and its probability, probability times
+    loss and probability times comparator are added as integer numerators
+    into one sum per denominator. Each expectation is then one
+    :class:`Fraction` per denominator, summed, so the probabilities are
+    still checked to total exactly 1.
     """
     public = spec.visibility is Visibility.PUBLIC
     if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
@@ -929,12 +990,19 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
     ends: list[PublicBranch] = []
     checked: dict = {}
+    # Denominator -> summed numerators of probability, loss and comparator.
+    sums: tuple[dict, dict, dict] = ({}, {}, {})
     while stack:
         branch, z, weight, shared = stack.pop()
         if z is not None:
             branch = branch.drawn(z, weight, shared)
         if len(branch.instances) == spec.horizon:
-            ends.append(PublicBranch(branch.probability, _settle(spec, branch, checked)))
+            num, den = branch.num, branch.den
+            t = _settle(spec, branch, checked)
+            ends.append(PublicBranch(Fraction(num, den), t))
+            for into, value in zip(sums, (ONE, t.loss, t.comparator)):
+                d = den * value.denominator
+                into[d] = into.get(d, 0) + num * value.numerator
             continue
         pred = _play_round(spec, branch)
         if not public:
@@ -948,11 +1016,11 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
             stack.append((branch, *children[i], i < last))
     if not public:
         return ends[0].transcript
-    total = sum((b.probability for b in ends), ZERO)
+    total, e_loss, e_comp = (
+        sum((Fraction(n, d) for d, n in into.items()), ZERO) for into in sums
+    )
     if total != 1:
         raise ProtocolViolation(f"draw branch probabilities sum to {total}, expected 1")
-    e_loss = sum((b.probability * b.transcript.loss for b in ends), ZERO)
-    e_comp = sum((b.probability * b.transcript.comparator for b in ends), ZERO)
     return PublicGameResult(
         branches=tuple(ends),
         expected_loss=e_loss,

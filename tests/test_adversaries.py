@@ -14,6 +14,7 @@ from pflab import (
     Measure,
     OptimalAdversary,
     PrefixParityAdversary,
+    SeededRandomAdversary,
     SetSystem,
     SpecError,
     TwoConstantAgnosticAdversary,
@@ -27,6 +28,7 @@ from pflab import (
     pfl_dim,
     play_game,
 )
+from pflab.setsystems import iter_bits
 
 from conftest import two_constant_game
 
@@ -200,3 +202,25 @@ def test_multiclass_needs_an_admissible_single_hypothesis(name):
     spec = _multiclass_spec([(0, 1)], [(0,), (1,)])
     with pytest.raises(SpecError, match="one-hypothesis collection"):
         make_adversary(name, {}).begin(spec)
+
+
+def test_random_adversary_picks_a_wide_alive_mask_as_choice_would():
+    # The pick must equal rng.choice over the listed alive ids and leave the
+    # generator in the same state, so a seed's transcript does not depend on
+    # how the set bit is found.
+    rng = random.Random(18)
+    adversary = SeededRandomAdversary()
+    for seed in range(2):
+        mask = sum(1 << cid for cid in rng.sample(range(60_000), 50_000))
+        adversary._rng, adversary._pick = random.Random(seed), None
+        # Two score levels; the alive mask is their union.
+        adversary._state = (0, ((0, mask & (1 << 30_000) - 1), (1, mask >> 30_000 << 30_000)))
+        reference = random.Random(seed)
+        assert adversary._chosen() == reference.choice(list(iter_bits(mask)))
+        assert adversary._rng.random() == reference.random()
+    for width in range(1, 13):
+        for seed in range(30):
+            mask = random.Random(seed).getrandbits(width) | 1 << width - 1
+            adversary._rng, adversary._pick = random.Random(seed), None
+            adversary._state = (0, ((0, mask),))
+            assert adversary._chosen() == random.Random(seed).choice(list(iter_bits(mask)))

@@ -6,6 +6,7 @@ an index's base-``n_labels`` digits instead. Each is compared here with the
 explicit class listing the same functions in the same index order.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -100,6 +101,42 @@ def test_collection_of_rejects_members_outside_the_class():
     ]:
         with pytest.raises(SpecError, match="outside range"):
             collection_of(spec, members)
+
+
+def _random_spec(rng):
+    """An all-functions or explicit class over the full power set, so every image is feasible."""
+    n, M = rng.randint(1, 4), rng.randint(2, 5)
+    if rng.random() < 0.5:
+        H = HypothesisClass.all_functions(n, M)
+    else:
+        rows = {tuple(rng.randrange(M) for _ in range(n)) for _ in range(rng.randint(1, 12))}
+        H = HypothesisClass.explicit(n, M, rng.sample(sorted(rows), len(rows)))
+    system = SetSystem.all_nonempty_up_to(M, M)
+    return GameSpec(n_instances=n, n_labels=M, set_system=system, hypotheses=H, horizon=1)
+
+
+def test_collection_images_equal_an_or_of_rows():
+    rng = random.Random(21)
+    for _ in range(400):
+        spec = _random_spec(rng)
+        size = spec.hypotheses.size
+        members = [0, size - 1] + rng.sample(range(size), rng.randint(0, min(size, 10)))
+        rng.shuffle(members)
+        images = [0] * spec.n_instances
+        for h in members:
+            for x, y in enumerate(spec.hypotheses.row(h)):
+                images[x] |= 1 << y
+        col = collection_of(spec, members)
+        assert col.images == tuple(images)
+        assert col.members == tuple(sorted(set(members)))
+
+
+@pytest.mark.parametrize("members", [7, ("a",), (True,), [0, False], [None]])
+@pytest.mark.parametrize("kind", ["all_functions", "explicit"])
+def test_collection_members_must_be_plain_ints(kind, members):
+    all_fns, explicit = _pair(2, 2, [0b01, 0b10, 0b11])
+    with pytest.raises(SpecError, match="hypothesis ind"):
+        collection_of(all_fns if kind == "all_functions" else explicit, members)
 
 
 def test_all_functions_witness_needs_member_targets():

@@ -233,6 +233,46 @@ def test_a_bad_claimed_witness_is_a_realizability_violation(claim):
         play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
 
 
+class _OneAdversary(_BadCountAdversary):
+    """Reveals 1 on instance 0 and finalizes {1}, so (1,) is its witness."""
+
+    def reveal(self, x, prediction):
+        return 1
+
+    def finalize_sets(self, view):
+        return [0b10] * self.spec.horizon
+
+
+@pytest.mark.parametrize("claim", [7, ("a",), (True,), [1, True]])
+def test_a_claimed_witness_must_hold_plain_ints(claim):
+    # (True,) would be read as the valid witness (1,), and [1, True] as {1}.
+    adversary = _OneAdversary()
+    adversary.witness_collection = lambda: claim
+    with pytest.raises(RealizabilityViolation, match="not a hypothesis index|hypothesis indices"):
+        play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
+
+
+@pytest.mark.parametrize("claim", [[1], (1,), iter([1])], ids=["list", "tuple", "iterator"])
+def test_a_claimed_witness_of_plain_ints_is_accepted(claim):
+    # A one-pass iterator is read once, not once for the cache key and again
+    # for the check.
+    adversary = _OneAdversary()
+    adversary.witness_collection = lambda: claim
+    t = play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
+    assert t.witness == Collection(members=(1,), images=(0b10,))
+
+
+@pytest.mark.parametrize(
+    "answer", [None, 0b01, {0b01}, (m for m in [0b01])],
+    ids=["None", "an int", "a set", "a generator"],
+)
+def test_finalized_sets_must_be_a_sequence(answer):
+    adversary = _ZeroAdversary()
+    adversary.finalize_sets = lambda view: answer
+    with pytest.raises(ProtocolViolation, match="must be a sequence"):
+        play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
+
+
 @pytest.mark.parametrize(
     "feedback, method, answer",
     [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None)]

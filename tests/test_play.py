@@ -12,6 +12,7 @@ import pytest
 from pflab import (
     Adversary,
     CubeAdversary,
+    Learner,
     Measure,
     OptimalAdversary,
     PrefixParityAdversary,
@@ -104,6 +105,67 @@ def test_public_cube_branches_pinned():
     assert _branch_rows(res) == CUBE_BRANCHES
     assert res.expected_loss == 2
     assert res.expected_comparator == 0
+
+
+def _reference_expectations(result):
+    """Total probability, E[loss], E[comparator] and E[regret] in plain Fractions.
+
+    Each branch's probability is recomputed as the product of the weights
+    its predictions gave its draws, and checked against the branch's own.
+    """
+    total = e_loss = e_comp = Fraction(0)
+    for b in result.branches:
+        t = b.transcript
+        p = Fraction(1)
+        for pred, z in zip(t.predictions, t.draws):
+            p *= pred.weights[z] if isinstance(pred, Measure) else Fraction(int(pred == z))
+        assert b.probability == p
+        total += p
+        e_loss += p * t.loss
+        e_comp += p * t.comparator
+    return total, e_loss, e_comp, e_loss - e_comp
+
+
+class _FixedMeasureLearner(Learner):
+    """Plays one measure every round, so branches get unequal weights."""
+
+    mode = "randomized"
+
+    def __init__(self, weights):
+        self._weights = weights
+
+    def begin(self, spec):
+        self._measure = Measure.of(enumerate(self._weights), spec.n_labels)
+
+    def predict(self, x):
+        return self._measure
+
+
+def _weighted_game(name):
+    """A public game by name: its spec, learner and adversary."""
+    if name == "frpfl-vs-optimal":  # branches of 1/9 and 2/9
+        spec = replace(helly_game(2), visibility="public")
+        return spec, make_learner("frpfl", {"gamma": "1/2", "g": 6}), OptimalAdversary()
+    if name == "cube-t3m4-sixths":  # draws of 1/2, 1/3 and 1/6
+        learner = _FixedMeasureLearner([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        return cube_game(3, 4, visibility="public"), learner, CubeAdversary(Fraction(1, 2))
+    T, M = int(name[6]), int(name[8])  # "cube-tTmM"
+    spec = cube_game(T, M, visibility="public")
+    return spec, make_learner("uniform_cube", {"T": T}), CubeAdversary(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["frpfl-vs-optimal", "cube-t3m4-sixths"]
+    + [f"cube-t{T}m{M}" for T in (3, 4) for M in (4, 5, 6)],
+)
+def test_public_expectations_match_a_fraction_reference(name):
+    res = play_game(*_weighted_game(name))
+    total, e_loss, e_comp, e_regret = _reference_expectations(res)
+    assert total == 1
+    assert res.expected_loss == e_loss
+    assert res.expected_comparator == e_comp
+    assert res.expected_regret == e_regret
 
 
 def test_public_frpfl_vs_optimal_pinned():
