@@ -786,7 +786,7 @@ def _check_reveal(spec: GameSpec, y) -> int:
 
 
 def _check_bitmask(m, what: str) -> int:
-    if not isinstance(m, int) or isinstance(m, bool):
+    if type(m) is not int:  # rejects a bool or any other int subclass
         raise ProtocolViolation(f"{what} must be a label bitmask, got {m!r}")
     return m
 

@@ -273,10 +273,14 @@ def test_finalized_sets_must_be_a_sequence(answer):
         play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
 
 
+class _Mask(int):
+    """An int subclass, which is not a plain label bitmask."""
+
+
 @pytest.mark.parametrize(
     "feedback, method, answer",
-    [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None)]
-    + [("set_valued", "reveal_set", m) for m in (1.5, True)]
+    [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None, _Mask(1))]
+    + [("set_valued", "reveal_set", m) for m in (1.5, True, _Mask(1))]
     + [("bandit", "loss_bit", bit) for bit in (0.5, True)],
 )
 def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
