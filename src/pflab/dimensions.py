@@ -12,10 +12,10 @@ witness object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import CollectionEngine, states_budget
+from .engine import CollectionEngine, _VersionSpaceEngine
 from .errors import BudgetExceeded, SpecError, TreeSpecMismatch, env_budget
 from .game import (
     Collection,
@@ -256,12 +256,17 @@ def ml_sl_bl_dim(
 
     ``variant`` picks the family the adversary's sets come from: ``ml`` uses
     singletons, ``bl`` uses co-singletons, ``sl`` uses the spec's own system.
-    The recursion asks, for the current version space ``V``: is there an
-    instance where, whatever label the learner names, some family set avoids
-    that label while keeping a nonempty sub-version-space that can itself
-    continue ``k - 1`` more steps. Memoized on (version-space bitmask, k);
-    ``k`` strictly decreases, so termination is structural. Values are capped
-    (default horizon + 2): the returned cap means "at least this much".
+    Each round the adversary shows an instance, the learner names a label,
+    and the adversary answers with a family set that avoids the label and
+    keeps some hypotheses of the version space: those whose label at the
+    instance lies in the set. The dimension is the most rounds the adversary
+    can keep answering. It is the value of a ``cap``-round game on the
+    engine's test search (:class:`pflab.engine._VersionSpaceEngine`), where
+    each hypothesis is one collection and every answer charges its
+    survivors 1. Values are capped (default horizon + 2): the returned cap
+    means "at least this much", and a cap past the dimension costs no more
+    search. ``budget`` counts the engine's expanded states
+    (default ``PFLAB_BUDGET_STATES``).
     """
     system = _variant_system(spec, variant)
     H = spec.hypotheses
@@ -271,69 +276,11 @@ def ml_sl_bl_dim(
         cap = spec.horizon + 2
     if cap < 0:
         raise SpecError(f"cap must be nonnegative, got {cap}")
-    limit = states_budget() if budget is None else budget
-    if limit < 0:
-        raise SpecError(f"budget must be nonnegative, got {limit}")
-    n = H.size
-    memo: dict = {}
-    nodes = 0
-
-    def candidates(vmask: int, x: int):
-        """Distinct (set mask, sub-version-space) pairs at this instance."""
-        masks = H.label_masks(x)
-        if system.kind == "explicit":
-            sets = system.masks
-        else:
-            # Only the intersection with the image matters for the
-            # sub-version-space, and any nonempty subset of size <= max_size
-            # is itself a member, so enumerate subsets of the image directly.
-            bits = [y for y, hs in enumerate(masks) if hs & vmask]
-            sets = (
-                sum(1 << b for i, b in enumerate(bits) if (pick >> i) & 1)
-                for pick in range(1, 1 << len(bits))
-                if pick.bit_count() <= system.max_size
-            )
-        out = {}
-        for smask in sets:
-            sub = vmask & sum(masks[y] for y in iter_bits(smask))
-            if sub:
-                out[(smask, sub)] = None
-        return list(out)
-
-    def can_reach(vmask: int, k: int) -> bool:
-        nonlocal nodes
-        if k == 0:
-            return True
-        key = (vmask, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceeded(
-                f"dimension recursion exceeded {limit} states", spent=nodes, budget=limit
-            )
-        result = False
-        for x in range(spec.n_instances):
-            cand = candidates(vmask, x)
-            ok = True
-            for y in range(spec.n_labels):
-                if not any(
-                    not (smask >> y) & 1 and can_reach(sub, k - 1) for smask, sub in cand
-                ):
-                    ok = False
-                    break
-            if ok:
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    full = (1 << n) - 1
-    k = 0
-    while k < cap and can_reach(full, k + 1):
-        k += 1
-    return k
+    hypotheses = [
+        Collection(members=(h,), images=tuple(1 << y for y in row)) for h, row in enumerate(H.rows)
+    ]
+    engine = _VersionSpaceEngine(replace(spec, set_system=system), hypotheses, budget=budget)
+    return engine.value(*engine.initial_state(), cap)
 
 
 def dimension_relations_report(spec: GameSpec, d: int) -> dict:

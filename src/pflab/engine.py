@@ -60,19 +60,51 @@ image. For each distinct image the engine caches an increment table: one
 integer per edge, in edge order. A step of the search then works on
 masks:
 
-* the reveal classes at ``x`` are the distinct nonzero survivor masks, one
-  per label ``y`` in ascending order: the OR of the alive parts of the
-  groups whose image holds ``y``;
-* the edge classes at ``x`` are the edges with distinct increments over the
-  alive groups, lowest edge first, each with one ``(increment, mask)`` pair
-  per increment value; they are cached per instance and set of alive
-  groups;
+* the move table at ``x`` gives every edge class its own list of reveal
+  classes. An edge class holds one ``(increment, mask)`` pair per
+  increment value; a reveal class is a ``(tag, survivor mask)`` pair, one
+  per distinct nonzero survivor mask. Edge classes that face the same
+  reveal list share one ``(reveal classes, edge classes)`` entry, so the
+  table is a list of such entries, lowest edge first. It depends only on
+  the instance and the alive mask, so it is cached per pair and shared by
+  every state with that alive set;
 * a child ORs ``mask & survivors & increment mask`` of each level into the
   level at ``score + increment``, then subtracts the lowest score. This one
   step also moves played states: :meth:`CollectionEngine.update` and
   :meth:`CollectionEngine.update_set` apply it to a reveal's survivor mask
   and raise :class:`EmptyConsistentSet` when nothing survives, and
   :meth:`CollectionEngine.prefix_state` applies it once per prefix round.
+
+Two rules fill the move table:
+
+* partial feedback (:class:`CollectionEngine`): the edge classes are the
+  edges with distinct increments over the alive groups, and every edge
+  class faces the same reveal list, so the table has one entry. The list
+  has one class per label ``y`` in ascending order, tagged by its lowest
+  ``y``: the OR of the alive parts of the groups whose image holds ``y``;
+* the version-space game of :func:`pflab.dimensions.ml_sl_bl_dim`
+  (:class:`_VersionSpaceEngine`): each collection is one hypothesis, so
+  every image is a single label. An edge (a label) carries the reveal
+  classes of the maximal family sets that exclude it, tagged by the set,
+  and every survivor is charged 1; edges with equal reveal lists form one
+  class, which is one entry of the table. An edge may carry no reveal
+  class at all.
+
+Each rule meets the three shortcuts the search takes without looking at
+the children:
+
+* the value is at least the top score. Under partial feedback the
+  adversary can reveal inside the image of a collection on the top level,
+  which keeps it alive at a nonnegative increment. In the version-space
+  game every reveal charges each survivor the same 1, and a state with no
+  charging reveal keeps its score;
+* the value is at most the top score plus ``scale`` per round remaining:
+  no partial-feedback increment exceeds ``scale``, and the version-space
+  charge is 1, its ``scale``;
+* a label common to every alive image is free. Under partial feedback it
+  costs no increment. In the version-space game a label that every alive
+  hypothesis outputs at ``x`` lies in every set that keeps one of them, so
+  naming it leaves the adversary no reveal.
 
 ``Measure`` objects for the edges are built only when a caller reads
 :attr:`CollectionEngine.edges`.
@@ -81,21 +113,17 @@ The search is Pearl's null-window test of ``value >= v`` (SCOUT, AAAI
 1980), run for ascending ``v`` as in Plaat et al.'s MTD(f) (AI 1996). Its
 soundness, and that of its speedups, all of which preserve exact values:
 
-* the value is at least the top level's score (the adversary can always
-  reveal inside the image of a collection on that level, keeping it alive)
-  and at most that plus ``scale`` per round remaining (no round adds more to
-  any score), so a test at or below the lower bound passes, and one above
-  the upper bound fails, without a search;
+* the value is at least the top level's score and at most that plus
+  ``scale`` per round remaining, so a test at or below the lower bound
+  passes, and one above the upper bound fails, without a search;
 * if at every instance the images of the alive groups share a label, the
-  learner can play that label (or its point mass) forever at zero
-  increment, so the value equals the lower bound exactly; this test is
+  learner can play that label (or its point mass) forever and the score
+  never rises, so the value equals the lower bound exactly; this test is
   cached per alive mask, and a child that passes it, or has no rounds left,
   is valued by its top score without building its levels;
-* edges with equal increments over the alive groups induce identical
-  subtrees, as do reveals with equal survivor masks, so only one
-  representative of each class is explored; both class lists depend only
-  on the instance and the alive mask, so they are cached per pair and
-  shared by every state with that alive set;
+* edges with equal increments and reveal lists induce identical subtrees,
+  as do reveals with equal survivor masks, so only one representative of
+  each class is explored;
 * scores translate: adding a constant to every score adds it to the value, so
   levels hold scores relative to their minimum, and the memo is keyed on
   ``(rounds, levels)``, which determines the alive set with its relative
@@ -118,7 +146,8 @@ soundness, and that of its speedups, all of which preserve exact values:
   of one call, and of later calls to any entry point, share their work;
 * a state whose children are all leaves (one round left, or every reveal
   class at every instance settled) is solved by one exact scan, which sees
-  every child at once, and stored as ``(v, v)``. The scan stops an edge's
+  every child at once, and stored as ``(v, v)``. It scores an edge by the
+  top score when no reveal class charges above it. The scan stops an edge's
   reveals once the edge is no better than the instance's best edge so far,
   and an instance's edges once it cannot beat the best instance so far;
 * the value is the final score of a collection alive at the state: its
@@ -153,6 +182,7 @@ the depth.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from contextlib import contextmanager
@@ -162,7 +192,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
 from .game import Collection, GameSpec
 from .measures import Measure, grid_counts, measure_grid
-from .setsystems import iter_bits
+from .setsystems import iter_bits, mask_of
 
 def states_budget() -> int:
     return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
@@ -434,14 +464,18 @@ class CollectionEngine:
             self._edge_cache[key] = hit
         return hit
 
-    def _moves(self, alive: int, x: int) -> tuple:
-        """``(reveal classes, edge classes)`` at ``x``, cached per instance and alive mask."""
+    def _moves(self, alive: int, x: int) -> list:
+        """The move table at ``x``: ``(reveal classes, edge classes)`` pairs.
+
+        Every edge class of a pair faces that pair's reveal classes. Partial
+        feedback has one pair: every edge class faces :meth:`_reveals`.
+        Cached per instance and alive mask.
+        """
         hit = self._moves_cache.get((x, alive))
         if hit is None:
-            hit = self._moves_cache[(x, alive)] = (
-                self._reveals(alive, x),
-                self._edge_classes(alive, x),
-            )
+            hit = self._moves_cache[(x, alive)] = [
+                (self._reveals(alive, x), self._edge_classes(alive, x))
+            ]
         return hit
 
     def _settled(self, alive: int) -> bool:
@@ -462,7 +496,8 @@ class CollectionEngine:
             hit = self._leaf_cache[alive] = all(
                 self._settled(keep)
                 for x in range(self.spec.n_instances)
-                for _, keep in self._moves(alive, x)[0]
+                for reveals, _ in self._moves(alive, x)
+                for _, keep in reveals
             )
         return hit
 
@@ -504,19 +539,23 @@ class CollectionEngine:
         child_depth = rounds - 1
         reach = child_depth * self.scale
         for x in range(self.spec.n_instances):
-            reveals, edges = self._moves(alive, x)
-            for inc in edges:
-                # The learner's edge fails the test unless some reveal passes it.
-                for _, keep in reveals:
-                    top = _top(levels, keep, inc)
-                    if top >= v:
-                        break
-                    if top + reach >= v and not self._settled(keep):
-                        base, child = _child(levels, keep, inc)
-                        if self._test(child, keep, child_depth, v - base):
+            for reveals, edges in self._moves(alive, x):
+                for inc in edges:
+                    # The learner's edge fails the test unless some reveal passes it.
+                    for _, keep in reveals:
+                        top = _top(levels, keep, inc)
+                        if top >= v:
                             break
+                        if top + reach >= v and not self._settled(keep):
+                            base, child = _child(levels, keep, inc)
+                            if self._test(child, keep, child_depth, v - base):
+                                break
+                    else:
+                        break
                 else:
-                    break
+                    continue
+                # An edge class with no passing reveal fails the instance.
+                break
             else:
                 self._bounds[key] = (v, hi)
                 return True
@@ -531,22 +570,27 @@ class CollectionEngine:
         cannot beat the best instance so far; ``ub`` stops the instance scan.
         """
         self._expand()
-        best = levels[-1][0]
+        best = lb = levels[-1][0]
         for x in range(self.spec.n_instances):
-            reveals, edges = self._moves(alive, x)
             least = None
-            for inc in edges:
-                worst = None
-                for _, keep in reveals:
-                    top = _top(levels, keep, inc)
-                    if worst is None or top > worst:
-                        worst = top
-                        if least is not None and worst >= least:
+            for reveals, edges in self._moves(alive, x):
+                for inc in edges:
+                    # No reveal class, or none charging above it, leaves the top score.
+                    worst = lb
+                    for _, keep in reveals:
+                        top = _top(levels, keep, inc)
+                        if top > worst:
+                            worst = top
+                            if least is not None and worst >= least:
+                                break
+                    if least is None or worst < least:
+                        least = worst
+                        if least <= best:
                             break
-                if least is None or worst < least:
-                    least = worst
-                    if least <= best:
-                        break
+                else:
+                    continue
+                # The instance cannot beat the best so far.
+                break
             if least > best:
                 best = least
                 if best >= ub:
@@ -603,12 +647,12 @@ class CollectionEngine:
         with _depth_guard(rounds):
             v = self._solve(levels, alive, rounds)
             for x in range(self.spec.n_instances):
-                reveals, edges = self._moves(alive, x)
                 if all(
                     any(
                         self._child_value(levels, keep, inc, rounds - 1) >= v
                         for _, keep in reveals
                     )
+                    for reveals, edges in self._moves(alive, x)
                     for inc in edges
                 ):
                     return x
@@ -665,6 +709,58 @@ class CollectionEngine:
         inc = _by_value(self._alive_groups(alive, x), edge_index)
         with _depth_guard(child_depth):
             return self._edge_worst(levels, inc, self._reveals(alive, x), child_depth)[1]
+
+
+class _VersionSpaceEngine(CollectionEngine):
+    """The version-space game of :func:`pflab.dimensions.ml_sl_bl_dim`.
+
+    Each collection is one hypothesis, and the spec's set system is the
+    family the adversary reveals from. Against a predicted label the
+    adversary reveals a family set without it, keeping the alive hypotheses
+    whose label lies in the set, and every survivor is charged 1. Only
+    :meth:`value` is meant for this table: ``edge_worst_values``,
+    ``best_edge`` and ``best_reveal`` read the partial-feedback reveals.
+    """
+
+    def _moves(self, alive: int, x: int) -> list:
+        """One ``(reveal classes, [charge])`` entry per edge class, from the maximal excluding sets.
+
+        A reveal class is a ``(set, survivor mask)`` pair, one per distinct
+        nonzero survivor mask, taken from the maximal family sets that
+        exclude the edge's label. Under ``all_nonempty_up_to: K`` those are
+        the remaining alive labels when at most ``K`` remain, and otherwise
+        their ``K``-subsets. Edges with equal reveal lists form one class,
+        listed by its lowest label.
+        """
+        hit = self._moves_cache.get((x, alive))
+        if hit is not None:
+            return hit
+        system = self.spec.set_system
+        holders = [(image, mask & alive) for image, mask in self._groups(x) if mask & alive]
+        labels = functools.reduce(operator.or_, (image for image, _ in holders))
+        charge = ((1, alive),)
+        hit, seen = [], set()
+        for y in range(self.spec.n_labels):
+            if system.kind == "explicit":
+                sets = [s for s in system.masks if not (s >> y) & 1]
+                sets = [s for s in sets if not any(s != t and s & t == s for t in sets)]
+            else:
+                rest = labels & ~(1 << y)
+                sets = (
+                    [rest]
+                    if rest.bit_count() <= system.max_size
+                    else map(mask_of, itertools.combinations(iter_bits(rest), system.max_size))
+                )
+            reveals: dict = {}
+            for s in sets:
+                keep = sum(mask for image, mask in holders if image & s)
+                if keep:
+                    reveals.setdefault(keep, s)
+            if tuple(reveals) not in seen:
+                seen.add(tuple(reveals))
+                hit.append(([(s, keep) for keep, s in reveals.items()], [charge]))
+        self._moves_cache[(x, alive)] = hit
+        return hit
 
 
 def alive_mask(levels) -> int:

@@ -45,8 +45,13 @@ def agnostic_game(T: int) -> GameSpec:
 
     The feasible sets are both singletons and the full pair, and the game is
     declared existence-realizable: some constant must end up consistent with
-    every committed set, yet no collection structure is promised. Lower-bound
-    play forces loss around T/2 here while the comparator stays at zero.
+    every committed set, yet no collection structure is promised. Against
+    :class:`~pflab.adversaries.TwoConstantAgnosticAdversary`, the strategies
+    that the ``two-constant-agnostic-floor`` check plays (cvsp, dpfla, the
+    uniform coin and every deterministic label script) pay regret at least
+    T/2, and the coin exactly T/2. That bounds those strategies only, not
+    the game's minimax regret, which the package does not compute for this
+    mode; a grid-randomized learner can pay less.
     """
     system = SetSystem.explicit(2, [0b01, 0b10, 0b11])
     hyps = HypothesisClass.explicit(T, 2, [[0] * T, [1] * T])

@@ -158,7 +158,11 @@ def test_naive_oracle_guard():
 
 
 def test_sl_on_a_bounded_system_equals_the_listed_sets():
-    """The bounded branch enumerates subsets of the image, not the system."""
+    """The maximal excluding sets of a bounded system give the listed system's values.
+
+    Under ``all_nonempty_up_to: K`` they are the other alive labels, or
+    their ``K``-subsets; the listed system filters its member sets instead.
+    """
     values = []
     for seed in range(300):
         bounded, listed = bounded_and_listed(seed)
@@ -218,7 +222,7 @@ def test_ml_sl_bl_equal_the_naive_reference():
 
 # Six constant hypotheses on one instance and three pairwise-overlapping sets
 # (specs/overlap_triple.yaml), and the modulus-5 collision game on a bounded
-# system: the explicit and the bounded candidate loops.
+# system: the explicit and the bounded move tables.
 OVERLAP_TRIPLE = GameSpec(
     n_instances=1,
     n_labels=6,
@@ -227,19 +231,31 @@ OVERLAP_TRIPLE = GameSpec(
     horizon=3,
 )
 COLLISION_5 = collision_game(CollisionFamily(modulus=5, slopes=(0, 1), pool=(0, 1, 2)), horizon=3)
+PINNED_IDS = ["overlap-ml", "overlap-sl", "overlap-bl", "collision-ml", "collision-sl", "collision-bl"]
+# Twenty constant hypotheses under all_nonempty_up_to: 20. Each edge has one
+# maximal excluding set, the other alive labels, where listing every subset
+# of the alive labels would take 2^20 sets per state.
+CONSTANTS_20 = GameSpec(
+    n_instances=1,
+    n_labels=20,
+    set_system=SetSystem.all_nonempty_up_to(20, 20),
+    hypotheses=HypothesisClass.explicit(1, 20, [[y] for y in range(20)]),
+    horizon=2,
+)
 
 
 @pytest.mark.parametrize(
     "spec, variant, value, nodes",
     [
-        (OVERLAP_TRIPLE, "ml", 1, 7),
+        (OVERLAP_TRIPLE, "ml", 1, 1),
         (OVERLAP_TRIPLE, "sl", 2, 10),
-        (OVERLAP_TRIPLE, "bl", 5, 129),
-        (COLLISION_5, "ml", 2, 37),
+        (OVERLAP_TRIPLE, "bl", 5, 230),
+        (COLLISION_5, "ml", 2, 29),
         (COLLISION_5, "sl", 5, 167),
-        (COLLISION_5, "bl", 5, 80),
+        (COLLISION_5, "bl", 5, 150),
+        (CONSTANTS_20, "sl", 4, 1834),
     ],
-    ids=["overlap-ml", "overlap-sl", "overlap-bl", "collision-ml", "collision-sl", "collision-bl"],
+    ids=[*PINNED_IDS, "constants20-sl"],
 )
 def test_pinned_ml_sl_bl_nodes(spec, variant, value, nodes):
     """A budget of exactly the recorded node count passes; one less raises."""
@@ -247,3 +263,42 @@ def test_pinned_ml_sl_bl_nodes(spec, variant, value, nodes):
     with pytest.raises(BudgetExceeded) as info:
         ml_sl_bl_dim(spec, variant, budget=nodes - 1)
     assert info.value.spent == nodes
+
+
+def smallest_budget(spec, variant, cap):
+    """The smallest budget under which ``ml_sl_bl_dim`` at ``cap`` returns."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            ml_sl_bl_dim(spec, variant, cap=cap, budget=hi)
+            break
+        except BudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            ml_sl_bl_dim(spec, variant, cap=cap, budget=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "spec, variant",
+    [(s, v) for s in (OVERLAP_TRIPLE, COLLISION_5) for v in ("ml", "sl", "bl")],
+    ids=PINNED_IDS,
+)
+def test_ml_sl_bl_cost_does_not_grow_with_the_cap(spec, variant):
+    """A cap past the dimension costs no more search than the dimension plus one.
+
+    Every answer charges its survivors, so the search stops once the
+    threshold is out of reach, however many rounds the cap leaves.
+    """
+    value = ml_sl_bl_dim(spec, variant, cap=5000)
+    assert value < 5000
+    assert ml_sl_bl_dim(spec, variant, cap=value + 1) == value
+    nodes = smallest_budget(spec, variant, cap=value + 1)
+    assert ml_sl_bl_dim(spec, variant, cap=5000, budget=nodes) == value
+    with pytest.raises(BudgetExceeded):
+        ml_sl_bl_dim(spec, variant, cap=5000, budget=nodes - 1)
