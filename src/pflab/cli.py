@@ -24,6 +24,7 @@ the ``runtime_ms`` column, which reports honest wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -424,7 +425,9 @@ def _cmd_replicate(args) -> int:
 # -- wiring ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``pflab`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pflab",
         description="Exact partial-feedback online learning games at desk scale.",

@@ -19,30 +19,35 @@ labels some, or every, alive image holds at an instance) and move it with
 :meth:`CollectionEngine.update` on a revealed label or
 :meth:`CollectionEngine.update_set` on a revealed set.
 
-Three scoring kinds:
+Every edge is a measure on a grid of resolution ``g``, kept as its count
+tuple ``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_counts`),
+and a collection's increment depends only on the counts ``c(image)`` the
+edge puts on its image. Two charge rules give it:
 
-* ``label``: edges are labels, a collection's increment is 1 when the
-  predicted label is outside its image (the deterministic mistake game);
-* ``measure``: edges are grid measures, the increment is 1 when the measure
-  puts at most ``1 - gamma`` mass on the image (strictly below 1 when
-  ``gamma`` is 0), else 0;
-* ``loss``: edges are grid measures, the increment is the exact mass placed
-  outside the image.
+* ``loss``: the mass placed outside the image, in units of ``1/g``, so the
+  increment is ``g - c(image)``;
+* ``measure``: 1 when the measure puts at most ``1 - gamma`` mass on the
+  image (strictly below 1 when ``gamma`` is 0), else 0. With ``gamma =
+  p/q`` the test ``c(image) / g <= 1 - p/q`` reads ``c(image) * q <= g *
+  (q - p)``, and ``c(image) < g`` when ``gamma`` is 0.
 
-Scores are integers on the grid. A grid measure is kept as its count tuple
-``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_counts`), so
-every increment is an integer: with ``c(image)`` the counts on the image and
-``gamma = p/q``, the measure kind's event test ``c(image) / g <= 1 - p/q``
-reads ``c(image) * q <= g * (q - p)`` (``c(image) < g`` when ``gamma`` is 0),
-and the loss kind counts in units of ``1/g``, so a collection's loss
-increment is ``g - c(image)``. The engine's
-``scale`` is the size of one round's full charge in these units: ``g`` for
-the loss kind and 1 for the others. Scores, values and value tables of the
-loss kind are therefore ``g`` times the true expected loss; callers divide
-by ``scale`` at the API boundary (:func:`pflab.measure_dims.minimax_rand_regret`).
-A prefix measure off the grid (:meth:`CollectionEngine.prefix_state`) charges
-an exact ``Fraction`` in the same units; the search adds, compares and
-subtracts it like an integer, so such states are solved exactly too.
+The ``label`` kind (the deterministic mistake game) is the loss kind on
+the grid of point masses, ``g = 1``: its edges are the labels, in label
+order, and the increment is 1 exactly when the predicted label is outside
+the image. That grid has one point per label, so no grid budget applies to
+it and no ``Measure`` is built for it.
+
+Scores are integers on the grid. The engine's ``scale`` is the size of one
+round's full charge in engine units: ``g`` for the loss kind (1 for the
+label kind) and 1 for the measure kind. Scores, values and value tables of
+the loss kind are therefore ``g`` times the true expected loss; callers
+divide by ``scale`` at the API boundary
+(:func:`pflab.measure_dims.minimax_rand_regret`). The one rule that fills
+the grid edges' increment tables also charges an exact prefix measure
+(:meth:`CollectionEngine.prefix_state`), on its exact mass times ``g``: off
+the grid a loss charge is a ``Fraction`` in the same units, which the
+search adds, compares and subtracts like an integer, so such states are
+solved exactly too.
 
 A state has one form, in the search and at every entry point alike: the
 pair ``(base, levels)``. ``levels`` is a sorted tuple of ``(relative score,
@@ -106,7 +111,7 @@ the children:
   hypothesis outputs at ``x`` lies in every set that keeps one of them, so
   naming it leaves the adversary no reveal.
 
-``Measure`` objects for the edges are built only when a caller reads
+``Measure`` objects for grid edges are built only when a caller reads
 :attr:`CollectionEngine.edges`.
 
 The search is Pearl's null-window test of ``value >= v`` (SCOUT, AAAI
@@ -156,13 +161,24 @@ soundness, and that of its speedups, all of which preserve exact values:
   that form (``v + 1`` on integer levels, and the same rule covers off-grid
   ``Fraction`` scores); the last passing threshold is the value.
 
-Every entry point runs this one search. ``value`` is the ascending tests'
-last pass. The choice methods take the value of each child they compare
-from the same tests: an edge's worst case is the largest of its reveal
-classes' child values, ``best_reveal`` the lowest label of the first class
-reaching it, and ``best_instance`` the lowest instance where every edge
-class has a child reaching the state's value. A choice method therefore
-reads the bounds that earlier calls of any entry point stored.
+Every entry point runs this one search on the same move table. ``value``
+is the ascending tests' last pass. The choice methods read the table too:
+on the choice path only, each edge gets its ``(entry, class)`` position in
+the table at ``x``, so the search itself does no per-edge work. They take
+the value of each child they compare from the same tests:
+
+* an edge's worst case is the largest of its reveal classes' child values,
+  and never below the top score, the rule :meth:`CollectionEngine._scan`
+  applies: an edge with no reveal class keeps the state's score. It is
+  computed once per edge class and spread over the class's edges;
+* ``best_reveal`` is the tag of the first reveal class reaching it: the
+  class's lowest label under partial feedback, its family set in the
+  version-space game, and ``None`` for an edge with no reveal class;
+* ``best_instance`` is the lowest instance where every edge class has a
+  child reaching the state's value, or the value is the top score.
+
+A choice method therefore reads the bounds that earlier calls of any entry
+point stored, and each method answers on both tables.
 
 The budget counts the states the test search expands, an all-leaf scan
 counting as one, for all three kinds alike; it defaults to
@@ -171,7 +187,12 @@ counting as one, for all three kinds alike; it defaults to
 never changes an answer: a call returns its exact result or raises.
 :meth:`CollectionEngine.edge_worst_bounds` is the one table that runs no
 search: an upper bound on every entry of ``edge_worst_values``, read from
-the children's top scores.
+the children's top scores. A child's value is at most its top score plus
+``scale`` per round remaining, and the largest top score over an edge
+class's reveal classes is the largest score, plus increment, among the
+union of their survivors: a max over reveals of a max over survivors is a
+max over the OR of the survivor masks. So each edge class takes one
+:func:`_top` on that OR, and the bound keeps the top-score rule.
 
 Each round nests one Python frame of a test, so every entry point reaches
 the same horizons. A horizon deep enough to exhaust Python's recursion
@@ -231,17 +252,18 @@ class CollectionEngine:
             raise ValueError("measure kind needs gamma")
         self.images = [c.images for c in self.collections]
         if kind == "label":
-            self.g = None
+            # The loss kind on the grid of point masses, whose edges are the labels.
+            self.g = 1
             self._edges: list | None = list(range(spec.n_labels))
-            self.n_edges = spec.n_labels
         else:
             self.g = grid if grid is not None else spec.measure_grid
             self._edges = None
-            counts = grid_counts(spec.n_labels, self.g)
-            self.n_edges = len(counts)
-            # The grid's count tuples, transposed: one column of counts per label.
-            self._columns = tuple(zip(*counts))
-        self.scale = self.g if kind == "loss" else 1
+        # That grid has one point per label, so the grid budget never rejects it.
+        counts = grid_counts(spec.n_labels, self.g, spec.n_labels if kind == "label" else None)
+        self.n_edges = len(counts)
+        # The grid's count tuples, transposed: one column of counts per label.
+        self._columns = tuple(zip(*counts))
+        self.scale = 1 if kind == "measure" else self.g
         budget = states_budget() if budget is None else budget
         if budget < 0:
             raise SpecError(f"budget must be nonnegative, got {budget}")
@@ -268,40 +290,31 @@ class CollectionEngine:
 
     # -- increments ---------------------------------------------------------
 
+    def _increments(self, inside) -> tuple:
+        """The charge rule: increments for the masses ``inside`` an image, in units of ``1/g``."""
+        g = self.g
+        if self.kind != "measure":
+            return tuple(g - c for c in inside)
+        if self.gamma == 0:
+            return tuple(int(c < g) for c in inside)
+        p, q = self.gamma.numerator, self.gamma.denominator
+        return tuple(int(c * q <= g * (q - p)) for c in inside)
+
     def _table(self, image_mask: int) -> tuple:
         """Increments of a collection with this image under every edge, in edge order."""
         hit = self._tables.get(image_mask)
-        if hit is not None:
-            return hit
-        if self.kind == "label":
-            hit = tuple(1 - ((image_mask >> y) & 1) for y in range(self.spec.n_labels))
-        else:
+        if hit is None:
             # Grid mass on the image, in counts, for every edge at once.
             inside = map(sum, zip(*(self._columns[y] for y in iter_bits(image_mask))))
-            g = self.g
-            if self.kind == "loss":
-                hit = tuple(g - c for c in inside)
-            elif self.gamma == 0:
-                hit = tuple(int(c < g) for c in inside)
-            else:
-                p, q = self.gamma.numerator, self.gamma.denominator
-                hit = tuple(int(c * q <= g * (q - p)) for c in inside)
-        self._tables[image_mask] = hit
+            hit = self._tables[image_mask] = self._increments(inside)
         return hit
 
     def _charge(self, move, image_mask: int):
-        """Increment, in engine units, for an edge index (a label) or an exact prefix measure."""
-        if self.kind == "label":
-            return 0 if (image_mask >> move) & 1 else 1
+        """Increment, in engine units, for an edge index or an exact prefix measure."""
         if not isinstance(move, Measure):
             return self._table(image_mask)[move]
-        mass = move.mass(image_mask)
-        if self.kind == "loss":
-            loss = (1 - mass) * self.g
-            return loss.numerator if loss.denominator == 1 else loss
-        if self.gamma == 0:
-            return 1 if mass < 1 else 0
-        return 1 if mass <= 1 - self.gamma else 0
+        (inc,) = self._increments((move.mass(image_mask) * self.g,))
+        return inc.numerator if inc.denominator == 1 else inc
 
     def _groups(self, x: int) -> tuple:
         """One ``(image, mask)`` pair per distinct image at ``x``, built on first use.
@@ -326,7 +339,7 @@ class CollectionEngine:
         """State after a played prefix of instances, moves and reveals.
 
         Only collections whose image contains every prefix reveal stay alive;
-        each starts charged with its prefix rounds, by the per-kind rule the
+        each starts charged with its prefix rounds, by the charge rule the
         increment tables apply, in engine units. Moves are labels for the
         label kind and exact measures otherwise; prefix measures need not lie
         on the grid, and a loss-kind charge off the grid stays a ``Fraction``.
@@ -421,10 +434,6 @@ class CollectionEngine:
         """The distinct images at ``x`` of the alive collections."""
         return [image for image, mask in self._groups(x) if mask & alive]
 
-    def _alive_groups(self, alive: int, x: int) -> list:
-        """``(increment table, mask)`` of every image group at ``x`` with an alive member."""
-        return [(self._table(image), mask) for image, mask in self._groups(x) if mask & alive]
-
     def _reveals(self, alive: int, x: int) -> list:
         """One ``(lowest y, survivor mask)`` pair per distinct survivor set at ``x``.
 
@@ -443,26 +452,44 @@ class CollectionEngine:
                 out.append((y, keep))
         return out
 
+    def _edge_vectors(self, alive: int, x: int) -> tuple:
+        """Every edge's increment vector over the alive image groups at ``x``, and their masks."""
+        tables, masks = zip(
+            *((self._table(image), mask) for image, mask in self._groups(x) if mask & alive)
+        )
+        return list(zip(*tables)), masks
+
     def _edge_classes(self, alive: int, x: int) -> list:
         """The ``(increment, mask)`` pairs of one edge per distinct increment vector.
 
-        Increment vectors are taken over the alive image groups at ``x``, and
-        the classes are listed by their lowest edge, in edge order. Cached per
-        instance and set of alive groups.
+        The classes are listed by their lowest edge, in edge order. Cached
+        per instance and set of alive groups.
         """
         groups = self._groups(x)
         key = (x, tuple(i for i, (_, mask) in enumerate(groups) if mask & alive))
         hit = self._edge_cache.get(key)
         if hit is None:
-            alive_groups = self._alive_groups(alive, x)
-            seen = set()
-            hit = []
-            for edge, inc in enumerate(zip(*(table for table, _ in alive_groups))):
-                if inc not in seen:
-                    seen.add(inc)
-                    hit.append(_by_value(alive_groups, edge))
-            self._edge_cache[key] = hit
+            vectors, masks = self._edge_vectors(alive, x)
+            hit = self._edge_cache[key] = [_by_value(inc, masks) for inc in dict.fromkeys(vectors)]
         return hit
+
+    def _positions(self, alive: int, x: int) -> list:
+        """The ``(entry, class)`` position of every edge in the move table at ``x``, in edge order.
+
+        Partial feedback has one entry, whose classes are the distinct
+        increment vectors in the order :meth:`_edge_classes` lists them.
+        """
+        vectors, _ = self._edge_vectors(alive, x)
+        index = {inc: cls for cls, inc in enumerate(dict.fromkeys(vectors))}
+        return [(0, index[inc]) for inc in vectors]
+
+    def _per_edge(self, alive: int, x: int, per_entry) -> list:
+        """A value for every edge, in edge order, computed once per edge class.
+
+        ``per_entry(reveals, edges)`` lists the values of one table entry's edge classes.
+        """
+        table = [per_entry(reveals, edges) for reveals, edges in self._moves(alive, x)]
+        return [table[entry][cls] for entry, cls in self._positions(alive, x)]
 
     def _moves(self, alive: int, x: int) -> list:
         """The move table at ``x``: ``(reveal classes, edge classes)`` pairs.
@@ -619,14 +646,17 @@ class CollectionEngine:
         return base + self._solve(child, keep, child_depth)
 
     def _edge_worst(self, levels, inc, reveals, child_depth):
-        """``(max child value, lowest y reaching it)`` over reveal classes, for one edge.
+        """``(worst case, tag of the first reveal class reaching it)`` for one edge class.
 
-        ``inc`` holds the edge's ``(increment, mask)`` pairs.
+        ``inc`` holds the class's ``(increment, mask)`` pairs. The worst case
+        is the largest child value over the reveal classes, and never below
+        the top score, as in :meth:`_scan`; the tag is ``None`` when no
+        reveal class reaches it.
         """
-        worst, worst_y = None, None
+        worst, worst_y = levels[-1][0], None
         for y, keep in reveals:
             v = self._child_value(levels, keep, inc, child_depth)
-            if worst is None or v > worst:
+            if v > worst or v == worst and worst_y is None:
                 worst, worst_y = v, y
         return worst, worst_y
 
@@ -641,13 +671,14 @@ class CollectionEngine:
         """Lowest instance achieving the state's value (adversary's move).
 
         That is the lowest instance where every edge class has a reveal class
-        whose child reaches the value.
+        whose child reaches the value, and the first instance when the value
+        is the top score, which every edge's worst case reaches.
         """
         alive = alive_mask(levels)
         with _depth_guard(rounds):
             v = self._solve(levels, alive, rounds)
             for x in range(self.spec.n_instances):
-                if all(
+                if v <= levels[-1][0] or all(
                     any(
                         self._child_value(levels, keep, inc, rounds - 1) >= v
                         for _, keep in reveals
@@ -659,56 +690,45 @@ class CollectionEngine:
 
     def edge_worst_values(self, base, levels, x, child_depth):
         """Exact worst-case child value for every edge, in edge order."""
-        alive = alive_mask(levels)
-        reveals = self._reveals(alive, x)
-        groups = self._alive_groups(alive, x)
         with _depth_guard(child_depth):
-            return [
-                base + self._edge_worst(levels, _by_value(groups, edge), reveals, child_depth)[0]
-                for edge in range(self.n_edges)
-            ]
+            return self._per_edge(alive_mask(levels), x, lambda reveals, edges: [
+                base + self._edge_worst(levels, inc, reveals, child_depth)[0] for inc in edges
+            ])
 
     def edge_worst_bounds(self, base, levels, x, child_depth):
         """Upper bound on every entry of :meth:`edge_worst_values`, without any search.
 
-        An edge's entry is the top score of its children plus ``scale`` per
-        remaining round. For each reveal class only the top surviving score
-        per image matters, so survivors are collapsed to one ``(increment
-        table, top score)`` pair per image once and every edge is scored
-        against those pairs.
+        An edge's entry is the top score of its children, and never below
+        the state's top score, plus ``scale`` per remaining round. The top
+        score over its reveal classes is the top score of the OR of their
+        survivors, so each edge class takes one :func:`_top`.
         """
-        classes = [
-            [
-                (table, max(s for s, level in levels if level & group & keep))
-                for table, group in self._alive_groups(keep, x)
-            ]
-            for _, keep in self._reveals(alive_mask(levels), x)
-        ]
-        return [
-            base
-            + max(
-                (max(s + table[edge] for table, s in pairs) for pairs in classes),
-                default=levels[-1][0],
-            )
-            + child_depth * self.scale
-            for edge in range(self.n_edges)
-        ]
+        lb = levels[-1][0]
+        reach = base + child_depth * self.scale
+
+        def bounds(reveals, edges):
+            keep = functools.reduce(operator.or_, (keep for _, keep in reveals), 0)
+            return [reach + (max(lb, _top(levels, keep, inc)) if keep else lb) for inc in edges]
+
+        return self._per_edge(alive_mask(levels), x, bounds)
 
     def best_edge(self, base, levels, x, child_depth):
         """Lowest-index edge minimizing the worst-case child value."""
         values = self.edge_worst_values(base, levels, x, child_depth)
         return values.index(min(values))
 
-    def best_reveal(self, base, levels, x, edge_index, child_depth) -> int:
+    def best_reveal(self, base, levels, x, edge_index, child_depth) -> int | None:
         """Lowest feasible reveal maximizing the child value (adversary's move).
 
         Every reveal in a class yields the same child, so the lowest ``y`` of
-        the first best class is the lowest maximizing reveal.
+        the first best class is the lowest maximizing reveal. It is ``None``
+        when the edge has no reveal class.
         """
         alive = alive_mask(levels)
-        inc = _by_value(self._alive_groups(alive, x), edge_index)
+        entry, cls = self._positions(alive, x)[edge_index]
+        reveals, edges = self._moves(alive, x)[entry]
         with _depth_guard(child_depth):
-            return self._edge_worst(levels, inc, self._reveals(alive, x), child_depth)[1]
+            return self._edge_worst(levels, edges[cls], reveals, child_depth)[1]
 
 
 class _VersionSpaceEngine(CollectionEngine):
@@ -717,29 +737,22 @@ class _VersionSpaceEngine(CollectionEngine):
     Each collection is one hypothesis, and the spec's set system is the
     family the adversary reveals from. Against a predicted label the
     adversary reveals a family set without it, keeping the alive hypotheses
-    whose label lies in the set, and every survivor is charged 1. Only
-    :meth:`value` is meant for this table: ``edge_worst_values``,
-    ``best_edge`` and ``best_reveal`` read the partial-feedback reveals.
+    whose label lies in the set, and every survivor is charged 1. Every
+    entry point reads this table; ``best_reveal`` names the revealed set.
     """
 
-    def _moves(self, alive: int, x: int) -> list:
-        """One ``(reveal classes, [charge])`` entry per edge class, from the maximal excluding sets.
+    def _label_reveals(self, alive: int, x: int) -> list:
+        """Per label, its reveal classes as a ``{survivor mask: set}`` dict.
 
-        A reveal class is a ``(set, survivor mask)`` pair, one per distinct
-        nonzero survivor mask, taken from the maximal family sets that
-        exclude the edge's label. Under ``all_nonempty_up_to: K`` those are
-        the remaining alive labels when at most ``K`` remain, and otherwise
-        their ``K``-subsets. Edges with equal reveal lists form one class,
-        listed by its lowest label.
+        The sets are the maximal family sets that exclude the label, and
+        each nonzero survivor mask keeps the first set giving it. Under
+        ``all_nonempty_up_to: K`` those sets are the remaining alive labels
+        when at most ``K`` remain, and otherwise their ``K``-subsets.
         """
-        hit = self._moves_cache.get((x, alive))
-        if hit is not None:
-            return hit
         system = self.spec.set_system
         holders = [(image, mask & alive) for image, mask in self._groups(x) if mask & alive]
         labels = functools.reduce(operator.or_, (image for image, _ in holders))
-        charge = ((1, alive),)
-        hit, seen = [], set()
+        out = []
         for y in range(self.spec.n_labels):
             if system.kind == "explicit":
                 sets = [s for s in system.masks if not (s >> y) & 1]
@@ -756,11 +769,34 @@ class _VersionSpaceEngine(CollectionEngine):
                 keep = sum(mask for image, mask in holders if image & s)
                 if keep:
                     reveals.setdefault(keep, s)
-            if tuple(reveals) not in seen:
-                seen.add(tuple(reveals))
-                hit.append(([(s, keep) for keep, s in reveals.items()], [charge]))
-        self._moves_cache[(x, alive)] = hit
+            out.append(reveals)
+        return out
+
+    def _moves(self, alive: int, x: int) -> list:
+        """One ``(reveal classes, [charge])`` entry per edge class: labels with equal reveal lists.
+
+        A reveal class is a ``(set, survivor mask)`` pair, and the entries
+        are listed by their lowest label.
+        """
+        hit = self._moves_cache.get((x, alive))
+        if hit is None:
+            entries: dict = {}
+            for reveals in self._label_reveals(alive, x):
+                entries.setdefault(tuple(reveals), reveals)
+            charge = ((1, alive),)
+            hit = self._moves_cache[(x, alive)] = [
+                ([(s, keep) for keep, s in reveals.items()], [charge])
+                for reveals in entries.values()
+            ]
         return hit
+
+    def _positions(self, alive: int, x: int) -> list:
+        """The ``(entry, 0)`` position of every label in the move table at ``x``."""
+        index: dict = {}
+        return [
+            (index.setdefault(tuple(reveals), len(index)), 0)
+            for reveals in self._label_reveals(alive, x)
+        ]
 
 
 def alive_mask(levels) -> int:
@@ -778,11 +814,10 @@ def _below(levels, v):
     return max(s + math.ceil(v - s) - 1 for s, _ in levels)
 
 
-def _by_value(groups, edge: int) -> tuple:
-    """``(increment, mask)`` pairs of one edge over ``(increment table, mask)`` groups."""
+def _by_value(inc, masks) -> tuple:
+    """``(increment, mask)`` pairs of an increment vector: the OR of the group masks per value."""
     out: dict = {}
-    for table, mask in groups:
-        v = table[edge]
+    for v, mask in zip(inc, masks):
         out[v] = out.get(v, 0) | mask
     return tuple(out.items())
 

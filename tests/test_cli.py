@@ -2,11 +2,14 @@
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pflab import GridTooLarge, build_admissible_collections, load_spec_file, pfl_dim, pms_dim
 from pflab.cli import CSV_HEADER, main
+from pflab.engine import CollectionEngine
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 TWO_CONSTANT = str(SPEC_DIR / "two_constant.yaml")
@@ -482,6 +485,25 @@ def test_rand_grid_over_the_budget_is_rejected(capsys, monkeypatch, what):
                                   "--grid", "5"])
     assert (code, out) == (3, "")
     assert err == "budget rejected: grid(2, 5) has 6 measures, budget 5\n"
+
+
+def test_the_grid_budget_never_applies_to_label_engines(capsys, monkeypatch):
+    """The label kind runs on the point-mass grid (g = 1) with no grid budget and no ``Measure``s.
+
+    A measure engine on the same spec is still rejected by the budget.
+    """
+    monkeypatch.setenv("PFLAB_BUDGET_GRID", "1")
+    spec = load_spec_file(TWO_CONSTANT).spec
+    assert pfl_dim(spec, 2) == 1
+    assert CollectionEngine(spec, build_admissible_collections(spec)).edges == [0, 1]
+    code, out, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "2"])
+    assert (code, err) == (0, "") and "value: 1" in out
+    with pytest.raises(GridTooLarge):
+        pms_dim(spec, 2, Fraction(1, 2))
+    code, out, err = run(capsys, ["rand", TWO_CONSTANT, "--what", "pms", "--gamma", "1/2",
+                                  "--depth", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("budget rejected: grid(2, ")
 
 
 # The det-solve class b5x3-0: three binary instances, five hypotheses.

@@ -14,6 +14,7 @@ import functools
 import itertools
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,8 +34,10 @@ from pflab import (
     pfl_dim,
     play_game,
 )
-from pflab.engine import CollectionEngine, _above, _below, alive_mask
+from pflab.dimensions import _variant_system
+from pflab.engine import CollectionEngine, _VersionSpaceEngine, _above, _below, alive_mask
 from pflab.families import binary_full_system_family
+from pflab.game import Collection
 from pflab.setsystems import iter_bits
 
 from test_properties import seeds, spec_from_seed
@@ -224,6 +227,34 @@ def test_value_search_matches_the_exact_recursion(kind, seed, pick):
             for x in range(spec.n_instances)
         )
         assert tests.value(*state, rounds) == want
+
+
+@pytest.mark.parametrize("variant", ["ml", "sl", "bl"])
+def test_version_space_choices_agree_with_value(variant):
+    """The choice methods read the version-space table of ``ml_sl_bl_dim``.
+
+    ``value`` is the max over instances of the min of ``edge_worst_values``,
+    and ``best_instance`` is the lowest instance reaching it, at depths 1 to
+    3 from the initial state. A label with no reveal class keeps the top
+    score, as in the search.
+    """
+    for seed in range(45):
+        spec = spec_from_seed(seed, horizon=3)
+        spec = replace(spec, set_system=_variant_system(spec, variant))
+        hypotheses = [
+            Collection(members=(h,), images=tuple(1 << y for y in row))
+            for h, row in enumerate(spec.hypotheses.rows)
+        ]
+        tests, exact = _VersionSpaceEngine(spec, hypotheses), _VersionSpaceEngine(spec, hypotheses)
+        state = tests.initial_state()
+        for depth in (1, 2, 3):
+            per_instance = [
+                min(exact.edge_worst_values(*state, x, depth - 1))
+                for x in range(spec.n_instances)
+            ]
+            assert tests.value(*state, depth) == max(per_instance), (seed, depth)
+            want = per_instance.index(max(per_instance))
+            assert tests.best_instance(*state, depth) == want, (seed, depth)
 
 
 def test_thresholds_step_through_every_level_score_plus_an_integer():
