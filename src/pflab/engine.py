@@ -129,6 +129,26 @@ soundness, and that of its speedups, all of which preserve exact values:
 * edges with equal increments and reveal lists induce identical subtrees,
   as do reveals with equal survivor masks, so only one representative of
   each class is explored;
+* a state's value never falls when a collection joins the alive set, or
+  when an alive collection's score rises: the adversary's strategy for the
+  smaller state stays legal, and the final maximum is taken over more, or
+  higher, scores. So the search reads a copy of the move table without
+  dominated classes, cached per instance and alive mask
+  (:meth:`CollectionEngine._search_moves`):
+
+  - the max side drops a reveal class whose survivor mask is a strict
+    subset of another class's in the same entry. A collection's increment
+    depends only on the edge and its own image, so the larger class's
+    child is the smaller class's child with more collections added, and
+    its value is never lower. Every table and kind takes this rule;
+  - the min side drops a label edge class whose increment vector over the
+    alive groups is at least another class's in every entry: both face the
+    same reveal classes, and each child of the dominated class holds the
+    same collections at scores no lower. There are at most ``n_labels``
+    such classes, so the pairwise test is cheap. Grid tables skip it,
+    because theirs can hold hundreds of edge classes; the version-space
+    table has one edge class per entry, so it drops none there;
+
 * scores translate: adding a constant to every score adds it to the value, so
   levels hold scores relative to their minimum, and the memo is keyed on
   ``(rounds, levels)``, which determines the alive set with its relative
@@ -161,11 +181,14 @@ soundness, and that of its speedups, all of which preserve exact values:
   that form (``v + 1`` on integer levels, and the same rule covers off-grid
   ``Fraction`` scores); the last passing threshold is the value.
 
-Every entry point runs this one search on the same move table. ``value``
-is the ascending tests' last pass. The choice methods read the table too:
-on the choice path only, each edge gets its ``(entry, class)`` position in
-the table at ``x``, so the search itself does no per-edge work. They take
-the value of each child they compare from the same tests:
+Every entry point runs this one search. ``value`` is the ascending tests'
+last pass. The choice methods read the full move table, not the search's
+pruned copy: a dominated class can tie with the class that dominates it and
+still have the lower index, and each method returns the lowest-index tie.
+On the choice path only, each edge gets its ``(entry, class)`` position in
+the table at ``x``, cached per instance and alive mask, so the search
+itself does no per-edge work. They take the value of each child they
+compare from the same tests, which prune beneath them:
 
 * an edge's worst case is the largest of its reveal classes' child values,
   and never below the top score, the rule :meth:`CollectionEngine._scan`
@@ -274,6 +297,8 @@ class CollectionEngine:
         self._settled_cache: dict = {}
         self._leaf_cache: dict = {}
         self._moves_cache: dict = {}
+        self._search_cache: dict = {}
+        self._positions_cache: dict = {}
         self._edge_cache: dict = {}
         self._group_cache: list = [None] * spec.n_instances
 
@@ -476,6 +501,16 @@ class CollectionEngine:
     def _positions(self, alive: int, x: int) -> list:
         """The ``(entry, class)`` position of every edge in the move table at ``x``, in edge order.
 
+        Read on the choice path only, and cached per instance and alive mask.
+        """
+        hit = self._positions_cache.get((x, alive))
+        if hit is None:
+            hit = self._positions_cache[(x, alive)] = self._edge_positions(alive, x)
+        return hit
+
+    def _edge_positions(self, alive: int, x: int) -> list:
+        """The positions :meth:`_positions` caches, built on a miss.
+
         Partial feedback has one entry, whose classes are the distinct
         increment vectors in the order :meth:`_edge_classes` lists them.
         """
@@ -502,6 +537,25 @@ class CollectionEngine:
         if hit is None:
             hit = self._moves_cache[(x, alive)] = [
                 (self._reveals(alive, x), self._edge_classes(alive, x))
+            ]
+        return hit
+
+    def _search_moves(self, alive: int, x: int) -> list:
+        """The move table the test search reads: :meth:`_moves` without dominated classes.
+
+        Each entry drops every reveal class whose survivor mask is a strict
+        subset of another class's. On label edges it also drops every edge
+        class whose increment vector over the alive groups is at least
+        another class's in every entry; grid kinds keep all their edge
+        classes, which can number in the hundreds. Cached per instance and
+        alive mask.
+        """
+        hit = self._search_cache.get((x, alive))
+        if hit is None:
+            label = self.kind == "label"
+            hit = self._search_cache[(x, alive)] = [
+                (_maximal(reveals), _least(edges) if label else edges)
+                for reveals, edges in self._moves(alive, x)
             ]
         return hit
 
@@ -566,7 +620,7 @@ class CollectionEngine:
         child_depth = rounds - 1
         reach = child_depth * self.scale
         for x in range(self.spec.n_instances):
-            for reveals, edges in self._moves(alive, x):
+            for reveals, edges in self._search_moves(alive, x):
                 for inc in edges:
                     # The learner's edge fails the test unless some reveal passes it.
                     for _, keep in reveals:
@@ -600,7 +654,7 @@ class CollectionEngine:
         best = lb = levels[-1][0]
         for x in range(self.spec.n_instances):
             least = None
-            for reveals, edges in self._moves(alive, x):
+            for reveals, edges in self._search_moves(alive, x):
                 for inc in edges:
                     # No reveal class, or none charging above it, leaves the top score.
                     worst = lb
@@ -790,7 +844,7 @@ class _VersionSpaceEngine(CollectionEngine):
             ]
         return hit
 
-    def _positions(self, alive: int, x: int) -> list:
+    def _edge_positions(self, alive: int, x: int) -> list:
         """The ``(entry, 0)`` position of every label in the move table at ``x``."""
         index: dict = {}
         return [
@@ -820,6 +874,28 @@ def _by_value(inc, masks) -> tuple:
     for v, mask in zip(inc, masks):
         out[v] = out.get(v, 0) | mask
     return tuple(out.items())
+
+
+def _maximal(reveals: list) -> list:
+    """The reveal classes whose survivor mask is no strict subset of another class's."""
+    return [
+        (tag, keep) for tag, keep in reveals
+        if not any(keep != other and keep & other == keep for _, other in reveals)
+    ]
+
+
+def _least(edges: list) -> list:
+    """The label edge classes whose increments are not at least another class's on every group.
+
+    A label edge charges each group 0 or 1, so one class's increments are at
+    least another's on every group exactly when the groups it charges hold
+    every group the other charges: its charged mask is a superset.
+    """
+    charged = [sum(mask for v, mask in inc if v) for inc in edges]
+    return [
+        inc for inc, mask in zip(edges, charged)
+        if not any(other != mask and other & mask == other for other in charged)
+    ]
 
 
 def _top(levels, keep: int, inc):

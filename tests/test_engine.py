@@ -5,7 +5,9 @@ The naive tables here recurse through ``value`` on every feasible reveal,
 with no survivor-set dedup, so they check the engine's reveal classes and
 its per-edge worst case; the independent check of the choice methods is
 ``tests/test_reference_minimax.py``. The no-search ``edge_worst_bounds``
-table is checked to stay at or above the exact one. The pinned numbers hold
+table is checked to stay at or above the exact one. A test-only engine whose
+search reads the full move table checks that the search's dominance pruning
+changes no value and no choice. The pinned numbers hold
 the search's expanded-state counts fixed, and a budget either leaves an
 answer exact or raises ``BudgetExceeded``: it never changes dpfla's play.
 """
@@ -229,6 +231,14 @@ def test_value_search_matches_the_exact_recursion(kind, seed, pick):
         assert tests.value(*state, rounds) == want
 
 
+def _hypotheses(spec):
+    """One single-hypothesis collection per row: the collections of the version-space table."""
+    return [
+        Collection(members=(h,), images=tuple(1 << y for y in row))
+        for h, row in enumerate(spec.hypotheses.rows)
+    ]
+
+
 @pytest.mark.parametrize("variant", ["ml", "sl", "bl"])
 def test_version_space_choices_agree_with_value(variant):
     """The choice methods read the version-space table of ``ml_sl_bl_dim``.
@@ -241,10 +251,7 @@ def test_version_space_choices_agree_with_value(variant):
     for seed in range(45):
         spec = spec_from_seed(seed, horizon=3)
         spec = replace(spec, set_system=_variant_system(spec, variant))
-        hypotheses = [
-            Collection(members=(h,), images=tuple(1 << y for y in row))
-            for h, row in enumerate(spec.hypotheses.rows)
-        ]
+        hypotheses = _hypotheses(spec)
         tests, exact = _VersionSpaceEngine(spec, hypotheses), _VersionSpaceEngine(spec, hypotheses)
         state = tests.initial_state()
         for depth in (1, 2, 3):
@@ -255,6 +262,154 @@ def test_version_space_choices_agree_with_value(variant):
             assert tests.value(*state, depth) == max(per_instance), (seed, depth)
             want = per_instance.index(max(per_instance))
             assert tests.best_instance(*state, depth) == want, (seed, depth)
+
+
+class _FullTable:
+    """A test search that reads the full move table: no dominance pruning."""
+
+    def _search_moves(self, alive, x):
+        return self._moves(alive, x)
+
+
+class _UnprunedEngine(_FullTable, CollectionEngine):
+    pass
+
+
+class _UnprunedVersionSpace(_FullTable, _VersionSpaceEngine):
+    pass
+
+
+TABLES = sorted(KINDS) + ["ml", "sl", "bl"]
+
+
+def _four_label_spec(seed):
+    """A small explicit spec over four labels, for the version-space table.
+
+    Over at most three labels the maximal family sets that exclude a label
+    keep disjoint survivors or one class, so that table prunes nothing there.
+    """
+    rng = random.Random(seed)
+    n_x = rng.randint(1, 2)
+    masks = sorted(rng.sample(range(1, 16), rng.randint(3, 7)))
+    rows = sorted({tuple(rng.randrange(4) for _ in range(n_x)) for _ in range(rng.randint(2, 6))})
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=4,
+        set_system=SetSystem.explicit(4, masks),
+        hypotheses=HypothesisClass(n_x, 4, "explicit", tuple(rows)),
+        horizon=4,
+    )
+
+
+def _engine_pair(seed, table):
+    """``(engine, unpruned engine)`` on one generated spec, for a kind or a version-space variant."""
+    if table in KINDS:
+        spec = spec_from_seed(seed, horizon=4)
+        collections = build_admissible_collections(spec)
+        return tuple(
+            cls(spec, collections, kind=table, **KINDS[table])
+            for cls in (CollectionEngine, _UnprunedEngine)
+        )
+    spec = _four_label_spec(seed)
+    spec = replace(spec, set_system=_variant_system(spec, table))
+    hypotheses = _hypotheses(spec)
+    return _VersionSpaceEngine(spec, hypotheses), _UnprunedVersionSpace(spec, hypotheses)
+
+
+def _played_path(eng, seed, rounds):
+    """The initial state and the states after each of ``rounds`` random played rounds."""
+    rng = random.Random(seed)
+    state = eng.initial_state()
+    yield state
+    for _ in range(rounds):
+        x = rng.randrange(eng.spec.n_instances)
+        state = eng.update(*state, x, rng.randrange(eng.n_edges), rng.choice(_feasible(eng, state, x)))
+        yield state
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_pruned_search_matches_the_full_table(table):
+    """The search without dominated classes values every state as the full table does.
+
+    Both engines solve the same states, at depths 1 to 4, from the initial
+    state and from two played rounds, on the label, measure and loss tables
+    of generated specs and on the version-space table of each
+    ``ml_sl_bl_dim`` variant, over four labels.
+    """
+    for seed in range(40):
+        pruned, full = _engine_pair(seed, table)
+        for state in _played_path(pruned, seed, 2):
+            for depth in (1, 2, 3, 4):
+                assert pruned.value(*state, depth) == full.value(*state, depth), (seed, depth)
+
+
+@pytest.mark.parametrize("table", sorted(KINDS) + ["sl"])
+def test_choice_methods_answer_from_the_full_table(table):
+    """Every choice method answers as on the unpruned search, lowest-index ties included.
+
+    A dominated class can tie with the class that dominates it and have the
+    lower index, so the choice methods keep the full table. The inputs must
+    include choices of a reveal class or an edge class that the search
+    prunes, or the check would pass with pruned choices too. The
+    version-space table prunes only under the spec's own family (``sl``):
+    ``ml`` reveals singletons and ``bl`` one co-singleton per label.
+    """
+    pruned_choices = 0
+    for seed in range(30):
+        pruned, full = _engine_pair(seed, table)
+        for rounds, state in zip((3, 2, 1), _played_path(pruned, seed, 2)):
+            assert pruned.best_instance(*state, rounds) == full.best_instance(*state, rounds)
+            alive = alive_mask(state[1])
+            for x in range(pruned.spec.n_instances):
+                args = (*state, x, rounds - 1)
+                assert pruned.edge_worst_values(*args) == full.edge_worst_values(*args)
+                best = pruned.best_edge(*args)
+                assert best == full.best_edge(*args)
+                moves, searched = pruned._moves(alive, x), pruned._search_moves(alive, x)
+                positions = pruned._positions(alive, x)
+                entry, cls = positions[best]
+                pruned_choices += moves[entry][1][cls] not in searched[entry][1]
+                for ei in range(pruned.n_edges):
+                    tag = pruned.best_reveal(*state, x, ei, rounds - 1)
+                    assert tag == full.best_reveal(*state, x, ei, rounds - 1)
+                    entry, _ = positions[ei]
+                    chosen = [c for c in moves[entry][0] if c[0] == tag]
+                    pruned_choices += bool(chosen) and chosen[0] not in searched[entry][0]
+    assert pruned_choices
+
+
+def test_positions_are_built_once_per_state():
+    """Repeated choice calls at one state build the edges' table positions once per instance.
+
+    On ``helly_game(3)`` at g = 8 the loss kind has 1,287 edges, so a
+    rebuild on each ``best_reveal`` call would cost more than the call's own
+    search. The version-space table caches its positions the same way.
+    """
+
+    class Counting:
+        def _edge_positions(self, alive, x):
+            self.builds += 1
+            return super()._edge_positions(alive, x)
+
+    class CountingEngine(Counting, CollectionEngine):
+        pass
+
+    class CountingVersionSpace(Counting, _VersionSpaceEngine):
+        pass
+
+    spec = helly_game(3)
+    for eng in (
+        CountingEngine(spec, build_admissible_collections(spec), kind="loss", grid=8),
+        CountingVersionSpace(spec, _hypotheses(spec)),
+    ):
+        eng.builds = 0
+        state = eng.initial_state()
+        for x in range(spec.n_instances):
+            for _ in range(2):
+                for ei in range(0, eng.n_edges, 97):
+                    eng.best_reveal(*state, x, ei, 1)
+                eng.edge_worst_values(*state, x, 1)
+        assert eng.builds == spec.n_instances
 
 
 def test_thresholds_step_through_every_level_score_plus_an_integer():
@@ -389,8 +544,8 @@ def test_prefix_state_matches_played_rounds(kind, seed, play_seed):
         (lambda: helly_game(3), 3, 1, 1),
         (lambda: _family_spec(0), 3, 0, 0),
         (lambda: _family_spec(1), 3, 0, 0),
-        (lambda: _family_spec(120), 6, 2, 155),
-        (lambda: _family_spec(200), 7, 2, 168),
+        (lambda: _family_spec(120), 6, 2, 80),
+        (lambda: _family_spec(200), 7, 2, 98),
     ],
     ids=["helly3", "family0", "family1", "family120", "family200"],
 )
@@ -406,13 +561,13 @@ _THIRDS = Measure((Fraction(1, 3), Fraction(2, 3)))
 @pytest.mark.parametrize(
     "index, kind, extra, prefix, depth, value, nodes",
     [
-        (120, "loss", {"grid": 4}, None, 4, 4, 239),
-        (200, "loss", {"grid": 4}, None, 3, 5, 94),
-        (120, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 2, 53),
+        (120, "loss", {"grid": 4}, None, 4, 4, 201),
+        (200, "loss", {"grid": 4}, None, 3, 5, 93),
+        (120, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 2, 50),
         (160, "measure", {"gamma": Fraction(1, 3), "grid": 4}, None, 4, 1, 32),
         # Off-grid prefix charges: 4/3 and 8/3 units of 1/4.
         (160, "loss", {"grid": 4}, ((0,), (_THIRDS,), (1,)), 3, Fraction(13, 3), 45),
-        (120, "loss", {"grid": 4}, ((0, 1), (_THIRDS, _THIRDS), (1, 0)), 3, 4, 8),
+        (120, "loss", {"grid": 4}, ((0, 1), (_THIRDS, _THIRDS), (1, 0)), 3, 4, 3),
     ],
     ids=["loss120", "loss200", "measure120", "measure160", "loss160-prefix", "loss120-prefix"],
 )
@@ -474,7 +629,7 @@ def _b5x3():
 def test_value_stays_cheap_where_it_stops_growing():
     """b5x3-0's value stays 2 as the depth grows; the search must not grow cubically.
 
-    The test search expands 13,969 states at depth 300; an exact recursion
+    The test search expands 6,552 states at depth 300; an exact recursion
     without null-window tests expands 53,206 already at depth 40.
     """
     assert pfl_dim(_b5x3(), 300, budget=20_000) == 2
@@ -513,7 +668,7 @@ def test_pinned_states_of_potential_play():
             lrn.observe(adv.reveal(x, lrn.predict(x)))
         learner += lrn._engines[0].nodes
         adversary += adv._engine.nodes
-    assert (learner, adversary) == (860, 796)
+    assert (learner, adversary) == (717, 645)
 
 
 def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():
