@@ -795,10 +795,20 @@ class _VersionSpaceEngine(CollectionEngine):
     entry point reads this table; ``best_reveal`` names the revealed set.
     """
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._without_cache: dict = {}
+
+    def _maximal_without(self, y: int) -> list:
+        """The maximal sets of an explicit family that exclude label ``y``."""
+        sets = [s for s in self.spec.set_system.masks if not (s >> y) & 1]
+        return [s for s in sets if not any(s != t and s & t == s for t in sets)]
+
     def _label_reveals(self, alive: int, x: int) -> list:
         """Per label, its reveal classes as a ``{survivor mask: set}`` dict.
 
-        The sets are the maximal family sets that exclude the label, and
+        The sets are the maximal family sets that exclude the label
+        (:meth:`_maximal_without`, built once per label and engine), and
         each nonzero survivor mask keeps the first set giving it. Under
         ``all_nonempty_up_to: K`` those sets are the remaining alive labels
         when at most ``K`` remain, and otherwise their ``K``-subsets.
@@ -809,8 +819,10 @@ class _VersionSpaceEngine(CollectionEngine):
         out = []
         for y in range(self.spec.n_labels):
             if system.kind == "explicit":
-                sets = [s for s in system.masks if not (s >> y) & 1]
-                sets = [s for s in sets if not any(s != t and s & t == s for t in sets)]
+                # They depend on the family and the label only: built once per label.
+                sets = self._without_cache.get(y)
+                if sets is None:
+                    sets = self._without_cache[y] = self._maximal_without(y)
             else:
                 rest = labels & ~(1 << y)
                 sets = (

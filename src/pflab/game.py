@@ -294,7 +294,9 @@ def build_admissible_collections(
     witness search runs. Each call of the walk charges one node for every
     index from its start index on, so the node count and every
     :class:`BudgetExceeded` outcome are those of the per-candidate search
-    that preceded the bitmask one.
+    that preceded the bitmask one. The walk asks the set system once per
+    partial image for the labels that can still join it
+    (:meth:`SetSystem.span`), not once per label.
 
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
@@ -337,8 +339,14 @@ def _admissible_walk(
     than by testing each candidate: ``allowed(x, img)`` (memoized per walk)
     is the OR of the class's :meth:`HypothesisClass.label_masks` entries at
     ``x`` over the labels ``y`` that keep ``img | 1 << y`` inside some
-    feasible set. A call's candidates are the AND of ``allowed`` over all
-    instances, restricted to ``pool`` from its start index on.
+    feasible set. Those labels are exactly the set bits of
+    ``system.span(img)``, the union of the feasible sets containing
+    ``img``: a label lies in that union iff some feasible set holds both it
+    and ``img``. So one span call per partial image gives the same
+    candidates as one superset query per label, and the visiting order, the
+    collections and the node charges are those of the per-label form. A
+    call's candidates are the AND of ``allowed`` over all instances,
+    restricted to ``pool`` from its start index on.
 
     ``targets`` holds ``(instance, set)`` pairs. With none, the walk returns
     every admissible collection. With some, it also prunes a prefix once its
@@ -352,16 +360,17 @@ def _admissible_walk(
     system = spec.set_system
     rows = H.rows
     masks = [H.label_masks(x) for x in range(spec.n_instances)]
-    labelled = [[(1 << y, hs) for y, hs in enumerate(m) if hs] for m in masks]
     allowed_memo: list[dict[int, int]] = [{} for _ in range(spec.n_instances)]
 
     def allowed(x: int, img: int) -> int:
         hit = allowed_memo[x].get(img)
         if hit is None:
             hit = 0
-            for bit, hs in labelled[x]:
-                if system.superset_exists(img | bit):
-                    hit |= hs
+            span = system.span(img)
+            while span:
+                low = span & -span
+                span ^= low
+                hit |= masks[x][low.bit_length() - 1]
             allowed_memo[x][img] = hit
         return hit
 

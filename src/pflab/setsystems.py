@@ -8,6 +8,9 @@ alphabet ``{0, ..., n_labels - 1}``. Two kinds are supported:
   exists for games whose family is too large to enumerate (binomial sums over
   tens of labels) but has a one-line membership test.
 
+:meth:`SetSystem.span` answers "which labels can still join this subset?"
+with one scan per subset: the union of the member sets that contain it.
+
 Throughout the package a label subset is an ``int`` bitmask: bit ``y`` set
 means label ``y`` is in the subset. Masks are cheap to intersect, compare,
 and hash, which the minimax recursions lean on heavily.
@@ -111,23 +114,36 @@ class SetSystem:
     def superset_exists(self, mask: int) -> bool:
         """Does some member set contain every label of ``mask``?
 
-        The admissible-collection search prunes on this: a partial collection
-        whose image already fails it can never be completed.
+        The empty mask always qualifies. Answered from :meth:`span`.
         """
-        if mask == 0:
-            return True
+        return mask == 0 or self.span(mask) != 0
+
+    def span(self, mask: int) -> int:
+        """The union of the member sets that contain ``mask``, or 0 if none does.
+
+        A label ``y`` is in the span exactly when ``mask | 1 << y`` lies
+        inside some member set, so the admissible-collection walk reads all
+        labels that can still join a partial image from one call.
+        """
         if mask >> self.n_labels:
-            return False
+            return 0
         if self.kind == "bounded":
-            return mask.bit_count() <= self.max_size
+            size = mask.bit_count()
+            if size < self.max_size:
+                return (1 << self.n_labels) - 1
+            return mask if size == self.max_size else 0
         # masks is immutable, so the answer to each distinct mask is cached.
-        known = getattr(self, "_supersets", None)
+        known = getattr(self, "_spans", None)
         if known is None:
             known = {}
-            object.__setattr__(self, "_supersets", known)
+            object.__setattr__(self, "_spans", known)
         hit = known.get(mask)
         if hit is None:
-            hit = known[mask] = any(m & mask == mask for m in self.masks)
+            hit = 0
+            for m in self.masks:
+                if m & mask == mask:
+                    hit |= m
+            known[mask] = hit
         return hit
 
     def _member_index(self) -> frozenset:

@@ -412,6 +412,31 @@ def test_positions_are_built_once_per_state():
         assert eng.builds == spec.n_instances
 
 
+@pytest.mark.parametrize("variant", ["ml", "sl", "bl"])
+def test_reveal_sets_are_built_once_per_label(variant):
+    """The maximal family sets that exclude a label are filtered once per label and engine.
+
+    They depend on the family and the label only, so solving many states,
+    and answering the choice methods at them, must not filter them again.
+    """
+
+    class CountingVersionSpace(_VersionSpaceEngine):
+        def _maximal_without(self, y):
+            self.builds.append(y)
+            return super()._maximal_without(y)
+
+    for seed in range(10):
+        spec = _four_label_spec(seed)
+        spec = replace(spec, set_system=_variant_system(spec, variant))
+        eng = CountingVersionSpace(spec, _hypotheses(spec))
+        eng.builds = []
+        for state in _played_path(eng, seed, 2):
+            eng.value(*state, 3)
+            for x in range(spec.n_instances):
+                eng.edge_worst_values(*state, x, 1)
+        assert sorted(eng.builds) == list(range(spec.n_labels)), seed
+
+
 def test_thresholds_step_through_every_level_score_plus_an_integer():
     """The next value above, and the last below, over levels with three fractional parts."""
     thirds = ((0, 1), (Fraction(1, 3), 2), (Fraction(5, 3), 4))

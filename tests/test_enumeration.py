@@ -1,7 +1,8 @@
 """Admissible-collection enumeration against a brute-force reference.
 
 ``build_admissible_collections`` finds feasible next members with hypothesis
-bitmasks and memoized feasibility answers. The reference here looks at every
+bitmasks and memoized ``SetSystem.span`` answers, which a union scan of the
+raw member sets checks. The reference here looks at every
 nonempty hypothesis subset and decides feasibility from the raw member masks,
 with no call into the enumeration or into ``SetSystem``. A second reference
 replays the per-candidate depth-first search to count its nodes, and the
@@ -146,6 +147,37 @@ def test_superset_exists_matches_scan(spec, queries):
             assert not system.superset_exists(mask)
         else:
             assert system.superset_exists(mask) == _within_some_set(system, mask)
+
+
+def _union_of_sets_containing(system, mask):
+    """The union of the member sets holding ``mask``, from the raw system data."""
+    if system.kind == "bounded":
+        members = [
+            m for m in range(1, 1 << system.n_labels) if bin(m).count("1") <= system.max_size
+        ]
+    else:
+        members = system.masks
+    union = 0
+    for m in members:
+        if m & mask == mask:
+            union |= m
+    return union
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_span_matches_union_scan(spec):
+    """``span`` on every mask over one label more than the system has.
+
+    That covers mask 0, masks with bits at or above ``n_labels`` and, on
+    bounded systems, popcounts below, at and above ``max_size``.
+    """
+    system = spec.set_system
+    queries = range(1 << (system.n_labels + 1))
+    for mask in [*queries, *queries]:  # the repeats are answered from the cache
+        span = system.span(mask)
+        assert span == _union_of_sets_containing(system, mask), mask
+        assert system.superset_exists(mask) == (mask == 0 or span != 0)
 
 
 @st.composite
