@@ -20,7 +20,7 @@ labels some, or every, alive image holds at an instance) and move it with
 :meth:`CollectionEngine.update_set` on a revealed set.
 
 Every edge is a measure on a grid of resolution ``g``, kept as its count
-tuple ``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_counts`),
+tuple ``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_columns`),
 and a collection's increment depends only on the counts ``c(image)`` the
 edge puts on its image. Two charge rules give it:
 
@@ -62,8 +62,14 @@ scores as they hold the label kind's 0/1 counts.
 On its first visit to an instance ``x`` the search groups the
 collections by their image at ``x``: one ``(image, mask)`` pair per distinct
 image. For each distinct image the engine caches an increment table: one
-integer per edge, in edge order. A step of the search then works on
-masks:
+integer per edge, in edge order. The engine keeps its grid as columns, one
+tuple of counts per label with one count per edge, so a table is built a
+column at a time: ``c(image)`` for every edge is the sum of the image's own
+columns, and the charge rule maps that column to increments, with no loop
+over edges in Python. :meth:`CollectionEngine._increments` is that one
+exact rule. It compares grid counts and an off-grid prefix measure's
+``Fraction`` mass times ``g`` alike, with no rounded threshold. A step of
+the search then works on masks:
 
 * the move table at ``x`` gives every edge class its own list of reveal
   classes. An edge class holds one ``(increment, mask)`` pair per
@@ -235,7 +241,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
 from .game import Collection, GameSpec
-from .measures import Measure, grid_counts, measure_grid
+from .measures import Measure, grid_columns, measure_grid
 from .setsystems import iter_bits, mask_of
 
 def states_budget() -> int:
@@ -281,11 +287,13 @@ class CollectionEngine:
         else:
             self.g = grid if grid is not None else spec.measure_grid
             self._edges = None
-        # That grid has one point per label, so the grid budget never rejects it.
-        counts = grid_counts(spec.n_labels, self.g, spec.n_labels if kind == "label" else None)
-        self.n_edges = len(counts)
-        # The grid's count tuples, transposed: one column of counts per label.
-        self._columns = tuple(zip(*counts))
+        # The grid as one column of counts per label, a count per edge. The
+        # label kind's grid has one point per label, so the grid budget never
+        # rejects it.
+        self._columns = grid_columns(
+            spec.n_labels, self.g, spec.n_labels if kind == "label" else None
+        )
+        self.n_edges = len(self._columns[0])
         self.scale = 1 if kind == "measure" else self.g
         budget = states_budget() if budget is None else budget
         if budget < 0:
@@ -316,21 +324,30 @@ class CollectionEngine:
     # -- increments ---------------------------------------------------------
 
     def _increments(self, inside) -> tuple:
-        """The charge rule: increments for the masses ``inside`` an image, in units of ``1/g``."""
+        """The charge rule: increments for the masses ``inside`` an image, in units of ``1/g``.
+
+        The masses are grid counts or exact ``Fraction``s; the rule compares
+        them exactly, with no rounded threshold.
+        """
         g = self.g
         if self.kind != "measure":
-            return tuple(g - c for c in inside)
+            return tuple(map(operator.sub, itertools.repeat(g), inside))
         if self.gamma == 0:
-            return tuple(int(c < g) for c in inside)
+            return tuple(map(int, map(operator.lt, inside, itertools.repeat(g))))
         p, q = self.gamma.numerator, self.gamma.denominator
-        return tuple(int(c * q <= g * (q - p)) for c in inside)
+        scaled = map(operator.mul, inside, itertools.repeat(q))
+        return tuple(map(int, map(operator.le, scaled, itertools.repeat(g * (q - p)))))
 
     def _table(self, image_mask: int) -> tuple:
         """Increments of a collection with this image under every edge, in edge order."""
         hit = self._tables.get(image_mask)
         if hit is None:
-            # Grid mass on the image, in counts, for every edge at once.
-            inside = map(sum, zip(*(self._columns[y] for y in iter_bits(image_mask))))
+            # Grid mass on the image, in counts, for every edge at once: the
+            # sum of the image's own columns.
+            inside = functools.reduce(
+                functools.partial(map, operator.add),
+                map(self._columns.__getitem__, iter_bits(image_mask)),
+            )
             hit = self._tables[image_mask] = self._increments(inside)
         return hit
 

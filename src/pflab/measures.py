@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from math import comb
+from operator import iadd
 
 from .errors import GridTooLarge, SpecError, env_budget
 from .setsystems import iter_bits
@@ -22,13 +25,21 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Measure:
-    """An exact probability distribution over labels ``0..len(weights)-1``."""
+    """An exact probability distribution over labels ``0..len(weights)-1``.
+
+    Weights are ``Fraction``s or plain ``int``s; :meth:`of` converts others
+    through ``Fraction``.
+    """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.weights:
             raise SpecError("a measure needs at least one label")
+        for w in self.weights:
+            # A float sums to 1 only up to rounding; a bool is no weight.
+            if not (isinstance(w, Fraction) or type(w) is int):
+                raise SpecError(f"measure weight {w!r} is not a Fraction or an int")
         if any(w < 0 for w in self.weights):
             raise SpecError("measure weights must be nonnegative")
         if sum(self.weights) != 1:
@@ -96,15 +107,26 @@ def grid_size(n_labels: int, g: int) -> int:
     return comb(g + n_labels - 1, n_labels - 1)
 
 
-def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[int, ...]]:
-    """The grid of resolution ``g`` as count tuples ``c`` with ``sum(c) == g``.
+def grid_columns(n_labels: int, g: int, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The grid of resolution ``g`` as columns: one tuple of counts per label.
 
-    Tuple ``c`` stands for the measure with weights ``c[y] / g``. The order
-    is lexicographically decreasing, so the point mass on label 0 comes first
-    and the point mass on the top label last. Strategies that break ties by
-    grid order inherit this convention. Raises :class:`SpecError` on fewer
-    than two labels or a nonpositive ``g``, and :class:`GridTooLarge` when
-    the grid has more points than ``budget`` (default ``PFLAB_BUDGET_GRID``).
+    Point ``i`` of the grid is the count tuple ``(columns[0][i], ...,
+    columns[-1][i])``, which sums to ``g`` and stands for the measure with
+    weights ``c[y] / g``. The points are in lexicographically decreasing
+    order, so the point mass on label 0 comes first and the point mass on
+    the top label last. Strategies that break ties by grid order inherit
+    this convention. Raises :class:`SpecError` on fewer than two labels or a
+    nonpositive ``g``, and then :class:`GridTooLarge` when the grid has more
+    points than ``budget`` (default ``PFLAB_BUDGET_GRID``), before anything
+    is built.
+
+    The columns are built label by label, by list concatenation, with no
+    loop over points. In grid order the points that share their counts on
+    labels ``0..j-1`` (a prefix) are consecutive, and label ``j``'s counts
+    over them are the first column of the grid over labels ``j..`` whose
+    total is what the prefix leaves. So label ``j``'s column joins one such
+    first column per prefix. A prefix that leaves ``r`` takes label ``j``
+    counts ``r, ..., 0``, which leave ``0, ..., r`` to the next labels.
     """
     if n_labels < 2:
         raise SpecError(f"need at least 2 labels, got {n_labels}")
@@ -116,20 +138,36 @@ def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[
         raise GridTooLarge(
             f"grid({n_labels}, {g}) has {n} measures, budget {limit}", spent=n, budget=limit
         )
-    out: list[tuple[int, ...]] = []
-    counts = [0] * n_labels
+    left_over = [list(range(r + 1)) for r in range(g + 1)]
+    # sizes[k][r]: the number of points over k + 1 labels with total r.
+    sizes = [[1] * (g + 1)]
+    for _ in range(n_labels - 2):
+        sizes.append(list(accumulate(sizes[-1])))
+    columns = []
+    # The remaining total of every prefix over the labels before the current one.
+    remains = [g]
+    for after in reversed(sizes):
+        # firsts[r]: the current label's counts over the grid of it and the
+        # labels after it with total r, where count c is followed by
+        # after[r - c] points.
+        firsts = []
+        for r in range(g + 1):
+            first: list[int] = []
+            for c in range(r, -1, -1):
+                first += [c] * after[r - c]
+            firsts.append(first)
+        columns.append(tuple(reduce(iadd, map(firsts.__getitem__, remains), [])))
+        remains = reduce(iadd, map(left_over.__getitem__, remains), [])
+    columns.append(tuple(remains))
+    return tuple(columns)
 
-    def rec(pos: int, remaining: int):
-        if pos == n_labels - 1:
-            counts[pos] = remaining
-            out.append(tuple(counts))
-            return
-        for c in range(remaining, -1, -1):
-            counts[pos] = c
-            rec(pos + 1, remaining - c)
 
-    rec(0, g)
-    return out
+def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """The grid of resolution ``g`` as count tuples ``c`` with ``sum(c) == g``.
+
+    The points of :func:`grid_columns`, in its order and under its checks.
+    """
+    return list(zip(*grid_columns(n_labels, g, budget)))
 
 
 def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measure]:

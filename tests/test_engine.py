@@ -33,6 +33,7 @@ from pflab import (
     SetSystem,
     build_admissible_collections,
     helly_game,
+    measure_grid,
     pfl_dim,
     play_game,
 )
@@ -561,6 +562,79 @@ def test_prefix_state_matches_played_rounds(kind, seed, play_seed):
         moves.append(eng.edges[ei])
         ys.append(y)
         assert eng.prefix_state(xs, moves, ys) == state
+
+
+GAMMAS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+def _one_instance_spec(n):
+    """One instance, ``n`` labels, one hypothesis per label and every set listed."""
+    return GameSpec(
+        n_instances=1,
+        n_labels=n,
+        set_system=SetSystem.full_power_set(n),
+        hypotheses=HypothesisClass(1, n, "explicit", tuple((y,) for y in range(n))),
+        horizon=1,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(GAMMAS),
+)
+@example(6, 8, Fraction(1, 3))
+@example(2, 1, Fraction(0))
+def test_increment_tables_match_the_exact_charge_rule(n, g, gamma):
+    """Every image's increment table equals the charge rule on exact ``Fraction`` masses.
+
+    The rule reads each grid edge as its :func:`measure_grid` measure: the
+    loss kind charges ``g`` times the mass outside the image, the measure
+    kind charges 1 when the mass inside is at most ``1 - gamma`` (below 1
+    when ``gamma`` is 0), and the label kind charges a label outside the
+    image, the loss of its point mass.
+    """
+    spec = _one_instance_spec(n)
+    loss = CollectionEngine(spec, [], kind="loss", grid=g)
+    measure = CollectionEngine(spec, [], kind="measure", gamma=gamma, grid=g)
+    label = CollectionEngine(spec, [], kind="label")
+    grid = measure_grid(n, g)
+    # The exact mass of every grid measure on an image, adding one label at a time.
+    on = {0: [Fraction(0)] * len(grid)}
+    for image in range(1, 1 << n):
+        low = image & -image
+        y = low.bit_length() - 1
+        masses = on[image] = [mass + m.weights[y] for mass, m in zip(on[image ^ low], grid)]
+        assert loss._table(image) == tuple(g * (1 - mass) for mass in masses)
+        assert measure._table(image) == tuple(
+            int(mass < 1 if gamma == 0 else mass <= 1 - gamma) for mass in masses
+        )
+        assert label._table(image) == tuple(
+            Measure.delta(n, y).miss_mass(image) for y in range(n)
+        )
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_off_grid_charges_are_exact_at_the_threshold(gamma):
+    """A prefix measure at exactly ``1 - gamma`` on the image is charged; just above it is not.
+
+    At ``gamma = 0`` the measure kind charges a mass below 1 and not a mass
+    of 1. The loss kind charges ``g`` times the exact mass outside the
+    image, a ``Fraction`` off the grid.
+    """
+    spec = _one_instance_spec(3)
+    (pair,) = [c for c in build_admissible_collections(spec) if c.images == (0b011,)]
+    g = 4
+    loss = CollectionEngine(spec, [pair], kind="loss", grid=g)
+    measure = CollectionEngine(spec, [pair], kind="measure", gamma=gamma, grid=g)
+    step = Fraction(1, 1000)
+    charged, free = (1 - step, Fraction(1)) if gamma == 0 else (1 - gamma, 1 - gamma + step)
+    for mass, want in ((charged, 1), (free, 0)):
+        # Half the mass on each image label, the rest on label 2.
+        mu = Measure((mass / 2, mass / 2, 1 - mass))
+        assert measure.prefix_state((0,), (mu,), (0,)) == (want, ((0, 1),))
+        assert loss.prefix_state((0,), (mu,), (0,)) == (g * (1 - mass), ((0, 1),))
 
 
 @pytest.mark.parametrize(

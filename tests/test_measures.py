@@ -16,7 +16,7 @@ from pflab import (
     measure_grid,
 )
 from pflab.engine import CollectionEngine
-from pflab.measures import grid_counts
+from pflab.measures import grid_columns, grid_counts
 
 from conftest import two_constant_game
 
@@ -28,6 +28,28 @@ def test_measure_validation():
         Measure((Fraction(1, 2), Fraction(1, 3)))  # sums to 5/6
     with pytest.raises(SpecError):
         Measure((Fraction(3, 2), Fraction(-1, 2)))  # negative weight
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.5, 0.5, 0.0),  # sums to 1 exactly, yet is no exact measure
+        (0.1, 0.2, 0.7),  # sums to 1 only through float rounding
+        (True, False),
+        (Fraction(1, 2), 0.5),
+    ],
+)
+def test_measure_rejects_inexact_weights(weights):
+    bad = next(w for w in weights if type(w) is not Fraction)
+    with pytest.raises(SpecError, match=f"^measure weight {bad!r} is not a Fraction or an int$"):
+        Measure(weights)
+
+
+def test_measure_accepts_fractions_and_ints():
+    assert Measure((1, 0)).weights == (1, 0)
+    assert Measure((Fraction(1, 2), Fraction(1, 2))).mass(0b01) == Fraction(1, 2)
+    # ``of`` converts every weight through Fraction.
+    assert Measure.of({0: 0.5, 1: "1/2"}, 2).weights == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_delta_and_uniform():
@@ -78,6 +100,35 @@ def test_measure_grid_weights_are_the_grid_counts():
             assert counts == sorted(set(counts), reverse=True)
             assert len(counts) == grid_size(n, g)
             assert all(sum(c) == g and min(c) >= 0 for c in counts)
+
+
+def _compositions(n, g):
+    """Every count tuple over ``n`` labels summing to ``g``, lexicographically decreasing."""
+    if n == 1:
+        return [(g,)]
+    return [(c,) + rest for c in range(g, -1, -1) for rest in _compositions(n - 1, g - c)]
+
+
+@pytest.mark.parametrize(
+    "n, g", [(n, g) for n in range(2, 7) for g in range(1, 9)] + [(34, 1), (66, 1)]
+)
+def test_grid_columns_are_the_compositions(n, g):
+    columns = grid_columns(n, g)
+    assert len(columns) == n
+    assert all(type(column) is tuple and len(column) == grid_size(n, g) for column in columns)
+    assert list(zip(*columns)) == _compositions(n, g) == grid_counts(n, g)
+
+
+def test_grid_too_large_raises_before_building():
+    # Building 8 * 10**22 points would not finish; the size check comes first.
+    with pytest.raises(GridTooLarge) as info:
+        grid_columns(6, 100_000)
+    assert info.value.spent == grid_size(6, 100_000)
+    # The spec checks come before the budget check.
+    with pytest.raises(SpecError):
+        grid_columns(1, 100_000)
+    with pytest.raises(SpecError):
+        grid_columns(100_000, 0)
 
 
 def test_engine_over_the_grid_budget_raises(monkeypatch):

@@ -141,6 +141,25 @@ class _FixedMeasureLearner(Learner):
         return self._measure
 
 
+class _FloatMeasureLearner(Learner):
+    """Builds its measure from floats in every round."""
+
+    mode = "randomized"
+
+    def begin(self, spec):
+        pass
+
+    def predict(self, x):
+        return Measure((0.5, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("visibility", ["public", "oblivious"])
+def test_float_measure_is_a_spec_error_in_play(visibility):
+    spec = cube_game(2, 3, visibility=visibility)
+    with pytest.raises(SpecError, match=r"^measure weight 0\.5 is not a Fraction or an int$"):
+        play_game(spec, _FloatMeasureLearner(), CubeAdversary(Fraction(1, 2)))
+
+
 def _weighted_game(name):
     """A public game by name: its spec, learner and adversary."""
     if name == "frpfl-vs-optimal":  # branches of 1/9 and 2/9
