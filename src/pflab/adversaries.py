@@ -458,13 +458,8 @@ class CubeAdversary(_FreshInstanceAdversary):
         )
         return twin
 
-    def _excluded_label(self, t: int) -> int:
+    def _heaviest_other(self, t: int) -> int:
         y = self._reveals[t]
-        if self._draws:
-            z = self._draws[t]
-            if z != y:
-                return z
-            return next(lbl for lbl in range(self._spec.n_labels) if lbl != z)
         pi = self._measures[t]
         best = None
         for lbl in range(self._spec.n_labels):
@@ -476,7 +471,16 @@ class CubeAdversary(_FreshInstanceAdversary):
 
     def finalize_sets(self, view):
         full = (1 << self._spec.n_labels) - 1
-        self._sets = [full ^ (1 << self._excluded_label(t)) for t in range(len(self._reveals))]
+        if self._draws:
+            # Exclude the draw, or the lowest other label when it is the reveal.
+            self._sets = tuple(
+                full ^ (1 << (z if z != y else 0 if z else 1))
+                for y, z in zip(self._reveals, self._draws)
+            )
+        else:
+            self._sets = [
+                full ^ (1 << self._heaviest_other(t)) for t in range(len(self._reveals))
+            ]
         return self._sets
 
     def witness_collection(self):

@@ -25,6 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional, Union
 
 from .errors import (
@@ -153,6 +155,14 @@ class HypothesisClass:
             object.__setattr__(self, "_label_masks", table)
         return table[x]
 
+    def _row_words(self) -> "_RowWords":
+        """This class's row-word memo (see :class:`_RowWords`), made on first use."""
+        words = getattr(self, "_words", None)
+        if words is None:
+            words = _RowWords(self)
+            object.__setattr__(self, "_words", words)
+        return words
+
     def index_of_row(self, row: Sequence[int]) -> int:
         """The index of the hypothesis with this row; :class:`KeyError` if none."""
         if self.kind == "explicit":
@@ -166,6 +176,29 @@ class HypothesisClass:
         for v in row:
             h = h * self.n_labels + v
         return h
+
+
+class _RowWords(dict):
+    """Hypothesis index ``h`` -> its row packed as one int, filled on first use.
+
+    Bit ``x * n_labels + y`` of ``h``'s word is set iff ``value(h, x) == y``,
+    so the OR of some hypotheses' words holds their image at instance ``x``
+    as its ``n_labels``-bit field from bit ``x * n_labels`` on. Both kinds
+    fill an entry by one rule, from :meth:`HypothesisClass.row`, and only
+    for the indices asked for: an all-functions class is never tabulated.
+    """
+
+    def __init__(self, hypotheses: HypothesisClass):
+        super().__init__()
+        self._hypotheses = hypotheses
+
+    def __missing__(self, h: int) -> int:
+        L = self._hypotheses.n_labels
+        word = 0
+        for x, y in enumerate(self._hypotheses.row(h)):
+            word |= 1 << (x * L + y)
+        self[h] = word
+        return word
 
 
 # -- game specification ---------------------------------------------------------
@@ -253,9 +286,9 @@ def collection_of(spec: GameSpec, members) -> Collection:
 
     ``members`` must be an iterable of plain ints (a ``bool`` is not one);
     anything else raises :class:`SpecError`, as an infeasible image does. The
-    images are rebuilt from the members alone: an explicit class reads its
-    rows, and an all-functions class takes each instance's image as the OR
-    of one bit per member, the member's base-``n_labels`` digit there.
+    images are rebuilt from the members alone, for both kinds of class by
+    one rule: the OR of the members' row words (:class:`_RowWords`, memoized
+    per class) holds each instance's image as one ``n_labels``-bit field.
     """
     ms = tuple(sorted(set(_member_tuple(members))))
     H = spec.hypotheses
@@ -263,23 +296,16 @@ def collection_of(spec: GameSpec, members) -> Collection:
         raise SpecError("a collection must contain at least one hypothesis")
     if ms[0] < 0 or ms[-1] >= H.size:
         raise SpecError(f"collection members {ms} lie outside range({H.size})")
-    images = [0] * spec.n_instances
-    if H.kind == "explicit":
-        for h in ms:
-            for x, y in enumerate(H.rows[h]):
-                images[x] |= 1 << y
-    else:
-        L = H.n_labels
-        for x in range(spec.n_instances):
-            place = L ** (spec.n_instances - 1 - x)
-            for y in {h // place % L for h in ms}:
-                images[x] |= 1 << y
+    word = reduce(or_, map(H._row_words().__getitem__, ms))
+    L = H.n_labels
+    field = (1 << L) - 1
+    images = tuple(word >> shift & field for shift in range(0, spec.n_instances * L, L))
     for x, img in enumerate(images):
         if not spec.set_system.contains(img):
             raise SpecError(
                 f"collection image {labels_of(img)} at instance {x} is not a feasible set"
             )
-    return Collection(members=ms, images=tuple(images))
+    return Collection(members=ms, images=images)
 
 
 def build_admissible_collections(
@@ -651,8 +677,11 @@ def _comparator(spec: GameSpec, instances, sets) -> Fraction:
         misses: dict[int, list[int]] = {}
         for x, m in zip(instances, sets):
             row = misses.setdefault(x, [0] * spec.n_labels)
-            for y in iter_bits(full & ~m):
-                row[y] += 1
+            out = full & ~m
+            while out:
+                low = out & -out
+                out ^= low
+                row[low.bit_length() - 1] += 1
         return Fraction(sum(min(row) for row in misses.values()))
     # levels[j]: the hypotheses whose outputs fell outside j of the rounds so far.
     levels = [(1 << H.size) - 1]
@@ -709,8 +738,11 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         for x, pool in enumerate(pools):
             low = row[x]
             place = H.n_labels ** (spec.n_instances - 1 - x)
-            for y in iter_bits(pool & ~(1 << low)):
-                witness.append(base + (y - low) * place)
+            pool &= pool - 1  # every label above the lowest
+            while pool:
+                bit = pool & -pool
+                pool ^= bit
+                witness.append(base + (bit.bit_length() - 1 - low) * place)
         return tuple(sorted(witness))
 
     consistent = (1 << H.size) - 1
@@ -836,8 +868,8 @@ class _Branch:
         return _Branch(
             learner=learner,
             adversary=adversary,
-            num=self.num * weight.numerator,
-            den=self.den * weight.denominator,
+            num=self.num * weight._numerator,
+            den=self.den * weight._denominator,
             instances=self.instances,
             predictions=self.predictions,
             reveals=self.reveals,
@@ -879,10 +911,24 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
 def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     """Finalize a finished branch's sets, check and score them.
 
-    ``checked`` maps ``(instances, sets, witness members)`` to the comparator
-    and validated witness already computed for that outcome in this play.
-    Both are pure in those inputs, so a repeated outcome reuses them; every
-    other check and the loss still run on each branch.
+    ``checked`` is the play's memo of what depends only on a branch's
+    outcome, under three kinds of key:
+
+    - ``(reveals, sets)``: the per-round checks passed for that pair (every
+      set is a member of the system and holds its round's reveal, and under
+      multiclass feedback it is a singleton);
+    - ``(instances, sets, witness members)``: the comparator and the
+      validated witness;
+    - a public branch's loss, an int count of draws outside their sets: its
+      :class:`Fraction`.
+
+    Each is pure in its key, so a repeated outcome reuses it, and a bad
+    outcome still raises at the first branch that produces it. Every branch
+    still calls the adversary's ``finalize_sets`` and ``witness_collection``
+    and runs the sequence and length checks, the plain-int checks on the
+    sets and on the claimed witness, the bandit loss bits and the loss. A
+    type check never reads the memo: ``True == 1``, so a hit could let a bool
+    pass as the int it equals.
     """
     if spec.feedback is Feedback.SET_VALUED:
         sets = b.online_sets
@@ -907,21 +953,24 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         if not _plain_ints(sets):
             for m in sets:
                 _check_bitmask(m, "finalized set")
-    system = spec.set_system
-    multiclass = spec.feedback is Feedback.MULTICLASS
-    for t, (m, y) in enumerate(zip(sets, b.reveals)):
-        if not system.contains(m):
-            raise ProtocolViolation(
-                f"finalized set {labels_of(m)} at round {t} is not in the set system"
-            )
-        if y is not None and not (m >> y) & 1:
-            raise ProtocolViolation(
-                f"revealed label {y} at round {t} lies outside the finalized set {labels_of(m)}"
-            )
-        if multiclass and m != (1 << y):
-            raise ProtocolViolation(
-                f"multiclass feedback requires singleton sets, got {labels_of(m)} at round {t}"
-            )
+    rounds = (b.reveals, sets)
+    if rounds not in checked:
+        system = spec.set_system
+        multiclass = spec.feedback is Feedback.MULTICLASS
+        for t, (m, y) in enumerate(zip(sets, b.reveals)):
+            if not system.contains(m):
+                raise ProtocolViolation(
+                    f"finalized set {labels_of(m)} at round {t} is not in the set system"
+                )
+            if y is not None and not (m >> y) & 1:
+                raise ProtocolViolation(
+                    f"revealed label {y} at round {t} lies outside the finalized set {labels_of(m)}"
+                )
+            if multiclass and m != (1 << y):
+                raise ProtocolViolation(
+                    f"multiclass feedback requires singleton sets, got {labels_of(m)} at round {t}"
+                )
+        checked[rounds] = True
     for t, (pred, m, bit) in enumerate(zip(b.predictions, sets, b.bits)):
         actual = 0 if (m >> pred) & 1 else 1
         if actual != bit:
@@ -930,8 +979,13 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             )
     # A public branch is charged for its realized draws, an oblivious one for
     # its predictions themselves.
-    moves = b.predictions if b.draws is None else b.draws
-    loss = Fraction(sum(map(_round_loss, moves, sets)))
+    if b.draws is None:
+        loss = Fraction(sum(map(_round_loss, b.predictions, sets)))
+    else:
+        misses = sum(not m >> z & 1 for z, m in zip(b.draws, sets))
+        loss = checked.get(misses)
+        if loss is None:
+            loss = checked[misses] = Fraction(misses)
     claimed = b.adversary.witness_collection()
     if claimed is not None:
         try:
@@ -939,13 +993,14 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         except SpecError as e:
             raise RealizabilityViolation(f"the claimed witness is not admissible: {e}") from e
     key = (b.instances, sets, claimed)
-    if key not in checked:
+    known = checked.get(key)
+    if known is None:
         comparator = _comparator(spec, b.instances, sets)
-        checked[key] = (
+        known = checked[key] = (
             comparator,
             _check_realizability(spec, b.instances, sets, comparator, claimed),
         )
-    comparator, witness = checked[key]
+    comparator, witness = known
     # With a zero comparator the regret is the loss's own Fraction: a public
     # game keeps every branch's transcript, so one object less per branch.
     return Transcript(
@@ -978,16 +1033,23 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     the last plays on forks of the strategies (:meth:`Learner.fork`,
     :meth:`Adversary.fork`); the last keeps the originals. The loop keeps its
     pending branches on a stack, so the horizon is not bounded by Python's
-    recursion limit. Branches that end with the same instances, sets and
-    witness share one comparator and one realizability check.
+    recursion limit.
+
+    Each branch ends in :func:`_settle`, which asks the adversary for its
+    sets and claimed witness and type-checks both on every branch. The
+    checks that depend only on the outcome run once per distinct outcome in
+    the play: the per-round set checks once per distinct reveals and sets,
+    and the comparator and realizability check once per distinct instances,
+    sets and witness.
 
     A branch carries its probability as an unreduced integer fraction (see
     :class:`_Branch`). As each branch ends, its :class:`PublicBranch` gets
-    the reduced :class:`Fraction`, and its probability, probability times
-    loss and probability times comparator are added as integer numerators
-    into one sum per denominator. Each expectation is then one
-    :class:`Fraction` per denominator, summed, so the probabilities are
-    still checked to total exactly 1.
+    the reduced :class:`Fraction`, built once per distinct ``(num, den)`` in
+    the play (in uniform play every leaf shares one). Its probability,
+    probability times loss and probability times comparator are added as
+    integer numerators into one sum per denominator; zero terms are skipped.
+    Each expectation is then one :class:`Fraction` per denominator, summed,
+    so the probabilities are still checked to total exactly 1.
     """
     public = spec.visibility is Visibility.PUBLIC
     if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
@@ -999,8 +1061,10 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
     ends: list[PublicBranch] = []
     checked: dict = {}
+    probabilities: dict = {}  # (num, den) -> its reduced Fraction
     # Denominator -> summed numerators of probability, loss and comparator.
-    sums: tuple[dict, dict, dict] = ({}, {}, {})
+    mass: dict = {}
+    weighted: tuple[dict, dict] = ({}, {})
     while stack:
         branch, z, weight, shared = stack.pop()
         if z is not None:
@@ -1008,10 +1072,18 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
         if len(branch.instances) == spec.horizon:
             num, den = branch.num, branch.den
             t = _settle(spec, branch, checked)
-            ends.append(PublicBranch(Fraction(num, den), t))
-            for into, value in zip(sums, (ONE, t.loss, t.comparator)):
-                d = den * value.denominator
-                into[d] = into.get(d, 0) + num * value.numerator
+            p = probabilities.get((num, den))
+            if p is None:
+                p = probabilities[num, den] = Fraction(num, den)
+            ends.append(PublicBranch(p, t))
+            mass[den] = mass.get(den, 0) + num
+            # Fraction's numerator and denominator properties are Python
+            # calls; the slots behind them are not.
+            for into, value in zip(weighted, (t.loss, t.comparator)):
+                n = value._numerator
+                if n:  # a zero adds nothing
+                    d = den * value._denominator
+                    into[d] = into.get(d, 0) + num * n
             continue
         pred = _play_round(spec, branch)
         if not public:
@@ -1026,7 +1098,7 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     if not public:
         return ends[0].transcript
     total, e_loss, e_comp = (
-        sum((Fraction(n, d) for d, n in into.items()), ZERO) for into in sums
+        sum((Fraction(n, d) for d, n in into.items()), ZERO) for into in (mass, *weighted)
     )
     if total != 1:
         raise ProtocolViolation(f"draw branch probabilities sum to {total}, expected 1")

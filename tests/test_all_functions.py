@@ -116,19 +116,24 @@ def _random_spec(rng):
 
 
 def test_collection_images_equal_an_or_of_rows():
+    """Several calls per class, so each reads row words that earlier calls stored."""
     rng = random.Random(21)
+    kinds = set()
     for _ in range(400):
         spec = _random_spec(rng)
+        kinds.add(spec.hypotheses.kind)
         size = spec.hypotheses.size
-        members = [0, size - 1] + rng.sample(range(size), rng.randint(0, min(size, 10)))
-        rng.shuffle(members)
-        images = [0] * spec.n_instances
-        for h in members:
-            for x, y in enumerate(spec.hypotheses.row(h)):
-                images[x] |= 1 << y
-        col = collection_of(spec, members)
-        assert col.images == tuple(images)
-        assert col.members == tuple(sorted(set(members)))
+        for _ in range(4):
+            members = [0, size - 1] + rng.sample(range(size), rng.randint(0, min(size, 10)))
+            rng.shuffle(members)
+            images = [0] * spec.n_instances
+            for h in members:
+                for x, y in enumerate(spec.hypotheses.row(h)):
+                    images[x] |= 1 << y
+            col = collection_of(spec, members)
+            assert col.images == tuple(images)
+            assert col.members == tuple(sorted(set(members)))
+    assert kinds == {"all_functions", "explicit"}
 
 
 @pytest.mark.parametrize("members", [7, ("a",), (True,), [0, False], [None]])

@@ -12,11 +12,14 @@ import pytest
 from pflab import (
     Adversary,
     CubeAdversary,
+    GameSpec,
+    HypothesisClass,
     Learner,
     Measure,
     OptimalAdversary,
     PrefixParityAdversary,
     ProtocolViolation,
+    RealizabilityViolation,
     SetSystem,
     SpecError,
     VersionSpacePruningLearner,
@@ -384,6 +387,96 @@ def test_public_visibility_rejects_feedback(feedback):
     spec = replace(two_constant_game(3), feedback=feedback, visibility="public")
     with pytest.raises(SpecError, match=f"{feedback} feedback"):
         play_game(spec, ScriptedLearner([0, 1, 0]), _BanditAdversary())
+
+
+# -- outcome memo -------------------------------------------------------------------
+
+
+class _PerDrawAdversary(Adversary):
+    """Reveals label 0; finalizes sets and claims a witness chosen by the draws.
+
+    The default deep-copy fork gives each draw branch its own copy, so each
+    branch reads its own entry of ``outcomes``: draws -> (sets, witness).
+    """
+
+    def __init__(self, outcomes):
+        self._outcomes = outcomes
+
+    def choose_instance(self):
+        return 0
+
+    def reveal(self, x, prediction):
+        return 0
+
+    def finalize_sets(self, view):
+        self._sets, self._witness = self._outcomes[view.draws]
+        return self._sets
+
+    def witness_collection(self):
+        return self._witness
+
+
+def _three_draw_game():
+    """One public round on 3 labels, drawn uniformly: branches draw 0, 1 and 2.
+
+    The member sets are {0}, {0, 1} and {2}; each hypothesis is a constant.
+    """
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=3,
+        set_system=SetSystem.explicit(3, [0b001, 0b011, 0b100]),
+        hypotheses=HypothesisClass.explicit(1, 3, [(0,), (1,), (2,)]),
+        horizon=1,
+        visibility="public",
+    )
+    return spec, make_learner("uniform_cube", {"T": 3})
+
+
+def test_outcome_memo_never_skips_a_type_check():
+    """A bool that equals an int of an already checked outcome is still rejected.
+
+    Branch 0 settles a valid outcome; branch 1 repeats it with ``True`` in
+    place of a ``1``, which compares and hashes equal to it.
+    """
+    spec, learner = _three_draw_game()
+    adversary = _PerDrawAdversary({
+        (0,): ((0b001,), (0,)),
+        (1,): ((True,), (0,)),
+        (2,): ((0b001,), (0,)),
+    })
+    with pytest.raises(ProtocolViolation, match=r"^finalized set must be a label bitmask, got True$"):
+        play_game(spec, learner, adversary)
+    spec, learner = _three_draw_game()
+    adversary = _PerDrawAdversary({
+        (0,): ((0b011,), (0, 1)),
+        (1,): ((0b011,), (0, True)),
+        (2,): ((0b011,), (0, 1)),
+    })
+    with pytest.raises(RealizabilityViolation, match="collection member True is not a hypothesis index"):
+        play_game(spec, learner, adversary)
+
+
+def test_outcome_memo_checks_each_distinct_outcome():
+    """A non-member set on a later branch raises there, after valid outcomes."""
+    spec, learner = _three_draw_game()
+    adversary = _PerDrawAdversary({
+        (0,): ((0b001,), (0,)),
+        (1,): ((0b011,), (0, 1)),
+        (2,): ((0b101,), (0, 2)),
+    })
+    with pytest.raises(
+        ProtocolViolation, match=r"^finalized set \(0, 2\) at round 0 is not in the set system$"
+    ):
+        play_game(spec, learner, adversary)
+    spec, learner = _three_draw_game()
+    adversary = _PerDrawAdversary({
+        (0,): ((0b001,), (0,)),
+        (1,): ((0b011,), (0, 1)),
+        (2,): ((0b001,), (0,)),
+    })
+    res = play_game(spec, learner, adversary)
+    assert [b.transcript.sets for b in res.branches] == [(1,), (3,), (1,)]
+    assert [str(b.transcript.loss) for b in res.branches] == ["0", "0", "1"]
 
 
 # -- long games --------------------------------------------------------------------
