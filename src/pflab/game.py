@@ -677,11 +677,8 @@ def _comparator(spec: GameSpec, instances, sets) -> Fraction:
         misses: dict[int, list[int]] = {}
         for x, m in zip(instances, sets):
             row = misses.setdefault(x, [0] * spec.n_labels)
-            out = full & ~m
-            while out:
-                low = out & -out
-                out ^= low
-                row[low.bit_length() - 1] += 1
+            for y in iter_bits(full & ~m):
+                row[y] += 1
         return Fraction(sum(min(row) for row in misses.values()))
     # levels[j]: the hypotheses whose outputs fell outside j of the rounds so far.
     levels = [(1 << H.size) - 1]
@@ -738,11 +735,8 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         for x, pool in enumerate(pools):
             low = row[x]
             place = H.n_labels ** (spec.n_instances - 1 - x)
-            pool &= pool - 1  # every label above the lowest
-            while pool:
-                bit = pool & -pool
-                pool ^= bit
-                witness.append(base + (bit.bit_length() - 1 - low) * place)
+            for y in iter_bits(pool & ~(1 << low)):
+                witness.append(base + (y - low) * place)
         return tuple(sorted(witness))
 
     consistent = (1 << H.size) - 1
@@ -868,8 +862,8 @@ class _Branch:
         return _Branch(
             learner=learner,
             adversary=adversary,
-            num=self.num * weight._numerator,
-            den=self.den * weight._denominator,
+            num=self.num * weight.numerator,
+            den=self.den * weight.denominator,
             instances=self.instances,
             predictions=self.predictions,
             reveals=self.reveals,
@@ -912,15 +906,13 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     """Finalize a finished branch's sets, check and score them.
 
     ``checked`` is the play's memo of what depends only on a branch's
-    outcome, under three kinds of key:
+    outcome, under two kinds of key:
 
     - ``(reveals, sets)``: the per-round checks passed for that pair (every
       set is a member of the system and holds its round's reveal, and under
       multiclass feedback it is a singleton);
     - ``(instances, sets, witness members)``: the comparator and the
-      validated witness;
-    - a public branch's loss, an int count of draws outside their sets: its
-      :class:`Fraction`.
+      validated witness.
 
     Each is pure in its key, so a repeated outcome reuses it, and a bad
     outcome still raises at the first branch that produces it. Every branch
@@ -982,10 +974,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     if b.draws is None:
         loss = Fraction(sum(map(_round_loss, b.predictions, sets)))
     else:
-        misses = sum(not m >> z & 1 for z, m in zip(b.draws, sets))
-        loss = checked.get(misses)
-        if loss is None:
-            loss = checked[misses] = Fraction(misses)
+        loss = Fraction(sum(not m >> z & 1 for z, m in zip(b.draws, sets)))
     claimed = b.adversary.witness_collection()
     if claimed is not None:
         try:
@@ -1077,12 +1066,10 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
                 p = probabilities[num, den] = Fraction(num, den)
             ends.append(PublicBranch(p, t))
             mass[den] = mass.get(den, 0) + num
-            # Fraction's numerator and denominator properties are Python
-            # calls; the slots behind them are not.
             for into, value in zip(weighted, (t.loss, t.comparator)):
-                n = value._numerator
+                n = value.numerator
                 if n:  # a zero adds nothing
-                    d = den * value._denominator
+                    d = den * value.denominator
                     into[d] = into.get(d, 0) + num * n
             continue
         pred = _play_round(spec, branch)

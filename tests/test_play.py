@@ -163,6 +163,36 @@ def test_float_measure_is_a_spec_error_in_play(visibility):
         play_game(spec, _FloatMeasureLearner(), CubeAdversary(Fraction(1, 2)))
 
 
+class _ConstantWeightsLearner(Learner):
+    """Builds one measure from the given weights, as given, in every round."""
+
+    mode = "randomized"
+
+    def __init__(self, weights):
+        self._weights = weights
+
+    def begin(self, spec):
+        pass
+
+    def predict(self, x):
+        return Measure(self._weights)
+
+
+@pytest.mark.parametrize("label", [0, 1, 2])
+def test_public_play_takes_int_point_masses(label):
+    """A measure may hold plain-int weights; public play draws from it as from Fractions."""
+    spec = cube_game(3, 3, visibility="public")
+    ints = tuple(int(y == label) for y in range(3))
+    res = play_game(spec, _ConstantWeightsLearner(ints), CubeAdversary(Fraction(1, 2)))
+    ref = play_game(spec, _ConstantWeightsLearner(tuple(map(Fraction, ints))),
+                    CubeAdversary(Fraction(1, 2)))
+    assert len(res.branches) == 1 and res.branches[0].probability == 1
+    assert res.branches[0].transcript.draws == (label,) * 3
+    assert res.expected_loss == ref.expected_loss == 3
+    assert res.expected_comparator == ref.expected_comparator
+    assert res.expected_regret == ref.expected_regret
+
+
 def _weighted_game(name):
     """A public game by name: its spec, learner and adversary."""
     if name == "frpfl-vs-optimal":  # branches of 1/9 and 2/9
