@@ -3,7 +3,9 @@
 An adversary chooses instances, answers predictions with revealed labels (or
 revealed sets, or loss bits, per the feedback mode), and commits to the
 per-round feasible sets once the game ends. Constructions that certify full
-realizability also hand back a witness collection.
+realizability may also hand back a witness collection; one that returns
+``None`` leaves play to search for it. Under full realizability the comparator
+is 0 once that witness checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .game import (
     GameSpec,
     build_admissible_collections,
     distinct_images,
-    find_realizability_witness,
     int_list,
     integer,
     strategy_param,
@@ -394,10 +395,12 @@ class CubeAdversary(_FreshInstanceAdversary):
     the alphabet minus one label: in public mode the excluded label is the
     realized draw when it differs from the reveal (the lowest other label
     when it matches, keeping the reveal inside); in oblivious mode it is the
-    heaviest non-revealed label of the played measure. The product
-    witness of :func:`pflab.game.find_realizability_witness` realizes exactly
-    those co-singleton images. The alphabet is the spec's label set, and
-    ``begin`` requires every co-singleton of it in the set system.
+    heaviest non-revealed label of the played measure. It claims no
+    witness: play finds the product witness of
+    :func:`pflab.game.find_realizability_witness`, which realizes exactly
+    those co-singleton images, once per distinct outcome. The alphabet is the
+    spec's label set, and ``begin`` requires every co-singleton of it in the
+    set system.
     """
 
     def __init__(self, k):
@@ -418,9 +421,6 @@ class CubeAdversary(_FreshInstanceAdversary):
         self._measures = []
         self._reveals = []
         self._draws = []
-        # Finalized sets -> their product witness, shared with every fork.
-        # The instances are always 0, 1, ..., so the sets alone fix it.
-        self._witnesses = {}
 
     def reveal(self, x: int, prediction) -> int:
         if isinstance(prediction, Measure):
@@ -448,7 +448,7 @@ class CubeAdversary(_FreshInstanceAdversary):
         self._draws.append(z)
 
     def fork(self) -> "CubeAdversary":
-        # Copies the history lists; the witness table stays shared.
+        # Copies the history lists; the spec and threshold are shared.
         twin = object.__new__(type(self))
         twin.__dict__.update(
             self.__dict__,
@@ -473,23 +473,11 @@ class CubeAdversary(_FreshInstanceAdversary):
         full = (1 << self._spec.n_labels) - 1
         if self._draws:
             # Exclude the draw, or the lowest other label when it is the reveal.
-            self._sets = tuple(
+            return tuple(
                 full ^ (1 << (z if z != y else 0 if z else 1))
                 for y, z in zip(self._reveals, self._draws)
             )
-        else:
-            self._sets = [
-                full ^ (1 << self._heaviest_other(t)) for t in range(len(self._reveals))
-            ]
-        return self._sets
-
-    def witness_collection(self):
-        key = tuple(self._sets)
-        if key not in self._witnesses:
-            self._witnesses[key] = find_realizability_witness(
-                self._spec, range(len(key)), self._sets
-            )
-        return self._witnesses[key]
+        return [full ^ (1 << self._heaviest_other(t)) for t in range(len(self._reveals))]
 
 
 _MINUS_HALF_OFFSET = 0

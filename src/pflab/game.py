@@ -549,7 +549,7 @@ class Adversary:
     each realized draw. ``finalize_sets`` commits to the per-round feasible
     sets once the last round has been played; ``witness_collection`` may
     return hypothesis indices certifying those sets when the game claims full
-    realizability.
+    realizability, or ``None`` to leave the witness search to play.
     """
 
     def begin(self, spec: GameSpec) -> None:
@@ -651,21 +651,15 @@ def comparator_loss(transcript: Transcript, spec: GameSpec) -> Fraction:
     pick, for each instance, the label excluded from the fewest of its rounds'
     sets.
 
-    Under full set-realizability the value is zero by definition, but only
-    after the invariant has actually been checked: an admissible collection
-    must match every finalized set (the transcript's own witness if present,
+    Under full set-realizability the value is zero, but only after
+    :func:`_outcome` has checked the invariant: an admissible collection must
+    match every finalized set (the transcript's own witness if present,
     otherwise one found by search), else RealizabilityViolation.
     """
     if spec.realizability is Realizability.SET_REALIZABLE:
         witness = transcript.witness
-        _check_realizability(
-            spec,
-            transcript.instances,
-            transcript.sets,
-            ZERO,
-            None if witness is None else witness.members,
-        )
-        return Fraction(0)
+        claimed = None if witness is None else witness.members
+        return _outcome(spec, transcript.instances, transcript.sets, claimed)[0]
     return _comparator(spec, transcript.instances, transcript.sets)
 
 
@@ -768,25 +762,33 @@ def _validate_witness(spec: GameSpec, witness, instances, sets) -> Collection:
     return col
 
 
-def _check_realizability(
-    spec: GameSpec, instances, sets, comparator: Fraction, witness
-) -> Optional[Collection]:
+def _outcome(spec: GameSpec, instances, sets, claimed) -> tuple[Fraction, Optional[Collection]]:
+    """The comparator and the validated witness of a finished game.
+
+    Under set realizability some admissible collection must have the sets as
+    its images at the played instances: the ``claimed`` members, or else the
+    one :func:`find_realizability_witness` finds; RealizabilityViolation if
+    there is none or the claim does not check. Every member of that
+    collection outputs inside every round's set, so the best fixed
+    hypothesis loses nothing: the comparator is 0 with no scan of the class.
+    In the other modes the comparator is :func:`_comparator`'s scan, which
+    existence realizability requires to be 0, and there is no witness.
+    """
     mode = spec.realizability
-    if mode is Realizability.AGNOSTIC:
-        return None
-    if mode is Realizability.EXISTENCE_REALIZABLE:
-        if comparator != 0:
-            raise RealizabilityViolation(
-                f"declared existence-realizable but the best hypothesis loses {comparator}"
-            )
-        return None
-    if witness is None:
-        witness = find_realizability_witness(spec, instances, sets)
-        if witness is None:
-            raise RealizabilityViolation(
-                "declared fully realizable but no collection realizes the finalized sets"
-            )
-    return _validate_witness(spec, witness, instances, sets)
+    if mode is Realizability.SET_REALIZABLE:
+        if claimed is None:
+            claimed = find_realizability_witness(spec, instances, sets)
+            if claimed is None:
+                raise RealizabilityViolation(
+                    "declared fully realizable but no collection realizes the finalized sets"
+                )
+        return ZERO, _validate_witness(spec, claimed, instances, sets)
+    comparator = _comparator(spec, instances, sets)
+    if mode is Realizability.EXISTENCE_REALIZABLE and comparator:
+        raise RealizabilityViolation(
+            f"declared existence-realizable but the best hypothesis loses {comparator}"
+        )
+    return comparator, None
 
 
 # -- the play engine ---------------------------------------------------------------
@@ -808,16 +810,11 @@ def _check_prediction(spec: GameSpec, pred: Prediction, learner: Learner) -> Pre
     return pred
 
 
-def _check_instance(spec: GameSpec, x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < spec.n_instances:
-        raise ProtocolViolation(f"instance {x!r} outside range({spec.n_instances})")
-    return x
-
-
-def _check_reveal(spec: GameSpec, y) -> int:
-    if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < spec.n_labels:
-        raise ProtocolViolation(f"revealed label {y!r} outside range({spec.n_labels})")
-    return y
+def _check_index(value, n: int, what: str) -> int:
+    """``value`` if it is an int (not a bool) in ``range(n)``, else ProtocolViolation."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
+        raise ProtocolViolation(f"{what} {value!r} outside range({n})")
+    return value
 
 
 def _check_bitmask(m, what: str) -> int:
@@ -873,7 +870,7 @@ class _Branch:
 
 def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     """Play one round on ``b``, appending it to the branch's history."""
-    x = _check_instance(spec, b.adversary.choose_instance())
+    x = _check_index(b.adversary.choose_instance(), spec.n_instances, "instance")
     pred = _check_prediction(spec, b.learner.predict(x), b.learner)
     b.instances += (x,)
     b.predictions += (pred,)
@@ -890,13 +887,13 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
         if isinstance(pred, Measure):
             raise ProtocolViolation("bandit feedback requires deterministic predictions")
         bit = b.adversary.loss_bit(x, pred)
-        if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):  # rejects a bool or any other int subclass
             raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit!r}")
         b.bits += (bit,)
         b.reveals += (None,)
         b.learner.observe_loss_bit(bit)
     else:
-        y = _check_reveal(spec, b.adversary.reveal(x, pred))
+        y = _check_index(b.adversary.reveal(x, pred), spec.n_labels, "revealed label")
         b.reveals += (y,)
         b.learner.observe(y)
     return pred
@@ -911,8 +908,10 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     - ``(reveals, sets)``: the per-round checks passed for that pair (every
       set is a member of the system and holds its round's reveal, and under
       multiclass feedback it is a singleton);
-    - ``(instances, sets, witness members)``: the comparator and the
-      validated witness.
+    - ``(instances, sets, claimed witness members)``: :func:`_outcome`'s
+      comparator and validated witness. Under set realizability the
+      comparator is 0 once the witness checks; an adversary that claims
+      ``None`` leaves the witness search to this step.
 
     Each is pure in its key, so a repeated outcome reuses it, and a bad
     outcome still raises at the first branch that produces it. Every branch
@@ -984,11 +983,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
     key = (b.instances, sets, claimed)
     known = checked.get(key)
     if known is None:
-        comparator = _comparator(spec, b.instances, sets)
-        known = checked[key] = (
-            comparator,
-            _check_realizability(spec, b.instances, sets, comparator, claimed),
-        )
+        known = checked[key] = _outcome(spec, b.instances, sets, claimed)
     comparator, witness = known
     # With a zero comparator the regret is the loss's own Fraction: a public
     # game keeps every branch's transcript, so one object less per branch.
@@ -1028,8 +1023,8 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     sets and claimed witness and type-checks both on every branch. The
     checks that depend only on the outcome run once per distinct outcome in
     the play: the per-round set checks once per distinct reveals and sets,
-    and the comparator and realizability check once per distinct instances,
-    sets and witness.
+    and :func:`_outcome` (the comparator and realizability check) once per
+    distinct instances, sets and claimed witness.
 
     A branch carries its probability as an unreduced integer fraction (see
     :class:`_Branch`). As each branch ends, its :class:`PublicBranch` gets

@@ -32,6 +32,7 @@ from pflab import (
     play_game,
     replay_predictions,
 )
+from pflab.game import Realizability, _comparator
 from pflab.learners import ScriptedLearner
 
 from conftest import two_constant_game
@@ -118,11 +119,19 @@ def brute_comparator(transcript, spec):
     return Fraction(best)
 
 
+def _assert_comparator_is_zero(spec, t):
+    # Under set realizability play reports 0 without scanning the class; the
+    # scan must agree, because every witness member is inside every set.
+    assert spec.realizability is Realizability.SET_REALIZABLE
+    assert _comparator(spec, t.instances, t.sets) == 0 == t.comparator
+
+
 def test_comparator_matches_brute_force():
     spec = helly_game(4)
     t = play_game(spec, make_learner("helly_intersection", {"transversal": [1, 3, 5]}),
                   OptimalAdversary())
     assert comparator_loss(t, spec) == brute_comparator(t, spec)
+    _assert_comparator_is_zero(spec, t)
 
     rng = random.Random(3)
     tried = 0
@@ -133,6 +142,16 @@ def test_comparator_matches_brute_force():
         tried += 1
         tr = play_game(small, VersionSpacePruningLearner(), make_adversary("random", {"seed": rng.randrange(99)}))
         assert comparator_loss(tr, small) == brute_comparator(tr, small)
+        _assert_comparator_is_zero(small, tr)
+
+    # The cube adversary claims no witness, so play finds each one.
+    cube = cube_game(3, 3, visibility="public")
+    res = play_game(cube, make_learner("uniform_cube", {"T": 3}), CubeAdversary(Fraction(1, 2)))
+    assert len(res.branches) == 27
+    for branch in res.branches:
+        tb = branch.transcript
+        _assert_comparator_is_zero(cube, tb)
+        assert tb.witness.members == find_realizability_witness(cube, range(3), tb.sets)
 
 
 def test_replay_is_pure():
@@ -281,7 +300,7 @@ class _Mask(int):
     "feedback, method, answer",
     [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None, _Mask(1))]
     + [("set_valued", "reveal_set", m) for m in (1.5, True, _Mask(1))]
-    + [("bandit", "loss_bit", bit) for bit in (0.5, True)],
+    + [("bandit", "loss_bit", bit) for bit in (0.5, True, _Mask(0))],
 )
 def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
     spec = replace(two_constant_game(1), feedback=feedback)

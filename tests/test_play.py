@@ -31,6 +31,7 @@ from pflab import (
     pf_not_sv_game,
     play_game,
 )
+from pflab import game
 from pflab.learners import ScriptedLearner
 
 from conftest import two_constant_game
@@ -108,6 +109,23 @@ def test_public_cube_branches_pinned():
     assert _branch_rows(res) == CUBE_BRANCHES
     assert res.expected_loss == 2
     assert res.expected_comparator == 0
+
+
+def test_public_cube_witness_search_runs_once_per_distinct_outcome(monkeypatch):
+    """The cube adversary claims no witness; play searches once per outcome."""
+    calls = []
+    search = game.find_realizability_witness
+
+    def counted(spec, instances, sets):
+        calls.append((tuple(instances), tuple(sets)))
+        return search(spec, instances, sets)
+
+    monkeypatch.setattr(game, "find_realizability_witness", counted)
+    spec = cube_game(4, 6, visibility="public")
+    res = play_game(spec, make_learner("uniform_cube", {"T": 4}), make_adversary("public_cube", {}))
+    outcomes = {(b.transcript.instances, b.transcript.sets) for b in res.branches}
+    assert (len(res.branches), len(calls), res.expected_loss) == (256, 81, 3)
+    assert sorted(calls) == sorted(outcomes)
 
 
 def _reference_expectations(result):
