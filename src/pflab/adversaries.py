@@ -367,24 +367,21 @@ class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
                     f"in the set system"
                 )
         super().begin(spec)
-        self._reveals = []
 
     def reveal(self, x: int, prediction) -> int:
         if isinstance(prediction, Measure):
             p0 = prediction.weights[0]
         else:
             p0 = Fraction(1) if prediction == 0 else Fraction(0)
-        y = 1 if p0 >= Fraction(1, 2) else 0
-        self._reveals.append(y)
-        return y
+        return 1 if p0 >= Fraction(1, 2) else 0
 
     def finalize_sets(self, view):
-        q = sum(self._reveals)
-        T = len(self._reveals)
-        k = 0 if q <= T - q else 1
+        reveals = view.reveals
+        q = sum(reveals)
+        k = 0 if q <= len(reveals) - q else 1
         pair = mask_of([0, 1])
         single = 1 << k
-        return [single if y == k else pair for y in self._reveals]
+        return [single if y == k else pair for y in reveals]
 
 
 class CubeAdversary(_FreshInstanceAdversary):
@@ -395,8 +392,11 @@ class CubeAdversary(_FreshInstanceAdversary):
     the alphabet minus one label: in public mode the excluded label is the
     realized draw when it differs from the reveal (the lowest other label
     when it matches, keeping the reveal inside); in oblivious mode it is the
-    heaviest non-revealed label of the played measure. It claims no
-    witness: play finds the product witness of
+    heaviest non-revealed label of the played prediction (the lowest on
+    ties, an int prediction read as its point mass). Both rules read the
+    game's record from the view ``finalize_sets`` gets, so the adversary
+    keeps no history of its own and a fork shares everything but the round
+    counter. It claims no witness: play finds the product witness of
     :func:`pflab.game.find_realizability_witness`, which realizes exactly
     those co-singleton images, once per distinct outcome. The alphabet is the
     spec's label set, and ``begin`` requires every co-singleton of it in the
@@ -404,9 +404,10 @@ class CubeAdversary(_FreshInstanceAdversary):
     """
 
     def __init__(self, k):
-        self._k = Fraction(k)
-        if not 0 < self._k <= 1:
-            raise SpecError(f"mass threshold must lie in (0, 1], got {self._k}")
+        k = Fraction(k)
+        if not 0 < k <= 1:
+            raise SpecError(f"mass threshold must lie in (0, 1], got {k}")
+        self._limit = 1 - k
 
     def begin(self, spec: GameSpec) -> None:
         super().begin(spec)
@@ -417,67 +418,46 @@ class CubeAdversary(_FreshInstanceAdversary):
                     f"the cube construction needs the co-singleton "
                     f"{labels_of(full ^ (1 << y))} in the set system"
                 )
-        self._spec = spec
-        self._measures = []
-        self._reveals = []
-        self._draws = []
+        self._n_labels = spec.n_labels
 
     def reveal(self, x: int, prediction) -> int:
-        if isinstance(prediction, Measure):
-            measure = prediction
-        else:
-            measure = Measure.delta(self._spec.n_labels, prediction)
-        limit = 1 - self._k
-        y = next(
-            (
-                lbl
-                for lbl in range(self._spec.n_labels)
-                if measure.weights[lbl] <= limit
-            ),
-            None,
+        limit = self._limit
+        for y, w in enumerate(_weights(self._n_labels, prediction)):
+            if w <= limit:
+                return y
+        raise LabelPoolExhausted(
+            f"every one of the spec's {self._n_labels} labels carries mass above {limit}"
         )
-        if y is None:
-            raise LabelPoolExhausted(
-                f"every one of the spec's {self._spec.n_labels} labels carries mass above {limit}"
-            )
-        self._measures.append(measure)
-        self._reveals.append(y)
-        return y
-
-    def observe_draw(self, z: int) -> None:
-        self._draws.append(z)
 
     def fork(self) -> "CubeAdversary":
-        # Copies the history lists; the spec and threshold are shared.
+        # Only the round counter changes after ``begin``, and it is an int.
         twin = object.__new__(type(self))
-        twin.__dict__.update(
-            self.__dict__,
-            _measures=self._measures[:],
-            _reveals=self._reveals[:],
-            _draws=self._draws[:],
-        )
+        twin.__dict__.update(self.__dict__)
         return twin
 
-    def _heaviest_other(self, t: int) -> int:
-        y = self._reveals[t]
-        pi = self._measures[t]
-        best = None
-        for lbl in range(self._spec.n_labels):
-            if lbl == y:
-                continue
-            if best is None or pi.weights[lbl] > pi.weights[best]:
-                best = lbl
-        return best
-
     def finalize_sets(self, view):
-        full = (1 << self._spec.n_labels) - 1
-        if self._draws:
+        n = self._n_labels
+        full = (1 << n) - 1
+        if view.draws is not None:
             # Exclude the draw, or the lowest other label when it is the reveal.
             return tuple(
                 full ^ (1 << (z if z != y else 0 if z else 1))
-                for y, z in zip(self._reveals, self._draws)
+                for y, z in zip(view.reveals, view.draws)
             )
-        return [full ^ (1 << self._heaviest_other(t)) for t in range(len(self._reveals))]
+        sets = []
+        for pred, y in zip(view.predictions, view.reveals):
+            weights = _weights(n, pred)
+            # ``max`` keeps the first of equal weights: the lowest label.
+            heaviest = max((lbl for lbl in range(n) if lbl != y), key=weights.__getitem__)
+            sets.append(full ^ (1 << heaviest))
+        return sets
+
+
+def _weights(n_labels: int, prediction) -> tuple:
+    """The prediction's label weights, an int prediction read as its point mass."""
+    if isinstance(prediction, Measure):
+        return prediction.weights
+    return Measure.delta(n_labels, prediction).weights
 
 
 _MINUS_HALF_OFFSET = 0
@@ -505,7 +485,8 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
     The mode follows the spec's feedback: under set-valued feedback the sets
     must go out during play, so c* is fixed up front as the highest candidate
     and the reveal stream follows its parity function; reading any set then
-    solves the game.
+    solves the game. Play takes those revealed sets as the game's sets and
+    never calls ``finalize_sets``, which serves label feedback only.
 
     The witness names hypotheses by row index, so ``begin`` requires the
     layout of :func:`pflab.games.pf_not_sv_game` over the spec's instances:
@@ -529,7 +510,6 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         self._candidates = set(range(self._n_cand))
         self._predicted = set()
         self._reveals = []
-        self._sets = []
 
     def _check_layout(self, spec: GameSpec) -> None:
         cands = range(self._n_cand)
@@ -580,20 +560,15 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         _require_label(prediction)
         c_star = self._n_cand - 1
         y = _parity_half(c_star, x, self._n_cand)
-        mask = (1 << c_star) | (1 << y)
-        self._reveals.append(y)
-        self._sets.append(mask)
-        return mask
+        return (1 << c_star) | (1 << y)
 
     def _survivor(self) -> int:
         leftovers = self._candidates - self._predicted
         return min(leftovers)
 
     def finalize_sets(self, view):
-        if self._set_valued:
-            return list(self._sets)
         c_star = self._survivor()
-        return [(1 << c_star) | (1 << y) for y in self._reveals]
+        return [(1 << c_star) | (1 << y) for y in view.reveals]
 
     def witness_collection(self):
         if self._set_valued:

@@ -385,15 +385,15 @@ class CollectionEngine:
         increment tables apply, in engine units. Moves are labels for the
         label kind and exact measures otherwise; prefix measures need not lie
         on the grid, and a loss-kind charge off the grid stays a ``Fraction``.
-        Raises :class:`SpecError` on ragged lists or out-of-range instances,
-        labels or measures, and :class:`EmptyConsistentSet` when no
-        collection survives the reveals.
+        Raises :class:`SpecError` on ragged lists, on instances or labels
+        that are not plain ints in range, or on out-of-range measures, and
+        :class:`EmptyConsistentSet` when no collection survives the reveals.
         """
         if not len(prefix_x) == len(prefix_moves) == len(prefix_reveals):
             raise SpecError("prefix lists must have equal length")
         spec = self.spec
         for x in prefix_x:
-            if not isinstance(x, int) or not 0 <= x < spec.n_instances:
+            if type(x) is not int or not 0 <= x < spec.n_instances:
                 raise SpecError(f"prefix instance {x!r} outside range({spec.n_instances})")
         labels = tuple(prefix_reveals)
         if self.kind == "label":
@@ -408,7 +408,7 @@ class CollectionEngine:
                         f"{spec.n_labels}-label spec"
                     )
         for y in labels:
-            if not isinstance(y, int) or not 0 <= y < spec.n_labels:
+            if type(y) is not int or not 0 <= y < spec.n_labels:
                 raise SpecError(f"prefix label {y!r} outside range({spec.n_labels})")
         empty = "no collection is consistent with the prefix reveals"
         if not self.images:

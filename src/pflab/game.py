@@ -489,7 +489,10 @@ class PublicGameResult:
 
 @dataclass(frozen=True)
 class GameView:
-    """What the adversary gets to see when committing to its sets."""
+    """What the adversary gets to see when committing to its sets.
+
+    ``draws`` is ``None`` unless the game is public.
+    """
 
     spec: GameSpec
     instances: tuple[int, ...]
@@ -546,9 +549,13 @@ class Adversary:
 
     An adversary sees the learner's prediction (the distribution itself for a
     randomized learner) when revealing, and in public games additionally sees
-    each realized draw. ``finalize_sets`` commits to the per-round feasible
-    sets once the last round has been played; ``witness_collection`` may
-    return hypothesis indices certifying those sets when the game claims full
+    each realized draw through ``observe_draw``. ``finalize_sets`` commits to
+    the per-round feasible sets once the last round has been played; its
+    :class:`GameView` holds the whole record (instances, predictions, reveals
+    and, in public games, draws), so an adversary needs no copy of its own.
+    Under set-valued feedback play takes the revealed sets as the game's sets
+    and never calls ``finalize_sets``. ``witness_collection`` may return
+    hypothesis indices certifying those sets when the game claims full
     realizability, or ``None`` to leave the witness search to play.
     """
 
@@ -803,17 +810,24 @@ def _check_prediction(spec: GameSpec, pred: Prediction, learner: Learner) -> Pre
         if getattr(learner, "mode", None) == "deterministic" and not pred.is_delta():
             raise ProtocolViolation("a deterministic learner produced a spread-out measure")
         return pred
-    if not isinstance(pred, int) or isinstance(pred, bool):
-        raise ProtocolViolation(f"prediction must be a label or a Measure, got {pred!r}")
+    if type(pred) is not int:  # rejects a bool or any other int subclass
+        raise ProtocolViolation(
+            f"prediction must be a plain int label or a Measure, got {pred!r} "
+            f"of type {type(pred).__name__}"
+        )
     if not 0 <= pred < spec.n_labels:
         raise ProtocolViolation(f"predicted label {pred} outside range({spec.n_labels})")
     return pred
 
 
 def _check_index(value, n: int, what: str) -> int:
-    """``value`` if it is an int (not a bool) in ``range(n)``, else ProtocolViolation."""
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
-        raise ProtocolViolation(f"{what} {value!r} outside range({n})")
+    """``value`` if it is a plain int in ``range(n)``, else ProtocolViolation."""
+    if type(value) is not int:  # rejects a bool or any other int subclass
+        raise ProtocolViolation(
+            f"{what} must be a plain int, got {value!r} of type {type(value).__name__}"
+        )
+    if not 0 <= value < n:
+        raise ProtocolViolation(f"{what} {value} outside range({n})")
     return value
 
 

@@ -11,9 +11,11 @@ from pflab import (
     GameSpec,
     HypothesisClass,
     LabelPoolExhausted,
+    Learner,
     Measure,
     OptimalAdversary,
     PrefixParityAdversary,
+    ScriptedLearner,
     SeededRandomAdversary,
     SetSystem,
     SpecError,
@@ -77,6 +79,34 @@ def test_public_cube_reveal_rule():
             undercovered = [lab for lab, w in enumerate(pi.weights) if w <= Fraction(1, 2)]
             if undercovered:
                 assert y == min(undercovered)
+
+
+class _FixedMeasureLearner(Learner):
+    mode = "randomized"
+
+    def __init__(self, weights):
+        self._measure = Measure(weights)
+
+    def predict(self, x):
+        return self._measure
+
+
+@pytest.mark.parametrize(
+    "learner, reveals, excluded, loss",
+    [
+        (ScriptedLearner([0, 1, 1]), (1, 0, 0), (0, 1, 1), 3),
+        (_FixedMeasureLearner((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 0)), (0, 0, 0), (1, 1, 1), 1),
+    ],
+    ids=["labels", "measure"],
+)
+def test_oblivious_cube_excludes_the_heaviest_other_label(learner, reveals, excluded, loss):
+    # Obliviously the cube adversary drops, each round, the heaviest label
+    # other than the reveal (an int prediction is its point mass, and the
+    # lowest label wins a tie).
+    t = play_game(cube_game(3, 4), learner, CubeAdversary(Fraction(1, 2)))
+    assert t.reveals == reveals
+    assert t.sets == tuple(0b1111 ^ (1 << z) for z in excluded)
+    assert t.loss == loss
 
 
 def test_label_feedback_forcing_game():

@@ -12,6 +12,7 @@ from pflab import (
     EmptyConsistentSet,
     GameSpec,
     HypothesisClass,
+    Measure,
     SetSystem,
     SpecError,
     TreeSpecMismatch,
@@ -119,6 +120,14 @@ def test_prefix_validation():
         ppfl_dim(spec, (0,), (9,), (1,), 1)
     with pytest.raises(SpecError):
         ppfl_dim(spec, (0,), (1,), (None,), 1)
+    # A bool is not an instance or a label, though it compares equal to one.
+    helly = helly_game(2)
+    for prefix in ([False], [0], [0]), ([0], [False], [0]), ([0], [0], [True]):
+        with pytest.raises(SpecError, match="outside range"):
+            ppfl_dim(helly, *prefix, 1)
+    for prefix in ([False], [Measure.delta(6, 0)], [0]), ([0], [Measure.delta(6, 0)], [True]):
+        with pytest.raises(SpecError, match="outside range"):
+            ppms_dim(helly, *prefix, 1, 0)
 
 
 def test_prefix_can_exhaust_consistency():

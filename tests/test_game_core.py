@@ -300,14 +300,19 @@ class _Mask(int):
     "feedback, method, answer",
     [("partial", "finalize_sets", [m]) for m in (1.9, True, "1", "x", None, _Mask(1))]
     + [("set_valued", "reveal_set", m) for m in (1.5, True, _Mask(1))]
-    + [("bandit", "loss_bit", bit) for bit in (0.5, True, _Mask(0))],
+    + [("bandit", "loss_bit", bit) for bit in (0.5, True, _Mask(0))]
+    + [("partial", method, _Mask(0)) for method in ("choose_instance", "reveal", "predict")],
 )
 def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
+    # An instance, a revealed label or a predicted label that is an int
+    # subclass is refused as one that is not a plain int, not as out of range.
     spec = replace(two_constant_game(1), feedback=feedback)
     adversary = _ZeroAdversary()
-    setattr(adversary, method, lambda *args: answer)
-    with pytest.raises(ProtocolViolation, match="must be"):
-        play_game(spec, ScriptedLearner([0]), adversary)
+    learner = ScriptedLearner([0])
+    setattr(learner if method == "predict" else adversary, method, lambda *args: answer)
+    match = "must be a plain int" if method in ("choose_instance", "reveal", "predict") else "must be"
+    with pytest.raises(ProtocolViolation, match=match):
+        play_game(spec, learner, adversary)
 
 
 @st.composite
