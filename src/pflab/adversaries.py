@@ -345,6 +345,13 @@ class _FreshInstanceAdversary(Adversary):
         return x
 
 
+def _attribute_copy(adversary: Adversary) -> Adversary:
+    """A twin of ``adversary`` holding the same attribute values, not copies of them."""
+    twin = object.__new__(type(adversary))
+    twin.__dict__.update(adversary.__dict__)
+    return twin
+
+
 class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
     """Reveals the learner's lighter label; commits to the majority constant.
 
@@ -374,6 +381,10 @@ class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
         else:
             p0 = Fraction(1) if prediction == 0 else Fraction(0)
         return 1 if p0 >= Fraction(1, 2) else 0
+
+    def fork(self) -> "TwoConstantAgnosticAdversary":
+        # Only the round counter changes after ``begin``, and it is an int.
+        return _attribute_copy(self)
 
     def finalize_sets(self, view):
         reveals = view.reveals
@@ -431,9 +442,7 @@ class CubeAdversary(_FreshInstanceAdversary):
 
     def fork(self) -> "CubeAdversary":
         # Only the round counter changes after ``begin``, and it is an int.
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        return twin
+        return _attribute_copy(self)
 
     def finalize_sets(self, view):
         n = self._n_labels

@@ -481,13 +481,17 @@ class CollectionEngine:
 
         Every feasible reveal whose survivors coincide induces the same child
         under every edge, so the classes are listed once, in ascending ``y``.
+        Each alive group's image is walked one low bit at a time, so a wide
+        alphabet costs only the image's own labels.
         """
         holds = [0] * self.spec.n_labels
         for image, mask in self._groups(x):
             mask &= alive
             if mask:
-                for y in iter_bits(image):
-                    holds[y] |= mask
+                while image:
+                    low = image & -image
+                    image ^= low
+                    holds[low.bit_length() - 1] |= mask
         out = []
         for y, keep in enumerate(holds):
             if keep and all(keep != k for _, k in out):

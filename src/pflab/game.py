@@ -321,8 +321,9 @@ def build_admissible_collections(
     index from its start index on, so the node count and every
     :class:`BudgetExceeded` outcome are those of the per-candidate search
     that preceded the bitmask one. The walk asks the set system once per
-    partial image for the labels that can still join it
-    (:meth:`SetSystem.span`), not once per label.
+    partial image (:meth:`SetSystem.span_fill`, one scan) both which labels
+    can still join it and which complete it to a feasible set, rather than
+    once per label and once per candidate.
 
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
@@ -361,18 +362,20 @@ def _admissible_walk(
     prefix before its extensions, so collections come out in lexicographic
     order of their member tuples. It prunes any prefix whose partial image
     at some instance is not contained in any feasible set, since unions only
-    grow. Feasible next members are found with hypothesis bitmasks rather
-    than by testing each candidate: ``allowed(x, img)`` (memoized per walk)
-    is the OR of the class's :meth:`HypothesisClass.label_masks` entries at
-    ``x`` over the labels ``y`` that keep ``img | 1 << y`` inside some
-    feasible set. Those labels are exactly the set bits of
-    ``system.span(img)``, the union of the feasible sets containing
-    ``img``: a label lies in that union iff some feasible set holds both it
-    and ``img``. So one span call per partial image gives the same
-    candidates as one superset query per label, and the visiting order, the
-    collections and the node charges are those of the per-label form. A
-    call's candidates are the AND of ``allowed`` over all instances,
-    restricted to ``pool`` from its start index on.
+    grow. Which candidates may join a prefix, and which of them complete an
+    admissible collection, are both read from hypothesis bitmasks rather
+    than by testing each candidate. For each instance ``x`` and
+    partial image ``img`` one :meth:`SetSystem.span_fill` call (memoized per
+    walk) gives two label sets: ``span``, the labels ``y`` that keep
+    ``img | 1 << y`` inside some feasible set, and ``fill``, the labels for
+    which ``img | 1 << y`` is a feasible set. ORing the class's
+    :meth:`HypothesisClass.label_masks` entries at ``x`` over each gives
+    the pair ``(inside, exact)`` of hypothesis masks. A call's candidates
+    are the AND of ``inside`` over all instances, restricted to ``pool``
+    from its start index on, and a candidate's collection is admissible iff
+    it is also in the AND of ``exact``. So the visiting order, the
+    collections and the node charges are those of the per-label,
+    per-candidate form, with no membership test per candidate.
 
     ``targets`` holds ``(instance, set)`` pairs. With none, the walk returns
     every admissible collection. With some, it also prunes a prefix once its
@@ -383,21 +386,24 @@ def _admissible_walk(
     ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``.
     """
     H = spec.hypotheses
-    system = spec.set_system
-    rows = H.rows
+    span_fill = spec.set_system.span_fill
     masks = [H.label_masks(x) for x in range(spec.n_instances)]
-    allowed_memo: list[dict[int, int]] = [{} for _ in range(spec.n_instances)]
+    memos: list[dict[int, tuple[int, int]]] = [{} for _ in range(spec.n_instances)]
+    # Each pool member's row as one label bit per instance, made once.
+    bits = {h: tuple(1 << y for y in H.rows[h]) for h in iter_bits(pool)}
 
-    def allowed(x: int, img: int) -> int:
-        hit = allowed_memo[x].get(img)
-        if hit is None:
-            hit = 0
-            span = system.span(img)
-            while span:
-                low = span & -span
-                span ^= low
-                hit |= masks[x][low.bit_length() - 1]
-            allowed_memo[x][img] = hit
+    def answer(x: int, img: int) -> tuple[int, int]:
+        span, fill = span_fill(img)
+        table = masks[x]
+        inside = exact = 0
+        while span:
+            low = span & -span
+            span ^= low
+            hs = table[low.bit_length() - 1]
+            inside |= hs
+            if low & fill:
+                exact |= hs
+        hit = memos[x][img] = (inside, exact)
         return hit
 
     charge = [(pool >> start).bit_count() for start in range(H.size + 1)]
@@ -409,11 +415,13 @@ def _admissible_walk(
         nodes += charge[start]
         if nodes > limit:
             raise BudgetExceeded(f"{what} exceeded {limit} nodes", spent=nodes, budget=limit)
-        cand = pool >> start << start
+        cand = admissible = pool >> start << start
         for x, img in enumerate(images):
-            cand &= allowed(x, img)
+            inside, exact = memos[x].get(img) or answer(x, img)
+            cand &= inside
             if not cand:
                 return False
+            admissible &= exact
         for x, m in targets:
             for y in iter_bits(m & ~images[x]):
                 if not cand & masks[x][y]:
@@ -422,11 +430,9 @@ def _admissible_walk(
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
-            new_images = [img | (1 << y) for img, y in zip(images, rows[h])]
+            new_images = list(map(or_, images, bits[h]))
             members.append(h)
-            if all(system.contains(img) for img in new_images) and (
-                not targets or all(new_images[x] == m for x, m in targets)
-            ):
+            if low & admissible and (not targets or all(new_images[x] == m for x, m in targets)):
                 out.append(Collection(members=tuple(members), images=tuple(new_images)))
                 if targets:
                     return True

@@ -87,10 +87,19 @@ class Measure:
         return ONE - self.mass(mask)
 
     def support_mask(self) -> int:
-        m = 0
-        for y, w in enumerate(self.weights):
-            if w:
-                m |= 1 << y
+        """Bitmask of the labels with positive weight.
+
+        ``weights`` is immutable, so the mask is computed on first use and
+        cached on the instance; equality, hashing and copying still read
+        ``weights`` alone.
+        """
+        m = getattr(self, "_support", None)
+        if m is None:
+            m = 0
+            for y, w in enumerate(self.weights):
+                if w:
+                    m |= 1 << y
+            object.__setattr__(self, "_support", m)
         return m
 
     def is_delta(self) -> bool:

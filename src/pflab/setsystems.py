@@ -8,8 +8,10 @@ alphabet ``{0, ..., n_labels - 1}``. Two kinds are supported:
   exists for games whose family is too large to enumerate (binomial sums over
   tens of labels) but has a one-line membership test.
 
-:meth:`SetSystem.span` answers "which labels can still join this subset?"
-with one scan per subset: the union of the member sets that contain it.
+:meth:`SetSystem.span_fill` answers two questions about a subset with one
+scan of the member sets: which labels can still join it (the union of the
+member sets that contain it, its ``span``), and which labels complete it to
+a member set (its ``fill``).
 
 Throughout the package a label subset is an ``int`` bitmask: bit ``y`` set
 means label ``y`` is in the subset. Masks are cheap to intersect, compare,
@@ -114,36 +116,57 @@ class SetSystem:
     def superset_exists(self, mask: int) -> bool:
         """Does some member set contain every label of ``mask``?
 
-        The empty mask always qualifies. Answered from :meth:`span`.
+        The empty mask always qualifies. Answered from :meth:`span_fill`.
         """
-        return mask == 0 or self.span(mask) != 0
+        return mask == 0 or self.span_fill(mask)[0] != 0
 
     def span(self, mask: int) -> int:
         """The union of the member sets that contain ``mask``, or 0 if none does.
 
-        A label ``y`` is in the span exactly when ``mask | 1 << y`` lies
-        inside some member set, so the admissible-collection walk reads all
-        labels that can still join a partial image from one call.
+        The first half of :meth:`span_fill`.
+        """
+        return self.span_fill(mask)[0]
+
+    def span_fill(self, mask: int) -> tuple[int, int]:
+        """``(span, fill)`` of ``mask``, both from one scan of the member sets.
+
+        ``span`` is the union of the member sets that contain ``mask`` (0 if
+        none does): a label ``y`` is in it exactly when ``mask | 1 << y``
+        lies inside some member set. ``fill`` holds the labels ``y`` for
+        which ``mask | 1 << y`` is itself a member set, so it lies inside
+        ``span``. A member ``m`` containing ``mask`` adds ``m ^ mask`` to
+        ``fill`` when that is a single label, and every label of ``mask``
+        when it is empty. On a bounded system the two coincide: every label
+        while ``mask`` has fewer than ``max_size`` labels, ``mask`` itself
+        at ``max_size``, nothing above it. A mask with a bit at or above
+        ``n_labels`` gets ``(0, 0)``. The admissible-collection walk reads
+        the labels that keep a partial image feasible and the labels that
+        complete it to a member set from one call.
         """
         if mask >> self.n_labels:
-            return 0
+            return 0, 0
         if self.kind == "bounded":
             size = mask.bit_count()
             if size < self.max_size:
-                return (1 << self.n_labels) - 1
-            return mask if size == self.max_size else 0
+                full = (1 << self.n_labels) - 1
+                return full, full
+            hit = mask if size == self.max_size else 0
+            return hit, hit
         # masks is immutable, so the answer to each distinct mask is cached.
-        known = getattr(self, "_spans", None)
+        known = getattr(self, "_answers", None)
         if known is None:
             known = {}
-            object.__setattr__(self, "_spans", known)
+            object.__setattr__(self, "_answers", known)
         hit = known.get(mask)
         if hit is None:
-            hit = 0
+            span = fill = 0
             for m in self.masks:
                 if m & mask == mask:
-                    hit |= m
-            known[mask] = hit
+                    span |= m
+                    rest = m ^ mask
+                    if rest & (rest - 1) == 0:
+                        fill |= rest or mask
+            hit = known[mask] = (span, fill)
         return hit
 
     def _member_index(self) -> frozenset:

@@ -1,8 +1,8 @@
 """Admissible-collection enumeration against a brute-force reference.
 
-``build_admissible_collections`` finds feasible next members with hypothesis
-bitmasks and memoized ``SetSystem.span`` answers, which a union scan of the
-raw member sets checks. The reference here looks at every
+``build_admissible_collections`` finds feasible next members, and decides
+which of them complete a collection, with hypothesis bitmasks and memoized
+``SetSystem.span_fill`` answers, which a scan of the raw member sets checks. The reference here looks at every
 nonempty hypothesis subset and decides feasibility from the raw member masks,
 with no call into the enumeration or into ``SetSystem``. A second reference
 replays the per-candidate depth-first search to count its nodes, and the
@@ -167,16 +167,20 @@ def _union_of_sets_containing(system, mask):
 @settings(max_examples=200, deadline=None)
 @given(small_specs())
 def test_span_matches_union_scan(spec):
-    """``span`` on every mask over one label more than the system has.
+    """``span`` and ``fill`` on every mask over one label more than the system has.
 
     That covers mask 0, masks with bits at or above ``n_labels`` and, on
-    bounded systems, popcounts below, at and above ``max_size``.
+    bounded systems, popcounts below, at and above ``max_size``. ``fill``
+    holds the labels whose addition makes a member set, so it is empty on
+    a mask out of range.
     """
     system = spec.set_system
     queries = range(1 << (system.n_labels + 1))
     for mask in [*queries, *queries]:  # the repeats are answered from the cache
-        span = system.span(mask)
-        assert span == _union_of_sets_containing(system, mask), mask
+        span, fill = system.span_fill(mask)
+        assert span == system.span(mask) == _union_of_sets_containing(system, mask), mask
+        completing = [y for y in range(system.n_labels) if system.contains(mask | 1 << y)]
+        assert fill == sum(1 << y for y in completing), mask
         assert system.superset_exists(mask) == (mask == 0 or span != 0)
 
 
@@ -262,3 +266,23 @@ def test_smallest_budget_pinned(make, nodes, count):
     assert len(build_admissible_collections(spec, budget=nodes)) == count
     with pytest.raises(BudgetExceeded):
         build_admissible_collections(spec, budget=nodes - 1)
+
+
+def test_prefixes_that_extend_are_not_collections():
+    # One member set {0, 1, 2} and one hypothesis per label: the prefixes
+    # {0} and {0, 1} lie inside it (their span is every label) but are not
+    # members, and only the label 2 completes {0, 1} to one (its fill).
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=3,
+        set_system=SetSystem.explicit(3, [[0, 1, 2]]),
+        hypotheses=HypothesisClass.explicit(1, 3, [[0], [1], [2]]),
+        horizon=1,
+    )
+    assert spec.set_system.span_fill(0b001) == (0b111, 0)
+    assert spec.set_system.span_fill(0b011) == (0b111, 0b100)
+    assert reference_nodes(spec) == 7
+    got = build_admissible_collections(spec, budget=7)
+    assert [(c.members, c.images) for c in got] == [((0, 1, 2), (0b111,))]
+    with pytest.raises(BudgetExceeded):
+        build_admissible_collections(spec, budget=6)

@@ -10,6 +10,8 @@ adversary against scripted predictions.
 
 import copy
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +31,9 @@ from pflab import (
     pf_not_sv_game,
     play_game,
 )
-from pflab.learners import ScriptedLearner
+from pflab import game
+from pflab.adversaries import TwoConstantAgnosticAdversary
+from pflab.learners import ScriptedLearner, UniformPrefixLearner
 from pflab.setsystems import iter_bits
 
 
@@ -150,6 +154,32 @@ def test_adversary_fork_contract(name):
 
     assert rest(fork, on_fork) == rest(twin, on_fork)
     assert rest(adversary, on_original) == rest(reference, on_original)
+
+
+class _DeepCopyForked(TwoConstantAgnosticAdversary):
+    """The two-constant adversary with the base class's deep-copy fork."""
+
+    fork = Adversary.fork
+
+
+def test_public_two_constant_play_makes_no_deep_copy(monkeypatch):
+    # The coin learner forks to itself, so every deep copy would be the adversary's.
+    spec = public(agnostic_game(8))
+    reference = play_game(spec, UniformPrefixLearner(2), _DeepCopyForked())
+    calls = 0
+    deepcopy = copy.deepcopy
+
+    def counted(obj, memo=None):
+        nonlocal calls
+        calls += 1
+        return deepcopy(obj, memo)
+
+    monkeypatch.setattr(game, "copy", SimpleNamespace(deepcopy=counted))
+    result = play_game(spec, UniformPrefixLearner(2), make_adversary("agnostic_two_constant", {}))
+    assert calls == 0
+    assert result == reference
+    assert len(result.branches) == 256
+    assert result.expected_regret == Fraction(4)
 
 
 # -- the per-play validation memo ---------------------------------------------------

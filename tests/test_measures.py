@@ -1,5 +1,6 @@
 """Exact rational measures and the label-simplex grid."""
 
+import copy
 from fractions import Fraction
 from math import comb
 
@@ -50,6 +51,26 @@ def test_measure_accepts_fractions_and_ints():
     assert Measure((Fraction(1, 2), Fraction(1, 2))).mass(0b01) == Fraction(1, 2)
     # ``of`` converts every weight through Fraction.
     assert Measure.of({0: 0.5, 1: "1/2"}, 2).weights == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0, 1, 0),
+        (1, 0, 0, 0),
+        (Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+        (Fraction(1, 3), 0, Fraction(2, 3), Fraction(0)),
+    ],
+)
+def test_support_mask_is_cached_and_matches_a_scan(weights):
+    m = Measure(weights)
+    scan = sum(1 << y for y, w in enumerate(weights) if w != 0)
+    assert m.support_mask() == scan
+    assert vars(m)["_support"] == scan
+    assert m.support_mask() == scan  # answered from the cache
+    fresh = Measure(weights)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert copy.deepcopy(m) is m
 
 
 def test_delta_and_uniform():
