@@ -92,14 +92,7 @@ from .learners import (
 from .measure_dims import minimax_rand_regret, msp, pms_dim, ppms_dim
 from .measures import Measure, grid_size, measure_grid
 from .replicate import CheckResult, format_table, run_checks
-from .setsystems import (
-    SetSystem,
-    helly_number,
-    inseparability_report,
-    labels_of,
-    mask_of,
-    nested_empty_chain,
-)
+from .setsystems import SetSystem, helly_number, inseparability_report, labels_of, mask_of
 from .specfile import SpecDocument, load_spec_file, parse_spec_data
 
 __all__ = [name for name in dir() if not name.startswith("_")]

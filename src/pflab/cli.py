@@ -49,12 +49,7 @@ from .learners import make_learner
 from .measure_dims import minimax_rand_regret, pms_dim, ppms_dim
 from .measures import Measure
 from .replicate import CHECKS, format_table, run_checks
-from .setsystems import (
-    helly_number,
-    inseparability_report,
-    labels_of,
-    nested_empty_chain,
-)
+from .setsystems import helly_number, inseparability_report, labels_of
 from .specfile import load_spec_file
 
 CSV_HEADER = "spec,task,horizon,gamma,grid,value_num,value_den,runtime_ms,truncated"
@@ -376,22 +371,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_setsys(args) -> int:
-    doc = load_spec_file(args.spec)
-    system = doc.spec.set_system
-    h = helly_number(system)
-    p = args.p if args.p is not None else h
+    system = load_spec_file(args.spec).spec.set_system
+    p = helly_number(system) if args.p is None else args.p
     report = inseparability_report(system, p, truncated=args.truncated)
-    chain = nested_empty_chain(system)
-    chain_text = (
-        "none" if chain is None else " > ".join(str(i) for i in chain)
-    )
     fields = [
         ("spec", args.spec),
         ("task", "setsys"),
         ("labels", system.n_labels),
-        ("sets", len(system.members())),
+        ("sets", system.size()),
         ("helly", report["helly"]),
-        ("nested_empty_chain", chain_text),
         ("condition1_holds", report["condition1_holds"]),
         ("condition2_holds", f"{report['condition2_holds']} (witness p = {p})"),
         ("truncated", report["truncated"]),

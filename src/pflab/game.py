@@ -92,8 +92,8 @@ class HypothesisClass:
             if len(r) != n_instances:
                 raise SpecError(f"hypothesis row {r} does not have {n_instances} entries")
             for v in r:
-                if not 0 <= v < n_labels:
-                    raise SpecError(f"hypothesis output {v} outside range({n_labels})")
+                if type(v) is not int or not 0 <= v < n_labels:  # a bool is not a label
+                    raise SpecError(f"hypothesis output {v!r} outside range({n_labels})")
         if len(set(table)) != len(table):
             raise SpecError("hypothesis classes must list distinct functions; duplicates are rejected")
         return cls(n_instances=n_instances, n_labels=n_labels, kind="explicit", rows=table)
@@ -838,7 +838,7 @@ def _check_index(value, n: int, what: str) -> int:
 
 
 def _check_bitmask(m, what: str) -> int:
-    if type(m) is not int:  # rejects a bool or any other int subclass
+    if type(m) is not int or m < 0:  # rejects a bool, any other int subclass and a negative int
         raise ProtocolViolation(f"{what} must be a label bitmask, got {m!r}")
     return m
 
@@ -969,7 +969,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         system = spec.set_system
         multiclass = spec.feedback is Feedback.MULTICLASS
         for t, (m, y) in enumerate(zip(sets, b.reveals)):
-            if not system.contains(m):
+            if not system.contains(_check_bitmask(m, "finalized set")):  # negatives pass _plain_ints
                 raise ProtocolViolation(
                     f"finalized set {labels_of(m)} at round {t} is not in the set system"
                 )

@@ -13,6 +13,12 @@ scan of the member sets: which labels can still join it (the union of the
 member sets that contain it, its ``span``), and which labels complete it to
 a member set (its ``fill``).
 
+:func:`helly_number` searches label sets, not subfamilies: each member of a
+minimal subfamily with empty intersection has a label of its own, so the
+search is bounded by the label count, not by the 2^m subfamilies of the m
+member sets. On a bounded system it and :meth:`SetSystem.union_closed` are
+closed forms, so neither enumerates the family.
+
 Throughout the package a label subset is an ``int`` bitmask: bit ``y`` set
 means label ``y`` is in the subset. Masks are cheap to intersect, compare,
 and hash, which the minimax recursions lean on heavily.
@@ -21,15 +27,15 @@ and hash, which the minimax recursions lean on heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, SpecError
 
-# Most set-system analyses enumerate subcollections of the family, which is
-# exponential in the family size; this cap keeps them from running away.
-MAX_ANALYZED_MEMBERS = 20
+# The Helly search is exponential in the number of labels at worst; past this
+# many nodes (label sets tried and members picked) it stops.
+HELLY_SEARCH_NODES = 1 << 20
 
 
 def mask_of(labels) -> int:
@@ -76,8 +82,14 @@ class SetSystem:
         if n_labels < 1:
             raise SpecError("a set system needs at least one label")
         masks = []
-        for s in sets:
-            m = s if isinstance(s, int) else mask_of(s)
+        for m in sets:
+            if type(m) is not int:  # a list of labels, each a plain int >= 0 (a bool is not)
+                labels = tuple(m) if isinstance(m, Iterable) else (m,)
+                if not all(type(y) is int and y >= 0 for y in labels):
+                    raise SpecError(f"set {m!r} is neither a bitmask nor a list of labels >= 0")
+                m = mask_of(labels)
+            if m < 0:
+                raise SpecError(f"set bitmask {m} is negative")
             if m == 0:
                 raise SpecError("set systems may not contain the empty set")
             if m >> n_labels:
@@ -119,13 +131,6 @@ class SetSystem:
         The empty mask always qualifies. Answered from :meth:`span_fill`.
         """
         return mask == 0 or self.span_fill(mask)[0] != 0
-
-    def span(self, mask: int) -> int:
-        """The union of the member sets that contain ``mask``, or 0 if none does.
-
-        The first half of :meth:`span_fill`.
-        """
-        return self.span_fill(mask)[0]
 
     def span_fill(self, mask: int) -> tuple[int, int]:
         """``(span, fill)`` of ``mask``, both from one scan of the member sets.
@@ -205,8 +210,13 @@ class SetSystem:
         return tuple(out)
 
     def union_closed(self) -> bool:
-        """Is the family closed under pairwise unions?"""
-        members = self.members()
+        """Is the family closed under pairwise unions?
+
+        A bounded system is closed exactly when it holds every nonempty set.
+        """
+        if self.kind == "bounded":
+            return self.max_size == self.n_labels
+        members = self.masks
         idx = set(members)
         return all(a | b in idx for a, b in combinations(members, 2))
 
@@ -218,18 +228,6 @@ class SetSystem:
 # -- analyses ------------------------------------------------------------------
 
 
-def _analyzed_members(system: SetSystem) -> tuple[int, ...]:
-    members = system.members(budget=1 << MAX_ANALYZED_MEMBERS)
-    if len(members) > MAX_ANALYZED_MEMBERS:
-        raise BudgetExceeded(
-            f"set-system analysis supports at most {MAX_ANALYZED_MEMBERS} member sets, "
-            f"got {len(members)}",
-            spent=len(members),
-            budget=MAX_ANALYZED_MEMBERS,
-        )
-    return members
-
-
 def helly_number(system: SetSystem) -> int:
     """Largest size of an inclusion-minimal subfamily with empty intersection.
 
@@ -237,43 +235,79 @@ def helly_number(system: SetSystem) -> int:
     intersection nonempty. If no subfamily has empty intersection at all, the
     defining condition is vacuous at every size and the value is 1.
 
-    Runs over all subfamilies, so the family size is capped (see
-    ``MAX_ANALYZED_MEMBERS``).
+    Each member ``S`` of a minimal subfamily has a private label: one that
+    every other member holds and ``S`` does not. Private labels are distinct,
+    so a minimal subfamily of size ``k`` is a label set ``L`` of size ``k``
+    with one member ``S_l`` per label ``l`` of ``L``, holding ``L`` but for
+    ``l``, such that the ``S_l`` have empty intersection; and any such choice
+    is one. So the search tries sizes ``k`` from the largest possible down,
+    grows each ``L`` a label at a time while every label in it keeps such a
+    member and (below size ``k``) some member holds all of it, and then picks
+    the ``S_l`` depth-first among the inclusion-minimal ones. A bounded
+    system has the closed form ``min(n_labels, max_size + 1)``. Past
+    ``HELLY_SEARCH_NODES`` label sets and picks the search raises
+    :class:`BudgetExceeded`.
     """
-    members = _analyzed_members(system)
-    m = len(members)
-    full = (1 << system.n_labels) - 1
-    # inter[s] = intersection of the members selected by subset bitmask s.
-    inter = [full] * (1 << m)
-    for s in range(1, 1 << m):
-        low = (s & -s).bit_length() - 1
-        inter[s] = inter[s & (s - 1)] & members[low]
-    best = 1
-    for s in range(1, 1 << m):
-        if inter[s]:
-            continue
-        size = s.bit_count()
-        if size <= best:
-            continue
-        if all(inter[s & ~(1 << j)] for j in iter_bits(s)):
-            best = size
-    return best
+    n = system.n_labels
+    if system.kind == "bounded":
+        return min(n, system.max_size + 1)
+    members = system.masks
+    every = (1 << len(members)) - 1
+    # bit i of holders[y] is set iff member i holds label y
+    holders = [sum(1 << i for i, m in enumerate(members) if m >> y & 1) for y in range(n)]
+    if every in holders:  # a label in every member: no subfamily has empty intersection
+        return 1
+    ticks = count(1)
+    for k in range(min(n, len(members), max(map(int.bit_count, members)) + 1), 1, -1):
+        # (next label, L, the members holding all of L, per label l of L the
+        # members holding L but for l)
+        stack = [(0, 0, every, ())]
+        while stack:
+            start, labels, common, private = stack.pop()
+            _spend(ticks)
+            if len(private) == k:
+                if _empty_pick(members, labels, private, ticks):
+                    return k
+                continue
+            for y, h in enumerate(holders[start : n - k + len(private) + 1], start):
+                kept = tuple(p & h for p in private)
+                own = common & ~h
+                if own and all(kept) and (common & h or len(kept) == k - 1):
+                    stack.append((y + 1, labels | 1 << y, common & h, (*kept, own)))
+    return 1
 
 
-def nested_empty_chain(system: SetSystem):
-    """A strictly nested subfamily whose intersection is empty, if one exists.
+def _empty_pick(members, labels: int, private, ticks) -> bool:
+    """Can one member be picked from each member-index mask in ``private`` so
+    that the picks have empty intersection?
 
-    The intersection of a finite nested chain is its smallest member, and
-    member sets are nonempty by construction, so for every valid finite system
-    this returns ``None``. The check is still performed rather than assumed:
-    if a hand-built system smuggled in an empty set, the one-element chain
-    holding it would be returned.
+    Every pick holds all of ``labels`` but one, and that one is held by the
+    other picks, so only a pick's part outside ``labels`` decides the
+    intersection, and only the inclusion-minimal parts need trying.
     """
-    members = system.members()
-    for i, m in enumerate(members):
-        if m == 0:
-            return [i]
-    return None
+    choices = []
+    for p in private:
+        rests = {members[i] & ~labels for i in iter_bits(p)}
+        choices.append([r for r in rests if not any(o != r and o & r == o for o in rests)])
+    choices.sort(key=len)
+    stack = [(0, -1)]
+    while stack:
+        i, common = stack.pop()
+        _spend(ticks)
+        if common == 0:
+            return True
+        if i < len(choices):
+            stack.extend((i + 1, common & r) for r in choices[i])
+    return False
+
+
+def _spend(ticks) -> None:
+    """Count one search node; :class:`BudgetExceeded` past ``HELLY_SEARCH_NODES``."""
+    spent = next(ticks)
+    if spent > HELLY_SEARCH_NODES:
+        raise BudgetExceeded(
+            f"Helly search exceeded {HELLY_SEARCH_NODES} nodes", spent=spent, budget=HELLY_SEARCH_NODES
+        )
 
 
 def inseparability_report(system: SetSystem, p: int, truncated: bool = False) -> dict:
@@ -281,17 +315,20 @@ def inseparability_report(system: SetSystem, p: int, truncated: bool = False) ->
 
     Condition (1): every subfamily with empty intersection contains a nested
     (superset-ordered) chain with empty intersection. A finite chain's
-    intersection is its smallest member, which validity keeps nonempty, so on
-    a finite system this holds exactly when no subfamily has an empty
-    intersection at all, i.e. when the Helly number is 1. The condition is
-    genuinely about infinite families; ``truncated=True`` flags that this
-    report was computed on a finite truncation of one, so a ``False`` here
-    says nothing about the untruncated family.
+    intersection is its smallest member, which validity keeps nonempty, so no
+    finite system has such a chain, and the condition holds exactly when no
+    subfamily has an empty intersection at all, i.e. when the Helly number is
+    1. The condition is genuinely about infinite families; ``truncated=True``
+    flags that this report was computed on a finite truncation of one, so a
+    ``False`` here says nothing about the untruncated family.
 
     Condition (2): every subfamily with empty intersection admits an
     empty-intersection sub-subfamily of size at most ``p``. That is exactly
     ``helly_number(system) <= p``, and it is vacuously true when no subfamily
     has empty intersection (where the Helly number is 1 by convention).
+
+    Both conditions are read off :func:`helly_number`, so the report costs
+    one Helly search (a closed form on a bounded system) and no member cap.
     """
     if p < 1:
         raise SpecError(f"p must be a positive integer, got {p}")

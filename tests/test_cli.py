@@ -129,10 +129,32 @@ def test_setsys_report(capsys):
     assert "helly: 3" in out
     assert "condition1_holds: False" in out
     assert "condition2_holds: True (witness p = 3)" in out
-    assert "nested_empty_chain: none" in out
     code, out, _ = run(capsys, ["setsys", OVERLAP, "--p", "2"])
     assert code == 0
     assert "condition2_holds: False" in out
+
+
+@pytest.mark.parametrize(
+    "labels, set_system, sets, helly, union_closed",
+    [
+        (5, "{full_power_set: true}", 31, 5, True),
+        (6, "{all_nonempty_up_to: 2}", 21, 3, False),
+        (30, "{full_power_set: true}", 2**30 - 1, 30, True),
+    ],
+)
+def test_setsys_past_twenty_member_sets(capsys, tmp_path, labels, set_system, sets, helly,
+                                        union_closed):
+    # The 30-label power set has over a billion members: the report is read
+    # off the bounded kind's closed forms, not an enumeration.
+    spec = tmp_path / "system.yaml"
+    spec.write_text(
+        f"labels: {labels}\ninstances: 1\nset_system: {set_system}\n"
+        "hypotheses: [[0], [1]]\nhorizon: 1\n"
+    )
+    code, out, _ = run(capsys, ["setsys", str(spec)])
+    assert code == 0
+    assert f"\nsets: {sets}\nhelly: {helly}\n" in out
+    assert f"\nunion_closed: {union_closed}\n" in out
 
 
 def test_replicate_single_check(capsys):

@@ -1,13 +1,18 @@
 """Core game mechanics checked against brute-force oracles."""
 
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pflab
 from pflab import (
     AdmissibleEmpty,
     Adversary,
@@ -313,6 +318,52 @@ def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
     match = "must be a plain int" if method in ("choose_instance", "reveal", "predict") else "must be"
     with pytest.raises(ProtocolViolation, match=match):
         play_game(spec, learner, adversary)
+
+
+def _hand_over_negative_mask(case):
+    """Give a negative bitmask to the set-system constructor or to play."""
+    if case == "set system":
+        SetSystem.explicit(2, [-1])
+        return
+    feedback, method, answer = {
+        "finalized set": ("partial", "finalize_sets", [-1]),
+        "revealed set": ("set_valued", "reveal_set", -1),
+    }[case]
+    adversary = _ZeroAdversary()
+    setattr(adversary, method, lambda *args: answer)
+    play_game(replace(two_constant_game(1), feedback=feedback), ScriptedLearner([0]), adversary)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [("set system", "SpecError"), ("finalized set", "ProtocolViolation"),
+     ("revealed set", "ProtocolViolation")],
+)
+def test_negative_bitmasks_are_refused(case, error):
+    # A negative int has set bits without end, so listing its labels for an
+    # error message ran until memory ran out. The case runs in a child
+    # process held to 400 MB of address space and 60 s, which fails the
+    # test with MemoryError or a timeout if the loop comes back.
+    paths = [str(Path(__file__).resolve().parent), str(Path(pflab.__file__).resolve().parents[1])]
+    child = (
+        f"import sys\nsys.path[:0] = {paths!r}\n"
+        "from test_game_core import _hand_over_negative_mask\n"
+        f"try:\n    _hand_over_negative_mask({case!r})\n"
+        "except Exception as e:\n    print(type(e).__name__)\n"
+    )
+    cap = 400 << 20
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.stdout.strip() == error, done.stderr
+
+
+@pytest.mark.parametrize("output", [0.5, 0.0, True, -1], ids=["float", "integral float", "bool", "negative"])
+def test_hypothesis_outputs_are_plain_ints_in_range(output):
+    # 0.5 and 0.0 were kept as outputs, and True as label 1.
+    with pytest.raises(SpecError, match="outside range"):
+        HypothesisClass.explicit(1, 2, [[0], [output]])
 
 
 @st.composite
