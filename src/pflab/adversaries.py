@@ -208,27 +208,21 @@ class CollisionFamily:
         b = hyp % self.modulus
         return (s * self.pool[x_index] + b) % self.modulus
 
-    def realizers(self, x_index: int, y: int):
-        """Hypothesis ids taking value y at this pool instance, slope order."""
-        x = self.pool[x_index]
-        out = []
-        for si, s in enumerate(self.slopes):
-            b = (y - s * x) % self.modulus
-            out.append(si * self.modulus + b)
-        return tuple(out)
-
 
 class CollisionAdversary(Adversary):
-    """Tracks reveal-realizer pairs and slot counters; answers with fresh labels.
+    """Tracks reveal-realizer pairs and charges; answers with fresh labels.
 
-    Per round: every tracked hypothesis matching the prediction gets its slot
-    charged (the shrinking instance pool guarantees at most one match); the
+    Every set of hypotheses is an int mask read from the class's
+    :meth:`~pflab.game.HypothesisClass.label_masks`, and the instance pool
+    is a mask too. Per round: every tracked hypothesis outputting the
+    prediction is charged (the shrinking pool guarantees at most one); the
     prediction's realizers are excluded for good; the reveal is the lowest
     label that no tracked or excluded hypothesis outputs here, and its
-    realizers become a new tracked pair. Instances where any two distinct
-    tracked hypotheses agree leave the pool. The ground truth picks each
-    pair's minimum-slot member, which pins the learner to at most half of the
-    charged matches.
+    realizers, in slope order, become a new tracked pair. An instance leaves
+    the pool once some label there is the output of a new pair member and of
+    at least one other tracked hypothesis. The ground truth picks each
+    pair's least-charged member (the lowest index on ties), which pins the
+    learner to at most half of the charged matches.
 
     The witness names hypotheses by family index and may need any set of up
     to ``horizon`` labels, so ``begin`` requires the layout of
@@ -256,83 +250,60 @@ class CollisionAdversary(Adversary):
         listed = sum(m.bit_count() <= k for m in system.masks)
         if system.max_size < k and listed < SetSystem.all_nonempty_up_to(spec.n_labels, k).size():
             raise SpecError(f"the set system must hold every nonempty set of at most {k} labels")
-        self._spec = spec
-        self._pool = set(range(spec.n_instances))
-        self._pairs = []
-        self._slots = []
-        self._excluded = set()
-        self._x = None
+        self._masks = tuple(map(H.label_masks, range(spec.n_instances)))
+        self._pool = (1 << spec.n_instances) - 1
+        self._tracked = self._excluded = 0
+        self._pairs = self._charged = ()
 
     def choose_instance(self) -> int:
         if not self._pool:
             raise PoolExhausted("no instance is free of tracked-hypothesis agreements")
-        self._x = min(self._pool)
-        return self._x
+        return next(iter_bits(self._pool))
 
     def reveal(self, x: int, prediction) -> int:
-        fam = self._family
-        yhat = _require_label(prediction)
-        for pair, slots in zip(self._pairs, self._slots):
-            for i, hyp in enumerate(pair):
-                if fam.value(hyp, x) == yhat:
-                    slots[i] += 1
-        self._excluded.update(fam.realizers(x, yhat))
-
-        blocked = set()
-        for pair in self._pairs:
-            for hyp in pair:
-                blocked.add(fam.value(hyp, x))
-        for hyp in self._excluded:
-            blocked.add(fam.value(hyp, x))
-        y = next((lbl for lbl in range(fam.modulus) if lbl not in blocked), None)
+        masks = self._masks[x]
+        realizers = masks[_require_label(prediction)]
+        self._charged += tuple(iter_bits(realizers & self._tracked))
+        self._excluded |= realizers
+        busy = self._tracked | self._excluded
+        y = next((y for y, hs in enumerate(masks) if not hs & busy), None)
         if y is None:
             raise PoolExhausted("every label here is claimed by bookkeeping")
-
-        new_pair = fam.realizers(x, y)
-        tracked = [hyp for pair in self._pairs for hyp in pair]
-        self._pairs.append(new_pair)
-        self._slots.append([0] * len(new_pair))
-        doomed = set()
-        for x2 in self._pool:
-            for a_i, a in enumerate(new_pair):
-                va = fam.value(a, x2)
-                for b in tracked:
-                    if fam.value(b, x2) == va:
-                        doomed.add(x2)
-                        break
-                else:
-                    for b in new_pair[a_i + 1:]:
-                        if fam.value(b, x2) == va:
-                            doomed.add(x2)
-                            break
-                if x2 in doomed:
-                    break
-        self._pool -= doomed
+        new = masks[y]
+        self._pairs += (new,)
+        tracked = self._tracked = self._tracked | new
+        for x2 in iter_bits(self._pool):
+            if any(hs & new and (hs & tracked).bit_count() > 1 for hs in self._masks[x2]):
+                self._pool ^= 1 << x2
         return y
 
     def _ground_truth(self):
-        members = []
-        for pair, slots in zip(self._pairs, self._slots):
-            best = min(range(len(pair)), key=lambda i: (slots[i], i))
-            members.append(pair[best])
-        return tuple(sorted(members))
+        return tuple(sorted(min(iter_bits(pair), key=self._charged.count) for pair in self._pairs))
 
     def finalize_sets(self, view):
-        fam = self._family
-        members = self._ground_truth()
-        return [
-            mask_of(fam.value(h, x) for h in members) for x in view.instances
-        ]
+        truth = mask_of(self._ground_truth())
+        return [mask_of(y for y, hs in enumerate(self._masks[x]) if hs & truth) for x in view.instances]
 
     def witness_collection(self):
         return self._ground_truth()
 
 
+def _attribute_copy(adversary: Adversary) -> Adversary:
+    """A twin of ``adversary`` holding the same attribute values, not copies of them."""
+    twin = object.__new__(type(adversary))
+    twin.__dict__.update(adversary.__dict__)
+    return twin
+
+
 class _FreshInstanceAdversary(Adversary):
     """Plays instance ``t`` in round ``t``, so it needs one instance per round.
 
-    Subclasses call this ``begin`` from their own.
+    Subclasses call this ``begin`` from their own. After ``begin`` each one
+    holds only immutable values, which play rebinds and never mutates, so a
+    fork copies the attribute dict and shares the values.
     """
+
+    fork = _attribute_copy
 
     def begin(self, spec: GameSpec) -> None:
         if spec.n_instances < spec.horizon:
@@ -343,13 +314,6 @@ class _FreshInstanceAdversary(Adversary):
         x = self._round
         self._round += 1
         return x
-
-
-def _attribute_copy(adversary: Adversary) -> Adversary:
-    """A twin of ``adversary`` holding the same attribute values, not copies of them."""
-    twin = object.__new__(type(adversary))
-    twin.__dict__.update(adversary.__dict__)
-    return twin
 
 
 class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
@@ -381,10 +345,6 @@ class TwoConstantAgnosticAdversary(_FreshInstanceAdversary):
         else:
             p0 = Fraction(1) if prediction == 0 else Fraction(0)
         return 1 if p0 >= Fraction(1, 2) else 0
-
-    def fork(self) -> "TwoConstantAgnosticAdversary":
-        # Only the round counter changes after ``begin``, and it is an int.
-        return _attribute_copy(self)
 
     def finalize_sets(self, view):
         reveals = view.reveals
@@ -439,10 +399,6 @@ class CubeAdversary(_FreshInstanceAdversary):
         raise LabelPoolExhausted(
             f"every one of the spec's {self._n_labels} labels carries mass above {limit}"
         )
-
-    def fork(self) -> "CubeAdversary":
-        # Only the round counter changes after ``begin``, and it is an int.
-        return _attribute_copy(self)
 
     def finalize_sets(self, view):
         n = self._n_labels
@@ -516,9 +472,9 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
                 "the candidate count must be exactly 2 to the number of rounds"
             )
         self._check_layout(spec)
-        self._candidates = set(range(self._n_cand))
-        self._predicted = set()
-        self._reveals = []
+        self._candidates = (1 << self._n_cand) - 1
+        self._predicted = 0
+        self._reveals = ()
 
     def _check_layout(self, spec: GameSpec) -> None:
         cands = range(self._n_cand)
@@ -552,17 +508,14 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         yhat = _require_label(prediction)
         j = len(self._reveals)
         if yhat < self._n_cand:
-            self._predicted.add(yhat)
-            if yhat in self._candidates:
-                bit = 1 - ((yhat >> j) & 1)
-            else:
-                bit = 0
+            self._predicted |= 1 << yhat
+            bit = 1 - ((yhat >> j) & 1) if (self._candidates >> yhat) & 1 else 0
             y = self._half_for_bit(bit)
         else:
             y = self._minus + self._plus - yhat
             bit = self._bit_for_half(y)
-        self._reveals.append(y)
-        self._candidates = {c for c in self._candidates if ((c >> j) & 1) == bit}
+        self._reveals += (y,)
+        self._candidates = mask_of(c for c in iter_bits(self._candidates) if (c >> j) & 1 == bit)
         return y
 
     def reveal_set(self, x: int, prediction) -> int:
@@ -572,8 +525,7 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         return (1 << c_star) | (1 << y)
 
     def _survivor(self) -> int:
-        leftovers = self._candidates - self._predicted
-        return min(leftovers)
+        return next(iter_bits(self._candidates & ~self._predicted))
 
     def finalize_sets(self, view):
         c_star = self._survivor()

@@ -49,7 +49,7 @@ from .learners import make_learner
 from .measure_dims import minimax_rand_regret, pms_dim, ppms_dim
 from .measures import Measure
 from .replicate import CHECKS, format_table, run_checks
-from .setsystems import helly_number, inseparability_report, labels_of
+from .setsystems import inseparability_report, labels_of
 from .specfile import load_spec_file
 
 CSV_HEADER = "spec,task,horizon,gamma,grid,value_num,value_den,runtime_ms,truncated"
@@ -372,8 +372,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_setsys(args) -> int:
     system = load_spec_file(args.spec).spec.set_system
-    p = helly_number(system) if args.p is None else args.p
-    report = inseparability_report(system, p, truncated=args.truncated)
+    report = inseparability_report(system, args.p, truncated=args.truncated)
     fields = [
         ("spec", args.spec),
         ("task", "setsys"),
@@ -381,7 +380,7 @@ def _cmd_setsys(args) -> int:
         ("sets", system.size()),
         ("helly", report["helly"]),
         ("condition1_holds", report["condition1_holds"]),
-        ("condition2_holds", f"{report['condition2_holds']} (witness p = {p})"),
+        ("condition2_holds", f"{report['condition2_holds']} (witness p = {report['p']})"),
         ("truncated", report["truncated"]),
         ("union_closed", system.union_closed()),
         ("singletons_included", system.singletons_included()),

@@ -235,7 +235,6 @@ import functools
 import itertools
 import math
 import operator
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -244,19 +243,9 @@ from .game import Collection, GameSpec
 from .measures import Measure, grid_columns, measure_grid
 from .setsystems import iter_bits, mask_of
 
+
 def states_budget() -> int:
     return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
-
-
-@contextmanager
-def _depth_guard(rounds: int):
-    """Report a recursion deeper than Python's stack allows as a budget rejection."""
-    try:
-        yield
-    except RecursionError:
-        raise BudgetExceeded(
-            f"minimax recursion over {rounds} rounds exceeds Python's recursion limit"
-        ) from None
 
 
 class CollectionEngine:
@@ -704,12 +693,18 @@ class CollectionEngine:
 
         Null-window tests of ``value >= w`` ascend from the top score through
         every value of the form level score + integer; the last passing ``w``
-        is the value.
+        is the value. Every entry point searches through here, so a search
+        deeper than Python's stack allows leaves as a budget rejection.
         """
         v = levels[-1][0]
         w = _above(levels, v)
-        while self._test(levels, alive, rounds, w):
-            v, w = w, _above(levels, w)
+        try:
+            while self._test(levels, alive, rounds, w):
+                v, w = w, _above(levels, w)
+        except RecursionError:
+            raise BudgetExceeded(
+                f"minimax recursion over {rounds} rounds exceeds Python's recursion limit"
+            ) from None
         return v
 
     def _child_value(self, levels: tuple, keep: int, inc, child_depth: int):
@@ -739,8 +734,7 @@ class CollectionEngine:
 
     def value(self, base, levels, rounds: int):
         """Exact minimax value of the state ``(base, levels)`` over ``rounds`` more rounds."""
-        with _depth_guard(rounds):
-            return base + self._solve(levels, alive_mask(levels), rounds)
+        return base + self._solve(levels, alive_mask(levels), rounds)
 
     def best_instance(self, base, levels, rounds: int) -> int:
         """Lowest instance achieving the state's value (adversary's move).
@@ -750,25 +744,23 @@ class CollectionEngine:
         is the top score, which every edge's worst case reaches.
         """
         alive = alive_mask(levels)
-        with _depth_guard(rounds):
-            v = self._solve(levels, alive, rounds)
-            for x in range(self.spec.n_instances):
-                if v <= levels[-1][0] or all(
-                    any(
-                        self._child_value(levels, keep, inc, rounds - 1) >= v
-                        for _, keep in reveals
-                    )
-                    for reveals, edges in self._moves(alive, x)
-                    for inc in edges
-                ):
-                    return x
+        v = self._solve(levels, alive, rounds)
+        for x in range(self.spec.n_instances):
+            if v <= levels[-1][0] or all(
+                any(
+                    self._child_value(levels, keep, inc, rounds - 1) >= v
+                    for _, keep in reveals
+                )
+                for reveals, edges in self._moves(alive, x)
+                for inc in edges
+            ):
+                return x
 
     def edge_worst_values(self, base, levels, x, child_depth):
         """Exact worst-case child value for every edge, in edge order."""
-        with _depth_guard(child_depth):
-            return self._per_edge(alive_mask(levels), x, lambda reveals, edges: [
-                base + self._edge_worst(levels, inc, reveals, child_depth)[0] for inc in edges
-            ])
+        return self._per_edge(alive_mask(levels), x, lambda reveals, edges: [
+            base + self._edge_worst(levels, inc, reveals, child_depth)[0] for inc in edges
+        ])
 
     def edge_worst_bounds(self, base, levels, x, child_depth):
         """Upper bound on every entry of :meth:`edge_worst_values`, without any search.
@@ -802,8 +794,7 @@ class CollectionEngine:
         alive = alive_mask(levels)
         entry, cls = self._positions(alive, x)[edge_index]
         reveals, edges = self._moves(alive, x)[entry]
-        with _depth_guard(child_depth):
-            return self._edge_worst(levels, edges[cls], reveals, child_depth)[1]
+        return self._edge_worst(levels, edges[cls], reveals, child_depth)[1]
 
 
 class _VersionSpaceEngine(CollectionEngine):

@@ -92,9 +92,9 @@ def collision_game(family: CollisionFamily | None = None, horizon: int = 8) -> G
     """Affine residue tables with a bounded set system sized to the horizon.
 
     Pairs of distinct hypotheses agree on at most one pool instance, which
-    lets slot-counting adversarial play charge every learner near one miss
-    per round while a ground-truth collection of one hypothesis per round
-    stays feasible. The bounded system admits all nonempty sets up to the
+    lets the collision adversary charge every learner near one miss per
+    round while a ground-truth collection of one hypothesis per round stays
+    feasible. The bounded system admits all nonempty sets up to the
     horizon size.
     """
     fam = family or CollisionFamily()

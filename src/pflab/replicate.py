@@ -305,8 +305,8 @@ def check_small_helly_measure_equals_label() -> CheckResult:
     failures = []
     points = 0
     for slug, spec in list(small_binary_family()) + list(ternary_slice()):
-        p = helly_number(spec.set_system)
-        rep = inseparability_report(spec.set_system, p)
+        rep = inseparability_report(spec.set_system)
+        p = rep["p"]
         if not rep["condition2_holds"]:
             failures.append(f"{slug}: report rejected its own overlap witness")
             continue

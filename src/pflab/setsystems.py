@@ -52,6 +52,13 @@ def labels_of(mask: int) -> tuple[int, ...]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first; :class:`ValueError` on a negative mask.
+
+    A negative int has set bits without end, so it is refused before the
+    first bit is read.
+    """
+    if mask < 0:
+        raise ValueError(f"a bitmask must be nonnegative, got {mask}")
     y = 0
     while mask:
         if mask & 1:
@@ -310,7 +317,7 @@ def _spend(ticks) -> None:
         )
 
 
-def inseparability_report(system: SetSystem, p: int, truncated: bool = False) -> dict:
+def inseparability_report(system: SetSystem, p: int | None = None, truncated: bool = False) -> dict:
     """Check the two sufficient conditions for grid-exactness of the minimax value.
 
     Condition (1): every subfamily with empty intersection contains a nested
@@ -329,13 +336,17 @@ def inseparability_report(system: SetSystem, p: int, truncated: bool = False) ->
 
     Both conditions are read off :func:`helly_number`, so the report costs
     one Helly search (a closed form on a bounded system) and no member cap.
+    ``p`` defaults to the Helly number itself, the smallest ``p`` for which
+    condition (2) holds; the report names the ``p`` it checked.
     """
-    if p < 1:
+    if p is not None and p < 1:
         raise SpecError(f"p must be a positive integer, got {p}")
     h = helly_number(system)
+    p = h if p is None else p
     return {
         "condition1_holds": h == 1,
         "condition2_holds": h <= p,
         "helly": h,
+        "p": p,
         "truncated": truncated,
     }

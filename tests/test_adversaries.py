@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from pflab import (
+    CollisionAdversary,
+    CollisionFamily,
     CubeAdversary,
     GameSpec,
     HypothesisClass,
@@ -23,6 +25,7 @@ from pflab import (
     UniformPrefixLearner,
     VersionSpacePruningLearner,
     agnostic_game,
+    collision_game,
     cube_game,
     make_adversary,
     make_learner,
@@ -157,6 +160,18 @@ def test_prefix_parity_rejects_another_layout():
     ):
         with pytest.raises(SpecError):
             play_game(other, make_learner("constant", {"label": 0}), PrefixParityAdversary())
+
+
+def test_collision_needs_an_explicit_class():
+    # With one instance and slope 0 the all-functions class over 3 labels
+    # holds the family's three tables, but the adversary reads the class's
+    # label masks, which only an explicit class has.
+    fam = CollisionFamily(modulus=3, slopes=(0,), pool=(0,))
+    spec = collision_game(fam, horizon=1)
+    assert play_game(spec, make_learner("constant", {}), CollisionAdversary(fam)).regret == 1
+    spec = replace(spec, hypotheses=HypothesisClass.all_functions(1, 3))
+    with pytest.raises(SpecError, match="label masks need an explicit hypothesis class"):
+        play_game(spec, make_learner("constant", {}), CollisionAdversary(fam))
 
 
 def test_cube_needs_every_co_singleton():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import pflab.cli
+import pflab.setsystems
 from pflab import GridTooLarge, build_admissible_collections, load_spec_file, pfl_dim, pms_dim
 from pflab.cli import CSV_HEADER, main
 from pflab.engine import CollectionEngine
@@ -132,6 +134,25 @@ def test_setsys_report(capsys):
     code, out, _ = run(capsys, ["setsys", OVERLAP, "--p", "2"])
     assert code == 0
     assert "condition2_holds: False" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--p", "2"]], ids=["default-p", "given-p"])
+def test_setsys_runs_one_helly_search(capsys, monkeypatch, extra):
+    # The report's search is the only one, with or without --p. Calls are
+    # counted through both bindings, so a search in the command shows too.
+    calls = 0
+    search = pflab.setsystems.helly_number
+
+    def counted(system):
+        nonlocal calls
+        calls += 1
+        return search(system)
+
+    monkeypatch.setattr(pflab.cli, "helly_number", counted, raising=False)
+    monkeypatch.setattr(pflab.setsystems, "helly_number", counted)
+    code, _, _ = run(capsys, ["setsys", OVERLAP, *extra])
+    assert code == 0
+    assert calls == 1
 
 
 @pytest.mark.parametrize(
@@ -321,9 +342,11 @@ def test_value_commands_pinned(capsys, monkeypatch, pin):
     Each entry of ``cli_pins.json`` holds one command, run from the repository
     root on ``specs/*.yaml`` or ``tests/specs/*.yaml``, with the output it
     must give. The specs under ``tests/`` are the ones the sample-spec loop
-    in CI does not run: most are rejected (exit 2 or 3), and the two
+    in CI does not run: most are rejected (exit 2 or 3), the two
     ``witness_*`` specs drive play through the realizability witness search
-    to a pass (exit 0) and a verification failure (exit 1).
+    to a pass (exit 0) and a verification failure (exit 1), and
+    ``collision_mod7`` and ``prefix_parity_t2`` pin whole games against the
+    collision and prefix-parity adversaries.
     """
     monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, pin["argv"])

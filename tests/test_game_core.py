@@ -321,7 +321,10 @@ def test_strategy_sets_and_loss_bits_must_be_ints(feedback, method, answer):
 
 
 def _hand_over_negative_mask(case):
-    """Give a negative bitmask to the set-system constructor or to play."""
+    """Give a negative bitmask to a bit lister, the set-system constructor or play."""
+    if case in ("iter_bits", "labels_of"):
+        list(getattr(pflab.setsystems, case)(-1))
+        return
     if case == "set system":
         SetSystem.explicit(2, [-1])
         return
@@ -336,8 +339,8 @@ def _hand_over_negative_mask(case):
 
 @pytest.mark.parametrize(
     "case, error",
-    [("set system", "SpecError"), ("finalized set", "ProtocolViolation"),
-     ("revealed set", "ProtocolViolation")],
+    [("iter_bits", "ValueError"), ("labels_of", "ValueError"), ("set system", "SpecError"),
+     ("finalized set", "ProtocolViolation"), ("revealed set", "ProtocolViolation")],
 )
 def test_negative_bitmasks_are_refused(case, error):
     # A negative int has set bits without end, so listing its labels for an
