@@ -164,22 +164,14 @@ class SeededRandomAdversary(_CollectionAdversary):
 
 
 def _uniform_bit(rng: random.Random, mask: int) -> int:
-    """``rng.choice(list(iter_bits(mask)))``, in time linear in the mask's width.
+    """``rng.choice(list(iter_bits(mask)))``, with the bits listed in linear time.
 
-    It draws the same single ``_randbelow`` that ``choice`` does, so the
-    generator moves the same way and the same bit comes out, then finds
-    that set bit by scanning the binary string from its low end rather than
-    listing the bits one shift at a time.
+    The set bits are read off the binary string in one pass: shifting them
+    out one at a time is quadratic in the width of a wide alive mask. An
+    empty mask raises :class:`IndexError`, as ``choice`` does.
     """
-    count = mask.bit_count()
-    if not count:
-        raise IndexError("Cannot choose from an empty sequence")
-    k = rng._randbelow(count)
     digits = bin(mask)[:1:-1]  # bit i at position i
-    at = -1
-    for _ in range(k + 1):
-        at = digits.index("1", at + 1)
-    return at
+    return rng.choice([i for i, d in enumerate(digits) if d == "1"])
 
 
 # -- collision bookkeeping ---------------------------------------------------------

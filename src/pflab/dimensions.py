@@ -162,15 +162,24 @@ def naive_tree_oracle(
 
     The feasibility guard bounds ``(n_instances * n_labels)`` raised to the
     number of internal nodes by ``budget`` (default one million); beyond that
-    the enumeration is hopeless and :class:`BudgetExceeded` is raised.
+    the enumeration is hopeless and :class:`BudgetExceeded` is raised. The
+    guard multiplies in one factor at a time and stops once the count passes
+    the budget, so it never builds the power itself.
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
     limit = env_budget("PFLAB_BUDGET_ORACLE", 1_000_000) if budget is None else budget
-    internal = sum(spec.n_labels ** i for i in range(d))
-    if (spec.n_instances * spec.n_labels) ** internal > limit:
+    # Each factor is at least 2, so the count passes limit within
+    # limit.bit_length() + 1 factors, and a depth-d tree has at least d internal
+    # nodes: past that depth d stands in for their number, which is not computed.
+    internal = d if d > limit.bit_length() else sum(spec.n_labels ** i for i in range(d))
+    count, factors = 1, 0
+    while count <= limit and factors < internal:
+        count, factors = count * spec.n_instances * spec.n_labels, factors + 1
+    if count > limit:
         raise BudgetExceeded(
-            f"naive oracle guard: ({spec.n_instances}*{spec.n_labels})^{internal} exceeds {limit}"
+            f"naive oracle guard: a depth-{d} tree has at least {factors} internal nodes, "
+            f"and ({spec.n_instances}*{spec.n_labels})^{factors} exceeds {limit}"
         )
     collections = distinct_images(build_admissible_collections(spec))
     if q <= 0:

@@ -272,10 +272,8 @@ class CollectionEngine:
         if kind == "label":
             # The loss kind on the grid of point masses, whose edges are the labels.
             self.g = 1
-            self._edges: list | None = list(range(spec.n_labels))
         else:
             self.g = grid if grid is not None else spec.measure_grid
-            self._edges = None
         # The grid as one column of counts per label, a count per edge. The
         # label kind's grid has one point per label, so the grid budget never
         # rejects it.
@@ -299,16 +297,16 @@ class CollectionEngine:
         self._edge_cache: dict = {}
         self._group_cache: list = [None] * spec.n_instances
 
-    @property
+    @functools.cached_property
     def edges(self) -> list:
         """The learner's moves in edge order: labels, or grid measures.
 
-        Grid measures are built on the first read; the search itself
-        works on their count tuples only.
+        Both are built on the first read; the search itself works on the
+        grid's count tuples only.
         """
-        if self._edges is None:
-            self._edges = measure_grid(self.spec.n_labels, self.g)
-        return self._edges
+        if self.kind == "label":
+            return list(range(self.spec.n_labels))
+        return measure_grid(self.spec.n_labels, self.g)
 
     # -- increments ---------------------------------------------------------
 
@@ -807,20 +805,24 @@ class _VersionSpaceEngine(CollectionEngine):
     entry point reads this table; ``best_reveal`` names the revealed set.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._without_cache: dict = {}
-
     def _maximal_without(self, y: int) -> list:
         """The maximal sets of an explicit family that exclude label ``y``."""
         sets = [s for s in self.spec.set_system.masks if not (s >> y) & 1]
         return [s for s in sets if not any(s != t and s & t == s for t in sets)]
 
+    @functools.cached_property
+    def _without(self) -> tuple:
+        """:meth:`_maximal_without` of every label, built once per engine.
+
+        The sets depend on the family and the label only.
+        """
+        return tuple(map(self._maximal_without, range(self.spec.n_labels)))
+
     def _label_reveals(self, alive: int, x: int) -> list:
         """Per label, its reveal classes as a ``{survivor mask: set}`` dict.
 
         The sets are the maximal family sets that exclude the label
-        (:meth:`_maximal_without`, built once per label and engine), and
+        (:attr:`_without`, built once per label and engine), and
         each nonzero survivor mask keeps the first set giving it. Under
         ``all_nonempty_up_to: K`` those sets are the remaining alive labels
         when at most ``K`` remain, and otherwise their ``K``-subsets.
@@ -831,10 +833,7 @@ class _VersionSpaceEngine(CollectionEngine):
         out = []
         for y in range(self.spec.n_labels):
             if system.kind == "explicit":
-                # They depend on the family and the label only: built once per label.
-                sets = self._without_cache.get(y)
-                if sets is None:
-                    sets = self._without_cache[y] = self._maximal_without(y)
+                sets = self._without[y]
             else:
                 rest = labels & ~(1 << y)
                 sets = (

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Optional, Union
 
@@ -111,14 +111,7 @@ class HypothesisClass:
     def value(self, h: int, x: int) -> int:
         if self.kind == "explicit":
             return self.rows[h][x]
-        powers = getattr(self, "_powers", None)
-        if powers is None:
-            powers = tuple(
-                self.n_labels ** (self.n_instances - 1 - x)
-                for x in range(self.n_instances)
-            )
-            object.__setattr__(self, "_powers", powers)
-        return (h // powers[x]) % self.n_labels
+        return h // self.n_labels ** (self.n_instances - 1 - x) % self.n_labels
 
     def __deepcopy__(self, memo):
         return self
@@ -143,38 +136,48 @@ class HypothesisClass:
         built for all instances on first use and cached. An all-functions
         class has no table, and its callers use closed forms instead.
         """
-        table = getattr(self, "_label_masks", None)
-        if table is None:
-            if self.kind != "explicit":
-                raise SpecError("label masks need an explicit hypothesis class")
-            table = [[0] * self.n_labels for _ in range(self.n_instances)]
-            for h, row in enumerate(self.rows):
-                for col, y in enumerate(row):
-                    table[col][y] |= 1 << h
-            table = tuple(map(tuple, table))
-            object.__setattr__(self, "_label_masks", table)
-        return table[x]
+        return self._label_masks[x]
 
+    @cached_property
+    def _label_masks(self) -> tuple[tuple[int, ...], ...]:
+        """The :meth:`label_masks` table of every instance.
+
+        An all-functions class raises :class:`SpecError` on every read, since
+        a raised exception is not cached.
+        """
+        if self.kind != "explicit":
+            raise SpecError("label masks need an explicit hypothesis class")
+        table = [[0] * self.n_labels for _ in range(self.n_instances)]
+        for h, row in enumerate(self.rows):
+            for col, y in enumerate(row):
+                table[col][y] |= 1 << h
+        return tuple(map(tuple, table))
+
+    @cached_property
     def _row_words(self) -> "_RowWords":
-        """This class's row-word memo (see :class:`_RowWords`), made on first use."""
-        words = getattr(self, "_words", None)
-        if words is None:
-            words = _RowWords(self)
-            object.__setattr__(self, "_words", words)
-        return words
+        """This class's row-word memo (see :class:`_RowWords`)."""
+        return _RowWords(self)
 
     def index_of_row(self, row: Sequence[int]) -> int:
-        """The index of the hypothesis with this row; :class:`KeyError` if none."""
+        """The index of the hypothesis with this row; :class:`KeyError` if none.
+
+        A row of the wrong length, or with a label outside ``range(n_labels)``,
+        is in neither kind of class.
+        """
+        if len(row) != self.n_instances:
+            raise KeyError(tuple(row))
         if self.kind == "explicit":
-            found = (1 << self.size) - 1 if len(row) == self.n_instances else 0
-            for x, y in enumerate(row if found else ()):
+            found = (1 << self.size) - 1
+            for x, y in enumerate(row):
                 found &= self.label_masks(x)[y] if 0 <= y < self.n_labels else 0
             if not found:
                 raise KeyError(tuple(row))
             return found.bit_length() - 1
         h = 0
-        for v in row:
-            h = h * self.n_labels + v
+        for y in row:
+            if not 0 <= y < self.n_labels:
+                raise KeyError(tuple(row))
+            h = h * self.n_labels + y
         return h
 
 
@@ -296,7 +299,7 @@ def collection_of(spec: GameSpec, members) -> Collection:
         raise SpecError("a collection must contain at least one hypothesis")
     if ms[0] < 0 or ms[-1] >= H.size:
         raise SpecError(f"collection members {ms} lie outside range({H.size})")
-    word = reduce(or_, map(H._row_words().__getitem__, ms))
+    word = reduce(or_, map(H._row_words.__getitem__, ms))
     L = H.n_labels
     field = (1 << L) - 1
     images = tuple(word >> shift & field for shift in range(0, spec.n_instances * L, L))

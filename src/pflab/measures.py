@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import comb
 from operator import iadd
@@ -90,17 +90,14 @@ class Measure:
         """Bitmask of the labels with positive weight.
 
         ``weights`` is immutable, so the mask is computed on first use and
-        cached on the instance; equality, hashing and copying still read
-        ``weights`` alone.
+        cached on the instance (``_support``); equality, hashing and copying
+        still read ``weights`` alone.
         """
-        m = getattr(self, "_support", None)
-        if m is None:
-            m = 0
-            for y, w in enumerate(self.weights):
-                if w:
-                    m |= 1 << y
-            object.__setattr__(self, "_support", m)
-        return m
+        return self._support
+
+    @cached_property
+    def _support(self) -> int:
+        return sum(1 << y for y, w in enumerate(self.weights) if w)
 
     def is_delta(self) -> bool:
         return any(w == 1 for w in self.weights)

@@ -27,6 +27,7 @@ and hash, which the minimax recursions lean on heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
@@ -130,7 +131,7 @@ class SetSystem:
             return False
         if self.kind == "bounded":
             return mask.bit_count() <= self.max_size
-        return mask in self._member_index()
+        return mask in self._member_index
 
     def superset_exists(self, mask: int) -> bool:
         """Does some member set contain every label of ``mask``?
@@ -164,12 +165,7 @@ class SetSystem:
                 return full, full
             hit = mask if size == self.max_size else 0
             return hit, hit
-        # masks is immutable, so the answer to each distinct mask is cached.
-        known = getattr(self, "_answers", None)
-        if known is None:
-            known = {}
-            object.__setattr__(self, "_answers", known)
-        hit = known.get(mask)
+        hit = self._answers.get(mask)
         if hit is None:
             span = fill = 0
             for m in self.masks:
@@ -178,16 +174,20 @@ class SetSystem:
                     rest = m ^ mask
                     if rest & (rest - 1) == 0:
                         fill |= rest or mask
-            hit = known[mask] = (span, fill)
+            hit = self._answers[mask] = (span, fill)
         return hit
 
+    # ``masks`` is immutable, so the tables below are derived once per instance.
+
+    @cached_property
+    def _answers(self) -> dict:
+        """:meth:`span_fill`'s answer to each distinct mask asked of an explicit system."""
+        return {}
+
+    @cached_property
     def _member_index(self) -> frozenset:
-        # masks is immutable, so caching on the instance is safe.
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = frozenset(self.masks)
-            object.__setattr__(self, "_idx", idx)
-        return idx
+        """The member masks as a set, for :meth:`contains`."""
+        return frozenset(self.masks)
 
     # -- enumeration ----------------------------------------------------------
 

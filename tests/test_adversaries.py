@@ -269,3 +269,18 @@ def test_random_adversary_picks_a_wide_alive_mask_as_choice_would():
             adversary._rng, adversary._pick = random.Random(seed), None
             adversary._state = (0, ((0, mask),))
             assert adversary._chosen() == random.Random(seed).choice(list(iter_bits(mask)))
+    # Dense, full, single-bit and two-bit masks up to 20,000 bits wide.
+    for width in (31, 32, 33, 64, 65, 1000, 20_000):
+        top = 1 << width - 1
+        for mask in (rng.getrandbits(width) | top, (top << 1) - 1, top, top | 1):
+            bits = list(iter_bits(mask))
+            for seed in range(4):
+                adversary._rng, adversary._pick = random.Random(seed), None
+                adversary._state = (0, ((0, mask),))
+                reference = random.Random(seed)
+                assert adversary._chosen() == reference.choice(bits)
+                assert adversary._rng.getstate() == reference.getstate()
+    adversary._rng, adversary._pick = random.Random(0), None
+    adversary._state = (0, ((0, 0),))
+    with pytest.raises(IndexError):
+        adversary._chosen()

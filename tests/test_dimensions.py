@@ -161,9 +161,30 @@ def test_tampered_tree_is_rejected():
 
 
 def test_naive_oracle_guard():
+    """The guard raises exactly when ``(n_x * n_y) ** internal > budget``.
+
+    It multiplies in one factor at a time rather than building the power,
+    and past depth ``budget.bit_length()`` it does not count the nodes.
+    """
     spec = two_constant_game()
     with pytest.raises(BudgetExceeded):
         naive_tree_oracle(spec, 20, 1)
+    for n_x, n_y in [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]:
+        spec = GameSpec(
+            n_instances=n_x,
+            n_labels=n_y,
+            set_system=SetSystem.full_power_set(n_y),
+            hypotheses=HypothesisClass.explicit(n_x, n_y, [[0] * n_x, [1] * n_x]),
+            horizon=1,
+        )
+        for d in range(8):
+            internal = sum(n_y ** i for i in range(d))
+            for budget in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 63, 64, 81, 1000, 4096, 10**6):
+                if (n_x * n_y) ** internal > budget:
+                    with pytest.raises(BudgetExceeded, match="naive oracle guard"):
+                        naive_tree_oracle(spec, d, 0, budget=budget)
+                else:
+                    assert naive_tree_oracle(spec, d, 0, budget=budget).depth == d
 
 
 def test_sl_on_a_bounded_system_equals_the_listed_sets():

@@ -302,6 +302,27 @@ def _four_label_spec(seed):
     )
 
 
+def test_engine_tables_are_built_once():
+    """``edges`` and the version-space reveal sets are read from one table per engine.
+
+    Every read returns the identical object: the labels for the label kind,
+    the grid measures otherwise, and per label the maximal family sets
+    that exclude it.
+    """
+    spec = spec_from_seed(0, horizon=4)
+    n = spec.n_labels
+    for kind in KINDS:
+        eng = _engine(spec, kind)
+        edges = eng.edges
+        assert eng.edges is edges
+        assert edges == (list(range(n)) if kind == "label" else measure_grid(n, 2))
+    spec = _four_label_spec(0)
+    eng = _VersionSpaceEngine(spec, _hypotheses(spec))
+    without = eng._without
+    assert eng._without is without
+    assert without == tuple(map(eng._maximal_without, range(4)))
+
+
 def _engine_pair(seed, table):
     """``(engine, unpruned engine)`` on one generated spec, for a kind or a version-space variant."""
     if table in KINDS:

@@ -1,5 +1,7 @@
 """Core game mechanics checked against brute-force oracles."""
 
+import copy
+import dataclasses
 import random
 import resource
 import subprocess
@@ -21,6 +23,7 @@ from pflab import (
     GameSpec,
     HypothesisClass,
     Learner,
+    Measure,
     OptimalAdversary,
     ProtocolViolation,
     RealizabilityViolation,
@@ -28,6 +31,7 @@ from pflab import (
     SpecError,
     VersionSpacePruningLearner,
     build_admissible_collections,
+    collection_of,
     comparator_loss,
     cube_game,
     find_realizability_witness,
@@ -344,22 +348,36 @@ def _hand_over_negative_mask(case):
 )
 def test_negative_bitmasks_are_refused(case, error):
     # A negative int has set bits without end, so listing its labels for an
-    # error message ran until memory ran out. The case runs in a child
-    # process held to 400 MB of address space and 60 s, which fails the
-    # test with MemoryError or a timeout if the loop comes back.
+    # error message ran until memory ran out.
+    done = _capped_child(f"_hand_over_negative_mask({case!r})")
+    assert done.stdout.strip() == error, done.stderr
+
+
+def test_naive_oracle_guard_builds_no_huge_power():
+    # The guard raised (n_x * n_y) to the number of internal nodes, itself a
+    # number of about 1,500 digits at depth 5000, so it ran until memory ran out.
+    done = _capped_child("pflab.naive_tree_oracle(two_constant_game(), 5000, 1)")
+    assert done.stdout.strip() == "BudgetExceeded", done.stderr
+
+
+def _capped_child(call: str) -> subprocess.CompletedProcess:
+    """Run ``call`` from this module in a child process; it prints the exception it raises.
+
+    The child is held to 400 MB of address space and 60 s, which fails the
+    caller with MemoryError or a timeout if the call runs away.
+    """
     paths = [str(Path(__file__).resolve().parent), str(Path(pflab.__file__).resolve().parents[1])]
     child = (
         f"import sys\nsys.path[:0] = {paths!r}\n"
-        "from test_game_core import _hand_over_negative_mask\n"
-        f"try:\n    _hand_over_negative_mask({case!r})\n"
+        "import test_game_core\n"
+        f"try:\n    exec({call!r}, vars(test_game_core))\n"
         "except Exception as e:\n    print(type(e).__name__)\n"
     )
     cap = 400 << 20
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
-    assert done.stdout.strip() == error, done.stderr
 
 
 @pytest.mark.parametrize("output", [0.5, 0.0, True, -1], ids=["float", "integral float", "bool", "negative"])
@@ -399,21 +417,52 @@ def test_label_masks_equal_a_scan_of_rows():
 
 
 def test_label_masks_raise_on_an_all_functions_class():
-    with pytest.raises(SpecError, match="explicit"):
-        HypothesisClass.all_functions(2, 3).label_masks(0)
+    H = HypothesisClass.all_functions(2, 3)
+    for _ in range(2):  # on every read: a raised error is not cached
+        with pytest.raises(SpecError, match="explicit"):
+            H.label_masks(0)
+
+
+def test_derived_tables_leave_the_frozen_objects_as_they_were():
+    """The tables read off a class, a set system and a measure are cached per instance.
+
+    After every table has been read, each object still refuses assignment,
+    equals and hashes like a fresh twin, and is its own deep copy; a second
+    read returns the identical table.
+    """
+    H = HypothesisClass.explicit(2, 3, [[0, 1], [2, 1], [1, 0]])
+    S = SetSystem.explicit(3, [0b011, 0b110, 0b101, 0b010])
+    m = Measure((Fraction(1, 2), 0, Fraction(1, 2)))
+    H.label_masks(0)
+    collection_of(GameSpec(2, 3, S, H, horizon=1), [0, 1])  # row words, member index
+    S.span_fill(0b010)
+    m.support_mask()
+    tables = {H: ("_label_masks", "_row_words"), S: ("_answers", "_member_index"), m: ("_support",)}
+    for obj, names in tables.items():
+        for name in names:
+            assert getattr(obj, name) is vars(obj)[name]
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+        twin = dataclasses.replace(obj)
+        assert not set(names) & set(vars(twin))
+        assert obj == twin and hash(obj) == hash(twin)
+        assert copy.deepcopy(obj) is obj
 
 
 def test_index_of_row_round_trips_and_misses_raise_key_error():
     rng = random.Random(6)
-    for _ in range(200):
-        H = random_class(rng)
-        for h, row in enumerate(H.rows):
+    classes = [random_class(rng) for _ in range(200)]
+    # An all-functions class holds every row of its shape, so only misshapen rows miss.
+    for H in classes + [HypothesisClass.all_functions(2, 2)]:
+        rows = [H.row(h) for h in range(H.size)]
+        for h, row in enumerate(rows):
             assert H.index_of_row(row) == h
             assert H.index_of_row(list(row)) == h
         absent = [
-            r for r in product(range(H.n_labels), repeat=H.n_instances) if r not in H.rows
+            r for r in product(range(H.n_labels), repeat=H.n_instances) if r not in rows
         ]
-        row = H.rows[0]
+        row = rows[0]
         misshapen = [row[:-1], row + (0,), row[:-1] + (H.n_labels,), row[:-1] + (-1,)]
         for miss in absent[:3] + misshapen:
             with pytest.raises(KeyError):
