@@ -58,7 +58,10 @@ def env_budget(name: str, default: int) -> int:
         return default
     if not text.strip().isdecimal():
         raise SpecError(f"{name} must be a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past Python's int conversion digit limit
+        raise SpecError(f"{name} has too many digits ({len(text.strip())})") from None
 
 
 class GridTooLarge(BudgetExceeded):

@@ -95,6 +95,9 @@ class SetSystem:
                 labels = tuple(m) if isinstance(m, Iterable) else (m,)
                 if not all(type(y) is int and y >= 0 for y in labels):
                     raise SpecError(f"set {m!r} is neither a bitmask nor a list of labels >= 0")
+                if any(y >= n_labels for y in labels):  # before 1 << y allocates y bits
+                    shown = tuple(sorted(set(labels)))
+                    raise SpecError(f"set {shown} uses labels outside range({n_labels})")
                 m = mask_of(labels)
             if m < 0:
                 raise SpecError(f"set bitmask {m} is negative")

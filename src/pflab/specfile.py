@@ -27,6 +27,15 @@ Shorthands: ``set_system: {all_nonempty_up_to: K}`` for the bounded family,
 ``set_system: {full_power_set: true}`` for all nonempty sets, and
 ``hypotheses: {all_functions: true}`` for the complete function class.
 Unknown and repeated keys anywhere are rejected, never ignored.
+
+A spec's rows and sets are tables of small ints, so the loader builds two
+kinds of node itself: a plain scalar that is ``0`` or ASCII digits without
+a leading zero becomes an ``int``, and a list of only such scalars becomes
+a list of ints. YAML 1.1 reads exactly these scalars as decimal ints, so
+the data is the same as PyYAML's safe loaders build. Every other node
+(signs, ``_``, octal, hex, sexagesimal, explicit tags, other scalars)
+goes through PyYAML's generic resolver and constructor, so its value and
+any error it raises are PyYAML's own.
 """
 
 from __future__ import annotations
@@ -70,6 +79,11 @@ def _fail(source: str, message: str) -> SpecFileError:
     return SpecFileError(f"{source}: {message}")
 
 
+def _sorted_keys(keys) -> list:
+    """Keys in order for a message; YAML keys of mixed types sort by text."""
+    return sorted(keys, key=lambda k: (str(k), repr(k)))
+
+
 def _require_int(source: str, data: dict, key: str, minimum: int) -> int:
     if key not in data:
         raise _fail(source, f"missing required key {key!r}")
@@ -85,7 +99,7 @@ def _parse_set_system(source: str, raw, n_labels: int) -> SetSystem:
     if isinstance(raw, dict):
         extra = set(raw) - {"all_nonempty_up_to", "full_power_set"}
         if extra or len(raw) != 1:
-            raise _fail(source, f"unrecognized set_system shorthand {sorted(raw)}")
+            raise _fail(source, f"unrecognized set_system shorthand {_sorted_keys(raw)}")
         if "all_nonempty_up_to" in raw:
             k = raw["all_nonempty_up_to"]
             if not isinstance(k, int) or isinstance(k, bool):
@@ -107,7 +121,7 @@ def _parse_set_system(source: str, raw, n_labels: int) -> SetSystem:
 def _parse_hypotheses(source: str, raw, n_instances: int, n_labels: int) -> HypothesisClass:
     if isinstance(raw, dict):
         if set(raw) != {"all_functions"} or raw["all_functions"] is not True:
-            raise _fail(source, f"unrecognized hypotheses shorthand {sorted(raw)}")
+            raise _fail(source, f"unrecognized hypotheses shorthand {_sorted_keys(raw)}")
         return HypothesisClass.all_functions(n_instances, n_labels)
     if not isinstance(raw, list):
         raise _fail(source, "hypotheses must be a list of rows or {all_functions: true}")
@@ -124,7 +138,7 @@ def _parse_strategy(source: str, raw, block: str) -> dict:
         raise _fail(source, f"{block} must be a map with name and params")
     extra = set(raw) - _STRATEGY_KEYS
     if extra:
-        raise _fail(source, f"unknown {block} keys {sorted(extra)}")
+        raise _fail(source, f"unknown {block} keys {_sorted_keys(extra)}")
     name = raw.get("name")
     if not isinstance(name, str):
         raise _fail(source, f"{block}.name must be a string")
@@ -142,7 +156,7 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
         raise _fail(source, "the document must be a mapping")
     extra = set(data) - _TOP_KEYS
     if extra:
-        raise _fail(source, f"unknown keys {sorted(extra)}")
+        raise _fail(source, f"unknown keys {_sorted_keys(extra)}")
 
     n_labels = _require_int(source, data, "labels", 2)
     n_instances = _require_int(source, data, "instances", 1)
@@ -163,7 +177,7 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
         raise _fail(source, "protocol must be a map")
     extra = set(protocol) - _PROTOCOL_KEYS
     if extra:
-        raise _fail(source, f"unknown protocol keys {sorted(extra)}")
+        raise _fail(source, f"unknown protocol keys {_sorted_keys(extra)}")
     for key in _PROTOCOL_KEYS:
         v = protocol.get(key)
         if v is not None and not isinstance(v, str):
@@ -200,12 +214,50 @@ def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
     return SpecDocument(spec=spec, source=source, learner=learner, adversary=adversary)
 
 
-class _UniqueKeys:
-    """Loader mixin that rejects a key repeated within one mapping.
+_INT_TAG = "tag:yaml.org,2002:int"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
 
-    Both ``yaml.CSafeLoader`` and ``yaml.SafeLoader`` build mappings through
-    this Python constructor, so one override serves either parser.
+
+def _plain_decimal(value) -> bool:
+    """True for ``0`` and ASCII digit runs without a leading zero.
+
+    These are the plain scalars YAML 1.1 reads as decimal ints; a leading
+    zero (octal), ``_``, a sign, ``0x`` or ``:`` is left to PyYAML.
     """
+    return (
+        type(value) is str and value.isascii() and value.isdigit()
+        and (value[0] != "0" or value == "0")
+    )
+
+
+class _SpecLoader:
+    """Loader mixin: rejects a key repeated within one mapping, and builds
+    plain decimal ints and lists of them without PyYAML's generic layer.
+
+    Both ``yaml.CSafeLoader`` and ``yaml.SafeLoader`` resolve tags and build
+    objects through these Python methods, so one override serves either
+    parser. A spec's tables are mostly small ints, and the generic path
+    tries a list of regexes per scalar and dispatches once per node; the
+    shortcuts give the same tags and the same objects for exactly the
+    scalars ``_plain_decimal`` accepts, and leave every other node to the
+    generic path.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _plain_decimal(value):
+            return _INT_TAG
+        return super().resolve(kind, value, implicit)
+
+    def construct_object(self, node, deep=False):
+        if node.tag == _INT_TAG and _plain_decimal(node.value):
+            return int(node.value)
+        if node.tag == _SEQ_TAG and node not in self.constructed_objects:
+            items = node.value
+            if all(n.tag == _INT_TAG and _plain_decimal(n.value) for n in items):
+                data = [int(n.value) for n in items]
+                self.constructed_objects[node] = data  # an alias yields this same list
+                return data
+        return super().construct_object(node, deep=deep)
 
     def construct_mapping(self, node, deep=False):
         if isinstance(node, yaml.MappingNode):
@@ -228,13 +280,32 @@ class _UniqueKeys:
 
 
 @lru_cache(maxsize=None)
-def _unique_keys(base):
-    return type(base.__name__, (_UniqueKeys, base), {})
+def _spec_loader(base):
+    return type(base.__name__, (_SpecLoader, base), {})
 
 
 def _read_yaml(path: str, loader):
     with open(path, "r", encoding="utf-8") as fh:
-        return yaml.load(fh, Loader=_unique_keys(loader))
+        return yaml.load(fh, Loader=_spec_loader(loader))
+
+
+def _read_spec_yaml(path: str):
+    try:
+        try:
+            return _read_yaml(path, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError:
+            return _read_yaml(path, yaml.SafeLoader)
+    except OSError as exc:
+        raise SpecFileError(f"{path}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text ({exc})") from exc
+    except yaml.YAMLError as exc:
+        message = " ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise SpecFileError(f"{path}: invalid YAML ({message})") from exc
+    except ValueError as exc:
+        # A scalar its constructor cannot convert: an int past Python's
+        # digit limit, or a bad date or explicitly tagged number.
+        raise SpecFileError(f"{path}: invalid YAML value ({exc})") from exc
 
 
 def load_spec_file(path: str) -> SpecDocument:
@@ -245,18 +316,11 @@ def load_spec_file(path: str) -> SpecDocument:
     the same data. A file libyaml rejects is parsed again by the pure loader,
     whose message is the one reported, so error text does not depend on
     whether libyaml is installed. A key repeated within one mapping is an
-    error, never a silent override.
+    error, never a silent override. An int too long for Python to convert,
+    or lists nested too deeply to load or report, give a one-line
+    :class:`SpecFileError` too.
     """
     try:
-        try:
-            data = _read_yaml(path, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError:
-            data = _read_yaml(path, yaml.SafeLoader)
-    except OSError as exc:
-        raise SpecFileError(f"{path}: cannot read file ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise SpecFileError(f"{path}: not UTF-8 text ({exc})") from exc
-    except yaml.YAMLError as exc:
-        message = " ".join(line.strip() for line in str(exc).splitlines() if line.strip())
-        raise SpecFileError(f"{path}: invalid YAML ({message})") from exc
-    return parse_spec_data(data, source=str(path))
+        return parse_spec_data(_read_spec_yaml(path), source=str(path))
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: data nested too deeply") from exc

@@ -262,12 +262,14 @@ def test_prefix_rand_out_of_range(capsys, prefix_x, prefix_reveal):
     assert err.startswith("spec error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
+# 5,000 digits is past int()'s conversion limit, which raised a bare ValueError (exit 1).
+@pytest.mark.parametrize("value", ["abc", "-1", pytest.param("9" * 5000, id="5000-digits")])
 def test_budget_variable_must_be_a_nonnegative_integer(capsys, monkeypatch, value):
     monkeypatch.setenv("PFLAB_BUDGET_STATES", value)
     code, _, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "1"])
     assert code == 2
     assert err.startswith("spec error:") and "PFLAB_BUDGET_STATES" in err
+    assert err.count("\n") == 1
 
 
 def test_negative_version_space_cap(capsys):

@@ -53,6 +53,15 @@ def test_explicit_rejects_bad_sets():
         SetSystem.explicit(2, [0b100])  # label out of range
 
 
+@pytest.mark.parametrize("label", [2, 2**40, 10**40])
+def test_a_label_list_is_range_checked_before_its_mask_is_built(label):
+    # The mask 1 << label would take label bits: 2**40 needs 128 GiB, and
+    # 10**40 ended in OverflowError, not a SpecError.
+    with pytest.raises(SpecError) as err:
+        SetSystem.explicit(2, [[0], [label, 1, label]])
+    assert str(err.value) == f"set (1, {label}) uses labels outside range(2)"
+
+
 @pytest.mark.parametrize(
     "entry", [[0.5], [0.0], [True], [-1], True, 1.0, None],
     ids=["float label", "integral float label", "bool label", "negative label",

@@ -1,19 +1,23 @@
 """YAML game files: parsing, defaults, shorthands, and rejection paths."""
 
+import json
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from pflab import (
     Feedback,
     Realizability,
     SetSystem,
+    SpecDocument,
     SpecFileError,
     Visibility,
     load_spec_file,
     parse_spec_data,
 )
+from pflab import specfile
 from pflab.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -221,3 +225,166 @@ def test_non_utf8_file_is_a_spec_error(tmp_path):
     p.write_bytes(b"\xff\xfe\x00labels: 2\n")
     with pytest.raises(SpecFileError, match="not UTF-8 text"):
         load_spec_file(p)
+
+
+HUGE = "9" * 5000  # past Python's default int conversion limit of 4300 digits
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_huge_integer_is_a_spec_error(tmp_path, monkeypatch, capsys, libyaml):
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    p = tmp_path / "big.yaml"
+    for text in (HEAD.replace("horizon: 1", f"horizon: {HUGE}"),
+                 HEAD.replace("[[0], [1]]\nhyp", f"[[0], [{HUGE}]]\nhyp")):
+        p.write_text(text)
+        with pytest.raises(SpecFileError) as err:
+            load_spec_file(p)
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith(f"{p}: invalid YAML value (") and "5000 digits" in message
+        assert main(["dim", str(p), "--what", "pfl", "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_deeply_nested_lists_are_a_spec_error(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    p = tmp_path / "deep.yaml"
+    p.write_text("labels: " + "[" * 3000 + "]" * 3000 + "\n")
+    with pytest.raises(SpecFileError, match="nested too deeply"):
+        load_spec_file(p)
+
+
+# Stock PyYAML is the reference: the spec loader builds the data these build.
+STOCK_LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []
+)
+EDGE_SCALARS = [
+    "0", "007", "08", "1_000", "+3", "-0", "0x1F", "0o7", "1:30", "1e3",
+    "true", "~", "'5'", "!!int '7'", "!!str 5", "٣", "12345678901234567890",
+]
+EDGE_DOCS = (
+    [f"v: {s}\n" for s in EDGE_SCALARS]
+    + [f"- {s}\n" for s in EDGE_SCALARS]
+    + [f"[{', '.join(EDGE_SCALARS)}]\n", "[[0, 1], [2, 012]]\n", "[]\n", "v: [[], [7]]\n"]
+)
+
+
+def _typed(data):
+    """``data`` with every value paired with its exact type, for comparison."""
+    if isinstance(data, list):
+        return (list, [_typed(v) for v in data])
+    if isinstance(data, dict):
+        return (dict, [(_typed(k), _typed(v)) for k, v in data.items()])
+    return (type(data), data)
+
+
+def _outcome(text, loader):
+    try:
+        return _typed(yaml.load(text, Loader=loader))
+    except yaml.YAMLError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("stock", STOCK_LOADERS, ids=lambda L: L.__name__)
+def test_spec_loader_matches_stock_pyyaml_on_edge_cases(stock):
+    spec_loader = specfile._spec_loader(stock)
+    for text in EDGE_DOCS:
+        assert _outcome(text, spec_loader) == _outcome(text, stock), text
+
+
+_SCALAR_TOKENS = st.one_of(
+    st.integers(-(10**25), 10**25).map(str),
+    st.from_regex(r"[-+]?[0-9][0-9_]{0,6}", fullmatch=True),
+    st.sampled_from(EDGE_SCALARS),
+    st.text(alphabet="0123456789abx_:+-.٣", min_size=1, max_size=6),
+)
+_FLOW_DOCS = st.recursive(
+    _SCALAR_TOKENS,
+    lambda inner: st.lists(inner, max_size=5).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=30,
+)
+
+
+@pytest.mark.parametrize("stock", STOCK_LOADERS, ids=lambda L: L.__name__)
+@settings(max_examples=200, deadline=None)
+@given(doc=_FLOW_DOCS)
+def test_spec_loader_matches_stock_pyyaml_on_generated_flow_documents(stock, doc):
+    spec_loader = specfile._spec_loader(stock)
+    for text in (doc + "\n", f"v: {doc}\n"):
+        assert _outcome(text, spec_loader) == _outcome(text, stock), text
+
+
+@pytest.mark.parametrize("stock", STOCK_LOADERS, ids=lambda L: L.__name__)
+def test_alias_of_an_int_list_is_one_list_object(stock):
+    text = "a: &x [1, 2]\nb: *x\n"
+    for loader in (stock, specfile._spec_loader(stock)):
+        data = yaml.load(text, Loader=loader)
+        assert data == {"a": [1, 2], "b": [1, 2]}
+        assert data["a"] is data["b"]
+
+
+def _yaml_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value if value.isidentifier() else json.dumps(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(_yaml_text(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_yaml_text(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+_LEAVES = st.one_of(
+    st.integers(-2, 6),
+    st.integers(0, 10**40),
+    st.booleans(),
+    st.sampled_from(["partial", "public", "cvsp", "yes", "null", "x", "1/2", ""]),
+)
+_VALUES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+# "7" and "true" load as an int and a bool key, beside the str keys.
+_SPEC_KEYS = ["labels", "instances", "set_system", "hypotheses", "horizon",
+              "protocol", "grid", "learner", "adversary", "mystery", "7", "true"]
+_MAP_KEYS = st.sampled_from(
+    ["name", "params", "feedback", "visibility", "all_functions", "all_nonempty_up_to",
+     "full_power_set", "x", "3", "false"]
+)
+
+
+# A valid game as YAML text per key; the fuzz below rewrites or drops keys.
+_BASE_TEXT = {"labels": "3", "instances": "2", "set_system": "[[0, 1], [1, 2]]",
+              "hypotheses": "[[0, 1], [2, 2]]", "horizon": "2"}
+
+
+@st.composite
+def _spec_texts(draw):
+    entries = dict(_BASE_TEXT)
+    for key in draw(st.lists(st.sampled_from(_SPEC_KEYS), max_size=4, unique=True)):
+        choice = draw(st.integers(0, 9))
+        if choice == 0:
+            entries.pop(key, None)
+        elif choice == 1:
+            entries[key] = "9" * draw(st.integers(4290, 4400))  # at or past the digit limit
+        elif choice < 5:
+            entries[key] = _yaml_text(draw(st.dictionaries(_MAP_KEYS, _VALUES, max_size=3)))
+        else:
+            entries[key] = _yaml_text(draw(_VALUES))
+    return "".join(f"{key}: {value}\n" for key, value in entries.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_spec_texts())
+def test_load_spec_file_returns_a_document_or_raises_spec_file_error(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("fuzz") / "game.yaml"
+    p.write_text(text, encoding="utf-8")
+    try:
+        doc = load_spec_file(p)
+    except SpecFileError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(doc, SpecDocument)
