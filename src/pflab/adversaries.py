@@ -162,6 +162,14 @@ class SeededRandomAdversary(_CollectionAdversary):
             self._pick = _uniform_bit(self._rng, alive_mask(self._state[1]))
         return self._pick
 
+    def fork(self) -> "SeededRandomAdversary":
+        # The generator is the one object play mutates, so each fork draws
+        # from its own copy of it.
+        twin = super().fork()
+        twin._rng = random.Random()
+        twin._rng.setstate(self._rng.getstate())
+        return twin
+
 
 def _uniform_bit(rng: random.Random, mask: int) -> int:
     """``rng.choice(list(iter_bits(mask)))``, with the bits listed in linear time.
@@ -280,22 +288,11 @@ class CollisionAdversary(Adversary):
         return self._ground_truth()
 
 
-def _attribute_copy(adversary: Adversary) -> Adversary:
-    """A twin of ``adversary`` holding the same attribute values, not copies of them."""
-    twin = object.__new__(type(adversary))
-    twin.__dict__.update(adversary.__dict__)
-    return twin
-
-
 class _FreshInstanceAdversary(Adversary):
     """Plays instance ``t`` in round ``t``, so it needs one instance per round.
 
-    Subclasses call this ``begin`` from their own. After ``begin`` each one
-    holds only immutable values, which play rebinds and never mutates, so a
-    fork copies the attribute dict and shares the values.
+    Subclasses call this ``begin`` from their own.
     """
-
-    fork = _attribute_copy
 
     def begin(self, spec: GameSpec) -> None:
         if spec.n_instances < spec.horizon:

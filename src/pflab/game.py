@@ -20,7 +20,7 @@ rather than sampling.
 
 from __future__ import annotations
 
-import copy
+import copy  # unused; bound for perfbench/tracing.py and tests/test_fork.py, which rebind it
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -112,9 +112,6 @@ class HypothesisClass:
         if self.kind == "explicit":
             return self.rows[h][x]
         return h // self.n_labels ** (self.n_instances - 1 - x) % self.n_labels
-
-    def __deepcopy__(self, memo):
-        return self
 
     def row(self, h: int) -> tuple[int, ...]:
         if self.kind == "explicit":
@@ -241,9 +238,6 @@ class GameSpec:
         object.__setattr__(self, "feedback", Feedback(self.feedback))
         object.__setattr__(self, "visibility", Visibility(self.visibility))
         object.__setattr__(self, "realizability", Realizability(self.realizability))
-
-    def __deepcopy__(self, memo):
-        return self
 
     def require_partial_feedback(self, what: str) -> None:
         """Raise :class:`SpecError` naming the mode unless the feedback is partial."""
@@ -513,6 +507,21 @@ class GameView:
 # -- strategy interfaces ----------------------------------------------------------
 
 
+def _fork(strategy):
+    """A twin of ``strategy`` that continues exactly as a deep copy would.
+
+    Public play forks the strategies at every draw with a later sibling.
+    The twin holds the same attribute values, not copies of them, so this
+    is the fork of every strategy that, after ``begin``, rebinds its
+    attributes and never mutates what they hold: an engine, a pure memo,
+    is then shared by a strategy and its forks. A strategy holding a
+    mutable object overrides ``fork`` to copy it.
+    """
+    twin = object.__new__(type(strategy))
+    twin.__dict__.update(strategy.__dict__)
+    return twin
+
+
 class Learner:
     """Base class for learners. Subclasses override what they need.
 
@@ -543,14 +552,7 @@ class Learner:
     def observe_draw(self, z: int) -> None:
         pass
 
-    def fork(self) -> "Learner":
-        """An independent copy that continues exactly as this learner would.
-
-        Public play forks the strategies at every draw with a later sibling.
-        The default is a deep copy; a subclass whose state is cheaper to copy
-        may override it.
-        """
-        return copy.deepcopy(self)
+    fork = _fork
 
 
 class Adversary:
@@ -597,12 +599,7 @@ class Adversary:
     def witness_collection(self) -> Optional[Sequence[int]]:
         return None
 
-    def fork(self) -> "Adversary":
-        """An independent copy that continues exactly as this adversary would.
-
-        The default is a deep copy, as for :meth:`Learner.fork`.
-        """
-        return copy.deepcopy(self)
+    fork = _fork
 
 
 REQUIRED = object()

@@ -104,7 +104,7 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
     regime a collection survives iff it covers every reveal so far, so the
     commonly-valid labels at x are exactly the values forced by some reveal
     whose entire realizer set (a :meth:`HypothesisClass.label_masks` entry)
-    agrees at x. The realizer list starts with the whole class, whose
+    agrees at x. The realizer tuple starts with the whole class, whose
     agreement at x is forced before any reveal.
     """
 
@@ -126,9 +126,9 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
             return
         self._spec = spec
         self._pending = None
-        self._reveals = []
+        self._reveals = ()
         if spec.hypotheses.kind == "explicit":
-            self._realizers = [(1 << spec.hypotheses.size) - 1]
+            self._realizers = ((1 << spec.hypotheses.size) - 1,)
 
     # -- prediction -------------------------------------------------------
 
@@ -156,14 +156,14 @@ class VersionSpacePruningLearner(_VersionSpaceLearner):
         x = self._pending[0]
         H = self._spec.hypotheses
         if H.kind == "all_functions":
-            self._reveals.append((x, y))
+            self._reveals += ((x, y),)
             return
         realizers = H.label_masks(x)[y]
         if not realizers:
             raise EmptyConsistentSet(
                 f"no hypothesis outputs the revealed label {y} at instance {x}"
             )
-        self._realizers.append(realizers)
+        self._realizers += (realizers,)
 
     def observe_set(self, mask: int) -> None:
         # Only set-valued play reveals sets, and it always enumerates.

@@ -45,9 +45,6 @@ class Measure:
         if sum(self.weights) != 1:
             raise SpecError(f"measure weights must sum to 1, got {sum(self.weights)}")
 
-    def __deepcopy__(self, memo):
-        return self
-
     @classmethod
     def delta(cls, n_labels: int, label: int) -> "Measure":
         if not 0 <= label < n_labels:

@@ -81,9 +81,6 @@ class SetSystem:
     masks: tuple[int, ...] = ()
     max_size: int = 0
 
-    def __deepcopy__(self, memo):
-        return self
-
     @classmethod
     def explicit(cls, n_labels: int, sets) -> "SetSystem":
         """Build an explicit system from an iterable of label iterables or masks."""

@@ -284,17 +284,37 @@ def _spec_loader(base):
     return type(base.__name__, (_SpecLoader, base), {})
 
 
-def _read_yaml(path: str, loader):
-    with open(path, "r", encoding="utf-8") as fh:
-        return yaml.load(fh, Loader=_spec_loader(loader))
+# libyaml's composer recurses on the C stack, and data nested about 40,000
+# deep crashes the interpreter there; the pure loader's composer recurses in
+# Python and stops at the recursion limit. Text that may nest this deep goes
+# to the pure loader only.
+_LIBYAML_MAX_NESTING = 10_000
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the nesting depth of the YAML in ``text``.
+
+    A flow level opens with ``[`` or ``{``. A block level opens with ``-``
+    or ``?`` when it shares a line with its parent, and is indented deeper
+    than its parent otherwise, so nesting by indentation alone needs text
+    quadratic in its depth.
+    """
+    return text.count("[") + text.count("{") + text.count("-") + text.count("?")
 
 
 def _read_spec_yaml(path: str):
     try:
-        try:
-            return _read_yaml(path, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError:
-            return _read_yaml(path, yaml.SafeLoader)
+        with open(path, "r", encoding="utf-8") as fh:
+            # Loading from the handle, not its text, keeps the path in error marks.
+            shallow = _nesting_bound(fh.read()) < _LIBYAML_MAX_NESTING
+            if shallow and hasattr(yaml, "CSafeLoader"):
+                fh.seek(0)
+                try:
+                    return yaml.load(fh, Loader=_spec_loader(yaml.CSafeLoader))
+                except yaml.YAMLError:
+                    pass
+            fh.seek(0)
+            return yaml.load(fh, Loader=_spec_loader(yaml.SafeLoader))
     except OSError as exc:
         raise SpecFileError(f"{path}: cannot read file ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -315,8 +335,10 @@ def load_spec_file(path: str) -> SpecDocument:
     built with it, else with the pure-Python ``yaml.SafeLoader``; both build
     the same data. A file libyaml rejects is parsed again by the pure loader,
     whose message is the one reported, so error text does not depend on
-    whether libyaml is installed. A key repeated within one mapping is an
-    error, never a silent override. An int too long for Python to convert,
+    whether libyaml is installed. A file whose brackets, braces, dashes and
+    question marks number 10,000 or more could nest deeply enough to crash
+    libyaml, so only the pure loader parses it. A key repeated within one
+    mapping is an error, never a silent override. An int too long for Python to convert,
     or lists nested too deeply to load or report, give a one-line
     :class:`SpecFileError` too.
     """

@@ -5,7 +5,9 @@ fork must continue exactly as a deep copy of the strategy would, and
 advancing it must leave the original's continuation unchanged. Each strategy
 of the ``make_learner`` and ``make_adversary`` registries is checked on a
 public game it can begin on: a learner against scripted reveals, an
-adversary against scripted predictions.
+adversary against scripted predictions. Whole public plays of the
+randomized learners must also come out the same with every fork replaced
+by a deep copy.
 """
 
 import copy
@@ -19,8 +21,10 @@ from pflab import (
     Adversary,
     GameView,
     HELLY_TRANSVERSAL,
+    HypothesisClass,
     Measure,
     RealizabilityViolation,
+    SetSystem,
     agnostic_game,
     collision_game,
     cube_game,
@@ -53,6 +57,17 @@ LEARNERS = {
     "constant": {"label": 1},
     "scripted": {"labels": [0, 3, 5, 1]},
     "first_round_read": {},
+}
+
+# cvsp's implicit mode: every set of up to ``horizon`` labels is feasible, so
+# cvsp tracks the reveals in place of the collections; once over the Helly
+# constants and once over the all-functions class.
+_UP_TO_HORIZON = SetSystem.all_nonempty_up_to(6, HELLY.horizon)
+IMPLICIT_CVSP = {
+    "cvsp-implicit-explicit": replace(HELLY, set_system=_UP_TO_HORIZON),
+    "cvsp-implicit-all-functions": replace(
+        HELLY, set_system=_UP_TO_HORIZON, hypotheses=HypothesisClass.all_functions(1, 6)
+    ),
 }
 
 # name -> (params, a public spec it can begin on, the partner's predictions
@@ -117,14 +132,20 @@ class _ScriptedReveals(Adversary):
         return self._labels.pop(0)
 
 
-@pytest.mark.parametrize("name", sorted(LEARNERS))
+@pytest.mark.parametrize("name", sorted(LEARNERS) + sorted(IMPLICIT_CVSP))
 def test_learner_fork_contract(name):
     # In the Helly game the reveals 3, 3 fit the sets {0, 1, 3} and
     # {2, 3, 5}; the fork goes on inside the second and the original inside
     # the first, so a fork sharing state with its original leaves no
-    # consistent collection for the original.
-    learner = make_learner(name, LEARNERS[name])
-    learner.begin(HELLY)
+    # consistent collection for the original. In cvsp's implicit mode a
+    # fork's reveals leaking into the original change its common labels.
+    if name in IMPLICIT_CVSP:
+        learner = make_learner("cvsp", {})
+        learner.begin(IMPLICIT_CVSP[name])
+        assert learner._implicit
+    else:
+        learner = make_learner(name, LEARNERS[name])
+        learner.begin(HELLY)
     history = _play(learner, _ScriptedReveals([3, 3]), (), 2, 0)
     reference = copy.deepcopy(learner)
     twin = copy.deepcopy(learner)
@@ -157,9 +178,10 @@ def test_adversary_fork_contract(name):
 
 
 class _DeepCopyForked(TwoConstantAgnosticAdversary):
-    """The two-constant adversary with the base class's deep-copy fork."""
+    """The two-constant adversary forking by deep copy."""
 
-    fork = Adversary.fork
+    def fork(self):
+        return copy.deepcopy(self)
 
 
 def test_public_two_constant_play_makes_no_deep_copy(monkeypatch):
@@ -180,6 +202,41 @@ def test_public_two_constant_play_makes_no_deep_copy(monkeypatch):
     assert result == reference
     assert len(result.branches) == 256
     assert result.expected_regret == Fraction(4)
+
+
+def _deep_fork(strategy):
+    return copy.deepcopy(strategy)
+
+
+# The randomized registry learners, on grids where each one draws from a
+# measure of several labels against all three adversaries, but mrpfl
+# answers echo with point masses.
+RANDOMIZED = {
+    "frpfl": {"gamma": "1/2", "g": 6},
+    "mrpfl": {"N": 2, "g": 6},
+    "helly_intersection": LEARNERS["helly_intersection"],
+    "uniform_cube": LEARNERS["uniform_cube"],
+}
+
+
+@pytest.mark.parametrize("adversary", ["optimal", "echo", "random"])
+@pytest.mark.parametrize("learner", sorted(RANDOMIZED))
+def test_public_play_with_default_forks_equals_play_with_deep_copies(
+    monkeypatch, learner, adversary
+):
+    # The default forks share what ``begin`` built, an engine included; deep
+    # copies share nothing. Every branch must come out the same either way.
+    spec = public(helly_game(3))
+
+    def strategies():
+        return make_learner(learner, RANDOMIZED[learner]), make_adversary(adversary, {})
+
+    shared = play_game(spec, *strategies())
+    assert len(shared.branches) > 1 or (learner, adversary) == ("mrpfl", "echo")
+    deep = strategies()
+    for strategy in deep:
+        monkeypatch.setattr(type(strategy), "fork", _deep_fork)
+    assert play_game(spec, *deep) == shared
 
 
 # -- the per-play validation memo ---------------------------------------------------

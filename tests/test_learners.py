@@ -14,6 +14,7 @@ from pflab import (
     HypothesisClass,
     Measure,
     OptimalAdversary,
+    PotentialMinimizingLearner,
     SeededRandomAdversary,
     SetSystem,
     SpecError,
@@ -22,8 +23,12 @@ from pflab import (
     collision_game,
     helly_game,
     make_learner,
+    pfl_dim,
     play_game,
+    small_binary_family,
+    ternary_slice,
 )
+from pflab.replicate import worst_case_vs_learner
 
 from conftest import bounded_and_listed, two_constant_game
 
@@ -188,6 +193,16 @@ def test_dpfla_two_constant_regret_one():
     t = play_game(spec, make_learner("dpfla", {}), OptimalAdversary())
     assert t.loss == 1
     assert t.regret == 1
+
+
+def test_dpfla_worst_case_equals_the_game_value_on_the_families():
+    # dpfla never loses more than the game value, and no learner can do
+    # better; the walk plays the learner on forks, which share its engine.
+    specs = list(small_binary_family()) + list(ternary_slice())
+    assert len(specs) == 411
+    for slug, spec in specs:
+        value = pfl_dim(spec, spec.horizon)
+        assert worst_case_vs_learner(spec, PotentialMinimizingLearner) == value, slug
 
 
 @pytest.mark.parametrize("adversary", [

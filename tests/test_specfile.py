@@ -1,6 +1,8 @@
 """YAML game files: parsing, defaults, shorthands, and rejection paths."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,42 @@ def test_deeply_nested_lists_are_a_spec_error(tmp_path, monkeypatch, libyaml):
     p.write_text("labels: " + "[" * 3000 + "]" * 3000 + "\n")
     with pytest.raises(SpecFileError, match="nested too deeply"):
         load_spec_file(p)
+
+
+DEEP = 40_000
+DEEP_SHAPES = {
+    "flow-sequence": "labels: " + "[" * DEEP + "]" * DEEP + "\n",
+    "flow-mapping": "labels: " + "{b: " * DEEP + "1" + "}" * DEEP + "\n",
+    "block-sequence": "labels:\n  " + "- " * DEEP + "1\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_nesting_too_deep_for_libyaml_is_a_spec_error(tmp_path, shape):
+    # libyaml's composer crashed the interpreter (SIGSEGV) on these, so the
+    # command runs in a child process: a crash fails this test, not the session.
+    p = tmp_path / "deep.yaml"
+    p.write_text(DEEP_SHAPES[shape] + HEAD.split("\n", 1)[1])
+    src = str(Path(specfile.__file__).resolve().parents[1])
+    child = (
+        f"import sys\nsys.path.insert(0, {src!r})\nfrom pflab.cli import main\n"
+        f"sys.exit(main(['setsys', {str(p)!r}]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"spec error: {p}: data nested too deeply\n"
+
+
+def test_text_that_may_nest_deeply_keeps_the_path_in_error_marks(tmp_path):
+    # 10,000 dashes in a comment send the file to the pure loader alone.
+    p = tmp_path / "broken.yaml"
+    p.write_text("labels: [1, 2\nfoo: :\n# " + "-" * 10_000 + "\n")
+    with pytest.raises(SpecFileError) as err:
+        load_spec_file(p)
+    assert str(err.value) == (
+        f"{p}: invalid YAML (while parsing a flow sequence in \"{p}\", line 1, column 9 "
+        f"expected ',' or ']', but got ':' in \"{p}\", line 2, column 4)"
+    )
 
 
 # Stock PyYAML is the reference: the spec loader builds the data these build.
