@@ -279,7 +279,6 @@ class TransversalIntersectionLearner(Learner):
         if not labels:
             raise SpecError("transversal must be nonempty")
         self._transversal = labels
-        self.empty_intersection = False
 
     def begin(self, spec: GameSpec) -> None:
         self._spec = spec
@@ -288,6 +287,7 @@ class TransversalIntersectionLearner(Learner):
                 raise SpecError(f"transversal label {v} out of range")
         self._committed = None
         self._seen_first = False
+        self.empty_intersection = False
 
     def predict(self, x: int) -> Measure:
         if self._committed is not None:
@@ -308,7 +308,6 @@ class TransversalIntersectionLearner(Learner):
             self._committed = pool[0]
         else:
             self.empty_intersection = True
-            self._committed = None
 
 
 class UniformPrefixLearner(Learner):

@@ -85,7 +85,8 @@ def msp(N: int, measures, thresholds, system: SetSystem) -> int:
     their thresholds (vacuous at ``m = 1``) while the step from ``m`` to
     ``m + 1`` moves by at least twice ``thresholds[m-1]`` uniformly over the
     whole set system. Returns ``N`` when no index qualifies, in particular
-    whenever all measures coincide.
+    whenever all measures coincide. One pass: step ``m`` either qualifies,
+    keeps stability for the next index, or breaks it for all later ones.
     """
     if len(measures) != N or len(thresholds) != N:
         raise SpecError("msp needs exactly N measures and N thresholds")
@@ -96,15 +97,12 @@ def msp(N: int, measures, thresholds, system: SetSystem) -> int:
     members = system.members()
     miss = [[pi.miss_mass(s) for s in members] for pi in measures]
     for m in range(1, N):
-        stable = all(
-            max(abs(a - b) for a, b in zip(miss[i], miss[i - 1])) <= 2 * thr[i - 1]
-            for i in range(1, m)
-        )
-        if not stable:
-            continue
-        jump = min(abs(a - b) for a, b in zip(miss[m - 1], miss[m]))
-        if jump >= 2 * thr[m - 1]:
+        step = [abs(a - b) for a, b in zip(miss[m - 1], miss[m])]
+        if min(step) >= 2 * thr[m - 1]:
             return m
+        if max(step) > 2 * thr[m - 1]:
+            # stability now fails for every later index
+            return N
     return N
 
 

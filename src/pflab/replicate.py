@@ -1,6 +1,6 @@
 """Built-in replication suite.
 
-Thirteen named checks, each verifying one headline quantitative claim on
+Twelve named checks, each verifying one headline quantitative claim on
 enumerated desk-scale games. The CLI `replicate` command runs them and prints
 a pass/fail table; the acceptance tests call the same functions, so there is
 exactly one implementation of each check.
@@ -11,14 +11,11 @@ API against independently coded oracles where the claim is an equality.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .adversaries import (
-    CollisionAdversary,
-    CollisionFamily,
     CubeAdversary,
     OptimalAdversary,
     PrefixParityAdversary,
@@ -52,7 +49,6 @@ from .game import (
 from .games import (
     HELLY_TRANSVERSAL,
     agnostic_game,
-    collision_game,
     cube_game,
     helly_game,
     pf_not_sv_game,
@@ -66,7 +62,7 @@ from .learners import (
     UniformPrefixLearner,
     VersionSpacePruningLearner,
 )
-from .measure_dims import minimax_rand_regret, msp, pms_dim
+from .measure_dims import minimax_rand_regret, pms_dim
 from .measures import Measure
 from .setsystems import SetSystem, helly_number, inseparability_report
 
@@ -86,7 +82,7 @@ def _result(slug: str, failures: list, detail: str) -> CheckResult:
     return CheckResult(slug, True, detail)
 
 
-# -- oracles used by several checks -------------------------------------------------
+# -- worst case against one learner -------------------------------------------------
 
 
 def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
@@ -131,29 +127,7 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
     return rec(learner, alive, {cid: Fraction(0) for cid in alive}, 0)
 
 
-def msp_reference(N, measures, thresholds, system):
-    """Literal two-condition scan of the selection rule, written independently."""
-    sets = list(system.members())
-    miss = [[pi.miss_mass(s) for s in sets] for pi in measures]
-    for m in range(1, N):
-        ok = True
-        for i in range(2, m + 1):
-            biggest = max(
-                abs(miss[i - 1][j] - miss[i - 2][j]) for j in range(len(sets))
-            )
-            if biggest > 2 * thresholds[i - 2]:
-                ok = False
-                break
-        if ok:
-            smallest = min(
-                abs(miss[m - 1][j] - miss[m][j]) for j in range(len(sets))
-            )
-            if smallest >= 2 * thresholds[m - 1]:
-                return m
-    return N
-
-
-# -- the thirteen checks -------------------------------------------------------------
+# -- the twelve checks ---------------------------------------------------------------
 
 
 def check_det_minimax_equals_dimension() -> CheckResult:
@@ -455,87 +429,6 @@ def check_label_vs_set_feedback_gap() -> CheckResult:
     )
 
 
-def check_property_suites() -> CheckResult:
-    failures = []
-
-    # dimension monotone in depth
-    sample = [s for i, (slug, s) in enumerate(small_binary_family(horizons=(1,))) if i % 10 == 0]
-    sample.append(helly_game(1))
-    for spec in sample:
-        vals = [pfl_dim(spec, d) for d in (1, 2, 3)]
-        if not (vals[0] <= vals[1] <= vals[2]):
-            failures.append(f"depth monotonicity broke: {vals}")
-
-    # measure dimension monotone in gamma, and under grid refinement
-    for spec in sample[:6]:
-        gs = [
-            pms_dim(spec, 2, gam, g=4)
-            for gam in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-        ]
-        if not all(a >= b for a, b in zip(gs, gs[1:])):
-            failures.append(f"gamma monotonicity broke: {gs}")
-        grids = [pms_dim(spec, 2, Fraction(1, 4), g=g) for g in (1, 2, 4)]
-        if not all(a >= b for a, b in zip(grids, grids[1:])):
-            failures.append(f"grid refinement raised the value: {grids}")
-
-    # version-space mistake teams: small, pairwise distinct
-    cvsp_games = [spec for _, spec, _ in list(mistake_bound_family())[::7]]
-    cvsp_games.append(collision_game())
-    for spec in cvsp_games:
-        adv = CollisionAdversary(CollisionFamily()) if spec.n_labels == 64 else OptimalAdversary()
-        t = play_game(spec, VersionSpacePruningLearner(), adv)
-        teams = []
-        H = spec.hypotheses
-        for x, pred, y, m in zip(t.instances, t.predictions, t.reveals, t.sets):
-            if (m >> pred) & 1:
-                continue
-            team = H.label_masks(x)[y]
-            teams.append(team)
-            if team.bit_count() > H.size // 2:
-                failures.append(f"mistake team of size {team.bit_count()} on n={H.size}")
-        if len(set(teams)) != len(teams):
-            failures.append("repeated mistake team in one transcript")
-
-    # potential never exceeds the game value
-    for spec in sample[:8]:
-        cap = pfl_dim(spec, spec.horizon)
-        lrn = PotentialMinimizingLearner()
-        adv = OptimalAdversary()
-        lrn.begin(spec)
-        adv.begin(spec)
-        for _ in range(spec.horizon):
-            if lrn.current_potential() > cap:
-                failures.append(f"potential above the game value {cap}")
-            x = adv.choose_instance()
-            y = adv.reveal(x, lrn.predict(x))
-            lrn.observe(y)
-
-    # selection procedure agrees with an independently written scan
-    rng = random.Random(0)
-    for trial in range(1000):
-        n_labels = rng.randint(2, 4)
-        all_masks = list(range(1, 1 << n_labels))
-        rng.shuffle(all_masks)
-        system = SetSystem.explicit(n_labels, sorted(all_masks[: rng.randint(1, len(all_masks))]))
-        N = rng.randint(1, 5)
-        measures = []
-        for _ in range(N):
-            cuts = sorted(rng.randint(0, 6) for _ in range(n_labels - 1))
-            parts = [a - b for a, b in zip(cuts + [6], [0] + cuts)]
-            measures.append(Measure(tuple(Fraction(p, 6) for p in parts)))
-        thresholds = [Fraction(rng.randint(1, 11), 12) for _ in range(N)]
-        got = msp(N, measures, thresholds, system)
-        want = msp_reference(N, measures, thresholds, system)
-        if got != want:
-            failures.append(f"trial {trial}: selection {got} != reference {want}")
-            break
-    return _result(
-        "property-suites",
-        failures,
-        "monotonicity, mistake-team, potential, and selection-scan properties held",
-    )
-
-
 CHECKS = [
     ("det-minimax-equals-dimension", check_det_minimax_equals_dimension),
     ("version-space-mistake-bound", check_version_space_mistake_bound),
@@ -549,7 +442,6 @@ CHECKS = [
     ("visibility-separation-cube", check_visibility_separation_cube),
     ("two-constant-agnostic-floor", check_two_constant_agnostic_floor),
     ("label-vs-set-feedback-gap", check_label_vs_set_feedback_gap),
-    ("property-suites", check_property_suites),
 ]
 
 

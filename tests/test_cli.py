@@ -12,6 +12,7 @@ import pflab.setsystems
 from pflab import GridTooLarge, build_admissible_collections, load_spec_file, pfl_dim, pms_dim
 from pflab.cli import CSV_HEADER, main
 from pflab.engine import CollectionEngine
+from pflab.replicate import CHECKS
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 TWO_CONSTANT = str(SPEC_DIR / "two_constant.yaml")
@@ -183,6 +184,31 @@ def test_replicate_single_check(capsys):
     assert code == 0
     assert "det-minimax-equals-dimension" in out
     assert "pass" in out.lower()
+
+
+PAPER_CHECKS = [
+    "det-minimax-equals-dimension",
+    "version-space-mistake-bound",
+    "full-system-linear-regret",
+    "multiclass-dim-below-pfl",
+    "pfl-union-closed-bound",
+    "helly-randomized-tightness",
+    "binary-singleton-half-dimension",
+    "small-helly-measure-equals-label",
+    "fixed-scale-event-bound",
+    "visibility-separation-cube",
+    "two-constant-agnostic-floor",
+    "label-vs-set-feedback-gap",
+]
+
+
+def test_replicate_lists_the_paper_checks_in_order(capsys):
+    assert [slug for slug, _ in CHECKS] == PAPER_CHECKS
+    code, out, err = run(capsys, ["replicate"])
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    assert header.split() == ["check", "result", "detail"]
+    assert [row.split()[:2] for row in rows] == [[slug, "pass"] for slug in PAPER_CHECKS]
 
 
 def test_replicate_unknown_check(capsys):

@@ -71,6 +71,24 @@ def test_transversal_empty_meet_fallback():
     assert learner.predict(0) == Measure.delta(6, 0)
 
 
+def test_transversal_learner_reused_for_a_second_game():
+    spec = GameSpec(
+        n_instances=1,
+        n_labels=3,
+        set_system=SetSystem.explicit(3, [0b011, 0b110, 0b101]),
+        hypotheses=HypothesisClass.explicit(1, 3, [[0], [1], [2]]),
+        horizon=2,
+    )
+    learner = TransversalIntersectionLearner([1, 2])
+    learner.begin(spec)
+    learner.observe(0)
+    assert learner.empty_intersection is True
+    learner.begin(spec)
+    learner.observe(1)
+    assert learner.predict(0) == Measure.delta(3, 1)
+    assert learner.empty_intersection is False
+
+
 def test_only_first_reveal_commits():
     spec = helly_game(6)
     learner = TransversalIntersectionLearner([1, 3, 5])

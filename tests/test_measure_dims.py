@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pflab import (
     Measure,
@@ -13,13 +12,11 @@ from pflab import (
     agnostic_game,
     cube_game,
     helly_game,
-    measure_grid,
     minimax_rand_regret,
     msp,
     pms_dim,
     ppms_dim,
 )
-from pflab.replicate import msp_reference
 
 from conftest import two_constant_game
 
@@ -91,6 +88,14 @@ def test_msp_worked_examples():
         msp(3, jumped, [Fraction(0), Fraction(1, 4), Fraction(1, 4)], system)
     with pytest.raises(SpecError):
         msp(3, jumped, [Fraction(1, 4), Fraction(1), Fraction(1, 4)], system)
+    # step 1 moves {0} by 1/2 and {1} by 0: no jump, and stability breaks;
+    # step 2 moves both by at least 1/2, a jump that comes too late
+    system = SetSystem.explicit(3, [0b001, 0b010])
+    half = Fraction(1, 2)
+    broken = [Measure.delta(3, 0), Measure((half, 0, half)), Measure.delta(3, 1)]
+    eighths = [Fraction(1, 8)] * 3
+    assert msp(3, broken, eighths, system) == 3
+    assert msp(2, broken[1:], eighths[1:], system) == 1
 
 
 def test_pms_dim_is_a_plain_int():
@@ -98,13 +103,48 @@ def test_pms_dim_is_a_plain_int():
     assert type(v) is int
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_msp_matches_reference(seed):
-    rng = random.Random(seed)
-    system = SetSystem.explicit(2, [0b01, 0b10, 0b11])
-    grid = measure_grid(2, 6)
-    n = rng.randint(2, 5)
-    measures = [rng.choice(grid) for _ in range(n)]
-    thresholds = [Fraction(rng.randint(1, 11), 12) for _ in range(n)]
-    assert msp(n, measures, thresholds, system) == msp_reference(n, measures, thresholds, system)
+def msp_reference(N, measures, thresholds, system):
+    """Literal two-condition scan of the selection rule, written independently."""
+    sets = list(system.members())
+    miss = [[pi.miss_mass(s) for s in sets] for pi in measures]
+    for m in range(1, N):
+        ok = True
+        for i in range(2, m + 1):
+            biggest = max(
+                abs(miss[i - 1][j] - miss[i - 2][j]) for j in range(len(sets))
+            )
+            if biggest > 2 * thresholds[i - 2]:
+                ok = False
+                break
+        if ok:
+            smallest = min(
+                abs(miss[m - 1][j] - miss[m][j]) for j in range(len(sets))
+            )
+            if smallest >= 2 * thresholds[m - 1]:
+                return m
+    return N
+
+
+def random_msp_case(rng, max_n):
+    """2 to 4 labels, a random set system, and N from 1 to ``max_n`` sixths measures."""
+    n_labels = rng.randint(2, 4)
+    all_masks = list(range(1, 1 << n_labels))
+    rng.shuffle(all_masks)
+    system = SetSystem.explicit(n_labels, sorted(all_masks[: rng.randint(1, len(all_masks))]))
+    N = rng.randint(1, max_n)
+    measures = []
+    for _ in range(N):
+        cuts = sorted(rng.randint(0, 6) for _ in range(n_labels - 1))
+        parts = [a - b for a, b in zip(cuts + [6], [0] + cuts)]
+        measures.append(Measure(tuple(Fraction(p, 6) for p in parts)))
+    thresholds = [Fraction(rng.randint(1, 11), 12) for _ in range(N)]
+    return N, measures, thresholds, system
+
+
+def test_msp_matches_reference():
+    rng = random.Random(0)
+    # 1,000 cases with N up to 5, as the replication suite once ran, then long runs
+    for max_n, trials in ((5, 1000), (60, 200)):
+        for _ in range(trials):
+            case = random_msp_case(rng, max_n)
+            assert msp(*case) == msp_reference(*case), case

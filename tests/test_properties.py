@@ -3,23 +3,29 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pflab import (
     AdmissibleEmpty,
+    CollisionAdversary,
+    CollisionFamily,
     GameSpec,
     HypothesisClass,
+    OptimalAdversary,
     PotentialMinimizingLearner,
     SetSystem,
     VersionSpacePruningLearner,
     build_admissible_collections,
+    collision_game,
     helly_game,
     make_adversary,
     minimax_rand_regret,
+    mistake_bound_family,
     pfl_dim,
     play_game,
     pms_dim,
     replay_predictions,
+    small_binary_family,
 )
 
 
@@ -48,32 +54,78 @@ def spec_from_seed(seed, horizon=2):
 
 
 seeds = st.integers(min_value=0, max_value=5_000)
+specs = seeds.map(spec_from_seed)
+
+# Every tenth horizon-1 binary family spec and the Helly game.
+FAMILY_SAMPLE = [spec for _, spec in small_binary_family(horizons=(1,))][::10]
+FAMILY_SAMPLE.append(helly_game(1))
+
+
+def also_on(sample):
+    """Run a spec-valued hypothesis test on every spec of ``sample`` as well."""
+    def decorate(test):
+        for spec in sample:
+            test = example(spec)(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_dimension_monotone_in_depth(seed):
-    spec = spec_from_seed(seed)
+@given(specs)
+@also_on(FAMILY_SAMPLE)
+def test_dimension_monotone_in_depth(spec):
     values = [pfl_dim(spec, d) for d in (0, 1, 2, 3)]
     assert values == sorted(values)
     assert values[0] == 0
 
 
 @settings(max_examples=20, deadline=None)
-@given(seeds)
-def test_event_count_antitone_in_gamma(seed):
-    spec = spec_from_seed(seed)
+@given(specs)
+@also_on(FAMILY_SAMPLE[:6])
+def test_event_count_antitone_in_gamma(spec):
     gammas = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
     values = [int(pms_dim(spec, 2, gam, g=4)) for gam in gammas]
     assert values == sorted(values, reverse=True)
 
 
 @settings(max_examples=20, deadline=None)
-@given(seeds)
-def test_event_count_antitone_under_grid_refinement(seed):
-    spec = spec_from_seed(seed)
+@given(specs)
+@also_on(FAMILY_SAMPLE[:6])
+def test_event_count_antitone_under_grid_refinement(spec):
     values = [int(pms_dim(spec, 2, Fraction(1, 4), g=g)) for g in (1, 2, 4)]
     assert values == sorted(values, reverse=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs)
+@also_on(FAMILY_SAMPLE[:8])
+def test_potential_never_exceeds_the_game_value(spec):
+    cap = pfl_dim(spec, spec.horizon)
+    learner, adversary = PotentialMinimizingLearner(), OptimalAdversary()
+    learner.begin(spec)
+    adversary.begin(spec)
+    for _ in range(spec.horizon):
+        assert learner.current_potential() <= cap
+        x = adversary.choose_instance()
+        learner.observe(adversary.reveal(x, learner.predict(x)))
+    assert learner.current_potential() <= cap
+
+
+def test_cvsp_mistake_teams_are_small_and_distinct():
+    """A cvsp mistake's reveal is backed by at most half the class, never twice."""
+    family = CollisionFamily()
+    games = [(spec, OptimalAdversary()) for _, spec, _ in list(mistake_bound_family())[::7]]
+    games.append((collision_game(family), CollisionAdversary(family)))
+    for spec, adversary in games:
+        t = play_game(spec, VersionSpacePruningLearner(), adversary)
+        H = spec.hypotheses
+        teams = [
+            H.label_masks(x)[y]
+            for x, pred, y, m in zip(t.instances, t.predictions, t.reveals, t.sets)
+            if not (m >> pred) & 1
+        ]
+        assert all(team.bit_count() <= H.size // 2 for team in teams)
+        assert len(set(teams)) == len(teams)
 
 
 @settings(max_examples=20, deadline=None)
