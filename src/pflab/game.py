@@ -155,6 +155,11 @@ class HypothesisClass:
         """This class's row-word memo (see :class:`_RowWords`)."""
         return _RowWords(self)
 
+    @cached_property
+    def _pool_pieces(self) -> "_PoolPieces":
+        """This class's product-witness memo (see :class:`_PoolPieces`)."""
+        return _PoolPieces(self)
+
     def index_of_row(self, row: Sequence[int]) -> int:
         """The index of the hypothesis with this row; :class:`KeyError` if none.
 
@@ -199,6 +204,28 @@ class _RowWords(dict):
             word |= 1 << (x * L + y)
         self[h] = word
         return word
+
+
+class _PoolPieces(dict):
+    """``(x, pool)`` -> an all-functions class's witness pieces, filled on first use.
+
+    The pieces are the place value of the pool's lowest label at instance
+    ``x`` (the label times ``n_labels ** (n_instances - 1 - x)``) and the
+    ascending offsets that move that digit to each other label of the pool.
+    :func:`find_realizability_witness` adds them up into its product witness.
+    """
+
+    def __init__(self, hypotheses: HypothesisClass):
+        super().__init__()
+        self._hypotheses = hypotheses
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+        x, pool = key
+        H = self._hypotheses
+        place = H.n_labels ** (H.n_instances - 1 - x)
+        low, *others = iter_bits(pool)
+        pieces = self[key] = (low * place, tuple((y - low) * place for y in others))
+        return pieces
 
 
 # -- game specification ---------------------------------------------------------
@@ -714,37 +741,49 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     lexicographically first admissible member tuple that realizes them. It
     takes the enumeration's node rule (each call charges one node per
     consistent hypothesis from its start index on) and raises
-    :class:`BudgetExceeded` past ``PFLAB_BUDGET_COLLECTIONS`` nodes. An
-    all-functions class has a closed-form product witness instead.
+    :class:`BudgetExceeded` past ``PFLAB_BUDGET_COLLECTIONS`` nodes.
+
+    An all-functions class has a closed-form product witness instead: one
+    base row of the lowest label of each instance's pool (its round set, or
+    any member set at an untouched instance) plus every row that differs
+    from it at a single instance, inside that instance's pool. Its members
+    are sums of per-instance pieces cached on the class (see
+    :class:`_PoolPieces`): the base is the sum of the lowest labels' place
+    values, and each other member is the base plus one offset. An offset at
+    instance ``x`` is a multiple of ``n_labels ** (n_instances - 1 - x)``
+    below the next power, so the offsets taken from the last instance to
+    the first come out ascending, and so do the members.
+
+    Raises :class:`SpecError` when ``instances`` and ``sets`` differ in
+    length or an instance is not a plain int in ``range(n_instances)``.
     """
+    if len(instances) != len(sets):
+        raise SpecError(f"{len(instances)} instances and {len(sets)} sets differ in length")
+    n = spec.n_instances
     targets: dict[int, int] = {}
     for x, m in zip(instances, sets):
-        if x in targets and targets[x] != m:
+        if type(x) is not int or not 0 <= x < n:  # a bool is not an instance
+            raise SpecError(f"instance {x!r} outside range({n})")
+        if targets.setdefault(x, m) != m:
             return None  # two different sets at one instance can never be one image
-        targets[x] = m
     H = spec.hypotheses
     system = spec.set_system
-    if not all(system.contains(m) for m in targets.values()):
+    if not all(map(system.contains, targets.values())):
         return None  # an image must be a member set
 
     if H.kind == "all_functions":
-        # The consistent class is a product set, so a product collection
-        # realizes the targets exactly and any feasible set serves as the
-        # image at untouched instances; existence reduces to the consistency
-        # and membership checks already done above. The members are one base
-        # row of lowest labels plus every row that differs from it at a
-        # single instance.
+        # The consistent class is a product set, so the product collection
+        # realizes the targets exactly; existence reduces to the consistency
+        # and membership checks already done above.
+        pieces = H._pool_pieces
         fallback = _any_member(system)
-        pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
-        row = [(pool & -pool).bit_length() - 1 for pool in pools]
-        base = H.index_of_row(row)
-        witness = [base]
-        for x, pool in enumerate(pools):
-            low = row[x]
-            place = H.n_labels ** (spec.n_instances - 1 - x)
-            for y in iter_bits(pool & ~(1 << low)):
-                witness.append(base + (y - low) * place)
-        return tuple(sorted(witness))
+        base = 0
+        offsets: list[int] = []
+        for x in range(n - 1, -1, -1):
+            low, others = pieces[x, targets.get(x, fallback)]
+            base += low
+            offsets += others
+        return (base, *[base + o for o in offsets])
 
     consistent = (1 << H.size) - 1
     for x, m in targets.items():
@@ -863,12 +902,11 @@ class _Branch:
     online_sets: tuple = ()  # revealed sets under set-valued feedback
     bits: tuple = ()  # loss bits under bandit feedback
 
-    def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
-        """The child where the draw came out ``z``, with probability ``weight``.
+    def observed(self, z: int, shared: bool) -> tuple[Learner, Adversary]:
+        """The strategies of the child where the draw came out ``z``.
 
         A ``shared`` child plays on forks of the strategies, because a later
-        sibling still needs them as they are now. Only public games draw, and
-        they take neither revealed sets nor loss bits.
+        sibling still needs them as they are now. Both have observed ``z``.
         """
         learner, adversary = self.learner, self.adversary
         if shared:
@@ -876,6 +914,15 @@ class _Branch:
             adversary = adversary.fork()
         learner.observe_draw(z)
         adversary.observe_draw(z)
+        return learner, adversary
+
+    def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
+        """The child where the draw came out ``z``, with probability ``weight``.
+
+        Its strategies are :meth:`observed`'s. Only public games draw, and
+        they take neither revealed sets nor loss bits.
+        """
+        learner, adversary = self.observed(z, shared)
         return _Branch(
             learner=learner,
             adversary=adversary,
@@ -919,10 +966,24 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     return pred
 
 
-def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
-    """Finalize a finished branch's sets, check and score them.
+def _fraction(fractions: dict, num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``, built once per distinct pair in a play's ``fractions``."""
+    f = fractions.get((num, den))
+    if f is None:
+        f = fractions[num, den] = Fraction(num, den)
+    return f
 
-    ``checked`` is the play's memo of what depends only on a branch's
+
+def _settle(
+    spec: GameSpec, b: _Branch, adversary: Adversary, draws, checked: dict, fractions: dict
+) -> Transcript:
+    """Finalize a leaf's sets, check and score them.
+
+    The leaf is a child of ``b``, whose round was the last: it has ``b``'s
+    history, ``adversary`` as its adversary and ``draws`` as its draws
+    (``None`` in an oblivious game, whose one child is ``b`` itself).
+
+    ``checked`` is the play's memo of what depends only on a leaf's
     outcome, under two kinds of key:
 
     - ``(reveals, sets)``: the per-round checks passed for that pair (every
@@ -934,12 +995,13 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
       ``None`` leaves the witness search to this step.
 
     Each is pure in its key, so a repeated outcome reuses it, and a bad
-    outcome still raises at the first branch that produces it. Every branch
+    outcome still raises at the first leaf that produces it. Every leaf
     still calls the adversary's ``finalize_sets`` and ``witness_collection``
     and runs the sequence and length checks, the plain-int checks on the
     sets and on the claimed witness, the bandit loss bits and the loss. A
     type check never reads the memo: ``True == 1``, so a hit could let a bool
-    pass as the int it equals.
+    pass as the int it equals. A public leaf's loss is its int count of draws
+    outside their sets, made a :class:`Fraction` by :func:`_fraction`.
     """
     if spec.feedback is Feedback.SET_VALUED:
         sets = b.online_sets
@@ -949,10 +1011,11 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             instances=b.instances,
             predictions=b.predictions,
             reveals=b.reveals,
-            draws=b.draws,
+            draws=draws,
         )
-        raw = b.adversary.finalize_sets(view)
-        if not isinstance(raw, Sequence):
+        raw = adversary.finalize_sets(view)
+        # The exact-type test only skips the slower ABC check for the common answers.
+        if type(raw) is not tuple and type(raw) is not list and not isinstance(raw, Sequence):
             raise ProtocolViolation(
                 f"finalized sets must be a sequence of label bitmasks, got {raw!r}"
             )
@@ -988,13 +1051,14 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
             raise ProtocolViolation(
                 f"bandit loss bit at round {t} was {bit} but the finalized set implies {actual}"
             )
-    # A public branch is charged for its realized draws, an oblivious one for
+    # A public leaf is charged for its realized draws, an oblivious one for
     # its predictions themselves.
-    if b.draws is None:
+    if draws is None:
         loss = Fraction(sum(map(_round_loss, b.predictions, sets)))
     else:
-        loss = Fraction(sum(not m >> z & 1 for z, m in zip(b.draws, sets)))
-    claimed = b.adversary.witness_collection()
+        hits = sum([m >> z & 1 for z, m in zip(draws, sets)])
+        loss = _fraction(fractions, spec.horizon - hits, 1)
+    claimed = adversary.witness_collection()
     if claimed is not None:
         try:
             claimed = _member_tuple(claimed)
@@ -1006,7 +1070,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         known = checked[key] = _outcome(spec, b.instances, sets, claimed)
     comparator, witness = known
     # With a zero comparator the regret is the loss's own Fraction: a public
-    # game keeps every branch's transcript, so one object less per branch.
+    # game keeps every leaf's transcript, so one object less per leaf.
     return Transcript(
         instances=b.instances,
         predictions=b.predictions,
@@ -1015,7 +1079,7 @@ def _settle(spec: GameSpec, b: _Branch, checked: dict) -> Transcript:
         loss=loss,
         comparator=comparator,
         regret=loss - comparator if comparator else loss,
-        draws=b.draws,
+        draws=draws,
         witness=witness,
     )
 
@@ -1035,37 +1099,42 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     child per label the prediction can draw, weighted by its probability, and
     plays the children depth-first in ascending draw order. Every child but
     the last plays on forks of the strategies (:meth:`Learner.fork`,
-    :meth:`Adversary.fork`); the last keeps the originals. The loop keeps its
-    pending branches on a stack, so the horizon is not bounded by Python's
-    recursion limit.
+    :meth:`Adversary.fork`); the last keeps the originals. The loop keeps
+    the branches with rounds left to play on a stack, so the horizon is not
+    bounded by Python's recursion limit, and each child is made from its
+    parent only when it is popped.
 
-    Each branch ends in :func:`_settle`, which asks the adversary for its
-    sets and claimed witness and type-checks both on every branch. The
-    checks that depend only on the outcome run once per distinct outcome in
-    the play: the per-round set checks once per distinct reveals and sets,
-    and :func:`_outcome` (the comparator and realizability check) once per
-    distinct instances, sets and claimed witness.
+    The leaf rule: when the round just played was the last, the loop settles
+    that round's children where they are drawn, in ascending draw order and
+    with the same fork rule, and never pushes them; an oblivious game's one
+    child is the branch itself. Each leaf ends in :func:`_settle`, which
+    asks the adversary for its sets and claimed witness and type-checks both
+    on every leaf. The checks that depend only on the outcome run once per
+    distinct outcome in the play: the per-round set checks once per distinct
+    reveals and sets, and :func:`_outcome` (the comparator and realizability
+    check) once per distinct instances, sets and claimed witness.
 
     A branch carries its probability as an unreduced integer fraction (see
-    :class:`_Branch`). As each branch ends, its :class:`PublicBranch` gets
-    the reduced :class:`Fraction`, built once per distinct ``(num, den)`` in
-    the play (in uniform play every leaf shares one). Its probability,
-    probability times loss and probability times comparator are added as
-    integer numerators into one sum per denominator; zero terms are skipped.
-    Each expectation is then one :class:`Fraction` per denominator, summed,
-    so the probabilities are still checked to total exactly 1.
+    :class:`_Branch`). Each leaf's :class:`PublicBranch` gets the reduced
+    :class:`Fraction`, built once per distinct ``(num, den)`` in the play by
+    :func:`_fraction` (in uniform play every leaf shares one), as is a public
+    leaf's loss. Its probability, probability times loss and probability
+    times comparator are added as integer numerators into one sum per
+    denominator; zero terms are skipped. Each expectation is then one
+    :class:`Fraction` per denominator, summed, so the probabilities are
+    still checked to total exactly 1.
     """
     public = spec.visibility is Visibility.PUBLIC
     if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
         raise SpecError(f"public visibility is not supported with {spec.feedback.value} feedback")
     learner.begin(spec)
     adversary.begin(spec)
-    # Entries are (branch, draw, weight, shared); ``draw`` is None for the
-    # root and for every oblivious round.
+    # Entries are (branch, draw, weight, shared) for a child with rounds left
+    # to play; ``draw`` is None for the root and for every oblivious round.
     stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
     ends: list[PublicBranch] = []
     checked: dict = {}
-    probabilities: dict = {}  # (num, den) -> its reduced Fraction
+    fractions: dict = {}  # (num, den) -> its reduced Fraction
     # Denominator -> summed numerators of probability, loss and comparator.
     mass: dict = {}
     weighted: tuple[dict, dict] = ({}, {})
@@ -1073,20 +1142,6 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
         branch, z, weight, shared = stack.pop()
         if z is not None:
             branch = branch.drawn(z, weight, shared)
-        if len(branch.instances) == spec.horizon:
-            num, den = branch.num, branch.den
-            t = _settle(spec, branch, checked)
-            p = probabilities.get((num, den))
-            if p is None:
-                p = probabilities[num, den] = Fraction(num, den)
-            ends.append(PublicBranch(p, t))
-            mass[den] = mass.get(den, 0) + num
-            for into, value in zip(weighted, (t.loss, t.comparator)):
-                n = value.numerator
-                if n:  # a zero adds nothing
-                    d = den * value.denominator
-                    into[d] = into.get(d, 0) + num * n
-            continue
         pred = _play_round(spec, branch)
         if not public:
             children = [(None, ONE)]
@@ -1095,8 +1150,27 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
         else:
             children = [(pred, ONE)]
         last = len(children) - 1
-        for i in range(last, -1, -1):  # pushed in reverse: the lowest draw pops first
-            stack.append((branch, *children[i], i < last))
+        if len(branch.instances) < spec.horizon:
+            for i in range(last, -1, -1):  # pushed in reverse: the lowest draw pops first
+                stack.append((branch, *children[i], i < last))
+            continue
+        # The round just played was the last: settle its children here.
+        for i, (z, weight) in enumerate(children):
+            leaf_adversary, draws = branch.adversary, branch.draws
+            num, den = branch.num, branch.den
+            if z is not None:
+                leaf_adversary = branch.observed(z, i < last)[1]
+                draws += (z,)
+                num *= weight.numerator
+                den *= weight.denominator
+            t = _settle(spec, branch, leaf_adversary, draws, checked, fractions)
+            ends.append(PublicBranch(_fraction(fractions, num, den), t))
+            mass[den] = mass.get(den, 0) + num
+            for into, value in zip(weighted, (t.loss, t.comparator)):
+                n = value.numerator
+                if n:  # a zero adds nothing
+                    d = den * value.denominator
+                    into[d] = into.get(d, 0) + num * n
     if not public:
         return ends[0].transcript
     total, e_loss, e_comp = (

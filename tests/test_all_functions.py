@@ -150,6 +150,110 @@ def test_all_functions_witness_needs_member_targets():
     assert find_realizability_witness(cube_game(2, 3), [0], [0b11]) is not None
 
 
+def _reference_product_witness(spec, instances, sets):
+    """The product witness by brute force, from the rule in its docstring.
+
+    Every row of the class is listed by ``itertools.product`` in index order;
+    the witness keeps the base row, of each pool's lowest label, and every
+    row that differs from it at exactly one instance, inside that instance's
+    pool. A pool is the instance's round set, or at an untouched instance
+    the set system's first listed member (the singleton {0} of a bounded
+    system).
+    """
+    targets = {}
+    for x, m in zip(instances, sets):
+        if targets.setdefault(x, m) != m:
+            return None
+    system = spec.set_system
+    if not all(system.contains(m) for m in targets.values()):
+        return None
+    fallback = system.masks[0] if system.kind == "explicit" else 0b1
+    pools = [targets.get(x, fallback) for x in range(spec.n_instances)]
+    base = [min(y for y in range(spec.n_labels) if pool >> y & 1) for pool in pools]
+    witness = []
+    rows = product(range(spec.n_labels), repeat=spec.n_instances)
+    for h, row in enumerate(rows):
+        moved = [x for x in range(spec.n_instances) if row[x] != base[x]]
+        if not moved or len(moved) == 1 and pools[moved[0]] >> row[moved[0]] & 1:
+            witness.append(h)
+    return tuple(witness)
+
+
+def _random_all_functions_spec(rng, n, M):
+    full = (1 << M) - 1
+    kind = rng.choice(["co-singletons", "explicit", "bounded"])
+    if kind == "co-singletons":
+        system = SetSystem.explicit(M, [full ^ (1 << y) for y in range(M)])
+    elif kind == "explicit":
+        system = SetSystem.explicit(M, rng.sample(range(1, full + 1), rng.randint(1, full)))
+    else:
+        system = SetSystem.all_nonempty_up_to(M, rng.randint(1, M))
+    H = HypothesisClass.all_functions(n, M)
+    return GameSpec(n_instances=n, n_labels=M, set_system=system, hypotheses=H, horizon=1)
+
+
+def _random_rounds(rng, spec, labels):
+    """Rounds over some of the instances, with sets drawn from ``labels``' subsets.
+
+    Sets are usually members of the system; an instance repeats with its
+    first set or, sometimes, a conflicting one.
+    """
+    members = [m for m in range(1, 1 << labels) if spec.set_system.contains(m)]
+    instances, sets = [], []
+    for _ in range(rng.randint(0, spec.n_instances + 2)):
+        x = rng.randrange(spec.n_instances)
+        if x in instances and rng.random() < 0.7:
+            m = sets[instances.index(x)]
+        elif members and rng.random() < 0.85:
+            m = rng.choice(members)
+        else:
+            m = rng.randrange(1, 1 << labels)
+        instances.append(x)
+        sets.append(m)
+    return instances, sets
+
+
+def test_all_functions_witness_matches_the_brute_force_rule():
+    # Queries alternate between two classes over the same instances with
+    # different label counts, on sets of the labels both share, so a table
+    # of pieces that leaked from one class to the other would misplace them.
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        M1, M2 = rng.sample(range(2, 5), 2)
+        pair = [_random_all_functions_spec(rng, n, M) for M in (M1, M2)]
+        for _ in range(6):
+            for spec in pair:
+                instances, sets = _random_rounds(rng, spec, min(M1, M2))
+                want = _reference_product_witness(spec, instances, sets)
+                got = find_realizability_witness(spec, instances, sets)
+                assert got == want, (spec, instances, sets)
+                outcomes.add((want is None, len(set(instances)) < n))
+    # Both found and missing witnesses, each with and without untouched instances.
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("instance", [7, -1, 2, True, 1.0, "0"])
+@pytest.mark.parametrize("kind", ["all_functions", "explicit"])
+def test_witness_search_rejects_an_instance_outside_the_class(kind, instance):
+    # Unchecked, 7 and -1 would be ignored on the all-functions class, and on
+    # the explicit one -1 would read the last instance and 7 raise IndexError.
+    all_fns, explicit = _pair(2, 3, [0b011, 0b101, 0b110])
+    spec = all_fns if kind == "all_functions" else explicit
+    with pytest.raises(SpecError, match="outside range"):
+        find_realizability_witness(spec, [0, instance], [0b011, 0b011])
+
+
+@pytest.mark.parametrize("instances, sets", [([0, 1], [0b011]), ([0], [0b011, 0b101]), ([], [0b011])])
+@pytest.mark.parametrize("kind", ["all_functions", "explicit"])
+def test_witness_search_rejects_ragged_rounds(kind, instances, sets):
+    all_fns, explicit = _pair(2, 3, [0b011, 0b101, 0b110])
+    spec = all_fns if kind == "all_functions" else explicit
+    with pytest.raises(SpecError, match="differ in length"):
+        find_realizability_witness(spec, instances, sets)
+
+
 def test_admissible_collections_need_an_explicit_class():
     """Enumerating an all-functions class's collections is a spec error, not a spent budget."""
     spec = GameSpec(

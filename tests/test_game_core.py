@@ -300,6 +300,82 @@ def test_finalized_sets_must_be_a_sequence(answer):
         play_game(two_constant_game(1), ScriptedLearner([0]), adversary)
 
 
+_KEEP = object()
+
+
+class _BadLeafAdversary(CubeAdversary):
+    """The public cube adversary, except at the leaf whose draws are ``bad``.
+
+    There it finalizes ``sets`` and claims ``claim`` when they are given;
+    elsewhere it claims no witness, as the cube adversary does. ``leaves``,
+    shared with every fork, lists the draws of each leaf whose sets were
+    asked for, in the order play asked.
+    """
+
+    def __init__(self, bad, sets=_KEEP, claim=_KEEP):
+        super().__init__(Fraction(1, 2))
+        self._bad, self._sets, self._claim = bad, sets, claim
+        self.leaves = []
+
+    def begin(self, spec):
+        super().begin(spec)
+        self._draws = ()
+
+    def observe_draw(self, z):
+        self._draws += (z,)
+
+    def finalize_sets(self, view):
+        self.leaves.append(view.draws)
+        if view.draws == self._bad and self._sets is not _KEEP:
+            return self._sets
+        return super().finalize_sets(view)
+
+    def witness_collection(self):
+        if self._draws == self._bad and self._claim is not _KEEP:
+            return self._claim
+        return None
+
+
+# Public cube play on two rounds of two draws: its leaves in play order.
+_LEAVES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _play_public_cube(adversary):
+    return play_game(
+        cube_game(2, 3, visibility="public"), make_learner("uniform_cube", {"T": 2}), adversary
+    )
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, 0)], ids=["last-child", "forked-child"])
+@pytest.mark.parametrize(
+    "answer", [None, 0b011, {0b011}, (m for m in [0b011])],
+    ids=["None", "an int", "a set", "a generator"],
+)
+def test_finalized_sets_must_be_a_sequence_at_every_public_leaf(answer, bad):
+    # Only the leaf of draws ``bad`` answers badly, and play raises there,
+    # after every earlier leaf has been settled and before any later one.
+    adversary = _BadLeafAdversary(bad, sets=answer)
+    with pytest.raises(ProtocolViolation, match="must be a sequence"):
+        _play_public_cube(adversary)
+    assert adversary.leaves == _LEAVES[: _LEAVES.index(bad) + 1]
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, 0)], ids=["last-child", "forked-child"])
+@pytest.mark.parametrize("claim", ["wrong image", (0,), (9,), ()])
+def test_a_bad_claimed_witness_is_a_realizability_violation_at_every_public_leaf(claim, bad):
+    # (0,) has the image {0}, not a co-singleton, 9 lies outside the class
+    # and () is empty: none is a collection. The wrong-image claim is the
+    # product witness of sets that exclude label 2, which no leaf finalizes.
+    spec = cube_game(2, 3, visibility="public")
+    if claim == "wrong image":
+        claim = find_realizability_witness(spec, (0, 1), (0b011, 0b011))
+    assert _play_public_cube(_BadLeafAdversary(None)).expected_loss == 1
+    adversary = _BadLeafAdversary(bad, claim=claim)
+    with pytest.raises(RealizabilityViolation):
+        _play_public_cube(adversary)
+    assert adversary.leaves == _LEAVES[: _LEAVES.index(bad) + 1]
+
+
 class _Mask(int):
     """An int subclass, which is not a plain label bitmask."""
 

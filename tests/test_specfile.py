@@ -304,6 +304,7 @@ STOCK_LOADERS = [yaml.SafeLoader] + (
 EDGE_SCALARS = [
     "0", "007", "08", "1_000", "+3", "-0", "0x1F", "0o7", "1:30", "1e3",
     "true", "~", "'5'", "!!int '7'", "!!str 5", "٣", "12345678901234567890",
+    "0x_", "0b_",
 ]
 EDGE_DOCS = (
     [f"v: {s}\n" for s in EDGE_SCALARS]
@@ -322,9 +323,11 @@ def _typed(data):
 
 
 def _outcome(text, loader):
+    # PyYAML's resolver reads ``0x_`` and ``0b_`` as ints, and its int
+    # constructor then raises ValueError on them: an outcome to compare too.
     try:
         return _typed(yaml.load(text, Loader=loader))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         return (type(exc), str(exc))
 
 
