@@ -23,9 +23,9 @@ from .dimensions import (
     dimension_relations_report,
     minimax_det_regret,
     ml_sl_bl_dim,
-    naive_tree_oracle,
     pfl_dim,
     ppfl_dim,
+    shattering_tree,
     verify_shattering_tree,
 )
 from .engine import CollectionEngine

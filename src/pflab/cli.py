@@ -3,7 +3,11 @@
 Subcommands:
 
 - ``pflab dim SPEC --what pfl|ppfl|ml|sl|bl|regret --depth d`` exact
-  label-prediction values and combinatorial dimensions.
+  label-prediction values and combinatorial dimensions. For ``pfl`` and
+  ``regret``, ``--witness`` also prints the shattering tree read off the
+  engine's search (:func:`pflab.dimensions.shattering_tree`), once it
+  verifies; a tree of more than ``TREE_NODES`` internal nodes is a budget
+  rejection.
 - ``pflab rand SPEC --what pms|ppms|regret --gamma a/b --grid g`` exact
   measure-prediction values on a finite grid.
 - ``pflab play SPEC [--learner NAME] [--adversary NAME]`` one full game.
@@ -33,9 +37,10 @@ from .adversaries import make_adversary
 from .dimensions import (
     minimax_det_regret,
     ml_sl_bl_dim,
-    naive_tree_oracle,
     pfl_dim,
     ppfl_dim,
+    shattering_tree,
+    verify_shattering_tree,
 )
 from .errors import (
     BudgetExceeded,
@@ -253,14 +258,11 @@ def _cmd_value(args) -> int:
     )
     row = _row(args.spec, spec, task, what, args.depth, gamma, args.grid, prefix, args.budget)
     text = _csv_text([row]) if args.format == "csv" else _row_text(row)
-    # A CSV row has no place for a tree, so the oracle runs for text only.
+    # A CSV row has no place for a tree, so the tree is built for text only,
+    # and printed only once it verifies.
     if args.witness and args.format == "text":
-        tree = naive_tree_oracle(spec, args.depth, row["value"])
-        if tree is None:
-            raise PflabError(
-                f"no witness tree found at the certified value {row['value']}; "
-                "this indicates an internal inconsistency"
-            )
+        tree = shattering_tree(spec, args.depth, budget=args.budget)
+        verify_shattering_tree(spec, tree)
         text += _tree_text(tree)
     _emit(text, args.out)
     return 0

@@ -4,19 +4,19 @@ The central quantity is the value of the mistake game of a given depth over
 the admissible collections (see ``pflab.engine``). It equals the largest
 number of forced non-membership events certified by a depth-``d`` tree whose
 paths are indexed by the learner's predictions and whose edges carry revealed
-labels, each path owning a consistent witness collection; the recursion and
-the tree picture compute the same number, and ``naive_tree_oracle`` provides
-the tree-side computation as a genuinely independent check plus an explicit
-witness object.
+labels, each path owning a consistent witness collection. The recursion and
+the tree picture compute the same number: :func:`shattering_tree` reads such
+a tree off the engine's value tests (Knuth and Moore's solution trees, AI
+1975), and :func:`verify_shattering_tree` checks any tree against the spec
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .engine import CollectionEngine, _VersionSpaceEngine
-from .errors import BudgetExceeded, SpecError, TreeSpecMismatch, env_budget
+from .errors import BudgetExceeded, SpecError, TreeSpecMismatch
 from .game import (
     Collection,
     GameSpec,
@@ -71,10 +71,15 @@ def ppfl_dim(
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
+    engine = _label_engine(spec, budget)
+    return engine.value(*engine.prefix_state(prefix_x, prefix_y, prefix_reveals), d)
+
+
+def _label_engine(spec: GameSpec, budget: int | None) -> CollectionEngine:
+    """The mistake game's engine: one collection per image vector, partial feedback only."""
     spec.require_partial_feedback("the mistake value")
     collections = distinct_images(build_admissible_collections(spec))
-    engine = CollectionEngine(spec, collections, kind="label", budget=budget)
-    return engine.value(*engine.prefix_state(prefix_x, prefix_y, prefix_reveals), d)
+    return CollectionEngine(spec, collections, kind="label", budget=budget)
 
 
 # -- shattering trees -------------------------------------------------------------
@@ -100,10 +105,14 @@ class ShatteringTree:
 
 
 def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
-    """Raise :class:`TreeSpecMismatch` unless the tree certifies ``q`` on ``spec``."""
-    d = tree.depth
-    if d < 0 or tree.q < 0:
-        raise TreeSpecMismatch("negative depth or shattering count")
+    """Raise :class:`TreeSpecMismatch` unless the tree certifies ``q`` on ``spec``.
+
+    The depth and ``q`` must be nonnegative plain ints, and every node and
+    annotation a plain int in range (a ``bool`` is none of these).
+    """
+    d, q = tree.depth, tree.q
+    if type(d) is not int or type(q) is not int or d < 0 or q < 0:
+        raise TreeSpecMismatch(f"depth {d!r} and shattering count {q!r} must be nonnegative ints")
 
     def paths(length):
         if length == 0:
@@ -117,14 +126,16 @@ def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
         for p in paths(ln):
             if p not in tree.nodes:
                 raise TreeSpecMismatch(f"missing node instance for prefix {p}")
-            if not 0 <= tree.nodes[p] < spec.n_instances:
-                raise TreeSpecMismatch(f"node instance {tree.nodes[p]} out of range")
+            x = tree.nodes[p]
+            if type(x) is not int or not 0 <= x < spec.n_instances:
+                raise TreeSpecMismatch(f"node instance {x!r} out of range")
     for ln in range(1, d + 1):
         for p in paths(ln):
             if p not in tree.annotations:
                 raise TreeSpecMismatch(f"missing annotation for prefix {p}")
-            if not 0 <= tree.annotations[p] < spec.n_labels:
-                raise TreeSpecMismatch(f"annotation {tree.annotations[p]} out of range")
+            y = tree.annotations[p]
+            if type(y) is not int or not 0 <= y < spec.n_labels:
+                raise TreeSpecMismatch(f"annotation {y!r} out of range")
     for leaf in paths(d):
         if leaf not in tree.witnesses:
             raise TreeSpecMismatch(f"missing witness for path {leaf}")
@@ -142,91 +153,81 @@ def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
                 )
             if not (img >> leaf[t]) & 1:
                 misses += 1
-        if misses < tree.q:
-            raise TreeSpecMismatch(
-                f"path {leaf} charges only {misses} misses, tree claims {tree.q}"
-            )
+        if misses < q:
+            raise TreeSpecMismatch(f"path {leaf} charges only {misses} misses, tree claims {q}")
 
 
-def naive_tree_oracle(
-    spec: GameSpec, d: int, q: int, budget: int | None = None
-) -> Optional[ShatteringTree]:
-    """Search for a depth-``d`` tree forcing ``q`` events, by direct enumeration.
+# The most internal nodes a shattering tree may have: two labels fit up to
+# depth 16, six up to depth 7.
+TREE_NODES = 1 << 16
 
-    This is the slow, definition-shaped computation: try every assignment of
-    instances to tree nodes and labels to edge annotations, depth-first with
-    backtracking, checking each completed path against every admissible
-    collection. It shares no state or canonicalization with the memoized
-    recursion, which is the point: the two must agree, and tests hold them to
-    that.
 
-    The feasibility guard bounds ``(n_instances * n_labels)`` raised to the
-    number of internal nodes by ``budget`` (default one million); beyond that
-    the enumeration is hopeless and :class:`BudgetExceeded` is raised. The
-    guard multiplies in one factor at a time and stops once the count passes
-    the budget, so it never builds the power itself.
+def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> ShatteringTree:
+    """The depth-``d`` shattering tree at the game value ``q``, read off the engine.
+
+    Every choice tests the root target ``q``, never a child's own value: a
+    node takes the lowest instance at which every prediction has a feasible
+    reveal whose child still reaches ``q``, an edge takes the lowest such
+    reveal, and a leaf the lowest-id alive collection whose score is at
+    least ``q``: the first tree a backtracking search over instances and
+    labels, lowest first, would find. The engine's public ``feasible``,
+    ``update`` and ``value`` answer every test, and its memo shares their
+    work. At ``q = 0`` every node shows instance 0 and every reveal is the
+    lowest label of the first collection's image there.
+
+    A tree of more than ``TREE_NODES`` internal nodes is refused with
+    :class:`BudgetExceeded` before anything is built; the count is added one
+    level at a time, so a deep request builds no huge power. ``budget``
+    bounds the engine's search as it does for :func:`pfl_dim`.
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
-    limit = env_budget("PFLAB_BUDGET_ORACLE", 1_000_000) if budget is None else budget
-    # Each factor is at least 2, so the count passes limit within
-    # limit.bit_length() + 1 factors, and a depth-d tree has at least d internal
-    # nodes: past that depth d stands in for their number, which is not computed.
-    internal = d if d > limit.bit_length() else sum(spec.n_labels ** i for i in range(d))
-    count, factors = 1, 0
-    while count <= limit and factors < internal:
-        count, factors = count * spec.n_instances * spec.n_labels, factors + 1
-    if count > limit:
-        raise BudgetExceeded(
-            f"naive oracle guard: a depth-{d} tree has at least {factors} internal nodes, "
-            f"and ({spec.n_instances}*{spec.n_labels})^{factors} exceeds {limit}"
-        )
-    collections = distinct_images(build_admissible_collections(spec))
+    internal, width = 0, 1
+    for _ in range(d):
+        internal, width = internal + width, width * spec.n_labels
+        if internal > TREE_NODES:
+            raise BudgetExceeded(
+                f"a depth-{d} shattering tree has more than {TREE_NODES} internal nodes"
+            )
+    engine = _label_engine(spec, budget)
+    root = engine.initial_state()
+    q = engine.value(*root, d)
+    tree = ShatteringTree(depth=d, q=q)
     if q <= 0:
-        tree = ShatteringTree(depth=d, q=q)
-        _fill_trivial(spec, collections[0], tree, ())
+        _fill_trivial(spec, engine.collections[0], tree, ())
         return tree
 
-    nodes: dict = {}
-    annotations: dict = {}
-    witnesses: dict = {}
+    def reaching(state, x, yhat, rounds):
+        """The lowest reveal at ``x`` whose child after ``yhat`` reaches ``q``, with that child."""
+        for y in iter_bits(engine.feasible(*state, x)):
+            child = engine.update(*state, x, yhat, y)
+            if engine.value(*child, rounds) >= q:
+                return y, child
+        return None
 
-    def leaf_ok(path) -> bool:
-        for col in collections:
-            misses = 0
-            consistent = True
-            for t in range(d):
-                img = col.images[nodes[path[:t]]]
-                if not (img >> annotations[path[: t + 1]]) & 1:
-                    consistent = False
-                    break
-                if not (img >> path[t]) & 1:
-                    misses += 1
-            if consistent and misses >= q:
-                witnesses[path] = col.members
-                return True
-        return False
-
-    def place_node(prefix) -> bool:
+    def grow(prefix, state, rounds):
+        if rounds == 0:
+            base, levels = state
+            reached = sum(mask for s, mask in levels if base + s >= q)
+            cid = (reached & -reached).bit_length() - 1
+            tree.witnesses[prefix] = engine.collections[cid].members
+            return
         for x in range(spec.n_instances):
-            nodes[prefix] = x
-            if all(place_edge(prefix + (yhat,)) for yhat in range(spec.n_labels)):
-                return True
-        del nodes[prefix]
-        return False
+            edges = []
+            for yhat in range(spec.n_labels):
+                edge = reaching(state, x, yhat, rounds - 1)
+                if edge is None:
+                    break
+                edges.append(edge)
+            else:
+                break
+        tree.nodes[prefix] = x
+        for yhat, (y, child) in enumerate(edges):
+            tree.annotations[prefix + (yhat,)] = y
+            grow(prefix + (yhat,), child, rounds - 1)
 
-    def place_edge(epath) -> bool:
-        for y in range(spec.n_labels):
-            annotations[epath] = y
-            ok = leaf_ok(epath) if len(epath) == d else place_node(epath)
-            if ok:
-                return True
-        del annotations[epath]
-        return False
-
-    if place_node(()):
-        return ShatteringTree(depth=d, q=q, nodes=nodes, annotations=annotations, witnesses=witnesses)
-    return None
+    grow((), root, d)
+    return tree
 
 
 def _fill_trivial(spec: GameSpec, col: Collection, tree: ShatteringTree, prefix):

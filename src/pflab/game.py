@@ -160,28 +160,6 @@ class HypothesisClass:
         """This class's product-witness memo (see :class:`_PoolPieces`)."""
         return _PoolPieces(self)
 
-    def index_of_row(self, row: Sequence[int]) -> int:
-        """The index of the hypothesis with this row; :class:`KeyError` if none.
-
-        A row of the wrong length, or with a label outside ``range(n_labels)``,
-        is in neither kind of class.
-        """
-        if len(row) != self.n_instances:
-            raise KeyError(tuple(row))
-        if self.kind == "explicit":
-            found = (1 << self.size) - 1
-            for x, y in enumerate(row):
-                found &= self.label_masks(x)[y] if 0 <= y < self.n_labels else 0
-            if not found:
-                raise KeyError(tuple(row))
-            return found.bit_length() - 1
-        h = 0
-        for y in row:
-            if not 0 <= y < self.n_labels:
-                raise KeyError(tuple(row))
-            h = h * self.n_labels + y
-        return h
-
 
 class _RowWords(dict):
     """Hypothesis index ``h`` -> its row packed as one int, filled on first use.
@@ -355,7 +333,7 @@ def build_admissible_collections(
     this list through :func:`distinct_images` and keep one collection per
     image vector: the engine entry points (``ppfl_dim``, ``ppms_dim``,
     ``minimax_rand_regret``), the engine-driven learners and the optimal
-    adversary, ``cvsp``, the echo adversary, ``naive_tree_oracle`` and
+    adversary, ``cvsp``, the echo adversary, ``shattering_tree`` and
     ``replicate.worst_case_vs_learner``. The kept collection is the lowest
     id of its image class, so witness members do not change. The seeded
     random adversary keeps the full list, because its final pick is uniform
@@ -755,7 +733,8 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     the first come out ascending, and so do the members.
 
     Raises :class:`SpecError` when ``instances`` and ``sets`` differ in
-    length or an instance is not a plain int in ``range(n_instances)``.
+    length, an instance is not a plain int in ``range(n_instances)`` or a
+    set is not a plain nonnegative int (a label mask).
     """
     if len(instances) != len(sets):
         raise SpecError(f"{len(instances)} instances and {len(sets)} sets differ in length")
@@ -764,6 +743,8 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     for x, m in zip(instances, sets):
         if type(x) is not int or not 0 <= x < n:  # a bool is not an instance
             raise SpecError(f"instance {x!r} outside range({n})")
+        if type(m) is not int or m < 0:
+            raise SpecError(f"set {m!r} is not a label mask")
         if targets.setdefault(x, m) != m:
             return None  # two different sets at one instance can never be one image
     H = spec.hypotheses

@@ -26,11 +26,11 @@ from .dimensions import (
     dimension_relations_report,
     minimax_det_regret,
     ml_sl_bl_dim,
-    naive_tree_oracle,
     pfl_dim,
+    shattering_tree,
     verify_shattering_tree,
 )
-from .errors import BudgetExceeded
+from .errors import TreeSpecMismatch
 from .families import (
     binary_full_system_family,
     mistake_bound_family,
@@ -131,9 +131,14 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
 
 
 def check_det_minimax_equals_dimension() -> CheckResult:
+    """PFLdim equals the deterministic minimax regret, certified on both sides.
+
+    The lower bound is a shattering tree at the value that verifies against
+    the spec alone; the upper bound is the potential-minimizing learner's
+    exact worst case, walked by :func:`worst_case_vs_learner`, which shares
+    nothing with the engine.
+    """
     failures = []
-    oracle_ok = 0
-    oracle_skipped = 0
     n = 0
     for slug, spec in list(small_binary_family()) + list(ternary_slice()):
         n += 1
@@ -143,22 +148,20 @@ def check_det_minimax_equals_dimension() -> CheckResult:
         if v != r:
             failures.append(f"{slug}: dimension {v} != minimax {r}")
             continue
+        tree = shattering_tree(spec, d)
         try:
-            tree = naive_tree_oracle(spec, d, v, budget=10_000)
-            if tree is None:
-                failures.append(f"{slug}: no depth-{d} tree at certified value {v}")
-            else:
-                verify_shattering_tree(spec, tree)
-            over = naive_tree_oracle(spec, d, v + 1, budget=10_000)
-            if over is not None:
-                failures.append(f"{slug}: oracle built a tree above the value, q={v + 1}")
-            oracle_ok += 1
-        except BudgetExceeded:
-            oracle_skipped += 1
+            verify_shattering_tree(spec, tree)
+        except TreeSpecMismatch as e:
+            failures.append(f"{slug}: the depth-{d} tree fails verification: {e}")
+        if tree.q != v:
+            failures.append(f"{slug}: the depth-{d} tree certifies {tree.q}, not {v}")
+        worst = worst_case_vs_learner(spec, PotentialMinimizingLearner)
+        if worst != v:
+            failures.append(f"{slug}: the potential learner's worst case {worst} != {v}")
     return _result(
         "det-minimax-equals-dimension",
         failures,
-        f"{n} specs equal; oracle cross-checked {oracle_ok}, budget-skipped {oracle_skipped}",
+        f"{n} specs equal; each certified by a verified tree and the learner's worst case",
     )
 
 

@@ -254,6 +254,14 @@ def test_witness_search_rejects_ragged_rounds(kind, instances, sets):
         find_realizability_witness(spec, instances, sets)
 
 
+@pytest.mark.parametrize("mask", [1.5, "a", True, -1, None], ids=["float", "str", "bool", "negative", "none"])
+@pytest.mark.parametrize("game", [cube_game(2, 3), helly_game(1)], ids=["cube", "helly"])
+def test_witness_search_rejects_a_set_that_is_not_a_label_mask(game, mask):
+    # 1.5 and 'a' ended in a TypeError from SetSystem.contains.
+    with pytest.raises(SpecError, match="is not a label mask"):
+        find_realizability_witness(game, [0, 0], [0b011, mask])
+
+
 def test_admissible_collections_need_an_explicit_class():
     """Enumerating an all-functions class's collections is a spec error, not a spent budget."""
     spec = GameSpec(

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, and determinism."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -8,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import pflab.cli
+import pflab.replicate
 import pflab.setsystems
-from pflab import GridTooLarge, build_admissible_collections, load_spec_file, pfl_dim, pms_dim
+from pflab import (
+    GridTooLarge,
+    build_admissible_collections,
+    load_spec_file,
+    pfl_dim,
+    pms_dim,
+    shattering_tree,
+)
 from pflab.cli import CSV_HEADER, main
 from pflab.engine import CollectionEngine
 from pflab.replicate import CHECKS
@@ -57,9 +66,9 @@ def test_dim_csv_format(capsys):
     assert fields[8] == "0"          # exact, not grid-truncated
 
 
-def test_csv_witness_does_not_run_the_tree_oracle(capsys):
-    # CSV has no place for a tree, so the oracle's size guard must not reject
-    # the row: at depth 20 it would exit 3 with "naive oracle guard".
+def test_csv_witness_builds_no_tree(capsys):
+    # CSV has no place for a tree, so the tree's node bound must not reject
+    # the row: at depth 20 it would exit 3.
     code, out, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "20",
                                   "--witness", "--format", "csv"])
     assert (code, err) == (0, "")
@@ -180,10 +189,34 @@ def test_setsys_past_twenty_member_sets(capsys, tmp_path, labels, set_system, se
 
 
 def test_replicate_single_check(capsys):
-    code, out, _ = run(capsys, ["replicate", "--only", "det-minimax-equals-dimension"])
-    assert code == 0
-    assert "det-minimax-equals-dimension" in out
-    assert "pass" in out.lower()
+    code, out, err = run(capsys, ["replicate", "--only", "det-minimax-equals-dimension"])
+    assert (code, err) == (0, "")
+    # Every spec is certified on both sides: no spec is skipped for its size.
+    assert out.splitlines()[1].split(None, 2) == [
+        "det-minimax-equals-dimension",
+        "pass",
+        "411 specs equal; each certified by a verified tree and the learner's worst case",
+    ]
+
+
+def _tampered(spec, d, budget=None):
+    """The engine's tree with the all-zero path's witness replaced by hypothesis 0 alone."""
+    tree = shattering_tree(spec, d, budget=budget)
+    return dataclasses.replace(tree, witnesses={**tree.witnesses, (0,) * d: (0,)})
+
+
+def test_a_tree_that_fails_verification_is_never_printed(capsys, monkeypatch):
+    monkeypatch.setattr(pflab.cli, "shattering_tree", _tampered)
+    code, out, err = run(capsys, ["dim", TWO_CONSTANT, "--what", "pfl", "--depth", "2", "--witness"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: annotation at step 1 of path (0, 0) is outside the witness image")
+
+
+def test_a_tree_that_fails_verification_fails_the_check_row(monkeypatch):
+    monkeypatch.setattr(pflab.replicate, "shattering_tree", _tampered)
+    result = pflab.replicate.check_det_minimax_equals_dimension()
+    assert not result.passed
+    assert "fails verification" in result.detail and "(+" in result.detail
 
 
 PAPER_CHECKS = [

@@ -1,8 +1,9 @@
-"""Label-feedback dimensions, shattering trees, and the naive oracle."""
+"""Label-feedback dimensions, and shattering trees against the naive search."""
 
 import dataclasses
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,17 +23,26 @@ from pflab import (
     minimax_det_regret,
     minimax_rand_regret,
     ml_sl_bl_dim,
-    naive_tree_oracle,
+    load_spec_file,
     pfl_dim,
     pms_dim,
     ppfl_dim,
     ppms_dim,
+    shattering_tree,
+    small_binary_family,
+    ternary_slice,
     verify_shattering_tree,
 )
+from pflab import dimensions
+from pflab.cli import _tree_text
 from pflab.setsystems import labels_of
 
 from conftest import bounded_and_listed, two_constant_game
+from naive_tree import naive_tree_oracle
 from test_properties import spec_from_seed
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+SAMPLES = {path.stem for path in SPEC_DIR.glob("*.yaml")}
 
 
 def test_two_constant_dimension_is_one_at_every_depth():
@@ -147,17 +157,41 @@ def test_naive_oracle_produces_verifiable_tree():
     # one round cannot force two mistakes
     assert naive_tree_oracle(spec, 1, 2, budget=10_000) is None
     assert naive_tree_oracle(spec, 2, 2, budget=100_000) is None
+    assert shattering_tree(spec, 1) == tree
 
 
 def test_tampered_tree_is_rejected():
     spec = two_constant_game()
-    tree = naive_tree_oracle(spec, 1, 1, budget=10_000)
+    tree = shattering_tree(spec, 1)
     bad = dataclasses.replace(tree, witnesses={(0,): (0,), (1,): (0,)})
     with pytest.raises(TreeSpecMismatch):
         verify_shattering_tree(spec, bad)
     deeper = dataclasses.replace(tree, q=2)
     with pytest.raises(TreeSpecMismatch):
         verify_shattering_tree(spec, deeper)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("depth", 1.0), ("depth", True), ("depth", -1), ("q", 1.0), ("q", "1"), ("q", -1),
+     ("nodes", {(): 0.5}), ("nodes", {(): True}), ("nodes", {(): 2}), ("nodes", {(): -1}),
+     ("annotations", {(0,): 1.0, (1,): 0}), ("annotations", {(0,): True, (1,): 0}),
+     ("annotations", {(0,): 1, (1,): 3}), ("annotations", {(0,): 1, (1,): None})],
+)
+def test_verification_refuses_values_that_are_not_plain_ints_in_range(field, value):
+    # A node of 0.5 indexed a tuple and an annotation of 1.0 was shifted by,
+    # both with a TypeError, and a True node passed as instance 1.
+    spec = GameSpec(
+        n_instances=2,
+        n_labels=2,
+        set_system=SetSystem.explicit(2, [0b01, 0b10]),
+        hypotheses=HypothesisClass.explicit(2, 2, [[0, 0], [1, 1]]),
+        horizon=1,
+    )
+    tree = shattering_tree(spec, 1)
+    verify_shattering_tree(spec, tree)
+    with pytest.raises(TreeSpecMismatch):
+        verify_shattering_tree(spec, dataclasses.replace(tree, **{field: value}))
 
 
 def test_naive_oracle_guard():
@@ -185,6 +219,59 @@ def test_naive_oracle_guard():
                         naive_tree_oracle(spec, d, 0, budget=budget)
                 else:
                     assert naive_tree_oracle(spec, d, 0, budget=budget).depth == d
+
+
+def test_the_node_bound_refuses_exactly_the_trees_past_it(monkeypatch):
+    """A tree of more than ``TREE_NODES`` internal nodes is refused before it is built."""
+    for n_y, fits, past in [(2, 16, 17), (3, 10, 11), (6, 7, 8)]:
+        assert sum(n_y ** i for i in range(fits)) <= dimensions.TREE_NODES
+        assert sum(n_y ** i for i in range(past)) > dimensions.TREE_NODES
+    spec = load_spec_file(str(SPEC_DIR / "overlap_triple.yaml")).spec
+    with pytest.raises(BudgetExceeded, match="more than 65536 internal nodes"):
+        shattering_tree(spec, 8)
+    # The count is exact at a smaller bound: 1 + 6 + 36 = 43 nodes fit, 259 do not.
+    monkeypatch.setattr(dimensions, "TREE_NODES", 43)
+    assert len(shattering_tree(spec, 3).nodes) == 43
+    with pytest.raises(BudgetExceeded, match="more than 43 internal nodes"):
+        shattering_tree(spec, 4)
+    # The engine's own budget bounds its search, as it does for the value.
+    with pytest.raises(BudgetExceeded, match="expanded states"):
+        shattering_tree(spec, 3, budget=0)
+
+
+def _tree_cases():
+    """``(name, spec, depth, naive budget)``: the family specs at their horizon, the samples at 0-3."""
+    for slug, spec in list(small_binary_family()) + list(ternary_slice()):
+        yield slug, spec, spec.horizon, 10_000
+    for path in sorted(SPEC_DIR.glob("*.yaml")):
+        for d in range(4):
+            yield path.stem, load_spec_file(str(path)).spec, d, None
+
+
+def test_engine_trees_equal_the_naive_search():
+    """Every engine tree verifies, and equals the naive tree wherever that search finishes.
+
+    The naive search also finds no tree one event above the value. It
+    finishes on 345 of the 411 family specs at a budget of 10,000, and on
+    10 of the 12 sample cases at its default budget.
+    """
+    finished = {"family": 0, "samples": 0}
+    for name, spec, d, budget in _tree_cases():
+        tree = shattering_tree(spec, d)
+        verify_shattering_tree(spec, tree)
+        assert tree.q == pfl_dim(spec, d), name
+        try:
+            reference = naive_tree_oracle(spec, d, tree.q, budget=budget)
+            # At depth 0 no tree forces an event, and the search, which places
+            # a node before it checks the depth, recurses without end.
+            above = naive_tree_oracle(spec, d, tree.q + 1, budget=budget) if d else None
+        except BudgetExceeded:
+            continue
+        assert reference == tree, (name, d)
+        assert _tree_text(reference) == _tree_text(tree)
+        assert above is None, (name, d)
+        finished["samples" if name in SAMPLES else "family"] += 1
+    assert finished == {"family": 345, "samples": 10}
 
 
 def test_sl_on_a_bounded_system_equals_the_listed_sets():

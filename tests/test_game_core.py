@@ -44,6 +44,7 @@ from pflab.game import Realizability, _comparator
 from pflab.learners import ScriptedLearner
 
 from conftest import two_constant_game
+from naive_tree import naive_tree_oracle  # called by name in a capped child process
 
 
 def brute_admissible(spec):
@@ -428,10 +429,16 @@ def test_negative_bitmasks_are_refused(case, error):
     assert done.stdout.strip() == error, done.stderr
 
 
-def test_naive_oracle_guard_builds_no_huge_power():
-    # The guard raised (n_x * n_y) to the number of internal nodes, itself a
-    # number of about 1,500 digits at depth 5000, so it ran until memory ran out.
-    done = _capped_child("pflab.naive_tree_oracle(two_constant_game(), 5000, 1)")
+@pytest.mark.parametrize(
+    "call",
+    ["naive_tree_oracle(two_constant_game(), 5000, 1)", "pflab.shattering_tree(two_constant_game(), 5000)"],
+    ids=["naive", "engine"],
+)
+def test_tree_size_bounds_build_no_huge_power(call):
+    # The naive search's guard raised (n_x * n_y) to the number of internal
+    # nodes, itself a number of about 1,500 digits at depth 5000, so it ran
+    # until memory ran out. The engine tree's node bound adds one level at a time.
+    done = _capped_child(call)
     assert done.stdout.strip() == "BudgetExceeded", done.stderr
 
 
@@ -522,22 +529,3 @@ def test_derived_tables_leave_the_frozen_objects_as_they_were():
         twin = dataclasses.replace(obj)
         assert not set(names) & set(vars(twin))
         assert obj == twin and hash(obj) == hash(twin)
-
-
-def test_index_of_row_round_trips_and_misses_raise_key_error():
-    rng = random.Random(6)
-    classes = [random_class(rng) for _ in range(200)]
-    # An all-functions class holds every row of its shape, so only misshapen rows miss.
-    for H in classes + [HypothesisClass.all_functions(2, 2)]:
-        rows = [H.row(h) for h in range(H.size)]
-        for h, row in enumerate(rows):
-            assert H.index_of_row(row) == h
-            assert H.index_of_row(list(row)) == h
-        absent = [
-            r for r in product(range(H.n_labels), repeat=H.n_instances) if r not in rows
-        ]
-        row = rows[0]
-        misshapen = [row[:-1], row + (0,), row[:-1] + (H.n_labels,), row[:-1] + (-1,)]
-        for miss in absent[:3] + misshapen:
-            with pytest.raises(KeyError):
-                H.index_of_row(miss)
