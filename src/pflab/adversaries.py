@@ -360,7 +360,8 @@ class CubeAdversary(_FreshInstanceAdversary):
     :func:`pflab.game.find_realizability_witness`, which realizes exactly
     those co-singleton images, once per distinct outcome. The alphabet is the
     spec's label set, and ``begin`` requires every co-singleton of it in the
-    set system.
+    set system. A public round's set is read from a ``(reveal, draw)``
+    table (:class:`_PublicCubeSets`) that ``begin`` makes and play fills.
     """
 
     def __init__(self, k):
@@ -379,6 +380,7 @@ class CubeAdversary(_FreshInstanceAdversary):
                     f"{labels_of(full ^ (1 << y))} in the set system"
                 )
         self._n_labels = spec.n_labels
+        self._public_sets = _PublicCubeSets(spec.n_labels)
 
     def reveal(self, x: int, prediction) -> int:
         limit = self._limit
@@ -390,14 +392,10 @@ class CubeAdversary(_FreshInstanceAdversary):
         )
 
     def finalize_sets(self, view):
+        if view.draws is not None:
+            return tuple(map(self._public_sets.__getitem__, zip(view.reveals, view.draws)))
         n = self._n_labels
         full = (1 << n) - 1
-        if view.draws is not None:
-            # Exclude the draw, or the lowest other label when it is the reveal.
-            return tuple(
-                full ^ (1 << (z if z != y else 0 if z else 1))
-                for y, z in zip(view.reveals, view.draws)
-            )
         sets = []
         for pred, y in zip(view.predictions, view.reveals):
             weights = _weights(n, pred)
@@ -405,6 +403,25 @@ class CubeAdversary(_FreshInstanceAdversary):
             heaviest = max((lbl for lbl in range(n) if lbl != y), key=weights.__getitem__)
             sets.append(full ^ (1 << heaviest))
         return sets
+
+
+class _PublicCubeSets(dict):
+    """``(reveal, draw)`` -> a public cube round's set, filled on first use.
+
+    The set is the alphabet minus the draw, or minus the lowest other label
+    when the draw is the reveal, so the reveal stays inside. Only the pairs
+    play meets are filled: a table of every pair would hold ``n_labels ** 2``
+    masks of ``n_labels`` bits each. A pure memo, so forks share it.
+    """
+
+    def __init__(self, n_labels: int):
+        super().__init__()
+        self._full = (1 << n_labels) - 1
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        y, z = key
+        mask = self[key] = self._full ^ (1 << (z if z != y else 0 if z else 1))
+        return mask
 
 
 def _weights(n_labels: int, prediction) -> tuple:

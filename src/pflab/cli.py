@@ -6,8 +6,9 @@ Subcommands:
   label-prediction values and combinatorial dimensions. For ``pfl`` and
   ``regret``, ``--witness`` also prints the shattering tree read off the
   engine's search (:func:`pflab.dimensions.shattering_tree`), once it
-  verifies; a tree of more than ``TREE_NODES`` internal nodes is a budget
-  rejection.
+  verifies, and the value is that tree's ``q``: one enumeration and one
+  root solve give both. A tree of more than ``TREE_NODES`` internal nodes
+  is a budget rejection.
 - ``pflab rand SPEC --what pms|ppms|regret --gamma a/b --grid g`` exact
   measure-prediction values on a finite grid.
 - ``pflab play SPEC [--learner NAME] [--adversary NAME]`` one full game.
@@ -35,6 +36,7 @@ from fractions import Fraction
 
 from .adversaries import make_adversary
 from .dimensions import (
+    _require_set_realizable,
     minimax_det_regret,
     ml_sl_bl_dim,
     pfl_dim,
@@ -209,9 +211,18 @@ def _check_flags(task: str, what: str, given) -> None:
             raise SpecError(f"--{flag} is required for --what {what}")
 
 
-def _value(spec, task, what, depth, gamma, grid, prefix, budget):
-    """The library call computing quantity ``what`` of ``task``."""
+def _value(spec, task, what, depth, gamma, grid, prefix, budget, witness=False):
+    """The library call computing quantity ``what`` of ``task``.
+
+    With ``witness`` (``pfl`` and ``regret`` only) the call is
+    :func:`shattering_tree`, whose ``q`` is the value: one enumeration and
+    one root solve give both, after the same realizability gate.
+    """
     if task == "dim":
+        if witness:
+            if what == "regret":
+                _require_set_realizable(spec)
+            return shattering_tree(spec, depth, budget=budget)
         if what == "pfl":
             return pfl_dim(spec, depth, budget=budget)
         if what == "ppfl":
@@ -226,19 +237,26 @@ def _value(spec, task, what, depth, gamma, grid, prefix, budget):
     return minimax_rand_regret(spec, depth, g=grid, budget=budget)
 
 
-def _row(path, spec, task, what, depth, gamma=None, grid=None, prefix=(), budget=None) -> dict:
-    """Time one value computation and return its output row."""
+def _row(
+    path, spec, task, what, depth, gamma=None, grid=None, prefix=(), budget=None, witness=False
+) -> dict:
+    """Time one value computation and return its output row.
+
+    With ``witness`` the row's ``tree`` is the shattering tree its value was
+    read from (see :func:`_value`); otherwise it is ``None``.
+    """
     t0 = time.monotonic()
-    value = _value(spec, task, what, depth, gamma, grid, prefix, budget)
+    result = _value(spec, task, what, depth, gamma, grid, prefix, budget, witness)
     return {
         "spec": path,
         "task": f"{task}/{what}",
         "horizon": depth,
         "gamma": gamma,
         "grid": grid,
-        "value": value,
+        "value": result.q if witness else result,
         "runtime_ms": int((time.monotonic() - t0) * 1000),
         "truncated": True if task == "rand" else None,
+        "tree": result if witness else None,
     }
 
 
@@ -256,14 +274,14 @@ def _cmd_value(args) -> int:
         _ints(args.prefix_y) if task == "dim" else _measure_list(args.prefix_measure),
         _ints(args.prefix_reveal),
     )
-    row = _row(args.spec, spec, task, what, args.depth, gamma, args.grid, prefix, args.budget)
-    text = _csv_text([row]) if args.format == "csv" else _row_text(row)
     # A CSV row has no place for a tree, so the tree is built for text only,
     # and printed only once it verifies.
-    if args.witness and args.format == "text":
-        tree = shattering_tree(spec, args.depth, budget=args.budget)
-        verify_shattering_tree(spec, tree)
-        text += _tree_text(tree)
+    witness = bool(args.witness) and args.format == "text"
+    row = _row(args.spec, spec, task, what, args.depth, gamma, args.grid, prefix, args.budget, witness)
+    text = _csv_text([row]) if args.format == "csv" else _row_text(row)
+    if witness:
+        verify_shattering_tree(spec, row["tree"])
+        text += _tree_text(row["tree"])
     _emit(text, args.out)
     return 0
 

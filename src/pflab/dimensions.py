@@ -14,6 +14,7 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .engine import CollectionEngine, _VersionSpaceEngine
 from .errors import BudgetExceeded, SpecError, TreeSpecMismatch
@@ -44,11 +45,16 @@ def minimax_det_regret(spec: GameSpec, T: int, budget: int | None = None) -> int
     for round); kept as a separate entry point, gated to fully realizable
     mode, where the comparator term is identically zero.
     """
+    _require_set_realizable(spec)
+    return pfl_dim(spec, T, budget=budget)
+
+
+def _require_set_realizable(spec: GameSpec) -> None:
+    """:func:`minimax_det_regret`'s gate: :class:`SpecError` unless the game is fully realizable."""
     if spec.realizability is not Realizability.SET_REALIZABLE:
         raise SpecError(
             "the deterministic minimax value is defined for fully realizable games only"
         )
-    return pfl_dim(spec, T, budget=budget)
 
 
 def ppfl_dim(
@@ -115,12 +121,7 @@ def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
         raise TreeSpecMismatch(f"depth {d!r} and shattering count {q!r} must be nonnegative ints")
 
     def paths(length):
-        if length == 0:
-            yield ()
-            return
-        for p in paths(length - 1):
-            for y in range(spec.n_labels):
-                yield p + (y,)
+        return product(range(spec.n_labels), repeat=length)
 
     for ln in range(d):
         for p in paths(ln):
@@ -175,13 +176,18 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
     work. At ``q = 0`` every node shows instance 0 and every reveal is the
     lowest label of the first collection's image there.
 
-    A tree of more than ``TREE_NODES`` internal nodes is refused with
-    :class:`BudgetExceeded` before anything is built; the count is added one
-    level at a time, so a deep request builds no huge power. ``budget``
+    The root is solved first, exactly as :func:`pfl_dim` solves it, so the
+    tree's ``q`` is the value and every error of that solve comes first.
+    Then a tree of more than ``TREE_NODES`` internal nodes is refused with
+    :class:`BudgetExceeded` before any of it is built; the count is added
+    one level at a time, so a deep request builds no huge power. ``budget``
     bounds the engine's search as it does for :func:`pfl_dim`.
     """
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
+    engine = _label_engine(spec, budget)
+    root = engine.initial_state()
+    q = engine.value(*root, d)
     internal, width = 0, 1
     for _ in range(d):
         internal, width = internal + width, width * spec.n_labels
@@ -189,9 +195,6 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
             raise BudgetExceeded(
                 f"a depth-{d} shattering tree has more than {TREE_NODES} internal nodes"
             )
-    engine = _label_engine(spec, budget)
-    root = engine.initial_state()
-    q = engine.value(*root, d)
     tree = ShatteringTree(depth=d, q=q)
     if q <= 0:
         _fill_trivial(spec, engine.collections[0], tree, ())
@@ -226,7 +229,10 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
             tree.annotations[prefix + (yhat,)] = y
             grow(prefix + (yhat,), child, rounds - 1)
 
-    grow((), root, d)
+    try:
+        grow((), root, d)
+    finally:
+        del grow  # its closure holds grow itself: a cycle only the cyclic collector frees
     return tree
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import copy  # unused; bound for perfbench/tracing.py and tests/test_fork.py, which rebind it
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import lt, or_
 from typing import Optional, Union
 
 from .errors import (
@@ -169,16 +169,20 @@ class _RowWords(dict):
     as its ``n_labels``-bit field from bit ``x * n_labels`` on. Both kinds
     fill an entry by one rule, from :meth:`HypothesisClass.row`, and only
     for the indices asked for: an all-functions class is never tabulated.
+    The class caches this memo, so the memo reads rows from an uncached copy
+    of the class: a reference to the class itself would be a cycle that
+    only the cyclic collector frees.
     """
 
     def __init__(self, hypotheses: HypothesisClass):
         super().__init__()
-        self._hypotheses = hypotheses
+        self._n_labels = hypotheses.n_labels
+        self._row = replace(hypotheses).row
 
     def __missing__(self, h: int) -> int:
-        L = self._hypotheses.n_labels
+        L = self._n_labels
         word = 0
-        for x, y in enumerate(self._hypotheses.row(h)):
+        for x, y in enumerate(self._row(h)):
             word |= 1 << (x * L + y)
         self[h] = word
         return word
@@ -191,16 +195,17 @@ class _PoolPieces(dict):
     ``x`` (the label times ``n_labels ** (n_instances - 1 - x)``) and the
     ascending offsets that move that digit to each other label of the pool.
     :func:`find_realizability_witness` adds them up into its product witness.
+    It keeps the class's two sizes, not the class, which caches it.
     """
 
     def __init__(self, hypotheses: HypothesisClass):
         super().__init__()
-        self._hypotheses = hypotheses
+        self._n_labels = hypotheses.n_labels
+        self._n_instances = hypotheses.n_instances
 
     def __missing__(self, key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         x, pool = key
-        H = self._hypotheses
-        place = H.n_labels ** (H.n_instances - 1 - x)
+        place = self._n_labels ** (self._n_instances - 1 - x)
         low, *others = iter_bits(pool)
         pieces = self[key] = (low * place, tuple((y - low) * place for y in others))
         return pieces
@@ -287,12 +292,17 @@ def collection_of(spec: GameSpec, members) -> Collection:
     """Build a :class:`Collection` from hypothesis indices, validating feasibility.
 
     ``members`` must be an iterable of plain ints (a ``bool`` is not one);
-    anything else raises :class:`SpecError`, as an infeasible image does. The
+    anything else raises :class:`SpecError`, as an infeasible image does.
+    The members are kept sorted and without repeats: a strictly ascending
+    tuple, as every witness play finds or an adversary claims in id order,
+    is kept as it is, and anything else is sorted and deduplicated. The
     images are rebuilt from the members alone, for both kinds of class by
     one rule: the OR of the members' row words (:class:`_RowWords`, memoized
     per class) holds each instance's image as one ``n_labels``-bit field.
     """
-    ms = tuple(sorted(set(_member_tuple(members))))
+    ms = _member_tuple(members)
+    if not all(map(lt, ms, ms[1:])):
+        ms = tuple(sorted(set(ms)))
     H = spec.hypotheses
     if not ms:
         raise SpecError("a collection must contain at least one hypothesis")
@@ -443,7 +453,10 @@ def _admissible_walk(
             members.pop()
         return False
 
-    rec(0, [], [0] * spec.n_instances)
+    try:
+        rec(0, [], [0] * spec.n_instances)
+    finally:
+        del rec  # its closure holds rec itself: a cycle only the cyclic collector frees
     return out
 
 
@@ -507,6 +520,20 @@ class GameView:
     predictions: tuple[Prediction, ...]
     reveals: tuple[Optional[int], ...]
     draws: Optional[tuple[int, ...]] = None
+
+
+def _record(cls, fields: dict):
+    """The instance of frozen dataclass ``cls`` that ``cls(**fields)`` makes.
+
+    ``fields`` names every field of ``cls`` in declaration order. The
+    instance compares, hashes, prints, pickles and refuses assignment as a
+    constructed one does, but is made without the generated ``__init__``'s
+    one ``object.__setattr__`` call per field. Play builds every leaf's
+    :class:`GameView`, :class:`Transcript` and :class:`PublicBranch` this way.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 # -- strategy interfaces ----------------------------------------------------------
@@ -982,17 +1009,22 @@ def _settle(
     sets and on the claimed witness, the bandit loss bits and the loss. A
     type check never reads the memo: ``True == 1``, so a hit could let a bool
     pass as the int it equals. A public leaf's loss is its int count of draws
-    outside their sets, made a :class:`Fraction` by :func:`_fraction`.
+    outside their sets, made a :class:`Fraction` by :func:`_fraction`. The
+    leaf's :class:`GameView` and :class:`Transcript` are built by
+    :func:`_record`, with no per-field ``object.__setattr__``.
     """
     if spec.feedback is Feedback.SET_VALUED:
         sets = b.online_sets
     else:
-        view = GameView(
-            spec=spec,
-            instances=b.instances,
-            predictions=b.predictions,
-            reveals=b.reveals,
-            draws=draws,
+        view = _record(
+            GameView,
+            {
+                "spec": spec,
+                "instances": b.instances,
+                "predictions": b.predictions,
+                "reveals": b.reveals,
+                "draws": draws,
+            },
         )
         raw = adversary.finalize_sets(view)
         # The exact-type test only skips the slower ABC check for the common answers.
@@ -1052,16 +1084,19 @@ def _settle(
     comparator, witness = known
     # With a zero comparator the regret is the loss's own Fraction: a public
     # game keeps every leaf's transcript, so one object less per leaf.
-    return Transcript(
-        instances=b.instances,
-        predictions=b.predictions,
-        reveals=b.reveals,
-        sets=sets,
-        loss=loss,
-        comparator=comparator,
-        regret=loss - comparator if comparator else loss,
-        draws=draws,
-        witness=witness,
+    return _record(
+        Transcript,
+        {
+            "instances": b.instances,
+            "predictions": b.predictions,
+            "reveals": b.reveals,
+            "sets": sets,
+            "loss": loss,
+            "comparator": comparator,
+            "regret": loss - comparator if comparator else loss,
+            "draws": draws,
+            "witness": witness,
+        },
     )
 
 
@@ -1096,7 +1131,8 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     check) once per distinct instances, sets and claimed witness.
 
     A branch carries its probability as an unreduced integer fraction (see
-    :class:`_Branch`). Each leaf's :class:`PublicBranch` gets the reduced
+    :class:`_Branch`). Each leaf's :class:`PublicBranch`, built by
+    :func:`_record` as its view and transcript are, gets the reduced
     :class:`Fraction`, built once per distinct ``(num, den)`` in the play by
     :func:`_fraction` (in uniform play every leaf shares one), as is a public
     leaf's loss. Its probability, probability times loss and probability
@@ -1145,7 +1181,9 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
                 num *= weight.numerator
                 den *= weight.denominator
             t = _settle(spec, branch, leaf_adversary, draws, checked, fractions)
-            ends.append(PublicBranch(_fraction(fractions, num, den), t))
+            ends.append(
+                _record(PublicBranch, {"probability": _fraction(fractions, num, den), "transcript": t})
+            )
             mass[den] = mass.get(den, 0) + num
             for into, value in zip(weighted, (t.loss, t.comparator)):
                 n = value.numerator

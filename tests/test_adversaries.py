@@ -84,6 +84,23 @@ def test_public_cube_reveal_rule():
                 assert y == min(undercovered)
 
 
+@pytest.mark.parametrize("n_labels", range(2, 9))
+def test_public_cube_set_table_equals_the_formula(n_labels):
+    # A public round's set is the alphabet minus the draw, or minus the lowest
+    # other label when the draw is the reveal; the table is filled on first
+    # use, so every pair is read twice.
+    adversary = CubeAdversary(Fraction(1, 2))
+    adversary.begin(cube_game(2, n_labels, visibility="public"))
+    full = (1 << n_labels) - 1
+    for _ in range(2):
+        for y in range(n_labels):
+            for z in range(n_labels):
+                want = full ^ (1 << (z if z != y else 0 if z else 1))
+                assert adversary._public_sets[y, z] == want
+                assert want >> y & 1
+    assert len(adversary._public_sets) == n_labels**2
+
+
 class _FixedMeasureLearner(Learner):
     mode = "randomized"
 

@@ -7,6 +7,7 @@ explicit class listing the same functions in the same index order.
 """
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -100,6 +101,26 @@ def test_collection_of_rejects_members_outside_the_class():
         (cube_game(2, 3), [9]),
     ]:
         with pytest.raises(SpecError, match="outside range"):
+            collection_of(spec, members)
+
+
+def test_collection_of_sorts_and_deduplicates_what_is_not_ascending():
+    # A strictly ascending tuple is kept as it is; anything else is sorted and
+    # deduplicated, so every order of one member set gives one collection.
+    spec = cube_game(2, 3)
+    want = collection_of(spec, (0, 1, 3))
+    assert want.members == (0, 1, 3)
+    for members in [[3, 0, 1], (1, 3, 0), [0, 1, 1, 3], (3, 3, 1, 0, 0), [0, 1, 3]]:
+        col = collection_of(spec, members)
+        assert (col.members, col.images) == (want.members, want.images)
+        assert type(col.members) is tuple
+    # Out-of-range members are named in sorted order, whatever the given order.
+    for members in [[9, -1, 0], (-1, 0, 9), [0, 9, 9, -1]]:
+        with pytest.raises(SpecError, match=r"^collection members \(-1, 0, 9\) lie outside range\(9\)$"):
+            collection_of(spec, members)
+    for members in [[0, 1.0], (2, 1, "a"), [0, 1, True]]:
+        bad = next(h for h in members if type(h) is not int)
+        with pytest.raises(SpecError, match=f"^collection member {re.escape(repr(bad))} is not a hypothesis index$"):
             collection_of(spec, members)
 
 

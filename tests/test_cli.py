@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, and determinism."""
 
 import dataclasses
+import gc
 import json
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pflab.cli
+import pflab.dimensions
 import pflab.replicate
 import pflab.setsystems
 from pflab import (
@@ -76,6 +78,65 @@ def test_csv_witness_builds_no_tree(capsys):
     assert lines[0] == CSV_HEADER
     fields = lines[1].split(",")
     assert fields[1:7] == ["dim/pfl", "20", "", "", "1", "1"]
+
+
+def test_witness_runs_one_enumeration_and_one_root_solve(capsys, monkeypatch):
+    """The row's value is the tree's q: one engine gives both."""
+    enumerations, roots = [], []
+    enumerate_ = pflab.dimensions.build_admissible_collections
+    value = CollectionEngine.value
+
+    def counted_enumeration(spec, *args, **kwargs):
+        enumerations.append(spec)
+        return enumerate_(spec, *args, **kwargs)
+
+    def counted_value(self, alive, scores, rounds):
+        if rounds == 3:
+            roots.append(rounds)
+        return value(self, alive, scores, rounds)
+
+    monkeypatch.setattr(pflab.dimensions, "build_admissible_collections", counted_enumeration)
+    monkeypatch.setattr(CollectionEngine, "value", counted_value)
+    for what in ("pfl", "regret"):
+        enumerations.clear()
+        roots.clear()
+        code, out, err = run(capsys, ["dim", OVERLAP, "--what", what, "--depth", "3", "--witness"])
+        assert (code, err) == (0, "")
+        assert "value: 1\n" in out and "\nq: 1\n" in out
+        assert (len(enumerations), len(roots)) == (1, 1)
+
+
+def test_regret_witness_keeps_the_realizability_gate(capsys):
+    for extra in ([], ["--witness"]):
+        code, out, err = run(capsys, ["dim", AGNOSTIC, "--what", "regret", "--depth", "1", *extra])
+        assert (code, out) == (2, "")
+        assert err == "spec error: the deterministic minimax value is defined for fully realizable games only\n"
+
+
+def test_ops_leave_no_cyclic_garbage(capsys, tmp_path):
+    """What an op builds is freed by reference counting alone, with no cycle left."""
+    cube = tmp_path / "cube.yaml"
+    cube.write_text(
+        "labels: 4\ninstances: 3\nset_system: [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]\n"
+        "hypotheses: {all_functions: true}\nhorizon: 3\nprotocol: {visibility: public}\n"
+    )
+    ops = [
+        ["dim", OVERLAP, "--what", "pfl", "--depth", "3"],
+        ["dim", OVERLAP, "--what", "pfl", "--depth", "3", "--witness"],
+        ["rand", OVERLAP, "--what", "regret", "--depth", "2", "--grid", "4"],
+        ["play", OVERLAP, "--learner", "dpfla", "--adversary", "optimal"],
+        ["play", str(cube), "--learner", "uniform_cube", "--adversary", "public_cube"],
+    ]
+    pflab.cli._build_parser()  # built once per process; argparse's formatters hold cycles
+    for argv in ops:
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, err = run(capsys, argv)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert (code, err, found) == (0, "", 0), argv
 
 
 def test_rand_csv(capsys):

@@ -4,7 +4,8 @@ The expected branches, transcripts and protocol errors are frozen outputs of
 ``play_game``; a change to the loop or to the strategies must reproduce them.
 """
 
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,40 @@ def test_public_cube_witness_search_runs_once_per_distinct_outcome(monkeypatch):
     outcomes = {(b.transcript.instances, b.transcript.sets) for b in res.branches}
     assert (len(res.branches), len(calls), res.expected_loss) == (256, 81, 3)
     assert sorted(calls) == sorted(outcomes)
+
+
+class _ViewKeepingCube(CubeAdversary):
+    """The cube adversary, keeping every view play hands it; its forks share the list."""
+
+    def begin(self, spec):
+        super().begin(spec)
+        self.views = []
+
+    def finalize_sets(self, view):
+        self.views.append(view)
+        return super().finalize_sets(view)
+
+
+def test_public_leaf_records_equal_constructed_ones():
+    """Play builds each leaf's records without their ``__init__``; nothing else tells."""
+    adversary = _ViewKeepingCube(Fraction(1, 2))
+    res = play_game(cube_game(3, 4, visibility="public"), make_learner("uniform_cube", {"T": 3}), adversary)
+    assert len(res.branches) == len(adversary.views) == 27
+    records = [r for b in res.branches for r in (b, b.transcript)] + adversary.views
+    for record in records:
+        assert type(record) in (game.PublicBranch, game.Transcript, game.GameView)
+        twin = type(record)(**{f.name: getattr(record, f.name) for f in fields(record)})
+        assert record == twin and twin == record
+        assert hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+        assert pickle.dumps(record) == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert replace(record) == record
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
 
 
 def _reference_expectations(result):
