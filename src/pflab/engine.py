@@ -467,9 +467,10 @@ class CollectionEngine:
         """One ``(lowest y, survivor mask)`` pair per distinct survivor set at ``x``.
 
         Every feasible reveal whose survivors coincide induces the same child
-        under every edge, so the classes are listed once, in ascending ``y``.
-        Each alive group's image is walked one low bit at a time, so a wide
-        alphabet costs only the image's own labels.
+        under every edge, so the classes are listed once, in ascending ``y``:
+        a dict keeps the first ``y`` of each survivor mask, so the listing
+        is linear in the labels. Each alive group's image is walked one low
+        bit at a time, so a wide alphabet costs only the image's own labels.
         """
         holds = [0] * self.spec.n_labels
         for image, mask in self._groups(x):
@@ -479,11 +480,11 @@ class CollectionEngine:
                     low = image & -image
                     image ^= low
                     holds[low.bit_length() - 1] |= mask
-        out = []
+        first: dict = {}
         for y, keep in enumerate(holds):
-            if keep and all(keep != k for _, k in out):
-                out.append((y, keep))
-        return out
+            if keep:
+                first.setdefault(keep, y)
+        return [(y, keep) for keep, y in first.items()]
 
     def _edge_vectors(self, alive: int, x: int) -> tuple:
         """Every edge's increment vector over the alive image groups at ``x``, and their masks."""

@@ -317,7 +317,7 @@ def collection_of(spec: GameSpec, members) -> Collection:
             raise SpecError(
                 f"collection image {labels_of(img)} at instance {x} is not a feasible set"
             )
-    return Collection(members=ms, images=images)
+    return _record(Collection, {"members": ms, "images": images})
 
 
 def build_admissible_collections(
@@ -329,7 +329,9 @@ def build_admissible_collections(
     that order is the canonical collection id used everywhere else (minimax
     states, tie-breaking, witnesses). The search is :func:`_admissible_walk`
     over the whole class with no targets, the same walk the realizability
-    witness search runs. Each call of the walk charges one node for every
+    witness search runs. The walk keys each collection by that bitmask,
+    carried down from prefix to extension, so the id order is one sort of
+    ints. Each call of the walk charges one node for every
     index from its start index on, so the node count and every
     :class:`BudgetExceeded` outcome are those of the per-candidate search
     that preceded the bitmask one. The walk asks the set system once per
@@ -358,16 +360,15 @@ def build_admissible_collections(
     H = spec.hypotheses
     if H.kind != "explicit":
         raise SpecError("admissible collections need an explicit hypothesis class")
-    out = _admissible_walk(spec, (1 << H.size) - 1, (), "admissible-collection search", limit)
-    if not out:
+    found = _admissible_walk(spec, (1 << H.size) - 1, (), "admissible-collection search", limit)
+    if not found:
         raise AdmissibleEmpty("no admissible collection exists for this specification")
-    out.sort(key=lambda col: sum(1 << h for h in col.members))
-    return out
+    return list(map(found.__getitem__, sorted(found)))
 
 
 def _admissible_walk(
     spec: GameSpec, pool: int, targets: tuple, what: str, limit: int
-) -> list[Collection]:
+) -> dict[int, Collection]:
     """The admissible collections drawn from the hypotheses in bitmask ``pool``.
 
     The walk visits subsets depth-first in preorder: ascending index, each
@@ -396,13 +397,25 @@ def _admissible_walk(
     target: it returns that one collection, or none. Every call charges one
     node for each member of ``pool`` from its start index on, and past
     ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``.
+
+    Most calls are leaves that find no candidate, so a call is skipped
+    when it provably finds none, with its node charge and budget test kept
+    where the call would have made them. ``inside`` only shrinks as an
+    image grows, so the candidates of the extension by ``h`` lie inside
+    the prefix's remaining candidates (those above ``h``) ANDed with the
+    ``inside`` masks of ``h``'s one-label images, read from the same memos
+    once per ``h``. When that AND is empty the call is skipped; with
+    targets it would have returned before its target test.
+
+    The collections come back as a dict in visiting order, keyed by member
+    bitmask (``sum(1 << h)``), which each call passes down to its
+    extensions. Each :class:`Collection` is made by :func:`_record`.
     """
     H = spec.hypotheses
     span_fill = spec.set_system.span_fill
     masks = [H.label_masks(x) for x in range(spec.n_instances)]
     memos: list[dict[int, tuple[int, int]]] = [{} for _ in range(spec.n_instances)]
-    # Each pool member's row as one label bit per instance, made once.
-    bits = {h: tuple(1 << y for y in H.rows[h]) for h in iter_bits(pool)}
+    pieces: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def answer(x: int, img: int) -> tuple[int, int]:
         span, fill = span_fill(img)
@@ -418,15 +431,24 @@ def _admissible_walk(
         hit = memos[x][img] = (inside, exact)
         return hit
 
-    charge = [(pool >> start).bit_count() for start in range(H.size + 1)]
-    out: list[Collection] = []
-    nodes = 0
+    def piece(h: int) -> tuple[tuple[int, ...], int]:
+        row = tuple(1 << y for y in H.rows[h])
+        alone = -1
+        for x, img in enumerate(row):
+            alone &= (memos[x].get(img) or answer(x, img))[0]
+        hit = pieces[h] = (row, alone)
+        return hit
 
-    def rec(start: int, members: list[int], images: list[int]) -> bool:
+    charge = [(pool >> start).bit_count() for start in range(H.size + 1)]
+    out: dict[int, Collection] = {}
+    nodes = 0
+    exceeded = f"{what} exceeded {limit} nodes"
+
+    def rec(start: int, members: list[int], images: tuple[int, ...], key: int) -> bool:
         nonlocal nodes
         nodes += charge[start]
         if nodes > limit:
-            raise BudgetExceeded(f"{what} exceeded {limit} nodes", spent=nodes, budget=limit)
+            raise BudgetExceeded(exceeded, spent=nodes, budget=limit)
         cand = admissible = pool >> start << start
         for x, img in enumerate(images):
             inside, exact = memos[x].get(img) or answer(x, img)
@@ -442,19 +464,28 @@ def _admissible_walk(
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
-            new_images = list(map(or_, images, bits[h]))
+            row, alone = pieces.get(h) or piece(h)
+            new_images = tuple(map(or_, images, row))
             members.append(h)
             if low & admissible and (not targets or all(new_images[x] == m for x, m in targets)):
-                out.append(Collection(members=tuple(members), images=tuple(new_images)))
+                out[key | low] = _record(
+                    Collection, {"members": tuple(members), "images": new_images}
+                )
                 if targets:
                     return True
-            if rec(h + 1, members, new_images):
-                return True
+            if cand & alone:
+                if rec(h + 1, members, new_images, key | low):
+                    return True
+            else:
+                # The child call would find no candidate: charge it and skip it.
+                nodes += charge[h + 1]
+                if nodes > limit:
+                    raise BudgetExceeded(exceeded, spent=nodes, budget=limit)
             members.pop()
         return False
 
     try:
-        rec(0, [], [0] * spec.n_instances)
+        rec(0, [], (0,) * spec.n_instances, 0)
     finally:
         del rec  # its closure holds rec itself: a cycle only the cyclic collector frees
     return out
@@ -529,7 +560,9 @@ def _record(cls, fields: dict):
     instance compares, hashes, prints, pickles and refuses assignment as a
     constructed one does, but is made without the generated ``__init__``'s
     one ``object.__setattr__`` call per field. Play builds every leaf's
-    :class:`GameView`, :class:`Transcript` and :class:`PublicBranch` this way.
+    :class:`GameView`, :class:`Transcript` and :class:`PublicBranch` this way,
+    and :func:`_admissible_walk` and :func:`collection_of` every
+    :class:`Collection`.
     """
     record = object.__new__(cls)
     record.__dict__.update(fields)
@@ -799,7 +832,7 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         consistent &= sum(masks[y] for y in iter_bits(m))
     what = "realizability witness search"
     found = _admissible_walk(spec, consistent, tuple(targets.items()), what, _collections_budget())
-    return found[0].members if found else None
+    return next(iter(found.values())).members if found else None
 
 
 def _any_member(system: SetSystem) -> int:

@@ -43,6 +43,7 @@ from pflab.families import binary_full_system_family
 from pflab.game import Collection
 from pflab.setsystems import iter_bits
 
+from test_enumeration import prefix_parity_game
 from test_properties import seeds, spec_from_seed
 
 KINDS = {
@@ -597,6 +598,56 @@ def _one_instance_spec(n):
         hypotheses=HypothesisClass(1, n, "explicit", tuple((y,) for y in range(n))),
         horizon=1,
     )
+
+
+def _pairwise_reveals(eng, alive, x):
+    """Each label's survivor mask at ``x``, kept unless an earlier kept label has it."""
+    out = []
+    for y in range(eng.spec.n_labels):
+        keep = sum(
+            1 << cid
+            for cid, images in enumerate(eng.images)
+            if alive >> cid & 1 and images[x] >> y & 1
+        )
+        if keep and all(keep != k for _, k in out):
+            out.append((y, keep))
+    return out
+
+
+def _wide_spec(seed):
+    """An explicit spec over up to 8 labels whose every singleton is a member set."""
+    rng = random.Random(seed)
+    n_y = rng.randint(2, 8)
+    n_x = rng.randint(1, 3)
+    masks = {1 << y for y in range(n_y)} | set(
+        rng.sample(range(1, 1 << n_y), rng.randint(1, min(8, (1 << n_y) - 1)))
+    )
+    rows = sorted({tuple(rng.randrange(n_y) for _ in range(n_x)) for _ in range(rng.randint(1, 7))})
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=n_y,
+        set_system=SetSystem.explicit(n_y, sorted(masks)),
+        hypotheses=HypothesisClass(n_x, n_y, "explicit", tuple(rows)),
+        horizon=2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+@example(seed=None)
+def test_reveal_classes_match_the_pairwise_rule(seed):
+    """``_reveals`` lists the classes the pairwise first-label rule does, in its order.
+
+    The states are every collection alive and random alive subsets, on
+    generated specs and (seed ``None``) the 10-label prefix-parity game.
+    """
+    spec = prefix_parity_game(3, 3) if seed is None else _wide_spec(seed)
+    eng = _engine(spec, "label")
+    rng = random.Random(str(seed))
+    everyone = (1 << len(eng.images)) - 1
+    for alive in [everyone, *(rng.randint(1, everyone) for _ in range(20))]:
+        for x in range(spec.n_instances):
+            assert eng._reveals(alive, x) == _pairwise_reveals(eng, alive, x)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,11 +6,14 @@ which of them complete a collection, with hypothesis bitmasks and memoized
 nonempty hypothesis subset and decides feasibility from the raw member masks,
 with no call into the enumeration or into ``SetSystem``. A second reference
 replays the per-candidate depth-first search to count its nodes, and the
-enumeration's budget must pass at exactly that count and fail one below it.
+enumeration's budget must pass at exactly that count and fail one below it;
+below it, the walk must stop at the call whose charge crosses the budget.
 The realizability witness search runs the same walk, and must return the
 lexicographically first reference collection that realizes its targets.
 """
 
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations
 
 import pytest
@@ -23,8 +26,10 @@ from pflab import (
     HypothesisClass,
     SetSystem,
     build_admissible_collections,
+    collection_of,
     find_realizability_witness,
 )
+from pflab.game import Collection
 from pflab.games import pf_not_sv_game
 
 
@@ -62,22 +67,31 @@ def reference_collections(spec):
     return [(members, images) for _, members, images in out]
 
 
-def reference_nodes(spec):
-    """Nodes of the per-candidate search: one per candidate index tried at each call."""
+def reference_totals(spec):
+    """Running node totals of the per-candidate search, one per call in call order.
+
+    Each call charges one node per candidate index from its start index on,
+    ``n - start``, when it is entered, as the walk does; the last total is
+    the search's node count.
+    """
     rows = spec.hypotheses.rows
     n = len(rows)
-    nodes = 0
+    totals = [0]
 
     def rec(start, images):
-        nonlocal nodes
+        totals.append(totals[-1] + n - start)
         for h in range(start, n):
-            nodes += 1
             new = [img | (1 << rows[h][x]) for x, img in enumerate(images)]
             if all(_within_some_set(spec.set_system, img) for img in new):
                 rec(h + 1, new)
 
     rec(0, [0] * spec.n_instances)
-    return nodes
+    return totals[1:]
+
+
+def reference_nodes(spec):
+    """Nodes of the per-candidate search: one per candidate index tried at each call."""
+    return reference_totals(spec)[-1]
 
 
 @st.composite
@@ -136,6 +150,64 @@ def test_enumeration_budget_is_the_reference_node_count(spec):
     build_admissible_collections(spec, budget=nodes)
     with pytest.raises(BudgetExceeded):
         build_admissible_collections(spec, budget=nodes - 1)
+
+
+def _assert_budget_stops_at_the_crossing_call(spec, budgets):
+    """Each budget below the node count raises with the first running total above it spent."""
+    totals = reference_totals(spec)
+    for budget in budgets:
+        with pytest.raises(BudgetExceeded) as info:
+            build_admissible_collections(spec, budget=budget)
+        assert (info.value.spent, info.value.budget) == (
+            next(t for t in totals if t > budget),
+            budget,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_enumeration_budget_stops_at_the_crossing_call(spec):
+    """Calls that find no candidate are skipped, but charged where they would run."""
+    if not reference_collections(spec):
+        return
+    nodes = reference_nodes(spec)
+    _assert_budget_stops_at_the_crossing_call(
+        spec, {0, nodes - 1, *range(0, nodes, max(1, nodes // 16))}
+    )
+
+
+def test_prefix_parity_budget_stops_at_the_crossing_call():
+    # 272 of the 289 calls on this spec find no candidate, and the walk
+    # skips them all; every total and the budget one below it are tried.
+    spec = prefix_parity_game(4, 4)
+    totals = reference_totals(spec)
+    assert len(totals) == 289
+    nodes = totals[-1]
+    _assert_budget_stops_at_the_crossing_call(
+        spec, sorted({b for t in totals for b in (t - 1, t) if b < nodes})
+    )
+
+
+def test_walk_collections_equal_constructed_ones():
+    """The walk and ``collection_of`` build collections without ``__init__``; nothing else tells."""
+    spec = prefix_parity_game(2, 3)
+    walked = build_admissible_collections(spec)
+    rebuilt = [collection_of(spec, col.members) for col in walked]
+    assert rebuilt == walked
+    for col in walked + rebuilt:
+        assert type(col) is Collection
+        twin = Collection(members=col.members, images=col.images)
+        assert col == twin and twin == col
+        assert hash(col) == hash(twin)
+        assert repr(col) == repr(twin)
+        assert pickle.dumps(col) == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(col)) == col
+        assert replace(col) == col
+        for f in fields(col):
+            with pytest.raises(FrozenInstanceError):
+                setattr(col, f.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(col, f.name)
 
 
 @settings(max_examples=100, deadline=None)
