@@ -20,7 +20,6 @@ from .adversaries import (
 )
 from .dimensions import (
     ShatteringTree,
-    dimension_relations_report,
     minimax_det_regret,
     ml_sl_bl_dim,
     pfl_dim,

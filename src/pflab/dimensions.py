@@ -298,29 +298,3 @@ def ml_sl_bl_dim(
     engine = _VersionSpaceEngine(replace(spec, set_system=system), hypotheses, budget=budget)
     return engine.value(*engine.initial_state(), cap)
 
-
-def dimension_relations_report(spec: GameSpec, d: int) -> dict:
-    """Compute the three dimensions and check the relations that apply.
-
-    The singleton-family dimension is compared against the game value only
-    when the spec's system contains every singleton (the embedding the
-    comparison needs) and the requested depth is at least that dimension
-    (below it the game value is depth-starved and the comparison means
-    nothing). The combinatorial upper bound on the game value applies only to
-    union-closed systems. Inapplicable checks report ``"not_asserted"``.
-    """
-    pfl = pfl_dim(spec, d)
-    ml = ml_sl_bl_dim(spec, "ml", cap=max(d + 1, spec.hypotheses.size))
-    sl = ml_sl_bl_dim(spec, "sl", cap=d)
-    report = {"d": d, "pfl": pfl, "ml": ml, "sl_capped": sl}
-    if spec.set_system.singletons_included() and d >= ml:
-        report["ml_le_pfl"] = "holds" if ml <= pfl else "fails"
-    else:
-        report["ml_le_pfl"] = "not_asserted"
-    if spec.set_system.union_closed():
-        bound = d - d // (sl + 1)
-        report["pfl_bound"] = bound
-        report["pfl_le_bound"] = "holds" if pfl <= bound else "fails"
-    else:
-        report["pfl_le_bound"] = "not_asserted"
-    return report

@@ -396,7 +396,10 @@ def _admissible_walk(
     first collection whose image at each target instance equals that
     target: it returns that one collection, or none. Every call charges one
     node for each member of ``pool`` from its start index on, and past
-    ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``.
+    ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``. The
+    walk takes one Python frame per member, so a walk deeper than Python's
+    recursion limit raises :class:`BudgetExceeded` naming ``what`` too, with
+    the nodes spent so far.
 
     Most calls are leaves that find no candidate, so a call is skipped
     when it provably finds none, with its node charge and budget test kept
@@ -486,6 +489,10 @@ def _admissible_walk(
 
     try:
         rec(0, [], (0,) * spec.n_instances, 0)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"{what} exceeds Python's recursion limit", spent=nodes, budget=limit
+        ) from None
     finally:
         del rec  # its closure holds rec itself: a cycle only the cyclic collector frees
     return out

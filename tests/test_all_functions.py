@@ -283,6 +283,19 @@ def test_witness_search_rejects_a_set_that_is_not_a_label_mask(game, mask):
         find_realizability_witness(game, [0, 0], [0b011, mask])
 
 
+@pytest.mark.parametrize("game", [cube_game(2, 3), helly_game(1)], ids=["cube", "helly"])
+def test_witness_search_finds_none_for_the_empty_set(game):
+    # The empty set is a label mask, but never a member set.
+    assert find_realizability_witness(game, [0], [0]) is None
+
+
+def test_value_reads_each_digit_of_the_index():
+    # Index order puts instance 0 most significant, as in ``_pair``.
+    H = HypothesisClass.all_functions(3, 4)
+    rows = list(product(range(4), repeat=3))
+    assert [tuple(H.value(h, x) for x in range(3)) for h in range(H.size)] == rows
+
+
 def test_admissible_collections_need_an_explicit_class():
     """Enumerating an all-functions class's collections is a spec error, not a spent budget."""
     spec = GameSpec(

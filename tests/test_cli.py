@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -698,3 +699,17 @@ def test_horizon_beyond_the_recursion_limit_is_a_budget_rejection(capsys, tmp_pa
         f"budget rejected: minimax recursion over {argv[-1]} rounds "
         "exceeds Python's recursion limit\n"
     )
+
+
+def test_a_collection_walk_beyond_the_recursion_limit_is_a_budget_rejection(capsys, tmp_path):
+    # All 1,024 binary rows over 10 instances: the walk's first path is
+    # 1,024 members deep, which was a bare RecursionError (exit 1).
+    path = tmp_path / "rows1024.json"
+    rows = [list(r) for r in itertools.product((0, 1), repeat=10)]
+    path.write_text(json.dumps({
+        "labels": 2, "instances": 10, "set_system": {"full_power_set": True},
+        "hypotheses": rows, "horizon": 1,
+    }))
+    code, out, err = run(capsys, ["dim", str(path), "--what", "pfl", "--depth", "1"])
+    assert (code, out) == (3, "")
+    assert err == "budget rejected: admissible-collection search exceeds Python's recursion limit\n"

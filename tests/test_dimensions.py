@@ -18,7 +18,6 @@ from pflab import (
     SpecError,
     TreeSpecMismatch,
     collision_game,
-    dimension_relations_report,
     helly_game,
     minimax_det_regret,
     minimax_rand_regret,
@@ -65,14 +64,6 @@ def test_two_constant_multiclass_variants():
     assert ml_sl_bl_dim(spec, "bl") == 1
     with pytest.raises(SpecError):
         ml_sl_bl_dim(spec, "zl")
-
-
-def test_relations_report():
-    rep = dimension_relations_report(two_constant_game(), 2)
-    assert rep["pfl"] == 1
-    assert rep["ml"] == 1
-    assert rep["ml_le_pfl"] == "holds"
-    assert rep["pfl_le_bound"] == "not_asserted"
 
 
 @pytest.mark.parametrize("feedback", ["set_valued", "multiclass", "bandit"])
@@ -133,6 +124,10 @@ def test_prefix_validation():
     # A bool is not an instance or a label, though it compares equal to one.
     helly = helly_game(2)
     for prefix in ([False], [0], [0]), ([0], [False], [0]), ([0], [0], [True]):
+        with pytest.raises(SpecError, match="outside range"):
+            ppfl_dim(helly, *prefix, 1)
+    # The first instance and label past each range: one instance, six labels.
+    for prefix in ([1], [0], [0]), ([0], [6], [0]), ([0], [0], [6]):
         with pytest.raises(SpecError, match="outside range"):
             ppfl_dim(helly, *prefix, 1)
     for prefix in ([False], [Measure.delta(6, 0)], [0]), ([0], [Measure.delta(6, 0)], [True]):

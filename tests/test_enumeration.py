@@ -14,7 +14,7 @@ lexicographically first reference collection that realizes its targets.
 
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +299,37 @@ def test_witness_search_budget_names_the_search(monkeypatch):
     with pytest.raises(BudgetExceeded, match="realizability witness search") as info:
         find_realizability_witness(spec, [0], [0b01])
     assert (info.value.spent, info.value.budget) == (1, 0)
+
+
+def binary_cube(n_x):
+    """Every binary row over ``n_x`` instances under the full power set: every subset is admissible."""
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=2,
+        set_system=SetSystem.full_power_set(2),
+        hypotheses=HypothesisClass.explicit(n_x, 2, list(product((0, 1), repeat=n_x))),
+        horizon=1,
+    )
+
+
+def test_a_walk_deeper_than_the_recursion_limit_is_a_budget_rejection():
+    # The walk takes one frame per member, and its first path adds rows 0,
+    # 1, 2, ... of the 1,024: a bare RecursionError before.
+    with pytest.raises(
+        BudgetExceeded, match="^admissible-collection search exceeds Python's recursion limit$"
+    ) as info:
+        build_admissible_collections(binary_cube(10))
+    assert 0 < info.value.spent < info.value.budget
+
+
+def test_a_witness_search_deeper_than_the_recursion_limit_is_a_budget_rejection():
+    # The first 1,024 of the 2,048 rows all give label 0 at instance 0, so
+    # the first collection whose image there is {0, 1} has 1,025 members.
+    with pytest.raises(
+        BudgetExceeded, match="^realizability witness search exceeds Python's recursion limit$"
+    ) as info:
+        find_realizability_witness(binary_cube(11), [0], [0b11])
+    assert 0 < info.value.spent < info.value.budget
 
 
 def _parity_half(c, x, n_cand):

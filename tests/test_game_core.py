@@ -189,6 +189,8 @@ def test_learner_prediction_validation():
     spec = two_constant_game(2)
     with pytest.raises(ProtocolViolation):
         play_game(spec, ScriptedLearner([5, 0]), OptimalAdversary())
+    with pytest.raises(ProtocolViolation, match=r"^predicted label 2 outside range\(2\)$"):
+        play_game(spec, ScriptedLearner([2, 0]), OptimalAdversary())
     with pytest.raises(ProtocolViolation):
         play_game(spec, _StringLearner(), OptimalAdversary())
 
@@ -213,12 +215,22 @@ class _InfeasibleRevealAdversary(_BadCountAdversary):
         return [0b10] * self.spec.horizon
 
 
+class _EmptySetAdversary(_BadCountAdversary):
+    def finalize_sets(self, view):
+        return [0] * self.spec.horizon
+
+
 def test_adversary_finalize_validation():
     spec = two_constant_game(2)
     with pytest.raises(ProtocolViolation):
         play_game(spec, ScriptedLearner([0, 0]), _BadCountAdversary())
     with pytest.raises(ProtocolViolation):
         play_game(spec, ScriptedLearner([0, 0]), _InfeasibleRevealAdversary())
+    # The empty set is a label mask, but not a member set.
+    with pytest.raises(
+        ProtocolViolation, match=r"^finalized set \(\) at round 0 is not in the set system$"
+    ):
+        play_game(spec, ScriptedLearner([0, 0]), _EmptySetAdversary())
 
 
 class _UnrealizableAdversary(_BadCountAdversary):
@@ -462,11 +474,20 @@ def _capped_child(call: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("output", [0.5, 0.0, True, -1], ids=["float", "integral float", "bool", "negative"])
+@pytest.mark.parametrize(
+    "output", [0.5, 0.0, True, -1, 2], ids=["float", "integral float", "bool", "negative", "n_labels"]
+)
 def test_hypothesis_outputs_are_plain_ints_in_range(output):
     # 0.5 and 0.0 were kept as outputs, and True as label 1.
     with pytest.raises(SpecError, match="outside range"):
         HypothesisClass.explicit(1, 2, [[0], [output]])
+
+
+def test_measure_grid_must_be_positive():
+    spec = two_constant_game(1)
+    assert replace(spec, measure_grid=1).measure_grid == 1
+    with pytest.raises(SpecError, match="^measure_grid must be a positive integer$"):
+        replace(spec, measure_grid=0)
 
 
 @st.composite

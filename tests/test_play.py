@@ -24,6 +24,7 @@ from pflab import (
     SetSystem,
     SpecError,
     VersionSpacePruningLearner,
+    agnostic_game,
     cube_game,
     helly_game,
     make_adversary,
@@ -31,6 +32,7 @@ from pflab import (
     mask_of,
     pf_not_sv_game,
     play_game,
+    replay_predictions,
 )
 from pflab import game
 from pflab.learners import ScriptedLearner
@@ -167,7 +169,8 @@ def _reference_expectations(result):
     """Total probability, E[loss], E[comparator] and E[regret] in plain Fractions.
 
     Each branch's probability is recomputed as the product of the weights
-    its predictions gave its draws, and checked against the branch's own.
+    its predictions gave its draws, and checked against the branch's own, as
+    is its regret, its loss less its comparator.
     """
     total = e_loss = e_comp = Fraction(0)
     for b in result.branches:
@@ -176,6 +179,7 @@ def _reference_expectations(result):
         for pred, z in zip(t.predictions, t.draws):
             p *= pred.weights[z] if isinstance(pred, Measure) else Fraction(int(pred == z))
         assert b.probability == p
+        assert t.regret == t.loss - t.comparator
         total += p
         e_loss += p * t.loss
         e_comp += p * t.comparator
@@ -246,8 +250,32 @@ def test_public_play_takes_int_point_masses(label):
     assert res.expected_regret == ref.expected_regret
 
 
+class _SplitAdversary(Adversary):
+    """Shows instance ``t`` in round ``t``, reveals label ``t`` and commits to ``{t}``.
+
+    On the two-constant game over two instances no hypothesis fits both
+    rounds, so every branch's comparator is 1.
+    """
+
+    def begin(self, spec):
+        self._t = -1
+
+    def choose_instance(self):
+        self._t += 1
+        return self._t
+
+    def reveal(self, x, prediction):
+        return x
+
+    def finalize_sets(self, view):
+        return [1 << x for x in view.instances]
+
+
 def _weighted_game(name):
     """A public game by name: its spec, learner and adversary."""
+    if name == "agnostic-split":  # comparator 1 on every branch
+        spec = replace(agnostic_game(2), realizability="agnostic", visibility="public")
+        return spec, make_learner("uniform_cube", {"T": 2}), _SplitAdversary()
     if name == "frpfl-vs-optimal":  # branches of 1/9 and 2/9
         spec = replace(helly_game(2), visibility="public")
         return spec, make_learner("frpfl", {"gamma": "1/2", "g": 6}), OptimalAdversary()
@@ -261,7 +289,7 @@ def _weighted_game(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["frpfl-vs-optimal", "cube-t3m4-sixths"]
+    ["frpfl-vs-optimal", "cube-t3m4-sixths", "agnostic-split"]
     + [f"cube-t{T}m{M}" for T in (3, 4) for M in (4, 5, 6)],
 )
 def test_public_expectations_match_a_fraction_reference(name):
@@ -382,6 +410,28 @@ def test_set_valued_play_pinned():
         (63, 127),
     )
     assert t.comparator == 0
+
+
+class _LossFollowingLearner(Learner):
+    """Predicts 0 until it loses a round, then 1."""
+
+    def begin(self, spec):
+        self._label = 0
+
+    def predict(self, x):
+        return self._label
+
+    def observe_loss_bit(self, bit):
+        if bit:
+            self._label = 1
+
+
+def test_bandit_replay_feeds_back_each_loss_bit():
+    # The first round is lost, and that loss bit turns every later prediction.
+    spec = replace(two_constant_game(3), feedback="bandit")
+    t = play_game(spec, _LossFollowingLearner(), _BanditAdversary())
+    assert t.predictions == (0, 1, 1)
+    assert replay_predictions(spec, t, _LossFollowingLearner()) == t.predictions
 
 
 def test_multiclass_play_pinned():
