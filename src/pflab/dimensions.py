@@ -26,7 +26,7 @@ from .game import (
     collection_of,
     distinct_images,
 )
-from .setsystems import SetSystem, iter_bits
+from .setsystems import SetSystem
 
 
 def pfl_dim(spec: GameSpec, d: int, budget: int | None = None) -> int:
@@ -166,15 +166,15 @@ TREE_NODES = 1 << 16
 def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> ShatteringTree:
     """The depth-``d`` shattering tree at the game value ``q``, read off the engine.
 
-    Every choice tests the root target ``q``, never a child's own value: a
-    node takes the lowest instance at which every prediction has a feasible
+    One rule builds every node, at every ``q``, 0 included, and every
+    choice tests the root target ``q``, never a child's own value: a node
+    takes the lowest instance at which every prediction has a feasible
     reveal whose child still reaches ``q``, an edge takes the lowest such
     reveal, and a leaf the lowest-id alive collection whose score is at
     least ``q``: the first tree a backtracking search over instances and
-    labels, lowest first, would find. The engine's public ``feasible``,
-    ``update`` and ``value`` answer every test, and its memo shares their
-    work. At ``q = 0`` every node shows instance 0 and every reveal is the
-    lowest label of the first collection's image there.
+    labels, lowest first, would find. The engine's ``reaching`` gives each
+    node's instance and reveals, ``update`` builds each edge's child once,
+    and the engine's memo shares the work of every test.
 
     The root is solved first, exactly as :func:`pfl_dim` solves it, so the
     tree's ``q`` is the value and every error of that solve comes first.
@@ -196,17 +196,6 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
                 f"a depth-{d} shattering tree has more than {TREE_NODES} internal nodes"
             )
     tree = ShatteringTree(depth=d, q=q)
-    if q <= 0:
-        _fill_trivial(spec, engine.collections[0], tree, ())
-        return tree
-
-    def reaching(state, x, yhat, rounds):
-        """The lowest reveal at ``x`` whose child after ``yhat`` reaches ``q``, with that child."""
-        for y in iter_bits(engine.feasible(*state, x)):
-            child = engine.update(*state, x, yhat, y)
-            if engine.value(*child, rounds) >= q:
-                return y, child
-        return None
 
     def grow(prefix, state, rounds):
         if rounds == 0:
@@ -215,37 +204,17 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
             cid = (reached & -reached).bit_length() - 1
             tree.witnesses[prefix] = engine.collections[cid].members
             return
-        for x in range(spec.n_instances):
-            edges = []
-            for yhat in range(spec.n_labels):
-                edge = reaching(state, x, yhat, rounds - 1)
-                if edge is None:
-                    break
-                edges.append(edge)
-            else:
-                break
+        x, tags = engine.reaching(*state, rounds, q)
         tree.nodes[prefix] = x
-        for yhat, (y, child) in enumerate(edges):
+        for yhat, y in enumerate(tags):
             tree.annotations[prefix + (yhat,)] = y
-            grow(prefix + (yhat,), child, rounds - 1)
+            grow(prefix + (yhat,), engine.update(*state, x, yhat, y), rounds - 1)
 
     try:
         grow((), root, d)
     finally:
         del grow  # its closure holds grow itself: a cycle only the cyclic collector frees
     return tree
-
-
-def _fill_trivial(spec: GameSpec, col: Collection, tree: ShatteringTree, prefix):
-    """Populate a zero-event tree consistently from one collection's images."""
-    if len(prefix) == tree.depth:
-        tree.witnesses[prefix] = col.members
-        return
-    tree.nodes[prefix] = 0
-    y_ok = min(iter_bits(col.images[0]))
-    for yhat in range(spec.n_labels):
-        tree.annotations[prefix + (yhat,)] = y_ok
-        _fill_trivial(spec, col, tree, prefix + (yhat,))
 
 
 # -- auxiliary dimensions ------------------------------------------------------------

@@ -203,8 +203,12 @@ compare from the same tests, which prune beneath them:
 * ``best_reveal`` is the tag of the first reveal class reaching it: the
   class's lowest label under partial feedback, its family set in the
   version-space game, and ``None`` for an edge with no reveal class;
-* ``best_instance`` is the lowest instance where every edge class has a
-  child reaching the state's value, or the value is the top score.
+* ``reaching`` is the lowest instance where every edge class has a reveal
+  class whose child reaches a given value, with each edge's first such
+  tag; an edge with no reveal class reaches only values at most the top
+  score, tagged ``None``;
+* ``best_instance`` is ``reaching``'s instance at the state's value, or
+  the first instance when the value is the top score.
 
 A choice method therefore reads the bounds that earlier calls of any entry
 point stored, and each method answers on both tables.
@@ -742,18 +746,46 @@ class CollectionEngine:
         whose child reaches the value, and the first instance when the value
         is the top score, which every edge's worst case reaches.
         """
+        v = self._solve(levels, alive_mask(levels), rounds)
+        if v <= levels[-1][0]:
+            return 0
+        return self.reaching(base, levels, rounds, base + v)[0]
+
+    def reaching(self, base, levels, rounds: int, v):
+        """``(x, tags)``: the lowest instance where every edge has a reveal reaching ``v``.
+
+        A reveal reaches ``v`` when its child's exact value is at least
+        ``v``; ``tags`` holds each edge's lowest such reveal tag, in edge
+        order, as :meth:`best_reveal` names it. An edge with no reveal
+        class reaches ``v``, tagged ``None``, when ``v`` is at most the top
+        score. Returns ``None`` when no instance qualifies. The full move
+        table is read in table order, and the tags are spread over the
+        edges only once an instance qualifies.
+        """
         alive = alive_mask(levels)
-        v = self._solve(levels, alive, rounds)
+        v -= base
+        top = levels[-1][0]
         for x in range(self.spec.n_instances):
-            if v <= levels[-1][0] or all(
-                any(
-                    self._child_value(levels, keep, inc, rounds - 1) >= v
-                    for _, keep in reveals
-                )
-                for reveals, edges in self._moves(alive, x)
-                for inc in edges
-            ):
-                return x
+            table = []
+            for reveals, edges in self._moves(alive, x):
+                tags = []
+                for inc in edges:
+                    for y, keep in reveals:
+                        if self._child_value(levels, keep, inc, rounds - 1) >= v:
+                            tags.append(y)
+                            break
+                    else:
+                        if reveals or v > top:
+                            # No reveal reaches v: the edge fails the instance.
+                            break
+                        tags.append(None)
+                else:
+                    table.append(tags)
+                    continue
+                break
+            else:
+                return x, [table[entry][cls] for entry, cls in self._positions(alive, x)]
+        return None
 
     def edge_worst_values(self, base, levels, x, child_depth):
         """Exact worst-case child value for every edge, in edge order."""

@@ -2,8 +2,9 @@
 
 It tries every assignment of instances to tree nodes and labels to edge
 annotations, depth-first with backtracking, and checks each completed path
-against every admissible collection. It shares no state or search with the
-engine, which is the point: the trees it finds must be the engine's trees.
+against every admissible collection. It shares no state, search or tree
+rule with the engine, at any ``q``, 0 included, which is the point: the
+trees it finds must be the engine's trees.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from pflab import BudgetExceeded, GameSpec, ShatteringTree, SpecError
-from pflab.dimensions import _fill_trivial
 from pflab.game import build_admissible_collections, distinct_images
 
 
@@ -42,10 +42,6 @@ def naive_tree_oracle(
             f"and ({spec.n_instances}*{spec.n_labels})^{factors} exceeds {limit}"
         )
     collections = distinct_images(build_admissible_collections(spec))
-    if q <= 0:
-        tree = ShatteringTree(depth=d, q=q)
-        _fill_trivial(spec, collections[0], tree, ())
-        return tree
 
     nodes: dict = {}
     annotations: dict = {}
@@ -68,6 +64,8 @@ def naive_tree_oracle(
         return False
 
     def place_node(prefix) -> bool:
+        if len(prefix) == d:
+            return leaf_ok(prefix)
         for x in range(spec.n_instances):
             nodes[prefix] = x
             if all(place_edge(prefix + (yhat,)) for yhat in range(spec.n_labels)):
@@ -78,8 +76,7 @@ def naive_tree_oracle(
     def place_edge(epath) -> bool:
         for y in range(spec.n_labels):
             annotations[epath] = y
-            ok = leaf_ok(epath) if len(epath) == d else place_node(epath)
-            if ok:
+            if place_node(epath):
                 return True
         del annotations[epath]
         return False

@@ -467,9 +467,10 @@ def test_value_commands_pinned(capsys, monkeypatch, pin):
     must give. The specs under ``tests/`` are the ones the sample-spec loop
     in CI does not run: most are rejected (exit 2 or 3), the two
     ``witness_*`` specs drive play through the realizability witness search
-    to a pass (exit 0) and a verification failure (exit 1), and
+    to a pass (exit 0) and a verification failure (exit 1),
     ``collision_mod7`` and ``prefix_parity_t2`` pin whole games against the
-    collision and prefix-parity adversaries.
+    collision and prefix-parity adversaries, and ``zero_value`` pins a
+    witness tree at value 0.
     """
     monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, pin["argv"])

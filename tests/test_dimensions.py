@@ -1,5 +1,6 @@
 """Label-feedback dimensions, and shattering trees against the naive search."""
 
+import collections
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -14,9 +15,11 @@ from pflab import (
     GameSpec,
     HypothesisClass,
     Measure,
+    PotentialMinimizingLearner,
     SetSystem,
     SpecError,
     TreeSpecMismatch,
+    binary_full_system_family,
     collision_game,
     helly_game,
     minimax_det_regret,
@@ -34,6 +37,7 @@ from pflab import (
 )
 from pflab import dimensions
 from pflab.cli import _tree_text
+from pflab.replicate import worst_case_vs_learner
 from pflab.setsystems import labels_of
 
 from conftest import bounded_and_listed, two_constant_game
@@ -41,7 +45,6 @@ from naive_tree import naive_tree_oracle
 from test_properties import spec_from_seed
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
-SAMPLES = {path.stem for path in SPEC_DIR.glob("*.yaml")}
 
 
 def test_two_constant_dimension_is_one_at_every_depth():
@@ -234,39 +237,66 @@ def test_the_node_bound_refuses_exactly_the_trees_past_it(monkeypatch):
         shattering_tree(spec, 3, budget=0)
 
 
+def _full_system_at_depth_2():
+    """``binary_full_system_family()`` at horizon 2: 218 classes, values 0, 1 and 2."""
+    return [
+        (slug, dataclasses.replace(spec, horizon=2)) for slug, spec in binary_full_system_family()
+    ]
+
+
 def _tree_cases():
-    """``(name, spec, depth, naive budget)``: the family specs at their horizon, the samples at 0-3."""
+    """``(group, name, spec, depth, naive budget)``.
+
+    The family specs and the full-system classes at their horizon, the
+    samples at depths 0-3.
+    """
     for slug, spec in list(small_binary_family()) + list(ternary_slice()):
-        yield slug, spec, spec.horizon, 10_000
+        yield "family", slug, spec, spec.horizon, 10_000
+    for slug, spec in _full_system_at_depth_2():
+        yield "full", slug, spec, spec.horizon, 10_000
     for path in sorted(SPEC_DIR.glob("*.yaml")):
         for d in range(4):
-            yield path.stem, load_spec_file(str(path)).spec, d, None
+            yield "samples", path.stem, load_spec_file(str(path)).spec, d, None
 
 
 def test_engine_trees_equal_the_naive_search():
     """Every engine tree verifies, and equals the naive tree wherever that search finishes.
 
-    The naive search also finds no tree one event above the value. It
-    finishes on 345 of the 411 family specs at a budget of 10,000, and on
-    10 of the 12 sample cases at its default budget.
+    The naive search also finds no tree one event above the value, at every
+    depth, 0 included. It finishes on 345 of the 411 family specs at a
+    budget of 10,000, on all 218 full-system classes at depth 2, and on 10
+    of the 12 sample cases at its default budget.
     """
-    finished = {"family": 0, "samples": 0}
-    for name, spec, d, budget in _tree_cases():
+    finished = {"family": 0, "full": 0, "samples": 0}
+    for group, name, spec, d, budget in _tree_cases():
         tree = shattering_tree(spec, d)
         verify_shattering_tree(spec, tree)
         assert tree.q == pfl_dim(spec, d), name
         try:
             reference = naive_tree_oracle(spec, d, tree.q, budget=budget)
-            # At depth 0 no tree forces an event, and the search, which places
-            # a node before it checks the depth, recurses without end.
-            above = naive_tree_oracle(spec, d, tree.q + 1, budget=budget) if d else None
+            above = naive_tree_oracle(spec, d, tree.q + 1, budget=budget)
         except BudgetExceeded:
             continue
         assert reference == tree, (name, d)
         assert _tree_text(reference) == _tree_text(tree)
         assert above is None, (name, d)
-        finished["samples" if name in SAMPLES else "family"] += 1
-    assert finished == {"family": 345, "samples": 10}
+        finished[group] += 1
+    assert finished == {"family": 345, "full": 218, "samples": 10}
+
+
+def test_full_system_values_of_two_are_certified_on_both_sides():
+    """At depth 2 the tree's ``q`` equals the potential learner's exact worst case.
+
+    The families of ``det-minimax-equals-dimension`` have values 0 and 1
+    only; here 118 of the 218 classes have value 2.
+    """
+    values = collections.Counter()
+    for slug, spec in _full_system_at_depth_2():
+        tree = shattering_tree(spec, spec.horizon)
+        verify_shattering_tree(spec, tree)
+        assert worst_case_vs_learner(spec, PotentialMinimizingLearner) == tree.q, slug
+        values[tree.q] += 1
+    assert values == {0: 8, 1: 92, 2: 118}
 
 
 def test_sl_on_a_bounded_system_equals_the_listed_sets():

@@ -248,8 +248,10 @@ def test_version_space_choices_agree_with_value(variant):
     ``value`` is the max over instances of the min of ``edge_worst_values``,
     and ``best_instance`` is the lowest instance reaching it, at depths 1 to
     3 from the initial state. A label with no reveal class keeps the top
-    score, as in the search.
+    score, as in the search, so ``reaching`` at the top score takes instance
+    0 and tags exactly those labels ``None``.
     """
+    untagged = 0
     for seed in range(45):
         spec = spec_from_seed(seed, horizon=3)
         spec = replace(spec, set_system=_variant_system(spec, variant))
@@ -264,6 +266,14 @@ def test_version_space_choices_agree_with_value(variant):
             assert tests.value(*state, depth) == max(per_instance), (seed, depth)
             want = per_instance.index(max(per_instance))
             assert tests.best_instance(*state, depth) == want, (seed, depth)
+            x, tags = tests.reaching(*state, depth, state[0] + state[1][-1][0])
+            assert x == 0
+            assert [tag is None for tag in tags] == [
+                exact.best_reveal(*state, 0, label, depth - 1) is None
+                for label in range(spec.n_labels)
+            ]
+            untagged += tags.count(None)
+    assert untagged
 
 
 class _FullTable:

@@ -135,7 +135,7 @@ def _prefixes(spec, kind, g, rng):
 # ``g`` units, stops the instance loop early and returns 2/3 for 1.
 @example(1043, 0, Fraction(1, 2), 3)
 def test_engine_matches_reference_minimax(kind, seed, prefix_seed, gamma, g):
-    """``value``, every choice method and the bound table against the reference.
+    """``value``, every choice method, ``reaching`` and the bound table against the reference.
 
     The choices are the argmax and argmin of the reference's tables, ties
     going to the lowest instance, move or label. They run on a fresh engine
@@ -185,7 +185,20 @@ def test_engine_matches_reference_minimax(kind, seed, prefix_seed, gamma, g):
             for per_move in children
         ]
         per_instance = [min(row) for row in worst]
-        assert chooser.best_instance(*state, rounds) == per_instance.index(max(per_instance))
+        best = per_instance.index(max(per_instance))
+        assert chooser.best_instance(*state, rounds) == best
+        # Above the top score ``reaching`` at the value names best_instance's
+        # instance and each edge's lowest reveal whose child reaches the value;
+        # at the top score every instance qualifies; above the value none does.
+        top = state[0] + state[1][-1][0]
+        if got > top:
+            tags = [
+                min(y for y, v in per_y.items() if v >= value(start, rounds))
+                for per_y in child_values[best]
+            ]
+            assert chooser.reaching(*state, rounds, got) == (best, tags)
+        assert chooser.reaching(*state, rounds, top)[0] == 0
+        assert chooser.reaching(*state, rounds, got + 1) is None
         for x, row in enumerate(worst):
             table = chooser.edge_worst_values(*state, x, rounds - 1)
             assert [Fraction(v) / scale for v in table] == row
