@@ -62,14 +62,19 @@ scores as they hold the label kind's 0/1 counts.
 On its first visit to an instance ``x`` the search groups the
 collections by their image at ``x``: one ``(image, mask)`` pair per distinct
 image. For each distinct image the engine caches an increment table: one
-integer per edge, in edge order. The engine keeps its grid as columns, one
-tuple of counts per label with one count per edge, so a table is built a
-column at a time: ``c(image)`` for every edge is the sum of the image's own
-columns, and the charge rule maps that column to increments, with no loop
-over edges in Python. :meth:`CollectionEngine._increments` is that one
-exact rule. It compares grid counts and an off-grid prefix measure's
-``Fraction`` mass times ``g`` alike, with no rounded threshold. A step of
-the search then works on masks:
+integer per edge, in edge order. The engine keeps its grid as one packed
+int per label, edge ``i``'s count in the 64-bit field at bit ``64 * i``,
+so a table is integer arithmetic on whole words, with no loop over edges in
+Python: ``C``, the sum of the image's own packed columns, holds ``c(image)``
+for every edge, and no field carries because ``c <= g < 2**63``. With
+``ONES`` the word of 1s, the loss table is ``g * ONES - C``; the measure
+table tests ``c <= K`` in every field at once, with ``K = floor(g * (q -
+p) / q)`` (``g - 1`` at ``gamma = 0``): the top bit of each field of ``(K
++ 2**63) * ONES - C`` is set exactly when ``c <= K``, which for an integer
+count is the test above. :meth:`CollectionEngine._charge` reads one field.
+An off-grid prefix measure's ``Fraction`` mass times ``g`` takes the same
+rule exactly, with no rounded threshold (:meth:`CollectionEngine._increment`).
+A step of the search then works on masks:
 
 * the move table at ``x`` gives every edge class its own list of reveal
   classes. An edge class holds one ``(increment, mask)`` pair per
@@ -90,7 +95,11 @@ Two rules fill the move table:
 
 * partial feedback (:class:`CollectionEngine`): the edge classes are the
   edges with distinct increments over the alive groups, and every edge
-  class faces the same reveal list, so the table has one entry. The list
+  class faces the same reveal list, so the table has one entry. On a grid
+  an edge's key lays the alive groups' increments side by side in 64-bit
+  words, built from whole tables at once and deduplicated as ints
+  (:meth:`CollectionEngine._edge_keys`); a label edge's key is its
+  increment tuple, since the label kind has few edges and many groups. The list
   has one class per label ``y`` in ascending order, tagged by its lowest
   ``y``: the OR of the alive parts of the groups whose image holds ``y``;
 * the version-space game of :func:`pflab.dimensions.ml_sl_bl_dim`
@@ -206,7 +215,8 @@ compare from the same tests, which prune beneath them:
 * ``reaching`` is the lowest instance where every edge class has a reveal
   class whose child reaches a given value, with each edge's first such
   tag; an edge with no reveal class reaches only values at most the top
-  score, tagged ``None``;
+  score, tagged ``None``. Each child takes one test of ``value >= v``,
+  not its exact value;
 * ``best_instance`` is ``reaching``'s instance at the state's value, or
   the first instance when the value is the top score.
 
@@ -239,6 +249,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from typing import Sequence
 
@@ -278,14 +290,26 @@ class CollectionEngine:
             self.g = 1
         else:
             self.g = grid if grid is not None else spec.measure_grid
-        # The grid as one column of counts per label, a count per edge. The
-        # label kind's grid has one point per label, so the grid budget never
-        # rejects it.
-        self._columns = grid_columns(
-            spec.n_labels, self.g, spec.n_labels if kind == "label" else None
-        )
-        self.n_edges = len(self._columns[0])
+        # The grid as one packed column per label: edge i's count in the
+        # 64-bit field at bit 64 * i. The label kind's grid has one point per
+        # label, so the grid budget never rejects it.
+        columns = grid_columns(spec.n_labels, self.g, spec.n_labels if kind == "label" else None)
+        self.n_edges = len(columns[0])
+        self._words = tuple(map(_pack, columns))
+        self._ones = _pack([1] * self.n_edges)
         self.scale = 1 if kind == "measure" else self.g
+        if kind == "measure":
+            # For an integer count c, c * q <= g * (q - p) with gamma = p/q,
+            # or c < g at gamma 0, is c <= K. K is clamped to [-1, g], which
+            # decides every count in [0, g].
+            p, q = self.gamma.numerator, self.gamma.denominator
+            K = min(max(self.g - 1 if p == 0 else self.g * (q - p) // q, -1), self.g)
+            self._minuend = (K + _TOP) * self._ones
+        else:
+            self._minuend = self.g * self._ones
+        # An edge key's field width: a loss increment is at most g, a measure
+        # increment 0 or 1.
+        self._bits = 1 if kind == "measure" else self.g.bit_length()
         budget = states_budget() if budget is None else budget
         if budget < 0:
             raise SpecError(f"budget must be nonnegative, got {budget}")
@@ -293,6 +317,7 @@ class CollectionEngine:
         self.nodes = 0
         self._bounds: dict = {}
         self._tables: dict = {}
+        self._rows: dict = {}
         self._settled_cache: dict = {}
         self._leaf_cache: dict = {}
         self._moves_cache: dict = {}
@@ -314,39 +339,48 @@ class CollectionEngine:
 
     # -- increments ---------------------------------------------------------
 
-    def _increments(self, inside) -> tuple:
-        """The charge rule: increments for the masses ``inside`` an image, in units of ``1/g``.
+    def _increment(self, inside):
+        """The charge rule on one exact mass ``inside`` an image, in units of ``1/g``.
 
-        The masses are grid counts or exact ``Fraction``s; the rule compares
-        them exactly, with no rounded threshold.
+        The mass is an off-grid prefix measure's ``Fraction`` times ``g``;
+        the rule compares it exactly, with no rounded threshold.
         """
         g = self.g
         if self.kind != "measure":
-            return tuple(map(operator.sub, itertools.repeat(g), inside))
+            return g - inside
         if self.gamma == 0:
-            return tuple(map(int, map(operator.lt, inside, itertools.repeat(g))))
+            return int(inside < g)
         p, q = self.gamma.numerator, self.gamma.denominator
-        scaled = map(operator.mul, inside, itertools.repeat(q))
-        return tuple(map(int, map(operator.le, scaled, itertools.repeat(g * (q - p)))))
+        return int(inside * q <= g * (q - p))
 
-    def _table(self, image_mask: int) -> tuple:
-        """Increments of a collection with this image under every edge, in edge order."""
+    def _table(self, image_mask: int) -> int:
+        """Increments of a collection with this image under every edge, packed like a column."""
         hit = self._tables.get(image_mask)
         if hit is None:
-            # Grid mass on the image, in counts, for every edge at once: the
-            # sum of the image's own columns.
-            inside = functools.reduce(
-                functools.partial(map, operator.add),
-                map(self._columns.__getitem__, iter_bits(image_mask)),
-            )
-            hit = self._tables[image_mask] = self._increments(inside)
+            # Grid counts on the image for every edge at once: the sum of the
+            # image's packed columns. A count is at most g < 2**63, so no
+            # field borrows from the next.
+            hit = self._minuend - sum(map(self._words.__getitem__, iter_bits(image_mask)))
+            if self.kind == "measure":
+                # A field K + 2**63 - c keeps its top bit exactly when c <= K.
+                hit = hit >> (_WIDTH - 1) & self._ones
+            self._tables[image_mask] = hit
+        return hit
+
+    def _row(self, image_mask: int) -> tuple:
+        """:meth:`_table` as a tuple, one increment per edge: the label kind's edge keys read it."""
+        hit = self._rows.get(image_mask)
+        if hit is None:
+            hit = self._rows[image_mask] = tuple(_unpack(self._table(image_mask), self.n_edges))
         return hit
 
     def _charge(self, move, image_mask: int):
         """Increment, in engine units, for an edge index or an exact prefix measure."""
         if not isinstance(move, Measure):
-            return self._table(image_mask)[move]
-        (inc,) = self._increments((move.mass(image_mask) * self.g,))
+            if not 0 <= move < self.n_edges:
+                raise IndexError(f"edge {move} outside range({self.n_edges})")
+            return self._table(image_mask) >> (_WIDTH * move) & _FIELD
+        inc = self._increment(move.mass(image_mask) * self.g)
         return inc.numerator if inc.denominator == 1 else inc
 
     def _groups(self, x: int) -> tuple:
@@ -490,26 +524,60 @@ class CollectionEngine:
                 first.setdefault(keep, y)
         return [(y, keep) for keep, y in first.items()]
 
-    def _edge_vectors(self, alive: int, x: int) -> tuple:
-        """Every edge's increment vector over the alive image groups at ``x``, and their masks."""
-        tables, masks = zip(
-            *((self._table(image), mask) for image, mask in self._groups(x) if mask & alive)
-        )
-        return list(zip(*tables)), masks
+    def _edge_keys(self, alive: int, x: int) -> tuple:
+        """Every edge's key over the alive image groups at ``x``, in edge order, and their masks.
+
+        Two edges have equal keys exactly when their increment vectors over
+        the groups are equal. A grid key lays the groups' increments side by
+        side, ``_bits`` bits each: as many groups as fill 64 bits are
+        shifted into place in whole tables at once and read out as one
+        ``array('Q')``, and more groups take more such arrays, zipped into
+        tuple keys. A label table has only ``n_labels`` edges and the
+        label kind's groups are many, so its key is the increment vector
+        itself, zipped from the tables as tuples (:meth:`_row`).
+        """
+        images, masks = zip(*(group for group in self._groups(x) if group[1] & alive))
+        if self.kind == "label":
+            return list(zip(*map(self._row, images))), masks
+        tables = list(map(self._table, images))
+        shifts = range(0, _WIDTH - self._bits + 1, self._bits)
+        chunks = [
+            _unpack(sum(map(operator.lshift, tables[i:i + len(shifts)], shifts)), self.n_edges)
+            for i in range(0, len(tables), len(shifts))
+        ]
+        return (chunks[0] if len(chunks) == 1 else list(zip(*chunks))), masks
 
     def _edge_classes(self, alive: int, x: int) -> list:
         """The ``(increment, mask)`` pairs of one edge per distinct increment vector.
 
-        The classes are listed by their lowest edge, in edge order. Cached
-        per instance and set of alive groups.
+        The classes are listed by their lowest edge, in edge order: the
+        first occurrence of each distinct key. Cached per instance and set
+        of alive groups.
         """
         groups = self._groups(x)
         key = (x, tuple(i for i, (_, mask) in enumerate(groups) if mask & alive))
         hit = self._edge_cache.get(key)
         if hit is None:
-            vectors, masks = self._edge_vectors(alive, x)
-            hit = self._edge_cache[key] = [_by_value(inc, masks) for inc in dict.fromkeys(vectors)]
+            keys, masks = self._edge_keys(alive, x)
+            vectors = dict.fromkeys(keys)
+            if self.kind != "label":
+                vectors = self._decode(list(vectors), len(masks))
+            hit = self._edge_cache[key] = [_by_value(inc, masks) for inc in vectors]
         return hit
+
+    def _decode(self, keys: list, n_groups: int):
+        """The increment vectors of grid keys over ``n_groups`` groups, in key order.
+
+        Each group's field is read out of every key at once.
+        """
+        chunks = list(zip(*keys)) if type(keys[0]) is tuple else [keys]
+        b = self._bits
+        per, fill = _WIDTH // b, itertools.repeat((1 << b) - 1)
+        fields = (
+            map(operator.rshift, chunks[i // per], itertools.repeat(b * (i % per)))
+            for i in range(n_groups)
+        )
+        return zip(*(map(operator.and_, field, fill) for field in fields))
 
     def _positions(self, alive: int, x: int) -> list:
         """The ``(entry, class)`` position of every edge in the move table at ``x``, in edge order.
@@ -524,12 +592,12 @@ class CollectionEngine:
     def _edge_positions(self, alive: int, x: int) -> list:
         """The positions :meth:`_positions` caches, built on a miss.
 
-        Partial feedback has one entry, whose classes are the distinct
-        increment vectors in the order :meth:`_edge_classes` lists them.
+        Partial feedback has one entry, whose classes are the distinct edge
+        keys in the order :meth:`_edge_classes` lists them.
         """
-        vectors, _ = self._edge_vectors(alive, x)
-        index = {inc: cls for cls, inc in enumerate(dict.fromkeys(vectors))}
-        return [(0, index[inc]) for inc in vectors]
+        keys, _ = self._edge_keys(alive, x)
+        index = {key: cls for cls, key in enumerate(dict.fromkeys(keys))}
+        return [(0, index[key]) for key in keys]
 
     def _per_edge(self, alive: int, x: int, per_entry) -> list:
         """A value for every edge, in edge order, computed once per edge class.
@@ -705,9 +773,7 @@ class CollectionEngine:
             while self._test(levels, alive, rounds, w):
                 v, w = w, _above(levels, w)
         except RecursionError:
-            raise BudgetExceeded(
-                f"minimax recursion over {rounds} rounds exceeds Python's recursion limit"
-            ) from None
+            raise _too_deep(rounds) from None
         return v
 
     def _child_value(self, levels: tuple, keep: int, inc, child_depth: int):
@@ -717,6 +783,21 @@ class CollectionEngine:
             return _top(levels, keep, inc)
         base, child = _child(levels, keep, inc)
         return base + self._solve(child, keep, child_depth)
+
+    def _child_reaches(self, levels: tuple, keep: int, inc, child_depth: int, v) -> bool:
+        """Does the child of survivors ``keep`` under ``inc`` reach ``v``, on the parent's scale?
+
+        One null-window test, or the child's top score when it is settled or
+        has no rounds left. A test deeper than Python's stack allows leaves
+        as a budget rejection, as in :meth:`_solve`.
+        """
+        if child_depth == 0 or self._settled(keep):
+            return _top(levels, keep, inc) >= v
+        base, child = _child(levels, keep, inc)
+        try:
+            return self._test(child, keep, child_depth, v - base)
+        except RecursionError:
+            raise _too_deep(child_depth) from None
 
     def _edge_worst(self, levels, inc, reveals, child_depth):
         """``(worst case, tag of the first reveal class reaching it)`` for one edge class.
@@ -755,10 +836,11 @@ class CollectionEngine:
         """``(x, tags)``: the lowest instance where every edge has a reveal reaching ``v``.
 
         A reveal reaches ``v`` when its child's exact value is at least
-        ``v``; ``tags`` holds each edge's lowest such reveal tag, in edge
-        order, as :meth:`best_reveal` names it. An edge with no reveal
-        class reaches ``v``, tagged ``None``, when ``v`` is at most the top
-        score. Returns ``None`` when no instance qualifies. The full move
+        ``v``, which one null-window test of the child decides
+        (:meth:`_child_reaches`); ``tags`` holds each edge's lowest such
+        reveal tag, in edge order, as :meth:`best_reveal` names it. An
+        edge with no reveal class reaches ``v``, tagged ``None``, when
+        ``v`` is at most the top score. Returns ``None`` when no instance qualifies. The full move
         table is read in table order, and the tags are spread over the
         edges only once an instance qualifies.
         """
@@ -771,7 +853,7 @@ class CollectionEngine:
                 tags = []
                 for inc in edges:
                     for y, keep in reveals:
-                        if self._child_value(levels, keep, inc, rounds - 1) >= v:
+                        if self._child_reaches(levels, keep, inc, rounds - 1, v):
                             tags.append(y)
                             break
                     else:
@@ -909,9 +991,37 @@ class _VersionSpaceEngine(CollectionEngine):
         ]
 
 
+_WIDTH = 64
+_TOP = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _pack(values) -> int:
+    """``values`` as one int, value ``i`` in the 64-bit field at bit ``64 * i``."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(word: int, n: int) -> array:
+    """The ``n`` lowest 64-bit fields of ``word``, lowest first: :func:`_pack` inverted."""
+    words = array("Q", word.to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def alive_mask(levels) -> int:
     """Mask of the alive collections of a state's levels: bit ``cid`` per alive id."""
     return sum(mask for _, mask in levels)
+
+
+def _too_deep(rounds: int) -> BudgetExceeded:
+    """The budget rejection of a search deeper than Python's recursion limit."""
+    return BudgetExceeded(
+        f"minimax recursion over {rounds} rounds exceeds Python's recursion limit"
+    )
 
 
 def _above(levels, v):

@@ -38,7 +38,14 @@ from pflab import (
     play_game,
 )
 from pflab.dimensions import _variant_system
-from pflab.engine import CollectionEngine, _VersionSpaceEngine, _above, _below, alive_mask
+from pflab.engine import (
+    CollectionEngine,
+    _VersionSpaceEngine,
+    _above,
+    _below,
+    _unpack,
+    alive_mask,
+)
 from pflab.families import binary_full_system_family
 from pflab.game import Collection
 from pflab.setsystems import iter_bits
@@ -117,8 +124,9 @@ def test_version_space_rules_match_the_alive_images(kind, seed, walk):
     ``feasible`` and ``common`` are the OR and the AND of the alive images;
     ``update`` keeps the collections whose image holds the label, and
     ``update_set`` those whose image is the set, each charged the edge's
-    increment; a move that keeps none raises. The states are the initial one
-    and those along a random played prefix.
+    increment; a move that keeps none raises, and so does an edge index
+    outside the grid. The states are the initial one and those along a
+    random played prefix.
     """
     spec = spec_from_seed(seed, horizon=3)
     eng = _engine(spec, kind)
@@ -151,6 +159,9 @@ def test_version_space_rules_match_the_alive_images(kind, seed, walk):
         x = rng.randrange(spec.n_instances)
         y = rng.choice(_feasible(eng, state, x))
         state = eng.update(*state, x, rng.randrange(eng.n_edges), y)
+        for edge in (-1, eng.n_edges):
+            with pytest.raises(IndexError, match="outside range"):
+                eng.update(*state, x, edge, y)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -660,22 +671,100 @@ def test_reveal_classes_match_the_pairwise_rule(seed):
             assert eng._reveals(alive, x) == _pairwise_reveals(eng, alive, x)
 
 
+def _tuple_rule_classes(eng, alive, x):
+    """``(edge classes, positions)`` by the per-edge tuple rule, from the unpacked tables.
+
+    Each edge's increment vector over the alive groups is a tuple; the
+    classes are the distinct tuples in first-occurrence order, each as its
+    ``(increment, OR of group masks)`` pairs in first-group order.
+    """
+    groups = [(image, mask) for image, mask in eng._groups(x) if mask & alive]
+    vectors = list(zip(*(_unpack(eng._table(image), eng.n_edges) for image, _ in groups)))
+    distinct = list(dict.fromkeys(vectors))
+    classes = []
+    for inc in distinct:
+        by_value = {}
+        for v, (_, mask) in zip(inc, groups):
+            by_value[v] = by_value.get(v, 0) | mask
+        classes.append(tuple(by_value.items()))
+    index = {inc: cls for cls, inc in enumerate(distinct)}
+    return classes, [(0, index[inc]) for inc in vectors]
+
+
+def _assert_edge_classes_match(eng, seed, tries=20):
+    rng = random.Random(seed)
+    everyone = (1 << len(eng.images)) - 1
+    for alive in [everyone, *(rng.randint(1, everyone) for _ in range(tries))]:
+        for x in range(eng.spec.n_instances):
+            classes, positions = _tuple_rule_classes(eng, alive, x)
+            assert eng._edge_classes(alive, x) == classes
+            assert eng._positions(alive, x) == positions
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(sorted(KINDS)),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(GAMMAS),
+)
+def test_edge_classes_match_the_tuple_rule(seed, kind, g, gamma):
+    """``_edge_classes`` and ``_positions`` equal the per-edge tuple rule on every kind.
+
+    The grid kinds dedup packed keys and decode them; the states are every
+    collection alive and random alive subsets of generated specs over up to
+    8 labels.
+    """
+    spec = _wide_spec(seed)
+    params = {"label": {}, "loss": {"grid": g}, "measure": {"grid": g, "gamma": gamma}}[kind]
+    eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **params)
+    _assert_edge_classes_match(eng, seed)
+
+
+@pytest.mark.parametrize(
+    "n, kind, params",
+    [
+        (6, "loss", {"grid": 12}),
+        (7, "measure", {"grid": 3, "gamma": Fraction(1, 3)}),
+        (7, "label", {}),
+    ],
+    ids=["loss-g12", "measure-g3", "label"],
+)
+def test_edge_classes_match_the_tuple_rule_past_one_key_word(n, kind, params):
+    """Keys of more alive groups than one 64-bit word holds are tuples of words.
+
+    One instance under the full power set gives one group per nonempty
+    image: 63 groups of 4-bit loss increments at ``g = 12`` (16 per word)
+    and 127 one-bit measure increments (64 per word).
+    """
+    spec = _one_instance_spec(n)
+    eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **params)
+    assert len(eng._groups(0)) == (1 << n) - 1
+    _assert_edge_classes_match(eng, n, tries=3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=16),
     st.sampled_from(GAMMAS),
+    st.integers(min_value=1, max_value=63),
 )
-@example(6, 8, Fraction(1, 3))
-@example(2, 1, Fraction(0))
-def test_increment_tables_match_the_exact_charge_rule(n, g, gamma):
+@example(6, 8, Fraction(1, 3), 0b010110)
+@example(2, 1, Fraction(0), 1)
+@example(6, 12, Fraction(1, 3), 0b101001)
+@example(2, 16, Fraction(1), 1)
+def test_increment_tables_match_the_exact_charge_rule(n, g, gamma, probe):
     """Every image's increment table equals the charge rule on exact ``Fraction`` masses.
 
     The rule reads each grid edge as its :func:`measure_grid` measure: the
     loss kind charges ``g`` times the mass outside the image, the measure
     kind charges 1 when the mass inside is at most ``1 - gamma`` (below 1
     when ``gamma`` is 0), and the label kind charges a label outside the
-    image, the loss of its point mass.
+    image, the loss of its point mass. Up to ``g = 16`` a loss increment
+    needs 5 bits of an edge key; at ``gamma = 1`` the measure kind charges
+    only a mass of 0. ``_charge`` reads one entry of a table: on the image
+    ``probe`` (cut to ``n`` labels) it gives the table's entry at every edge.
     """
     spec = _one_instance_spec(n)
     loss = CollectionEngine(spec, [], kind="loss", grid=g)
@@ -684,17 +773,24 @@ def test_increment_tables_match_the_exact_charge_rule(n, g, gamma):
     grid = measure_grid(n, g)
     # The exact mass of every grid measure on an image, adding one label at a time.
     on = {0: [Fraction(0)] * len(grid)}
+    tables = {}
     for image in range(1, 1 << n):
         low = image & -image
         y = low.bit_length() - 1
         masses = on[image] = [mass + m.weights[y] for mass, m in zip(on[image ^ low], grid)]
-        assert loss._table(image) == tuple(g * (1 - mass) for mass in masses)
-        assert measure._table(image) == tuple(
+        tables[image] = {
+            eng: _unpack(eng._table(image), eng.n_edges) for eng in (loss, measure, label)
+        }
+        assert tables[image][loss].tolist() == [g * (1 - mass) for mass in masses]
+        assert tables[image][measure].tolist() == [
             int(mass < 1 if gamma == 0 else mass <= 1 - gamma) for mass in masses
-        )
-        assert label._table(image) == tuple(
+        ]
+        assert tables[image][label].tolist() == [
             Measure.delta(n, y).miss_mass(image) for y in range(n)
-        )
+        ]
+    probe = probe & ((1 << n) - 1) or 1
+    for eng, table in tables[probe].items():
+        assert [eng._charge(edge, probe) for edge in range(eng.n_edges)] == table.tolist()
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -836,6 +932,8 @@ def test_pinned_states_of_potential_play():
     ``binary_full_system_family`` class from index 100. ``best_edge`` and
     ``best_instance`` read the bound memo ``value`` and earlier choices
     filled; with a second search of their own the sums were 1,320 and 1,464.
+    ``best_instance`` tests each child against the value with one
+    null-window test; solving each child exactly took 645 adversary states.
     """
     learner = adversary = 0
     for index in range(100, 130, 3):
@@ -849,7 +947,7 @@ def test_pinned_states_of_potential_play():
             lrn.observe(adv.reveal(x, lrn.predict(x)))
         learner += lrn._engines[0].nodes
         adversary += adv._engine.nodes
-    assert (learner, adversary) == (717, 645)
+    assert (learner, adversary) == (717, 514)
 
 
 def test_horizon_beyond_the_recursion_limit_raises_budget_exceeded():
