@@ -19,10 +19,10 @@ labels some, or every, alive image holds at an instance) and move it with
 :meth:`CollectionEngine.update` on a revealed label or
 :meth:`CollectionEngine.update_set` on a revealed set.
 
-Every edge is a measure on a grid of resolution ``g``, kept as its count
-tuple ``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_columns`),
-and a collection's increment depends only on the counts ``c(image)`` the
-edge puts on its image. Two charge rules give it:
+Every edge is a measure on a grid of resolution ``g``, given by its counts
+``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_columns`), and
+a collection's increment depends only on the count ``c(image)`` the edge
+puts on its image. Two charge rules give it:
 
 * ``loss``: the mass placed outside the image, in units of ``1/g``, so the
   increment is ``g - c(image)``;
@@ -95,13 +95,17 @@ Two rules fill the move table:
 
 * partial feedback (:class:`CollectionEngine`): the edge classes are the
   edges with distinct increments over the alive groups, and every edge
-  class faces the same reveal list, so the table has one entry. On a grid
-  an edge's key lays the alive groups' increments side by side in 64-bit
-  words, built from whole tables at once and deduplicated as ints
-  (:meth:`CollectionEngine._edge_keys`); a label edge's key is its
-  increment tuple, since the label kind has few edges and many groups. The list
-  has one class per label ``y`` in ascending order, tagged by its lowest
-  ``y``: the OR of the alive parts of the groups whose image holds ``y``;
+  class faces the same reveal list, so the table has one entry. One scan
+  of the alive groups gives, per label ``y``, the survivor mask
+  ``holds[y]``: the OR of the alive parts of the groups whose image holds
+  ``y`` (:meth:`CollectionEngine._holds`). The reveal list has one class
+  per distinct nonzero ``holds[y]``, in ascending ``y``, tagged by its
+  lowest ``y``. A label edge ``y`` charges 0 on ``holds[y]`` and 1 on the
+  other alive collections, so the label edge classes are read off the
+  same scan: one per distinct ``holds[y]``, the zero mask included, in
+  label order. On a grid an edge's key lays the alive groups' increments
+  side by side in 64-bit words, built from whole tables at once and
+  deduplicated as ints (:meth:`CollectionEngine._edge_keys`);
 * the version-space game of :func:`pflab.dimensions.ml_sl_bl_dim`
   (:class:`_VersionSpaceEngine`): each collection is one hypothesis, so
   every image is a single label. An edge (a label) carries the reveal
@@ -156,11 +160,15 @@ soundness, and that of its speedups, all of which preserve exact values:
     depends only on the edge and its own image, so the larger class's
     child is the smaller class's child with more collections added, and
     its value is never lower. Every table and kind takes this rule;
-  - the min side drops a label edge class whose increment vector over the
-    alive groups is at least another class's in every entry: both face the
-    same reveal classes, and each child of the dominated class holds the
-    same collections at scores no lower. There are at most ``n_labels``
-    such classes, so the pairwise test is cheap. Grid tables skip it,
+  - the min side drops a label edge class that charges every alive
+    collection at least as much as another class does: both face the same
+    reveal classes, and each child of the dominated class holds the same
+    collections at scores no lower. A label class charges 1 exactly
+    outside its survivor mask, so it is dominated exactly when that mask
+    is a strict subset of another class's, the max side's own test. The
+    label edge classes kept are therefore those of the maximal reveal
+    classes, in their order, and the search reads them off the survivor
+    scan without building the full table. Grid tables skip this rule,
     because theirs can hold hundreds of edge classes; the version-space
     table has one edge class per entry, so it drops none there;
 
@@ -186,7 +194,9 @@ soundness, and that of its speedups, all of which preserve exact values:
   of one call, and of later calls to any entry point, share their work;
 * a state whose children are all leaves (one round left, or every reveal
   class at every instance settled) is solved by one exact scan, which sees
-  every child at once, and stored as ``(v, v)``. It scores an edge by the
+  every child at once, and stored as ``(v, v)``. The leaf test reads the
+  search's table: every reveal class lies inside a maximal one, and every
+  subset of a settled alive set is settled. The scan scores an edge by the
   top score when no reveal class charges above it. The scan stops an edge's
   reveals once the edge is no better than the instance's best edge so far,
   and an instance's edges once it cannot beat the best instance so far;
@@ -200,6 +210,7 @@ Every entry point runs this one search. ``value`` is the ascending tests'
 last pass. The choice methods read the full move table, not the search's
 pruned copy: a dominated class can tie with the class that dominates it and
 still have the lower index, and each method returns the lowest-index tie.
+On the label kind only they build the full table; ``value`` never does.
 On the choice path only, each edge gets its ``(entry, class)`` position in
 the table at ``x``, cached per instance and alive mask, so the search
 itself does no per-edge work. They take the value of each child they
@@ -254,7 +265,7 @@ from array import array
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
+from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
 from .game import Collection, GameSpec
 from .measures import Measure, grid_columns, measure_grid
 from .setsystems import iter_bits, mask_of
@@ -317,7 +328,6 @@ class CollectionEngine:
         self.nodes = 0
         self._bounds: dict = {}
         self._tables: dict = {}
-        self._rows: dict = {}
         self._settled_cache: dict = {}
         self._leaf_cache: dict = {}
         self._moves_cache: dict = {}
@@ -330,8 +340,8 @@ class CollectionEngine:
     def edges(self) -> list:
         """The learner's moves in edge order: labels, or grid measures.
 
-        Both are built on the first read; the search itself works on the
-        grid's count tuples only.
+        Both are built on the first read; the search itself works on edge
+        indices and increment masks only.
         """
         if self.kind == "label":
             return list(range(self.spec.n_labels))
@@ -367,18 +377,9 @@ class CollectionEngine:
             self._tables[image_mask] = hit
         return hit
 
-    def _row(self, image_mask: int) -> tuple:
-        """:meth:`_table` as a tuple, one increment per edge: the label kind's edge keys read it."""
-        hit = self._rows.get(image_mask)
-        if hit is None:
-            hit = self._rows[image_mask] = tuple(_unpack(self._table(image_mask), self.n_edges))
-        return hit
-
     def _charge(self, move, image_mask: int):
-        """Increment, in engine units, for an edge index or an exact prefix measure."""
+        """Increment, in engine units, for an edge index in range or an exact prefix measure."""
         if not isinstance(move, Measure):
-            if not 0 <= move < self.n_edges:
-                raise IndexError(f"edge {move} outside range({self.n_edges})")
             return self._table(image_mask) >> (_WIDTH * move) & _FIELD
         inc = self._increment(move.mass(image_mask) * self.g)
         return inc.numerator if inc.denominator == 1 else inc
@@ -418,8 +419,7 @@ class CollectionEngine:
             raise SpecError("prefix lists must have equal length")
         spec = self.spec
         for x in prefix_x:
-            if type(x) is not int or not 0 <= x < spec.n_instances:
-                raise SpecError(f"prefix instance {x!r} outside range({spec.n_instances})")
+            require_index(x, spec.n_instances, "prefix instance")
         labels = tuple(prefix_reveals)
         if self.kind == "label":
             labels = tuple(prefix_moves) + labels
@@ -433,8 +433,7 @@ class CollectionEngine:
                         f"{spec.n_labels}-label spec"
                     )
         for y in labels:
-            if type(y) is not int or not 0 <= y < spec.n_labels:
-                raise SpecError(f"prefix label {y!r} outside range({spec.n_labels})")
+            require_index(y, spec.n_labels, "prefix label")
         empty = "no collection is consistent with the prefix reveals"
         if not self.images:
             raise EmptyConsistentSet(empty)
@@ -445,10 +444,12 @@ class CollectionEngine:
 
     def feasible(self, base, levels, x: int) -> int:
         """Labels some alive collection's image at ``x`` contains: the OR of the images."""
+        self._check_indices(x)
         return functools.reduce(operator.or_, self._images(alive_mask(levels), x))
 
     def common(self, base, levels, x: int) -> int:
         """Labels every alive collection's image at ``x`` contains: the AND of the images."""
+        self._check_indices(x)
         return functools.reduce(operator.and_, self._images(alive_mask(levels), x))
 
     def update(self, base, levels, x: int, edge_index: int, y: int):
@@ -456,6 +457,8 @@ class CollectionEngine:
 
         Raises :class:`EmptyConsistentSet` when no alive image holds ``y``.
         """
+        self._check_indices(x, edge_index)
+        require_index(y, self.spec.n_labels, "label")
         return self._step(
             base, levels, x, self._holding(x, y), edge_index,
             "every admissible collection is inconsistent with the reveals",
@@ -468,10 +471,20 @@ class CollectionEngine:
         is exactly ``mask`` survive, charged as :meth:`update` charges them.
         Raises :class:`EmptyConsistentSet` when none is alive.
         """
+        self._check_indices(x, edge_index)
         return self._step(
             base, levels, x, dict(self._groups(x)).get(mask, 0), edge_index,
             "every admissible collection is inconsistent with the revealed sets",
         )
+
+    def _check_indices(self, x, edge_index=0) -> None:
+        """Raise :class:`SpecError` unless ``x`` is an instance index and ``edge_index`` an edge index.
+
+        Each must be a plain int in range: a ``bool`` or a negative index is
+        neither. The default, edge 0, exists in every engine.
+        """
+        require_index(x, self.spec.n_instances, "instance")
+        require_index(edge_index, self.n_edges, "edge")
 
     def _holding(self, x: int, y: int) -> int:
         """Mask of the collections whose image at ``x`` holds ``y``."""
@@ -501,14 +514,11 @@ class CollectionEngine:
         """The distinct images at ``x`` of the alive collections."""
         return [image for image, mask in self._groups(x) if mask & alive]
 
-    def _reveals(self, alive: int, x: int) -> list:
-        """One ``(lowest y, survivor mask)`` pair per distinct survivor set at ``x``.
+    def _holds(self, alive: int, x: int) -> list:
+        """Per label ``y``, the mask of the alive collections whose image at ``x`` holds ``y``.
 
-        Every feasible reveal whose survivors coincide induces the same child
-        under every edge, so the classes are listed once, in ascending ``y``:
-        a dict keeps the first ``y`` of each survivor mask, so the listing
-        is linear in the labels. Each alive group's image is walked one low
-        bit at a time, so a wide alphabet costs only the image's own labels.
+        Each alive group's image is walked one low bit at a time, so a wide
+        alphabet costs only the image's own labels.
         """
         holds = [0] * self.spec.n_labels
         for image, mask in self._groups(x):
@@ -518,27 +528,23 @@ class CollectionEngine:
                     low = image & -image
                     image ^= low
                     holds[low.bit_length() - 1] |= mask
-        first: dict = {}
-        for y, keep in enumerate(holds):
-            if keep:
-                first.setdefault(keep, y)
-        return [(y, keep) for keep, y in first.items()]
+        return holds
+
+    def _reveals(self, alive: int, x: int) -> list:
+        """One ``(lowest y, survivor mask)`` pair per distinct survivor set at ``x``: :func:`_reveal_classes`."""
+        return _reveal_classes(self._holds(alive, x))
 
     def _edge_keys(self, alive: int, x: int) -> tuple:
         """Every edge's key over the alive image groups at ``x``, in edge order, and their masks.
 
-        Two edges have equal keys exactly when their increment vectors over
-        the groups are equal. A grid key lays the groups' increments side by
-        side, ``_bits`` bits each: as many groups as fill 64 bits are
-        shifted into place in whole tables at once and read out as one
-        ``array('Q')``, and more groups take more such arrays, zipped into
-        tuple keys. A label table has only ``n_labels`` edges and the
-        label kind's groups are many, so its key is the increment vector
-        itself, zipped from the tables as tuples (:meth:`_row`).
+        Grid kinds only. Two edges have equal keys exactly when their
+        increment vectors over the groups are equal. A key lays the groups'
+        increments side by side, ``_bits`` bits each: as many groups as fill
+        64 bits are shifted into place in whole tables at once and read out
+        as one ``array('Q')``, and more groups take more such arrays, zipped
+        into tuple keys.
         """
         images, masks = zip(*(group for group in self._groups(x) if group[1] & alive))
-        if self.kind == "label":
-            return list(zip(*map(self._row, images))), masks
         tables = list(map(self._table, images))
         shifts = range(0, _WIDTH - self._bits + 1, self._bits)
         chunks = [
@@ -548,7 +554,7 @@ class CollectionEngine:
         return (chunks[0] if len(chunks) == 1 else list(zip(*chunks))), masks
 
     def _edge_classes(self, alive: int, x: int) -> list:
-        """The ``(increment, mask)`` pairs of one edge per distinct increment vector.
+        """The ``(increment, mask)`` pairs of one grid edge per distinct increment vector.
 
         The classes are listed by their lowest edge, in edge order: the
         first occurrence of each distinct key. Cached per instance and set
@@ -559,9 +565,7 @@ class CollectionEngine:
         hit = self._edge_cache.get(key)
         if hit is None:
             keys, masks = self._edge_keys(alive, x)
-            vectors = dict.fromkeys(keys)
-            if self.kind != "label":
-                vectors = self._decode(list(vectors), len(masks))
+            vectors = self._decode(list(dict.fromkeys(keys)), len(masks))
             hit = self._edge_cache[key] = [_by_value(inc, masks) for inc in vectors]
         return hit
 
@@ -593,9 +597,10 @@ class CollectionEngine:
         """The positions :meth:`_positions` caches, built on a miss.
 
         Partial feedback has one entry, whose classes are the distinct edge
-        keys in the order :meth:`_edge_classes` lists them.
+        keys in the order :meth:`_moves` lists them: a label edge's key is
+        its survivor mask, a grid edge's its :meth:`_edge_keys` key.
         """
-        keys, _ = self._edge_keys(alive, x)
+        keys = self._holds(alive, x) if self.kind == "label" else self._edge_keys(alive, x)[0]
         index = {key: cls for cls, key in enumerate(dict.fromkeys(keys))}
         return [(0, index[key]) for key in keys]
 
@@ -603,7 +608,9 @@ class CollectionEngine:
         """A value for every edge, in edge order, computed once per edge class.
 
         ``per_entry(reveals, edges)`` lists the values of one table entry's edge classes.
+        Raises :class:`SpecError` unless ``x`` is an instance index.
         """
+        self._check_indices(x)
         table = [per_entry(reveals, edges) for reveals, edges in self._moves(alive, x)]
         return [table[entry][cls] for entry, cls in self._positions(alive, x)]
 
@@ -611,34 +618,47 @@ class CollectionEngine:
         """The move table at ``x``: ``(reveal classes, edge classes)`` pairs.
 
         Every edge class of a pair faces that pair's reveal classes. Partial
-        feedback has one pair: every edge class faces :meth:`_reveals`.
-        Cached per instance and alive mask.
+        feedback has one pair: every edge class faces the reveal classes of
+        :meth:`_holds`. A label edge's class is read off the same scan: one
+        class per distinct survivor mask ``holds[y]``, the zero mask
+        included, in label order (:func:`_label_class`). Cached per
+        instance and alive mask.
         """
         hit = self._moves_cache.get((x, alive))
         if hit is None:
-            hit = self._moves_cache[(x, alive)] = [
-                (self._reveals(alive, x), self._edge_classes(alive, x))
-            ]
+            holds = self._holds(alive, x)
+            if self.kind == "label":
+                edges = [_label_class(keep, alive) for keep in dict.fromkeys(holds)]
+            else:
+                edges = self._edge_classes(alive, x)
+            hit = self._moves_cache[(x, alive)] = [(_reveal_classes(holds), edges)]
         return hit
 
     def _search_moves(self, alive: int, x: int) -> list:
-        """The move table the test search reads: :meth:`_moves` without dominated classes.
-
-        Each entry drops every reveal class whose survivor mask is a strict
-        subset of another class's. On label edges it also drops every edge
-        class whose increment vector over the alive groups is at least
-        another class's in every entry; grid kinds keep all their edge
-        classes, which can number in the hundreds. Cached per instance and
-        alive mask.
-        """
+        """The move table the test search reads: :meth:`_pruned`, cached per instance and alive mask."""
         hit = self._search_cache.get((x, alive))
         if hit is None:
-            label = self.kind == "label"
-            hit = self._search_cache[(x, alive)] = [
-                (_maximal(reveals), _least(edges) if label else edges)
-                for reveals, edges in self._moves(alive, x)
-            ]
+            hit = self._search_cache[(x, alive)] = self._pruned(alive, x)
         return hit
+
+    def _pruned(self, alive: int, x: int) -> list:
+        """The move table without dominated classes.
+
+        Each entry drops every reveal class whose survivor mask is a strict
+        subset of another class's. A label edge class charges 1 exactly
+        outside its survivor mask, so it is at least another class on every
+        group exactly when its mask is a strict subset of the other's: the
+        label edge classes left are those of the maximal reveal classes, in
+        their order, read off :meth:`_holds` without building the full
+        table. When no alive image at ``x`` holds a label there is no
+        reveal class, and the one edge class charges every alive
+        collection. Grid kinds keep all their edge classes, which can
+        number in the hundreds.
+        """
+        if self.kind != "label":
+            return [(_maximal(reveals), edges) for reveals, edges in self._moves(alive, x)]
+        reveals = _maximal(self._reveals(alive, x))
+        return [(reveals, [_label_class(keep, alive) for _, keep in reveals] or [((1, alive),)])]
 
     def _settled(self, alive: int) -> bool:
         """True when at every instance some label lies in every alive image."""
@@ -652,13 +672,17 @@ class CollectionEngine:
         return hit
 
     def _leaf_children(self, alive: int) -> bool:
-        """True when every reveal class at every instance is settled."""
+        """True when every reveal class at every instance is settled.
+
+        Reads the search's table: every reveal class lies inside one it
+        keeps, and every subset of a settled alive set is settled.
+        """
         hit = self._leaf_cache.get(alive)
         if hit is None:
             hit = self._leaf_cache[alive] = all(
                 self._settled(keep)
                 for x in range(self.spec.n_instances)
-                for reveals, _ in self._moves(alive, x)
+                for reveals, _ in self._search_moves(alive, x)
                 for _, keep in reveals
             )
         return hit
@@ -904,6 +928,7 @@ class CollectionEngine:
         the first best class is the lowest maximizing reveal. It is ``None``
         when the edge has no reveal class.
         """
+        self._check_indices(x, edge_index)
         alive = alive_mask(levels)
         entry, cls = self._positions(alive, x)[edge_index]
         reveals, edges = self._moves(alive, x)[entry]
@@ -982,6 +1007,10 @@ class _VersionSpaceEngine(CollectionEngine):
             ]
         return hit
 
+    def _pruned(self, alive: int, x: int) -> list:
+        """Every entry of :meth:`_moves` without its dominated reveal classes; its one edge class stays."""
+        return [(_maximal(reveals), edges) for reveals, edges in self._moves(alive, x)]
+
     def _edge_positions(self, alive: int, x: int) -> list:
         """The ``(entry, 0)`` position of every label in the move table at ``x``."""
         index: dict = {}
@@ -1050,18 +1079,28 @@ def _maximal(reveals: list) -> list:
     ]
 
 
-def _least(edges: list) -> list:
-    """The label edge classes whose increments are not at least another class's on every group.
+def _reveal_classes(holds: list) -> list:
+    """One ``(lowest y, survivor mask)`` pair per distinct nonzero mask of :meth:`CollectionEngine._holds`.
 
-    A label edge charges each group 0 or 1, so one class's increments are at
-    least another's on every group exactly when the groups it charges hold
-    every group the other charges: its charged mask is a superset.
+    Every feasible reveal whose survivors coincide induces the same child
+    under every edge, so the classes are listed once, in ascending ``y``: a
+    dict keeps the first ``y`` of each survivor mask, so the listing is
+    linear in the labels.
     """
-    charged = [sum(mask for v, mask in inc if v) for inc in edges]
-    return [
-        inc for inc, mask in zip(edges, charged)
-        if not any(other != mask and other & mask == other for other in charged)
-    ]
+    first: dict = {}
+    for y, keep in enumerate(holds):
+        if keep:
+            first.setdefault(keep, y)
+    return [(y, keep) for keep, y in first.items()]
+
+
+def _label_class(keep: int, alive: int) -> tuple:
+    """The ``(increment, mask)`` pairs of a label edge whose alive holders are ``keep``.
+
+    The edge charges 0 to the collections whose image holds it and 1 to the
+    other alive ones; an empty part is dropped.
+    """
+    return tuple((v, mask) for v, mask in ((0, keep), (1, alive ^ keep)) if mask)
 
 
 def _top(levels, keep: int, inc):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the budget variables' reader.
+"""Exception types shared across the package, the budget variables' reader and the index check.
 
 Everything raised deliberately by this package derives from :class:`PflabError`,
 so callers can catch one type at the boundary. The CLI maps subclasses onto
@@ -62,6 +62,12 @@ def env_budget(name: str, default: int) -> int:
         return int(text)
     except ValueError:  # past Python's int conversion digit limit
         raise SpecError(f"{name} has too many digits ({len(text.strip())})") from None
+
+
+def require_index(value, n: int, what: str) -> None:
+    """Raise :class:`SpecError` unless ``value`` is a plain int in ``range(n)``; a ``bool`` is not one."""
+    if type(value) is not int or not 0 <= value < n:
+        raise SpecError(f"{what} {value!r} outside range({n})")
 
 
 class GridTooLarge(BudgetExceeded):

@@ -36,6 +36,7 @@ from .errors import (
     RealizabilityViolation,
     SpecError,
     env_budget,
+    require_index,
 )
 from .measures import Measure, ONE, ZERO
 from .setsystems import SetSystem, iter_bits, labels_of
@@ -808,8 +809,7 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     n = spec.n_instances
     targets: dict[int, int] = {}
     for x, m in zip(instances, sets):
-        if type(x) is not int or not 0 <= x < n:  # a bool is not an instance
-            raise SpecError(f"instance {x!r} outside range({n})")
+        require_index(x, n, "instance")
         if type(m) is not int or m < 0:
             raise SpecError(f"set {m!r} is not a label mask")
         if targets.setdefault(x, m) != m:

@@ -332,15 +332,18 @@ def load_spec_file(path: str) -> SpecDocument:
     """Load and validate a game file from disk.
 
     The file is parsed with libyaml (``yaml.CSafeLoader``) when PyYAML was
-    built with it, else with the pure-Python ``yaml.SafeLoader``; both build
-    the same data. A file libyaml rejects is parsed again by the pure loader,
-    whose message is the one reported, so error text does not depend on
-    whether libyaml is installed. A file whose brackets, braces, dashes and
-    question marks number 10,000 or more could nest deeply enough to crash
-    libyaml, so only the pure loader parses it. A key repeated within one
-    mapping is an error, never a silent override. An int too long for Python to convert,
-    or lists nested too deeply to load or report, give a one-line
-    :class:`SpecFileError` too.
+    built with it, else with the pure-Python ``yaml.SafeLoader``. A file libyaml
+    rejects is parsed again by the pure loader, whose message is the one
+    reported, so error text does not depend on whether libyaml is installed.
+    A file whose brackets, braces, dashes and question marks number 10,000
+    or more could nest deeply enough to crash libyaml, so only the pure
+    loader parses it. A file both loaders accept gives the same data, but
+    below that bound they can part on deep nesting: a list nested 3,000
+    deep loads under libyaml, while the pure loader's composer stops at
+    Python's recursion limit and the file is a ``data nested too deeply``
+    error. A key repeated within one mapping is an error, never a silent
+    override. An int too long for Python to convert, or lists nested too
+    deeply to load or report, give a one-line :class:`SpecFileError` too.
     """
     try:
         return parse_spec_data(_read_spec_yaml(path), source=str(path))

@@ -469,8 +469,9 @@ def test_value_commands_pinned(capsys, monkeypatch, pin):
     ``witness_*`` specs drive play through the realizability witness search
     to a pass (exit 0) and a verification failure (exit 1),
     ``collision_mod7`` and ``prefix_parity_t2`` pin whole games against the
-    collision and prefix-parity adversaries, and ``zero_value`` pins a
-    witness tree at value 0.
+    collision and prefix-parity adversaries, ``prefix_parity_t4`` pins the
+    18-label game's value and its play against the prefix-parity and the
+    optimal adversary, and ``zero_value`` pins a witness tree at value 0.
     """
     monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, pin["argv"])

@@ -16,12 +16,15 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pflab.dimensions
 from pflab import (
     BudgetExceeded,
     EmptyConsistentSet,
@@ -31,8 +34,10 @@ from pflab import (
     OptimalAdversary,
     PotentialMinimizingLearner,
     SetSystem,
+    SpecError,
     build_admissible_collections,
     helly_game,
+    load_spec_file,
     measure_grid,
     pfl_dim,
     play_game,
@@ -43,6 +48,7 @@ from pflab.engine import (
     _VersionSpaceEngine,
     _above,
     _below,
+    _maximal,
     _unpack,
     alive_mask,
 )
@@ -52,6 +58,8 @@ from pflab.setsystems import iter_bits
 
 from test_enumeration import prefix_parity_game
 from test_properties import seeds, spec_from_seed
+
+TEST_SPECS = Path(__file__).resolve().parent / "specs"
 
 KINDS = {
     "label": {},
@@ -160,8 +168,51 @@ def test_version_space_rules_match_the_alive_images(kind, seed, walk):
         y = rng.choice(_feasible(eng, state, x))
         state = eng.update(*state, x, rng.randrange(eng.n_edges), y)
         for edge in (-1, eng.n_edges):
-            with pytest.raises(IndexError, match="outside range"):
+            with pytest.raises(SpecError, match="outside range"):
                 eng.update(*state, x, edge, y)
+
+
+@pytest.mark.parametrize("table", ["label", "version space"])
+def test_engine_methods_reject_indices_out_of_range(table):
+    """Every method that takes an instance, an edge or a label index checks it.
+
+    Each must be a plain int in range, on both engine classes: a negative
+    index read the last entry, a ``bool`` played edge 1, and an index past
+    the end or a negative label raised a bare ``IndexError`` or
+    ``ValueError``. Every rejection is a :class:`SpecError`.
+    """
+    spec = helly_game(2)
+    if table == "label":
+        eng = CollectionEngine(spec, build_admissible_collections(spec))
+    else:
+        eng = _VersionSpaceEngine(spec, _hypotheses(spec))
+    s = eng.initial_state()
+    bad = [
+        lambda: eng.feasible(*s, -1),
+        lambda: eng.feasible(*s, True),
+        lambda: eng.common(*s, 1),
+        lambda: eng.update(*s, -1, 0, 1),
+        lambda: eng.update(*s, 5, 0, 1),
+        lambda: eng.update(*s, 0, 0, -1),
+        lambda: eng.update(*s, 0, 0, 6),
+        lambda: eng.update(*s, 0, True, 1),
+        lambda: eng.update(*s, 0, 6, 1),
+        lambda: eng.update_set(*s, -1, 0, 0b11),
+        lambda: eng.update_set(*s, 0, -1, 0b11),
+        lambda: eng.edge_worst_values(*s, -1, 1),
+        lambda: eng.edge_worst_bounds(*s, 1, 1),
+        lambda: eng.best_edge(*s, -1, 1),
+        lambda: eng.best_reveal(*s, 0, -1, 1),
+        lambda: eng.best_reveal(*s, 0, 6, 1),
+        lambda: eng.best_reveal(*s, 1, 0, 1),
+    ]
+    for call in bad:
+        with pytest.raises(SpecError, match="outside range"):
+            call()
+    # The last index of each range is accepted.
+    assert len(eng.edge_worst_bounds(*s, 0, 1)) == 6
+    eng.best_reveal(*s, 0, 5, 1)
+    eng.update(*s, 0, 5, _feasible(eng, s, 0)[-1])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -691,13 +742,28 @@ def _tuple_rule_classes(eng, alive, x):
     return classes, [(0, index[inc]) for inc in vectors]
 
 
-def _assert_edge_classes_match(eng, seed, tries=20):
+def _alive_parts(classes, alive):
+    """Each edge class as ``{increment: mask & alive}``: what the search reads of it."""
+    return [{v: mask & alive for v, mask in inc} for inc in classes]
+
+
+def _alive_masks(eng, seed, tries):
+    """Every collection alive, then ``tries`` random alive subsets."""
     rng = random.Random(seed)
     everyone = (1 << len(eng.images)) - 1
-    for alive in [everyone, *(rng.randint(1, everyone) for _ in range(tries))]:
+    return [everyone, *(rng.randint(1, everyone) for _ in range(tries))]
+
+
+def _assert_edge_classes_match(eng, seed, tries=20):
+    """Grid kinds: ``_edge_classes`` exactly. Label kind: the move table's classes on the alive parts."""
+    for alive in _alive_masks(eng, seed, tries):
         for x in range(eng.spec.n_instances):
             classes, positions = _tuple_rule_classes(eng, alive, x)
-            assert eng._edge_classes(alive, x) == classes
+            if eng.kind == "label":
+                got = _alive_parts(eng._moves(alive, x)[0][1], alive)
+                assert got == _alive_parts(classes, alive)
+            else:
+                assert eng._edge_classes(alive, x) == classes
             assert eng._positions(alive, x) == positions
 
 
@@ -709,11 +775,12 @@ def _assert_edge_classes_match(eng, seed, tries=20):
     st.sampled_from(GAMMAS),
 )
 def test_edge_classes_match_the_tuple_rule(seed, kind, g, gamma):
-    """``_edge_classes`` and ``_positions`` equal the per-edge tuple rule on every kind.
+    """The move table's edge classes and ``_positions`` equal the per-edge tuple rule on every kind.
 
-    The grid kinds dedup packed keys and decode them; the states are every
-    collection alive and random alive subsets of generated specs over up to
-    8 labels.
+    The grid kinds dedup packed keys and decode them; the label kind reads
+    its classes off the survivor masks, on the alive parts of the groups.
+    The states are every collection alive and random alive subsets of
+    generated specs over up to 8 labels.
     """
     spec = _wide_spec(seed)
     params = {"label": {}, "loss": {"grid": g}, "measure": {"grid": g, "gamma": gamma}}[kind]
@@ -741,6 +808,89 @@ def test_edge_classes_match_the_tuple_rule_past_one_key_word(n, kind, params):
     eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **params)
     assert len(eng._groups(0)) == (1 << n) - 1
     _assert_edge_classes_match(eng, n, tries=3)
+
+
+def _least(edges):
+    """The label edge classes whose increments are not at least another class's on every group.
+
+    The min-side dominance rule on label edges, written on charged masks: a
+    label edge charges each group 0 or 1, so one class's increments are at
+    least another's on every group exactly when the groups it charges hold
+    every group the other charges.
+    """
+    charged = [sum(mask for v, mask in inc if v) for inc in edges]
+    return [
+        inc for inc, mask in zip(edges, charged)
+        if not any(other != mask and other & mask == other for other in charged)
+    ]
+
+
+def _assert_label_search_table(eng, seed, tries=20):
+    """The label search table and leaf test against the min-side rule over the full table."""
+    for alive in _alive_masks(eng, seed, tries):
+        for x in range(eng.spec.n_instances):
+            reveals = _pairwise_reveals(eng, alive, x)
+            classes, _ = _tuple_rule_classes(eng, alive, x)
+            [(searched_reveals, searched_edges)] = eng._search_moves(alive, x)
+            assert searched_reveals == _maximal(reveals)
+            assert _alive_parts(searched_edges, alive) == _alive_parts(_least(classes), alive)
+        assert eng._leaf_children(alive) == all(
+            eng._settled(keep)
+            for x in range(eng.spec.n_instances)
+            for _, keep in _pairwise_reveals(eng, alive, x)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_label_search_table_keeps_the_least_edge_classes(seed):
+    """The search's label table is its maximal reveal classes, each as the edge class it names.
+
+    Its edge classes equal the full table's less every class that charges
+    each group at least as much as another class does, and the leaf test on
+    its reveal classes equals the leaf test on every reveal class. The
+    states are every collection alive and random alive subsets of generated
+    specs over up to 8 labels.
+    """
+    spec = _wide_spec(seed)
+    _assert_label_search_table(_engine(spec, "label"), seed)
+
+
+def test_label_search_table_keeps_the_least_edge_classes_on_18_labels():
+    """The same rule on the 18-label, 32-row prefix-parity game at four rounds."""
+    spec = load_spec_file(TEST_SPECS / "prefix_parity_t4.yaml").spec
+    _assert_label_search_table(_engine(spec, "label"), 18)
+
+
+def test_label_value_builds_no_full_move_table(monkeypatch):
+    """``pfl_dim`` reads only the search's table: the label kind never builds ``_moves`` or grid classes.
+
+    The game is the 18-label prefix-parity game at four rounds, whose value
+    4 takes a search below the root. A choice method on the same engine
+    class does build the full table, so the count is live.
+    """
+    calls = Counter()
+
+    class Counting(CollectionEngine):
+        def _moves(self, alive, x):
+            calls["_moves"] += 1
+            return super()._moves(alive, x)
+
+        def _edge_classes(self, alive, x):
+            calls["_edge_classes"] += 1
+            return super()._edge_classes(alive, x)
+
+        def _search_moves(self, alive, x):
+            calls["_search_moves"] += 1
+            return super()._search_moves(alive, x)
+
+    spec = load_spec_file(TEST_SPECS / "prefix_parity_t4.yaml").spec
+    monkeypatch.setattr(pflab.dimensions, "CollectionEngine", Counting)
+    assert pfl_dim(spec, 4) == 4
+    assert calls["_search_moves"] and set(calls) == {"_search_moves"}
+    eng = Counting(spec, build_admissible_collections(spec))
+    eng.best_edge(*eng.initial_state(), 0, 3)
+    assert calls["_moves"] and not calls["_edge_classes"]
 
 
 @settings(max_examples=25, deadline=None)

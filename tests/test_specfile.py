@@ -261,6 +261,37 @@ def test_deeply_nested_lists_are_a_spec_error(tmp_path, monkeypatch, libyaml):
         load_spec_file(p)
 
 
+def _deep_params(depth):
+    """A valid spec whose learner params hold a list nested ``depth`` deep."""
+    return HEAD + f"learner: {{name: cvsp, params: {{a: {'[' * depth}{']' * depth}}}}}\n"
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_loaders_part_on_deep_data_below_the_libyaml_bound(tmp_path, monkeypatch, libyaml):
+    """Below the 10,000-character bound the two loaders can build different results.
+
+    A list nested 3,000 deep, with far fewer than 10,000 brackets, loads
+    under libyaml, whose composer recurses in C; the pure loader's composer
+    stops at Python's recursion limit, a spec error. At 300 levels both
+    load it.
+    """
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    p = tmp_path / "deep.yaml"
+    for depth in (300, 3000):
+        p.write_text(_deep_params(depth))
+        if depth == 3000 and not libyaml:
+            with pytest.raises(SpecFileError, match="data nested too deeply"):
+                load_spec_file(p)
+            continue
+        data = load_spec_file(p).learner["params"]["a"]
+        for _ in range(depth - 1):
+            [data] = data
+        assert data == []
+
+
 DEEP = 40_000
 DEEP_SHAPES = {
     "flow-sequence": "labels: " + "[" * DEEP + "]" * DEEP + "\n",
