@@ -20,7 +20,7 @@ labels some, or every, alive image holds at an instance) and move it with
 :meth:`CollectionEngine.update_set` on a revealed set.
 
 Every edge is a measure on a grid of resolution ``g``, given by its counts
-``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_columns`), and
+``c`` (weights ``c[y] / g``, see :func:`pflab.measures.grid_words`), and
 a collection's increment depends only on the count ``c(image)`` the edge
 puts on its image. Two charge rules give it:
 
@@ -64,8 +64,9 @@ collections by their image at ``x``: one ``(image, mask)`` pair per distinct
 image. For each distinct image the engine caches an increment table: one
 integer per edge, in edge order. The engine keeps its grid as one packed
 int per label, edge ``i``'s count in the 64-bit field at bit ``64 * i``,
-so a table is integer arithmetic on whole words, with no loop over edges in
-Python: ``C``, the sum of the image's own packed columns, holds ``c(image)``
+as :func:`pflab.measures.grid_words` builds it, with no tuple of counts
+made first, so a table is integer arithmetic on whole words, with no loop
+over edges in Python: ``C``, the sum of the image's own packed columns, holds ``c(image)``
 for every edge, and no field carries because ``c <= g < 2**63``. With
 ``ONES`` the word of 1s, the loss table is ``g * ONES - C``; the measure
 table tests ``c <= K`` in every field at once, with ``K = floor(g * (q -
@@ -194,12 +195,25 @@ soundness, and that of its speedups, all of which preserve exact values:
   of one call, and of later calls to any entry point, share their work;
 * a state whose children are all leaves (one round left, or every reveal
   class at every instance settled) is solved by one exact scan, which sees
-  every child at once, and stored as ``(v, v)``. The leaf test reads the
-  search's table: every reveal class lies inside a maximal one, and every
-  subset of a settled alive set is settled. The scan scores an edge by the
-  top score when no reveal class charges above it. The scan stops an edge's
-  reveals once the edge is no better than the instance's best edge so far,
-  and an instance's edges once it cannot beat the best instance so far;
+  every child at once, and stored as ``(v, v)``. The leaf test reads only
+  the maximal reveal classes, cached per instance and alive mask and shared
+  with the search's table, so it builds no edge class: every reveal class
+  lies inside a maximal one, and every subset of a settled alive set is
+  settled. The scan scores an edge by the top score when no reveal class
+  charges above it;
+* a single-level state, one whose alive collections all have the same
+  score ``s``, is scanned on whole tables; every root is one. Under partial
+  feedback the reveals drop out: every alive image is a nonempty set, so
+  the survivors of the reveal classes cover the alive set, and an edge's
+  worst case is ``s`` plus its largest increment over the alive groups.
+  The fieldwise max of the groups' packed tables holds that for every edge
+  at once, and an instance's value is ``s`` plus its least field, so a
+  grid-kind leaf root builds no edge class. In the version-space game every
+  survivor is charged 1, so an instance's value is ``s + 1`` when every
+  entry of its table has a reveal class, else ``s``. Other states scan the
+  search's table, which stops an edge's reveals once the edge is no better
+  than the instance's best edge so far, and an instance's edges once it
+  cannot beat the best instance so far;
 * the value is the final score of a collection alive at the state: its
   level score plus integer increments, so it has the form level score +
   integer. The tests run from the top score through each next value of
@@ -210,7 +224,8 @@ Every entry point runs this one search. ``value`` is the ascending tests'
 last pass. The choice methods read the full move table, not the search's
 pruned copy: a dominated class can tie with the class that dominates it and
 still have the lower index, and each method returns the lowest-index tie.
-On the label kind only they build the full table; ``value`` never does.
+On the label kind only they build the full table; ``value`` never does,
+and on a grid kind ``value`` builds no table at a single-level leaf root.
 On the choice path only, each edge gets its ``(entry, class)`` position in
 the table at ``x``, cached per instance and alive mask, so the search
 itself does no per-edge work. They take the value of each child they
@@ -260,14 +275,12 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from array import array
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
 from .game import Collection, GameSpec
-from .measures import Measure, grid_columns, measure_grid
+from .measures import _WIDTH, Measure, _unpack, grid_size, grid_words, measure_grid
 from .setsystems import iter_bits, mask_of
 
 
@@ -301,13 +314,13 @@ class CollectionEngine:
             self.g = 1
         else:
             self.g = grid if grid is not None else spec.measure_grid
-        # The grid as one packed column per label: edge i's count in the
+        # The grid as one packed word per label: edge i's count in the
         # 64-bit field at bit 64 * i. The label kind's grid has one point per
         # label, so the grid budget never rejects it.
-        columns = grid_columns(spec.n_labels, self.g, spec.n_labels if kind == "label" else None)
-        self.n_edges = len(columns[0])
-        self._words = tuple(map(_pack, columns))
-        self._ones = _pack([1] * self.n_edges)
+        self._words = grid_words(spec.n_labels, self.g, spec.n_labels if kind == "label" else None)
+        self.n_edges = grid_size(spec.n_labels, self.g)
+        self._ones = int.from_bytes(_ONE * self.n_edges, "little")
+        self._tops = _TOP * self._ones
         self.scale = 1 if kind == "measure" else self.g
         if kind == "measure":
             # For an integer count c, c * q <= g * (q - p) with gamma = p/q,
@@ -330,6 +343,7 @@ class CollectionEngine:
         self._tables: dict = {}
         self._settled_cache: dict = {}
         self._leaf_cache: dict = {}
+        self._reveal_cache: dict = {}
         self._moves_cache: dict = {}
         self._search_cache: dict = {}
         self._positions_cache: dict = {}
@@ -641,23 +655,33 @@ class CollectionEngine:
             hit = self._search_cache[(x, alive)] = self._pruned(alive, x)
         return hit
 
+    def _maximal_reveals(self, alive: int, x: int) -> list:
+        """The reveal classes at ``x`` whose survivor mask is no strict subset of another's.
+
+        Cached per instance and alive mask; the leaf test and the search's
+        table both read them, so neither builds edge classes for the other.
+        """
+        hit = self._reveal_cache.get((x, alive))
+        if hit is None:
+            hit = self._reveal_cache[(x, alive)] = _maximal(self._reveals(alive, x))
+        return hit
+
     def _pruned(self, alive: int, x: int) -> list:
         """The move table without dominated classes.
 
-        Each entry drops every reveal class whose survivor mask is a strict
-        subset of another class's. A label edge class charges 1 exactly
-        outside its survivor mask, so it is at least another class on every
-        group exactly when its mask is a strict subset of the other's: the
-        label edge classes left are those of the maximal reveal classes, in
-        their order, read off :meth:`_holds` without building the full
-        table. When no alive image at ``x`` holds a label there is no
-        reveal class, and the one edge class charges every alive
-        collection. Grid kinds keep all their edge classes, which can
-        number in the hundreds.
+        Its one entry keeps the maximal reveal classes. A label edge class
+        charges 1 exactly outside its survivor mask, so it is at least
+        another class on every group exactly when its mask is a strict
+        subset of the other's: the label edge classes left are those of the
+        maximal reveal classes, in their order, read off :meth:`_holds`
+        without building the full table. When no alive image at ``x`` holds
+        a label there is no reveal class, and the one edge class charges
+        every alive collection. Grid kinds keep all their edge classes,
+        which can number in the hundreds.
         """
+        reveals = self._maximal_reveals(alive, x)
         if self.kind != "label":
-            return [(_maximal(reveals), edges) for reveals, edges in self._moves(alive, x)]
-        reveals = _maximal(self._reveals(alive, x))
+            return [(reveals, self._moves(alive, x)[0][1])]
         return [(reveals, [_label_class(keep, alive) for _, keep in reveals] or [((1, alive),)])]
 
     def _settled(self, alive: int) -> bool:
@@ -674,16 +698,16 @@ class CollectionEngine:
     def _leaf_children(self, alive: int) -> bool:
         """True when every reveal class at every instance is settled.
 
-        Reads the search's table: every reveal class lies inside one it
-        keeps, and every subset of a settled alive set is settled.
+        Reads the maximal reveal classes only, with no edge class: every
+        reveal class lies inside a maximal one, and every subset of a
+        settled alive set is settled.
         """
         hit = self._leaf_cache.get(alive)
         if hit is None:
             hit = self._leaf_cache[alive] = all(
                 self._settled(keep)
                 for x in range(self.spec.n_instances)
-                for reveals, _ in self._search_moves(alive, x)
-                for _, keep in reveals
+                for _, keep in self._maximal_reveals(alive, x)
             )
         return hit
 
@@ -751,12 +775,15 @@ class CollectionEngine:
     def _scan(self, levels: tuple, alive: int, ub):
         """Exact value of a levels state whose children are all leaves, scored by top score.
 
-        A reveal scan stops once its edge is no better for the learner than
-        the instance's best edge so far, and an edge scan once its instance
+        A single-level state takes :meth:`_single_level`. Otherwise a reveal
+        scan stops once its edge is no better for the learner than the
+        instance's best edge so far, and an edge scan once its instance
         cannot beat the best instance so far; ``ub`` stops the instance scan.
         """
         self._expand()
         best = lb = levels[-1][0]
+        if len(levels) == 1:
+            return lb + self._single_level(alive)
         for x in range(self.spec.n_instances):
             least = None
             for reveals, edges in self._search_moves(alive, x):
@@ -782,6 +809,41 @@ class CollectionEngine:
                 if best >= ub:
                     break
         return best
+
+    def _single_level(self, alive: int):
+        """Value, above its one score, of a single-level state whose children are all leaves.
+
+        Every alive image is a nonempty set, so the maximal reveal classes'
+        survivors cover the alive set, and an edge's worst case is its
+        largest increment over the alive groups at ``x``. For every edge at
+        once that is the fieldwise max of the groups' packed tables
+        (:meth:`_field_max`), the instance's value is its least field, and
+        the state's value is the largest over instances. A value of
+        ``scale``, the largest increment, stops the scan.
+        """
+        best = 0
+        for x in range(self.spec.n_instances):
+            tables = [self._table(image) for image, mask in self._groups(x) if mask & alive]
+            least = min(_unpack(functools.reduce(self._field_max, tables), self.n_edges))
+            if least > best:
+                best = least
+                if best >= self.scale:
+                    break
+        return best
+
+    def _field_max(self, a: int, b: int) -> int:
+        """The fieldwise max of two packed tables.
+
+        Tables of 0/1 increments (the measure kind, and the label kind's
+        point masses) take their OR. Otherwise a field of ``(a | tops) - b``
+        keeps its top bit exactly when ``a``'s field is at least ``b``'s, as
+        no increment reaches ``2**63`` and so no field borrows from the
+        next; that bit, spread over its field, picks ``a``'s field.
+        """
+        if self._bits == 1:
+            return a | b
+        ge = (((a | self._tops) - b) & self._tops) >> (_WIDTH - 1)
+        return b ^ ((a ^ b) & ((ge << _WIDTH) - ge))
 
     def _solve(self, levels: tuple, alive: int, rounds: int):
         """Exact value of a levels state, relative to its lowest score.
@@ -1011,6 +1073,21 @@ class _VersionSpaceEngine(CollectionEngine):
         """Every entry of :meth:`_moves` without its dominated reveal classes; its one edge class stays."""
         return [(_maximal(reveals), edges) for reveals, edges in self._moves(alive, x)]
 
+    def _maximal_reveals(self, alive: int, x: int) -> list:
+        """The reveal classes the search's table keeps at ``x``, over all its entries."""
+        return [reveal for reveals, _ in self._search_moves(alive, x) for reveal in reveals]
+
+    def _single_level(self, alive: int) -> int:
+        """1 when at some instance every entry of the search's table has a reveal class, else 0.
+
+        Every survivor of a reveal is charged 1, and an entry with no reveal
+        class leaves its edges the state's score.
+        """
+        return int(any(
+            all(reveals for reveals, _ in self._search_moves(alive, x))
+            for x in range(self.spec.n_instances)
+        ))
+
     def _edge_positions(self, alive: int, x: int) -> list:
         """The ``(entry, 0)`` position of every label in the move table at ``x``."""
         index: dict = {}
@@ -1020,25 +1097,10 @@ class _VersionSpaceEngine(CollectionEngine):
         ]
 
 
-_WIDTH = 64
 _TOP = 1 << (_WIDTH - 1)
 _FIELD = (1 << _WIDTH) - 1
-
-
-def _pack(values) -> int:
-    """``values`` as one int, value ``i`` in the 64-bit field at bit ``64 * i``."""
-    words = array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def _unpack(word: int, n: int) -> array:
-    """The ``n`` lowest 64-bit fields of ``word``, lowest first: :func:`_pack` inverted."""
-    words = array("Q", word.to_bytes(8 * n, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
+# A field holding 1, as the bytes of a little-endian word.
+_ONE = (1).to_bytes(_WIDTH // 8, "little")
 
 
 def alive_mask(levels) -> int:

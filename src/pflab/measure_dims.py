@@ -27,6 +27,9 @@ from .setsystems import SetSystem
 
 
 def _as_gamma(gamma) -> Fraction:
+    # A float is a rounded rational, and a bool is no threshold: as for measure weights.
+    if not (isinstance(gamma, Fraction) or type(gamma) is int):
+        raise SpecError(f"gamma {gamma!r} is not a Fraction or an int")
     gamma = Fraction(gamma)
     if not 0 <= gamma <= 1:
         raise SpecError(f"gamma must lie in [0, 1], got {gamma}")

@@ -9,6 +9,8 @@ size, so enumeration is budget-guarded.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -110,31 +112,52 @@ def grid_size(n_labels: int, g: int) -> int:
     return comb(g + n_labels - 1, n_labels - 1)
 
 
-def grid_columns(n_labels: int, g: int, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """The grid of resolution ``g`` as columns: one tuple of counts per label.
+_WIDTH = 64
 
-    Point ``i`` of the grid is the count tuple ``(columns[0][i], ...,
-    columns[-1][i])``, which sums to ``g`` and stands for the measure with
-    weights ``c[y] / g``. The points are in lexicographically decreasing
-    order, so the point mass on label 0 comes first and the point mass on
-    the top label last. Strategies that break ties by grid order inherit
-    this convention. Raises :class:`SpecError` on fewer than two labels or a
-    nonpositive ``g``, and then :class:`GridTooLarge` when the grid has more
-    points than ``budget`` (default ``PFLAB_BUDGET_GRID``), before anything
-    is built.
 
-    The columns are built label by label, by list concatenation, with no
+def _pack(values) -> int:
+    """``values`` as one int, value ``i`` in the 64-bit field at bit ``64 * i``."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(word: int, n: int) -> array:
+    """The ``n`` lowest 64-bit fields of ``word``, lowest first: :func:`_pack` inverted."""
+    words = array("Q", word.to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def grid_words(n_labels: int, g: int, budget: int | None = None) -> tuple[int, ...]:
+    """The grid of resolution ``g`` as one packed int per label.
+
+    Point ``i`` of the grid has label ``y``'s count in the 64-bit field at
+    bit ``64 * i`` of ``words[y]``; its counts sum to ``g`` and stand for
+    the measure with weights ``c[y] / g``. The points are in
+    lexicographically decreasing order of their count tuples, so the point
+    mass on label 0 comes first and the point mass on the top label last.
+    Strategies that break ties by grid order inherit this convention.
+    Raises :class:`SpecError` on fewer than two labels or a ``g`` that is
+    not a plain int of at least 1, and then :class:`GridTooLarge` when the
+    grid has more points than ``budget`` (default ``PFLAB_BUDGET_GRID``),
+    before anything is built.
+
+    The words are built label by label, by byte concatenation, with no
     loop over points. In grid order the points that share their counts on
     labels ``0..j-1`` (a prefix) are consecutive, and label ``j``'s counts
     over them are the first column of the grid over labels ``j..`` whose
-    total is what the prefix leaves. So label ``j``'s column joins one such
-    first column per prefix. A prefix that leaves ``r`` takes label ``j``
-    counts ``r, ..., 0``, which leave ``0, ..., r`` to the next labels.
+    total is what the prefix leaves. So label ``j``'s word joins the bytes
+    of one such first column per prefix. A prefix that leaves ``r`` takes
+    label ``j`` counts ``r, ..., 0``, which leave ``0, ..., r`` to the next
+    labels; the last label's counts are what each full prefix leaves.
     """
     if n_labels < 2:
         raise SpecError(f"need at least 2 labels, got {n_labels}")
-    if g < 1:
-        raise SpecError(f"grid resolution must be a positive integer, got {g}")
+    if type(g) is not int or g < 1:
+        raise SpecError(f"grid resolution must be a positive integer, got {g!r}")
     limit = env_budget("PFLAB_BUDGET_GRID", 1_000_000) if budget is None else budget
     n = grid_size(n_labels, g)
     if n > limit:
@@ -146,29 +169,39 @@ def grid_columns(n_labels: int, g: int, budget: int | None = None) -> tuple[tupl
     sizes = [[1] * (g + 1)]
     for _ in range(n_labels - 2):
         sizes.append(list(accumulate(sizes[-1])))
-    columns = []
+    fields = [c.to_bytes(_WIDTH // 8, "little") for c in range(g + 1)]
+    words = []
     # The remaining total of every prefix over the labels before the current one.
     remains = [g]
     for after in reversed(sizes):
         # firsts[r]: the current label's counts over the grid of it and the
-        # labels after it with total r, where count c is followed by
-        # after[r - c] points.
-        firsts = []
-        for r in range(g + 1):
-            first: list[int] = []
-            for c in range(r, -1, -1):
-                first += [c] * after[r - c]
-            firsts.append(first)
-        columns.append(tuple(reduce(iadd, map(firsts.__getitem__, remains), [])))
+        # labels after it with total r, as fields, where count c is followed
+        # by after[r - c] points.
+        firsts = [
+            b"".join([fields[c] * after[r - c] for c in range(r, -1, -1)]) for r in range(g + 1)
+        ]
+        words.append(int.from_bytes(b"".join(map(firsts.__getitem__, remains)), "little"))
         remains = reduce(iadd, map(left_over.__getitem__, remains), [])
-    columns.append(tuple(remains))
-    return tuple(columns)
+    words.append(_pack(remains))
+    return tuple(words)
+
+
+def grid_columns(n_labels: int, g: int, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The grid of resolution ``g`` as columns: one tuple of counts per label.
+
+    Point ``i`` of the grid is the count tuple ``(columns[0][i], ...,
+    columns[-1][i])``: the words of :func:`grid_words`, in its order and
+    under its checks, read back field by field.
+    """
+    words = grid_words(n_labels, g, budget)
+    n = grid_size(n_labels, g)
+    return tuple(tuple(_unpack(word, n)) for word in words)
 
 
 def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """The grid of resolution ``g`` as count tuples ``c`` with ``sum(c) == g``.
 
-    The points of :func:`grid_columns`, in its order and under its checks.
+    The points of :func:`grid_words`, in its order and under its checks.
     """
     return list(zip(*grid_columns(n_labels, g, budget)))
 

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pflab.dimensions
+import pflab.measure_dims
 from pflab import (
     BudgetExceeded,
     EmptyConsistentSet,
@@ -39,8 +40,10 @@ from pflab import (
     helly_game,
     load_spec_file,
     measure_grid,
+    minimax_rand_regret,
     pfl_dim,
     play_game,
+    pms_dim,
 )
 from pflab.dimensions import _variant_system
 from pflab.engine import (
@@ -49,6 +52,7 @@ from pflab.engine import (
     _above,
     _below,
     _maximal,
+    _top,
     _unpack,
     alive_mask,
 )
@@ -891,6 +895,184 @@ def test_label_value_builds_no_full_move_table(monkeypatch):
     eng = Counting(spec, build_admissible_collections(spec))
     eng.best_edge(*eng.initial_state(), 0, 3)
     assert calls["_moves"] and not calls["_edge_classes"]
+
+
+class _ClassScan:
+    """A test engine whose all-leaf scan takes the class rule on every state.
+
+    The reference for the single-level scan: an edge class's worst case is
+    the largest top score over its reveal classes in the full move table,
+    and never below the state's top score; an instance takes its least edge
+    class and the state its largest instance, with no early stop.
+    """
+
+    def _scan(self, levels, alive, ub):
+        self._expand()
+        lb = levels[-1][0]
+        return max(
+            min(
+                max([lb, *(_top(levels, keep, inc) for _, keep in reveals)])
+                for reveals, edges in self._moves(alive, x)
+                for inc in edges
+            )
+            for x in range(self.spec.n_instances)
+        )
+
+
+class _ClassScanEngine(_ClassScan, CollectionEngine):
+    pass
+
+
+class _ClassScanVersionSpace(_ClassScan, _VersionSpaceEngine):
+    pass
+
+
+def _six_label_spec(seed):
+    """An explicit spec over six labels whose every singleton is a member set, with 4 to 16 more."""
+    rng = random.Random(seed)
+    n_x = rng.randint(1, 2)
+    masks = {1 << y for y in range(6)} | set(rng.sample(range(1, 64), rng.randint(4, 16)))
+    rows = sorted({tuple(rng.randrange(6) for _ in range(n_x)) for _ in range(rng.randint(3, 7))})
+    return GameSpec(
+        n_instances=n_x,
+        n_labels=6,
+        set_system=SetSystem.explicit(6, sorted(masks)),
+        hypotheses=HypothesisClass(n_x, 6, "explicit", tuple(rows)),
+        horizon=3,
+    )
+
+
+def _assert_scans_agree(eng, ref, seed, depths=(1, 2, 3)):
+    """The engine's scan equals the class rule's, state by state and through ``value``.
+
+    Every collection alive and random alive subsets are scanned as
+    single-level states, and split at random over two levels, and the
+    states of a played path as they are. Each path state is solved at every
+    depth on both engines, which must expand the same number of states.
+    """
+    rng = random.Random(seed)
+    ub = 3 * eng.scale
+    for alive in _alive_masks(eng, seed, 8):
+        high = alive & rng.getrandbits(alive.bit_length())
+        split = ((0, alive ^ high), (rng.randint(1, eng.scale), high))
+        for levels in [((0, alive),)] + [split] * (0 < high < alive):
+            assert eng._scan(levels, alive, ub) == ref._scan(levels, alive, ub)
+    for base, levels in _played_path(eng, seed, 2):
+        alive = alive_mask(levels)
+        assert eng._scan(levels, alive, ub) == ref._scan(levels, alive, ub)
+        for depth in depths:
+            assert eng.value(base, levels, depth) == ref.value(base, levels, depth), depth
+    assert eng.nodes == ref.nodes
+
+
+HELLY_TRIANGLE = (0b001011, 0b101100, 0b110010)
+FOUR_CYCLE = (0b000111, 0b011100, 0b110001, 0b101010)
+
+
+def _overlap_spec(masks):
+    """One instance, six labels, one hypothesis per label: a finite-Helly system of ``pflab rand``."""
+    return GameSpec(
+        n_instances=1,
+        n_labels=6,
+        set_system=SetSystem.explicit(6, list(masks)),
+        hypotheses=HypothesisClass(1, 6, "explicit", tuple((y,) for y in range(6))),
+        horizon=3,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(sorted(KINDS)),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(GAMMAS),
+)
+@example(seed=-1, kind="loss", g=10, gamma=Fraction(0))
+@example(seed=-2, kind="measure", g=12, gamma=Fraction(1, 3))
+@example(seed=-1, kind="loss", g=12, gamma=Fraction(0))
+def test_single_level_scan_matches_the_class_rule(seed, kind, g, gamma):
+    """The packed single-level scan values every state as the class rule does, on every kind.
+
+    The specs are generated over six labels, on grids up to ``g = 12``
+    (6,188 edges); seeds -1 and -2 are the 4-cycle and the Helly triangle.
+    """
+    spec = {-1: _overlap_spec(FOUR_CYCLE), -2: _overlap_spec(HELLY_TRIANGLE)}.get(seed)
+    spec = spec or _six_label_spec(seed)
+    params = {"label": {}, "loss": {"grid": g}, "measure": {"grid": g, "gamma": gamma}}[kind]
+    collections = build_admissible_collections(spec)
+    eng, ref = (
+        cls(spec, collections, kind=kind, **params) for cls in (CollectionEngine, _ClassScanEngine)
+    )
+    _assert_scans_agree(eng, ref, seed)
+
+
+def test_single_level_scan_takes_off_grid_prefix_scores():
+    """Loss-kind states whose one score is an off-grid ``Fraction`` solve as on the class rule.
+
+    A prefix round plays a measure off the grid, and every state it leaves
+    with one level (so a non-integer base) is solved at depths 1 to 3.
+    """
+    third, rest = Fraction(1, 3), Fraction(2, 3)
+    thirds = [Measure((third, rest)), Measure((third, 0, rest))]
+    solved = 0
+    for seed in range(40):
+        spec = spec_from_seed(seed, horizon=4)
+        collections = build_admissible_collections(spec)
+        eng, ref = (
+            cls(spec, collections, kind="loss", grid=4) for cls in (CollectionEngine, _ClassScanEngine)
+        )
+        mu = thirds[spec.n_labels - 2]
+        for x, y in itertools.product(range(spec.n_instances), range(spec.n_labels)):
+            try:
+                base, levels = eng.prefix_state((x,), (mu,), (y,))
+            except EmptyConsistentSet:
+                continue
+            if len(levels) == 1 and Fraction(base).denominator != 1:
+                solved += 1
+                for depth in (1, 2, 3):
+                    assert eng.value(base, levels, depth) == ref.value(base, levels, depth)
+                assert eng.nodes == ref.nodes
+    assert solved
+
+
+@pytest.mark.parametrize("variant", ["ml", "sl", "bl"])
+def test_single_level_scan_matches_the_class_rule_on_the_version_space(variant):
+    """The version-space rule, 1 when every table entry has a reveal class, is the class rule's."""
+    for seed in range(40):
+        spec = _four_label_spec(seed)
+        spec = replace(spec, set_system=_variant_system(spec, variant))
+        hypotheses = _hypotheses(spec)
+        eng, ref = _VersionSpaceEngine(spec, hypotheses), _ClassScanVersionSpace(spec, hypotheses)
+        _assert_scans_agree(eng, ref, seed, depths=(1, 2, 3, 4))
+
+
+def test_grid_leaf_roots_build_no_edge_classes(monkeypatch):
+    """The rand values on the 4-cycle and the Helly triangle build no edge class and no move table.
+
+    Each root is a single-level state whose children are all leaves: the
+    leaf test reads reveal classes only and the scan reads whole tables. A
+    choice method on the same engine class does build both, so the count
+    is live.
+    """
+    calls = Counter()
+
+    class Counting(CollectionEngine):
+        def _moves(self, alive, x):
+            calls["_moves"] += 1
+            return super()._moves(alive, x)
+
+        def _edge_classes(self, alive, x):
+            calls["_edge_classes"] += 1
+            return super()._edge_classes(alive, x)
+
+    monkeypatch.setattr(pflab.measure_dims, "CollectionEngine", Counting)
+    cycle, helly = _overlap_spec(FOUR_CYCLE), _overlap_spec(HELLY_TRIANGLE)
+    assert minimax_rand_regret(cycle, 3, g=10) == Fraction(1, 2)
+    assert pms_dim(helly, 3, Fraction(1, 3), g=12) == 1
+    assert not calls
+    eng = Counting(cycle, build_admissible_collections(cycle), kind="loss", grid=4)
+    eng.best_edge(*eng.initial_state(), 0, 2)
+    assert calls["_moves"] and calls["_edge_classes"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -45,6 +45,30 @@ def test_gamma_domain():
         pms_dim(spec, -1, Fraction(1, 2), g=2)
 
 
+def test_grid_resolution_true_is_a_spec_error():
+    """``True`` is no grid resolution, though it compares equal to 1."""
+    with pytest.raises(SpecError, match=r"^grid resolution must be a positive integer, got True$"):
+        minimax_rand_regret(two_constant_game(), 1, g=True)
+
+
+def test_grid_resolution_float_is_a_spec_error():
+    """A float grid resolution is a spec error, not a bare ``TypeError``."""
+    with pytest.raises(SpecError, match=r"^grid resolution must be a positive integer, got 2\.0$"):
+        minimax_rand_regret(two_constant_game(), 1, g=2.0)
+
+
+def test_gamma_true_is_a_spec_error():
+    """``True`` is no threshold, though it compares equal to 1."""
+    with pytest.raises(SpecError, match=r"^gamma True is not a Fraction or an int$"):
+        pms_dim(two_constant_game(), 1, True, g=4)
+
+
+def test_gamma_float_is_a_spec_error():
+    """A float threshold is rounded: 0.1 is not 1/10, so it is refused, as float weights are."""
+    with pytest.raises(SpecError, match=r"^gamma 0\.1 is not a Fraction or an int$"):
+        pms_dim(two_constant_game(), 1, 0.1, g=4)
+
+
 def test_rand_regret_frozen():
     spec = two_constant_game()
     for T in (1, 2, 3):

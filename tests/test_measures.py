@@ -16,7 +16,7 @@ from pflab import (
     measure_grid,
 )
 from pflab.engine import CollectionEngine
-from pflab.measures import grid_columns, grid_counts
+from pflab.measures import grid_columns, grid_counts, grid_words
 
 from conftest import two_constant_game
 
@@ -132,22 +132,32 @@ def _compositions(n, g):
     "n, g", [(n, g) for n in range(2, 7) for g in range(1, 9)] + [(34, 1), (66, 1)]
 )
 def test_grid_columns_are_the_compositions(n, g):
+    """Every grid reader lists the compositions: the columns, the counts and the packed words.
+
+    A packed word is read field by field with shifts, apart from the
+    byte-level reader the columns use.
+    """
     columns = grid_columns(n, g)
+    size = grid_size(n, g)
     assert len(columns) == n
-    assert all(type(column) is tuple and len(column) == grid_size(n, g) for column in columns)
-    assert list(zip(*columns)) == _compositions(n, g) == grid_counts(n, g)
+    assert all(type(column) is tuple and len(column) == size for column in columns)
+    words = grid_words(n, g)
+    assert len(words) == n and all(word < 1 << (64 * size) for word in words)
+    fields = [tuple(word >> (64 * i) & (1 << 64) - 1 for i in range(size)) for word in words]
+    assert list(zip(*columns)) == _compositions(n, g) == grid_counts(n, g) == list(zip(*fields))
 
 
 def test_grid_too_large_raises_before_building():
     # Building 8 * 10**22 points would not finish; the size check comes first.
-    with pytest.raises(GridTooLarge) as info:
-        grid_columns(6, 100_000)
-    assert info.value.spent == grid_size(6, 100_000)
-    # The spec checks come before the budget check.
-    with pytest.raises(SpecError):
-        grid_columns(1, 100_000)
-    with pytest.raises(SpecError):
-        grid_columns(100_000, 0)
+    for build in (grid_columns, grid_words):
+        with pytest.raises(GridTooLarge) as info:
+            build(6, 100_000)
+        assert info.value.spent == grid_size(6, 100_000)
+        # The spec checks come before the budget check.
+        with pytest.raises(SpecError):
+            build(1, 100_000)
+        with pytest.raises(SpecError):
+            build(100_000, 0)
 
 
 def test_engine_over_the_grid_budget_raises(monkeypatch):
