@@ -280,7 +280,18 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
 from .game import Collection, GameSpec
-from .measures import _WIDTH, Measure, _unpack, grid_size, grid_words, measure_grid
+from .measures import (
+    _FIELD,
+    _ONE,
+    _TOP,
+    _WIDTH,
+    Measure,
+    _unpack,
+    as_gamma,
+    grid_size,
+    grid_words,
+    measure_grid,
+)
 from .setsystems import iter_bits, mask_of
 
 
@@ -305,7 +316,7 @@ class CollectionEngine:
         self.spec = spec
         self.collections = list(collections)
         self.kind = kind
-        self.gamma = Fraction(gamma) if gamma is not None else None
+        self.gamma = as_gamma(gamma) if gamma is not None else None
         if kind == "measure" and self.gamma is None:
             raise ValueError("measure kind needs gamma")
         self.images = [c.images for c in self.collections]
@@ -324,10 +335,10 @@ class CollectionEngine:
         self.scale = 1 if kind == "measure" else self.g
         if kind == "measure":
             # For an integer count c, c * q <= g * (q - p) with gamma = p/q,
-            # or c < g at gamma 0, is c <= K. K is clamped to [-1, g], which
-            # decides every count in [0, g].
+            # or c < g at gamma 0, is c <= K; K lies in [0, g], as gamma lies
+            # in [0, 1].
             p, q = self.gamma.numerator, self.gamma.denominator
-            K = min(max(self.g - 1 if p == 0 else self.g * (q - p) // q, -1), self.g)
+            K = self.g - 1 if p == 0 else self.g * (q - p) // q
             self._minuend = (K + _TOP) * self._ones
         else:
             self._minuend = self.g * self._ones
@@ -834,14 +845,11 @@ class CollectionEngine:
     def _field_max(self, a: int, b: int) -> int:
         """The fieldwise max of two packed tables.
 
-        Tables of 0/1 increments (the measure kind, and the label kind's
-        point masses) take their OR. Otherwise a field of ``(a | tops) - b``
-        keeps its top bit exactly when ``a``'s field is at least ``b``'s, as
-        no increment reaches ``2**63`` and so no field borrows from the
-        next; that bit, spread over its field, picks ``a``'s field.
+        A field of ``(a | tops) - b`` keeps its top bit exactly when ``a``'s
+        field is at least ``b``'s, as no increment reaches ``2**63`` and so
+        no field borrows from the next; that bit, spread over its field,
+        picks ``a``'s field.
         """
-        if self._bits == 1:
-            return a | b
         ge = (((a | self._tops) - b) & self._tops) >> (_WIDTH - 1)
         return b ^ ((a ^ b) & ((ge << _WIDTH) - ge))
 
@@ -1095,12 +1103,6 @@ class _VersionSpaceEngine(CollectionEngine):
             (index.setdefault(tuple(reveals), len(index)), 0)
             for reveals in self._label_reveals(alive, x)
         ]
-
-
-_TOP = 1 << (_WIDTH - 1)
-_FIELD = (1 << _WIDTH) - 1
-# A field holding 1, as the bytes of a little-endian word.
-_ONE = (1).to_bytes(_WIDTH // 8, "little")
 
 
 def alive_mask(levels) -> int:

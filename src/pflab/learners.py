@@ -22,8 +22,8 @@ from .game import (
     integer,
     strategy_param,
 )
-from .measure_dims import _as_gamma, msp
-from .measures import Measure
+from .measure_dims import msp
+from .measures import Measure, as_gamma
 from .setsystems import iter_bits, mask_of
 
 
@@ -260,7 +260,7 @@ class FixedScaleMeasureLearner(MultiScaleMeasureLearner):
 
     def __init__(self, gamma, g: int | None = None):
         super().__init__(g=g)
-        self._thresholds = [_as_gamma(gamma)]
+        self._thresholds = [as_gamma(gamma)]
 
 
 class TransversalIntersectionLearner(Learner):

@@ -23,17 +23,8 @@ from .game import (
     build_admissible_collections,
     distinct_images,
 )
+from .measures import as_gamma
 from .setsystems import SetSystem
-
-
-def _as_gamma(gamma) -> Fraction:
-    # A float is a rounded rational, and a bool is no threshold: as for measure weights.
-    if not (isinstance(gamma, Fraction) or type(gamma) is int):
-        raise SpecError(f"gamma {gamma!r} is not a Fraction or an int")
-    gamma = Fraction(gamma)
-    if not 0 <= gamma <= 1:
-        raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
-    return gamma
 
 
 def pms_dim(
@@ -69,7 +60,7 @@ def ppms_dim(
     given exact measures and need not lie on the continuation grid. Partial
     feedback only, as for :func:`pflab.dimensions.ppfl_dim`.
     """
-    gamma = _as_gamma(gamma)
+    gamma = as_gamma(gamma)
     if d < 0:
         raise SpecError(f"depth must be nonnegative, got {d}")
     spec.require_partial_feedback("the thresholded-event value")

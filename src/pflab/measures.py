@@ -107,24 +107,36 @@ class Measure:
         return self.weights.index(best)
 
 
+def as_gamma(gamma) -> Fraction:
+    """``gamma`` as an event threshold in ``[0, 1]``, else :class:`SpecError`.
+
+    As for measure weights, a float is a rounded rational and a bool is no
+    threshold: only a ``Fraction`` or a plain ``int`` is taken.
+    """
+    if not (isinstance(gamma, Fraction) or type(gamma) is int):
+        raise SpecError(f"gamma {gamma!r} is not a Fraction or an int")
+    gamma = Fraction(gamma)
+    if not 0 <= gamma <= 1:
+        raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
+    return gamma
+
+
 def grid_size(n_labels: int, g: int) -> int:
     """Number of grid measures: compositions of ``g`` into ``n_labels`` parts."""
     return comb(g + n_labels - 1, n_labels - 1)
 
 
+# The packed format of the grid and of the engine's tables: value ``i`` of a
+# word in the 64-bit field at bit ``64 * i``.
 _WIDTH = 64
-
-
-def _pack(values) -> int:
-    """``values`` as one int, value ``i`` in the 64-bit field at bit ``64 * i``."""
-    words = array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+_TOP = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+# A field holding 1, as the bytes of a little-endian word.
+_ONE = (1).to_bytes(_WIDTH // 8, "little")
 
 
 def _unpack(word: int, n: int) -> array:
-    """The ``n`` lowest 64-bit fields of ``word``, lowest first: :func:`_pack` inverted."""
+    """The ``n`` lowest 64-bit fields of ``word``, lowest first."""
     words = array("Q", word.to_bytes(8 * n, "little"))
     if sys.byteorder == "big":
         words.byteswap()
@@ -169,6 +181,7 @@ def grid_words(n_labels: int, g: int, budget: int | None = None) -> tuple[int, .
     sizes = [[1] * (g + 1)]
     for _ in range(n_labels - 2):
         sizes.append(list(accumulate(sizes[-1])))
+    # Each count as the bytes of one field, which no host byte order changes.
     fields = [c.to_bytes(_WIDTH // 8, "little") for c in range(g + 1)]
     words = []
     # The remaining total of every prefix over the labels before the current one.
@@ -182,7 +195,7 @@ def grid_words(n_labels: int, g: int, budget: int | None = None) -> tuple[int, .
         ]
         words.append(int.from_bytes(b"".join(map(firsts.__getitem__, remains)), "little"))
         remains = reduce(iadd, map(left_over.__getitem__, remains), [])
-    words.append(_pack(remains))
+    words.append(int.from_bytes(b"".join(map(fields.__getitem__, remains)), "little"))
     return tuple(words)
 
 

@@ -219,6 +219,26 @@ def test_engine_methods_reject_indices_out_of_range(table):
     eng.update(*s, 0, 5, _feasible(eng, s, 0)[-1])
 
 
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        (True, r"^gamma True is not a Fraction or an int$"),
+        (0.1, r"^gamma 0\.1 is not a Fraction or an int$"),
+        (Fraction(3, 2), r"^gamma must lie in \[0, 1\], got 3/2$"),
+    ],
+)
+def test_engine_gamma_is_an_exact_threshold(gamma, message):
+    """The constructor checks gamma as ``pms_dim`` does.
+
+    A bool read as 1, and 0.1 played at 3602879701896397/36028797018963968.
+    """
+    spec = helly_game(2)
+    with pytest.raises(SpecError, match=message):
+        CollectionEngine(spec, build_admissible_collections(spec), kind="measure", gamma=gamma, grid=2)
+    eng = CollectionEngine(spec, [], kind="measure", gamma=1, grid=2)
+    assert eng.gamma == 1 and type(eng.gamma) is Fraction
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=25, deadline=None)
 @given(seeds)
