@@ -22,6 +22,7 @@ from .game import (
     GameSpec,
     build_admissible_collections,
     distinct_images,
+    fraction,
     int_list,
     integer,
     strategy_param,
@@ -62,7 +63,10 @@ class _CollectionAdversary(Adversary):
 
     def _track(self, spec: GameSpec, collections) -> None:
         if spec.feedback is Feedback.MULTICLASS:
-            collections = [c for c in collections if len(c.members) == 1]
+            # A one-member collection's member bitmask is a power of two.
+            collections = collections.subset(
+                [i for i, key in enumerate(collections.keys) if not key & key - 1]
+            )
             if not collections:
                 raise SpecError("multiclass feedback needs an admissible one-hypothesis collection")
         self._spec = spec
@@ -568,7 +572,7 @@ def make_adversary(name: str, params: dict) -> Adversary:
     elif name == "agnostic_two_constant":
         built = TwoConstantAgnosticAdversary()
     elif name == "public_cube":
-        built = CubeAdversary(param("k", Fraction, Fraction(1, 2)))
+        built = CubeAdversary(param("k", fraction, Fraction(1, 2)))
     elif name == "pf_not_sv":
         built = PrefixParityAdversary()
     else:

@@ -59,11 +59,20 @@ Every method takes the pair as two positional arguments, and
 sparse, so they hold the loss kind's charges and off-grid ``Fraction``
 scores as they hold the label kind's 0/1 counts.
 
-On its first visit to an instance ``x`` the search groups the
-collections by their image at ``x``: one ``(image, mask)`` pair per distinct
-image. For each distinct image the engine caches an increment table: one
-integer per edge, in edge order. The engine keeps its grid as one packed
-int per label, edge ``i``'s count in the 64-bit field at bit ``64 * i``,
+The engine keeps each collection's image vector as one packed int, its
+image word, in the layout :mod:`pflab.game` defines
+(:func:`pflab.game.image_words`): an
+:class:`pflab.game.AdmissibleFamily` hands over the words its walk built,
+and any other sequence of collections, such as the one-hypothesis
+collections of :func:`pflab.dimensions.ml_sl_bl_dim`, is packed once in the
+constructor. No image tuple is kept. On its first visit to an instance
+``x`` the search groups the collections by their word's field at ``x``
+(:func:`pflab.game.images_at`): one ``(image, mask)`` pair per distinct
+image, each mask the OR of its collections' bits ``1 << cid``, read from
+a shared table for the first 1,024 ids. For each distinct image the engine
+caches an increment table: one integer per edge, in edge order.
+The engine keeps its grid as one packed int per label, edge ``i``'s count
+in the 64-bit field at bit ``64 * i``,
 as :func:`pflab.measures.grid_words` builds it, with no tuple of counts
 made first, so a table is integer arithmetic on whole words, with no loop
 over edges in Python: ``C``, the sum of the image's own packed columns, holds ``c(image)``
@@ -182,7 +191,7 @@ soundness, and that of its speedups, all of which preserve exact values:
   every edge, so dropping all but one of them changes no value, choice or
   expanded-state count. Callers may therefore pass one collection per image
   vector (``game.distinct_images``); the engine itself keeps every
-  collection it is given, so alive ids index the caller's list;
+  collection it is given, so alive ids index the caller's sequence;
 * a test passes at a state when some instance has, for every edge class, a
   reveal class whose child passes: the max side stops at the first such
   instance, the min side at an instance's first edge class with no passing
@@ -279,7 +288,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
-from .game import Collection, GameSpec
+from .game import Collection, GameSpec, image_words, images_at
 from .measures import (
     _FIELD,
     _ONE,
@@ -293,6 +302,12 @@ from .measures import (
     measure_grid,
 )
 from .setsystems import iter_bits, mask_of
+
+
+# 1 << cid for the first collection ids, shared by every engine's grouping
+# (about 100 KB), so a grouping of up to 1,024 collections makes no bit of
+# its own.
+_BITS = [1 << cid for cid in range(1024)]
 
 
 def states_budget() -> int:
@@ -314,12 +329,12 @@ class CollectionEngine:
         if kind not in ("label", "measure", "loss"):
             raise ValueError(f"unknown engine kind {kind!r}")
         self.spec = spec
-        self.collections = list(collections)
+        self.collections = collections
         self.kind = kind
         self.gamma = as_gamma(gamma) if gamma is not None else None
         if kind == "measure" and self.gamma is None:
             raise ValueError("measure kind needs gamma")
-        self.images = [c.images for c in self.collections]
+        self.image_words = image_words(spec, collections)
         if kind == "label":
             # The loss kind on the grid of point masses, whose edges are the labels.
             self.g = 1
@@ -417,8 +432,10 @@ class CollectionEngine:
         hit = self._group_cache[x]
         if hit is None:
             by_image: dict = {}
-            for cid, images in enumerate(self.images):
-                by_image[images[x]] = by_image.get(images[x], 0) | (1 << cid)
+            words = self.image_words
+            bits = _BITS if len(words) <= len(_BITS) else [1 << cid for cid in range(len(words))]
+            for bit, image in zip(bits, images_at(self.spec, words, x)):
+                by_image[image] = by_image.get(image, 0) | bit
             hit = self._group_cache[x] = tuple(by_image.items())
         return hit
 
@@ -460,9 +477,9 @@ class CollectionEngine:
         for y in labels:
             require_index(y, spec.n_labels, "prefix label")
         empty = "no collection is consistent with the prefix reveals"
-        if not self.images:
+        if not self.image_words:
             raise EmptyConsistentSet(empty)
-        state = (0, ((0, (1 << len(self.images)) - 1),))
+        state = (0, ((0, (1 << len(self.image_words)) - 1),))
         for x, move, y in zip(prefix_x, prefix_moves, prefix_reveals):
             state = self._step(*state, x, self._holding(x, y), move, empty)
         return state

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import lt, or_
+from operator import lshift, lt, or_
 from typing import Optional, Union
 
 from .errors import (
@@ -289,6 +289,37 @@ def _member_tuple(members) -> tuple[int, ...]:
     return ms
 
 
+def _images(spec: GameSpec, word: int) -> tuple[int, ...]:
+    """The image vector packed in ``word``: one ``n_labels``-bit field per instance.
+
+    This is the layout of :class:`_RowWords`: the image at instance ``x``
+    is the field from bit ``x * n_labels`` on.
+    """
+    L = spec.n_labels
+    field = (1 << L) - 1
+    return tuple(word >> shift & field for shift in range(0, spec.n_instances * L, L))
+
+
+def images_at(spec: GameSpec, words: Sequence[int], x: int) -> list[int]:
+    """The image at instance ``x`` of each packed image vector in ``words``."""
+    L = spec.n_labels
+    shift, field = x * L, (1 << L) - 1
+    return [word >> shift & field for word in words]
+
+
+def image_words(spec: GameSpec, collections: Sequence[Collection]) -> list[int]:
+    """Each collection's image vector packed as one int, in the layout of :func:`_images`.
+
+    An :class:`AdmissibleFamily` holds its words already; anything else is
+    packed here, one collection at a time.
+    """
+    if isinstance(collections, AdmissibleFamily):
+        return collections.words
+    L = spec.n_labels
+    shifts = range(0, spec.n_instances * L, L)
+    return [sum(map(lshift, col.images, shifts)) for col in collections]
+
+
 def collection_of(spec: GameSpec, members) -> Collection:
     """Build a :class:`Collection` from hypothesis indices, validating feasibility.
 
@@ -309,10 +340,7 @@ def collection_of(spec: GameSpec, members) -> Collection:
         raise SpecError("a collection must contain at least one hypothesis")
     if ms[0] < 0 or ms[-1] >= H.size:
         raise SpecError(f"collection members {ms} lie outside range({H.size})")
-    word = reduce(or_, map(H._row_words.__getitem__, ms))
-    L = H.n_labels
-    field = (1 << L) - 1
-    images = tuple(word >> shift & field for shift in range(0, spec.n_instances * L, L))
+    images = _images(spec, reduce(or_, map(H._row_words.__getitem__, ms)))
     for x, img in enumerate(images):
         if not spec.set_system.contains(img):
             raise SpecError(
@@ -321,18 +349,61 @@ def collection_of(spec: GameSpec, members) -> Collection:
     return _record(Collection, {"members": ms, "images": images})
 
 
+class AdmissibleFamily(Sequence):
+    """A spec's admissible collections in id order, held as two lists of ints.
+
+    ``keys[i]`` is collection ``i``'s member bitmask (``sum(1 << h)``), and
+    the keys ascend strictly; ``words[i]`` is its image vector packed in the
+    layout of :class:`_RowWords`. Reading an item builds its
+    :class:`Collection`, equal to ``collection_of(spec, members)``, and
+    nothing else builds one. The family is read-only, and the engine reads
+    the words themselves (:func:`image_words`).
+    """
+
+    __slots__ = ("spec", "keys", "words")
+
+    def __init__(self, spec: GameSpec, keys: list[int], words: list[int]):
+        self.spec = spec
+        self.keys = keys
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.keys)))]
+        return self._collection(self.keys[i], self.words[i])
+
+    def __iter__(self):
+        return map(self._collection, self.keys, self.words)
+
+    def subset(self, ids) -> AdmissibleFamily:
+        """The family of the collections with these ids, in the order given."""
+        return AdmissibleFamily(
+            self.spec, [self.keys[i] for i in ids], [self.words[i] for i in ids]
+        )
+
+    def _collection(self, key: int, word: int) -> Collection:
+        return _record(
+            Collection, {"members": tuple(iter_bits(key)), "images": _images(self.spec, word)}
+        )
+
+
 def build_admissible_collections(
     spec: GameSpec, budget: int | None = None
-) -> list[Collection]:
+) -> AdmissibleFamily:
     """Every nonempty hypothesis subset whose image at each instance is feasible.
 
-    Collections come back ordered by member bitmask (``sum(1 << h)``), and
-    that order is the canonical collection id used everywhere else (minimax
-    states, tie-breaking, witnesses). The search is :func:`_admissible_walk`
-    over the whole class with no targets, the same walk the realizability
-    witness search runs. The walk keys each collection by that bitmask,
-    carried down from prefix to extension, so the id order is one sort of
-    ints. Each call of the walk charges one node for every
+    Collections come back as an :class:`AdmissibleFamily`, a read-only
+    sequence ordered by member bitmask (``sum(1 << h)``), and that order is
+    the canonical collection id used everywhere else (minimax states,
+    tie-breaking, witnesses). The search is :func:`_admissible_walk` over
+    the whole class with no targets, the same walk the realizability
+    witness search runs. The walk keys each collection's packed image word
+    by that bitmask, carried down from prefix to extension, so the id order
+    is one sort of ints, and no :class:`Collection` is built until an item
+    of the family is read. Each call of the walk charges one node for every
     index from its start index on, so the node count and every
     :class:`BudgetExceeded` outcome are those of the per-candidate search
     that preceded the bitmask one. The walk asks the set system once per
@@ -343,14 +414,14 @@ def build_admissible_collections(
     Collections with equal image vectors are interchangeable wherever only
     images are read: they survive every reveal together and take the same
     increment on every edge. So the consumers that read only images pass
-    this list through :func:`distinct_images` and keep one collection per
-    image vector: the engine entry points (``ppfl_dim``, ``ppms_dim``,
+    this family through :func:`distinct_images` and keep one collection per
+    image word: the engine entry points (``ppfl_dim``, ``ppms_dim``,
     ``minimax_rand_regret``), the engine-driven learners and the optimal
     adversary, ``cvsp``, the echo adversary, ``shattering_tree`` and
     ``replicate.worst_case_vs_learner``. The kept collection is the lowest
     id of its image class, so witness members do not change. The seeded
-    random adversary keeps the full list, because its final pick is uniform
-    over collections, not over image vectors.
+    random adversary keeps the full family, because its final pick is
+    uniform over collections, not over image vectors.
 
     Raises :class:`AdmissibleEmpty` when no collection qualifies,
     :class:`BudgetExceeded` when the pruned search still visits too many nodes
@@ -364,12 +435,13 @@ def build_admissible_collections(
     found = _admissible_walk(spec, (1 << H.size) - 1, (), "admissible-collection search", limit)
     if not found:
         raise AdmissibleEmpty("no admissible collection exists for this specification")
-    return list(map(found.__getitem__, sorted(found)))
+    keys = sorted(found)
+    return AdmissibleFamily(spec, keys, list(map(found.__getitem__, keys)))
 
 
 def _admissible_walk(
     spec: GameSpec, pool: int, targets: tuple, what: str, limit: int
-) -> dict[int, Collection]:
+) -> dict[int, int]:
     """The admissible collections drawn from the hypotheses in bitmask ``pool``.
 
     The walk visits subsets depth-first in preorder: ascending index, each
@@ -391,13 +463,18 @@ def _admissible_walk(
     collections and the node charges are those of the per-label,
     per-candidate form, with no membership test per candidate.
 
+    A prefix carries its images as one packed word, in the layout of
+    :class:`_RowWords`, so the extension by ``h`` is the prefix's word ORed
+    with ``h``'s row word, and no member list or image tuple is built.
+
     ``targets`` holds ``(instance, set)`` pairs. With none, the walk returns
     every admissible collection. With some, it also prunes a prefix once its
     candidates miss a label some target still lacks, and it stops at the
     first collection whose image at each target instance equals that
-    target: it returns that one collection, or none. Every call charges one
-    node for each member of ``pool`` from its start index on, and past
-    ``limit`` nodes it raises :class:`BudgetExceeded` naming ``what``. The
+    target, one masked compare of its word: it returns that one collection,
+    or none. Every call charges one node for each member of ``pool`` from
+    its start index on, and past ``limit`` nodes it raises
+    :class:`BudgetExceeded` naming ``what``. The
     walk takes one Python frame per member, so a walk deeper than Python's
     recursion limit raises :class:`BudgetExceeded` naming ``what`` too, with
     the nodes spent so far.
@@ -411,15 +488,25 @@ def _admissible_walk(
     once per ``h``. When that AND is empty the call is skipped; with
     targets it would have returned before its target test.
 
-    The collections come back as a dict in visiting order, keyed by member
-    bitmask (``sum(1 << h)``), which each call passes down to its
-    extensions. Each :class:`Collection` is made by :func:`_record`.
+    The collections come back as a dict ``{member bitmask: image word}`` in
+    visiting order; each call passes its bitmask down to its extensions.
     """
     H = spec.hypotheses
+    L = spec.n_labels
+    field = (1 << L) - 1
     span_fill = spec.set_system.span_fill
     masks = [H.label_masks(x) for x in range(spec.n_instances)]
+    # The label masks by bit position of a packed word: bit x * L + y.
+    flat = [hs for table in masks for hs in table]
+    shifts = tuple(enumerate(range(0, spec.n_instances * L, L)))
     memos: list[dict[int, tuple[int, int]]] = [{} for _ in range(spec.n_instances)]
-    pieces: dict[int, tuple[tuple[int, ...], int]] = {}
+    row_words = H._row_words
+    pieces: dict[int, tuple[int, int]] = {}
+    # The target test: the word's fields at the target instances equal the targets.
+    target_mask = target_word = 0
+    for x, m in targets:
+        target_mask |= field << x * L
+        target_word |= m << x * L
 
     def answer(x: int, img: int) -> tuple[int, int]:
         span, fill = span_fill(img)
@@ -435,61 +522,61 @@ def _admissible_walk(
         hit = memos[x][img] = (inside, exact)
         return hit
 
-    def piece(h: int) -> tuple[tuple[int, ...], int]:
-        row = tuple(1 << y for y in H.rows[h])
+    def piece(h: int) -> tuple[int, int]:
+        row = row_words[h]
         alone = -1
-        for x, img in enumerate(row):
+        for x, shift in shifts:
+            img = row >> shift & field
             alone &= (memos[x].get(img) or answer(x, img))[0]
         hit = pieces[h] = (row, alone)
         return hit
 
     charge = [(pool >> start).bit_count() for start in range(H.size + 1)]
-    out: dict[int, Collection] = {}
+    out: dict[int, int] = {}
     nodes = 0
     exceeded = f"{what} exceeded {limit} nodes"
 
-    def rec(start: int, members: list[int], images: tuple[int, ...], key: int) -> bool:
+    def rec(start: int, word: int, key: int) -> bool:
         nonlocal nodes
         nodes += charge[start]
         if nodes > limit:
             raise BudgetExceeded(exceeded, spent=nodes, budget=limit)
         cand = admissible = pool >> start << start
-        for x, img in enumerate(images):
+        for x, shift in shifts:
+            img = word >> shift & field
             inside, exact = memos[x].get(img) or answer(x, img)
             cand &= inside
             if not cand:
                 return False
             admissible &= exact
-        for x, m in targets:
-            for y in iter_bits(m & ~images[x]):
-                if not cand & masks[x][y]:
-                    return False
+        lacking = target_word & ~word
+        while lacking:
+            low = lacking & -lacking
+            lacking ^= low
+            if not cand & flat[low.bit_length() - 1]:
+                return False
         while cand:
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
             row, alone = pieces.get(h) or piece(h)
-            new_images = tuple(map(or_, images, row))
-            members.append(h)
-            if low & admissible and (not targets or all(new_images[x] == m for x, m in targets)):
-                out[key | low] = _record(
-                    Collection, {"members": tuple(members), "images": new_images}
-                )
+            new_word = word | row
+            if low & admissible and new_word & target_mask == target_word:
+                out[key | low] = new_word
                 if targets:
                     return True
             if cand & alone:
-                if rec(h + 1, members, new_images, key | low):
+                if rec(h + 1, new_word, key | low):
                     return True
             else:
                 # The child call would find no candidate: charge it and skip it.
                 nodes += charge[h + 1]
                 if nodes > limit:
                     raise BudgetExceeded(exceeded, spent=nodes, budget=limit)
-            members.pop()
         return False
 
     try:
-        rec(0, [], (0,) * spec.n_instances, 0)
+        rec(0, 0, 0)
     except RecursionError:
         raise BudgetExceeded(
             f"{what} exceeds Python's recursion limit", spent=nodes, budget=limit
@@ -499,18 +586,22 @@ def _admissible_walk(
     return out
 
 
-def distinct_images(collections: Sequence[Collection]) -> list[Collection]:
+def distinct_images(family: AdmissibleFamily) -> AdmissibleFamily:
     """The lowest-id collection of each image vector, in id order.
 
     Any walk that reads only images and takes the first consistent
-    collection in id order picks the same collection from this list as from
-    the full one: the first consistent collection is always the lowest id of
-    its image class.
+    collection in id order picks the same collection from this family as
+    from the full one: the first consistent collection is always the lowest
+    id of its image class. The kept family holds the lowest key of each
+    word, and no :class:`Collection` is built; when no word repeats, it is
+    ``family`` itself.
     """
-    first: dict = {}
-    for col in collections:
-        first.setdefault(col.images, col)
-    return list(first.values())
+    words = family.words
+    # Filled from the highest id down, so each word keeps its lowest id.
+    lowest = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
+    if len(lowest) == len(words):
+        return family
+    return family.subset(sorted(lowest.values()))
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -569,7 +660,7 @@ def _record(cls, fields: dict):
     constructed one does, but is made without the generated ``__init__``'s
     one ``object.__setattr__`` call per field. Play builds every leaf's
     :class:`GameView`, :class:`Transcript` and :class:`PublicBranch` this way,
-    and :func:`_admissible_walk` and :func:`collection_of` every
+    and :class:`AdmissibleFamily` and :func:`collection_of` every
     :class:`Collection`.
     """
     record = object.__new__(cls)
@@ -688,6 +779,17 @@ def integer(value) -> int:
     return int(value)
 
 
+def fraction(value) -> Fraction:
+    """Strategy parameter kind: an exact number, an integer or the text of one.
+
+    Text is read exactly, so ``"1/10"`` and ``"0.1"`` are both 1/10. A float
+    is a rounded binary value and a bool is no number: both are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    return Fraction(value)
+
+
 def int_list(value) -> list:
     """Strategy parameter kind: a list of integers."""
     if not isinstance(value, (list, tuple)) or not all(
@@ -700,7 +802,7 @@ def int_list(value) -> list:
 def strategy_param(params: dict, strategy: str, key: str, kind, default=REQUIRED):
     """Pop parameter ``key`` of the named strategy from its config ``params``.
 
-    ``kind`` is :func:`integer`, ``Fraction`` or :func:`int_list` to convert
+    ``kind`` is :func:`integer`, :func:`fraction` or :func:`int_list` to convert
     or check the value with. A missing key returns ``default``. Raises
     :class:`SpecError` when a required key is missing or the value does not
     convert.
@@ -839,7 +941,7 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
         consistent &= sum(masks[y] for y in iter_bits(m))
     what = "realizability witness search"
     found = _admissible_walk(spec, consistent, tuple(targets.items()), what, _collections_budget())
-    return next(iter(found.values())).members if found else None
+    return tuple(iter_bits(next(iter(found)))) if found else None
 
 
 def _any_member(system: SetSystem) -> int:

@@ -18,6 +18,7 @@ from .game import (
     Learner,
     build_admissible_collections,
     distinct_images,
+    fraction,
     int_list,
     integer,
     strategy_param,
@@ -406,7 +407,7 @@ def make_learner(name: str, params: dict) -> Learner:
     elif name == "dpfla":
         built = PotentialMinimizingLearner(potential_budget=param("budget", integer, None))
     elif name == "frpfl":
-        built = FixedScaleMeasureLearner(param("gamma", Fraction), g=param("g", integer, None))
+        built = FixedScaleMeasureLearner(param("gamma", fraction), g=param("g", integer, None))
     elif name == "mrpfl":
         built = MultiScaleMeasureLearner(N=param("N", integer, None), g=param("g", integer, None))
     elif name == "helly_intersection":

@@ -45,6 +45,7 @@ from .game import (
     collection_of,
     distinct_images,
     find_realizability_witness,
+    images_at,
     play_game,
 )
 from .games import (
@@ -91,10 +92,14 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
 
     Exhausts instance and reveal trajectories; at the leaves takes the best
     surviving collection for the adversary. Only images are read, so one
-    collection per image vector is tracked. The learner may be randomized;
-    per-round loss is the predicted measure's mass outside the final set.
+    collection per image vector is tracked, and its images are read off the
+    family's packed words, with no :class:`Collection` built. The learner
+    may be randomized; per-round loss is the predicted measure's mass
+    outside the final set.
     """
-    images = [col.images for col in distinct_images(build_admissible_collections(spec))]
+    words = distinct_images(build_admissible_collections(spec)).words
+    # images[x][cid]: collection cid's image at instance x.
+    images = [images_at(spec, words, x) for x in range(spec.n_instances)]
 
     def as_measure(pred):
         if isinstance(pred, Measure):
@@ -109,14 +114,14 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
             probe = learner.fork()
             pi = as_measure(probe.predict(x))
             for y in range(spec.n_labels):
-                kept = [cid for cid in alive if (images[cid][x] >> y) & 1]
+                kept = [cid for cid in alive if (images[x][cid] >> y) & 1]
                 if not kept:
                     continue
                 nxt = probe.fork()
                 nxt.observe(y)
                 new_charges = dict(charges)
                 for cid in kept:
-                    new_charges[cid] = charges[cid] + pi.miss_mass(images[cid][x])
+                    new_charges[cid] = charges[cid] + pi.miss_mass(images[x][cid])
                 v = rec(nxt, kept, new_charges, t + 1)
                 if best is None or v > best:
                     best = v
@@ -124,7 +129,7 @@ def worst_case_vs_learner(spec: GameSpec, learner_factory) -> Fraction:
 
     learner = learner_factory()
     learner.begin(spec)
-    alive = list(range(len(images)))
+    alive = list(range(len(words)))
     return rec(learner, alive, {cid: Fraction(0) for cid in alive}, 0)
 
 

@@ -18,6 +18,8 @@ from pflab import (
     GridTooLarge,
     build_admissible_collections,
     load_spec_file,
+    make_adversary,
+    make_learner,
     pfl_dim,
     pms_dim,
     shattering_tree,
@@ -580,6 +582,38 @@ def test_integer_parameters_reject_floats_and_bools(capsys, tmp_path, block):
     assert code == 2 and out == ""
     assert err.startswith("spec error:") and err.count("\n") == 1
     assert "not a valid integer" in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "learner: {name: frpfl, params: {gamma: 0.1}}",
+        "learner: {name: frpfl, params: {gamma: 0.5}}",
+        "learner: {name: frpfl, params: {gamma: true}}",
+        "learner: {name: cvsp}\nadversary: {name: public_cube, params: {k: 0.5}}",
+        "learner: {name: cvsp}\nadversary: {name: public_cube, params: {k: true}}",
+    ],
+)
+def test_fraction_parameters_reject_floats_and_bools(capsys, tmp_path, block):
+    if "adversary" not in block:
+        block += "\nadversary: {name: optimal}"
+    code, out, err = run(capsys, ["play", _spec_with(tmp_path, block + "\n")])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert "not a valid fraction" in err
+
+
+def test_fraction_parameters_read_quoted_text_exactly(capsys, tmp_path):
+    outs = set()
+    for text in ["'1/10'", "'0.1'", '"1/10"']:
+        block = f"learner: {{name: frpfl, params: {{gamma: {text}}}}}\nadversary: {{name: optimal}}\n"
+        code, out, err = run(capsys, ["play", _spec_with(tmp_path, block)])
+        assert code == 0 and err == ""
+        outs.add(strip_runtime(out))
+        value = text.strip("'\"")
+        assert make_learner("frpfl", {"gamma": value})._thresholds == [Fraction(1, 10)]
+        assert make_adversary("public_cube", {"k": value})._limit == Fraction(9, 10)
+    assert len(outs) == 1
 
 
 # The tables of the collision family with modulus 7, slopes (0, 1) and pool

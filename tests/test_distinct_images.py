@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from pflab import GameSpec, HypothesisClass, SetSystem, build_admissible_collections
 from pflab.engine import CollectionEngine
-from pflab.game import Collection, distinct_images
+from pflab.game import AdmissibleFamily, Collection, distinct_images, image_words
 from pflab.measures import Measure
 from pflab.setsystems import iter_bits
 
@@ -89,7 +89,7 @@ def _prefixes(spec, kind, rng, count):
 def _scored_images(eng, state):
     """The distinct ``(score, image vector)`` pairs of a state's alive collections."""
     base, levels = state
-    return {(base + s, eng.images[cid]) for s, mask in levels for cid in iter_bits(mask)}
+    return {(base + s, eng.collections[cid].images) for s, mask in levels for cid in iter_bits(mask)}
 
 
 def _assert_same_solve(spec, kind, rounds, rng, count=2):
@@ -117,8 +117,11 @@ def test_distinct_images_keeps_the_lowest_id_in_id_order():
         Collection(members=(1, 2), images=(3, 2)),
         Collection(members=(3,), images=(2, 1)),
     ]
-    assert distinct_images(cols) == [cols[0], cols[1], cols[2], cols[5]]
-    assert distinct_images([]) == []
+    spec = _binary_spec([[0, 0], [0, 1], [1, 0], [1, 1]], 1)
+    keys = [sum(1 << h for h in col.members) for col in cols]
+    family = AdmissibleFamily(spec, keys, image_words(spec, cols))
+    assert list(distinct_images(family)) == [cols[0], cols[1], cols[2], cols[5]]
+    assert list(distinct_images(AdmissibleFamily(spec, [], []))) == []
 
 
 @pytest.mark.parametrize("index", range(len(BINARY_CLASSES)))

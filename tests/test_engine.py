@@ -98,7 +98,7 @@ def _scores(state):
 def _feasible(eng, state, x):
     mask = 0
     for cid in _scores(state):
-        mask |= eng.images[cid][x]
+        mask |= eng.collections[cid].images[x]
     return [y for y in range(eng.spec.n_labels) if (mask >> y) & 1]
 
 
@@ -148,7 +148,7 @@ def test_version_space_rules_match_the_alive_images(kind, seed, walk):
         scores = _scores(state)
         assert alive_mask(state[1]) == sum(1 << cid for cid in scores)
         for x in range(spec.n_instances):
-            images = {cid: eng.images[cid][x] for cid in scores}
+            images = {cid: eng.collections[cid].images[x] for cid in scores}
             assert eng.feasible(*state, x) == functools.reduce(operator.or_, images.values())
             assert eng.common(*state, x) == functools.reduce(operator.and_, images.values())
             for mask in range(1, 1 << spec.n_labels):
@@ -702,8 +702,8 @@ def _pairwise_reveals(eng, alive, x):
     for y in range(eng.spec.n_labels):
         keep = sum(
             1 << cid
-            for cid, images in enumerate(eng.images)
-            if alive >> cid & 1 and images[x] >> y & 1
+            for cid, col in enumerate(eng.collections)
+            if alive >> cid & 1 and col.images[x] >> y & 1
         )
         if keep and all(keep != k for _, k in out):
             out.append((y, keep))
@@ -740,7 +740,7 @@ def test_reveal_classes_match_the_pairwise_rule(seed):
     spec = prefix_parity_game(3, 3) if seed is None else _wide_spec(seed)
     eng = _engine(spec, "label")
     rng = random.Random(str(seed))
-    everyone = (1 << len(eng.images)) - 1
+    everyone = (1 << len(eng.collections)) - 1
     for alive in [everyone, *(rng.randint(1, everyone) for _ in range(20))]:
         for x in range(spec.n_instances):
             assert eng._reveals(alive, x) == _pairwise_reveals(eng, alive, x)
@@ -774,7 +774,7 @@ def _alive_parts(classes, alive):
 def _alive_masks(eng, seed, tries):
     """Every collection alive, then ``tries`` random alive subsets."""
     rng = random.Random(seed)
-    everyone = (1 << len(eng.images)) - 1
+    everyone = (1 << len(eng.collections)) - 1
     return [everyone, *(rng.randint(1, everyone) for _ in range(tries))]
 
 

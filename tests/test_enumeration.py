@@ -15,6 +15,7 @@ lexicographically first reference collection that realizes its targets.
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from pflab import (
     collection_of,
     find_realizability_witness,
 )
-from pflab.game import Collection
+from pflab.game import AdmissibleFamily, Collection, distinct_images
 from pflab.games import pf_not_sv_game
 
 
@@ -189,9 +190,9 @@ def test_prefix_parity_budget_stops_at_the_crossing_call():
 
 
 def test_walk_collections_equal_constructed_ones():
-    """The walk and ``collection_of`` build collections without ``__init__``; nothing else tells."""
+    """The family and ``collection_of`` build collections without ``__init__``; nothing else tells."""
     spec = prefix_parity_game(2, 3)
-    walked = build_admissible_collections(spec)
+    walked = list(build_admissible_collections(spec))
     rebuilt = [collection_of(spec, col.members) for col in walked]
     assert rebuilt == walked
     for col in walked + rebuilt:
@@ -369,6 +370,52 @@ def test_smallest_budget_pinned(make, nodes, count):
     assert len(build_admissible_collections(spec, budget=nodes)) == count
     with pytest.raises(BudgetExceeded):
         build_admissible_collections(spec, budget=nodes - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_packed_family_reads_as_the_collections_it_packs(spec):
+    """Keys ascend, each item is ``collection_of`` its members, and dedup by word is dedup by image."""
+    if not reference_collections(spec):
+        return
+    family = build_admissible_collections(spec)
+    assert type(family) is AdmissibleFamily
+    keys = family.keys
+    assert all(map(lt, keys, keys[1:]))
+    assert len(family) == len(keys) == len(family.words)
+    items = list(family)
+    for i, (key, col) in enumerate(zip(keys, items)):
+        assert type(col) is Collection
+        assert col == family[i] == family[i - len(family)] == collection_of(spec, col.members)
+        assert key == sum(1 << h for h in col.members)
+    assert family[1:-1] == items[1:-1] and family[::-1] == items[::-1]
+    with pytest.raises(IndexError):
+        family[len(family)]
+    by_tuple: dict = {}
+    for col in items:
+        by_tuple.setdefault(col.images, col)
+    kept = distinct_images(family)
+    assert type(kept) is AdmissibleFamily
+    assert list(kept) == list(by_tuple.values())
+
+
+# Nodes spent when the walk stops past each budget, recorded with the walk
+# that built one Collection per step.
+@pytest.mark.parametrize(
+    "make, spent",
+    [
+        (pf_not_sv_game, {0: 128, 1: 128, 45760: 45768, 68640: 68666, 137279: 137280}),
+        (lambda: prefix_parity_game(4, 4), {0: 32, 1: 32, 816: 818, 1224: 1235, 2447: 2448}),
+        (lambda: prefix_parity_game(5, 6), {0: 64, 1: 64, 5984: 5987, 8976: 8996, 17951: 17952}),
+    ],
+    ids=["pf_not_sv_game", "prefix-parity-t4x4", "prefix-parity-t5x6"],
+)
+def test_budget_rejections_spend_the_pinned_nodes(make, spent):
+    spec = make()
+    for budget, nodes in spent.items():
+        with pytest.raises(BudgetExceeded) as info:
+            build_admissible_collections(spec, budget=budget)
+        assert (info.value.spent, info.value.budget) == (nodes, budget)
 
 
 def test_prefixes_that_extend_are_not_collections():
