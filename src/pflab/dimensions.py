@@ -19,7 +19,7 @@ from itertools import product
 from .engine import CollectionEngine, _VersionSpaceEngine
 from .errors import BudgetExceeded, SpecError, TreeSpecMismatch
 from .game import (
-    Collection,
+    AdmissibleFamily,
     GameSpec,
     Realizability,
     build_admissible_collections,
@@ -261,9 +261,12 @@ def ml_sl_bl_dim(
         cap = spec.horizon + 2
     if cap < 0:
         raise SpecError(f"cap must be nonnegative, got {cap}")
-    hypotheses = [
-        Collection(members=(h,), images=tuple(1 << y for y in row)) for h, row in enumerate(H.rows)
-    ]
-    engine = _VersionSpaceEngine(replace(spec, set_system=system), hypotheses, budget=budget)
+    # Each hypothesis is the collection of itself alone; its row word is
+    # its packed image vector.
+    spec = replace(spec, set_system=system)
+    hypotheses = AdmissibleFamily(
+        spec, [1 << h for h in range(H.size)], [H._row_words[h] for h in range(H.size)]
+    )
+    engine = _VersionSpaceEngine(spec, hypotheses, budget=budget)
     return engine.value(*engine.initial_state(), cap)
 

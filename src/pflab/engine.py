@@ -62,9 +62,9 @@ scores as they hold the label kind's 0/1 counts.
 The engine keeps each collection's image vector as one packed int, its
 image word, in the layout :mod:`pflab.game` defines
 (:func:`pflab.game.image_words`): an
-:class:`pflab.game.AdmissibleFamily` hands over the words its walk built,
-and any other sequence of collections, such as the one-hypothesis
-collections of :func:`pflab.dimensions.ml_sl_bl_dim`, is packed once in the
+:class:`pflab.game.AdmissibleFamily` hands over the words its walk built
+(or, in :func:`pflab.dimensions.ml_sl_bl_dim`, each hypothesis's row word),
+and any other sequence of collections is copied and packed once in the
 constructor. No image tuple is kept. On its first visit to an instance
 ``x`` the search groups the collections by their word's field at ``x``
 (:func:`pflab.game.images_at`): one ``(image, mask)`` pair per distinct
@@ -288,7 +288,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
-from .game import Collection, GameSpec, image_words, images_at
+from .game import AdmissibleFamily, Collection, GameSpec, image_words, images_at
 from .measures import (
     _FIELD,
     _ONE,
@@ -302,12 +302,6 @@ from .measures import (
     measure_grid,
 )
 from .setsystems import iter_bits, mask_of
-
-
-# 1 << cid for the first collection ids, shared by every engine's grouping
-# (about 100 KB), so a grouping of up to 1,024 collections makes no bit of
-# its own.
-_BITS = [1 << cid for cid in range(1024)]
 
 
 def states_budget() -> int:
@@ -329,12 +323,16 @@ class CollectionEngine:
         if kind not in ("label", "measure", "loss"):
             raise ValueError(f"unknown engine kind {kind!r}")
         self.spec = spec
-        self.collections = collections
+        # An AdmissibleFamily is read-only; anything else is copied, so a
+        # caller's later change does not reach the engine.
+        self.collections = (
+            collections if isinstance(collections, AdmissibleFamily) else list(collections)
+        )
         self.kind = kind
         self.gamma = as_gamma(gamma) if gamma is not None else None
         if kind == "measure" and self.gamma is None:
             raise ValueError("measure kind needs gamma")
-        self.image_words = image_words(spec, collections)
+        self.image_words = image_words(spec, self.collections)
         if kind == "label":
             # The loss kind on the grid of point masses, whose edges are the labels.
             self.g = 1
@@ -432,10 +430,8 @@ class CollectionEngine:
         hit = self._group_cache[x]
         if hit is None:
             by_image: dict = {}
-            words = self.image_words
-            bits = _BITS if len(words) <= len(_BITS) else [1 << cid for cid in range(len(words))]
-            for bit, image in zip(bits, images_at(self.spec, words, x)):
-                by_image[image] = by_image.get(image, 0) | bit
+            for cid, image in enumerate(images_at(self.spec, self.image_words, x)):
+                by_image[image] = by_image.get(image, 0) | 1 << cid
             hit = self._group_cache[x] = tuple(by_image.items())
         return hit
 

@@ -593,14 +593,11 @@ def distinct_images(family: AdmissibleFamily) -> AdmissibleFamily:
     collection in id order picks the same collection from this family as
     from the full one: the first consistent collection is always the lowest
     id of its image class. The kept family holds the lowest key of each
-    word, and no :class:`Collection` is built; when no word repeats, it is
-    ``family`` itself.
+    word, and no :class:`Collection` is built.
     """
     words = family.words
     # Filled from the highest id down, so each word keeps its lowest id.
     lowest = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
-    if len(lowest) == len(words):
-        return family
     return family.subset(sorted(lowest.values()))
 
 
@@ -785,7 +782,7 @@ def fraction(value) -> Fraction:
     Text is read exactly, so ``"1/10"`` and ``"0.1"`` are both 1/10. A float
     is a rounded binary value and a bool is no number: both are rejected.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise TypeError(value)
     return Fraction(value)
 

@@ -614,6 +614,9 @@ def test_fraction_parameters_read_quoted_text_exactly(capsys, tmp_path):
         assert make_learner("frpfl", {"gamma": value})._thresholds == [Fraction(1, 10)]
         assert make_adversary("public_cube", {"k": value})._limit == Fraction(9, 10)
     assert len(outs) == 1
+    # A Fraction passed through the library is exact too.
+    assert make_learner("frpfl", {"gamma": Fraction(1, 10)})._thresholds == [Fraction(1, 10)]
+    assert make_adversary("public_cube", {"k": Fraction(1, 10)})._limit == Fraction(9, 10)
 
 
 # The tables of the collision family with modulus 7, slopes (0, 1) and pool

@@ -57,7 +57,7 @@ from pflab.engine import (
     alive_mask,
 )
 from pflab.families import binary_full_system_family
-from pflab.game import Collection
+from pflab.game import Collection, image_words
 from pflab.setsystems import iter_bits
 
 from test_enumeration import prefix_parity_game
@@ -418,6 +418,31 @@ def test_engine_tables_are_built_once():
     without = eng._without
     assert eng._without is without
     assert without == tuple(map(eng._maximal_without, range(4)))
+
+
+def test_engine_copies_a_plain_sequence_of_collections():
+    """A family is kept as it is; a list or an iterator is copied and packed once.
+
+    A later change to the caller's list does not reach the engine, and an
+    iterator is not left half read. The one-hypothesis collections of the
+    version-space table pack to the hypotheses' row words, the family that
+    ``ml_sl_bl_dim`` hands its engine.
+    """
+    spec = spec_from_seed(0, horizon=4)
+    family = build_admissible_collections(spec)
+    kept = CollectionEngine(spec, family)
+    assert kept.collections is family
+    want = kept.value(*kept.initial_state(), 4)
+    listed = list(family)
+    engines = [CollectionEngine(spec, listed), CollectionEngine(spec, iter(family))]
+    listed.clear()
+    for eng in engines:
+        assert eng.collections == list(family)
+        assert eng.image_words == family.words
+        assert eng.value(*eng.initial_state(), 4) == want
+    spec = _four_label_spec(0)
+    H = spec.hypotheses
+    assert image_words(spec, _hypotheses(spec)) == [H._row_words[h] for h in range(H.size)]
 
 
 def _engine_pair(seed, table):
