@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .engine import CollectionEngine, _VersionSpaceEngine
-from .errors import BudgetExceeded, SpecError, TreeSpecMismatch
+from .errors import BudgetExceeded, SpecError, TreeSpecMismatch, nonnegative, plain_int
 from .game import (
     AdmissibleFamily,
     GameSpec,
@@ -75,8 +75,7 @@ def ppfl_dim(
     so seeding with the observed reveals loses nothing. Partial feedback
     only: any other mode is a :class:`SpecError`.
     """
-    if d < 0:
-        raise SpecError(f"depth must be nonnegative, got {d}")
+    nonnegative(d, "depth")
     engine = _label_engine(spec, budget)
     return engine.value(*engine.prefix_state(prefix_x, prefix_y, prefix_reveals), d)
 
@@ -117,26 +116,23 @@ def verify_shattering_tree(spec: GameSpec, tree: ShatteringTree) -> None:
     annotation a plain int in range (a ``bool`` is none of these).
     """
     d, q = tree.depth, tree.q
-    if type(d) is not int or type(q) is not int or d < 0 or q < 0:
-        raise TreeSpecMismatch(f"depth {d!r} and shattering count {q!r} must be nonnegative ints")
+    plain_int(d, 0, None, TreeSpecMismatch, "depth {value!r} must be a nonnegative int")
+    plain_int(q, 0, None, TreeSpecMismatch, "shattering count {value!r} must be a nonnegative int")
 
     def paths(length):
         return product(range(spec.n_labels), repeat=length)
 
-    for ln in range(d):
-        for p in paths(ln):
-            if p not in tree.nodes:
-                raise TreeSpecMismatch(f"missing node instance for prefix {p}")
-            x = tree.nodes[p]
-            if type(x) is not int or not 0 <= x < spec.n_instances:
-                raise TreeSpecMismatch(f"node instance {x!r} out of range")
-    for ln in range(1, d + 1):
-        for p in paths(ln):
-            if p not in tree.annotations:
-                raise TreeSpecMismatch(f"missing annotation for prefix {p}")
-            y = tree.annotations[p]
-            if type(y) is not int or not 0 <= y < spec.n_labels:
-                raise TreeSpecMismatch(f"annotation {y!r} out of range")
+    # A node shows an instance on each prefix shorter than d, and an
+    # annotation reveals a label on each nonempty prefix.
+    for table, what, lengths, n in (
+        (tree.nodes, "node instance", range(d), spec.n_instances),
+        (tree.annotations, "annotation", range(1, d + 1), spec.n_labels),
+    ):
+        for ln in lengths:
+            for p in paths(ln):
+                if p not in table:
+                    raise TreeSpecMismatch(f"missing {what} for prefix {p}")
+                plain_int(table[p], 0, n, TreeSpecMismatch, what + " {value!r} out of range")
     for leaf in paths(d):
         if leaf not in tree.witnesses:
             raise TreeSpecMismatch(f"missing witness for path {leaf}")
@@ -183,8 +179,7 @@ def shattering_tree(spec: GameSpec, d: int, budget: int | None = None) -> Shatte
     one level at a time, so a deep request builds no huge power. ``budget``
     bounds the engine's search as it does for :func:`pfl_dim`.
     """
-    if d < 0:
-        raise SpecError(f"depth must be nonnegative, got {d}")
+    nonnegative(d, "depth")
     engine = _label_engine(spec, budget)
     root = engine.initial_state()
     q = engine.value(*root, d)
@@ -257,10 +252,7 @@ def ml_sl_bl_dim(
     H = spec.hypotheses
     if H.kind != "explicit":
         raise SpecError("version-space dimensions need an explicit hypothesis class")
-    if cap is None:
-        cap = spec.horizon + 2
-    if cap < 0:
-        raise SpecError(f"cap must be nonnegative, got {cap}")
+    cap = nonnegative(spec.horizon + 2 if cap is None else cap, "cap")
     # Each hypothesis is the collection of itself alone; its row word is
     # its packed image vector.
     spec = replace(spec, set_system=system)

@@ -287,7 +287,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget, require_index
+from .errors import BudgetExceeded, EmptyConsistentSet, SpecError, env_budget
+from .errors import nonnegative, plain_int
 from .game import AdmissibleFamily, Collection, GameSpec, image_words, images_at
 from .measures import (
     _FIELD,
@@ -358,10 +359,7 @@ class CollectionEngine:
         # An edge key's field width: a loss increment is at most g, a measure
         # increment 0 or 1.
         self._bits = 1 if kind == "measure" else self.g.bit_length()
-        budget = states_budget() if budget is None else budget
-        if budget < 0:
-            raise SpecError(f"budget must be nonnegative, got {budget}")
-        self.budget = budget
+        self.budget = nonnegative(states_budget() if budget is None else budget, "budget")
         self.nodes = 0
         self._bounds: dict = {}
         self._tables: dict = {}
@@ -457,7 +455,9 @@ class CollectionEngine:
             raise SpecError("prefix lists must have equal length")
         spec = self.spec
         for x in prefix_x:
-            require_index(x, spec.n_instances, "prefix instance")
+            plain_int(
+                x, 0, spec.n_instances, SpecError, "prefix instance {value!r} outside range({hi})"
+            )
         labels = tuple(prefix_reveals)
         if self.kind == "label":
             labels = tuple(prefix_moves) + labels
@@ -471,7 +471,7 @@ class CollectionEngine:
                         f"{spec.n_labels}-label spec"
                     )
         for y in labels:
-            require_index(y, spec.n_labels, "prefix label")
+            plain_int(y, 0, spec.n_labels, SpecError, "prefix label {value!r} outside range({hi})")
         empty = "no collection is consistent with the prefix reveals"
         if not self.image_words:
             raise EmptyConsistentSet(empty)
@@ -496,7 +496,7 @@ class CollectionEngine:
         Raises :class:`EmptyConsistentSet` when no alive image holds ``y``.
         """
         self._check_indices(x, edge_index)
-        require_index(y, self.spec.n_labels, "label")
+        plain_int(y, 0, self.spec.n_labels, SpecError, "label {value!r} outside range({hi})")
         return self._step(
             base, levels, x, self._holding(x, y), edge_index,
             "every admissible collection is inconsistent with the reveals",
@@ -521,8 +521,8 @@ class CollectionEngine:
         Each must be a plain int in range: a ``bool`` or a negative index is
         neither. The default, edge 0, exists in every engine.
         """
-        require_index(x, self.spec.n_instances, "instance")
-        require_index(edge_index, self.n_edges, "edge")
+        plain_int(x, 0, self.spec.n_instances, SpecError, "instance {value!r} outside range({hi})")
+        plain_int(edge_index, 0, self.n_edges, SpecError, "edge {value!r} outside range({hi})")
 
     def _holding(self, x: int, y: int) -> int:
         """Mask of the collections whose image at ``x`` holds ``y``."""
@@ -924,7 +924,11 @@ class CollectionEngine:
     # -- entry points ------------------------------------------------------------
 
     def value(self, base, levels, rounds: int):
-        """Exact minimax value of the state ``(base, levels)`` over ``rounds`` more rounds."""
+        """Exact minimax value of the state ``(base, levels)`` over ``rounds`` more rounds.
+
+        ``rounds`` must be a plain int ``>= 0``, else :class:`SpecError`.
+        """
+        nonnegative(rounds, "rounds")
         return base + self._solve(levels, alive_mask(levels), rounds)
 
     def best_instance(self, base, levels, rounds: int) -> int:

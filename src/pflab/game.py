@@ -36,7 +36,11 @@ from .errors import (
     RealizabilityViolation,
     SpecError,
     env_budget,
-    require_index,
+    exact_number,
+    is_decimal,
+    label_mask,
+    plain_int,
+    plain_ints,
 )
 from .measures import Measure, ONE, ZERO
 from .setsystems import SetSystem, iter_bits, labels_of
@@ -92,9 +96,7 @@ class HypothesisClass:
         for r in table:
             if len(r) != n_instances:
                 raise SpecError(f"hypothesis row {r} does not have {n_instances} entries")
-            for v in r:
-                if type(v) is not int or not 0 <= v < n_labels:  # a bool is not a label
-                    raise SpecError(f"hypothesis output {v!r} outside range({n_labels})")
+            plain_ints(r, 0, n_labels, SpecError, "hypothesis output {value!r} outside range({hi})")
         if len(set(table)) != len(table):
             raise SpecError("hypothesis classes must list distinct functions; duplicates are rejected")
         return cls(n_instances=n_instances, n_labels=n_labels, kind="explicit", rows=table)
@@ -230,14 +232,11 @@ class GameSpec:
     measure_grid: int = 12
 
     def __post_init__(self):
-        if self.n_instances < 1:
-            raise SpecError("need at least one instance")
-        if self.n_labels < 2:
-            raise SpecError("need at least two labels")
-        if self.horizon < 1:
-            raise SpecError("horizon must be at least 1")
-        if self.measure_grid < 1:
-            raise SpecError("measure_grid must be a positive integer")
+        not_int = "a game size must be a plain int, got {value!r}"
+        plain_int(self.n_instances, 1, None, SpecError, "need at least one instance", not_int)
+        plain_int(self.n_labels, 2, None, SpecError, "need at least two labels", not_int)
+        plain_int(self.horizon, 1, None, SpecError, "horizon must be at least 1", not_int)
+        plain_int(self.measure_grid, 1, None, SpecError, "measure_grid must be a positive integer")
         if self.set_system.n_labels != self.n_labels:
             raise SpecError("set system and game disagree on the number of labels")
         if (
@@ -270,23 +269,6 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _plain_ints(values: tuple) -> bool:
-    """Is every entry of ``values`` a plain int? A ``bool``'s type is not ``int``."""
-    return set(map(type, values)) <= {int}
-
-
-def _member_tuple(members) -> tuple[int, ...]:
-    """``members`` as a tuple; :class:`SpecError` unless it holds only plain ints."""
-    try:
-        ms = tuple(members)
-    except TypeError:
-        raise SpecError(f"collection members must be hypothesis indices, got {members!r}") from None
-    if not _plain_ints(ms):
-        bad = next(h for h in ms if type(h) is not int)
-        raise SpecError(f"collection member {bad!r} is not a hypothesis index")
-    return ms
 
 
 def _images(spec: GameSpec, word: int) -> tuple[int, ...]:
@@ -332,7 +314,9 @@ def collection_of(spec: GameSpec, members) -> Collection:
     one rule: the OR of the members' row words (:class:`_RowWords`, memoized
     per class) holds each instance's image as one ``n_labels``-bit field.
     """
-    ms = _member_tuple(members)
+    ms = plain_ints(
+        members, None, None, SpecError, "collection member {value!r} is not a hypothesis index"
+    )
     if not all(map(lt, ms, ms[1:])):
         ms = tuple(sorted(set(ms)))
     H = spec.hypotheses
@@ -767,33 +751,31 @@ REQUIRED = object()
 
 
 def integer(value) -> int:
-    """Strategy parameter kind: an integer, or a string of one.
+    """Strategy parameter kind: a plain int, or its ASCII decimal text (:func:`is_decimal`).
 
     Floats and bools are rejected rather than truncated or read as 0 and 1.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(value)
-    return int(value)
+    if type(value) is str and is_decimal(value, signed=True):
+        return int(value)
+    return plain_int(value, None, None, TypeError, "{value!r}")
 
 
 def fraction(value) -> Fraction:
-    """Strategy parameter kind: an exact number, an integer or the text of one.
+    """Strategy parameter kind: an exact number (a ``Fraction`` or a plain int) or its text.
 
     Text is read exactly, so ``"1/10"`` and ``"0.1"`` are both 1/10. A float
     is a rounded binary value and a bool is no number: both are rejected.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise TypeError(value)
-    return Fraction(value)
+    if type(value) is str:
+        return Fraction(value)
+    return Fraction(exact_number(value, None, None, TypeError, "{value!r}"))
 
 
 def int_list(value) -> list:
-    """Strategy parameter kind: a list of integers."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    """Strategy parameter kind: a list of plain ints."""
+    if not isinstance(value, (list, tuple)):
         raise TypeError(value)
-    return list(value)
+    return list(plain_ints(value, None, None, TypeError, "{value!r}"))
 
 
 def strategy_param(params: dict, strategy: str, key: str, kind, default=REQUIRED):
@@ -908,9 +890,8 @@ def find_realizability_witness(spec: GameSpec, instances, sets) -> Optional[tupl
     n = spec.n_instances
     targets: dict[int, int] = {}
     for x, m in zip(instances, sets):
-        require_index(x, n, "instance")
-        if type(m) is not int or m < 0:
-            raise SpecError(f"set {m!r} is not a label mask")
+        plain_int(x, 0, n, SpecError, "instance {value!r} outside range({hi})")
+        label_mask(m, SpecError, "set {value!r} is not a label mask")
         if targets.setdefault(x, m) != m:
             return None  # two different sets at one instance can never be one image
     H = spec.hypotheses
@@ -1002,31 +983,10 @@ def _check_prediction(spec: GameSpec, pred: Prediction, learner: Learner) -> Pre
         if getattr(learner, "mode", None) == "deterministic" and not pred.is_delta():
             raise ProtocolViolation("a deterministic learner produced a spread-out measure")
         return pred
-    if type(pred) is not int:  # rejects a bool or any other int subclass
-        raise ProtocolViolation(
-            f"prediction must be a plain int label or a Measure, got {pred!r} "
-            f"of type {type(pred).__name__}"
-        )
-    if not 0 <= pred < spec.n_labels:
-        raise ProtocolViolation(f"predicted label {pred} outside range({spec.n_labels})")
-    return pred
-
-
-def _check_index(value, n: int, what: str) -> int:
-    """``value`` if it is a plain int in ``range(n)``, else ProtocolViolation."""
-    if type(value) is not int:  # rejects a bool or any other int subclass
-        raise ProtocolViolation(
-            f"{what} must be a plain int, got {value!r} of type {type(value).__name__}"
-        )
-    if not 0 <= value < n:
-        raise ProtocolViolation(f"{what} {value} outside range({n})")
-    return value
-
-
-def _check_bitmask(m, what: str) -> int:
-    if type(m) is not int or m < 0:  # rejects a bool, any other int subclass and a negative int
-        raise ProtocolViolation(f"{what} must be a label bitmask, got {m!r}")
-    return m
+    return plain_int(
+        pred, 0, spec.n_labels, ProtocolViolation, "predicted label {value} outside range({hi})",
+        "prediction must be a plain int label or a Measure, got {value!r} of type {type}",
+    )
 
 
 @dataclass
@@ -1084,12 +1044,19 @@ class _Branch:
 
 def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     """Play one round on ``b``, appending it to the branch's history."""
-    x = _check_index(b.adversary.choose_instance(), spec.n_instances, "instance")
+    x = plain_int(
+        b.adversary.choose_instance(), 0, spec.n_instances, ProtocolViolation,
+        "instance {value} outside range({hi})",
+        "instance must be a plain int, got {value!r} of type {type}",
+    )
     pred = _check_prediction(spec, b.learner.predict(x), b.learner)
     b.instances += (x,)
     b.predictions += (pred,)
     if spec.feedback is Feedback.SET_VALUED:
-        mask = _check_bitmask(b.adversary.reveal_set(x, pred), "revealed set")
+        mask = label_mask(
+            b.adversary.reveal_set(x, pred), ProtocolViolation,
+            "revealed set must be a label bitmask, got {value!r}",
+        )
         if not spec.set_system.contains(mask):
             raise ProtocolViolation(
                 f"revealed set {labels_of(mask)} is not in the set system"
@@ -1100,14 +1067,19 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     elif spec.feedback is Feedback.BANDIT:
         if isinstance(pred, Measure):
             raise ProtocolViolation("bandit feedback requires deterministic predictions")
-        bit = b.adversary.loss_bit(x, pred)
-        if type(bit) is not int or bit not in (0, 1):  # rejects a bool or any other int subclass
-            raise ProtocolViolation(f"loss bit must be 0 or 1, got {bit!r}")
+        bit = plain_int(
+            b.adversary.loss_bit(x, pred), 0, 2, ProtocolViolation,
+            "loss bit must be 0 or 1, got {value!r}",
+        )
         b.bits += (bit,)
         b.reveals += (None,)
         b.learner.observe_loss_bit(bit)
     else:
-        y = _check_index(b.adversary.reveal(x, pred), spec.n_labels, "revealed label")
+        y = plain_int(
+            b.adversary.reveal(x, pred), 0, spec.n_labels, ProtocolViolation,
+            "revealed label {value} outside range({hi})",
+            "revealed label must be a plain int, got {value!r} of type {type}",
+        )
         b.reveals += (y,)
         b.learner.observe(y)
     return pred
@@ -1119,6 +1091,9 @@ def _fraction(fractions: dict, num: int, den: int) -> Fraction:
     if f is None:
         f = fractions[num, den] = Fraction(num, den)
     return f
+
+
+_FINALIZED = "finalized set must be a label bitmask, got {value!r}"
 
 
 def _settle(
@@ -1175,16 +1150,15 @@ def _settle(
             raise ProtocolViolation(
                 f"adversary finalized {len(raw)} sets for a {spec.horizon}-round game"
             )
-        sets = tuple(raw)
-        if not _plain_ints(sets):
-            for m in sets:
-                _check_bitmask(m, "finalized set")
+        # Types on every leaf, signs once per distinct outcome below: a memo
+        # hit compares equal sets, but True == 1.
+        sets = plain_ints(raw, None, None, ProtocolViolation, _FINALIZED)
     rounds = (b.reveals, sets)
     if rounds not in checked:
         system = spec.set_system
         multiclass = spec.feedback is Feedback.MULTICLASS
         for t, (m, y) in enumerate(zip(sets, b.reveals)):
-            if not system.contains(_check_bitmask(m, "finalized set")):  # negatives pass _plain_ints
+            if not system.contains(label_mask(m, ProtocolViolation, _FINALIZED)):
                 raise ProtocolViolation(
                     f"finalized set {labels_of(m)} at round {t} is not in the set system"
                 )
@@ -1212,10 +1186,11 @@ def _settle(
         loss = _fraction(fractions, spec.horizon - hits, 1)
     claimed = adversary.witness_collection()
     if claimed is not None:
-        try:
-            claimed = _member_tuple(claimed)
-        except SpecError as e:
-            raise RealizabilityViolation(f"the claimed witness is not admissible: {e}") from e
+        claimed = plain_ints(
+            claimed, None, None, RealizabilityViolation,
+            "the claimed witness is not admissible: collection member {value!r} is not a "
+            "hypothesis index",
+        )
     key = (b.instances, sets, claimed)
     known = checked.get(key)
     if known is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import CollectionEngine
-from .errors import EmptyConsistentSet, SpecError
+from .errors import EmptyConsistentSet, SpecError, plain_int, plain_ints
 from .game import (
     Feedback,
     GameSpec,
@@ -221,8 +221,8 @@ class MultiScaleMeasureLearner(_VersionSpaceLearner):
     mode = "randomized"
 
     def __init__(self, N: int | None = None, g: int | None = None):
-        if N is not None and N < 1:
-            raise SpecError(f"scale count must be positive, got {N}")
+        if N is not None:
+            plain_int(N, 1, None, SpecError, "scale count must be positive, got {value!r}")
         self._thresholds = None if N is None else _halvings(N)
         self._grid = g
 
@@ -276,16 +276,16 @@ class TransversalIntersectionLearner(Learner):
     mode = "randomized"
 
     def __init__(self, transversal):
-        labels = sorted(set(int(v) for v in transversal))
+        labels = sorted(set(transversal))
         if not labels:
             raise SpecError("transversal must be nonempty")
         self._transversal = labels
 
     def begin(self, spec: GameSpec) -> None:
         self._spec = spec
-        for v in self._transversal:
-            if not 0 <= v < spec.n_labels:
-                raise SpecError(f"transversal label {v} out of range")
+        plain_ints(
+            self._transversal, 0, spec.n_labels, SpecError, "transversal label {value} out of range"
+        )
         self._committed = None
         self._seen_first = False
         self.empty_intersection = False
@@ -320,8 +320,8 @@ class UniformPrefixLearner(Learner):
     mode = "randomized"
 
     def __init__(self, T: int | None = None):
-        if T is not None and T < 1:
-            raise SpecError(f"label count must be positive, got {T}")
+        if T is not None:
+            plain_int(T, 1, None, SpecError, "label count must be positive, got {value!r}")
         self._T = T
 
     def begin(self, spec: GameSpec) -> None:
@@ -345,11 +345,10 @@ class ConstantLearner(Learner):
     """Predicts one fixed label every round."""
 
     def __init__(self, label: int):
-        self._label = int(label)
+        self._label = label
 
     def begin(self, spec: GameSpec) -> None:
-        if not 0 <= self._label < spec.n_labels:
-            raise SpecError(f"constant label {self._label} out of range")
+        plain_int(self._label, 0, spec.n_labels, SpecError, "constant label {value} out of range")
 
     def predict(self, x: int) -> int:
         return self._label
@@ -359,7 +358,7 @@ class ScriptedLearner(Learner):
     """Plays a fixed prediction sequence, one entry per round."""
 
     def __init__(self, labels):
-        self._labels = [int(v) for v in labels]
+        self._labels = list(labels)
 
     def begin(self, spec: GameSpec) -> None:
         self._i = 0
@@ -380,7 +379,7 @@ class FirstSetReadingLearner(Learner):
     """
 
     def __init__(self, fallback: int = 0):
-        self._fallback = int(fallback)
+        self._fallback = fallback
 
     def begin(self, spec: GameSpec) -> None:
         self._locked = None

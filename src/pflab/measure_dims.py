@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import CollectionEngine
-from .errors import SpecError
+from .errors import SpecError, nonnegative
 from .game import (
     GameSpec,
     Realizability,
@@ -61,8 +61,7 @@ def ppms_dim(
     feedback only, as for :func:`pflab.dimensions.ppfl_dim`.
     """
     gamma = as_gamma(gamma)
-    if d < 0:
-        raise SpecError(f"depth must be nonnegative, got {d}")
+    nonnegative(d, "depth")
     spec.require_partial_feedback("the thresholded-event value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(
@@ -123,8 +122,7 @@ def minimax_rand_regret(
         raise SpecError("the randomized minimax value requires full realizability")
     if spec.visibility is not Visibility.OBLIVIOUS:
         raise SpecError("the randomized minimax value is defined for oblivious games")
-    if T < 0:
-        raise SpecError(f"horizon must be nonnegative, got {T}")
+    nonnegative(T, "horizon")
     spec.require_partial_feedback("the randomized minimax value")
     collections = distinct_images(build_admissible_collections(spec))
     engine = CollectionEngine(spec, collections, kind="loss", grid=g, budget=budget)

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 from operator import iadd
 
-from .errors import GridTooLarge, SpecError, env_budget
+from .errors import GridTooLarge, SpecError, env_budget, exact_number, plain_int, plain_ints
 from .setsystems import iter_bits
 
 ZERO = Fraction(0)
@@ -40,17 +40,16 @@ class Measure:
             raise SpecError("a measure needs at least one label")
         for w in self.weights:
             # A float sums to 1 only up to rounding; a bool is no weight.
-            if not (isinstance(w, Fraction) or type(w) is int):
-                raise SpecError(f"measure weight {w!r} is not a Fraction or an int")
-        if any(w < 0 for w in self.weights):
-            raise SpecError("measure weights must be nonnegative")
+            exact_number(
+                w, 0, None, SpecError, "measure weights must be nonnegative",
+                "measure weight {value!r} is not a Fraction or an int",
+            )
         if sum(self.weights) != 1:
             raise SpecError(f"measure weights must sum to 1, got {sum(self.weights)}")
 
     @classmethod
     def delta(cls, n_labels: int, label: int) -> "Measure":
-        if not 0 <= label < n_labels:
-            raise SpecError(f"label {label} outside range({n_labels})")
+        plain_int(label, 0, n_labels, SpecError, "label {value} outside range({hi})")
         return cls(tuple(ONE if y == label else ZERO for y in range(n_labels)))
 
     @classmethod
@@ -58,8 +57,7 @@ class Measure:
         support = sorted(set(labels))
         if not support:
             raise SpecError("uniform measure needs a nonempty support")
-        if support[0] < 0 or support[-1] >= n_labels:
-            raise SpecError("support labels outside the alphabet")
+        plain_ints(support, 0, n_labels, SpecError, "support labels outside the alphabet")
         w = Fraction(1, len(support))
         return cls(tuple(w if y in set(support) else ZERO for y in range(n_labels)))
 
@@ -68,8 +66,7 @@ class Measure:
         """Measure from ``{label: weight}`` pairs; missing labels get zero."""
         weights = [ZERO] * n_labels
         for y, w in dict(pairs).items():
-            if not 0 <= y < n_labels:
-                raise SpecError(f"label {y} outside range({n_labels})")
+            plain_int(y, 0, n_labels, SpecError, "label {value} outside range({hi})")
             weights[y] = Fraction(w)
         return cls(tuple(weights))
 
@@ -113,12 +110,11 @@ def as_gamma(gamma) -> Fraction:
     As for measure weights, a float is a rounded rational and a bool is no
     threshold: only a ``Fraction`` or a plain ``int`` is taken.
     """
-    if not (isinstance(gamma, Fraction) or type(gamma) is int):
-        raise SpecError(f"gamma {gamma!r} is not a Fraction or an int")
-    gamma = Fraction(gamma)
-    if not 0 <= gamma <= 1:
-        raise SpecError(f"gamma must lie in [0, 1], got {gamma}")
-    return gamma
+    gamma = exact_number(
+        gamma, 0, 1, SpecError,
+        "gamma must lie in [0, 1], got {value}", "gamma {value!r} is not a Fraction or an int",
+    )
+    return Fraction(gamma)
 
 
 def grid_size(n_labels: int, g: int) -> int:
@@ -168,8 +164,7 @@ def grid_words(n_labels: int, g: int, budget: int | None = None) -> tuple[int, .
     """
     if n_labels < 2:
         raise SpecError(f"need at least 2 labels, got {n_labels}")
-    if type(g) is not int or g < 1:
-        raise SpecError(f"grid resolution must be a positive integer, got {g!r}")
+    plain_int(g, 1, None, SpecError, "grid resolution must be a positive integer, got {value!r}")
     limit = env_budget("PFLAB_BUDGET_GRID", 1_000_000) if budget is None else budget
     n = grid_size(n_labels, g)
     if n > limit:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .errors import BudgetExceeded, SpecError
+from .errors import BudgetExceeded, SpecError, label_mask, plain_int, plain_ints
 
 # The Helly search is exponential in the number of labels at worst; past this
 # many nodes (label sets tried and members picked) it stops.
@@ -89,15 +89,14 @@ class SetSystem:
         masks = []
         for m in sets:
             if type(m) is not int:  # a list of labels, each a plain int >= 0 (a bool is not)
-                labels = tuple(m) if isinstance(m, Iterable) else (m,)
-                if not all(type(y) is int and y >= 0 for y in labels):
-                    raise SpecError(f"set {m!r} is neither a bitmask nor a list of labels >= 0")
+                labels = plain_ints(
+                    m, 0, None, SpecError, "set label {value!r} is not a plain int >= 0"
+                )
                 if any(y >= n_labels for y in labels):  # before 1 << y allocates y bits
                     shown = tuple(sorted(set(labels)))
                     raise SpecError(f"set {shown} uses labels outside range({n_labels})")
                 m = mask_of(labels)
-            if m < 0:
-                raise SpecError(f"set bitmask {m} is negative")
+            label_mask(m, SpecError, "set bitmask {value} is negative")
             if m == 0:
                 raise SpecError("set systems may not contain the empty set")
             if m >> n_labels:
@@ -114,8 +113,8 @@ class SetSystem:
         """All nonempty label subsets of size at most ``max_size``."""
         if n_labels < 1:
             raise SpecError("a set system needs at least one label")
-        if not 1 <= max_size <= n_labels:
-            raise SpecError(f"max_size must lie in [1, {n_labels}], got {max_size}")
+        message = f"max_size must lie in [1, {n_labels}], got {{value}}"
+        plain_int(max_size, 1, n_labels + 1, SpecError, message)
         return cls(n_labels=n_labels, kind="bounded", max_size=max_size)
 
     @classmethod

@@ -46,7 +46,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import SpecFileError
+from .errors import SpecError, SpecFileError, plain_int
 from .game import GameSpec, HypothesisClass
 from .setsystems import SetSystem
 
@@ -75,142 +75,132 @@ class SpecDocument:
     adversary: Optional[dict] = None
 
 
-def _fail(source: str, message: str) -> SpecFileError:
-    return SpecFileError(f"{source}: {message}")
-
-
 def _sorted_keys(keys) -> list:
     """Keys in order for a message; YAML keys of mixed types sort by text."""
     return sorted(keys, key=lambda k: (str(k), repr(k)))
 
 
-def _require_int(source: str, data: dict, key: str, minimum: int) -> int:
+def _required(data: dict, key: str):
     if key not in data:
-        raise _fail(source, f"missing required key {key!r}")
-    v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise _fail(source, f"{key} must be an integer, got {v!r}")
-    if v < minimum:
-        raise _fail(source, f"{key} must be at least {minimum}, got {v}")
-    return v
+        raise SpecError(f"missing required key {key!r}")
+    return data[key]
 
 
-def _parse_set_system(source: str, raw, n_labels: int) -> SetSystem:
+def _size(data: dict, key: str, minimum: int) -> int:
+    return plain_int(
+        _required(data, key), minimum, None, SpecError,
+        f"{key} must be at least {minimum}, got {{value}}",
+        f"{key} must be an integer, got {{value!r}}",
+    )
+
+
+def _parse_set_system(raw, n_labels: int) -> SetSystem:
     if isinstance(raw, dict):
         extra = set(raw) - {"all_nonempty_up_to", "full_power_set"}
         if extra or len(raw) != 1:
-            raise _fail(source, f"unrecognized set_system shorthand {_sorted_keys(raw)}")
+            raise SpecError(f"unrecognized set_system shorthand {_sorted_keys(raw)}")
         if "all_nonempty_up_to" in raw:
-            k = raw["all_nonempty_up_to"]
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise _fail(source, "all_nonempty_up_to takes an integer")
+            k = plain_int(
+                raw["all_nonempty_up_to"], None, None, SpecError,
+                "all_nonempty_up_to takes an integer",
+            )
             return SetSystem.all_nonempty_up_to(n_labels, k)
         if raw["full_power_set"] is not True:
-            raise _fail(source, "full_power_set only accepts true")
+            raise SpecError("full_power_set only accepts true")
         return SetSystem.full_power_set(n_labels)
     if not isinstance(raw, list):
-        raise _fail(source, "set_system must be a list of label lists or a shorthand map")
+        raise SpecError("set_system must be a list of label lists or a shorthand map")
     for s in raw:
-        if not isinstance(s, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in s
-        ):
-            raise _fail(source, f"set_system entries must be lists of integers, got {s!r}")
+        if not isinstance(s, list):
+            raise SpecError(f"set_system entries must be lists of integers, got {s!r}")
     return SetSystem.explicit(n_labels, raw)
 
 
-def _parse_hypotheses(source: str, raw, n_instances: int, n_labels: int) -> HypothesisClass:
+def _parse_hypotheses(raw, n_instances: int, n_labels: int) -> HypothesisClass:
     if isinstance(raw, dict):
         if set(raw) != {"all_functions"} or raw["all_functions"] is not True:
-            raise _fail(source, f"unrecognized hypotheses shorthand {_sorted_keys(raw)}")
+            raise SpecError(f"unrecognized hypotheses shorthand {_sorted_keys(raw)}")
         return HypothesisClass.all_functions(n_instances, n_labels)
     if not isinstance(raw, list):
-        raise _fail(source, "hypotheses must be a list of rows or {all_functions: true}")
+        raise SpecError("hypotheses must be a list of rows or {all_functions: true}")
     for r in raw:
-        if not isinstance(r, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in r
-        ):
-            raise _fail(source, f"hypothesis rows must be lists of integers, got {r!r}")
+        if not isinstance(r, list):
+            raise SpecError(f"hypothesis rows must be lists of integers, got {r!r}")
     return HypothesisClass.explicit(n_instances, n_labels, raw)
 
 
-def _parse_strategy(source: str, raw, block: str) -> dict:
+def _parse_strategy(raw, block: str) -> dict:
     if not isinstance(raw, dict):
-        raise _fail(source, f"{block} must be a map with name and params")
+        raise SpecError(f"{block} must be a map with name and params")
     extra = set(raw) - _STRATEGY_KEYS
     if extra:
-        raise _fail(source, f"unknown {block} keys {_sorted_keys(extra)}")
+        raise SpecError(f"unknown {block} keys {_sorted_keys(extra)}")
     name = raw.get("name")
     if not isinstance(name, str):
-        raise _fail(source, f"{block}.name must be a string")
+        raise SpecError(f"{block}.name must be a string")
     params = raw.get("params", {})
     if params is None:
         params = {}
     if not isinstance(params, dict):
-        raise _fail(source, f"{block}.params must be a map")
+        raise SpecError(f"{block}.params must be a map")
     return {"name": name, "params": params}
 
 
 def parse_spec_data(data, source: str = "<inline>") -> SpecDocument:
-    """Validate a parsed YAML document and build the game it describes."""
+    """Validate a parsed YAML document and build the game it describes.
+
+    Every error is a :class:`SpecFileError` whose message starts with
+    ``source``.
+    """
+    try:
+        return _parse_spec_data(data, source)
+    except (SpecError, ValueError) as exc:  # an unknown protocol mode is a ValueError
+        raise SpecFileError(f"{source}: {exc}") from exc
+
+
+def _parse_spec_data(data, source: str) -> SpecDocument:
     if not isinstance(data, dict):
-        raise _fail(source, "the document must be a mapping")
+        raise SpecError("the document must be a mapping")
     extra = set(data) - _TOP_KEYS
     if extra:
-        raise _fail(source, f"unknown keys {_sorted_keys(extra)}")
+        raise SpecError(f"unknown keys {_sorted_keys(extra)}")
 
-    n_labels = _require_int(source, data, "labels", 2)
-    n_instances = _require_int(source, data, "instances", 1)
-    horizon = _require_int(source, data, "horizon", 1)
-    grid = data.get("grid", 12)
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
-        raise _fail(source, f"grid must be a positive integer, got {grid!r}")
-
-    if "set_system" not in data:
-        raise _fail(source, "missing required key 'set_system'")
-    if "hypotheses" not in data:
-        raise _fail(source, "missing required key 'hypotheses'")
+    n_labels = _size(data, "labels", 2)
+    n_instances = _size(data, "instances", 1)
+    horizon = _size(data, "horizon", 1)
+    grid = plain_int(
+        data.get("grid", 12), 1, None, SpecError, "grid must be a positive integer, got {value!r}"
+    )
+    set_system = _required(data, "set_system")
+    hypotheses = _required(data, "hypotheses")
 
     protocol = data.get("protocol", {})
     if protocol is None:
         protocol = {}
     if not isinstance(protocol, dict):
-        raise _fail(source, "protocol must be a map")
+        raise SpecError("protocol must be a map")
     extra = set(protocol) - _PROTOCOL_KEYS
     if extra:
-        raise _fail(source, f"unknown protocol keys {_sorted_keys(extra)}")
+        raise SpecError(f"unknown protocol keys {_sorted_keys(extra)}")
     for key in _PROTOCOL_KEYS:
         v = protocol.get(key)
         if v is not None and not isinstance(v, str):
-            raise _fail(source, f"protocol.{key} must be a string")
+            raise SpecError(f"protocol.{key} must be a string")
 
-    try:
-        system = _parse_set_system(source, data["set_system"], n_labels)
-        hyps = _parse_hypotheses(source, data["hypotheses"], n_instances, n_labels)
-        spec = GameSpec(
-            n_instances=n_instances,
-            n_labels=n_labels,
-            set_system=system,
-            hypotheses=hyps,
-            horizon=horizon,
-            feedback=protocol.get("feedback", "partial"),
-            visibility=protocol.get("visibility", "oblivious"),
-            realizability=protocol.get("realizability", "set_realizable"),
-            measure_grid=grid,
-        )
-    except SpecFileError:
-        raise
-    except Exception as exc:
-        # Constructor validation errors, re-tagged with the file context.
-        raise _fail(source, str(exc)) from exc
+    spec = GameSpec(
+        n_instances=n_instances,
+        n_labels=n_labels,
+        set_system=_parse_set_system(set_system, n_labels),
+        hypotheses=_parse_hypotheses(hypotheses, n_instances, n_labels),
+        horizon=horizon,
+        feedback=protocol.get("feedback", "partial"),
+        visibility=protocol.get("visibility", "oblivious"),
+        realizability=protocol.get("realizability", "set_realizable"),
+        measure_grid=grid,
+    )
 
-    learner = (
-        _parse_strategy(source, data["learner"], "learner") if "learner" in data else None
-    )
-    adversary = (
-        _parse_strategy(source, data["adversary"], "adversary")
-        if "adversary" in data
-        else None
-    )
+    learner = _parse_strategy(data["learner"], "learner") if "learner" in data else None
+    adversary = _parse_strategy(data["adversary"], "adversary") if "adversary" in data else None
     return SpecDocument(spec=spec, source=source, learner=learner, adversary=adversary)
 
 
