@@ -50,6 +50,8 @@ from .errors import (
     ProtocolViolation,
     RealizabilityViolation,
     SpecError,
+    is_decimal,
+    is_rational,
 )
 from .game import play_game
 from .learners import make_learner
@@ -127,20 +129,42 @@ def _emit(text: str, out_path) -> None:
 # -- small parsers -----------------------------------------------------------------
 
 
+def _int(text: str, message: str) -> int:
+    """``text`` as an int when it passes :func:`is_decimal` (signed), else :class:`SpecError`.
+
+    A sign is read so that the library names a negative value's own error.
+    """
+    if not is_decimal(text, signed=True):
+        raise SpecError(message)
+    try:
+        return int(text)
+    except ValueError:  # past Python's int conversion digit limit
+        raise SpecError(f"an integer of {len(text)} digits is too long") from None
+
+
+def _int_flags(args, *flags) -> None:
+    """Read each named flag's text as an int, in place; an absent flag stays ``None``."""
+    for flag in flags:
+        text = getattr(args, flag)
+        if text is not None:
+            setattr(args, flag, _int(text, f"--{flag} expects an integer, got {text!r}"))
+
+
 def _ints(text: str) -> list:
     if not text:
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise SpecError(f"expected a comma-separated integer list, got {text!r}") from exc
+    message = f"expected a comma-separated integer list, got {text!r}"
+    return [_int(part, message) for part in text.split(",")]
 
 
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"expected a rational like 1/3, got {text!r}") from exc
+    """``text`` as a ``Fraction`` when it passes :func:`is_rational`, else :class:`SpecError`."""
+    if is_rational(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise SpecError(f"expected a rational like 1/3, got {text!r}")
 
 
 def _fraction_list(text: str) -> list:
@@ -151,10 +175,8 @@ def _int_axis(text: str) -> list:
     """Parse ``1..4`` or ``1,2,3`` into an integer list."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError as exc:
-            raise SpecError(f"expected a range like 1..4, got {text!r}") from exc
+        message = f"expected a range like 1..4, got {text!r}"
+        lo_i, hi_i = _int(lo, message), _int(hi, message)
         if hi_i < lo_i:
             raise SpecError(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
@@ -262,6 +284,7 @@ def _row(
 
 def _cmd_value(args) -> int:
     """``dim`` and ``rand``: one quantity, as a text record or one CSV row."""
+    _int_flags(args, "depth", "budget", "grid")
     spec = load_spec_file(args.spec).spec
     task, what = args.command, args.what
     if task == "rand":
@@ -369,6 +392,7 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _int_flags(args, "budget")
     spec = load_spec_file(args.spec).spec
     horizons = _int_axis(args.horizon)
     if not horizons:
@@ -391,6 +415,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_setsys(args) -> int:
+    _int_flags(args, "p")
     system = load_spec_file(args.spec).spec.set_system
     report = inseparability_report(system, args.p, truncated=args.truncated)
     fields = [
@@ -449,8 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="label-prediction values and dimensions")
     common(p)
     p.add_argument("--what", required=True, choices=["pfl", "ppfl", "ml", "sl", "bl", "regret"])
-    p.add_argument("--depth", type=int, default=None, help="game depth (search cap for ml/sl/bl)")
-    p.add_argument("--budget", type=int, default=None, help="override the state budget")
+    p.add_argument("--depth", default=None, help="game depth (search cap for ml/sl/bl)")
+    p.add_argument("--budget", default=None, help="override the state budget")
     p.add_argument("--witness", action="store_true", default=None, help="also print a shattering tree")
     p.add_argument("--prefix-x", help="ppfl prefix instances, comma-separated")
     p.add_argument("--prefix-y", help="ppfl prefix predictions, comma-separated")
@@ -462,9 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--what", required=True, choices=["pms", "ppms", "regret"])
     p.add_argument("--gamma", default=None, help="event threshold, a rational like 1/3")
-    p.add_argument("--grid", type=int, default=None, help="grid denominator (default: spec grid)")
-    p.add_argument("--depth", type=int, default=None, help="rounds (default: spec horizon)")
-    p.add_argument("--budget", type=int, default=None, help="override the state budget")
+    p.add_argument("--grid", default=None, help="grid denominator (default: spec grid)")
+    p.add_argument("--depth", default=None, help="rounds (default: spec horizon)")
+    p.add_argument("--budget", default=None, help="override the state budget")
     p.add_argument("--prefix-x", help="ppms prefix instances, comma-separated")
     p.add_argument(
         "--prefix-measure",
@@ -488,12 +513,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", required=True, help="axis like 1..4 or 1,2,3")
     p.add_argument("--gamma", default=None, help="comma-separated rationals")
     p.add_argument("--grid", default=None, help="comma-separated grid denominators")
-    p.add_argument("--budget", type=int, default=None, help="override the state budget")
+    p.add_argument("--budget", default=None, help="override the state budget")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("setsys", help="structural report of the spec's set system")
     common(p)
-    p.add_argument("--p", type=int, default=None, help="overlap witness (default: the computed value)")
+    p.add_argument("--p", default=None, help="overlap witness (default: the computed value)")
     p.add_argument(
         "--truncated",
         action="store_true",

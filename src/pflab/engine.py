@@ -65,12 +65,31 @@ image word, in the layout :mod:`pflab.game` defines
 :class:`pflab.game.AdmissibleFamily` hands over the words its walk built
 (or, in :func:`pflab.dimensions.ml_sl_bl_dim`, each hypothesis's row word),
 and any other sequence of collections is copied and packed once in the
-constructor. No image tuple is kept. On its first visit to an instance
-``x`` the search groups the collections by their word's field at ``x``
-(:func:`pflab.game.images_at`): one ``(image, mask)`` pair per distinct
-image, each mask the OR of its collections' bits ``1 << cid``, read from
-a shared table for the first 1,024 ids. For each distinct image the engine
-caches an increment table: one integer per edge, in edge order.
+constructor. No image tuple is kept. The engine groups collections by
+their word's field at an instance ``x`` (:func:`pflab.game.images_at`):
+one ``(image, mask)`` pair per distinct image, in ascending image, each
+mask the OR of its grouped collections' bits ``1 << cid``. For each
+distinct image the engine caches an increment table: one integer per
+edge, in edge order.
+
+Every read of the groups names the alive set it ANDs them with. The first
+read of ``x`` groups only the alive collections, their ids read off the
+alive mask's set bits with no Python loop over bits: in play, where the
+alive set halves every round, that is a fraction of the family. A later
+read with an alive collection outside the grouped ones groups every
+collection not yet grouped, once, into the same groups, so no instance
+groups a collection twice or costs more than two passes. A whole-state
+search (:meth:`CollectionEngine.value`, :meth:`CollectionEngine.best_instance`)
+first reads every instance over its state's alive set, so no read below
+it regroups: a search from the initial state groups every collection at
+each instance in one pass. Soundness is one invariant: a cached mask or
+class is only ever ANDed with a subset of the alive set it was built
+for, which the grouped collections at that time held. So the caches
+keyed by an alive mask (with or without ``x``) and the bound memo, keyed
+by levels, stay valid across a regroup, as do the increment tables,
+keyed by image. Only the edge classes are cached by group positions,
+which a regroup renumbers, so a regroup drops ``x``'s.
+
 The engine keeps its grid as one packed int per label, edge ``i``'s count
 in the 64-bit field at bit ``64 * i``,
 as :func:`pflab.measures.grid_words` builds it, with no tuple of counts
@@ -305,6 +324,10 @@ from .measures import (
 from .setsystems import iter_bits, mask_of
 
 
+# Maps the binary digits b"0" and b"1" to the bytes 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def states_budget() -> int:
     return env_budget("PFLAB_BUDGET_STATES", 50_000_000)
 
@@ -369,8 +392,11 @@ class CollectionEngine:
         self._moves_cache: dict = {}
         self._search_cache: dict = {}
         self._positions_cache: dict = {}
-        self._edge_cache: dict = {}
-        self._group_cache: list = [None] * spec.n_instances
+        # Per instance: the mask of the collections not yet grouped and the
+        # groups (see _groups), and the edge classes of those groups.
+        every = (1 << len(self.image_words)) - 1
+        self._group_cache: list = [(every, ())] * spec.n_instances
+        self._edge_cache: list = [None] * spec.n_instances
 
     @functools.cached_property
     def edges(self) -> list:
@@ -420,18 +446,45 @@ class CollectionEngine:
         inc = self._increment(move.mass(image_mask) * self.g)
         return inc.numerator if inc.denominator == 1 else inc
 
-    def _groups(self, x: int) -> tuple:
-        """One ``(image, mask)`` pair per distinct image at ``x``, built on first use.
+    def _groups(self, x: int, alive: int) -> tuple:
+        """One ``(image, mask)`` pair per distinct image at ``x`` of the grouped collections.
 
-        ``mask`` has bit ``cid`` set for every collection with that image at ``x``.
+        ``mask`` has bit ``cid`` set for every grouped collection with that
+        image at ``x``, and the pairs are in ascending image, so the groups
+        that meet a given alive set come in one order whichever collections
+        were grouped. The grouped collections hold ``alive``, which every
+        caller ANDs the masks with: the first read of ``x`` groups the
+        alive collections only, and a later read with an alive collection
+        outside them groups every collection not yet grouped into the
+        groups, once, and drops ``x``'s edge classes, whose cache keys are
+        group positions.
         """
-        hit = self._group_cache[x]
-        if hit is None:
-            by_image: dict = {}
-            for cid, image in enumerate(images_at(self.spec, self.image_words, x)):
+        ungrouped, groups = self._group_cache[x]
+        if alive & ungrouped:
+            adding = ungrouped if groups else alive
+            # The added ids' set bits, read off the mask's binary digits as
+            # 0/1 bytes, select the words without a Python loop over bits.
+            bits = bin(adding)[:1:-1].encode().translate(_DIGIT_BITS)
+            by_image = dict(groups)
+            for cid, image in zip(
+                itertools.compress(itertools.count(), bits),
+                images_at(self.spec, itertools.compress(self.image_words, bits), x),
+            ):
                 by_image[image] = by_image.get(image, 0) | 1 << cid
-            hit = self._group_cache[x] = tuple(by_image.items())
-        return hit
+            groups = tuple(sorted(by_image.items()))
+            self._group_cache[x] = (ungrouped ^ adding, groups)
+            self._edge_cache[x] = {}
+        return groups
+
+    def _grouped(self, levels) -> int:
+        """The alive mask of ``levels``, grouped at every instance before a whole-state search.
+
+        Every read below the search is of a subset, so none regroups.
+        """
+        alive = alive_mask(levels)
+        for x in range(self.spec.n_instances):
+            self._groups(x, alive)
+        return alive
 
     # -- the collection version space ------------------------------------------
 
@@ -477,7 +530,7 @@ class CollectionEngine:
             raise EmptyConsistentSet(empty)
         state = (0, ((0, (1 << len(self.image_words)) - 1),))
         for x, move, y in zip(prefix_x, prefix_moves, prefix_reveals):
-            state = self._step(*state, x, self._holding(x, y), move, empty)
+            state = self._step(*state, x, lambda image: image >> y & 1, move, empty)
         return state
 
     def feasible(self, base, levels, x: int) -> int:
@@ -498,7 +551,7 @@ class CollectionEngine:
         self._check_indices(x, edge_index)
         plain_int(y, 0, self.spec.n_labels, SpecError, "label {value!r} outside range({hi})")
         return self._step(
-            base, levels, x, self._holding(x, y), edge_index,
+            base, levels, x, lambda image: image >> y & 1, edge_index,
             "every admissible collection is inconsistent with the reveals",
         )
 
@@ -511,7 +564,7 @@ class CollectionEngine:
         """
         self._check_indices(x, edge_index)
         return self._step(
-            base, levels, x, dict(self._groups(x)).get(mask, 0), edge_index,
+            base, levels, x, lambda image: image == mask, edge_index,
             "every admissible collection is inconsistent with the revealed sets",
         )
 
@@ -524,25 +577,25 @@ class CollectionEngine:
         plain_int(x, 0, self.spec.n_instances, SpecError, "instance {value!r} outside range({hi})")
         plain_int(edge_index, 0, self.n_edges, SpecError, "edge {value!r} outside range({hi})")
 
-    def _holding(self, x: int, y: int) -> int:
-        """Mask of the collections whose image at ``x`` holds ``y``."""
-        return sum(mask for image, mask in self._groups(x) if (image >> y) & 1)
+    def _step(self, base, levels, x: int, kept, move, empty: str):
+        """The search's child step: the alive collections whose image at ``x`` is ``kept`` survive.
 
-    def _step(self, base, levels, x: int, keep: int, move, empty: str):
-        """The search's child step: the alive collections in ``keep`` survive, charged for ``move``.
-
-        ``move`` is an edge index or an exact prefix measure, played at
+        ``kept`` is true of the surviving images. The survivors are charged
+        for ``move``, an edge index or an exact prefix measure, played at
         ``x``. Raises :class:`EmptyConsistentSet` with message ``empty``
-        when no alive collection is in ``keep``.
+        when no alive collection survives.
         """
-        keep &= alive_mask(levels)
-        if not keep:
-            raise EmptyConsistentSet(empty)
+        alive = alive_mask(levels)
+        keep = 0
         inc: dict = {}
-        for image, mask in self._groups(x):
-            if mask & keep:
+        for image, mask in self._groups(x, alive):
+            mask &= alive
+            if mask and kept(image):
+                keep |= mask
                 v = self._charge(move, image)
                 inc[v] = inc.get(v, 0) | mask
+        if not keep:
+            raise EmptyConsistentSet(empty)
         shift, levels = _child(levels, keep, tuple(inc.items()))
         return base + shift, levels
 
@@ -550,7 +603,7 @@ class CollectionEngine:
 
     def _images(self, alive: int, x: int) -> list:
         """The distinct images at ``x`` of the alive collections."""
-        return [image for image, mask in self._groups(x) if mask & alive]
+        return [image for image, mask in self._groups(x, alive) if mask & alive]
 
     def _holds(self, alive: int, x: int) -> list:
         """Per label ``y``, the mask of the alive collections whose image at ``x`` holds ``y``.
@@ -559,7 +612,7 @@ class CollectionEngine:
         alphabet costs only the image's own labels.
         """
         holds = [0] * self.spec.n_labels
-        for image, mask in self._groups(x):
+        for image, mask in self._groups(x, alive):
             mask &= alive
             if mask:
                 while image:
@@ -582,7 +635,7 @@ class CollectionEngine:
         as one ``array('Q')``, and more groups take more such arrays, zipped
         into tuple keys.
         """
-        images, masks = zip(*(group for group in self._groups(x) if group[1] & alive))
+        images, masks = zip(*(group for group in self._groups(x, alive) if group[1] & alive))
         tables = list(map(self._table, images))
         shifts = range(0, _WIDTH - self._bits + 1, self._bits)
         chunks = [
@@ -598,13 +651,14 @@ class CollectionEngine:
         first occurrence of each distinct key. Cached per instance and set
         of alive groups.
         """
-        groups = self._groups(x)
-        key = (x, tuple(i for i, (_, mask) in enumerate(groups) if mask & alive))
-        hit = self._edge_cache.get(key)
+        groups = self._groups(x, alive)
+        key = tuple(i for i, (_, mask) in enumerate(groups) if mask & alive)
+        cache = self._edge_cache[x]
+        hit = cache.get(key)
         if hit is None:
             keys, masks = self._edge_keys(alive, x)
             vectors = self._decode(list(dict.fromkeys(keys)), len(masks))
-            hit = self._edge_cache[key] = [_by_value(inc, masks) for inc in vectors]
+            hit = cache[key] = [_by_value(inc, masks) for inc in vectors]
         return hit
 
     def _decode(self, keys: list, n_groups: int):
@@ -847,7 +901,7 @@ class CollectionEngine:
         """
         best = 0
         for x in range(self.spec.n_instances):
-            tables = [self._table(image) for image, mask in self._groups(x) if mask & alive]
+            tables = [self._table(image) for image, mask in self._groups(x, alive) if mask & alive]
             least = min(_unpack(functools.reduce(self._field_max, tables), self.n_edges))
             if least > best:
                 best = least
@@ -929,7 +983,7 @@ class CollectionEngine:
         ``rounds`` must be a plain int ``>= 0``, else :class:`SpecError`.
         """
         nonnegative(rounds, "rounds")
-        return base + self._solve(levels, alive_mask(levels), rounds)
+        return base + self._solve(levels, self._grouped(levels), rounds)
 
     def best_instance(self, base, levels, rounds: int) -> int:
         """Lowest instance achieving the state's value (adversary's move).
@@ -938,7 +992,7 @@ class CollectionEngine:
         whose child reaches the value, and the first instance when the value
         is the top score, which every edge's worst case reaches.
         """
-        v = self._solve(levels, alive_mask(levels), rounds)
+        v = self._solve(levels, self._grouped(levels), rounds)
         if v <= levels[-1][0]:
             return 0
         return self.reaching(base, levels, rounds, base + v)[0]
@@ -1055,7 +1109,7 @@ class _VersionSpaceEngine(CollectionEngine):
         when at most ``K`` remain, and otherwise their ``K``-subsets.
         """
         system = self.spec.set_system
-        holders = [(image, mask & alive) for image, mask in self._groups(x) if mask & alive]
+        holders = [(image, mask & alive) for image, mask in self._groups(x, alive) if mask & alive]
         labels = functools.reduce(operator.or_, (image for image, _ in holders))
         out = []
         for y in range(self.spec.n_labels):

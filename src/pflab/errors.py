@@ -10,7 +10,7 @@ Three checks hold that rule: :func:`plain_int` (with :func:`plain_ints`,
 its bulk form), :func:`label_mask` and :func:`exact_number`. Each returns
 the value it checked and raises the exception class its caller names, with
 the caller's own message; :func:`is_decimal` is the one rule for reading an
-int from text.
+int from text, and :func:`is_rational` for reading a rational.
 """
 
 from __future__ import annotations
@@ -82,6 +82,20 @@ def is_decimal(text: str, signed: bool = False) -> bool:
     if signed and text[:1] == "-":
         text = text[1:]
     return text.isascii() and text.isdigit()
+
+
+def is_rational(text: str) -> bool:
+    """Is ``text`` ASCII digits after an optional ``-``, then optionally ``/`` or ``.`` and digits?
+
+    ``Fraction`` reads more than this (``"1_0"``, ``" 1/2 "``, ``".5"``,
+    ``"1e-3"`` and non-ASCII digits), and none of those is taken as a
+    rational. ``"1/0"`` passes: the rule is about spelling, not value.
+    """
+    for sep in "/.":
+        head, found, tail = text.partition(sep)
+        if found:
+            return is_decimal(head, signed=True) and is_decimal(tail)
+    return is_decimal(text, signed=True)
 
 
 def _refusal(error: type, message: str, value, lo=None, hi=None) -> Exception:

@@ -21,7 +21,7 @@ rather than sampling.
 from __future__ import annotations
 
 import copy  # unused; bound for perfbench/tracing.py and tests/test_fork.py, which rebind it
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +38,7 @@ from .errors import (
     env_budget,
     exact_number,
     is_decimal,
+    is_rational,
     label_mask,
     plain_int,
     plain_ints,
@@ -282,7 +283,7 @@ def _images(spec: GameSpec, word: int) -> tuple[int, ...]:
     return tuple(word >> shift & field for shift in range(0, spec.n_instances * L, L))
 
 
-def images_at(spec: GameSpec, words: Sequence[int], x: int) -> list[int]:
+def images_at(spec: GameSpec, words: Iterable[int], x: int) -> list[int]:
     """The image at instance ``x`` of each packed image vector in ``words``."""
     L = spec.n_labels
     shift, field = x * L, (1 << L) - 1
@@ -763,10 +764,13 @@ def integer(value) -> int:
 def fraction(value) -> Fraction:
     """Strategy parameter kind: an exact number (a ``Fraction`` or a plain int) or its text.
 
-    Text is read exactly, so ``"1/10"`` and ``"0.1"`` are both 1/10. A float
-    is a rounded binary value and a bool is no number: both are rejected.
+    Text must pass :func:`is_rational` and is read exactly, so ``"1/10"``
+    and ``"0.1"`` are both 1/10. A float is a rounded binary value and a
+    bool is no number: both are rejected.
     """
     if type(value) is str:
+        if not is_rational(value):
+            raise ValueError(value)
         return Fraction(value)
     return Fraction(exact_number(value, None, None, TypeError, "{value!r}"))
 

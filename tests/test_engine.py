@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pflab.dimensions
+import pflab.engine
 import pflab.measure_dims
 from pflab import (
     BudgetExceeded,
@@ -57,7 +58,7 @@ from pflab.engine import (
     alive_mask,
 )
 from pflab.families import binary_full_system_family
-from pflab.game import Collection, image_words
+from pflab.game import Collection, image_words, images_at
 from pflab.setsystems import iter_bits
 
 from test_enumeration import prefix_parity_game
@@ -778,7 +779,7 @@ def _tuple_rule_classes(eng, alive, x):
     classes are the distinct tuples in first-occurrence order, each as its
     ``(increment, OR of group masks)`` pairs in first-group order.
     """
-    groups = [(image, mask) for image, mask in eng._groups(x) if mask & alive]
+    groups = [(image, mask) for image, mask in eng._groups(x, alive) if mask & alive]
     vectors = list(zip(*(_unpack(eng._table(image), eng.n_edges) for image, _ in groups)))
     distinct = list(dict.fromkeys(vectors))
     classes = []
@@ -855,8 +856,112 @@ def test_edge_classes_match_the_tuple_rule_past_one_key_word(n, kind, params):
     """
     spec = _one_instance_spec(n)
     eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **params)
-    assert len(eng._groups(0)) == (1 << n) - 1
+    assert len(eng._groups(0, alive_mask(eng.initial_state()[1]))) == (1 << n) - 1
     _assert_edge_classes_match(eng, n, tries=3)
+
+
+def _regroup_engine(table, seed):
+    """A fresh engine for the regroup test: a kind on a wide spec, or the ``sl`` version-space table."""
+    if table in KINDS:
+        return _engine(_wide_spec(seed), table)
+    spec = _four_label_spec(seed)
+    spec = replace(spec, set_system=_variant_system(spec, table))
+    return _VersionSpaceEngine(spec, _hypotheses(spec))
+
+
+def _alive_answers(eng, alive, x):
+    """What the engine answers at ``x`` for one level of the collections ``alive``.
+
+    The move tables keep each edge class's pairs with their masks ANDed
+    with ``alive``: a class's group masks may hold grouped collections
+    that are not alive, and the search reads only the alive parts.
+    """
+    levels = ((0, alive),)
+
+    def alive_part(moves):
+        return [
+            (reveals, [tuple((v, mask & alive) for v, mask in inc) for inc in edges])
+            for reveals, edges in moves
+        ]
+
+    answers = {
+        "moves": alive_part(eng._moves(alive, x)),
+        "search": alive_part(eng._search_moves(alive, x)),
+        "positions": eng._positions(alive, x),
+        "value": eng.value(0, levels, 2),
+        "worst": eng.edge_worst_values(0, levels, x, 1),
+        "reveals": [eng.best_reveal(0, levels, x, e, 1) for e in range(eng.n_edges)],
+    }
+    if eng.kind != "label" and not isinstance(eng, _VersionSpaceEngine):
+        answers["classes"] = alive_part([((), eng._edge_classes(alive, x))])
+    return answers
+
+
+@pytest.mark.parametrize("table", sorted(KINDS) + ["sl"])
+def test_a_regrouped_instance_answers_as_a_fresh_engine(table, monkeypatch):
+    """An instance read under a partial alive set, then under a set outside it, answers as fresh engines do.
+
+    The first read groups only the alive collections; the second finds an
+    alive collection outside them and groups the rest, renumbering the
+    groups, so a stale edge-class entry would show. Each read is
+    checked against a fresh engine that grouped only that read's set, and
+    the first set is read again after the regroup. On a grid kind an edge
+    class is read before and after the regroup.
+    """
+    grouped = []
+
+    def recording(spec, words, x):
+        images = images_at(spec, words, x)
+        grouped.append((x, len(images)))
+        return images
+
+    monkeypatch.setattr(pflab.engine, "images_at", recording)
+    checked = 0
+    for seed in range(30):
+        eng = _regroup_engine(table, seed)
+        every = (1 << len(eng.image_words)) - 1
+        if every < 3:
+            continue
+        rng = random.Random(seed)
+        first = rng.randint(1, every - 1)
+        outside = every & ~first
+        second = rng.randint(1, every) | outside & -outside
+        x = rng.randrange(eng.spec.n_instances)
+        grouped.clear()
+        before = _alive_answers(eng, first, x)
+        after = _alive_answers(eng, second, x)
+        assert [n for y, n in grouped if y == x] == [first.bit_count(), (every ^ first).bit_count()]
+        assert before == _alive_answers(_regroup_engine(table, seed), first, x), seed
+        assert after == _alive_answers(_regroup_engine(table, seed), second, x), seed
+        assert _alive_answers(eng, first, x) == before, seed
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("entry", ["value", "best_instance"])
+def test_a_whole_state_search_groups_each_instance_in_one_pass(kind, entry, monkeypatch):
+    """A search groups every instance over its state's alive set before it reads below it.
+
+    The depth-first search reads instances at children first, where fewer
+    collections are alive; grouping at the state first means no read below
+    it regroups, so from the initial state each instance is grouped once,
+    over every collection.
+    """
+    grouped = []
+
+    def recording(spec, words, x):
+        images = images_at(spec, words, x)
+        grouped.append((x, len(images)))
+        return images
+
+    monkeypatch.setattr(pflab.engine, "images_at", recording)
+    for seed in range(20):
+        spec = spec_from_seed(seed, horizon=4)
+        eng = CollectionEngine(spec, build_admissible_collections(spec), kind=kind, **KINDS[kind])
+        grouped.clear()
+        getattr(eng, entry)(*eng.initial_state(), spec.horizon)
+        assert grouped == [(x, len(eng.image_words)) for x in range(spec.n_instances)], seed
 
 
 def _least(edges):

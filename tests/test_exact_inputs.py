@@ -47,7 +47,8 @@ from pflab import (
     shattering_tree,
     verify_shattering_tree,
 )
-from pflab.cli import main
+from pflab.cli import _fraction_arg, main
+from pflab.game import fraction
 
 from conftest import two_constant_game
 
@@ -123,7 +124,7 @@ class _Cli:
     """``pflab`` run on ``argv``, with ``SPEC`` standing for a file holding ``spec_text``."""
 
     spec_text: str
-    argv: str
+    argv: str | tuple  # a tuple keeps an argument's spaces
 
 
 def cli(boundary, rejected, spec_text, argv, message):
@@ -228,6 +229,14 @@ LIBRARY = [
         SpecError, "parameter 'seed' of 'random' is not a valid integer"),
     lib("parameter", "gamma float", lambda: make_learner("frpfl", {"gamma": 0.1}), SpecError,
         "parameter 'gamma' of 'frpfl' is not a valid fraction: 0.1"),
+    lib("parameter", "underscored gamma", lambda: make_learner("frpfl", {"gamma": "1_0/20"}),
+        SpecError, "parameter 'gamma' of 'frpfl' is not a valid fraction: '1_0/20'"),
+    lib("parameter", "non-ASCII gamma", lambda: make_learner("frpfl", {"gamma": "١/٢"}),
+        SpecError, "parameter 'gamma' of 'frpfl' is not a valid fraction"),
+    lib("parameter", "padded k", lambda: make_adversary("public_cube", {"k": " 1/2"}),
+        SpecError, "parameter 'k' of 'public_cube' is not a valid fraction: ' 1/2'"),
+    lib("parameter", "bare decimal point", lambda: make_adversary("public_cube", {"k": ".5"}),
+        SpecError, "parameter 'k' of 'public_cube' is not a valid fraction: '.5'"),
     lib("parameter", "list bool", lambda: make_learner("scripted", {"labels": [0, True]}),
         SpecError, "parameter 'labels' of 'scripted' is not a valid int_list: [0, True]"),
     lib("parameter", "out of range", lambda: play_game(TWO, make_learner("constant", {"label": 2}),
@@ -312,6 +321,43 @@ COMMAND_LINE = [
         "expected a rational like 1/3, got 'true'"),
     cli("flag", "out-of-range prefix", SPEC, "dim SPEC --what ppfl --depth 1 --prefix-x 1 "
         "--prefix-y 0 --prefix-reveal 0", "prefix instance 1 outside range(1)"),
+    # Integer flags take ASCII digits after an optional "-", as is_decimal reads them.
+    cli("flag", "underscored depth", SPEC, "dim SPEC --what pfl --depth 1_0",
+        "--depth expects an integer, got '1_0'"),
+    cli("flag", "plus-signed depth", SPEC, "dim SPEC --what pfl --depth +1",
+        "--depth expects an integer, got '+1'"),
+    cli("flag", "float depth", SPEC, "dim SPEC --what pfl --depth 1.5",
+        "--depth expects an integer, got '1.5'"),
+    cli("flag", "non-ASCII depth", SPEC, "rand SPEC --what regret --depth ١",
+        "--depth expects an integer, got '١'"),
+    cli("flag", "float budget", SPEC, "dim SPEC --what pfl --depth 1 --budget 1e3",
+        "--budget expects an integer, got '1e3'"),
+    cli("flag", "float grid", SPEC, "rand SPEC --what regret --depth 1 --grid 2.5",
+        "--grid expects an integer, got '2.5'"),
+    cli("flag", "underscored p", SPEC, "setsys SPEC --p 1_0", "--p expects an integer, got '1_0'"),
+    cli("flag", "float sweep budget", SPEC, "sweep SPEC --task dim --what pfl --horizon 1 "
+        "--budget 1.5", "--budget expects an integer, got '1.5'"),
+    cli("flag", "underscored horizon", SPEC, "sweep SPEC --task dim --what pfl --horizon 1_0",
+        "expected a comma-separated integer list, got '1_0'"),
+    cli("flag", "underscored range", SPEC, "sweep SPEC --task dim --what pfl --horizon 1..2_0",
+        "expected a range like 1..4, got '1..2_0'"),
+    cli("flag", "padded prefix", SPEC, ("dim", "SPEC", "--what", "ppfl", "--depth", "1",
+        "--prefix-x", " 0", "--prefix-y", "0", "--prefix-reveal", "0"),
+        "expected a comma-separated integer list, got ' 0'"),
+    # Rational flags take ASCII digits, then optionally "/" or "." and digits (is_rational).
+    cli("flag", "padded gamma", SPEC, ("rand", "SPEC", "--what", "pms", "--depth", "1",
+        "--gamma", " 1/2"), "expected a rational like 1/3, got ' 1/2'"),
+    cli("flag", "underscored gamma", SPEC, "rand SPEC --what pms --depth 1 --gamma 1_0/20",
+        "expected a rational like 1/3, got '1_0/20'"),
+    cli("flag", "exponent gamma", SPEC, "rand SPEC --what pms --depth 1 --gamma 5e-1",
+        "expected a rational like 1/3, got '5e-1'"),
+    cli("flag", "non-ASCII gamma", SPEC, "rand SPEC --what pms --depth 1 --gamma ١/٢",
+        "expected a rational like 1/3, got '١/٢'"),
+    cli("flag", "bare decimal point", SPEC, "sweep SPEC --task rand --what pms --horizon 1 "
+        "--gamma .5", "expected a rational like 1/3, got '.5'"),
+    cli("flag", "padded weight", SPEC, ("rand", "SPEC", "--what", "ppms", "--depth", "1",
+        "--gamma", "1/2", "--prefix-x", "0", "--prefix-measure", "1/2, 1/2",
+        "--prefix-reveal", "0"), "expected a rational like 1/3, got ' 1/2'"),
 ]
 
 
@@ -320,7 +366,8 @@ def test_every_boundary_refuses_inexact_values(tmp_path, capsys, call, expected,
     if isinstance(call, _Cli):
         path = tmp_path / "spec.yaml"
         path.write_text(call.spec_text)
-        assert main([str(path) if a == "SPEC" else a for a in call.argv.split()]) == expected
+        argv = call.argv.split() if isinstance(call.argv, str) else call.argv
+        assert main([str(path) if a == "SPEC" else a for a in argv]) == expected
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
@@ -330,3 +377,13 @@ def test_every_boundary_refuses_inexact_values(tmp_path, capsys, call, expected,
     with pytest.raises(expected) as caught:
         call()
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1/3", Fraction(1, 3)), ("0.1", Fraction(1, 10)), ("-2", Fraction(-2)), ("07/14", Fraction(1, 2))],
+)
+def test_rational_text_keeps_its_plain_spellings(text, value):
+    """A plain fraction, decimal or int is still read exactly, as a strategy parameter and as a flag."""
+    assert fraction(text) == value
+    assert _fraction_arg(text) == value

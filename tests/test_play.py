@@ -7,6 +7,7 @@ The expected branches, transcripts and protocol errors are frozen outputs of
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from pflab import (
     agnostic_game,
     cube_game,
     helly_game,
+    load_spec_file,
     make_adversary,
     make_learner,
     mask_of,
@@ -34,6 +36,7 @@ from pflab import (
     play_game,
     replay_predictions,
 )
+import pflab.engine
 from pflab import game
 from pflab.learners import ScriptedLearner
 
@@ -408,6 +411,34 @@ def test_set_valued_play_pinned():
         (mask_of([63, 64]), mask_of([63, 65])) * 3,
         "1",
         (63, 127),
+    )
+    assert t.comparator == 0
+
+
+def test_label_play_groups_only_the_alive_collections(monkeypatch):
+    """cvsp against ``pf_not_sv`` on the 4-round prefix-parity game groups 480 collections, not 1,024.
+
+    The learner's engine holds 256 collections, and each reveal halves the
+    alive ones, so round ``t``'s instance is grouped over ``256 / 2**t`` of
+    them, once. The prefix-parity adversary tracks candidates, not
+    collections, so every grouping is the learner's. The transcript is the
+    one ``tests/cli_pins.json`` pins for this play.
+    """
+    grouped = []
+
+    def recording(spec, words, x):
+        images = game.images_at(spec, words, x)
+        grouped.append((x, len(images)))
+        return images
+
+    monkeypatch.setattr(pflab.engine, "images_at", recording)
+    spec = load_spec_file(Path(__file__).resolve().parent / "specs" / "prefix_parity_t4.yaml").spec
+    learner = make_learner("cvsp", {})
+    t = play_game(spec, learner, make_adversary("pf_not_sv", {}))
+    assert len(learner._engines[0].image_words) == 256
+    assert grouped == [(0, 256), (1, 128), (2, 64), (3, 32)]
+    assert _summary(t) == (
+        (0, 1, 2, 3), (16,) * 4, (17,) * 4, (mask_of([0, 17]),) * 4, "4", (0, 16)
     )
     assert t.comparator == 0
 
