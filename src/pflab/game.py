@@ -612,9 +612,12 @@ class PublicBranch:
 
 @dataclass(frozen=True)
 class PublicGameResult:
-    """A public-visibility game: every draw trajectory with its probability."""
+    """A public-visibility game: every draw trajectory with its probability.
 
-    branches: tuple[PublicBranch, ...]
+    ``branches`` is a :class:`PublicBranches`, equal to the tuple of its records.
+    """
+
+    branches: Sequence[PublicBranch]
     expected_loss: Fraction
     expected_comparator: Fraction
     expected_regret: Fraction
@@ -640,14 +643,85 @@ def _record(cls, fields: dict):
     ``fields`` names every field of ``cls`` in declaration order. The
     instance compares, hashes, prints, pickles and refuses assignment as a
     constructed one does, but is made without the generated ``__init__``'s
-    one ``object.__setattr__`` call per field. Play builds every leaf's
-    :class:`GameView`, :class:`Transcript` and :class:`PublicBranch` this way,
-    and :class:`AdmissibleFamily` and :func:`collection_of` every
-    :class:`Collection`.
+    one ``object.__setattr__`` call per field. Play builds every
+    :class:`GameView` and :class:`Transcript` this way, as do
+    :class:`PublicBranches` each :class:`PublicBranch` it reads, and
+    :class:`AdmissibleFamily` and :func:`collection_of` every :class:`Collection`.
     """
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
+
+
+def _transcript(head: tuple, draws, sets: tuple, loss: Fraction, outcome: tuple) -> Transcript:
+    """A settled leaf's :class:`Transcript`; ``outcome`` is its ``(comparator, witness)``."""
+    instances, predictions, reveals = head
+    comparator, witness = outcome
+    return _record(
+        Transcript,
+        {
+            "instances": instances,
+            "predictions": predictions,
+            "reveals": reveals,
+            "sets": sets,
+            "loss": loss,
+            "comparator": comparator,
+            "regret": loss - comparator if comparator else loss,
+            "draws": draws,
+            "witness": witness,
+        },
+    )
+
+
+def _public_branch(row: tuple) -> PublicBranch:
+    head, draws, sets, misses, num, den, outcome = row
+    return _record(
+        PublicBranch,
+        {
+            "probability": Fraction(num, den),
+            "transcript": _transcript(head, draws, sets, Fraction(misses), outcome),
+        },
+    )
+
+
+class PublicBranches(Sequence):
+    """A public game's branches in play order, one row of plain values per leaf.
+
+    A row is ``(head, draws, sets, misses, num, den, outcome)``: the last
+    round's ``(instances, predictions, reveals)``, shared by its draws; the
+    leaf's draws, sets and loss count; its probability ``num / den``; and
+    its memoized ``(comparator, witness)``. Reading an item builds its
+    :class:`PublicBranch` and :class:`Transcript`. The sequence is read-only
+    and acts as the tuple of its records: ``len``, iteration, indexing, slices
+    (tuples), ``==``, ``hash`` and ``repr``.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_public_branch, self.rows[i]))
+        return _public_branch(self.rows[i])
+
+    def __iter__(self):
+        return map(_public_branch, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, PublicBranches)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 # -- strategy interfaces ----------------------------------------------------------
@@ -1013,11 +1087,13 @@ class _Branch:
     online_sets: tuple = ()  # revealed sets under set-valued feedback
     bits: tuple = ()  # loss bits under bandit feedback
 
-    def observed(self, z: int, shared: bool) -> tuple[Learner, Adversary]:
-        """The strategies of the child where the draw came out ``z``.
+    def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
+        """The child where the draw came out ``z``, with probability ``weight``.
 
         A ``shared`` child plays on forks of the strategies, because a later
         sibling still needs them as they are now. Both have observed ``z``.
+        Only public games draw, and they take neither revealed sets nor loss
+        bits.
         """
         learner, adversary = self.learner, self.adversary
         if shared:
@@ -1025,15 +1101,6 @@ class _Branch:
             adversary = adversary.fork()
         learner.observe_draw(z)
         adversary.observe_draw(z)
-        return learner, adversary
-
-    def drawn(self, z: int, weight: Fraction, shared: bool) -> "_Branch":
-        """The child where the draw came out ``z``, with probability ``weight``.
-
-        Its strategies are :meth:`observed`'s. Only public games draw, and
-        they take neither revealed sets nor loss bits.
-        """
-        learner, adversary = self.observed(z, shared)
         return _Branch(
             learner=learner,
             adversary=adversary,
@@ -1089,21 +1156,13 @@ def _play_round(spec: GameSpec, b: _Branch) -> Prediction:
     return pred
 
 
-def _fraction(fractions: dict, num: int, den: int) -> Fraction:
-    """``Fraction(num, den)``, built once per distinct pair in a play's ``fractions``."""
-    f = fractions.get((num, den))
-    if f is None:
-        f = fractions[num, den] = Fraction(num, den)
-    return f
-
-
 _FINALIZED = "finalized set must be a label bitmask, got {value!r}"
 
 
 def _settle(
-    spec: GameSpec, b: _Branch, adversary: Adversary, draws, checked: dict, fractions: dict
-) -> Transcript:
-    """Finalize a leaf's sets, check and score them.
+    spec: GameSpec, b: _Branch, adversary: Adversary, draws, checked: dict
+) -> tuple[tuple, Union[Fraction, int], tuple]:
+    """Finalize a leaf's sets, check and score them: its ``(sets, loss, outcome)``.
 
     The leaf is a child of ``b``, whose round was the last: it has ``b``'s
     history, ``adversary`` as its adversary and ``draws`` as its draws
@@ -1127,9 +1186,9 @@ def _settle(
     sets and on the claimed witness, the bandit loss bits and the loss. A
     type check never reads the memo: ``True == 1``, so a hit could let a bool
     pass as the int it equals. A public leaf's loss is its int count of draws
-    outside their sets, made a :class:`Fraction` by :func:`_fraction`. The
-    leaf's :class:`GameView` and :class:`Transcript` are built by
-    :func:`_record`, with no per-field ``object.__setattr__``.
+    outside their sets, an oblivious leaf's a :class:`Fraction`; ``outcome``
+    is the memoized ``(comparator, witness)``. Every check has run when this
+    returns.
     """
     if spec.feedback is Feedback.SET_VALUED:
         sets = b.online_sets
@@ -1186,8 +1245,7 @@ def _settle(
     if draws is None:
         loss = Fraction(sum(map(_round_loss, b.predictions, sets)))
     else:
-        hits = sum([m >> z & 1 for z, m in zip(draws, sets)])
-        loss = _fraction(fractions, spec.horizon - hits, 1)
+        loss = spec.horizon - sum([m >> z & 1 for z, m in zip(draws, sets)])
     claimed = adversary.witness_collection()
     if claimed is not None:
         claimed = plain_ints(
@@ -1196,26 +1254,10 @@ def _settle(
             "hypothesis index",
         )
     key = (b.instances, sets, claimed)
-    known = checked.get(key)
-    if known is None:
-        known = checked[key] = _outcome(spec, b.instances, sets, claimed)
-    comparator, witness = known
-    # With a zero comparator the regret is the loss's own Fraction: a public
-    # game keeps every leaf's transcript, so one object less per leaf.
-    return _record(
-        Transcript,
-        {
-            "instances": b.instances,
-            "predictions": b.predictions,
-            "reveals": b.reveals,
-            "sets": sets,
-            "loss": loss,
-            "comparator": comparator,
-            "regret": loss - comparator if comparator else loss,
-            "draws": draws,
-            "witness": witness,
-        },
-    )
+    outcome = checked.get(key)
+    if outcome is None:
+        outcome = checked[key] = _outcome(spec, b.instances, sets, claimed)
+    return sets, loss, outcome
 
 
 def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
@@ -1239,25 +1281,25 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     parent only when it is popped.
 
     The leaf rule: when the round just played was the last, the loop settles
-    that round's children where they are drawn, in ascending draw order and
-    with the same fork rule, and never pushes them; an oblivious game's one
-    child is the branch itself. Each leaf ends in :func:`_settle`, which
+    that round's children where they are drawn, in ascending draw order, and
+    never pushes them; an oblivious game's one child is the branch itself.
+    Nothing reads the learner after the last round, so a leaf forks and
+    informs only the adversary. Each leaf ends in :func:`_settle`, which
     asks the adversary for its sets and claimed witness and type-checks both
     on every leaf. The checks that depend only on the outcome run once per
     distinct outcome in the play: the per-round set checks once per distinct
     reveals and sets, and :func:`_outcome` (the comparator and realizability
-    check) once per distinct instances, sets and claimed witness.
+    check) once per distinct instances, sets and claimed witness. So a bad
+    leaf raises before play returns.
 
-    A branch carries its probability as an unreduced integer fraction (see
-    :class:`_Branch`). Each leaf's :class:`PublicBranch`, built by
-    :func:`_record` as its view and transcript are, gets the reduced
-    :class:`Fraction`, built once per distinct ``(num, den)`` in the play by
-    :func:`_fraction` (in uniform play every leaf shares one), as is a public
-    leaf's loss. Its probability, probability times loss and probability
-    times comparator are added as integer numerators into one sum per
-    denominator; zero terms are skipped. Each expectation is then one
-    :class:`Fraction` per denominator, summed, so the probabilities are
-    still checked to total exactly 1.
+    A public leaf is kept as a row (see :class:`PublicBranches`) whose
+    records are built only when read. A branch carries its probability as
+    an unreduced integer fraction (see :class:`_Branch`), and a public
+    leaf's loss is an int count. Each leaf's probability, probability times
+    loss and probability times comparator are added as integer numerators
+    into one sum per denominator; zero terms are skipped. Each expectation
+    is then one :class:`Fraction` per denominator, summed, so the
+    probabilities are still checked to total exactly 1.
     """
     public = spec.visibility is Visibility.PUBLIC
     if public and spec.feedback in (Feedback.SET_VALUED, Feedback.BANDIT):
@@ -1267,9 +1309,8 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
     # Entries are (branch, draw, weight, shared) for a child with rounds left
     # to play; ``draw`` is None for the root and for every oblivious round.
     stack = [(_Branch(learner, adversary, draws=() if public else None), None, ONE, False)]
-    ends: list[PublicBranch] = []
+    rows: list[tuple] = []
     checked: dict = {}
-    fractions: dict = {}  # (num, den) -> its reduced Fraction
     # Denominator -> summed numerators of probability, loss and comparator.
     mass: dict = {}
     weighted: tuple[dict, dict] = ({}, {})
@@ -1290,33 +1331,31 @@ def play_game(spec: GameSpec, learner: Learner, adversary: Adversary):
                 stack.append((branch, *children[i], i < last))
             continue
         # The round just played was the last: settle its children here.
+        head = (branch.instances, branch.predictions, branch.reveals)
+        if not public:
+            return _transcript(head, None, *_settle(spec, branch, branch.adversary, None, checked))
         for i, (z, weight) in enumerate(children):
-            leaf_adversary, draws = branch.adversary, branch.draws
-            num, den = branch.num, branch.den
-            if z is not None:
-                leaf_adversary = branch.observed(z, i < last)[1]
-                draws += (z,)
-                num *= weight.numerator
-                den *= weight.denominator
-            t = _settle(spec, branch, leaf_adversary, draws, checked, fractions)
-            ends.append(
-                _record(PublicBranch, {"probability": _fraction(fractions, num, den), "transcript": t})
-            )
+            leaf_adversary = branch.adversary.fork() if i < last else branch.adversary
+            leaf_adversary.observe_draw(z)
+            draws = branch.draws + (z,)
+            num = branch.num * weight.numerator
+            den = branch.den * weight.denominator
+            sets, misses, outcome = _settle(spec, branch, leaf_adversary, draws, checked)
+            rows.append((head, draws, sets, misses, num, den, outcome))
             mass[den] = mass.get(den, 0) + num
-            for into, value in zip(weighted, (t.loss, t.comparator)):
+            # An int count is its own numerator over 1.
+            for into, value in zip(weighted, (misses, outcome[0])):
                 n = value.numerator
                 if n:  # a zero adds nothing
                     d = den * value.denominator
                     into[d] = into.get(d, 0) + num * n
-    if not public:
-        return ends[0].transcript
     total, e_loss, e_comp = (
         sum((Fraction(n, d) for d, n in into.items()), ZERO) for into in (mass, *weighted)
     )
     if total != 1:
         raise ProtocolViolation(f"draw branch probabilities sum to {total}, expected 1")
     return PublicGameResult(
-        branches=tuple(ends),
+        branches=PublicBranches(rows),
         expected_loss=e_loss,
         expected_comparator=e_comp,
         expected_regret=e_loss - e_comp,

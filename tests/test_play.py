@@ -5,6 +5,7 @@ The expected branches, transcripts and protocol errors are frozen outputs of
 """
 
 import pickle
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -38,10 +39,11 @@ from pflab import (
 )
 import pflab.engine
 from pflab import game
-from pflab.learners import ScriptedLearner
+from pflab.learners import ScriptedLearner, UniformPrefixLearner
 
 from conftest import two_constant_game
 from test_properties import spec_from_seed
+from test_public_reference import reference_public_play
 
 
 def _shown(pred):
@@ -166,6 +168,125 @@ def test_public_leaf_records_equal_constructed_ones():
                 setattr(record, f.name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(record, f.name)
+
+
+class _ForkCountingCubeLearner(UniformPrefixLearner):
+    """The uniform cube learner counting its forks and the draws it is told.
+
+    It forks to itself, so every fork adds to the one count.
+    """
+
+    def begin(self, spec):
+        super().begin(spec)
+        self.counts = Counter()
+
+    def fork(self):
+        self.counts["fork"] += 1
+        return super().fork()
+
+    def observe_draw(self, z):
+        self.counts["observe_draw"] += 1
+
+
+def test_a_public_leaf_forks_only_the_adversary():
+    # Three draws a round over three rounds: 3 + 9 = 12 internal draws, of
+    # which all but the last of each 3 siblings, 8, play on forks. The 27
+    # leaves would add 27 draws and 18 forks if the learner were carried
+    # down to them.
+    spec = cube_game(3, 4, visibility="public")
+    learner = _ForkCountingCubeLearner(3)
+    res = play_game(spec, learner, make_adversary("public_cube", {}))
+    assert len(res.branches) == 27
+    assert learner.counts == {"fork": 8, "observe_draw": 12}
+    reference = reference_public_play(
+        spec, make_learner("uniform_cube", {"T": 3}), make_adversary("public_cube", {})
+    )
+    assert [b.transcript for b in res.branches] == [b.transcript for b in reference.branches]
+    assert res == reference
+
+
+@pytest.mark.parametrize("name", ["cube-t3m4", "frpfl-vs-optimal"])
+def test_public_branches_behave_as_the_tuple_of_their_records(name):
+    res = play_game(*_weighted_game(name))
+    branches = res.branches
+    records = tuple(branches)
+    n = len(records)
+    plain = replace(res, branches=records)
+    assert n > 2 and not isinstance(branches, tuple)
+    assert res == plain and plain == res and not res != plain
+    assert branches == records and records == branches and not branches != records
+    assert hash(res) == hash(plain) and hash(branches) == hash(records)
+    assert repr(res) == repr(plain) and repr(branches) == repr(records)
+    assert res == play_game(*_weighted_game(name))
+    # One branch fewer, or the same records in a list, is not the tuple.
+    assert res != replace(plain, branches=records[:-1]) and branches != records[:-1]
+    assert branches != list(records) and list(records) != branches
+    assert list(branches) == [branches[i] for i in range(n)] == list(records)
+    draws = [b.transcript.draws for b in branches]
+    assert draws == sorted(draws)
+    for i in (0, 1, n - 1, -1, -2, -n):
+        assert branches[i] == records[i]
+    for i in (n, -n - 1, 10**20):
+        with pytest.raises(IndexError):
+            branches[i]
+    for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, None),
+                slice(n, None), slice(2, 1)):
+        assert type(branches[cut]) is tuple and branches[cut] == records[cut]
+    again = pickle.loads(pickle.dumps(res))
+    assert again == res == plain and hash(again) == hash(res) and repr(again) == repr(res)
+    assert pickle.loads(pickle.dumps(branches)) == records
+
+
+# Every method play may call on a learner or an adversary.
+_PROTOCOL = (
+    "begin", "predict", "observe", "observe_set", "observe_loss_bit", "observe_draw",
+    "choose_instance", "reveal", "reveal_set", "loss_bit", "finalize_sets",
+    "witness_collection", "fork",
+)
+
+
+def _counting(strategy, calls: Counter):
+    """``strategy``, its class swapped for a subclass counting each protocol call in ``calls``."""
+    cls = type(strategy)
+
+    def counted(name):
+        method = getattr(cls, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return call
+
+    methods = {name: counted(name) for name in _PROTOCOL if hasattr(cls, name)}
+    strategy.__class__ = type(cls.__name__, (cls,), methods)
+    return strategy
+
+
+@pytest.mark.parametrize("name", ["cube-t3m4", "frpfl-vs-optimal"])
+def test_reading_public_branches_calls_no_strategy_and_validates_nothing(monkeypatch, name):
+    validated = Counter()
+    for check in ("collection_of", "find_realizability_witness", "_outcome"):
+        def counted(*args, _check=check, _original=getattr(game, check)):
+            validated[_check] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(game, check, counted)
+    calls = Counter()
+    spec, learner, adversary = _weighted_game(name)
+    res = play_game(spec, _counting(learner, calls), _counting(adversary, calls))
+    leaves = len(res.branches)
+    assert leaves > 2
+    assert calls["finalize_sets"] == calls["witness_collection"] == leaves
+    assert validated["collection_of"] == validated["_outcome"] > 0
+    played = (Counter(calls), Counter(validated))
+    for _ in range(2):
+        assert len([b.transcript.witness for b in res.branches]) == leaves
+        assert res.branches[-1] == res.branches[leaves - 1]
+        assert len(res.branches[::2]) == (leaves + 1) // 2
+        hash(res)
+        repr(res)
+    assert (calls, validated) == played
 
 
 def _reference_expectations(result):
