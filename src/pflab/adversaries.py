@@ -16,16 +16,17 @@ from fractions import Fraction
 
 from .engine import CollectionEngine, alive_mask
 from .errors import LabelPoolExhausted, PoolExhausted, SpecError
+from .errors import exact_number, plain_int, plain_ints
 from .game import (
     Adversary,
     Feedback,
     GameSpec,
     build_admissible_collections,
+    build_strategy,
     distinct_images,
     fraction,
     int_list,
     integer,
-    strategy_param,
 )
 from .measures import Measure
 from .setsystems import SetSystem, iter_bits, labels_of, mask_of
@@ -147,7 +148,7 @@ class SeededRandomAdversary(_CollectionAdversary):
     """
 
     def __init__(self, seed: int = 0):
-        self._seed = seed
+        self._seed = plain_int(seed, None, None, SpecError, "seed {value!r} is not a plain int")
 
     def begin(self, spec: GameSpec) -> None:
         self._track(spec, build_admissible_collections(spec))
@@ -203,6 +204,11 @@ class CollisionFamily:
     modulus: int = 64
     slopes: tuple = (0, 1)
     pool: tuple = tuple(range(64))
+
+    def __post_init__(self):
+        plain_int(self.modulus, 1, None, SpecError, "modulus must be a positive int, got {value!r}")
+        plain_ints(self.slopes, None, None, SpecError, "slope {value!r} is not a plain int")
+        plain_ints(self.pool, None, None, SpecError, "pool entry {value!r} is not a plain int")
 
     def n_hypotheses(self) -> int:
         return len(self.slopes) * self.modulus
@@ -369,10 +375,12 @@ class CubeAdversary(_FreshInstanceAdversary):
     """
 
     def __init__(self, k):
-        k = Fraction(k)
+        k = exact_number(
+            k, None, None, SpecError, "mass threshold {value!r} is not a Fraction or an int"
+        )
         if not 0 < k <= 1:
             raise SpecError(f"mass threshold must lie in (0, 1], got {k}")
-        self._limit = 1 - k
+        self._limit = 1 - Fraction(k)
 
     def begin(self, spec: GameSpec) -> None:
         super().begin(spec)
@@ -445,6 +453,21 @@ def _parity_half(c: int, x: int, n_candidates: int) -> int:
     return n_candidates + (_PLUS_HALF_OFFSET if ones % 2 == 0 else _MINUS_HALF_OFFSET)
 
 
+def _prefix_parity_layout(n_cand: int, n_instances: int) -> tuple:
+    """``(rows, sets)`` of :func:`pflab.games.pf_not_sv_game`'s layout over ``n_instances``.
+
+    The rows are the constant rows in candidate order, then the parity rows
+    in candidate order; the sets join each candidate, in candidate order,
+    with the minus half and then the plus half.
+    """
+    cands = range(n_cand)
+    rows = tuple((c,) * n_instances for c in cands) + tuple(
+        tuple(_parity_half(c, x, n_cand) for x in range(n_instances)) for c in cands
+    )
+    halves = (n_cand + _MINUS_HALF_OFFSET, n_cand + _PLUS_HALF_OFFSET)
+    return rows, [(1 << c) | (1 << half) for c in cands for half in halves]
+
+
 class PrefixParityAdversary(_FreshInstanceAdversary):
     """Halves the integer-candidate set each round; pins a never-predicted one.
 
@@ -487,17 +510,12 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         self._reveals = ()
 
     def _check_layout(self, spec: GameSpec) -> None:
-        cands = range(self._n_cand)
-        xs = range(spec.n_instances)
-        rows = tuple((c,) * spec.n_instances for c in cands) + tuple(
-            tuple(_parity_half(c, x, self._n_cand) for x in xs) for c in cands
-        )
+        rows, sets = _prefix_parity_layout(self._n_cand, spec.n_instances)
         if spec.hypotheses.kind != "explicit" or spec.hypotheses.rows != rows:
             raise SpecError(
                 "the hypotheses must be the constant rows in candidate order, "
                 "then the parity rows in candidate order"
             )
-        sets = [(1 << c) | (1 << half) for c in cands for half in (self._minus, self._plus)]
         system = spec.set_system
         if system.size() != len(sets) or not all(system.contains(m) for m in sets):
             raise SpecError("the feasible sets must be exactly the candidate-plus-half pairs")
@@ -549,34 +567,22 @@ class PrefixParityAdversary(_FreshInstanceAdversary):
         return (c_star, self._n_cand + c_star)
 
 
+# Each adversary's builder, by registry name: it reads its parameters with ``param``.
+BUILDERS = {
+    "optimal": lambda param: OptimalAdversary(),
+    "echo": lambda param: EchoAdversary(),
+    "random": lambda param: SeededRandomAdversary(param("seed", integer, 0)),
+    "collision": lambda param: CollisionAdversary(CollisionFamily(
+        modulus=param("modulus", integer, 64),
+        slopes=tuple(param("slopes", int_list, (0, 1))),
+        pool=tuple(param("pool", int_list, range(64))),
+    )),
+    "agnostic_two_constant": lambda param: TwoConstantAgnosticAdversary(),
+    "public_cube": lambda param: CubeAdversary(param("k", fraction, Fraction(1, 2))),
+    "pf_not_sv": lambda param: PrefixParityAdversary(),
+}
+
+
 def make_adversary(name: str, params: dict) -> Adversary:
     """Instantiate an adversary by registry name with config-file parameters."""
-    params = dict(params or {})
-
-    def param(*args):
-        return strategy_param(params, name, *args)
-
-    if name == "optimal":
-        built = OptimalAdversary()
-    elif name == "echo":
-        built = EchoAdversary()
-    elif name == "random":
-        built = SeededRandomAdversary(param("seed", integer, 0))
-    elif name == "collision":
-        fam = CollisionFamily(
-            modulus=param("modulus", integer, 64),
-            slopes=tuple(param("slopes", int_list, (0, 1))),
-            pool=tuple(param("pool", int_list, range(64))),
-        )
-        built = CollisionAdversary(fam)
-    elif name == "agnostic_two_constant":
-        built = TwoConstantAgnosticAdversary()
-    elif name == "public_cube":
-        built = CubeAdversary(param("k", fraction, Fraction(1, 2)))
-    elif name == "pf_not_sv":
-        built = PrefixParityAdversary()
-    else:
-        raise SpecError(f"unknown adversary name {name!r}")
-    if params:
-        raise SpecError(f"unused adversary parameters {sorted(params)} for {name!r}")
-    return built
+    return build_strategy("adversary", BUILDERS, name, params)

@@ -111,8 +111,9 @@ A step of the search then works on masks:
   per distinct nonzero survivor mask. Edge classes that face the same
   reveal list share one ``(reveal classes, edge classes)`` entry, so the
   table is a list of such entries, lowest edge first. It depends only on
-  the instance and the alive mask, so it is cached per pair and shared by
-  every state with that alive set;
+  the instance and the alive mask. Only the search's pruned copy of it is
+  cached, per pair, and shared by every state with that alive set; the
+  full table belongs to the choice methods and is built on each call;
 * a child ORs ``mask & survivors & increment mask`` of each level into the
   level at ``score + increment``, then subtracts the lowest score. This one
   step also moves played states: :meth:`CollectionEngine.update` and
@@ -198,8 +199,10 @@ soundness, and that of its speedups, all of which preserve exact values:
     label edge classes kept are therefore those of the maximal reveal
     classes, in their order, and the search reads them off the survivor
     scan without building the full table. Grid tables skip this rule,
-    because theirs can hold hundreds of edge classes; the version-space
-    table has one edge class per entry, so it drops none there;
+    because theirs can hold hundreds of edge classes: the search reads
+    their edge classes as they are cached, per instance and set of alive
+    groups, with no survivor scan. The version-space table has one edge
+    class per entry, so it drops none there;
 
 * scores translate: adding a constant to every score adds it to the value, so
   levels hold scores relative to their minimum, and the memo is keyed on
@@ -252,8 +255,8 @@ Every entry point runs this one search. ``value`` is the ascending tests'
 last pass. The choice methods read the full move table, not the search's
 pruned copy: a dominated class can tie with the class that dominates it and
 still have the lower index, and each method returns the lowest-index tie.
-On the label kind only they build the full table; ``value`` never does,
-and on a grid kind ``value`` builds no table at a single-level leaf root.
+Only they build the full table: ``value`` never does on any kind, and on a
+grid kind it builds no table at all at a single-level leaf root.
 On the choice path only, each edge gets its ``(entry, class)`` position in
 the table at ``x``, cached per instance and alive mask, so the search
 itself does no per-edge work. They take the value of each child they
@@ -389,7 +392,6 @@ class CollectionEngine:
         self._settled_cache: dict = {}
         self._leaf_cache: dict = {}
         self._reveal_cache: dict = {}
-        self._moves_cache: dict = {}
         self._search_cache: dict = {}
         self._positions_cache: dict = {}
         # Per instance: the mask of the collections not yet grouped and the
@@ -707,24 +709,21 @@ class CollectionEngine:
         return [table[entry][cls] for entry, cls in self._positions(alive, x)]
 
     def _moves(self, alive: int, x: int) -> list:
-        """The move table at ``x``: ``(reveal classes, edge classes)`` pairs.
+        """The full move table at ``x``: ``(reveal classes, edge classes)`` pairs.
 
         Every edge class of a pair faces that pair's reveal classes. Partial
         feedback has one pair: every edge class faces the reveal classes of
         :meth:`_holds`. A label edge's class is read off the same scan: one
         class per distinct survivor mask ``holds[y]``, the zero mask
-        included, in label order (:func:`_label_class`). Cached per
-        instance and alive mask.
+        included, in label order (:func:`_label_class`). Only the choice
+        methods read this table, and it is built on each call.
         """
-        hit = self._moves_cache.get((x, alive))
-        if hit is None:
-            holds = self._holds(alive, x)
-            if self.kind == "label":
-                edges = [_label_class(keep, alive) for keep in dict.fromkeys(holds)]
-            else:
-                edges = self._edge_classes(alive, x)
-            hit = self._moves_cache[(x, alive)] = [(_reveal_classes(holds), edges)]
-        return hit
+        holds = self._holds(alive, x)
+        if self.kind == "label":
+            edges = [_label_class(keep, alive) for keep in dict.fromkeys(holds)]
+        else:
+            edges = self._edge_classes(alive, x)
+        return [(_reveal_classes(holds), edges)]
 
     def _search_moves(self, alive: int, x: int) -> list:
         """The move table the test search reads: :meth:`_pruned`, cached per instance and alive mask."""
@@ -755,11 +754,11 @@ class CollectionEngine:
         without building the full table. When no alive image at ``x`` holds
         a label there is no reveal class, and the one edge class charges
         every alive collection. Grid kinds keep all their edge classes,
-        which can number in the hundreds.
+        which can number in the hundreds, read from :meth:`_edge_classes`.
         """
         reveals = self._maximal_reveals(alive, x)
         if self.kind != "label":
-            return [(reveals, self._moves(alive, x)[0][1])]
+            return [(reveals, self._edge_classes(alive, x))]
         return [(reveals, [_label_class(keep, alive) for _, keep in reveals] or [((1, alive),)])]
 
     def _settled(self, alive: int) -> bool:
@@ -1134,19 +1133,16 @@ class _VersionSpaceEngine(CollectionEngine):
         """One ``(reveal classes, [charge])`` entry per edge class: labels with equal reveal lists.
 
         A reveal class is a ``(set, survivor mask)`` pair, and the entries
-        are listed by their lowest label.
+        are listed by their lowest label. Built on each call; the search
+        reads its cached pruned copy.
         """
-        hit = self._moves_cache.get((x, alive))
-        if hit is None:
-            entries: dict = {}
-            for reveals in self._label_reveals(alive, x):
-                entries.setdefault(tuple(reveals), reveals)
-            charge = ((1, alive),)
-            hit = self._moves_cache[(x, alive)] = [
-                ([(s, keep) for keep, s in reveals.items()], [charge])
-                for reveals in entries.values()
-            ]
-        return hit
+        entries: dict = {}
+        for reveals in self._label_reveals(alive, x):
+            entries.setdefault(tuple(reveals), reveals)
+        charge = ((1, alive),)
+        return [
+            ([(s, keep) for keep, s in reveals.items()], [charge]) for reveals in entries.values()
+        ]
 
     def _pruned(self, alive: int, x: int) -> list:
         """Every entry of :meth:`_moves` without its dominated reveal classes; its one edge class stays."""

@@ -149,6 +149,16 @@ def nonnegative(value, what: str) -> int:
     return plain_int(value, 0, None, SpecError, what + negative, what + not_int)
 
 
+def game_size(value, lo: int, message: str) -> int:
+    """``value`` if it is a plain int ``>= lo``: a count of labels, instances or rounds.
+
+    Else :class:`SpecError`, with ``message`` for a plain int below ``lo``
+    and "a game size must be a plain int, got ..." otherwise.
+    """
+    not_int = "a game size must be a plain int, got {value!r}"
+    return plain_int(value, lo, None, SpecError, message, not_int)
+
+
 def label_mask(value, error: type, message: str) -> int:
     """``value`` if it is a label mask, a plain int ``>= 0`` whose bit ``y`` is label ``y``.
 

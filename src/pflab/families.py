@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .errors import AdmissibleEmpty
+from .errors import AdmissibleEmpty, nonnegative
 from .game import (
     GameSpec,
     HypothesisClass,
@@ -35,6 +35,7 @@ def all_set_systems(n_labels: int):
 
 def all_hypothesis_classes(n_instances: int, n_labels: int, max_size: int):
     """Every class of 1..max_size distinct tables, in lexicographic table order."""
+    nonnegative(max_size, "max_class_size")
     tables = list(product(range(n_labels), repeat=n_instances))
     for size in range(1, max_size + 1):
         if size > len(tables):

@@ -37,6 +37,7 @@ from .errors import (
     SpecError,
     env_budget,
     exact_number,
+    game_size,
     is_decimal,
     is_rational,
     label_mask,
@@ -91,6 +92,8 @@ class HypothesisClass:
 
     @classmethod
     def explicit(cls, n_instances: int, n_labels: int, rows) -> "HypothesisClass":
+        game_size(n_instances, 1, "a hypothesis class needs at least one instance")
+        game_size(n_labels, 1, "a hypothesis class needs at least one label")
         table = tuple(tuple(r) for r in rows)
         if not table:
             raise SpecError("a hypothesis class must be nonempty")
@@ -104,6 +107,8 @@ class HypothesisClass:
 
     @classmethod
     def all_functions(cls, n_instances: int, n_labels: int) -> "HypothesisClass":
+        game_size(n_instances, 1, "a hypothesis class needs at least one instance")
+        game_size(n_labels, 1, "a hypothesis class needs at least one label")
         return cls(n_instances=n_instances, n_labels=n_labels, kind="all_functions")
 
     @property
@@ -233,10 +238,9 @@ class GameSpec:
     measure_grid: int = 12
 
     def __post_init__(self):
-        not_int = "a game size must be a plain int, got {value!r}"
-        plain_int(self.n_instances, 1, None, SpecError, "need at least one instance", not_int)
-        plain_int(self.n_labels, 2, None, SpecError, "need at least two labels", not_int)
-        plain_int(self.horizon, 1, None, SpecError, "horizon must be at least 1", not_int)
+        game_size(self.n_instances, 1, "need at least one instance")
+        game_size(self.n_labels, 2, "need at least two labels")
+        game_size(self.horizon, 1, "horizon must be at least 1")
         plain_int(self.measure_grid, 1, None, SpecError, "measure_grid must be a positive integer")
         if self.set_system.n_labels != self.n_labels:
             raise SpecError("set system and game disagree on the number of labels")
@@ -875,6 +879,25 @@ def strategy_param(params: dict, strategy: str, key: str, kind, default=REQUIRED
         raise SpecError(
             f"parameter {key!r} of {strategy!r} is not a valid {kind.__name__}: {value!r}"
         ) from None
+
+
+def build_strategy(role: str, builders: dict, name: str, params: dict):
+    """Build the ``role`` strategy registered as ``name`` from its config ``params``.
+
+    ``builders`` maps each strategy name to a function that takes
+    ``param(key, kind, default)``, :func:`strategy_param` on a copy of
+    ``params``, and returns the strategy. Raises :class:`SpecError` on an
+    unknown name, and on any parameter the builder left unread.
+    """
+    params = dict(params or {})
+    try:
+        build = builders[name]
+    except (KeyError, TypeError):  # an unhashable name is unknown too
+        raise SpecError(f"unknown {role} name {name!r}") from None
+    built = build(lambda *args: strategy_param(params, name, *args))
+    if params:
+        raise SpecError(f"unused {role} parameters {sorted(params)} for {name!r}")
+    return built
 
 
 # -- loss and comparator ----------------------------------------------------------

@@ -8,8 +8,8 @@ leakage, feedback-mode separations, and agnostic floors.
 
 from __future__ import annotations
 
-from .adversaries import CollisionFamily, _parity_half
-from .errors import SpecError
+from .adversaries import CollisionFamily, _prefix_parity_layout
+from .errors import game_size
 from .game import (
     Feedback,
     GameSpec,
@@ -53,6 +53,7 @@ def agnostic_game(T: int) -> GameSpec:
     the game's minimax regret, which the package does not compute for this
     mode; a grid-randomized learner can pay less.
     """
+    game_size(T, 1, "horizon must be at least 1")
     system = SetSystem.explicit(2, [0b01, 0b10, 0b11])
     hyps = HypothesisClass.explicit(T, 2, [[0] * T, [1] * T])
     return GameSpec(
@@ -73,8 +74,7 @@ def cube_game(T: int, M: int, visibility=Visibility.OBLIVIOUS) -> GameSpec:
     draws, and exposed the moment it can. Use visibility="public" for the
     leaky variant.
     """
-    if M < 2:
-        raise SpecError("need at least two labels for co-singleton sets")
+    game_size(M, 2, "need at least two labels for co-singleton sets")
     full = (1 << M) - 1
     system = SetSystem.explicit(M, [full ^ (1 << y) for y in range(M)])
     hyps = HypothesisClass.all_functions(T, M)
@@ -126,12 +126,7 @@ def pf_not_sv_game(set_valued: bool = False) -> GameSpec:
     n_cand = 64
     T = 6
     n_labels = n_cand + 2
-    rows = [[c] * T for c in range(n_cand)]
-    rows += [[_parity_half(c, x, n_cand) for x in range(T)] for c in range(n_cand)]
-    masks = []
-    for c in range(n_cand):
-        masks.append((1 << c) | (1 << n_cand))
-        masks.append((1 << c) | (1 << (n_cand + 1)))
+    rows, masks = _prefix_parity_layout(n_cand, T)
     system = SetSystem.explicit(n_labels, masks)
     hyps = HypothesisClass.explicit(T, n_labels, rows)
     return GameSpec(

@@ -17,11 +17,11 @@ from .game import (
     GameSpec,
     Learner,
     build_admissible_collections,
+    build_strategy,
     distinct_images,
     fraction,
     int_list,
     integer,
-    strategy_param,
 )
 from .measure_dims import msp
 from .measures import Measure, as_gamma
@@ -394,33 +394,28 @@ class FirstSetReadingLearner(Learner):
             self._locked = min(iter_bits(mask))
 
 
+# Each learner's builder, by registry name: it reads its parameters with ``param``.
+BUILDERS = {
+    "cvsp": lambda param: VersionSpacePruningLearner(),
+    "dpfla": lambda param: PotentialMinimizingLearner(
+        potential_budget=param("budget", integer, None)
+    ),
+    "frpfl": lambda param: FixedScaleMeasureLearner(
+        param("gamma", fraction), g=param("g", integer, None)
+    ),
+    "mrpfl": lambda param: MultiScaleMeasureLearner(
+        N=param("N", integer, None), g=param("g", integer, None)
+    ),
+    "helly_intersection": lambda param: TransversalIntersectionLearner(
+        param("transversal", int_list)
+    ),
+    "uniform_cube": lambda param: UniformPrefixLearner(param("T", integer, None)),
+    "constant": lambda param: ConstantLearner(param("label", integer, 0)),
+    "scripted": lambda param: ScriptedLearner(param("labels", int_list)),
+    "first_round_read": lambda param: FirstSetReadingLearner(param("fallback", integer, 0)),
+}
+
+
 def make_learner(name: str, params: dict) -> Learner:
     """Instantiate a learner by registry name with config-file parameters."""
-    params = dict(params or {})
-
-    def param(*args):
-        return strategy_param(params, name, *args)
-
-    if name == "cvsp":
-        built = VersionSpacePruningLearner()
-    elif name == "dpfla":
-        built = PotentialMinimizingLearner(potential_budget=param("budget", integer, None))
-    elif name == "frpfl":
-        built = FixedScaleMeasureLearner(param("gamma", fraction), g=param("g", integer, None))
-    elif name == "mrpfl":
-        built = MultiScaleMeasureLearner(N=param("N", integer, None), g=param("g", integer, None))
-    elif name == "helly_intersection":
-        built = TransversalIntersectionLearner(param("transversal", int_list))
-    elif name == "uniform_cube":
-        built = UniformPrefixLearner(param("T", integer, None))
-    elif name == "constant":
-        built = ConstantLearner(param("label", integer, 0))
-    elif name == "scripted":
-        built = ScriptedLearner(param("labels", int_list))
-    elif name == "first_round_read":
-        built = FirstSetReadingLearner(param("fallback", integer, 0))
-    else:
-        raise SpecError(f"unknown learner name {name!r}")
-    if params:
-        raise SpecError(f"unused learner parameters {sorted(params)} for {name!r}")
-    return built
+    return build_strategy("learner", BUILDERS, name, params)

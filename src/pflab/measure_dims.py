@@ -81,6 +81,7 @@ def msp(N: int, measures, thresholds, system: SetSystem) -> int:
     whenever all measures coincide. One pass: step ``m`` either qualifies,
     keeps stability for the next index, or breaks it for all later ones.
     """
+    nonnegative(N, "N")
     if len(measures) != N or len(thresholds) != N:
         raise SpecError("msp needs exactly N measures and N thresholds")
     thr = [Fraction(t) for t in thresholds]

@@ -194,31 +194,15 @@ def grid_words(n_labels: int, g: int, budget: int | None = None) -> tuple[int, .
     return tuple(words)
 
 
-def grid_columns(n_labels: int, g: int, budget: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """The grid of resolution ``g`` as columns: one tuple of counts per label.
+def measure_grid(n_labels: int, g: int) -> list[Measure]:
+    """All measures with weights in ``{0, 1/g, ..., g/g}``, in :func:`grid_words` order.
 
-    Point ``i`` of the grid is the count tuple ``(columns[0][i], ...,
-    columns[-1][i])``: the words of :func:`grid_words`, in its order and
-    under its checks, read back field by field.
+    Point ``i`` reads field ``i`` of every label's word, under
+    :func:`grid_words`' checks and its ``PFLAB_BUDGET_GRID`` bound. The
+    measures share the ``g + 1`` weights ``Fraction(c, g)``.
     """
-    words = grid_words(n_labels, g, budget)
+    words = grid_words(n_labels, g)
     n = grid_size(n_labels, g)
-    return tuple(tuple(_unpack(word, n)) for word in words)
-
-
-def grid_counts(n_labels: int, g: int, budget: int | None = None) -> list[tuple[int, ...]]:
-    """The grid of resolution ``g`` as count tuples ``c`` with ``sum(c) == g``.
-
-    The points of :func:`grid_words`, in its order and under its checks.
-    """
-    return list(zip(*grid_columns(n_labels, g, budget)))
-
-
-def measure_grid(n_labels: int, g: int, budget: int | None = None) -> list[Measure]:
-    """All measures with weights in ``{0, 1/g, ..., g/g}``, in :func:`grid_counts` order.
-
-    The measures share the ``g + 1`` weights ``Fraction(c, g)``.
-    """
-    counts = grid_counts(n_labels, g, budget)
     weights = [Fraction(c, g) for c in range(g + 1)]
-    return [Measure(tuple(weights[c] for c in point)) for point in counts]
+    points = zip(*(_unpack(word, n) for word in words))
+    return [Measure(tuple(map(weights.__getitem__, point))) for point in points]

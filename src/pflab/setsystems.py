@@ -32,7 +32,7 @@ from itertools import combinations, count
 from math import comb
 from typing import Iterator
 
-from .errors import BudgetExceeded, SpecError, label_mask, plain_int, plain_ints
+from .errors import BudgetExceeded, SpecError, game_size, label_mask, plain_int, plain_ints
 
 # The Helly search is exponential in the number of labels at worst; past this
 # many nodes (label sets tried and members picked) it stops.
@@ -84,8 +84,7 @@ class SetSystem:
     @classmethod
     def explicit(cls, n_labels: int, sets) -> "SetSystem":
         """Build an explicit system from an iterable of label iterables or masks."""
-        if n_labels < 1:
-            raise SpecError("a set system needs at least one label")
+        game_size(n_labels, 1, "a set system needs at least one label")
         masks = []
         for m in sets:
             if type(m) is not int:  # a list of labels, each a plain int >= 0 (a bool is not)
@@ -111,8 +110,7 @@ class SetSystem:
     @classmethod
     def all_nonempty_up_to(cls, n_labels: int, max_size: int) -> "SetSystem":
         """All nonempty label subsets of size at most ``max_size``."""
-        if n_labels < 1:
-            raise SpecError("a set system needs at least one label")
+        game_size(n_labels, 1, "a set system needs at least one label")
         message = f"max_size must lie in [1, {n_labels}], got {{value}}"
         plain_int(max_size, 1, n_labels + 1, SpecError, message)
         return cls(n_labels=n_labels, kind="bounded", max_size=max_size)
@@ -338,8 +336,8 @@ def inseparability_report(system: SetSystem, p: int | None = None, truncated: bo
     ``p`` defaults to the Helly number itself, the smallest ``p`` for which
     condition (2) holds; the report names the ``p`` it checked.
     """
-    if p is not None and p < 1:
-        raise SpecError(f"p must be a positive integer, got {p}")
+    if p is not None:
+        plain_int(p, 1, None, SpecError, "p must be a positive integer, got {value!r}")
     h = helly_number(system)
     p = h if p is None else p
     return {

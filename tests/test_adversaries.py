@@ -224,13 +224,6 @@ def test_agnostic_needs_a_fresh_instance_per_round():
         make_adversary("agnostic_two_constant", {"T": 4})
 
 
-def test_adversary_registry_validation():
-    with pytest.raises(SpecError):
-        make_adversary("nope", {})
-    with pytest.raises(SpecError):
-        make_adversary("echo", {"junk": True})
-
-
 def _multiclass_spec(sets, rows):
     return GameSpec(
         n_instances=len(rows[0]),

@@ -1047,6 +1047,36 @@ def test_label_value_builds_no_full_move_table(monkeypatch):
     assert calls["_moves"] and not calls["_edge_classes"]
 
 
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_value_builds_no_full_move_table(kind):
+    """``value`` from the initial state reads only the search's table, on every kind.
+
+    The search's table reads the maximal reveal classes and, on a grid
+    kind, the cached edge classes, so no search step builds the full table
+    (``_moves``, which runs a survivor scan the search would discard). On
+    the two-round prefix-parity game over three rounds the search goes
+    below the root on every kind, and a choice method on the same engine
+    class does build the full table, so the count is live.
+    """
+    calls = Counter()
+
+    class Counting(CollectionEngine):
+        def _moves(self, alive, x):
+            calls["_moves"] += 1
+            return super()._moves(alive, x)
+
+        def _search_moves(self, alive, x):
+            calls["_search_moves"] += 1
+            return super()._search_moves(alive, x)
+
+    spec = load_spec_file(TEST_SPECS / "prefix_parity_t2.yaml").spec
+    eng = Counting(spec, build_admissible_collections(spec), kind=kind, **KINDS[kind])
+    assert eng.value(*eng.initial_state(), 3) == 2
+    assert calls["_search_moves"] and not calls["_moves"]
+    eng.best_edge(*eng.initial_state(), 0, 2)
+    assert calls["_moves"]
+
+
 class _ClassScan:
     """A test engine whose all-leaf scan takes the class rule on every state.
 
@@ -1231,42 +1261,56 @@ def test_grid_leaf_roots_build_no_edge_classes(monkeypatch):
     st.integers(min_value=1, max_value=16),
     st.sampled_from(GAMMAS),
     st.integers(min_value=1, max_value=63),
+    st.just(False),
 )
-@example(6, 8, Fraction(1, 3), 0b010110)
-@example(2, 1, Fraction(0), 1)
-@example(6, 12, Fraction(1, 3), 0b101001)
-@example(2, 16, Fraction(1), 1)
-def test_increment_tables_match_the_exact_charge_rule(n, g, gamma, probe):
-    """Every image's increment table equals the charge rule on exact ``Fraction`` masses.
+@example(6, 8, Fraction(1, 3), 0b010110, True)
+@example(2, 1, Fraction(0), 1, True)
+@example(6, 12, Fraction(1, 3), 0b101001, True)
+@example(2, 16, Fraction(1), 1, True)
+def test_increment_tables_match_the_exact_charge_rule(n, g, gamma, probe, exact):
+    """Every image's increment table equals the charge rule on each grid edge's weights.
 
     The rule reads each grid edge as its :func:`measure_grid` measure: the
     loss kind charges ``g`` times the mass outside the image, the measure
     kind charges 1 when the mass inside is at most ``1 - gamma`` (below 1
     when ``gamma`` is 0), and the label kind charges a label outside the
-    image, the loss of its point mass. Up to ``g = 16`` a loss increment
-    needs 5 bits of an edge key; at ``gamma = 1`` the measure kind charges
-    only a mass of 0. ``_charge`` reads one entry of a table: on the image
-    ``probe`` (cut to ``n`` labels) it gives the table's entry at every edge.
+    image, the loss of its point mass. On the pinned examples (``exact``)
+    the masses are exact ``Fraction`` sums of the weights. On drawn ones
+    they are integer counts, ``c = g`` times a weight, so the loss is
+    ``g - c`` and the measure test, with ``gamma = p/q``, is ``c * q <= g
+    * (q - p)`` (``c < g`` at ``gamma = 0``). Up to ``g = 16`` a loss
+    increment needs 5 bits of an edge key; at ``gamma = 1`` the measure kind
+    charges only a mass of 0. ``_charge`` reads one entry of a table: on the
+    image ``probe`` (cut to ``n`` labels) it gives the table's entry at
+    every edge.
     """
     spec = _one_instance_spec(n)
     loss = CollectionEngine(spec, [], kind="loss", grid=g)
     measure = CollectionEngine(spec, [], kind="measure", gamma=gamma, grid=g)
     label = CollectionEngine(spec, [], kind="label")
     grid = measure_grid(n, g)
-    # The exact mass of every grid measure on an image, adding one label at a time.
-    on = {0: [Fraction(0)] * len(grid)}
+    p, q = gamma.numerator, gamma.denominator
+    # Each label's weight on every grid edge, in edge order.
+    weights = list(zip(*(m.weights for m in grid)))
+    if exact:
+        lost = lambda mass: g * (1 - mass)
+        charged = lambda mass: int(mass < 1 if p == 0 else mass <= 1 - gamma)
+    else:
+        weights = [[w.numerator * g // w.denominator for w in column] for column in weights]
+        lost = lambda count: g - count
+        charged = lambda count: int(count < g if p == 0 else count * q <= g * (q - p))
+    # The mass of every grid measure on an image, adding one label at a time.
+    on = {0: [0] * len(grid)}
     tables = {}
     for image in range(1, 1 << n):
         low = image & -image
         y = low.bit_length() - 1
-        masses = on[image] = [mass + m.weights[y] for mass, m in zip(on[image ^ low], grid)]
+        masses = on[image] = list(map(operator.add, on[image ^ low], weights[y]))
         tables[image] = {
             eng: _unpack(eng._table(image), eng.n_edges) for eng in (loss, measure, label)
         }
-        assert tables[image][loss].tolist() == [g * (1 - mass) for mass in masses]
-        assert tables[image][measure].tolist() == [
-            int(mass < 1 if gamma == 0 else mass <= 1 - gamma) for mass in masses
-        ]
+        assert tables[image][loss].tolist() == list(map(lost, masses))
+        assert tables[image][measure].tolist() == list(map(charged, masses))
         assert tables[image][label].tolist() == [
             Measure.delta(n, y).miss_mass(image) for y in range(n)
         ]

@@ -30,6 +30,7 @@ from pflab import (
     collection_of,
     find_realizability_witness,
 )
+from pflab.adversaries import _prefix_parity_layout
 from pflab.game import AdmissibleFamily, Collection, distinct_images
 from pflab.games import pf_not_sv_game
 
@@ -333,18 +334,10 @@ def test_a_witness_search_deeper_than_the_recursion_limit_is_a_budget_rejection(
     assert 0 < info.value.spent < info.value.budget
 
 
-def _parity_half(c, x, n_cand):
-    return n_cand + (1 if bin(c & ((1 << (x + 1)) - 1)).count("1") % 2 == 0 else 0)
-
-
 def prefix_parity_game(T, n_x):
     """``pf_not_sv_game``'s shape with 2**T candidates over ``n_x`` instances."""
     n_cand = 1 << T
-    rows = [[c] * n_x for c in range(n_cand)]
-    rows += [[_parity_half(c, x, n_cand) for x in range(n_x)] for c in range(n_cand)]
-    masks = []
-    for c in range(n_cand):
-        masks += [(1 << c) | (1 << n_cand), (1 << c) | (1 << (n_cand + 1))]
+    rows, masks = _prefix_parity_layout(n_cand, n_x)
     return GameSpec(
         n_instances=n_x,
         n_labels=n_cand + 2,

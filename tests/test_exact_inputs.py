@@ -20,7 +20,9 @@ import pytest
 from pflab import (
     Adversary,
     CollectionEngine,
+    CollisionFamily,
     ConstantLearner,
+    CubeAdversary,
     HypothesisClass,
     Measure,
     MultiScaleMeasureLearner,
@@ -29,18 +31,24 @@ from pflab import (
     ProtocolViolation,
     RealizabilityViolation,
     ScriptedLearner,
+    SeededRandomAdversary,
     SetSystem,
     SpecError,
     TreeSpecMismatch,
     UniformPrefixLearner,
+    agnostic_game,
     build_admissible_collections,
     collection_of,
+    cube_game,
+    enumerate_specs,
     find_realizability_witness,
+    inseparability_report,
     load_spec_file,
     make_adversary,
     make_learner,
     minimax_rand_regret,
     ml_sl_bl_dim,
+    msp,
     pfl_dim,
     play_game,
     pms_dim,
@@ -52,6 +60,7 @@ from pflab.game import fraction
 
 from conftest import two_constant_game
 
+SYSTEM = SetSystem.explicit(2, [0b01, 0b10, 0b11])
 PARITY = load_spec_file(Path(__file__).parent / "specs" / "prefix_parity_t2.yaml").spec
 TWO = two_constant_game(2)
 
@@ -212,6 +221,78 @@ LIBRARY = [
         SpecError, "scale count must be positive, got 1.5"),
     lib("constructor-strategy", "float label", lambda: play_game(TWO, ConstantLearner(1.5),
         OptimalAdversary()), SpecError, "constant label 1.5 out of range"),
+    lib("constructor-cube", "float", lambda: CubeAdversary(0.5), SpecError,
+        "mass threshold 0.5 is not a Fraction or an int"),
+    lib("constructor-cube", "bool", lambda: CubeAdversary(True), SpecError,
+        "mass threshold True is not a Fraction or an int"),
+    lib("constructor-cube", "text", lambda: CubeAdversary("1/2"), SpecError,
+        "mass threshold '1/2' is not a Fraction or an int"),
+    lib("constructor-seed", "float", lambda: SeededRandomAdversary(1.5), SpecError,
+        "seed 1.5 is not a plain int"),
+    lib("constructor-seed", "bool", lambda: SeededRandomAdversary(True), SpecError,
+        "seed True is not a plain int"),
+    lib("constructor-seed", "text", lambda: SeededRandomAdversary("x"), SpecError,
+        "seed 'x' is not a plain int"),
+    lib("constructor-modulus", "float", lambda: CollisionFamily(modulus=7.0), SpecError,
+        "modulus must be a positive int, got 7.0"),
+    lib("constructor-modulus", "bool", lambda: CollisionFamily(modulus=True), SpecError,
+        "modulus must be a positive int, got True"),
+    lib("constructor-modulus", "text", lambda: CollisionFamily(modulus="7"), SpecError,
+        "modulus must be a positive int, got '7'"),
+    lib("constructor-slopes", "float", lambda: CollisionFamily(slopes=(0.5, 1)), SpecError,
+        "slope 0.5 is not a plain int"),
+    lib("constructor-slopes", "bool", lambda: CollisionFamily(slopes=(0, True)), SpecError,
+        "slope True is not a plain int"),
+    lib("constructor-pool", "text", lambda: CollisionFamily(pool=(0, "1")), SpecError,
+        "pool entry '1' is not a plain int"),
+    lib("constructor-system-labels", "float", lambda: SetSystem.explicit(2.0, [[0]]), SpecError,
+        "a game size must be a plain int, got 2.0"),
+    lib("constructor-system-labels", "bool", lambda: SetSystem.explicit(True, [[0]]), SpecError,
+        "a game size must be a plain int, got True"),
+    lib("constructor-system-labels", "text", lambda: SetSystem.explicit("2", [[0]]), SpecError,
+        "a game size must be a plain int, got '2'"),
+    lib("constructor-class", "float", lambda: HypothesisClass.explicit(1.0, 2, [[0]]), SpecError,
+        "a game size must be a plain int, got 1.0"),
+    lib("constructor-class", "bool", lambda: HypothesisClass.explicit(1, True, [[0]]), SpecError,
+        "a game size must be a plain int, got True"),
+    lib("constructor-class", "text", lambda: HypothesisClass.explicit("1", 2, [[0]]), SpecError,
+        "a game size must be a plain int, got '1'"),
+    lib("constructor-all-functions", "float", lambda: HypothesisClass.all_functions(2.0, 2),
+        SpecError, "a game size must be a plain int, got 2.0"),
+    lib("constructor-all-functions", "bool", lambda: HypothesisClass.all_functions(2, True),
+        SpecError, "a game size must be a plain int, got True"),
+    lib("constructor-all-functions", "text", lambda: HypothesisClass.all_functions("2", 2),
+        SpecError, "a game size must be a plain int, got '2'"),
+    lib("constructor-cube-game", "float", lambda: cube_game(2, 3.0), SpecError,
+        "a game size must be a plain int, got 3.0"),
+    lib("constructor-cube-game", "bool", lambda: cube_game(2, True), SpecError,
+        "a game size must be a plain int, got True"),
+    lib("constructor-cube-game", "text", lambda: cube_game(2, "3"), SpecError,
+        "a game size must be a plain int, got '3'"),
+    lib("constructor-agnostic-game", "float", lambda: agnostic_game(2.0), SpecError,
+        "a game size must be a plain int, got 2.0"),
+    lib("constructor-agnostic-game", "bool", lambda: agnostic_game(True), SpecError,
+        "a game size must be a plain int, got True"),
+    lib("constructor-agnostic-game", "text", lambda: agnostic_game("2"), SpecError,
+        "a game size must be a plain int, got '2'"),
+    lib("entry-p", "float", lambda: inseparability_report(SYSTEM, 1.5), SpecError,
+        "p must be a positive integer, got 1.5"),
+    lib("entry-p", "bool", lambda: inseparability_report(SYSTEM, True), SpecError,
+        "p must be a positive integer, got True"),
+    lib("entry-p", "text", lambda: inseparability_report(SYSTEM, "2"), SpecError,
+        "p must be a positive integer, got '2'"),
+    lib("entry-msp", "float", lambda: msp(2.0, [], [], SYSTEM), SpecError,
+        "N must be a plain int, got 2.0"),
+    lib("entry-msp", "bool", lambda: msp(True, [], [], SYSTEM), SpecError,
+        "N must be a plain int, got True"),
+    lib("entry-msp", "text", lambda: msp("2", [], [], SYSTEM), SpecError,
+        "N must be a plain int, got '2'"),
+    lib("entry-family", "float", lambda: list(enumerate_specs(2, (1,), 1.5, (1,))), SpecError,
+        "max_class_size must be a plain int, got 1.5"),
+    lib("entry-family", "bool", lambda: list(enumerate_specs(2, (1,), True, (1,))), SpecError,
+        "max_class_size must be a plain int, got True"),
+    lib("entry-family", "text", lambda: list(enumerate_specs(2, (1,), "1", (1,))), SpecError,
+        "max_class_size must be a plain int, got '1'"),
     # Strategy parameters, as the registries take them from a spec file.
     lib("parameter", "float", lambda: make_learner("constant", {"label": 1.5}), SpecError,
         "parameter 'label' of 'constant' is not a valid integer: 1.5"),

@@ -40,6 +40,7 @@ from pflab import (
     play_game,
     replay_predictions,
 )
+from pflab import adversaries, learners
 from pflab.game import Realizability, _comparator
 from pflab.learners import ScriptedLearner
 
@@ -550,3 +551,40 @@ def test_derived_tables_leave_the_frozen_objects_as_they_were():
         twin = dataclasses.replace(obj)
         assert not set(names) & set(vars(twin))
         assert obj == twin and hash(obj) == hash(twin)
+
+
+# The parameters each registered strategy requires; the others take none.
+REQUIRED_PARAMS = {
+    "frpfl": {"gamma": "1/2"},
+    "helly_intersection": {"transversal": [1, 3, 5]},
+    "scripted": {"labels": [0]},
+}
+
+
+@pytest.mark.parametrize(
+    "role, make, registry, base",
+    [
+        ("learner", make_learner, learners.BUILDERS, Learner),
+        ("adversary", make_adversary, adversaries.BUILDERS, Adversary),
+    ],
+    ids=["learner", "adversary"],
+)
+def test_both_registries_build_and_refuse_alike(role, make, registry, base):
+    """Each registry builds every name it lists and refuses an unknown name or a bad parameter set.
+
+    Both registries are one call of one builder, so they check in the same
+    order: the name first, then each parameter the strategy reads (a
+    missing required one is refused), then the parameters it left unread.
+    """
+    for name in registry:
+        params = REQUIRED_PARAMS.get(name, {})
+        assert isinstance(make(name, dict(params)), base)
+        for key in params:
+            with pytest.raises(SpecError, match=rf"^strategy '{name}' requires parameter '{key}'$"):
+                make(name, {})
+        with pytest.raises(SpecError, match=rf"^unused {role} parameters \['junk'\] for '{name}'$"):
+            make(name, {**params, "junk": 1})
+    with pytest.raises(SpecError, match=rf"^unknown {role} name 'x'$"):
+        make("x", {"junk": 1})
+    with pytest.raises(SpecError, match=rf"^unknown {role} name \['x'\]$"):
+        make(["x"], {})

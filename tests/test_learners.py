@@ -197,15 +197,6 @@ def test_a_revealed_set_no_collection_has_empties_the_version_space():
         play_game(spec, VersionSpacePruningLearner(), _RevealsLabelTwo())
 
 
-def test_registry_validation():
-    with pytest.raises(SpecError):
-        make_learner("nope", {})
-    with pytest.raises(SpecError):
-        make_learner("cvsp", {"junk": 1})
-    with pytest.raises(SpecError):
-        make_learner("helly_intersection", {})  # transversal is required
-
-
 def test_dpfla_two_constant_regret_one():
     spec = two_constant_game()
     t = play_game(spec, make_learner("dpfla", {}), OptimalAdversary())

@@ -16,7 +16,7 @@ from pflab import (
     measure_grid,
 )
 from pflab.engine import CollectionEngine
-from pflab.measures import grid_columns, grid_counts, grid_words
+from pflab.measures import _unpack, grid_words
 
 from conftest import two_constant_game
 
@@ -114,8 +114,8 @@ def test_measure_grid_weights_are_the_grid_counts():
     """Weights times g give the count tuples, in the same lexicographically decreasing order."""
     for n in range(2, 5):
         for g in range(1, 7):
-            counts = grid_counts(n, g)
-            assert [tuple(w * g for w in m.weights) for m in measure_grid(n, g)] == counts
+            counts = [tuple(w * g for w in m.weights) for m in measure_grid(n, g)]
+            assert counts == _compositions(n, g)
             assert counts == sorted(set(counts), reverse=True)
             assert len(counts) == grid_size(n, g)
             assert all(sum(c) == g and min(c) >= 0 for c in counts)
@@ -132,24 +132,22 @@ def _compositions(n, g):
     "n, g", [(n, g) for n in range(2, 7) for g in range(1, 9)] + [(34, 1), (66, 1)]
 )
 def test_grid_columns_are_the_compositions(n, g):
-    """Every grid reader lists the compositions: the columns, the counts and the packed words.
+    """The packed words' columns list the compositions, read by bytes and by shifts alike.
 
-    A packed word is read field by field with shifts, apart from the
-    byte-level reader the columns use.
+    The byte-level reader (``_unpack``, which the engine and
+    :func:`measure_grid` use) and a field-by-field read with shifts agree.
     """
-    columns = grid_columns(n, g)
     size = grid_size(n, g)
-    assert len(columns) == n
-    assert all(type(column) is tuple and len(column) == size for column in columns)
     words = grid_words(n, g)
     assert len(words) == n and all(word < 1 << (64 * size) for word in words)
+    columns = [tuple(_unpack(word, size)) for word in words]
     fields = [tuple(word >> (64 * i) & (1 << 64) - 1 for i in range(size)) for word in words]
-    assert list(zip(*columns)) == _compositions(n, g) == grid_counts(n, g) == list(zip(*fields))
+    assert list(zip(*columns)) == _compositions(n, g) == list(zip(*fields))
 
 
 def test_grid_too_large_raises_before_building():
     # Building 8 * 10**22 points would not finish; the size check comes first.
-    for build in (grid_columns, grid_words):
+    for build in (measure_grid, grid_words):
         with pytest.raises(GridTooLarge) as info:
             build(6, 100_000)
         assert info.value.spent == grid_size(6, 100_000)
@@ -170,9 +168,10 @@ def test_engine_over_the_grid_budget_raises(monkeypatch):
         assert len(CollectionEngine(spec, cols, kind=kind, grid=4, **extra).edges) == 5
 
 
-def test_measure_grid_budget():
-    with pytest.raises(GridTooLarge):
-        measure_grid(10, 60, budget=1000)
+def test_measure_grid_budget(monkeypatch):
+    monkeypatch.setenv("PFLAB_BUDGET_GRID", "1000")
+    with pytest.raises(GridTooLarge, match=r"^grid\(10, 60\) has \d+ measures, budget 1000$"):
+        measure_grid(10, 60)
 
 
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=5))
